@@ -9,14 +9,13 @@
 //! one *open-test* vector (a dedicated flow path through that valve) and
 //! one *close-test* vector (a dedicated cut-set through that valve).
 
-use crate::connectivity::{endpoint_ports, path_through_edge};
+use crate::connectivity::{endpoint_ports, Router};
 use crate::cutset::cut_through_valve;
 use crate::error::AtpgError;
 use crate::path::FlowPath;
 use fpva_grid::{Fpva, TestVector, ValveId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashSet;
 
 /// Number of test vectors the naive method needs: `2 · n_v`.
 pub fn baseline_vector_count(fpva: &Fpva) -> usize {
@@ -33,28 +32,28 @@ pub struct BaselineSuite {
     pub skipped: Vec<ValveId>,
 }
 
-/// Builds the naive 2·n_v-vector suite.
+/// Builds the naive 2·n_v-vector suite; `seed` breaks ties in the
+/// router's walks.
 ///
 /// # Errors
 ///
 /// Returns [`AtpgError::MissingPorts`] when the array lacks ports.
-pub fn baseline_vectors(fpva: &Fpva, seed: u64, tries: usize) -> Result<BaselineSuite, AtpgError> {
+pub fn baseline_vectors(fpva: &Fpva, seed: u64) -> Result<BaselineSuite, AtpgError> {
     if fpva.sources().next().is_none() || fpva.sinks().next().is_none() {
         return Err(AtpgError::MissingPorts);
     }
     let mut rng = StdRng::seed_from_u64(seed);
+    let router = Router::new(fpva);
     let mut vectors = Vec::with_capacity(baseline_vector_count(fpva));
     let mut skipped = Vec::new();
-    let avoid = HashSet::new();
     for (v, edge) in fpva.valves() {
         let mut ok = false;
-        if let Some(cells) = path_through_edge(fpva, edge, &avoid, &|_| false, &mut rng, tries) {
-            // The search may route between any source/sink pair; resolve
-            // the ports from the path endpoints.
-            let (source, sink) =
-                endpoint_ports(fpva, &cells).expect("search endpoints are port cells");
-            let path = FlowPath::new(fpva, source, sink, cells)
-                .expect("search yields validated simple paths");
+        if let Some(cells) = router.path_through_edge(edge, &[], &|_| false, &mut rng) {
+            // The router may end at any source/sink pair; resolve the
+            // ports from the path endpoints.
+            let (source, sink) = endpoint_ports(fpva, &cells).expect("routes end at port cells");
+            let path =
+                FlowPath::new(fpva, source, sink, cells).expect("routes are valid flow paths");
             vectors.push(path.to_vector(fpva));
             ok = true;
         }
@@ -85,7 +84,7 @@ mod tests {
     #[test]
     fn baseline_suite_covers_all_single_faults_on_5x5() {
         let f = layouts::table1_5x5();
-        let base = baseline_vectors(&f, 5, 48).unwrap();
+        let base = baseline_vectors(&f, 5).unwrap();
         assert!(base.skipped.is_empty(), "skipped: {:?}", base.skipped);
         assert_eq!(base.vectors.len(), 2 * f.valve_count());
         let suite = TestSuite::new(&f, base.vectors);

@@ -9,7 +9,7 @@ pub enum PathEngine {
     /// the default.
     #[default]
     Hierarchical,
-    /// Direct greedy randomized cover of the whole array.
+    /// Direct greedy cover of the whole array.
     Greedy,
     /// The paper's exact ILP (constraints (1)–(8)); practical for small
     /// arrays/subblocks. Falls back to [`PathEngine::Greedy`] when the
@@ -42,9 +42,10 @@ pub struct AtpgConfig {
     pub block_size: Option<usize>,
     /// Whether to generate the control-leakage vectors.
     pub leakage: bool,
-    /// Seed for the randomized stages.
+    /// Seed that breaks ties in the router's walks.
     pub seed: u64,
-    /// Routing attempts per valve in randomized searches.
+    /// Ignored: routing is exact and needs no retries. Kept only because
+    /// the benchmark harness (`perfbench/src/adapter.rs`) reads it.
     pub tries: usize,
 }
 

@@ -1,11 +1,41 @@
-//! Graph utilities over the valve lattice: reachability and randomized
-//! simple-path search. These are the workhorses behind the greedy path
-//! cover, the leakage generator and cut-set validation.
+//! Graph utilities over the valve lattice: reachability, open components
+//! and the exact flow-path router behind the greedy path cover, the
+//! leakage generator and the baseline.
+//!
+//! # Routing
+//!
+//! [`Router`] contracts every open component (a transportation channel,
+//! or a lone cell) to one node, joined by one arc per valve between two
+//! components. The paper's channel-contiguity rule then says exactly that
+//! a flow path is a simple path in this contracted graph. A flow path
+//! through valve `(u, v)` is two node-disjoint paths: one from `u`'s or
+//! `v`'s node to a source node, one from the other endpoint to a sink
+//! node. A unit-capacity max-flow with node splitting decides in
+//! O(V + E) whether such a pair exists (Menger's theorem), so
+//! [`Router::path_through_edge`] returns `None` only when no valid path
+//! exists.
+//!
+//! A valid path starts at a source port's cell, ends at a sink port's cell,
+//! visits every open component in one contiguous run, and enters no
+//! component holding a source port other than its first: a second
+//! pressure inlet would feed everything downstream of it and mask the
+//! valves upstream. Meters in the middle of a path are harmless, since
+//! every meter is read. A valve whose two cells share an open component
+//! is bypassed by the channel, so no valid path can test it.
+//!
+//! Construction never backtracks. The source side's flow witness is held
+//! back while a guided walk grows the sink side from the other endpoint.
+//! Then a second walk grows the source side around it. Each step takes an
+//! arc after which the walk's port class is still reachable: a `prefer`red
+//! arc if there is one, otherwise any, the random stream breaking ties.
+//! The walks wander rather than take shortest routes, so a path sweeps
+//! the array the way the greedy cover and leakage generator need. Each
+//! component on the result is then expanded back to cells along its
+//! always-open edges.
 
-use fpva_grid::{CellId, EdgeId, EdgeKind, Fpva, PortId};
-use rand::seq::SliceRandom;
+use fpva_grid::{CellId, EdgeId, EdgeKind, Fpva, PortId, PortKind};
 use rand::Rng;
-use std::collections::HashSet;
+use std::collections::{HashSet, VecDeque};
 
 /// Whether fluid could ever cross this edge on a fault-free chip (i.e. the
 /// edge is a valve or an always-open channel site, not a wall).
@@ -14,7 +44,7 @@ pub fn edge_passable(fpva: &Fpva, edge: EdgeId) -> bool {
 }
 
 /// Resolves the source and sink ports whose cells are the endpoints of a
-/// search result. [`path_through_edge`] routes between *arbitrary*
+/// routed path. [`path_through_edge`] routes between *arbitrary*
 /// source/sink pairs, so callers must not assume the chip's first ports;
 /// on multi-port chips that assumption rejects (or mis-labels) every path
 /// that terminates elsewhere.
@@ -48,7 +78,7 @@ pub fn open_components(fpva: &Fpva) -> Vec<usize> {
             continue;
         }
         comp[ix] = next;
-        let mut queue = std::collections::VecDeque::from([cell]);
+        let mut queue = VecDeque::from([cell]);
         while let Some(c) = queue.pop_front() {
             for (edge, n) in fpva.neighbors(c) {
                 if fpva.edge_kind(edge) == EdgeKind::Open {
@@ -63,90 +93,6 @@ pub fn open_components(fpva: &Fpva) -> Vec<usize> {
         next += 1;
     }
     comp
-}
-
-/// Rewrites a simple path so that every open component is visited in one
-/// contiguous run: between the first entry into a component and the last
-/// exit from it, the detour outside is replaced by the in-component route
-/// (always-open edges, so the replacement is physically equivalent — the
-/// detour segment was a pressure bypass anyway). Returns the repaired
-/// simple path.
-pub fn repair_contiguity(fpva: &Fpva, components: &[usize], mut cells: Vec<CellId>) -> Vec<CellId> {
-    'outer: loop {
-        // Locate a component whose occurrences are non-contiguous.
-        let comp_of = |c: CellId| components[fpva.cell_index(c)];
-        for i in 0..cells.len() {
-            let c = comp_of(cells[i]);
-            let first = cells
-                .iter()
-                .position(|&x| comp_of(x) == c)
-                .expect("present");
-            if first < i {
-                continue; // handled when scanning `first`
-            }
-            let last = cells
-                .iter()
-                .rposition(|&x| comp_of(x) == c)
-                .expect("present");
-            let gap = (first..=last).any(|k| comp_of(cells[k]) != c);
-            if !gap {
-                continue;
-            }
-            // Splice: prefix ..=first, in-component route, suffix last.. .
-            let inner = path_within_component(fpva, components, c, cells[first], cells[last]);
-            let mut repaired = cells[..first].to_vec();
-            repaired.extend(inner);
-            repaired.extend(cells[last + 1..].iter().copied());
-            cells = repaired;
-            continue 'outer;
-        }
-        return cells;
-    }
-}
-
-/// BFS route between two cells of one open component using only the
-/// component's always-open edges.
-///
-/// # Panics
-///
-/// Panics if the cells are not in component `comp` (components are
-/// connected by construction, so a route always exists).
-fn path_within_component(
-    fpva: &Fpva,
-    components: &[usize],
-    comp: usize,
-    from: CellId,
-    to: CellId,
-) -> Vec<CellId> {
-    assert_eq!(components[fpva.cell_index(from)], comp);
-    assert_eq!(components[fpva.cell_index(to)], comp);
-    let mut prev: Vec<Option<CellId>> = vec![None; fpva.cell_count()];
-    let mut seen = vec![false; fpva.cell_count()];
-    seen[fpva.cell_index(from)] = true;
-    let mut queue = std::collections::VecDeque::from([from]);
-    while let Some(c) = queue.pop_front() {
-        if c == to {
-            let mut path = vec![c];
-            let mut cur = c;
-            while let Some(p) = prev[fpva.cell_index(cur)] {
-                path.push(p);
-                cur = p;
-            }
-            path.reverse();
-            return path;
-        }
-        for (edge, n) in fpva.neighbors(c) {
-            if fpva.edge_kind(edge) == EdgeKind::Open
-                && components[fpva.cell_index(n)] == comp
-                && !seen[fpva.cell_index(n)]
-            {
-                seen[fpva.cell_index(n)] = true;
-                prev[fpva.cell_index(n)] = Some(c);
-                queue.push_back(n);
-            }
-        }
-    }
-    panic!("open component {comp} is not connected");
 }
 
 /// Checks the channel-contiguity rule: the cells of every open component
@@ -184,7 +130,7 @@ pub fn sink_cells(fpva: &Fpva) -> Vec<CellId> {
 /// `cell_count()`-sized reachability mask.
 pub fn reachable_from(fpva: &Fpva, starts: &[CellId], blocked: &HashSet<EdgeId>) -> Vec<bool> {
     let mut seen = vec![false; fpva.cell_count()];
-    let mut queue = std::collections::VecDeque::new();
+    let mut queue = VecDeque::new();
     for &s in starts {
         let ix = fpva.cell_index(s);
         if !seen[ix] {
@@ -206,194 +152,491 @@ pub fn reachable_from(fpva: &Fpva, starts: &[CellId], blocked: &HashSet<EdgeId>)
     seen
 }
 
-/// Randomized depth-first search for a simple path `start → goal` over
-/// passable edges.
-///
-/// * `avoid` edges are never crossed;
-/// * `visited` cells are never entered (the caller threads this through to
-///   concatenate segments into one simple path); on success the cells of
-///   the returned path are added to it;
-/// * neighbour order is randomly shuffled but edges for which `prefer`
-///   returns `true` are tried first — the greedy cover passes "edge's valve
-///   still uncovered" here, which makes the search naturally serpentine
-///   through unexplored array regions.
-///
-/// The search gives up after a work budget proportional to the array size
-/// rather than backtracking exhaustively (which would be exponential when
-/// the goal has been walled off); the caller retries with fresh
-/// randomness instead.
-///
-/// Returns the cell sequence `start ..= goal`, or `None` when the search
-/// exhausts its budget (the caller typically retries with fresh
-/// randomness).
-pub fn random_simple_path(
-    fpva: &Fpva,
-    start: CellId,
-    goal: CellId,
-    avoid: &HashSet<EdgeId>,
-    visited: &mut HashSet<CellId>,
-    prefer: &dyn Fn(EdgeId) -> bool,
-    rng: &mut impl Rng,
-) -> Option<Vec<CellId>> {
-    if visited.contains(&start) {
-        return None;
-    }
-    // Expansion budget: enough to walk the whole array with moderate
-    // backtracking, but far below exponential enumeration.
-    let mut budget = 16 * fpva.cell_count() + 64;
-    // Cheap pre-check: is the goal even reachable around `visited`?
-    {
-        let mut seen = vec![false; fpva.cell_count()];
-        let mut queue = std::collections::VecDeque::new();
-        seen[fpva.cell_index(start)] = true;
-        queue.push_back(start);
-        let mut found = start == goal;
-        while let Some(cell) = queue.pop_front() {
-            if found {
-                break;
-            }
-            for (edge, next) in fpva.neighbors(cell) {
-                if edge_passable(fpva, edge)
-                    && !avoid.contains(&edge)
-                    && !visited.contains(&next)
-                    && !seen[fpva.cell_index(next)]
-                {
-                    if next == goal {
-                        found = true;
-                        break;
-                    }
-                    seen[fpva.cell_index(next)] = true;
-                    queue.push_back(next);
-                }
-            }
-        }
-        if !found {
-            return None;
-        }
-    }
-    // Iterative DFS: stack of (cell, remaining neighbour choices).
-    let mut path: Vec<CellId> = vec![start];
-    let mut choice_stack: Vec<Vec<(EdgeId, CellId)>> = Vec::new();
-    visited.insert(start);
-    let mut order_buffer: Vec<(EdgeId, CellId)> = Vec::new();
-
-    let expand = |cell: CellId,
-                  visited: &HashSet<CellId>,
-                  rng: &mut dyn rand::RngCore,
-                  buf: &mut Vec<(EdgeId, CellId)>| {
-        buf.clear();
-        for (edge, next) in fpva.neighbors(cell) {
-            if edge_passable(fpva, edge) && !avoid.contains(&edge) && !visited.contains(&next) {
-                buf.push((edge, next));
-            }
-        }
-        buf.shuffle(rng);
-        // Stable partition: preferred edges first (tried last-in-first-out,
-        // so push preferred LAST).
-        buf.sort_by_key(|&(e, _)| prefer(e));
-    };
-
-    if start == goal {
-        return Some(path);
-    }
-    expand(start, visited, rng, &mut order_buffer);
-    choice_stack.push(order_buffer.clone());
-
-    while let Some(choices) = choice_stack.last_mut() {
-        if budget == 0 {
-            // Unwind whatever this attempt consumed and give up.
-            for cell in path {
-                visited.remove(&cell);
-            }
-            return None;
-        }
-        budget -= 1;
-        let Some((_, next)) = choices.pop() else {
-            // Backtrack.
-            let dead = path.pop().expect("path nonempty while stack nonempty");
-            visited.remove(&dead);
-            choice_stack.pop();
-            continue;
-        };
-        if visited.contains(&next) {
-            continue;
-        }
-        visited.insert(next);
-        path.push(next);
-        if next == goal {
-            return Some(path);
-        }
-        expand(next, visited, rng, &mut order_buffer);
-        choice_stack.push(order_buffer.clone());
-    }
-    None
-}
-
-/// Searches for a simple source→sink path crossing `edge`, avoiding the
-/// `avoid` edges. Tries both orientations of `edge` and up to `tries`
-/// random restarts.
+/// Routes a valid source→sink flow path through `edge` that crosses none
+/// of the `avoid` edges; see the [module documentation](self) for what
+/// "valid" means and how the path is built. `prefer` marks the valve
+/// edges the path should collect where it has a choice, and `rng` breaks
+/// ties among them.
 ///
 /// Returns the cell sequence (first cell = a source-port cell, last = a
-/// sink-port cell), or `None` when no attempt succeeds — which, after
-/// enough tries on these well-connected lattices, is strong evidence the
-/// valve cannot lie on any simple source→sink path.
+/// sink-port cell), or `None` exactly when no valid path exists.
+///
+/// Builds a [`Router`] per call; callers routing many paths on one chip
+/// should build it once and call [`Router::path_through_edge`].
 pub fn path_through_edge(
     fpva: &Fpva,
     edge: EdgeId,
-    avoid: &HashSet<EdgeId>,
+    avoid: &[EdgeId],
     prefer: &dyn Fn(EdgeId) -> bool,
     rng: &mut impl Rng,
-    tries: usize,
 ) -> Option<Vec<CellId>> {
-    if !edge_passable(fpva, edge) || avoid.contains(&edge) {
-        return None;
-    }
-    let sources = source_cells(fpva);
-    let sinks = sink_cells(fpva);
-    let (a, b) = edge.endpoints();
-    for attempt in 0..tries {
-        let (u, v) = if attempt % 2 == 0 { (a, b) } else { (b, a) };
-        let src = sources[rng.gen_range(0..sources.len())];
-        let snk = sinks[rng.gen_range(0..sinks.len())];
-        let mut visited: HashSet<CellId> = HashSet::new();
-        // Segment 1: source -> u (must not consume v, or the path could
-        // not continue across the edge).
-        visited.insert(v);
-        let Some(seg1) = random_simple_path(fpva, src, u, avoid, &mut visited, prefer, rng) else {
-            continue;
-        };
-        visited.remove(&v);
-        // Segment 2: v -> sink, avoiding everything segment 1 used.
-        let Some(seg2) = random_simple_path(fpva, v, snk, avoid, &mut visited, prefer, rng) else {
-            continue;
-        };
-        let mut cells = seg1;
-        cells.extend(seg2);
-        // Channel-bypass repair: splice out detours that re-enter an open
-        // component. The repair may remove the requested edge, in which
-        // case this attempt failed and the next one re-randomises.
-        let comps = open_components(fpva);
-        if !components_contiguous(fpva, &comps, &cells) {
-            cells = repair_contiguity(fpva, &comps, cells);
+    Router::new(fpva).path_through_edge(edge, avoid, prefer, rng)
+}
+
+/// One arc of the contracted graph: a valve between two open components.
+#[derive(Debug, Clone, Copy)]
+struct Arc {
+    /// The node on the far side.
+    to: usize,
+    /// The valve edge the arc crosses.
+    edge: EdgeId,
+}
+
+/// The chip's flow layer with every open component contracted to one
+/// node: the exact router of the [module documentation](self).
+#[derive(Debug, Clone)]
+pub struct Router<'a> {
+    fpva: &'a Fpva,
+    /// Node of each cell ([`open_components`]).
+    node: Vec<usize>,
+    /// Arcs leaving each node, in valve order.
+    adj: Vec<Vec<Arc>>,
+    /// Nodes holding a source port's cell.
+    source: Vec<bool>,
+    /// Nodes holding a sink port's cell.
+    sink: Vec<bool>,
+}
+
+/// Which port class a walk heads for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Toward {
+    Sources,
+    Sinks,
+}
+
+/// Nodes the local connectivity probe of [`Router::feasible_arcs`]
+/// expands before falling back to a full reachability search.
+const LOCAL_PROBE: usize = 24;
+
+impl<'a> Router<'a> {
+    /// Contracts `fpva`'s open components into the routing graph.
+    pub fn new(fpva: &'a Fpva) -> Self {
+        let node = open_components(fpva);
+        let n = node.iter().max().map_or(0, |&m| m + 1);
+        let mut adj = vec![Vec::new(); n];
+        for (_, edge) in fpva.valves() {
+            let (a, b) = edge.endpoints();
+            let (x, y) = (node[fpva.cell_index(a)], node[fpva.cell_index(b)]);
+            if x != y {
+                adj[x].push(Arc { to: y, edge });
+                adj[y].push(Arc { to: x, edge });
+            }
         }
-        let crosses = cells
-            .windows(2)
-            .any(|w| fpva.edge_between(w[0], w[1]) == Some(edge));
-        if !crosses {
-            continue;
+        let mut source = vec![false; n];
+        let mut sink = vec![false; n];
+        for (_, port) in fpva.ports() {
+            let x = node[fpva.cell_index(port.cell)];
+            match port.kind {
+                PortKind::Source => source[x] = true,
+                PortKind::Sink => sink[x] = true,
+            }
         }
-        debug_assert!(components_contiguous(fpva, &comps, &cells));
-        return Some(cells);
+        Router {
+            fpva,
+            node,
+            adj,
+            source,
+            sink,
+        }
     }
-    None
+
+    fn node_of(&self, cell: CellId) -> usize {
+        self.node[self.fpva.cell_index(cell)]
+    }
+
+    /// The exact router behind [`path_through_edge`]; same contract.
+    pub fn path_through_edge(
+        &self,
+        edge: EdgeId,
+        avoid: &[EdgeId],
+        prefer: &dyn Fn(EdgeId) -> bool,
+        rng: &mut impl Rng,
+    ) -> Option<Vec<CellId>> {
+        if self.fpva.edge_kind(edge) != EdgeKind::Valve || avoid.contains(&edge) {
+            return None;
+        }
+        let (u, v) = edge.endpoints();
+        let (nu, nv) = (self.node_of(u), self.node_of(v));
+        let usable = |arc: &Arc| !avoid.contains(&arc.edge);
+        let (up, witness) = self.source_witness(nu, nv, &usable)?;
+        let down = if up == nu { nv } else { nu };
+        let mut blocked = vec![false; self.adj.len()];
+        for &x in &witness {
+            blocked[x] = true;
+        }
+        let (down_nodes, down_edges) =
+            self.walk(down, Toward::Sinks, &mut blocked, &usable, prefer, rng);
+        for &x in &witness {
+            blocked[x] = false;
+        }
+        let (mut nodes, mut edges) =
+            self.walk(up, Toward::Sources, &mut blocked, &usable, prefer, rng);
+        nodes.reverse();
+        edges.reverse();
+        nodes.extend(down_nodes);
+        edges.push(edge);
+        edges.extend(down_edges);
+        Some(self.expand(&nodes, &edges))
+    }
+
+    /// Decides feasibility by max-flow: from a super source into `nu` and
+    /// `nv`, out through one unit to a source node and one to a sink node.
+    /// Each node has capacity 1, so a valve inside one component (`nu ==
+    /// nv`) never gets both units; a source node's only exit is the source
+    /// terminal, so no flow passes through one. Returns the endpoint whose
+    /// unit reaches a source node, with that unit's nodes (endpoint first).
+    fn source_witness(
+        &self,
+        nu: usize,
+        nv: usize,
+        usable: &dyn Fn(&Arc) -> bool,
+    ) -> Option<(usize, Vec<usize>)> {
+        let n = self.adj.len();
+        let (inn, out) = (|x: usize| 2 * x, |x: usize| 2 * x + 1);
+        let (s, to_sources, to_sinks, t) = (2 * n, 2 * n + 1, 2 * n + 2, 2 * n + 3);
+        let mut net = Network::new(2 * n + 4);
+        for x in 0..n {
+            net.add(inn(x), out(x));
+            if self.source[x] {
+                net.add(out(x), to_sources);
+                continue;
+            }
+            if self.sink[x] {
+                net.add(out(x), to_sinks);
+            }
+            for arc in self.adj[x].iter().filter(|a| usable(a)) {
+                net.add(out(x), inn(arc.to));
+            }
+        }
+        net.add(s, inn(nu));
+        net.add(s, inn(nv));
+        net.add(to_sources, t);
+        net.add(to_sinks, t);
+        if !(net.augment(s, t) && net.augment(s, t)) {
+            return None;
+        }
+        // Both units leave `s`; follow each to its terminal.
+        for start in [nu, nv] {
+            let mut nodes = vec![start];
+            let mut at = out(start);
+            loop {
+                let next = net.flow_successor(at);
+                if next == to_sources {
+                    return Some((start, nodes));
+                }
+                if next == to_sinks {
+                    break;
+                }
+                nodes.push(next / 2);
+                at = out(next / 2);
+            }
+        }
+        unreachable!("a flow of two reaches both terminals")
+    }
+
+    /// Grows one side of the path from `start` until it stands on a node of
+    /// the port class it heads for, never entering a `blocked` node (nor,
+    /// heading for sinks, a source node). Every node it visits is left
+    /// blocked. Returns the visited nodes (`start` first) and the valve
+    /// edges between them.
+    ///
+    /// The caller guarantees that the port class is reachable from `start`;
+    /// every step keeps it reachable, so the walk never backtracks.
+    fn walk(
+        &self,
+        start: usize,
+        toward: Toward,
+        blocked: &mut [bool],
+        usable: &dyn Fn(&Arc) -> bool,
+        prefer: &dyn Fn(EdgeId) -> bool,
+        rng: &mut impl Rng,
+    ) -> (Vec<usize>, Vec<EdgeId>) {
+        let mut nodes = vec![start];
+        let mut edges = Vec::new();
+        let mut scratch = Scratch::new(self.adj.len());
+        let mut feasible = Vec::new();
+        let mut at = start;
+        while !self.is_target(at, toward) {
+            blocked[at] = true;
+            self.feasible_arcs(at, toward, blocked, usable, &mut scratch, &mut feasible);
+            let preferred: Vec<Arc> = feasible
+                .iter()
+                .copied()
+                .filter(|a| prefer(a.edge))
+                .collect();
+            let pool = if preferred.is_empty() {
+                &feasible
+            } else {
+                &preferred
+            };
+            let arc = pool[rng.gen_range(0..pool.len())];
+            nodes.push(arc.to);
+            edges.push(arc.edge);
+            at = arc.to;
+        }
+        blocked[at] = true;
+        (nodes, edges)
+    }
+
+    fn is_target(&self, x: usize, toward: Toward) -> bool {
+        match toward {
+            Toward::Sources => self.source[x],
+            Toward::Sinks => self.sink[x] && !self.source[x],
+        }
+    }
+
+    fn passable(&self, x: usize, toward: Toward, blocked: &[bool]) -> bool {
+        !blocked[x] && (toward == Toward::Sources || !self.source[x])
+    }
+
+    /// Collects into `out` the usable arcs from the (already blocked) node
+    /// `at` after which the port class stays reachable.
+    ///
+    /// `at` could reach the port class before it was blocked, so some
+    /// neighbour still can; when all candidate neighbours are connected to
+    /// each other without `at`, they all can. A bounded search from one of
+    /// them settles that in the common case; otherwise one search from the
+    /// port class marks exactly the neighbours that reach it.
+    fn feasible_arcs(
+        &self,
+        at: usize,
+        toward: Toward,
+        blocked: &[bool],
+        usable: &dyn Fn(&Arc) -> bool,
+        scratch: &mut Scratch,
+        out: &mut Vec<Arc>,
+    ) {
+        out.clear();
+        out.extend(
+            self.adj[at]
+                .iter()
+                .filter(|a| usable(a) && self.passable(a.to, toward, blocked))
+                .copied(),
+        );
+        let Some(first) = out.first().map(|a| a.to) else {
+            return;
+        };
+        let passable = |x: usize| self.passable(x, toward, blocked);
+        scratch.begin();
+        scratch.visit(first);
+        self.flood(&passable, usable, scratch, LOCAL_PROBE);
+        if out.iter().all(|a| scratch.seen(a.to)) {
+            return;
+        }
+        // Full search from the port class.
+        scratch.begin();
+        for x in (0..self.adj.len()).filter(|&x| self.is_target(x, toward) && !blocked[x]) {
+            scratch.visit(x);
+        }
+        self.flood(&passable, usable, scratch, usize::MAX);
+        out.retain(|a| scratch.seen(a.to));
+    }
+
+    /// Breadth-first search over passable nodes from everything already
+    /// visited in `scratch`, expanding at most `limit` nodes.
+    fn flood(
+        &self,
+        passable: &dyn Fn(usize) -> bool,
+        usable: &dyn Fn(&Arc) -> bool,
+        scratch: &mut Scratch,
+        limit: usize,
+    ) {
+        let mut head = 0;
+        while head < scratch.queue.len().min(limit) {
+            let x = scratch.queue[head];
+            head += 1;
+            for arc in self.adj[x].iter().filter(|a| usable(a)) {
+                if passable(arc.to) && !scratch.seen(arc.to) {
+                    scratch.visit(arc.to);
+                }
+            }
+        }
+    }
+
+    /// Expands a node path back to cells: `edges[i]` joins `nodes[i]` and
+    /// `nodes[i + 1]`; the first node is entered at a source cell and the
+    /// last left at a sink cell.
+    fn expand(&self, nodes: &[usize], edges: &[EdgeId]) -> Vec<CellId> {
+        let cell_in = |edge: EdgeId, x: usize| {
+            let (a, b) = edge.endpoints();
+            if self.node_of(a) == x {
+                a
+            } else {
+                b
+            }
+        };
+        let is_port = |cell: CellId, kind| {
+            self.fpva
+                .ports()
+                .any(|(_, p)| p.cell == cell && p.kind == kind)
+        };
+        let mut cells = Vec::new();
+        for (i, &x) in nodes.iter().enumerate() {
+            let exit = edges.get(i).map(|&e| cell_in(e, x));
+            match (i.checked_sub(1).map(|k| cell_in(edges[k], x)), exit) {
+                (Some(entry), Some(exit)) => cells.extend(self.within(entry, |c| c == exit)),
+                (Some(entry), None) => {
+                    cells.extend(self.within(entry, |c| is_port(c, PortKind::Sink)));
+                }
+                (None, Some(exit)) => {
+                    let mut run = self.within(exit, |c| is_port(c, PortKind::Source));
+                    run.reverse();
+                    cells.extend(run);
+                }
+                (None, None) => unreachable!("a path through a valve spans two nodes"),
+            }
+        }
+        cells
+    }
+
+    /// Shortest run of cells from `from` to the first cell meeting `goal`
+    /// along always-open edges, i.e. inside `from`'s open component.
+    fn within(&self, from: CellId, goal: impl Fn(CellId) -> bool) -> Vec<CellId> {
+        // Components are short channels: a list scan beats a cell-sized map.
+        let mut visited: Vec<(CellId, usize)> = vec![(from, usize::MAX)];
+        let mut head = 0;
+        while !goal(visited[head].0) {
+            let cell = visited[head].0;
+            for (edge, next) in self.fpva.neighbors(cell) {
+                if self.fpva.edge_kind(edge) == EdgeKind::Open
+                    && !visited.iter().any(|&(c, _)| c == next)
+                {
+                    visited.push((next, head));
+                }
+            }
+            head += 1;
+        }
+        let mut run = Vec::new();
+        let mut k = head;
+        while k != usize::MAX {
+            run.push(visited[k].0);
+            k = visited[k].1;
+        }
+        run.reverse();
+        run
+    }
+}
+
+/// Reusable search state over the contracted graph: an epoch-stamped
+/// visited set and the search queue.
+#[derive(Debug)]
+struct Scratch {
+    seen: Vec<u32>,
+    epoch: u32,
+    queue: Vec<usize>,
+}
+
+impl Scratch {
+    fn new(n: usize) -> Self {
+        Scratch {
+            seen: vec![0; n],
+            epoch: 0,
+            queue: Vec::with_capacity(n),
+        }
+    }
+
+    /// Starts a new search with nothing visited.
+    fn begin(&mut self) {
+        self.epoch += 1;
+        self.queue.clear();
+    }
+
+    fn visit(&mut self, x: usize) {
+        self.seen[x] = self.epoch;
+        self.queue.push(x);
+    }
+
+    fn seen(&self, x: usize) -> bool {
+        self.seen[x] == self.epoch
+    }
+}
+
+/// A unit-capacity flow network in forward-star form; arc `i`'s residual
+/// twin is `i ^ 1`, so even arcs are the forward ones.
+#[derive(Debug)]
+struct Network {
+    head: Vec<usize>,
+    next: Vec<usize>,
+    to: Vec<usize>,
+    cap: Vec<u8>,
+}
+
+impl Network {
+    fn new(nodes: usize) -> Self {
+        Network {
+            head: vec![usize::MAX; nodes],
+            next: Vec::new(),
+            to: Vec::new(),
+            cap: Vec::new(),
+        }
+    }
+
+    fn arcs(&self, x: usize) -> impl Iterator<Item = usize> + '_ {
+        let live = |a: usize| (a != usize::MAX).then_some(a);
+        std::iter::successors(live(self.head[x]), move |&a| live(self.next[a]))
+    }
+
+    /// Adds a capacity-1 arc and its empty residual twin.
+    fn add(&mut self, from: usize, to: usize) {
+        for (a, b, cap) in [(from, to, 1), (to, from, 0)] {
+            self.next.push(self.head[a]);
+            self.head[a] = self.to.len();
+            self.to.push(b);
+            self.cap.push(cap);
+        }
+    }
+
+    /// Pushes one unit along a shortest augmenting path; `false` when the
+    /// flow is already maximum.
+    fn augment(&mut self, s: usize, t: usize) -> bool {
+        let mut via = vec![usize::MAX; self.head.len()];
+        let mut queue = VecDeque::from([s]);
+        while let Some(x) = queue.pop_front() {
+            for a in self.arcs(x) {
+                let y = self.to[a];
+                if self.cap[a] > 0 && y != s && via[y] == usize::MAX {
+                    via[y] = a;
+                    queue.push_back(y);
+                }
+            }
+            if via[t] != usize::MAX {
+                break;
+            }
+        }
+        if via[t] == usize::MAX {
+            return false;
+        }
+        let mut y = t;
+        while y != s {
+            let a = via[y];
+            self.cap[a] -= 1;
+            self.cap[a ^ 1] += 1;
+            y = self.to[a ^ 1];
+        }
+        true
+    }
+
+    /// The head of the forward arc out of `x` that carries flow.
+    fn flow_successor(&self, x: usize) -> usize {
+        self.arcs(x)
+            .find(|&a| a % 2 == 0 && self.cap[a] == 0)
+            .map(|a| self.to[a])
+            .expect("flow is conserved at every inner node")
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fpva_grid::{layouts, FpvaBuilder, PortKind, Side};
+    use fpva_grid::{layouts, Axis, FpvaBuilder, Side};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    fn crosses(f: &Fpva, cells: &[CellId], edge: EdgeId) -> bool {
+        cells
+            .windows(2)
+            .any(|w| f.edge_between(w[0], w[1]) == Some(edge))
+    }
 
     #[test]
     fn reachability_full_grid() {
@@ -427,27 +670,23 @@ mod tests {
     }
 
     #[test]
-    fn random_path_reaches_goal_and_is_simple() {
+    fn routed_paths_are_simple_port_to_port_and_cross_the_edge() {
         let f = layouts::full_array(4, 4);
-        let mut rng = StdRng::seed_from_u64(3);
-        for _ in 0..20 {
-            let mut visited = HashSet::new();
-            let path = random_simple_path(
-                &f,
-                CellId::new(0, 0),
-                CellId::new(3, 3),
-                &HashSet::new(),
-                &mut visited,
-                &|_| false,
-                &mut rng,
-            )
-            .expect("full grid is connected");
-            assert_eq!(path[0], CellId::new(0, 0));
-            assert_eq!(*path.last().unwrap(), CellId::new(3, 3));
-            let unique: HashSet<_> = path.iter().collect();
-            assert_eq!(unique.len(), path.len(), "path must be simple");
-            for w in path.windows(2) {
-                assert!(f.edge_between(w[0], w[1]).is_some());
+        let router = Router::new(&f);
+        for seed in 0..5 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            for (_, edge) in f.valves() {
+                let path = router
+                    .path_through_edge(edge, &[], &|_| false, &mut rng)
+                    .expect("every valve of a full grid is routable");
+                assert_eq!(path[0], CellId::new(0, 0));
+                assert_eq!(*path.last().unwrap(), CellId::new(3, 3));
+                let unique: HashSet<_> = path.iter().collect();
+                assert_eq!(unique.len(), path.len(), "path must be simple");
+                assert!(path
+                    .windows(2)
+                    .all(|w| f.edge_between(w[0], w[1]).is_some()));
+                assert!(crosses(&f, &path, edge), "path skips {edge}");
             }
         }
     }
@@ -457,12 +696,12 @@ mod tests {
         let f = layouts::full_array(3, 3);
         let mut rng = StdRng::seed_from_u64(11);
         for (_, edge) in f.valves() {
-            let cells = path_through_edge(&f, edge, &HashSet::new(), &|_| false, &mut rng, 64)
+            let cells = path_through_edge(&f, edge, &[], &|_| false, &mut rng)
                 .unwrap_or_else(|| panic!("no path through {edge}"));
-            let crossed = cells
-                .windows(2)
-                .any(|w| f.edge_between(w[0], w[1]) == Some(edge));
-            assert!(crossed, "returned path skips the requested edge {edge}");
+            assert!(
+                crosses(&f, &cells, edge),
+                "returned path skips the requested edge {edge}"
+            );
         }
     }
 
@@ -471,14 +710,12 @@ mod tests {
         let f = layouts::full_array(1, 3);
         let mut rng = StdRng::seed_from_u64(5);
         // A 1x3 pipeline: avoiding edge 0 makes edge 1 unreachable.
-        let avoid: HashSet<EdgeId> = [EdgeId::horizontal(0, 0)].into_iter().collect();
         let got = path_through_edge(
             &f,
             EdgeId::horizontal(0, 1),
-            &avoid,
+            &[EdgeId::horizontal(0, 0)],
             &|_| false,
             &mut rng,
-            16,
         );
         assert!(got.is_none());
     }
@@ -530,9 +767,8 @@ mod tests {
 
     #[test]
     fn path_through_edge_respects_channel_contiguity() {
-        use rand::SeedableRng;
-        // Vertical channel: paths crossing it twice are rejected, so every
-        // returned path must be contiguous per component.
+        // Vertical channel: every valve is routable, and every returned
+        // path visits the channel in one run.
         let f = FpvaBuilder::new(5, 5)
             .channel_vertical(2, 1, 3)
             .port(0, 0, Side::West, PortKind::Source)
@@ -540,40 +776,87 @@ mod tests {
             .build()
             .unwrap();
         let comps = open_components(&f);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(2);
+        let mut rng = StdRng::seed_from_u64(2);
         for (_, edge) in f.valves() {
-            if let Some(cells) =
-                path_through_edge(&f, edge, &HashSet::new(), &|_| false, &mut rng, 64)
-            {
-                assert!(
-                    components_contiguous(&f, &comps, &cells),
-                    "path through {edge} re-enters the channel"
-                );
-            }
+            let cells = path_through_edge(&f, edge, &[], &|_| false, &mut rng)
+                .unwrap_or_else(|| panic!("no path through {edge}"));
+            assert!(
+                components_contiguous(&f, &comps, &cells),
+                "path through {edge} re-enters the channel"
+            );
         }
     }
 
     #[test]
     fn preference_biases_first_steps() {
-        // With a strong preference for uncovered (here: vertical) edges the
-        // first move from the corner should be south rather than east.
+        // The valve below the source corner: the source side is the corner
+        // itself, so the walk's first step from (1,0) decides the path.
+        // Whichever axis is preferred, every seed takes it.
         let f = layouts::full_array(3, 3);
+        let edge = EdgeId::vertical(0, 0);
+        for seed in 0..8 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let down =
+                path_through_edge(&f, edge, &[], &|e| e.axis == Axis::Vertical, &mut rng).unwrap();
+            assert_eq!(down[2], CellId::new(2, 0), "preferred vertical step");
+            let across =
+                path_through_edge(&f, edge, &[], &|e| e.axis == Axis::Horizontal, &mut rng)
+                    .unwrap();
+            assert_eq!(across[2], CellId::new(1, 1), "preferred horizontal step");
+        }
+    }
+
+    #[test]
+    fn unroutable_pocket_is_none() {
+        // (0,2) is a dead end: its only other neighbour is an obstacle, so
+        // the valve into it can be entered but never left.
+        let f = FpvaBuilder::new(3, 3)
+            .obstacle(1, 2, 1, 2)
+            .port(0, 0, Side::West, PortKind::Source)
+            .port(2, 2, Side::East, PortKind::Sink)
+            .build()
+            .unwrap();
         let mut rng = StdRng::seed_from_u64(1);
-        let mut visited = HashSet::new();
-        let path = random_simple_path(
-            &f,
-            CellId::new(0, 0),
-            CellId::new(2, 2),
-            &HashSet::new(),
-            &mut visited,
-            &|e| e.axis == fpva_grid::Axis::Vertical,
-            &mut rng,
-        )
-        .unwrap();
-        assert_eq!(
-            path[1],
-            CellId::new(1, 0),
-            "preferred (vertical) edge tried first"
-        );
+        let pocket = EdgeId::horizontal(0, 1);
+        assert!(path_through_edge(&f, pocket, &[], &|_| false, &mut rng).is_none());
+        assert!(path_through_edge(&f, EdgeId::vertical(0, 0), &[], &|_| false, &mut rng).is_some());
+    }
+
+    #[test]
+    fn valve_inside_one_channel_component_is_unroutable() {
+        // Two parallel channels joined by a third: the valves between the
+        // parallel runs have both cells in one component.
+        let f = FpvaBuilder::new(4, 4)
+            .channel_horizontal(1, 0, 2)
+            .channel_horizontal(2, 0, 2)
+            .channel_vertical(2, 1, 2)
+            .port(0, 0, Side::West, PortKind::Source)
+            .port(3, 3, Side::East, PortKind::Sink)
+            .build()
+            .unwrap();
+        let inner = EdgeId::vertical(1, 0);
+        assert_eq!(f.edge_kind(inner), EdgeKind::Valve);
+        let mut rng = StdRng::seed_from_u64(4);
+        assert!(path_through_edge(&f, inner, &[], &|_| false, &mut rng).is_none());
+    }
+
+    #[test]
+    fn no_second_source_mid_path() {
+        // A 1x4 pipeline with a second source on (0,2): a path through the
+        // first two valves would pass that inlet, which feeds the sink on
+        // its own and masks them. Only the last valve is testable.
+        let f = FpvaBuilder::new(1, 4)
+            .port(0, 0, Side::West, PortKind::Source)
+            .port(0, 2, Side::North, PortKind::Source)
+            .port(0, 3, Side::East, PortKind::Sink)
+            .build()
+            .unwrap();
+        let mut rng = StdRng::seed_from_u64(9);
+        for col in 0..2 {
+            let edge = EdgeId::horizontal(0, col);
+            assert!(path_through_edge(&f, edge, &[], &|_| false, &mut rng).is_none());
+        }
+        let last = path_through_edge(&f, EdgeId::horizontal(0, 2), &[], &|_| false, &mut rng);
+        assert_eq!(last, Some(vec![CellId::new(0, 2), CellId::new(0, 3)]));
     }
 }

@@ -336,6 +336,16 @@ pub fn straight_line_cuts(fpva: &Fpva) -> Result<Vec<CutSet>, AtpgError> {
 /// other endpoint to the boundary avoiding the first half. Used to cover
 /// valves the straight-line family misses.
 pub fn cut_through_valve(fpva: &Fpva, valve: ValveId) -> Option<CutSet> {
+    exposing_cut(fpva, valve, exposed_valves).map(|(cut, _)| cut)
+}
+
+/// Decides which members of a cut its vector exposes ([`exposed_valves`];
+/// the tests swap in a reference definition).
+type Exposure = fn(&Fpva, &CutSet) -> Vec<ValveId>;
+
+/// [`cut_through_valve`], with the cut's exposed members (which always
+/// include `valve`).
+fn exposing_cut(fpva: &Fpva, valve: ValveId, exposure: Exposure) -> Option<(CutSet, Vec<ValveId>)> {
     let (rows, cols) = (fpva.rows(), fpva.cols());
     let edge = fpva.edge_of(valve);
     let (p, q) = dual_endpoints(edge);
@@ -373,16 +383,9 @@ pub fn cut_through_valve(fpva: &Fpva, valve: ValveId) -> Option<CutSet> {
             // The cut must be *minimal through `valve`*: a stuck-at-1 at
             // `valve` is only observable if opening it alone reconnects a
             // source to a sink. Otherwise try the next curve shape.
-            let blocked: HashSet<EdgeId> = cut
-                .valves()
-                .iter()
-                .filter(|&&v| v != valve)
-                .map(|&v| fpva.edge_of(v))
-                .collect();
-            let reach = reachable_from(fpva, &source_cells(fpva), &blocked);
-            let reconnects = sink_cells(fpva).iter().any(|&s| reach[fpva.cell_index(s)]);
-            if reconnects {
-                return Some(cut);
+            let exposed = exposure(fpva, &cut);
+            if exposed.contains(&valve) {
+                return Some((cut, exposed));
             }
         }
     }
@@ -410,23 +413,51 @@ impl CutCover {
 /// opening that valve alone (everything else as commanded) reconnects a
 /// source to a sink. Valves the cut merely contains redundantly (e.g.
 /// added by the constraint-(9) repair) are not exposed by it.
+///
+/// With the whole cut closed, one search from the sources and one from
+/// the sinks decide every member at once: opening `(x, y)` alone joins a
+/// source to a sink exactly when one endpoint is reached from a source and
+/// the other from a sink, since any reconnecting route crosses the valve
+/// once and avoids every other member.
 pub fn exposed_valves(fpva: &Fpva, cut: &CutSet) -> Vec<ValveId> {
-    let sources = source_cells(fpva);
-    let sinks = sink_cells(fpva);
+    let mut closed = vec![false; fpva.edge_count()];
+    for &v in cut.valves() {
+        closed[fpva.edge_index(fpva.edge_of(v))] = true;
+    }
+    let from_sources = reach_around(fpva, &source_cells(fpva), &closed);
+    let from_sinks = reach_around(fpva, &sink_cells(fpva), &closed);
     cut.valves()
         .iter()
         .copied()
         .filter(|&v| {
-            let blocked: HashSet<EdgeId> = cut
-                .valves()
-                .iter()
-                .filter(|&&w| w != v)
-                .map(|&w| fpva.edge_of(w))
-                .collect();
-            let reach = reachable_from(fpva, &sources, &blocked);
-            sinks.iter().any(|&s| reach[fpva.cell_index(s)])
+            let (x, y) = fpva.edge_of(v).endpoints();
+            let (x, y) = (fpva.cell_index(x), fpva.cell_index(y));
+            (from_sources[x] && from_sinks[y]) || (from_sources[y] && from_sinks[x])
         })
         .collect()
+}
+
+/// Cells reachable from `starts` over passable edges not marked `closed`
+/// (indexed by [`Fpva::edge_index`]).
+fn reach_around(fpva: &Fpva, starts: &[CellId], closed: &[bool]) -> Vec<bool> {
+    let mut seen = vec![false; fpva.cell_count()];
+    let mut queue: Vec<CellId> = Vec::new();
+    for &s in starts {
+        if !std::mem::replace(&mut seen[fpva.cell_index(s)], true) {
+            queue.push(s);
+        }
+    }
+    while let Some(cell) = queue.pop() {
+        for (edge, next) in fpva.neighbors(cell) {
+            if fpva.edge_kind(edge) != EdgeKind::Wall
+                && !closed[fpva.edge_index(edge)]
+                && !std::mem::replace(&mut seen[fpva.cell_index(next)], true)
+            {
+                queue.push(next);
+            }
+        }
+    }
+    seen
 }
 
 /// The full cut-set generator: straight-line cuts plus targeted cuts for
@@ -437,20 +468,22 @@ pub fn exposed_valves(fpva: &Fpva, cut: &CutSet) -> Vec<ValveId> {
 ///
 /// Returns [`AtpgError::MissingPorts`] when the array lacks ports.
 pub fn cut_cover(fpva: &Fpva) -> Result<CutCover, AtpgError> {
+    cut_cover_with(fpva, exposed_valves)
+}
+
+fn cut_cover_with(fpva: &Fpva, exposure: Exposure) -> Result<CutCover, AtpgError> {
     let mut cuts = straight_line_cuts(fpva)?;
     let mut exposed = vec![false; fpva.valve_count()];
     for cut in &cuts {
-        for v in exposed_valves(fpva, cut) {
+        for v in exposure(fpva, cut) {
             exposed[v.index()] = true;
         }
     }
     let mut uncovered = Vec::new();
     for (v, _) in fpva.valves() {
         if !exposed[v.index()] {
-            if let Some(cut) = cut_through_valve(fpva, v) {
-                // cut_through_valve guarantees minimality through `v`.
-                exposed[v.index()] = true;
-                for w in exposed_valves(fpva, &cut) {
+            if let Some((cut, members)) = exposing_cut(fpva, v, exposure) {
+                for w in members {
                     exposed[w.index()] = true;
                 }
                 cuts.push(cut);
@@ -603,5 +636,103 @@ mod tests {
         )
         .unwrap();
         assert_eq!(exposed_valves(&f, &tight).len(), 2);
+    }
+
+    /// The reference definition of exposure: one search per member, with
+    /// that member open and the rest of the cut closed.
+    fn exposed_by_rescan(fpva: &Fpva, cut: &CutSet) -> Vec<ValveId> {
+        // Passable edges per cell as (edge index, far cell), built once per
+        // cut: in debug builds `Fpva::neighbors` would dominate the searches.
+        let adj: Vec<Vec<(usize, usize)>> = fpva
+            .cells()
+            .map(|c| {
+                fpva.neighbors(c)
+                    .filter(|&(e, _)| fpva.edge_kind(e) != EdgeKind::Wall)
+                    .map(|(e, n)| (fpva.edge_index(e), fpva.cell_index(n)))
+                    .collect()
+            })
+            .collect();
+        let index = |cells: Vec<CellId>| -> Vec<usize> {
+            cells.into_iter().map(|c| fpva.cell_index(c)).collect()
+        };
+        let (sources, sinks) = (index(source_cells(fpva)), index(sink_cells(fpva)));
+        cut.valves()
+            .iter()
+            .copied()
+            .filter(|&v| {
+                let mut closed = vec![false; fpva.edge_count()];
+                for &w in cut.valves().iter().filter(|&&w| w != v) {
+                    closed[fpva.edge_index(fpva.edge_of(w))] = true;
+                }
+                let mut seen = vec![false; fpva.cell_count()];
+                let mut stack = sources.clone();
+                for &s in &sources {
+                    seen[s] = true;
+                }
+                while let Some(x) = stack.pop() {
+                    for &(e, y) in &adj[x] {
+                        if !closed[e] && !seen[y] {
+                            seen[y] = true;
+                            stack.push(y);
+                        }
+                    }
+                }
+                sinks.iter().any(|&s| seen[s])
+            })
+            .collect()
+    }
+
+    /// Chips with channels, obstacles and one or two ports of each kind on
+    /// random boundary sides, drawn from fixed seeds.
+    fn generated_chips() -> Vec<Fpva> {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0xC075);
+        let mut chips = Vec::new();
+        while chips.len() < 4 {
+            let (rows, cols) = (rng.gen_range(4..8), rng.gen_range(4..8));
+            let mut b = FpvaBuilder::new(rows, cols);
+            for _ in 0..rng.gen_range(0..3usize) {
+                let (r, c) = (rng.gen_range(0..rows), rng.gen_range(0..cols - 1));
+                b = b.channel_horizontal(r, c, rng.gen_range(c + 1..cols));
+            }
+            for _ in 0..rng.gen_range(0..3usize) {
+                let (r, c) = (rng.gen_range(0..rows), rng.gen_range(0..cols));
+                b = b.obstacle(r, c, r, c);
+            }
+            for kind in [PortKind::Source, PortKind::Sink] {
+                for _ in 0..rng.gen_range(1..3usize) {
+                    let side = [Side::North, Side::South, Side::East, Side::West]
+                        [rng.gen_range(0..4usize)];
+                    let (r, c) = match side {
+                        Side::North => (0, rng.gen_range(0..cols)),
+                        Side::South => (rows - 1, rng.gen_range(0..cols)),
+                        Side::West => (rng.gen_range(0..rows), 0),
+                        Side::East => (rng.gen_range(0..rows), cols - 1),
+                    };
+                    b = b.port(r, c, side, kind);
+                }
+            }
+            if let Ok(f) = b.build() {
+                chips.push(f);
+            }
+        }
+        chips
+    }
+
+    #[test]
+    fn two_search_exposure_matches_per_member_rescans() {
+        let mut chips: Vec<Fpva> = layouts::table1().into_iter().map(|e| e.fpva).collect();
+        chips.push(layouts::custom_biochip());
+        chips.extend(generated_chips());
+        for f in &chips {
+            let fast = cut_cover(f).unwrap();
+            let reference = cut_cover_with(f, exposed_by_rescan).unwrap();
+            assert_eq!(fast.cuts, reference.cuts);
+            assert_eq!(fast.uncovered, reference.uncovered);
+            for cut in &fast.cuts {
+                assert_eq!(exposed_valves(f, cut), exposed_by_rescan(f, cut));
+            }
+        }
     }
 }

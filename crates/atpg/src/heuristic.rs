@@ -7,19 +7,18 @@
 //! * [`serpentine_paths`] — the two boustrophedon sweeps (row-wise and
 //!   column-wise) that cover a full regular array; the paper's Fig. 8(a)
 //!   direct-model result on the 10×10 array has exactly this structure;
-//! * [`greedy_cover`] — repeatedly routes a randomized simple path through
-//!   an uncovered valve, biased towards other uncovered valves, until all
-//!   coverable valves are hit. Works on arbitrary layouts with channels
-//!   and obstacles.
+//! * [`greedy_cover`] — repeatedly routes a flow path through an
+//!   uncovered valve with the exact [`Router`], collecting other uncovered
+//!   valves on the way, until all coverable valves are hit. Works on
+//!   arbitrary layouts with channels and obstacles.
 
-use crate::connectivity::{endpoint_ports, path_through_edge, source_cells};
+use crate::connectivity::{endpoint_ports, source_cells, Router};
 use crate::cover::CoverageTracker;
 use crate::error::AtpgError;
 use crate::path::FlowPath;
 use fpva_grid::{CellId, EdgeKind, Fpva, PortId, ValveId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashSet;
 
 /// Result of a path-cover construction.
 #[derive(Debug, Clone)]
@@ -96,44 +95,39 @@ pub fn serpentine_paths(fpva: &Fpva) -> Result<Vec<FlowPath>, AtpgError> {
     ])
 }
 
-/// Greedy randomized path cover: while uncovered valves remain, route a
-/// simple source→sink path through one of them, preferring steps across
-/// other uncovered valves (which makes each path sweep large uncovered
-/// regions). `seeds` controls the randomized restarts per valve.
+/// Greedy path cover: while uncovered valves remain, route a simple
+/// source→sink path through one of them, preferring steps across other
+/// uncovered valves (which makes each path sweep large uncovered regions).
+/// `seed` breaks ties in the router's walks.
 ///
-/// Valves that resist `tries` routing attempts are reported in
-/// [`PathCover::uncovered`] rather than looping forever — on a
-/// well-connected lattice this only happens for genuinely uncoverable
-/// valves (e.g. behind a single-entry pocket, where a simple path cannot
-/// enter and leave).
+/// Valves the router proves unroutable are reported in
+/// [`PathCover::uncovered`]: no valid flow path crosses them (e.g. a valve
+/// into a single-entry pocket, where a simple path cannot enter and leave).
 ///
 /// # Errors
 ///
 /// Returns [`AtpgError::MissingPorts`] when the array lacks ports.
-pub fn greedy_cover(fpva: &Fpva, seed: u64, tries: usize) -> Result<PathCover, AtpgError> {
+pub fn greedy_cover(fpva: &Fpva, seed: u64) -> Result<PathCover, AtpgError> {
     if source_cells(fpva).is_empty() {
         return Err(AtpgError::MissingPorts);
     }
     let mut rng = StdRng::seed_from_u64(seed);
     let mut tracker = CoverageTracker::new(fpva);
     let mut paths: Vec<FlowPath> = Vec::new();
-    let uncovered = cover_remaining(fpva, &mut tracker, &mut paths, &mut rng, tries)?;
+    let uncovered = cover_remaining(fpva, &mut tracker, &mut paths, &mut rng);
     Ok(PathCover { paths, uncovered })
 }
 
-/// Routes additional paths until `tracker` is complete or the remaining
-/// valves resist `tries` attempts each; shared by the greedy and
-/// hierarchical engines.
+/// Routes additional paths until `tracker` is complete except for the
+/// valves no valid path crosses, which it returns ascending; shared by
+/// the greedy and hierarchical engines.
 pub(crate) fn cover_remaining(
     fpva: &Fpva,
     tracker: &mut CoverageTracker,
     paths: &mut Vec<FlowPath>,
     rng: &mut StdRng,
-    tries: usize,
-) -> Result<Vec<ValveId>, AtpgError> {
-    let source = first_source(fpva)?;
-    let sink = first_sink(fpva)?;
-    let avoid = HashSet::new();
+) -> Vec<ValveId> {
+    let router = Router::new(fpva);
     let mut uncovered_final: Vec<ValveId> = Vec::new();
     loop {
         let candidates = tracker.uncovered();
@@ -144,7 +138,6 @@ pub(crate) fn cover_remaining(
         else {
             break;
         };
-        let edge = fpva.edge_of(target);
         let prefer = |e: fpva_grid::EdgeId| -> bool {
             match fpva.edge_kind(e) {
                 EdgeKind::Valve => {
@@ -153,65 +146,19 @@ pub(crate) fn cover_remaining(
                 _ => false,
             }
         };
-        // The search may route between any source/sink pair; read the
-        // ports off the path endpoints rather than assuming the first
-        // ports (which silently rejects every path to another sink).
-        let found = path_through_edge(fpva, edge, &avoid, &prefer, rng, tries)
-            .and_then(|cells| {
-                let (src, snk) = endpoint_ports(fpva, &cells)?;
-                FlowPath::new(fpva, src, snk, cells).ok()
-            })
-            .or_else(|| l_path_through(fpva, source, sink, edge));
-        let Some(path) = found else {
+        // The router may end at any source/sink pair; read the ports off
+        // the path endpoints rather than assuming the first ports.
+        let Some(cells) = router.path_through_edge(fpva.edge_of(target), &[], &prefer, rng) else {
             uncovered_final.push(target);
             continue;
         };
+        let (src, snk) = endpoint_ports(fpva, &cells).expect("routes end at port cells");
+        let path = FlowPath::new(fpva, src, snk, cells).expect("routes are valid flow paths");
         tracker.cover_all(path.valves(fpva));
         paths.push(path);
     }
     uncovered_final.sort_unstable();
-    Ok(uncovered_final)
-}
-
-/// Deterministic fall-back for corner-port arrays: an L/Z-shaped path from
-/// the top-left down through the target edge and on to the bottom-right
-/// sink. Returns `None` when the shape is blocked (obstacle, wrong ports)
-/// or fails validation.
-fn l_path_through(
-    fpva: &Fpva,
-    source: PortId,
-    sink: PortId,
-    edge: fpva_grid::EdgeId,
-) -> Option<FlowPath> {
-    let (rows, cols) = (fpva.rows(), fpva.cols());
-    let src = fpva.port(source).cell;
-    let snk = fpva.port(sink).cell;
-    if src != CellId::new(0, 0) || snk != CellId::new(rows - 1, cols - 1) {
-        return None;
-    }
-    let (a, b) = edge.endpoints();
-    let mut cells: Vec<CellId> = Vec::new();
-    // Row 0 east to a's column, down to a, step across the edge to b,
-    // down b's column, east along the bottom row.
-    for c in 0..=a.col {
-        cells.push(CellId::new(0, c));
-    }
-    for r in 1..=a.row {
-        cells.push(CellId::new(r, a.col));
-    }
-    if b != *cells.last().expect("non-empty") {
-        cells.push(b);
-    }
-    for r in b.row + 1..rows {
-        cells.push(CellId::new(r, b.col));
-    }
-    for c in b.col + 1..cols {
-        cells.push(CellId::new(rows - 1, c));
-    }
-    // The horizontal-edge variant steps east (a.col + 1 == b.col), which
-    // may duplicate row-0 cells when a.row == 0; dedupe consecutive runs
-    // cheaply by rejecting through validation.
-    FlowPath::new(fpva, source, sink, cells).ok()
+    uncovered_final
 }
 
 /// Removes paths whose every valve is also covered by the other paths
@@ -274,7 +221,7 @@ mod tests {
     fn greedy_covers_full_grids() {
         for (r, c) in [(3, 3), (4, 4), (4, 6), (5, 5)] {
             let f = layouts::full_array(r, c);
-            let cover = greedy_cover(&f, 17, 48).unwrap();
+            let cover = greedy_cover(&f, 17).unwrap();
             assert!(
                 cover.is_complete(),
                 "{r}x{c}: uncovered {:?}",
@@ -290,7 +237,7 @@ mod tests {
     #[test]
     fn greedy_covers_table1_5x5() {
         let f = layouts::table1_5x5();
-        let cover = greedy_cover(&f, 23, 48).unwrap();
+        let cover = greedy_cover(&f, 23).unwrap();
         assert!(cover.is_complete());
         // Should be a handful of paths, far below the 39-valve upper bound.
         assert!(
@@ -312,7 +259,7 @@ mod tests {
             .port(0, 1, Side::East, PortKind::Sink)
             .build()
             .unwrap();
-        let cover = greedy_cover(&f, 3, 32).unwrap();
+        let cover = greedy_cover(&f, 3).unwrap();
         // Paths (0,0)-(0,1) and (0,0)-(1,0)-(1,1)-(0,1) cover everything:
         // the bottom detour is a simple path, so all 4 valves are coverable.
         assert!(cover.is_complete(), "uncovered {:?}", cover.uncovered);
@@ -331,8 +278,8 @@ mod tests {
     #[test]
     fn greedy_is_deterministic_per_seed() {
         let f = layouts::table1_5x5();
-        let a = greedy_cover(&f, 99, 32).unwrap();
-        let b = greedy_cover(&f, 99, 32).unwrap();
+        let a = greedy_cover(&f, 99).unwrap();
+        let b = greedy_cover(&f, 99).unwrap();
         assert_eq!(a.paths.len(), b.paths.len());
         for (pa, pb) in a.paths.iter().zip(&b.paths) {
             assert_eq!(pa.cells(), pb.cells());

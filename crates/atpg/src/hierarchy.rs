@@ -33,9 +33,11 @@ pub struct HierarchyConfig {
     /// `Some` value overrides the derivation (the paper evaluates with a
     /// fixed 5).
     pub block_size: Option<usize>,
-    /// Seed for the greedy fix-up stage.
+    /// Seed for the greedy fix-up stage: breaks ties in the router's walks.
     pub seed: u64,
-    /// Routing attempts per valve in the fix-up stage.
+    /// Ignored: the fix-up router is exact and needs no retries. Kept only
+    /// because the benchmark harness (`perfbench/src/adapter.rs`) builds
+    /// this struct field by field.
     pub tries: usize,
 }
 
@@ -185,7 +187,7 @@ pub fn hierarchical_cover(fpva: &Fpva, config: &HierarchyConfig) -> Result<PathC
         tracker.cover_all(p.valves(fpva));
     }
     let mut rng = StdRng::seed_from_u64(config.seed);
-    let uncovered = cover_remaining(fpva, &mut tracker, &mut paths, &mut rng, config.tries)?;
+    let uncovered = cover_remaining(fpva, &mut tracker, &mut paths, &mut rng);
     Ok(PathCover { paths, uncovered })
 }
 

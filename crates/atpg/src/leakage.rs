@@ -2,7 +2,7 @@
 //!
 //! The paper states that control-layer leakage "can also be detected by
 //! adapting the valve coverage problem" but omits the construction for
-//! space. This module implements the documented adaptation (DESIGN.md §4):
+//! space. This module implements that adaptation:
 //!
 //! A leak fault `(a → b)` closes victim `b` whenever actuator `a` is
 //! commanded closed. A **path-shaped vector** detects the pair exactly when
@@ -11,17 +11,16 @@
 //! disappears. Since a flow-path vector closes every off-path valve, the
 //! flow-path suite already covers every pair with `a` off-path and `b`
 //! on-path; what remains are pairs where every path through `b` also
-//! carries `a`. For each such pair the generator routes an extra simple
-//! path through `b` that avoids `a`.
+//! carries `a`. For each such pair the generator routes an extra flow path
+//! through `b` that avoids `a`, with the exact [`Router`]: when it finds
+//! none, no valid path exists and the pair is reported uncovered.
 //!
 //! Physical adjacency (control channels routed next to each other —
 //! [`fpva_grid::Fpva::valve_neighbors`]) bounds the pair universe, which
 //! keeps the extra-vector count in the order of the flow-path count, as in
 //! the paper's Table I (`n_l ≈ n_p`).
 
-use crate::connectivity::{
-    endpoint_ports, path_through_edge, reachable_from, sink_cells, source_cells,
-};
+use crate::connectivity::{endpoint_ports, reachable_from, sink_cells, source_cells, Router};
 use crate::error::AtpgError;
 use crate::path::FlowPath;
 use fpva_grid::{EdgeId, Fpva, PortId, ValveId};
@@ -83,7 +82,10 @@ fn ports(fpva: &Fpva) -> Result<(PortId, PortId), AtpgError> {
 }
 
 /// Generates the dedicated control-leakage vectors given the already
-/// generated flow paths.
+/// generated flow paths; `seed` breaks ties in the router's walks.
+/// `tries` is ignored (routing is exact and needs no retries); the
+/// parameter stays because the benchmark harness
+/// (`perfbench/src/adapter.rs`) passes it.
 ///
 /// # Errors
 ///
@@ -92,10 +94,11 @@ pub fn leakage_vectors(
     fpva: &Fpva,
     flow_paths: &[FlowPath],
     seed: u64,
-    tries: usize,
+    _tries: usize,
 ) -> Result<LeakageCover, AtpgError> {
     ports(fpva)?; // Fail fast when the chip has no source or no sink.
     let mut rng = StdRng::seed_from_u64(seed);
+    let router = Router::new(fpva);
 
     // Valve sets of the existing path vectors.
     let mut path_sets: Vec<HashSet<ValveId>> = flow_paths
@@ -135,38 +138,21 @@ pub fn leakage_vectors(
     let mut extra_paths: Vec<FlowPath> = Vec::new();
     let mut uncovered: Vec<(ValveId, ValveId)> = Vec::new();
     while let Some(&(a, b)) = todo.front() {
-        let avoid: HashSet<EdgeId> = [fpva.edge_of(a)].into_iter().collect();
         // Prefer steps that knock out other pending victims, so one extra
         // vector covers many pairs at once.
         let prefer = |e: EdgeId| {
             fpva.valve_at(e)
                 .is_some_and(|v| pending_victims.contains_key(&v))
         };
-        // Escalate the retry budget before declaring the pair untestable:
-        // routing around channels occasionally needs more restarts.
-        let found = path_through_edge(fpva, fpva.edge_of(b), &avoid, &prefer, &mut rng, tries)
-            .or_else(|| {
-                if pair_untestable(fpva, a, b) {
-                    None
-                } else {
-                    path_through_edge(
-                        fpva,
-                        fpva.edge_of(b),
-                        &avoid,
-                        &|_| false,
-                        &mut rng,
-                        8 * tries,
-                    )
-                }
-            });
+        let found =
+            router.path_through_edge(fpva.edge_of(b), &[fpva.edge_of(a)], &prefer, &mut rng);
         match found {
             Some(cells) => {
-                // The search may terminate at any source/sink pair, so the
-                // ports must be read off the path itself.
-                let (src, snk) =
-                    endpoint_ports(fpva, &cells).expect("search endpoints are port cells");
-                let path = FlowPath::new(fpva, src, snk, cells)
-                    .expect("search yields validated simple paths");
+                // The router may end at any source/sink pair, so the ports
+                // must be read off the path itself.
+                let (src, snk) = endpoint_ports(fpva, &cells).expect("routes end at port cells");
+                let path =
+                    FlowPath::new(fpva, src, snk, cells).expect("routes are valid flow paths");
                 path_sets.push(path.valves(fpva).into_iter().collect());
                 extra_paths.push(path);
                 let newest = &path_sets[path_sets.len() - 1..];
@@ -201,7 +187,7 @@ mod tests {
     #[test]
     fn leak_pairs_all_covered_on_5x5_except_corner_pockets() {
         let f = layouts::table1_5x5();
-        let cover = greedy_cover(&f, 7, 48).unwrap();
+        let cover = greedy_cover(&f, 7).unwrap();
         assert!(cover.is_complete());
         let leak = leakage_vectors(&f, &cover.paths, 3, 48).unwrap();
         // The two port-less corner cells each contribute a reciprocal pair
@@ -237,7 +223,7 @@ mod tests {
     #[test]
     fn extra_vector_count_is_moderate() {
         let f = layouts::table1_10x10();
-        let cover = greedy_cover(&f, 7, 48).unwrap();
+        let cover = greedy_cover(&f, 7).unwrap();
         let leak = leakage_vectors(&f, &cover.paths, 3, 48).unwrap();
         // Paper reports n_l = 4 for the 10x10; allow headroom but stay in
         // the same order of magnitude (not O(n_v)).
@@ -258,7 +244,7 @@ mod tests {
     #[test]
     fn untestable_certificate_matches_corner_geometry() {
         let f = layouts::table1_5x5();
-        let leak = leakage_vectors(&f, &greedy_cover(&f, 7, 48).unwrap().paths, 3, 48).unwrap();
+        let leak = leakage_vectors(&f, &greedy_cover(&f, 7).unwrap().paths, 3, 48).unwrap();
         for &(a, b) in &leak.uncovered_pairs {
             // Every reported pair touches one of the two port-less corner
             // cells (0,4) or (4,0).
@@ -291,7 +277,7 @@ mod tests {
             .port(5, 0, Side::South, PortKind::Sink)
             .build()
             .unwrap();
-        let cover = greedy_cover(&f, 7, 48).unwrap();
+        let cover = greedy_cover(&f, 7).unwrap();
         let leak = leakage_vectors(&f, &cover.paths, 3, 48).unwrap();
         for &(a, b) in &leak.uncovered_pairs {
             assert!(
@@ -312,17 +298,17 @@ mod tests {
     #[test]
     fn repair_queue_rework_preserves_cover_and_terminates_promptly() {
         // Reference: the original quadratic repair loop (Vec + `remove(0)`
-        // + whole-queue rescan inside `prefer`), kept verbatim so the
-        // reworked queue can be checked for identical output. Any
-        // divergence in pair order or routing preference would shift RNG
-        // consumption and change the generated paths.
+        // + whole-queue rescan inside `prefer`), kept so the reworked
+        // queue can be checked for identical output. Any divergence in
+        // pair order or routing preference would shift RNG consumption
+        // and change the generated paths.
         fn reference_leakage_vectors(
             fpva: &Fpva,
             flow_paths: &[FlowPath],
             seed: u64,
-            tries: usize,
         ) -> LeakageCover {
             let mut rng = StdRng::seed_from_u64(seed);
+            let router = Router::new(fpva);
             let mut path_sets: Vec<HashSet<ValveId>> = flow_paths
                 .iter()
                 .map(|p| p.valves(fpva).into_iter().collect())
@@ -341,27 +327,16 @@ mod tests {
             let mut extra_paths: Vec<FlowPath> = Vec::new();
             let mut uncovered: Vec<(ValveId, ValveId)> = Vec::new();
             while let Some(&(a, b)) = todo.first() {
-                let avoid: HashSet<EdgeId> = [fpva.edge_of(a)].into_iter().collect();
                 let prefer = |e: EdgeId| {
                     fpva.valve_at(e)
                         .is_some_and(|v| todo.iter().any(|&(_, y)| y == v))
                 };
-                let found =
-                    path_through_edge(fpva, fpva.edge_of(b), &avoid, &prefer, &mut rng, tries)
-                        .or_else(|| {
-                            if pair_untestable(fpva, a, b) {
-                                None
-                            } else {
-                                path_through_edge(
-                                    fpva,
-                                    fpva.edge_of(b),
-                                    &avoid,
-                                    &|_| false,
-                                    &mut rng,
-                                    8 * tries,
-                                )
-                            }
-                        });
+                let found = router.path_through_edge(
+                    fpva.edge_of(b),
+                    &[fpva.edge_of(a)],
+                    &prefer,
+                    &mut rng,
+                );
                 match found {
                     Some(cells) => {
                         let (src, snk) = endpoint_ports(fpva, &cells).unwrap();
@@ -391,7 +366,7 @@ mod tests {
         let t0 = std::time::Instant::now();
         let fast = leakage_vectors(&f, &[], 11, 32).unwrap();
         let elapsed = t0.elapsed();
-        let slow = reference_leakage_vectors(&f, &[], 11, 32);
+        let slow = reference_leakage_vectors(&f, &[], 11);
         assert_eq!(fast.paths, slow.paths);
         assert_eq!(fast.uncovered_pairs, slow.uncovered_pairs);
         assert!(!fast.paths.is_empty());
@@ -413,7 +388,7 @@ mod tests {
             .port(0, 2, Side::East, PortKind::Sink)
             .build()
             .unwrap();
-        let cover = greedy_cover(&f, 1, 16).unwrap();
+        let cover = greedy_cover(&f, 1).unwrap();
         let leak = leakage_vectors(&f, &cover.paths, 1, 16).unwrap();
         assert_eq!(leak.uncovered_pairs.len(), 2, "series pairs are untestable");
         assert!(leak.paths.is_empty());

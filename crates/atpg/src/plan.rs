@@ -141,14 +141,11 @@ impl Atpg {
                 };
                 Ok((hierarchical_cover(fpva, &hc)?, "hierarchical"))
             }
-            PathEngine::Greedy => Ok((
-                greedy_cover(fpva, self.config.seed, self.config.tries)?,
-                "greedy",
-            )),
+            PathEngine::Greedy => Ok((greedy_cover(fpva, self.config.seed)?, "greedy")),
             PathEngine::Ilp(ilp_config) => match min_path_cover_ilp(fpva, ilp_config) {
                 Ok(cover) => Ok((cover, "ilp")),
                 Err(AtpgError::Solver { .. }) => Ok((
-                    greedy_cover(fpva, self.config.seed, self.config.tries)?,
+                    greedy_cover(fpva, self.config.seed)?,
                     "greedy (ilp fallback)",
                 )),
                 Err(e) => Err(e),

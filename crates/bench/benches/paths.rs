@@ -17,7 +17,7 @@ fn bench_engines(c: &mut Criterion) {
             b.iter(|| hierarchical_cover(black_box(f), &HierarchyConfig::default()).unwrap());
         });
         group.bench_with_input(BenchmarkId::new("greedy", n), &f, |b, f| {
-            b.iter(|| greedy_cover(black_box(f), 7, 64).unwrap());
+            b.iter(|| greedy_cover(black_box(f), 7).unwrap());
         });
     }
     group.finish();

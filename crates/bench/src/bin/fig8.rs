@@ -37,8 +37,7 @@ fn main() {
     let per_chunk = exec::run_chunked(args.threads, seeds, 1, |range| {
         range
             .map(|seed| {
-                let cover =
-                    greedy_cover(&f, 0xF18A ^ seed as u64, 96).expect("full array has ports");
+                let cover = greedy_cover(&f, 0xF18A ^ seed as u64).expect("full array has ports");
                 assert!(cover.is_complete(), "direct cover incomplete");
                 prune_redundant(&f, cover.paths)
             })

@@ -22,7 +22,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let hier = hierarchical_cover(&f, &HierarchyConfig::default())?;
         let t_hier = t0.elapsed();
         let t0 = Instant::now();
-        let greedy = greedy_cover(&f, 7, 64)?;
+        let greedy = greedy_cover(&f, 7)?;
         let t_greedy = t0.elapsed();
         println!(
             "{n:>4}x{n} | {:>8} in {:>7.3}s | {:>8} in {:>7.3}s",

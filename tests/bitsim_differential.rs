@@ -3,10 +3,6 @@
 //! rows **byte for byte** — same detections, same escapes, same order —
 //! on every Table I layout and on the multi-sink example chip, for every
 //! lane packing (trial counts off the 64-lane boundary included).
-//!
-//! The fast tests here run on every `cargo test`; the full five-layout
-//! sweep is `#[ignore]`d (plan generation on the large arrays dominates
-//! debug runs) and exercised in release by CI via `--include-ignored`.
 
 use fpva::sim::campaign::{self, CampaignConfig};
 use fpva::{layouts, Atpg, CampaignRow, Fpva, SimKernel, TestSuite};
@@ -76,10 +72,8 @@ fn rows_match_scalar_oracle_on_multi_sink_biochip() {
     differential_on("custom_biochip", &layouts::custom_biochip(), 70);
 }
 
-/// The full Table I sweep, 30x30 included. Run by CI in release mode
-/// (`cargo test --release --test bitsim_differential -- --include-ignored`).
+/// The full Table I sweep, 30x30 included.
 #[test]
-#[ignore = "plan generation on the large arrays dominates debug runs; CI runs it in release"]
 fn rows_match_scalar_oracle_on_all_table1_layouts() {
     for entry in layouts::table1() {
         differential_on(entry.name, &entry.fpva, 70);

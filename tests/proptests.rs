@@ -41,7 +41,7 @@ proptest! {
 
     #[test]
     fn generated_paths_are_simple_and_connected(fpva in arb_layout()) {
-        let cover = greedy_cover(&fpva, 11, 48).unwrap();
+        let cover = greedy_cover(&fpva, 11).unwrap();
         for path in &cover.paths {
             let unique: std::collections::HashSet<_> = path.cells().iter().collect();
             prop_assert_eq!(unique.len(), path.len());
@@ -85,7 +85,7 @@ proptest! {
 
     #[test]
     fn fault_free_chip_never_fails_its_own_suite(fpva in arb_layout()) {
-        let cover = greedy_cover(&fpva, 5, 32).unwrap();
+        let cover = greedy_cover(&fpva, 5).unwrap();
         let mut vectors: Vec<TestVector> =
             cover.paths.iter().map(|p| p.to_vector(&fpva)).collect();
         vectors.extend(straight_line_cuts(&fpva).unwrap().iter().map(|c| c.to_vector(&fpva)));
@@ -97,7 +97,7 @@ proptest! {
     fn single_stuck_faults_on_covered_valves_are_detected(fpva in arb_layout()) {
         use fpva::atpg::cutset::cut_cover;
         use fpva::Fault;
-        let cover = greedy_cover(&fpva, 5, 48).unwrap();
+        let cover = greedy_cover(&fpva, 5).unwrap();
         let cuts = cut_cover(&fpva).unwrap();
         let mut vectors: Vec<TestVector> =
             cover.paths.iter().map(|p| p.to_vector(&fpva)).collect();
