@@ -1,15 +1,16 @@
 //! Criterion bench for the in-workspace MILP solver: the paper's exact
 //! path-cover formulation (constraints (1)–(8)) at subblock scale, plus
-//! an LU-focused warm-start chain that times the basis-maintenance path
-//! (Forrest–Tomlin updates with policy-driven refactorization) in
-//! isolation from branch-and-bound.
+//! LU-focused groups that time the basis-maintenance path in isolation
+//! from branch-and-bound: one refactorization of a real cover-model
+//! basis, and a warm-start chain of Forrest–Tomlin updates with
+//! policy-driven refactorization.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fpva_atpg::ilp_model::{cover_model, min_path_cover_ilp, symmetry_generators, PathIlpConfig};
 use fpva_grid::layouts;
 use fpva_ilp::analyze::{analyze, AnalyzeOptions};
 use fpva_ilp::fixtures;
-use fpva_ilp::simplex::SparseLp;
+use fpva_ilp::simplex::{SparseLp, WarmStart};
 use std::hint::black_box;
 
 fn bench_exact_cover(c: &mut Criterion) {
@@ -25,6 +26,31 @@ fn bench_exact_cover(c: &mut Criterion) {
             },
         );
     }
+    group.finish();
+}
+
+/// One refactorization of the basis branch-and-bound factorizes about
+/// once per node: the optimal root basis of the channelled `table1_5x5`
+/// cover model at `k = 3`, solved once outside the timed loop. Each
+/// iteration hands it to a fresh engine, which installs it, refactorizes
+/// it and confirms optimality without a pivot.
+fn bench_lu_factorize(c: &mut Criterion) {
+    let model = cover_model(&layouts::table1_5x5(), 3);
+    let (lp, lower, upper) = model.to_sparse_lp();
+    let (root, basis) = lp.engine().solve(&lower, &upper, None, None);
+    let basis = basis.expect("the root LP solves to optimality");
+    black_box(root.objective);
+
+    let mut group = c.benchmark_group("ilp_lu_factorize");
+    group.bench_function("root_basis/table1_5x5_k3", |b| {
+        b.iter(|| {
+            let mut engine = lp.engine();
+            let (sol, _) = engine.solve(&lower, &upper, None, Some(&basis));
+            assert_eq!(sol.start, WarmStart::Installed);
+            assert_eq!(sol.iterations, 0, "the installed basis is optimal");
+            engine.factor_stats().refactorizations
+        });
+    });
     group.finish();
 }
 
@@ -120,6 +146,7 @@ fn bench_root_analyze(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_exact_cover,
+    bench_lu_factorize,
     bench_lu_warm_start_chain,
     bench_dual_resolves,
     bench_root_analyze

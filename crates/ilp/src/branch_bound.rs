@@ -322,13 +322,6 @@ impl MilpSolver {
             Analysis::trivial(model)
         };
 
-        // Clique cuts: every conflict edge `(a, b)` yields the valid
-        // inequality `xₐ + x_b ≤ 1` (both are binaries that cannot be 1
-        // together). The cuts tighten every node's LP relaxation; they
-        // are appended to a solve-local copy of the model so presolve
-        // mappings, certificates and the reported model stay untouched.
-        // Certify mode runs cut-free: a cut row is an unproved deduction
-        // the exact audit would otherwise have to trust.
         // Clique cuts (opt-in): every conflict edge `(a, b)` yields the
         // valid inequality `xₐ + x_b ≤ 1`. They tighten every node's LP,
         // but on the sparse-conflict cover models they also reshape the

@@ -102,9 +102,13 @@
 //!   and `H` a file of Forrest–Tomlin row etas. Refactorization runs
 //!   right-looking Gaussian elimination with **Markowitz ordering**
 //!   (minimise the `(r−1)(c−1)` fill proxy) under a **threshold
-//!   partial-pivoting** stability test; each simplex pivot then updates
-//!   the factors in place by one **Forrest–Tomlin** column replacement
-//!   instead of appending product-form etas.
+//!   partial-pivoting** stability test. The column-count buckets the
+//!   ordering searches are kept up to date across elimination steps (one
+//!   bitset per count) instead of rebuilt by an O(m) scan per step, and
+//!   yield bit-identically the pivots a per-step rebuild would. Each
+//!   simplex pivot then updates the factors in place by one
+//!   **Forrest–Tomlin** column replacement instead of appending
+//!   product-form etas.
 //! * **Refactorization policy.** Rebuilds are no longer a fixed cadence:
 //!   the LU layer requests one when update-file fill outgrows the base
 //!   factorization or an update fails its stability test (a tiny

@@ -20,9 +20,31 @@
 //! submatrix, restricted to entries that pass the **threshold
 //! partial-pivoting** test `|a| ≥ τ · max|column|` (τ =
 //! [`PIVOT_THRESHOLD`]) so sparsity can never buy numerical garbage. The
-//! search walks candidate columns in increasing active count and settles
-//! after a few eligible columns (the Suhl–Suhl compromise), which keeps
-//! ordering cost far below the elimination itself.
+//! search walks candidate columns in increasing active count, ties by
+//! column index, and settles after a few eligible columns (the Suhl–Suhl
+//! compromise).
+//!
+//! The active columns stay **bucketed by count across elimination
+//! steps**, as in Suhl & Suhl (1990, *ORSA J. Computing* 2(4)), instead of
+//! being re-bucketed at every step. Each count owns a bitset over the
+//! columns, and a step moves only the columns whose count it changes: the
+//! pivot column, which leaves, and the columns of the frozen pivot row,
+//! which lose that entry and may gain fill-in or lose a cancelled entry.
+//! A move is two bit flips and the search reads only the lowest nonempty
+//! buckets, so ordering no longer costs an O(m) scan per step, which made
+//! a whole factorization O(m²) and refactorization the solver's hottest
+//! path.
+//!
+//! **Bit-identity.** Reading a bucket's bitset yields its columns in
+//! ascending index, so the search visits columns in exactly the order a
+//! per-step rebuild produces. Every step therefore picks the same pivot,
+//! every factor entry lands at the same list position, and FTRAN/BTRAN
+//! return the same bits; the unit tests keep the per-step rebuild as the
+//! reference and compare the two bit for bit. The search trees above are
+//! sensitive to the last bit (a refactorization-level perturbation
+//! reshuffles branch-and-bound), so a change to the selection rule, the
+//! list handling or the tolerances here changes the search, not just its
+//! speed.
 //!
 //! A pivot ([`LuFactors::replace_column`]) applies the classic
 //! Forrest–Tomlin rewrite: the leaving position's column of `V` is
@@ -240,6 +262,14 @@ pub struct LuFactors {
     /// Dense scratch for the solve permutations.
     scratch: Vec<f64>,
     stats: FactorStats,
+    /// The elimination's working storage, kept so the next
+    /// refactorization reuses its buffers instead of reallocating them.
+    /// It is no part of the factors: `clone_from` neither copies nor
+    /// clears it, which keeps the simplex engine's per-node snapshot as
+    /// cheap as the factors themselves. A rollback by `mem::swap` trades
+    /// it along with the factors, which is harmless: any storage serves
+    /// any refactorization.
+    work: Active,
 }
 
 impl Clone for LuFactors {
@@ -253,7 +283,7 @@ impl Clone for LuFactors {
     /// factorization before every dual walk and rolls it back after, so
     /// this runs once per warm branch-and-bound node — `Vec::clone_from`
     /// keeps the eta/`V` buffers (outer and inner) instead of
-    /// reallocating them each time.
+    /// reallocating them each time. The working storage stays behind.
     fn clone_from(&mut self, src: &Self) {
         self.m = src.m;
         self.f_file.clone_from(&src.f_file);
@@ -320,7 +350,23 @@ impl LuFactors {
     pub fn factorize(
         &mut self,
         m: usize,
+        column: impl FnMut(usize, &mut Vec<(usize, f64)>),
+    ) -> Result<(), LuError> {
+        let mut work = std::mem::take(&mut self.work);
+        let result = self.factorize_with(&mut work, m, column, markowitz_pivot);
+        self.work = work;
+        result
+    }
+
+    /// [`LuFactors::factorize`] in the working storage `a`, with the pivot
+    /// search passed in, so the unit tests can run the one elimination
+    /// loop under a reference search and compare the factors bit for bit.
+    fn factorize_with(
+        &mut self,
+        a: &mut Active,
+        m: usize,
         mut column: impl FnMut(usize, &mut Vec<(usize, f64)>),
+        search: impl Fn(&Active) -> Option<(usize, usize)>,
     ) -> Result<(), LuError> {
         self.m = m;
         self.valid = false;
@@ -328,27 +374,28 @@ impl LuFactors {
         self.h_file.clear();
         self.stats.refactorizations += 1;
 
-        // Active working matrix in dual form. Deleted entries are
-        // swap-removed; order within a list is irrelevant.
-        let mut cols: Vec<Vec<(usize, f64)>> = vec![Vec::new(); m];
-        let mut rows: Vec<Vec<(usize, f64)>> = vec![Vec::new(); m];
+        a.reset(m);
         let mut buf: Vec<(usize, f64)> = Vec::new();
-        for (p, col) in cols.iter_mut().enumerate() {
+        for (p, col) in a.cols.iter_mut().enumerate() {
             buf.clear();
             column(p, &mut buf);
             for &(r, v) in &buf {
                 debug_assert!(r < m, "column {p} references row {r} of {m}");
                 if v != 0.0 {
                     col.push((r, v));
-                    rows[r].push((p, v));
+                    a.rows[r].push((p, v));
                 }
             }
         }
+        for c in 0..m {
+            a.list(c);
+        }
 
-        let mut col_active = vec![true; m];
-        let mut row_active = vec![true; m];
-        self.vcols = vec![Vec::new(); m];
-        self.vrows = vec![Vec::new(); m];
+        for list in self.vcols.iter_mut().chain(self.vrows.iter_mut()) {
+            list.clear();
+        }
+        self.vcols.resize_with(m, Vec::new);
+        self.vrows.resize_with(m, Vec::new);
         self.vdiag = vec![0.0; m];
         self.order.clear();
         self.step_of = vec![usize::MAX; m];
@@ -359,18 +406,20 @@ impl LuFactors {
         self.h_fill = 0;
         self.updates_since = 0;
 
+        let mut urow: Vec<(usize, f64)> = Vec::new();
         for _step in 0..m {
-            let Some((pr, pc)) = markowitz_pivot(&cols, &rows, &col_active) else {
+            let Some((pr, pc)) = search(a) else {
                 return Err(LuError::Singular);
             };
-            let pivot_val = cols[pc]
+            let pivot_val = a.cols[pc]
                 .iter()
                 .find(|&&(r, _)| r == pr)
                 .map(|&(_, v)| v)
                 .expect("chosen pivot entry exists");
 
-            col_active[pc] = false;
-            row_active[pr] = false;
+            a.unlist(pc);
+            a.col_active[pc] = false;
+            a.row_active[pr] = false;
             self.step_of[pc] = self.order.len();
             self.order.push(pc);
             self.pivot_row_of[pc] = pr;
@@ -378,37 +427,38 @@ impl LuFactors {
             self.v_fill += 1;
 
             // Freeze row pr: its remaining active entries become the V
-            // row; drop them from the active columns.
-            let urow: Vec<(usize, f64)> = rows[pr]
-                .iter()
-                .filter(|&&(c, _)| col_active[c])
-                .map(|&(c, v)| (c, v))
-                .collect();
+            // row; drop them from the active columns, whose counts change
+            // here and in the update below, so they leave the count order
+            // until the step is done.
+            urow.clear();
+            urow.extend(a.rows[pr].iter().filter(|&&(c, _)| a.col_active[c]));
             for &(c, v) in &urow {
-                remove_entry(&mut cols[c], pr);
+                a.unlist(c);
+                remove_entry(&mut a.cols[c], pr);
                 self.vcols[c].push((pr, v));
                 self.vrows[pr].push((c, v));
                 self.v_fill += 1;
             }
-            rows[pr].clear();
+            a.rows[pr].clear();
 
             // Multipliers for the still-active entries of column pc.
-            let mults: Vec<(usize, f64)> = cols[pc]
+            let mults: Vec<(usize, f64)> = a.cols[pc]
                 .iter()
-                .filter(|&&(r, _)| row_active[r])
+                .filter(|&&(r, _)| a.row_active[r])
                 .map(|&(r, v)| (r, v / pivot_val))
                 .collect();
             for &(r, _) in &mults {
-                remove_entry(&mut rows[r], pc);
+                remove_entry(&mut a.rows[r], pc);
             }
-            cols[pc].clear();
+            a.cols[pc].clear();
 
             // Right-looking update over the active submatrix:
             // row_i -= mult_i × row_pr, generating fill-in.
             for &(c, u) in &urow {
                 for &(r, mlt) in &mults {
-                    add_to_entry(&mut cols[c], r, -mlt * u, &mut rows[r], c);
+                    add_to_entry(&mut a.cols[c], r, -mlt * u, &mut a.rows[r], c);
                 }
+                a.list(c);
             }
             if !mults.is_empty() {
                 self.f_file.push(ColEta {
@@ -664,68 +714,155 @@ fn add_to_entry_v(
     }
 }
 
+/// The active submatrix of one refactorization in dual form, with its
+/// nonempty columns kept in Markowitz search order. Deleted entries are
+/// swap-removed; order within a list is irrelevant to the search but
+/// fixes the order of the factor entries.
+#[derive(Debug, Default)]
+struct Active {
+    cols: Vec<Vec<(usize, f64)>>,
+    rows: Vec<Vec<(usize, f64)>>,
+    col_active: Vec<bool>,
+    row_active: Vec<bool>,
+    /// Every active column with at least one entry, bucketed by its
+    /// count. An empty active column is structurally singular and never
+    /// listed; it surfaces as a failed search.
+    by_count: CountBuckets,
+}
+
+impl Active {
+    /// Empties the storage for an `m × m` matrix, keeping its buffers.
+    fn reset(&mut self, m: usize) {
+        for list in self.cols.iter_mut().chain(self.rows.iter_mut()) {
+            list.clear();
+        }
+        self.cols.resize_with(m, Vec::new);
+        self.rows.resize_with(m, Vec::new);
+        self.col_active.clear();
+        self.col_active.resize(m, true);
+        self.row_active.clear();
+        self.row_active.resize(m, true);
+        self.by_count.reset(m);
+    }
+
+    /// Takes column `c` out of the search order before its count changes.
+    fn unlist(&mut self, c: usize) {
+        self.by_count.remove(self.cols[c].len(), c);
+    }
+
+    /// Puts column `c` back under its new count (if it has entries left).
+    fn list(&mut self, c: usize) {
+        if !self.cols[c].is_empty() {
+            self.by_count.insert(self.cols[c].len(), c);
+        }
+    }
+}
+
+/// Columns bucketed by count, one bitset over the columns per count:
+/// moving a column between buckets is two bit flips, and iteration
+/// yields `(count, column)` in ascending order — counts ascending, each
+/// bucket by ascending column.
+#[derive(Debug, Default)]
+struct CountBuckets {
+    /// `u64` words per bucket: `⌈m / 64⌉`.
+    words: usize,
+    /// Bucket `k` is `bits[k * words..(k + 1) * words]`.
+    bits: Vec<u64>,
+    /// Members per bucket, so iteration skips empty buckets unscanned.
+    len: Vec<usize>,
+}
+
+impl CountBuckets {
+    /// Empties every bucket, sized for `m` columns.
+    fn reset(&mut self, m: usize) {
+        self.words = m.div_ceil(64);
+        self.bits.clear();
+        self.len.clear();
+    }
+
+    fn insert(&mut self, count: usize, c: usize) {
+        if count >= self.len.len() {
+            self.len.resize(count + 1, 0);
+            self.bits.resize((count + 1) * self.words, 0);
+        }
+        self.bits[count * self.words + c / 64] |= 1 << (c % 64);
+        self.len[count] += 1;
+    }
+
+    fn remove(&mut self, count: usize, c: usize) {
+        let word = &mut self.bits[count * self.words + c / 64];
+        debug_assert!(
+            *word & (1 << (c % 64)) != 0,
+            "column {c} not in bucket {count}"
+        );
+        *word &= !(1 << (c % 64));
+        self.len[count] -= 1;
+    }
+
+    /// The listed `(count, column)` pairs in ascending order.
+    fn iter(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let words = self.words;
+        (0..self.len.len())
+            .filter(|&k| self.len[k] > 0)
+            .flat_map(move |k| {
+                let bucket = &self.bits[k * words..(k + 1) * words];
+                bucket.iter().enumerate().flat_map(move |(w, &bits)| {
+                    let mut rest = bits;
+                    std::iter::from_fn(move || {
+                        (rest != 0).then(|| {
+                            let b = rest.trailing_zeros() as usize;
+                            rest &= rest - 1;
+                            (k, w * 64 + b)
+                        })
+                    })
+                })
+            })
+    }
+}
+
 /// Markowitz pivot search over the active submatrix: the entry
 /// minimising `(row_count − 1)(col_count − 1)` among threshold-eligible
-/// entries, scanning columns in increasing active count and settling
-/// after [`MARKOWITZ_SEARCH_COLS`] eligible columns (or immediately on a
-/// zero-cost pivot). Ties break on larger magnitude, then smaller
-/// `(row, col)`.
-fn markowitz_pivot(
-    cols: &[Vec<(usize, f64)>],
-    rows: &[Vec<(usize, f64)>],
-    col_active: &[bool],
-) -> Option<(usize, usize)> {
-    // Bucket the active columns by count (count 0 ⇒ structurally
-    // singular: unreachable as a pivot, surfaces as `None` at the end).
-    let mut buckets: Vec<Vec<usize>> = Vec::new();
-    for (c, col) in cols.iter().enumerate() {
-        if !col_active[c] || col.is_empty() {
-            continue;
-        }
-        let count = col.len();
-        if buckets.len() < count {
-            buckets.resize(count, Vec::new());
-        }
-        buckets[count - 1].push(c);
-    }
+/// entries, scanning columns in increasing active count (ties by column)
+/// and settling after [`MARKOWITZ_SEARCH_COLS`] eligible columns (or
+/// immediately on a zero-cost pivot). Ties break on larger magnitude,
+/// then smaller `(row, col)`.
+fn markowitz_pivot(a: &Active) -> Option<(usize, usize)> {
     let mut best: Option<(usize, usize)> = None;
     let mut best_cost = usize::MAX;
     let mut best_mag = 0.0f64;
     let mut examined = 0usize;
-    for bucket in &buckets {
-        for &c in bucket {
-            let col = &cols[c];
-            let col_max = col.iter().map(|&(_, v)| v.abs()).fold(0.0f64, f64::max);
-            if col_max <= ABS_PIVOT_TOL {
+    for (count, c) in a.by_count.iter() {
+        let col = &a.cols[c];
+        debug_assert_eq!(count, col.len(), "stale count of column {c}");
+        let col_max = col.iter().map(|&(_, v)| v.abs()).fold(0.0f64, f64::max);
+        if col_max <= ABS_PIVOT_TOL {
+            continue;
+        }
+        let mut found_any = false;
+        for &(r, v) in col {
+            if v.abs() < PIVOT_THRESHOLD * col_max || v.abs() <= ABS_PIVOT_TOL {
                 continue;
             }
-            let mut found_any = false;
-            for &(r, v) in col {
-                if v.abs() < PIVOT_THRESHOLD * col_max || v.abs() <= ABS_PIVOT_TOL {
-                    continue;
+            found_any = true;
+            let cost = (a.rows[r].len() - 1) * (count - 1);
+            let better = match best {
+                None => true,
+                Some((br, bc)) => {
+                    cost < best_cost
+                        || (cost == best_cost
+                            && (v.abs() > best_mag || (v.abs() == best_mag && (r, c) < (br, bc))))
                 }
-                found_any = true;
-                let cost = (rows[r].len() - 1) * (col.len() - 1);
-                let better = match best {
-                    None => true,
-                    Some((br, bc)) => {
-                        cost < best_cost
-                            || (cost == best_cost
-                                && (v.abs() > best_mag
-                                    || (v.abs() == best_mag && (r, c) < (br, bc))))
-                    }
-                };
-                if better {
-                    best = Some((r, c));
-                    best_cost = cost;
-                    best_mag = v.abs();
-                }
+            };
+            if better {
+                best = Some((r, c));
+                best_cost = cost;
+                best_mag = v.abs();
             }
-            if found_any {
-                examined += 1;
-                if best_cost == 0 || examined >= MARKOWITZ_SEARCH_COLS {
-                    return best;
-                }
+        }
+        if found_any {
+            examined += 1;
+            if best_cost == 0 || examined >= MARKOWITZ_SEARCH_COLS {
+                return best;
             }
         }
     }
@@ -1000,5 +1137,355 @@ mod tests {
             }
         }
         assert!(tripped, "fill/update policy never requested a rebuild");
+    }
+
+    /// The search with its count buckets rebuilt from scratch at every
+    /// elimination step, O(m) per step: the reference the incrementally
+    /// kept buckets must match pivot for pivot.
+    fn rebuild_markowitz_pivot(a: &Active) -> Option<(usize, usize)> {
+        let (cols, rows, col_active) = (&a.cols, &a.rows, &a.col_active);
+        // Bucket the active columns by count (count 0 ⇒ structurally
+        // singular: unreachable as a pivot, surfaces as `None` at the end).
+        let mut buckets: Vec<Vec<usize>> = Vec::new();
+        for (c, col) in cols.iter().enumerate() {
+            if !col_active[c] || col.is_empty() {
+                continue;
+            }
+            let count = col.len();
+            if buckets.len() < count {
+                buckets.resize(count, Vec::new());
+            }
+            buckets[count - 1].push(c);
+        }
+        let mut best: Option<(usize, usize)> = None;
+        let mut best_cost = usize::MAX;
+        let mut best_mag = 0.0f64;
+        let mut examined = 0usize;
+        for bucket in &buckets {
+            for &c in bucket {
+                let col = &cols[c];
+                let col_max = col.iter().map(|&(_, v)| v.abs()).fold(0.0f64, f64::max);
+                if col_max <= ABS_PIVOT_TOL {
+                    continue;
+                }
+                let mut found_any = false;
+                for &(r, v) in col {
+                    if v.abs() < PIVOT_THRESHOLD * col_max || v.abs() <= ABS_PIVOT_TOL {
+                        continue;
+                    }
+                    found_any = true;
+                    let cost = (rows[r].len() - 1) * (col.len() - 1);
+                    let better = match best {
+                        None => true,
+                        Some((br, bc)) => {
+                            cost < best_cost
+                                || (cost == best_cost
+                                    && (v.abs() > best_mag
+                                        || (v.abs() == best_mag && (r, c) < (br, bc))))
+                        }
+                    };
+                    if better {
+                        best = Some((r, c));
+                        best_cost = cost;
+                        best_mag = v.abs();
+                    }
+                }
+                if found_any {
+                    examined += 1;
+                    if best_cost == 0 || examined >= MARKOWITZ_SEARCH_COLS {
+                        return best;
+                    }
+                }
+            }
+        }
+        best
+    }
+
+    type BitList = Vec<(usize, u64)>;
+
+    /// Every number a factorization stores, as raw bits, lists in order.
+    #[derive(Debug, PartialEq)]
+    struct FactorBits {
+        order: Vec<usize>,
+        step_of: Vec<usize>,
+        pivot_row_of: Vec<usize>,
+        vdiag: Vec<u64>,
+        vcols: Vec<BitList>,
+        vrows: Vec<BitList>,
+        f_file: Vec<(usize, BitList)>,
+        h_file: Vec<(usize, BitList)>,
+        /// `valid`, `base_fill`, `v_fill`, `h_fill`, `updates_since`.
+        counters: (bool, usize, usize, usize, usize),
+    }
+
+    fn bits(list: &[(usize, f64)]) -> BitList {
+        list.iter().map(|&(i, v)| (i, v.to_bits())).collect()
+    }
+
+    fn factor_bits(lu: &LuFactors) -> FactorBits {
+        FactorBits {
+            order: lu.order.clone(),
+            step_of: lu.step_of.clone(),
+            pivot_row_of: lu.pivot_row_of.clone(),
+            vdiag: lu.vdiag.iter().map(|v| v.to_bits()).collect(),
+            vcols: lu.vcols.iter().map(|l| bits(l)).collect(),
+            vrows: lu.vrows.iter().map(|l| bits(l)).collect(),
+            f_file: lu
+                .f_file
+                .iter()
+                .map(|e| (e.pivot_row, bits(&e.entries)))
+                .collect(),
+            h_file: lu
+                .h_file
+                .iter()
+                .map(|e| (e.row, bits(&e.entries)))
+                .collect(),
+            counters: (
+                lu.valid,
+                lu.base_fill,
+                lu.v_fill,
+                lu.h_fill,
+                lu.updates_since,
+            ),
+        }
+    }
+
+    fn vec_bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Refactorizes `lu` to `cols`, and a copy of it under the rebuild
+    /// search in fresh working storage, and asserts the same verdict,
+    /// bit-identical factors, and bit-identical FTRAN (with spike) and
+    /// BTRAN of random right-hand sides. `lu` keeps whatever working
+    /// storage its earlier factorizations left. Returns whether the basis
+    /// factorized.
+    fn assert_searches_agree(lu: &mut LuFactors, cols: &[Vec<(usize, f64)>], seed: u64) -> bool {
+        let m = cols.len();
+        let mut reference = lu.clone();
+        let got = factorize_cols(lu, cols);
+        let want = reference.factorize_with(
+            &mut Active::default(),
+            m,
+            |p, buf| buf.extend_from_slice(&cols[p]),
+            rebuild_markowitz_pivot,
+        );
+        assert_eq!(got, want, "verdict, seed {seed:#x}, m = {m}");
+        assert_eq!(
+            factor_bits(lu),
+            factor_bits(&reference),
+            "factor state, seed {seed:#x}, m = {m}"
+        );
+        if got.is_err() {
+            return false;
+        }
+        let mut s = seed;
+        for _ in 0..4 {
+            let rhs: Vec<f64> = (0..m)
+                .map(|_| match splitmix(&mut s) % 4 {
+                    0 => 0.0,
+                    k => (splitmix(&mut s) % 2001) as f64 / 1000.0 - 1.0 + k as f64,
+                })
+                .collect();
+            let (mut x, mut y) = (rhs.clone(), rhs.clone());
+            let (mut sx, mut sy) = (Vec::new(), Vec::new());
+            lu.ftran(&mut x, Some(&mut sx));
+            reference.ftran(&mut y, Some(&mut sy));
+            assert_eq!(vec_bits(&x), vec_bits(&y), "ftran, seed {seed:#x}");
+            assert_eq!(vec_bits(&sx), vec_bits(&sy), "spike, seed {seed:#x}");
+            let (mut x, mut y) = (rhs.clone(), rhs);
+            lu.btran(&mut x);
+            reference.btran(&mut y);
+            assert_eq!(vec_bits(&x), vec_bits(&y), "btran, seed {seed:#x}");
+        }
+        true
+    }
+
+    /// Magnitudes on the edges of the pivot tests, for a column whose
+    /// largest entry is 1: the threshold `PIVOT_THRESHOLD · max` and the
+    /// absolute floor `ABS_PIVOT_TOL`, each exactly and one ulp either
+    /// side.
+    fn edge_values() -> [f64; 9] {
+        let ulp_down = |x: f64| f64::from_bits(x.to_bits() - 1);
+        let ulp_up = |x: f64| f64::from_bits(x.to_bits() + 1);
+        [
+            1.0,
+            0.5,
+            PIVOT_THRESHOLD,
+            ulp_down(PIVOT_THRESHOLD),
+            ulp_up(PIVOT_THRESHOLD),
+            ABS_PIVOT_TOL,
+            ulp_down(ABS_PIVOT_TOL),
+            ulp_up(ABS_PIVOT_TOL),
+            0.3,
+        ]
+    }
+
+    /// A simplex-basis-shaped matrix: logical unit columns on shuffled
+    /// rows, `dense` of them replaced by structural columns of 2–8
+    /// entries drawn from [`edge_values`] (signs random), each keeping
+    /// its slot's row so most draws stay nonsingular.
+    fn basis_cols(m: usize, dense: usize, seed: u64) -> Vec<Vec<(usize, f64)>> {
+        let mut s = seed;
+        let mut rows: Vec<usize> = (0..m).collect();
+        for i in (1..m).rev() {
+            let j = (splitmix(&mut s) % (i as u64 + 1)) as usize;
+            rows.swap(i, j);
+        }
+        let mut cols: Vec<Vec<(usize, f64)>> = rows.iter().map(|&r| vec![(r, 1.0)]).collect();
+        let edges = edge_values();
+        for _ in 0..dense {
+            let p = (splitmix(&mut s) % m as u64) as usize;
+            let mut col = vec![(rows[p], edges[(splitmix(&mut s) % 3) as usize])];
+            let len = 2 + (splitmix(&mut s) % 7) as usize;
+            for _ in 1..len.min(m) {
+                let r = (splitmix(&mut s) % m as u64) as usize;
+                if col.iter().any(|&(row, _)| row == r) {
+                    continue;
+                }
+                let v = edges[(splitmix(&mut s) % edges.len() as u64) as usize];
+                col.push((r, if splitmix(&mut s) & 1 == 0 { v } else { -v }));
+            }
+            cols[p] = col;
+        }
+        cols
+    }
+
+    #[test]
+    fn incremental_search_matches_rebuild_on_random_matrices() {
+        // One `LuFactors` throughout, so every factorization starts from
+        // the working storage of a different, often larger, matrix.
+        let mut lu = LuFactors::new();
+        let mut factorized = 0;
+        for (i, m) in [1usize, 2, 3, 5, 8, 13, 31, 63, 64, 65, 100, 129, 200]
+            .into_iter()
+            .enumerate()
+        {
+            for (j, extra) in [m, 3 * m, 6 * m].into_iter().enumerate() {
+                let seed = 0x0DD5_EED0 + 16 * i as u64 + j as u64;
+                factorized += usize::from(assert_searches_agree(
+                    &mut lu,
+                    &random_cols(m, extra, seed),
+                    seed,
+                ));
+            }
+        }
+        assert_eq!(factorized, 39, "every random_cols matrix is nonsingular");
+    }
+
+    #[test]
+    fn incremental_search_matches_rebuild_on_basis_shaped_matrices() {
+        let mut lu = LuFactors::new();
+        let (mut runs, mut factorized) = (0, 0);
+        for m in [4usize, 16, 50, 64, 97, 150, 200] {
+            for dense in [1, m / 8, m / 3, m] {
+                for rep in 0..3u64 {
+                    let seed = 0xBA515 ^ ((m as u64) << 16) ^ ((dense as u64) << 4) ^ rep;
+                    runs += 1;
+                    factorized += usize::from(assert_searches_agree(
+                        &mut lu,
+                        &basis_cols(m, dense, seed),
+                        seed,
+                    ));
+                }
+            }
+        }
+        // Tiny and sub-threshold entries make some draws singular; both
+        // verdicts are compared, but most draws must factorize.
+        assert!(
+            2 * factorized > runs,
+            "only {factorized} of {runs} basis-shaped draws factorized"
+        );
+    }
+
+    #[test]
+    fn incremental_search_matches_rebuild_on_singular_matrices() {
+        // Singular verdicts leave the working storage half-eliminated;
+        // the next case must not notice.
+        let mut lu = LuFactors::new();
+        let tiny = f64::from_bits(ABS_PIVOT_TOL.to_bits() - 1);
+        let mut cases: Vec<Vec<Vec<(usize, f64)>>> = vec![
+            // Duplicate columns.
+            vec![vec![(0, 1.0), (1, 1.0)], vec![(0, 1.0), (1, 1.0)]],
+            // An empty column.
+            vec![vec![(0, 1.0), (1, 1.0)], vec![]],
+            // A column of entries below the absolute pivot floor.
+            vec![vec![(0, 1.0)], vec![(0, tiny), (1, tiny)]],
+            // A row no column touches.
+            vec![vec![(0, 1.0)], vec![(0, 2.0), (2, 1.0)], vec![(2, 3.0)]],
+            // A column that is the sum of two others.
+            vec![
+                vec![(0, 1.0), (1, 2.0)],
+                vec![(1, 1.0), (2, -1.0)],
+                vec![(0, 1.0), (1, 3.0), (2, -1.0)],
+            ],
+        ];
+        for seed in 0..12u64 {
+            let m = 5 + 9 * seed as usize;
+            let mut cols = random_cols(m, 3 * m, 0x51A6 ^ seed);
+            let (a, b) = (seed as usize % m, (seed as usize * 7 + 3) % m);
+            if a != b {
+                cols[a] = cols[b].clone();
+                cases.push(cols);
+            }
+        }
+        for (i, cols) in cases.iter().enumerate() {
+            assert!(
+                !assert_searches_agree(&mut lu, cols, i as u64),
+                "case {i} is singular"
+            );
+            let ok = random_cols(cols.len(), 2 * cols.len(), i as u64);
+            assert!(assert_searches_agree(&mut lu, &ok, i as u64));
+        }
+    }
+
+    #[test]
+    fn incremental_search_matches_rebuild_after_forrest_tomlin_chains() {
+        // The solver refactorizes a basis its Forrest–Tomlin updates
+        // have already changed, from an `LuFactors` holding an `H` file:
+        // walk update chains and compare both searches every few steps.
+        for (m, seed) in [(7usize, 0xF7u64), (40, 0x40F7), (120, 0x120F7)] {
+            let mut cols = basis_cols(m, m / 4, seed);
+            let mut lu = LuFactors::new();
+            if factorize_cols(&mut lu, &cols).is_err() {
+                cols = random_cols(m, 2 * m, seed);
+                factorize_cols(&mut lu, &cols).unwrap();
+            }
+            let mut s = seed;
+            let (mut compared, mut singular) = (0, 0);
+            for step in 0..3 * m {
+                let p = (splitmix(&mut s) % m as u64) as usize;
+                // Dominant on the row position p is pivoted on, so most
+                // replacements keep the basis nonsingular.
+                let mut newcol = vec![(lu.pivot_row_of[p], 3.0 + (step % 3) as f64)];
+                for _ in 0..1 + step % 3 {
+                    let r = (splitmix(&mut s) % m as u64) as usize;
+                    if !newcol.iter().any(|&(row, _)| row == r) {
+                        newcol.push((r, 1.0 - (step % 5) as f64 / 2.0));
+                    }
+                }
+                let mut dense = vec![0.0; m];
+                for &(row, v) in &newcol {
+                    dense[row] += v;
+                }
+                let mut spike = Vec::new();
+                lu.ftran(&mut dense, Some(&mut spike));
+                let old = std::mem::replace(&mut cols[p], newcol);
+                if lu.replace_column(p, &spike).is_err() || step % 5 == 4 {
+                    compared += 1;
+                    if !assert_searches_agree(&mut lu, &cols, s) {
+                        // Both searches found the update singular: undo it.
+                        singular += 1;
+                        cols[p] = old;
+                        factorize_cols(&mut lu, &cols).unwrap();
+                    }
+                }
+            }
+            assert!(
+                2 * singular < compared,
+                "m = {m}: {singular} of {compared} singular"
+            );
+            assert!(compared >= 3 * m / 5, "m = {m}: {compared} comparisons");
+        }
     }
 }

@@ -363,3 +363,87 @@ fn channelled_5x5_k3_probe_is_still_open() {
         out.status
     );
 }
+
+#[test]
+#[ignore = "release-only exact-ILP probe; run with `cargo test --release -- --ignored`"]
+fn fixed_cover_probes_keep_their_exact_search_counts() {
+    // The fixed instances of the benchmark's `ilp` workload, probed the
+    // way it probes them: cover models at k = lb, lb + 1, lb + 2 under
+    // product options (first feasible cover, 100 nodes) and proof options
+    // (certificate logging, 50 nodes), neither wall-clock limited. The
+    // node-budgeted searches are deterministic, so node, LP-iteration and
+    // refactorization counts repeat exactly; a speed-up of the LP layer
+    // must leave every one of them as it is.
+    use fpva::atpg::ilp_model::{cover_model, min_cover_paths};
+    use fpva::ilp::{MilpOptions, MilpSolver, SolveStatus};
+    use SolveStatus::{Feasible, Infeasible, Unknown};
+    let product = MilpOptions {
+        stop_at_first: true,
+        node_limit: Some(100),
+        time_limit: None,
+        ..MilpOptions::default()
+    };
+    let proof = MilpOptions {
+        certificate: true,
+        node_limit: Some(50),
+        time_limit: None,
+        ..MilpOptions::default()
+    };
+    // Per instance and mode: verdicts at k = lb.., then the summed
+    // [nodes, LP iterations, refactorizations] over the three probes.
+    type Pin = ([SolveStatus; 3], [usize; 3]);
+    let pins: [(&str, fpva::Fpva, Pin, Pin); 4] = [
+        (
+            "full3x3",
+            layouts::full_array(3, 3),
+            ([Feasible, Unknown, Unknown], [232, 1841, 115]),
+            ([Feasible, Unknown, Unknown], [150, 2126, 194]),
+        ),
+        (
+            "full4x4",
+            layouts::full_array(4, 4),
+            ([Unknown, Unknown, Unknown], [300, 6159, 264]),
+            ([Unknown, Unknown, Unknown], [150, 4306, 256]),
+        ),
+        (
+            "full5x5",
+            layouts::full_array(5, 5),
+            ([Feasible, Unknown, Unknown], [273, 8176, 361]),
+            ([Unknown, Unknown, Unknown], [150, 7902, 378]),
+        ),
+        (
+            "table1_5x5",
+            layouts::table1_5x5(),
+            ([Infeasible, Unknown, Unknown], [201, 5920, 302]),
+            ([Infeasible, Unknown, Unknown], [101, 5631, 291]),
+        ),
+    ];
+    for (name, f, want_product, want_proof) in pins {
+        let lb = min_cover_paths(&f);
+        for (mode, options, want) in [
+            ("product", &product, want_product),
+            ("proof", &proof, want_proof),
+        ] {
+            let mut verdicts = Vec::new();
+            let mut counts = [0usize; 3];
+            for k in lb..lb + 3 {
+                let out = MilpSolver::with_options(options.clone())
+                    .solve(&cover_model(&f, k))
+                    .expect("the probe itself must not error");
+                verdicts.push(out.status);
+                counts[0] += out.stats.nodes;
+                counts[1] += out.stats.lp_iterations;
+                counts[2] += out.stats.refactorizations;
+            }
+            assert_eq!(
+                (verdicts.as_slice(), counts),
+                (want.0.as_slice(), want.1),
+                "{name} {mode} probes: (verdicts, [nodes, lp_iterations, \
+                 refactorizations]) moved. These pins change only with a \
+                 deliberate change to the search (branching, pricing, \
+                 presolve, refactorization triggers) or to its arithmetic; \
+                 a pure speed-up must reproduce them bit for bit"
+            );
+        }
+    }
+}
