@@ -9,7 +9,7 @@
 //! sweep is quadratic in the valve count, so it runs on the same scoped
 //! worker pool ([`crate::exec`]) as the campaign.
 
-use crate::bitsim::{BitSimulator, KernelStats, LoweredChip, SimKernel, LANES};
+use crate::bitsim::{BitSimulator, KernelStats, LoweredChip, SimKernel, SWEEP_CHUNK};
 use crate::exec;
 use crate::fault::{Fault, FaultSet};
 use crate::suite::TestSuite;
@@ -94,7 +94,8 @@ pub fn leak_coverage_with(
 }
 
 /// Serial sweep over an explicit single-fault universe: scalar per-fault
-/// detection, or [`LANES`] faults per word on the bit-parallel kernel.
+/// detection, or one vector-major [`BitSimulator::sweep`] per
+/// [`SWEEP_CHUNK`] faults on the bit-parallel kernel.
 fn sweep_universe(
     fpva: &Fpva,
     suite: &TestSuite,
@@ -120,16 +121,11 @@ fn sweep_universe(
         SimKernel::BitParallel => {
             let chip = LoweredChip::build(fpva);
             let mut sim = BitSimulator::new(&chip);
-            for block in universe.chunks(LANES) {
-                let sets: Vec<FaultSet> = block
-                    .iter()
-                    .map(|&fault| {
-                        FaultSet::try_from_faults(vec![fault]).expect("single fault is valid")
-                    })
-                    .collect();
-                let mask = sim.detect_block(suite, &sets);
-                for (lane, &fault) in block.iter().enumerate() {
-                    if mask >> lane & 1 == 0 {
+            for chunk in universe.chunks(SWEEP_CHUNK) {
+                let scenarios: Vec<[Fault; 1]> = chunk.iter().map(|&fault| [fault]).collect();
+                let verdicts = sim.sweep(suite, &scenarios);
+                for (&fault, hit) in chunk.iter().zip(verdicts) {
+                    if !hit {
                         undetected.push(fault);
                     }
                 }
@@ -143,11 +139,6 @@ fn sweep_universe(
         stats,
     }
 }
-
-/// Ordered pairs per work chunk of [`two_fault_audit`]. Fixed so the chunk
-/// decomposition — and with it the `undetected` ordering — never depends
-/// on the thread count.
-const PAIR_CHUNK: usize = 512;
 
 /// Checks every (stuck-at-0, stuck-at-1) pair on distinct valves — the
 /// mutual-masking scenario of the paper's Fig. 5(c)/(d) — spreading the
@@ -166,10 +157,11 @@ pub fn two_fault_audit(
 }
 
 /// [`two_fault_audit`] on an explicit kernel. `total`/`undetected` are
-/// identical for both kernels; the bit-parallel one packs [`LANES`]
-/// consecutive pairs of the scan order per word (the pair-chunk size is a
-/// multiple of [`LANES`], so only a chunk's trailing block can be
-/// partial).
+/// identical for both kernels. Both split the scan order into chunks of
+/// [`SWEEP_CHUNK`] pairs, a fixed size, so the chunk decomposition, and
+/// with it the `undetected` ordering, never depends on the thread count;
+/// the bit-parallel kernel pushes each chunk through one vector-major
+/// [`BitSimulator::sweep`].
 pub fn two_fault_audit_with(
     fpva: &Fpva,
     suite: &TestSuite,
@@ -187,33 +179,23 @@ pub fn two_fault_audit_with(
         (Fault::StuckAt0(ValveId(a)), Fault::StuckAt1(ValveId(b)))
     };
     let lowered = (kernel == SimKernel::BitParallel && total > 0).then(|| LoweredChip::build(fpva));
-    let chunks = exec::run_chunked(threads, total, PAIR_CHUNK, |pairs| {
+    let chunks = exec::run_chunked(threads, total, SWEEP_CHUNK, |pairs| {
         let mut stats = KernelStats::default();
         let mut undetected = Vec::new();
         match &lowered {
             Some(chip) => {
+                let scenarios: Vec<[Fault; 2]> = pairs
+                    .map(|p| {
+                        let (a, b) = pair_at(p);
+                        [a, b]
+                    })
+                    .collect();
                 let mut sim = BitSimulator::new(chip);
-                let mut block_pairs = Vec::with_capacity(LANES);
-                let mut sets = Vec::with_capacity(LANES);
-                let mut p = pairs.start;
-                while p < pairs.end {
-                    block_pairs.clear();
-                    sets.clear();
-                    for q in p..pairs.end.min(p + LANES) {
-                        let pair = pair_at(q);
-                        block_pairs.push(pair);
-                        sets.push(
-                            FaultSet::try_from_faults(vec![pair.0, pair.1])
-                                .expect("distinct valves cannot conflict"),
-                        );
+                let verdicts = sim.sweep(suite, &scenarios);
+                for (&[a, b], hit) in scenarios.iter().zip(verdicts) {
+                    if !hit {
+                        undetected.push((a, b));
                     }
-                    let mask = sim.detect_block(suite, &sets);
-                    for (lane, &pair) in block_pairs.iter().enumerate() {
-                        if mask >> lane & 1 == 0 {
-                            undetected.push(pair);
-                        }
-                    }
-                    p += LANES;
                 }
                 stats = sim.stats();
             }

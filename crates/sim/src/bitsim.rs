@@ -3,42 +3,77 @@
 //! The scalar path ([`crate::propagate`]/[`crate::respond`]) answers "does pressure reach the
 //! sinks?" for **one** `(vector, fault set)` combination per BFS. Campaigns
 //! and audits ask that question for thousands of fault scenarios against
-//! the *same* vector, so this module packs [`LANES`] scenarios into one
+//! the *same* suite, so this module packs [`LANES`] scenarios into one
 //! `u64` per graph element and propagates all of them through a single
-//! bitset BFS — the classic parallel-pattern/parallel-fault answer from
-//! VLSI ATPG, transplanted to valve-array pressure propagation:
+//! bitset BFS — the classic parallel-fault answer from VLSI ATPG,
+//! transplanted to valve-array pressure propagation:
 //!
 //! * [`LoweredChip`] — the chip's cell adjacency lowered once per chip into
 //!   a flat CSR table (wall edges dropped, channel edges marked
-//!   always-open, valve edges tagged with their dense valve index),
+//!   always-open, valve edges tagged with their dense valve index), plus
+//!   the two endpoint cells of every valve,
 //! * [`LaneSet`] — one `u64` lane word per element of some universe
 //!   (per valve: "which scenarios hold this valve open"; per cell: "which
 //!   scenarios pressurise this cell"),
 //! * [`BitFrontier`] — the reusable bitset-BFS worklist: seeds a lane word
 //!   at the source cells and saturates reachability with word-wide
 //!   AND/OR over the lowered adjacency,
-//! * [`BitSimulator`] — the batch detector built on top: applies every
-//!   suite vector to up to [`LANES`] fault sets at once and reports the
-//!   detected lanes as a bitmask, plus [`KernelStats`] counters.
+//! * [`BitSimulator`] — the fault-dropping sweep built on top: applies a
+//!   suite vector by vector to a chunk of scenarios and reports which
+//!   ones some vector detects, plus [`KernelStats`] counters.
+//!
+//! # Vector-major sweep with fault dropping
+//!
+//! [`BitSimulator::sweep`] walks the suite once over a whole chunk of
+//! scenarios ([`SWEEP_CHUNK`] in campaigns and audits). At each vector it
+//! looks only at the scenarios no earlier vector detected (fault
+//! dropping), and simulates only those the vector can *disturb*: one of
+//! their faults changes the effective state ([`FaultSet::effective_states`]:
+//! commanded state, then control leaks by the actuator's command, then
+//! stuck-at overrides) of a valve with an endpoint in the vector's
+//! fault-free pressure region `R`, which the [`TestSuite`] keeps per
+//! vector. The disturbed scenarios are packed 64 per word pass in scenario
+//! order, with only the occupied lanes seeded at the sources and compared
+//! at the sinks. Every other scenario is carried to the next vector
+//! unsimulated.
+//!
+//! Skipping a scenario is exact. `R` holds the sources and is closed under
+//! the fault-free open edges, since it is their reach. If the scenario
+//! changes no valve that touches `R`, every edge leaving `R` is a channel
+//! or a valve at its commanded state, so it is closed under the faulty
+//! open edges too, and the edges inside `R` that carried the golden
+//! pressure are unchanged. The faulty reach is therefore `R` itself, and
+//! every sink reads golden.
 //!
 //! # Scalar-oracle invariant
 //!
 //! For every `(vector, fault set)` the lane bit computed here equals the
 //! scalar result of [`crate::respond`] compared against the
 //! suite's golden response — byte for byte, not approximately. The scalar
-//! path stays in the tree as the oracle: the differential campaign tests
-//! run both kernels over the Table I layouts and assert identical
-//! [`crate::campaign::CampaignRow`]s, and the unit tests below check the
-//! per-scenario reachability sets themselves. Anything observable may
-//! *only* differ in speed.
+//! path stays in the tree as the oracle: the differential campaign and
+//! audit tests run both kernels, on complete and on deliberately weak
+//! suites, and assert identical [`crate::campaign::CampaignRow`]s and
+//! `undetected` lists; the unit tests below check the per-scenario
+//! reachability sets and the skip rule themselves. Anything observable
+//! may *only* differ in speed.
 
-use crate::fault::{Fault, FaultSet};
+use crate::fault::Fault;
+#[cfg(doc)]
+use crate::fault::FaultSet;
 use crate::suite::TestSuite;
-use fpva_grid::{EdgeKind, Fpva, PortKind, TestVector};
+use fpva_grid::{EdgeKind, Fpva, PortKind, TestVector, ValveId};
 use std::collections::VecDeque;
 
 /// Scenarios packed per machine word.
 pub const LANES: usize = 64;
+
+/// Scenarios per sweep: the fixed work-chunk size of the bit-parallel
+/// campaign and audits. A multiple of [`LANES`] and never derived from the
+/// thread count, so the chunk decomposition, and with it every
+/// [`KernelStats`] counter, is the same for every pool size. A larger
+/// chunk gives each vector more still-undetected scenarios to pack into
+/// full words; a chunk's fault sets stay small next to the chip.
+pub const SWEEP_CHUNK: usize = 32 * LANES;
 
 /// Gate marker for an always-open (channel) edge in the lowered adjacency.
 const OPEN_GATE: u32 = u32::MAX;
@@ -67,6 +102,8 @@ pub struct LoweredChip {
     /// Sink-port cells in port declaration order — parallel to the
     /// readings of a [`crate::Response`], duplicates kept.
     sinks: Vec<u32>,
+    /// The two endpoint cells of each valve, by dense valve index.
+    valve_cells: Vec<[u32; 2]>,
 }
 
 impl LoweredChip {
@@ -107,6 +144,14 @@ impl LoweredChip {
                 PortKind::Sink => sinks.push(ci),
             }
         }
+        let cell_of = |c| u32::try_from(fpva.cell_index(c)).expect("cell fits u32");
+        let valve_cells = fpva
+            .valves()
+            .map(|(v, _)| {
+                let (a, b) = fpva.valve_endpoints(v);
+                [cell_of(a), cell_of(b)]
+            })
+            .collect();
         LoweredChip {
             cell_count,
             valve_count: fpva.valve_count(),
@@ -115,6 +160,7 @@ impl LoweredChip {
             adj_gate,
             sources,
             sinks,
+            valve_cells,
         }
     }
 
@@ -138,6 +184,41 @@ impl LoweredChip {
     /// response readings).
     pub fn sink_cells(&self) -> &[u32] {
         &self.sinks
+    }
+
+    /// Whether some fault of `faults` changes the effective state of a
+    /// valve with an endpoint in `reach` (a bitset over dense cell
+    /// indices) when the chip is driven with `vector`. "Changes" follows
+    /// the [`FaultSet::effective_states`] rules valve by valve, so it holds
+    /// exactly when the valve's effective state differs from its command.
+    fn disturbs(&self, vector: &TestVector, reach: &[u64], faults: &[Fault]) -> bool {
+        let borders = |v: ValveId| {
+            self.valve_cells[v.index()]
+                .iter()
+                .any(|&c| reach[c as usize / 64] >> (c % 64) & 1 == 1)
+        };
+        faults.iter().any(|&fault| {
+            let changes = match fault {
+                Fault::StuckAt0(v) => vector.is_open(v),
+                Fault::StuckAt1(v) => !vector.is_open(v),
+                // A stuck-at-1 victim stays open whatever the leak does.
+                Fault::ControlLeak { actuator, victim } => {
+                    !vector.is_open(actuator)
+                        && vector.is_open(victim)
+                        && !faults.contains(&Fault::StuckAt1(victim))
+                }
+            };
+            changes && borders(changed_valve(fault))
+        })
+    }
+}
+
+/// The valve whose effective state `fault` can change: a stuck-at
+/// fault's own valve, a control leak's victim.
+fn changed_valve(fault: Fault) -> ValveId {
+    match fault {
+        Fault::StuckAt0(v) | Fault::StuckAt1(v) => v,
+        Fault::ControlLeak { victim, .. } => victim,
     }
 }
 
@@ -175,13 +256,6 @@ impl LaneSet {
     /// Clears every word to zero.
     pub fn clear(&mut self) {
         self.words.fill(0);
-    }
-
-    /// Re-shapes recycled scratch to `len` all-zero words without
-    /// reallocating when capacity suffices.
-    fn reset(&mut self, len: usize) {
-        self.words.clear();
-        self.words.resize(len, 0);
     }
 
     /// Broadcasts a per-element predicate to all 64 lanes: element `i`
@@ -253,6 +327,12 @@ impl BitFrontier {
     /// Panics if `open` was not sized for `chip`'s valve count or the
     /// frontier for its cell count.
     pub fn propagate_from(&mut self, chip: &LoweredChip, seeds: &[u32], open: &LaneSet) {
+        self.flood(chip, seeds, !0, open);
+    }
+
+    /// [`BitFrontier::propagate_from`] with only the lanes of `lanes`
+    /// pressurised at the seeds; every other lane stays empty everywhere.
+    fn flood(&mut self, chip: &LoweredChip, seeds: &[u32], lanes: u64, open: &LaneSet) {
         assert_eq!(open.len(), chip.valve_count, "open-lane/valve mismatch");
         assert_eq!(
             self.reached.len(),
@@ -264,7 +344,7 @@ impl BitFrontier {
         for &s in seeds {
             let si = s as usize;
             if self.reached.words[si] == 0 {
-                self.reached.words[si] = !0;
+                self.reached.words[si] = lanes;
                 self.queued[si] = true;
                 self.queue.push_back(s);
             }
@@ -295,17 +375,6 @@ impl BitFrontier {
         }
     }
 
-    /// Re-shapes recycled scratch for a chip with `cells` fluid cells.
-    /// The queue is empty and `queued` all-false whenever a frontier is
-    /// at rest (every propagation drains its own worklist), so only the
-    /// sizes need fixing up.
-    fn reset(&mut self, cells: usize) {
-        self.reached.reset(cells);
-        self.queue.clear();
-        self.queued.clear();
-        self.queued.resize(cells, false);
-    }
-
     /// The per-cell reached lanes of the last propagation.
     pub fn reached(&self) -> &LaneSet {
         &self.reached
@@ -332,17 +401,20 @@ pub enum SimKernel {
 /// Work counters of a campaign/audit run, for throughput reporting.
 ///
 /// All counters are a pure function of `(chip, suite, config)` — chunk
-/// decomposition and early exits are deterministic — so stats, like rows,
-/// are identical for every thread count *within* one kernel. Across
-/// kernels only the results match; the stats are exactly what differs.
+/// decomposition, fault dropping and lane packing are deterministic — so
+/// stats, like rows, are identical for every thread count *within* one
+/// kernel. Across kernels only the results match; the stats are exactly
+/// what differs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct KernelStats {
-    /// 64-lane scenario blocks simulated by the bit-parallel kernel.
+    /// 64-scenario blocks of the bit-parallel kernel's input: a sweep over
+    /// `n` scenarios adds `n.div_ceil(64)`, however few word passes it
+    /// needs.
     pub blocks: usize,
-    /// Word-parallel bitset-BFS passes (one per vector per live block).
+    /// Packed bitset-BFS passes of the bit-parallel kernel: per vector, one
+    /// per 64 still-undetected scenarios that the vector disturbs.
     pub word_passes: usize,
-    /// Live scenario lanes simulated by the bit-parallel kernel (partial
-    /// trailing blocks count only their occupied lanes).
+    /// Scenarios swept by the bit-parallel kernel.
     pub lanes: usize,
     /// Scalar BFS passes (vector applications) by the scalar kernel.
     pub scalar_passes: usize,
@@ -359,32 +431,11 @@ impl KernelStats {
     }
 }
 
-/// Recycled [`BitSimulator`] scratch: the per-valve open lanes and the
-/// BFS frontier, parked between simulator lifetimes.
-struct Scratch {
-    open: LaneSet,
-    frontier: BitFrontier,
-}
-
-/// Per-thread pool of retired scratch buffers. Campaign and audit chunks
-/// construct one short-lived `BitSimulator` per work item inside the
-/// worker closures; without the pool every chunk re-allocates the lane
-/// words and the frontier from cold. Bounded so a burst of simulators
-/// cannot pin memory.
-const SCRATCH_POOL_CAP: usize = 8;
-thread_local! {
-    static SCRATCH_POOL: std::cell::RefCell<Vec<Scratch>> =
-        const { std::cell::RefCell::new(Vec::new()) };
-}
-
-/// Batch fault-detection engine: owns the scratch buffers ([`LaneSet`] of
-/// per-valve open lanes + [`BitFrontier`]) so a worker can push thousands
-/// of scenario blocks through without reallocating. The buffers outlive
-/// the simulator itself: dropping one parks them in a per-thread pool and
-/// the next construction on that thread re-shapes them instead of
-/// allocating, so per-chunk simulators in campaign workers stop paying an
-/// allocation per block. Recycling is invisible in the results — every
-/// propagation fully overwrites the scratch it reads.
+/// Batch fault-detection engine over one lowered chip: owns the scratch
+/// buffers ([`LaneSet`] of per-valve open lanes + [`BitFrontier`]) that
+/// every word pass of [`BitSimulator::sweep`] reuses, and accumulates
+/// [`KernelStats`]. Campaigns and audits build one per chunk of
+/// [`SWEEP_CHUNK`] scenarios, which amortises the allocation.
 #[derive(Debug)]
 pub struct BitSimulator<'c> {
     chip: &'c LoweredChip,
@@ -394,25 +445,12 @@ pub struct BitSimulator<'c> {
 }
 
 impl<'c> BitSimulator<'c> {
-    /// A simulator (with fresh scratch state) over one lowered chip,
-    /// recycling this thread's pooled buffers when available.
+    /// A simulator with fresh scratch state over one lowered chip.
     pub fn new(chip: &'c LoweredChip) -> Self {
-        let recycled = SCRATCH_POOL.with(|pool| pool.borrow_mut().pop());
-        let (open, frontier) = match recycled {
-            Some(mut s) => {
-                s.open.reset(chip.valve_count());
-                s.frontier.reset(chip.cell_count());
-                (s.open, s.frontier)
-            }
-            None => (
-                LaneSet::zeros(chip.valve_count()),
-                BitFrontier::new(chip.cell_count()),
-            ),
-        };
         BitSimulator {
             chip,
-            open,
-            frontier,
+            open: LaneSet::zeros(chip.valve_count()),
+            frontier: BitFrontier::new(chip.cell_count()),
             stats: KernelStats::default(),
         }
     }
@@ -422,107 +460,115 @@ impl<'c> BitSimulator<'c> {
         self.stats
     }
 
-    /// Loads the effective per-valve lane words for one vector and up to
-    /// [`LANES`] fault sets, replicating [`FaultSet::effective_states`]
-    /// per lane: commanded state broadcast, then control leaks force their
-    /// victim closed when the actuator is commanded closed, then stuck-at
-    /// faults override everything.
-    fn load_open_lanes(&mut self, vector: &TestVector, sets: &[FaultSet]) {
-        self.open
-            .broadcast(|i| vector.is_open(fpva_grid::ValveId(i)));
-        for (lane, set) in sets.iter().enumerate() {
-            for fault in set.faults() {
-                if let Fault::ControlLeak { actuator, victim } = fault {
-                    if !vector.is_open(*actuator) {
-                        self.open.clear_lane(victim.index(), lane);
-                    }
+    /// Sets every valve's lane word to its commanded state under `vector`.
+    fn load_vector(&mut self, vector: &TestVector) {
+        self.open.broadcast(|i| vector.is_open(ValveId(i)));
+    }
+
+    /// Applies one scenario's faults to lane `lane` of the loaded vector,
+    /// replicating [`FaultSet::effective_states`] per lane: control leaks
+    /// force their victim closed when the actuator is commanded closed,
+    /// then stuck-at faults override everything.
+    fn inject(&mut self, vector: &TestVector, lane: usize, faults: &[Fault]) {
+        for fault in faults {
+            if let Fault::ControlLeak { actuator, victim } = fault {
+                if !vector.is_open(*actuator) {
+                    self.open.clear_lane(victim.index(), lane);
                 }
             }
-            for fault in set.faults() {
-                match fault {
-                    Fault::StuckAt0(v) => self.open.clear_lane(v.index(), lane),
-                    Fault::StuckAt1(v) => self.open.set_lane(v.index(), lane),
-                    Fault::ControlLeak { .. } => {}
-                }
+        }
+        for fault in faults {
+            match fault {
+                Fault::StuckAt0(v) => self.open.clear_lane(v.index(), lane),
+                Fault::StuckAt1(v) => self.open.set_lane(v.index(), lane),
+                Fault::ControlLeak { .. } => {}
             }
         }
     }
 
-    /// Applies every vector of `suite` to up to [`LANES`] fault sets at
-    /// once and returns the detected lanes as a bitmask: bit `l` is set
-    /// exactly when some vector's response under `sets[l]` deviates from
-    /// the suite's golden response — the same criterion as
-    /// [`TestSuite::detects`], evaluated for all lanes per pass. Vectors
-    /// stop being applied once every lane is detected (the word-level
-    /// analogue of the scalar early exit; the result is unaffected).
+    /// Undoes [`BitSimulator::inject`] for every lane at once: the valves
+    /// `faults` can change get their commanded word back.
+    fn restore(&mut self, vector: &TestVector, faults: &[Fault]) {
+        for &fault in faults {
+            let v = changed_valve(fault);
+            self.open.words[v.index()] = if vector.is_open(v) { !0 } else { 0 };
+        }
+    }
+
+    /// Applies the suite to every scenario (one fault list each, e.g. a
+    /// [`FaultSet`]) and returns, per scenario, whether some vector's
+    /// response deviates from the suite's golden response — the criterion
+    /// of [`TestSuite::detects`].
     ///
-    /// Bits at and above `sets.len()` are always zero.
+    /// The sweep is vector-major (see the module docs): a vector simulates
+    /// only the still-undetected scenarios it disturbs, 64 per word pass,
+    /// and the sweep ends once every scenario is detected. Memory and the
+    /// word-pass count grow with `scenarios.len()`, so callers sweep a
+    /// chunk of at most [`SWEEP_CHUNK`] scenarios at a time.
     ///
     /// # Panics
     ///
-    /// Panics if `sets.len() > LANES`, if the suite's vectors were built
-    /// for a different valve count than the lowered chip, or if a fault
-    /// references a valve outside the chip.
-    pub fn detect_block(&mut self, suite: &TestSuite, sets: &[FaultSet]) -> u64 {
-        assert!(sets.len() <= LANES, "at most {LANES} fault sets per block");
-        if sets.is_empty() {
-            return 0;
-        }
-        let live = if sets.len() == LANES {
-            !0
-        } else {
-            (1u64 << sets.len()) - 1
-        };
-        self.stats.blocks += 1;
-        self.stats.lanes += sets.len();
-        let mut detected = 0u64;
-        for (vector, golden) in suite.vectors().iter().zip(suite.expected()) {
-            if detected == live {
+    /// Panics if the suite's vectors were built for a different valve
+    /// count than the lowered chip, or if a fault references a valve
+    /// outside the chip.
+    pub fn sweep<S: AsRef<[Fault]>>(&mut self, suite: &TestSuite, scenarios: &[S]) -> Vec<bool> {
+        let chip = self.chip;
+        self.stats.blocks += scenarios.len().div_ceil(LANES);
+        self.stats.lanes += scenarios.len();
+        let mut detected = vec![false; scenarios.len()];
+        // The scenarios no vector has detected yet, in scenario order.
+        let mut pending: Vec<usize> = (0..scenarios.len()).collect();
+        // The pending scenarios the current vector disturbs.
+        let mut packed = Vec::new();
+        for (i, (vector, golden)) in suite.vectors().iter().zip(suite.expected()).enumerate() {
+            if pending.is_empty() {
                 break;
             }
             assert_eq!(
                 vector.len(),
-                self.chip.valve_count(),
+                chip.valve_count(),
                 "vector/chip size mismatch"
             );
-            self.load_open_lanes(vector, sets);
-            self.frontier.propagate(self.chip, &self.open);
-            self.stats.word_passes += 1;
-            let mut differs = 0u64;
-            for (s, &cell) in self.chip.sink_cells().iter().enumerate() {
-                let lanes = self.frontier.lanes_at(cell as usize);
-                let gold = if golden.readings()[s] { !0u64 } else { 0 };
-                differs |= lanes ^ gold;
+            let reach = suite.golden_reach(i);
+            packed.clear();
+            packed.extend(
+                pending
+                    .iter()
+                    .copied()
+                    .filter(|&s| chip.disturbs(vector, reach, scenarios[s].as_ref())),
+            );
+            if packed.is_empty() {
+                continue;
             }
-            detected |= differs & live;
+            self.load_vector(vector);
+            for block in packed.chunks(LANES) {
+                for (lane, &s) in block.iter().enumerate() {
+                    self.inject(vector, lane, scenarios[s].as_ref());
+                }
+                let live = !0u64 >> (LANES - block.len());
+                self.frontier
+                    .flood(chip, chip.source_cells(), live, &self.open);
+                self.stats.word_passes += 1;
+                let mut differs = 0u64;
+                for (&cell, &gold) in chip.sink_cells().iter().zip(golden.readings()) {
+                    let gold = if gold { !0u64 } else { 0 };
+                    differs |= self.frontier.lanes_at(cell as usize) ^ gold;
+                }
+                for (lane, &s) in block.iter().enumerate() {
+                    detected[s] = differs >> lane & 1 == 1;
+                    self.restore(vector, scenarios[s].as_ref());
+                }
+            }
+            pending.retain(|&s| !detected[s]);
         }
         detected
-    }
-}
-
-impl Drop for BitSimulator<'_> {
-    fn drop(&mut self) {
-        let open = std::mem::replace(&mut self.open, LaneSet { words: Vec::new() });
-        let frontier = std::mem::replace(
-            &mut self.frontier,
-            BitFrontier {
-                reached: LaneSet { words: Vec::new() },
-                queue: VecDeque::new(),
-                queued: Vec::new(),
-            },
-        );
-        SCRATCH_POOL.with(|pool| {
-            let mut pool = pool.borrow_mut();
-            if pool.len() < SCRATCH_POOL_CAP {
-                pool.push(Scratch { open, frontier });
-            }
-        });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultSet;
     use fpva_grid::{layouts, FpvaBuilder, Side, TestVector, ValveId, ValveState};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -553,6 +599,17 @@ mod tests {
     }
 
     #[test]
+    fn lowering_records_valve_endpoint_cells() {
+        let f = layouts::full_array(2, 3);
+        let chip = LoweredChip::build(&f);
+        for (v, edge) in f.valves() {
+            let (a, b) = edge.endpoints();
+            let cells = [a, b].map(|c| u32::try_from(f.cell_index(c)).unwrap());
+            assert_eq!(chip.valve_cells[v.index()], cells, "{v}");
+        }
+    }
+
+    #[test]
     fn channel_edges_are_always_open_gates() {
         let f = FpvaBuilder::new(1, 3)
             .channel_horizontal(0, 0, 2)
@@ -564,9 +621,9 @@ mod tests {
         assert!(chip.adj_gate.iter().all(|&g| g == OPEN_GATE));
         let mut sim = BitSimulator::new(&chip);
         let suite = TestSuite::new(&f, vec![TestVector::all_open(0)]);
-        // Channels conduct in every lane; a fault-free block detects
-        // nothing.
-        assert_eq!(sim.detect_block(&suite, &[FaultSet::new()]), 0);
+        // Channels conduct in every lane; a fault-free scenario is never
+        // detected.
+        assert_eq!(sim.sweep(&suite, &[FaultSet::new()]), [false]);
     }
 
     /// Exhaustive oracle check on a small chip: every vector × a batch of
@@ -589,7 +646,10 @@ mod tests {
                 .map(|_| crate::campaign::random_fault_set(&f, &mut rng, round % 4 + 1, true))
                 .collect();
             let mut sim = BitSimulator::new(&chip);
-            sim.load_open_lanes(&vector, &sets);
+            sim.load_vector(&vector);
+            for (lane, set) in sets.iter().enumerate() {
+                sim.inject(&vector, lane, set.faults());
+            }
             frontier.propagate(&chip, &sim.open);
             for (lane, set) in sets.iter().enumerate() {
                 let scalar = crate::pressure::propagate(&f, &vector, set);
@@ -605,7 +665,7 @@ mod tests {
     }
 
     #[test]
-    fn detect_block_matches_suite_detects() {
+    fn sweep_matches_suite_detects() {
         let f = layouts::table1_5x5();
         let chip = LoweredChip::build(&f);
         let suite = TestSuite::new(
@@ -621,24 +681,19 @@ mod tests {
             .map(|i| crate::campaign::random_fault_set(&f, &mut rng, i % 5 + 1, true))
             .collect();
         let mut sim = BitSimulator::new(&chip);
-        for block in sets.chunks(LANES) {
-            let mask = sim.detect_block(&suite, block);
-            for (lane, set) in block.iter().enumerate() {
-                assert_eq!(
-                    mask >> lane & 1 == 1,
-                    suite.detects(&f, set),
-                    "lane {lane}: {set:?}"
-                );
-            }
-            // Dead lanes of a partial block must be zero.
-            if block.len() < LANES {
-                assert_eq!(mask >> block.len(), 0);
-            }
+        let detected = sim.sweep(&suite, &sets);
+        for (set, &hit) in sets.iter().zip(&detected) {
+            assert_eq!(hit, suite.detects(&f, set), "{set:?}");
         }
+        assert!(
+            detected.contains(&false),
+            "the weak suite lets some sets escape"
+        );
         let stats = sim.stats();
         assert_eq!(stats.blocks, 2);
         assert_eq!(stats.lanes, 70);
-        assert!(stats.word_passes >= 2);
+        // At most two packed passes per vector.
+        assert!((1..=4).contains(&stats.word_passes), "{stats:?}");
     }
 
     #[test]
@@ -647,8 +702,72 @@ mod tests {
         let chip = LoweredChip::build(&f);
         let suite = TestSuite::new(&f, vec![TestVector::all_open(f.valve_count())]);
         let mut sim = BitSimulator::new(&chip);
-        assert_eq!(sim.detect_block(&suite, &[]), 0);
+        assert!(sim.sweep::<FaultSet>(&suite, &[]).is_empty());
         assert_eq!(sim.stats(), KernelStats::default());
+    }
+
+    /// The skip rule is exact: whenever a scenario disturbs no valve
+    /// bordering a vector's golden reach, its scalar response is golden.
+    #[test]
+    fn undisturbed_scenarios_read_golden() {
+        let mut skipped = 0;
+        for f in [
+            layouts::table1_5x5(),
+            layouts::full_array(3, 4),
+            layouts::custom_biochip(),
+        ] {
+            let chip = LoweredChip::build(&f);
+            let mut rng = StdRng::seed_from_u64(17);
+            let vectors: Vec<TestVector> = (0..12)
+                .map(|_| {
+                    let mut vector = TestVector::all_closed(f.valve_count());
+                    for (v, _) in f.valves() {
+                        if rng.gen_range(0..4) != 0 {
+                            vector.set(v, ValveState::Open);
+                        }
+                    }
+                    vector
+                })
+                .collect();
+            let suite = TestSuite::new(&f, vectors);
+            for k in 0..300 {
+                let set = crate::campaign::random_fault_set(&f, &mut rng, k % 5 + 1, true);
+                for (i, vector) in suite.vectors().iter().enumerate() {
+                    if !chip.disturbs(vector, suite.golden_reach(i), set.faults()) {
+                        skipped += 1;
+                        assert_eq!(
+                            crate::respond(&f, vector, &set),
+                            suite.expected()[i],
+                            "vector {i}: {set:?}"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(skipped > 1000, "the rule skipped only {skipped} checks");
+    }
+
+    #[test]
+    fn sweep_packs_only_disturbed_undetected_scenarios() {
+        let f = line3();
+        let chip = LoweredChip::build(&f);
+        let open = TestVector::all_open(f.valve_count());
+        let suite = TestSuite::new(&f, vec![open.clone(), open]);
+        let stuck = |fault: Fault| FaultSet::try_from_faults(vec![fault]).unwrap();
+        // 100 stuck-at-1 faults on commanded-open valves change nothing;
+        // 100 stuck-at-0 faults are all caught by the first vector.
+        let mut sets = vec![stuck(Fault::StuckAt1(ValveId(0))); 100];
+        sets.extend(vec![stuck(Fault::StuckAt0(ValveId(1))); 100]);
+        let mut sim = BitSimulator::new(&chip);
+        let detected = sim.sweep(&suite, &sets);
+        assert!(detected[..100].iter().all(|&hit| !hit));
+        assert!(detected[100..].iter().all(|&hit| hit));
+        let stats = sim.stats();
+        assert_eq!(stats.blocks, 4);
+        assert_eq!(stats.lanes, 200);
+        // Two passes pack the 100 stuck-at-0 scenarios on the first
+        // vector; the second vector has nothing left to simulate.
+        assert_eq!(stats.word_passes, 2);
     }
 
     #[test]
@@ -665,7 +784,7 @@ mod tests {
             FaultSet::try_from_faults(vec![Fault::StuckAt0(ValveId(1))]).unwrap(),
         ];
         let mut sim = BitSimulator::new(&chip);
-        assert_eq!(sim.detect_block(&suite, &sets), 0b1001);
+        assert_eq!(sim.sweep(&suite, &sets), [true, false, false, true]);
     }
 
     #[test]
@@ -684,13 +803,19 @@ mod tests {
         }])
         .unwrap();
         let mut sim = BitSimulator::new(&chip);
-        sim.load_open_lanes(&vector, std::slice::from_ref(&leak));
+        sim.load_vector(&vector);
+        sim.inject(&vector, 0, leak.faults());
         // Lane 0 carries the leak: victim closed. Lane 1 is fault-free:
         // victim follows its open command.
         assert!(!sim.open.lane(v.index(), 0));
         assert!(sim.open.lane(v.index(), 1));
+        // Restoring gives the victim its commanded word back.
+        sim.restore(&vector, leak.faults());
+        assert_eq!(sim.open.word(v.index()), !0);
         // With the actuator commanded open the leak is dormant.
-        sim.load_open_lanes(&TestVector::all_open(f.valve_count()), &[leak]);
+        let all_open = TestVector::all_open(f.valve_count());
+        sim.load_vector(&all_open);
+        sim.inject(&all_open, 0, leak.faults());
         assert!(sim.open.lane(v.index(), 0));
     }
 
@@ -707,46 +832,6 @@ mod tests {
         frontier.propagate(&chip, &open);
         assert_eq!(frontier.lanes_at(2), 0, "stale lanes must be cleared");
         assert_eq!(frontier.lanes_at(0), !0, "sources stay pressurised");
-    }
-
-    #[test]
-    fn scratch_is_recycled_across_simulators() {
-        let f = layouts::table1_5x5();
-        let chip = LoweredChip::build(&f);
-        let suite = TestSuite::new(&f, vec![TestVector::all_open(f.valve_count())]);
-        let set = FaultSet::new();
-        let ptr = {
-            let mut sim = BitSimulator::new(&chip);
-            sim.detect_block(&suite, std::slice::from_ref(&set));
-            sim.open.words.as_ptr()
-        };
-        // Drop parked the buffers in the thread-local pool; the next
-        // simulator on this thread must pick them up, not allocate.
-        let sim = BitSimulator::new(&chip);
-        assert_eq!(sim.open.words.as_ptr(), ptr, "lane scratch reallocated");
-    }
-
-    #[test]
-    fn recycled_scratch_reshapes_to_a_different_chip() {
-        // Park scratch sized for a 4x4, then simulate a 1x3: the recycled
-        // buffers must re-shape and produce correct (clean) results.
-        let big = LoweredChip::build(&layouts::full_array(4, 4));
-        drop(BitSimulator::new(&big));
-        let f = line3();
-        let chip = LoweredChip::build(&f);
-        let suite = TestSuite::new(&f, vec![TestVector::all_open(f.valve_count())]);
-        let mut sim = BitSimulator::new(&chip);
-        assert_eq!(sim.open.len(), chip.valve_count());
-        assert_eq!(
-            sim.detect_block(
-                &suite,
-                &[
-                    FaultSet::new(),
-                    FaultSet::try_from_faults(vec![Fault::StuckAt0(ValveId(0))]).unwrap(),
-                ]
-            ),
-            0b10
-        );
     }
 
     #[test]

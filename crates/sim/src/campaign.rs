@@ -11,7 +11,7 @@
 //! trial order and the order of [`CampaignConfig::fault_counts`].
 
 use crate::bitsim::{
-    BitFrontier, BitSimulator, KernelStats, LaneSet, LoweredChip, SimKernel, LANES,
+    BitFrontier, BitSimulator, KernelStats, LaneSet, LoweredChip, SimKernel, LANES, SWEEP_CHUNK,
 };
 use crate::exec;
 use crate::fault::{Fault, FaultSet};
@@ -514,15 +514,11 @@ fn run_inner(
 /// Trials per work chunk of the scalar kernel. Fixed (not derived from the
 /// thread count) so the chunk decomposition itself is deterministic; small
 /// enough that the pool load-balances even on slow chips, large enough to
-/// amortise dispatch.
+/// amortise dispatch. The bit-parallel kernel sweeps [`SWEEP_CHUNK`]
+/// trials per chunk instead. Either way the decomposition never affects
+/// the rows — detection is per-trial and escapes merge in trial order —
+/// which the chunk- and lane-boundary differential tests pin down.
 const TRIAL_CHUNK: usize = 32;
-
-/// Trials per work chunk of the bit-parallel kernel: a multiple of
-/// [`LANES`] so every block but a chunk's (and the row's) last is fully
-/// packed. The decomposition still never affects the rows — detection is
-/// per-trial and escapes merge in trial order — which the lane-packing
-/// differential tests pin down.
-const TRIAL_CHUNK_BITS: usize = 2 * LANES;
 
 fn run_row(
     fpva: &Fpva,
@@ -534,7 +530,7 @@ fn run_row(
 ) -> (CampaignRow, KernelStats) {
     let chunk_size = match config.kernel {
         SimKernel::Scalar => TRIAL_CHUNK,
-        SimKernel::BitParallel => TRIAL_CHUNK_BITS,
+        SimKernel::BitParallel => SWEEP_CHUNK,
     };
     let chunks = exec::run_chunked(config.threads, config.trials, chunk_size, |trials| {
         let mut stats = KernelStats::default();
@@ -546,20 +542,17 @@ fn run_row(
         };
         match lowered {
             // Bit-parallel: draw the chunk's fault sets with their
-            // per-trial RNGs (identical to the scalar draws), pack 64
-            // consecutive trials per block and push each block through
-            // one word-parallel detection sweep.
+            // per-trial RNGs (identical to the scalar draws) and push the
+            // whole chunk through one vector-major sweep.
             Some(chip) if config.kernel == SimKernel::BitParallel => {
                 let sets: Vec<FaultSet> = trials.map(draw).collect();
                 let mut sim = BitSimulator::new(chip);
-                for block in sets.chunks(LANES) {
-                    let mask = sim.detect_block(suite, block);
-                    for (lane, set) in block.iter().enumerate() {
-                        if mask >> lane & 1 == 1 {
-                            detected += 1;
-                        } else if escapes.len() < MAX_RECORDED_ESCAPES {
-                            escapes.push(set.clone());
-                        }
+                let verdicts = sim.sweep(suite, &sets);
+                for (set, hit) in sets.into_iter().zip(verdicts) {
+                    if hit {
+                        detected += 1;
+                    } else if escapes.len() < MAX_RECORDED_ESCAPES {
+                        escapes.push(set);
                     }
                 }
                 stats = sim.stats();
@@ -760,7 +753,9 @@ mod tests {
         let f = layouts::table1_5x5();
         let suite = small_suite(&f);
         let config = |threads| CampaignConfig {
-            trials: 70, // spans several TRIAL_CHUNK chunks
+            // Two full bit-parallel chunks and a partial one, so the
+            // pooled runs really split the row.
+            trials: 2 * SWEEP_CHUNK + 70,
             fault_counts: vec![1, 3],
             threads,
             ..Default::default()

@@ -135,6 +135,12 @@ impl FaultSet {
     }
 }
 
+impl AsRef<[Fault]> for FaultSet {
+    fn as_ref(&self) -> &[Fault] {
+        &self.faults
+    }
+}
+
 impl FromIterator<Fault> for FaultSet {
     /// Collects faults without validation — prefer
     /// [`FaultSet::try_from_faults`] when the faults come from outside the

@@ -20,7 +20,8 @@
 //! * [`audit`] — exhaustive single-fault and pairwise two-fault coverage
 //!   audits used to check the paper's two-fault detection guarantee,
 //! * [`bitsim`] — the bit-parallel (PPSFP-style) simulation kernel: 64
-//!   fault scenarios per `u64` word, one bitset BFS per vector,
+//!   fault scenarios per `u64` word, swept vector by vector with fault
+//!   dropping,
 //! * [`exec`] — the scoped worker pool the campaign and the pairwise
 //!   audit share (fixed-size chunks, merged in chunk order, so results
 //!   never depend on the thread count).
@@ -67,9 +68,27 @@
 //! says "scenario `l` pressurises this cell". One bitset BFS
 //! ([`bitsim::BitFrontier`]) then floods all 64 scenarios through the
 //! lowered adjacency at once — the inner loop is a word-wide AND against
-//! the valve's lane word and an OR into the neighbour cell. A campaign
-//! chunk packs consecutive trials into lanes (only the trailing block of
-//! a row is partial), so 64 per-trial BFS traversals collapse into one.
+//! the valve's lane word and an OR into the neighbour cell.
+//!
+//! Which scenarios share a word is decided per vector, not per input
+//! block. [`BitSimulator::sweep`] takes a whole chunk of
+//! [`bitsim::SWEEP_CHUNK`] = 2048 scenarios (consecutive campaign trials
+//! or audit faults) and walks the suite once. At each vector it drops the
+//! scenarios an earlier vector detected, and of the rest packs only those
+//! the vector can disturb, 64 per word pass in scenario order: a scenario
+//! is disturbed when one of its faults changes the effective state of a
+//! valve with an endpoint in the vector's fault-free pressure region `R`
+//! ([`TestSuite`] keeps `R` per vector). Only the occupied lanes are
+//! seeded at the sources and compared at the sinks. The other scenarios
+//! move on to the next vector unsimulated, which is exact: `R` holds the
+//! sources and is closed under the golden open edges, and when no changed
+//! valve touches `R` the faulty open edges leaving `R` are the golden
+//! ones, so pressure fills exactly `R` again and every sink reads golden.
+//!
+//! [`KernelStats`] counts the sweep's work: `blocks` are the input's
+//! 64-scenario blocks (`⌈n / 64⌉` per sweep of `n` scenarios), `lanes`
+//! the scenarios swept, and `word_passes` the packed passes, so
+//! `word_passes / blocks` is the mean number of passes per 64 scenarios.
 //!
 //! **Scalar-oracle invariant:** the scalar path ([`propagate`],
 //! [`TestSuite::detects`], [`campaign::leak_is_observable`]) is retained
@@ -77,8 +96,9 @@
 //! its results *byte for byte* (same rows, same escapes, same
 //! observable-leak table), never just statistically. Differential tests
 //! (unit, integration and proptest) pin this on every Table I layout and
-//! the multi-sink example chip; only [`KernelStats`] may differ between
-//! kernels.
+//! the multi-sink example chip, under complete plans and under weak
+//! suites (a plan's paths only, its cuts only) that let faults escape;
+//! only [`KernelStats`] may differ between kernels.
 //!
 //! # Example
 //!

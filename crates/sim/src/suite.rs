@@ -1,7 +1,7 @@
 //! A test-vector suite with pre-computed golden responses.
 
 use crate::fault::FaultSet;
-use crate::pressure::{respond, Response};
+use crate::pressure::{propagate, respond, Response};
 use fpva_grid::{Fpva, TestVector};
 
 /// A set of test vectors together with the sink responses of a fault-free
@@ -14,6 +14,9 @@ use fpva_grid::{Fpva, TestVector};
 pub struct TestSuite {
     vectors: Vec<TestVector>,
     expected: Vec<Response>,
+    /// Per vector, the cells a fault-free chip pressurises: a bitset over
+    /// dense cell indices (bit `c % 64` of word `c / 64`).
+    reach: Vec<Vec<u64>>,
 }
 
 impl TestSuite {
@@ -23,11 +26,13 @@ impl TestSuite {
     ///
     /// Panics if any vector's length differs from `fpva.valve_count()`.
     pub fn new(fpva: &Fpva, vectors: Vec<TestVector>) -> Self {
-        let expected = vectors
-            .iter()
-            .map(|v| respond(fpva, v, &FaultSet::new()))
-            .collect();
-        TestSuite { vectors, expected }
+        let mut suite = TestSuite {
+            vectors: Vec::with_capacity(vectors.len()),
+            expected: Vec::with_capacity(vectors.len()),
+            reach: Vec::with_capacity(vectors.len()),
+        };
+        suite.extend(fpva, vectors);
+        suite
     }
 
     /// The vectors, in application order.
@@ -38,6 +43,13 @@ impl TestSuite {
     /// Golden responses, parallel to [`TestSuite::vectors`].
     pub fn expected(&self) -> &[Response] {
         &self.expected
+    }
+
+    /// The fault-free pressure region of vector `i`, as a bitset over dense
+    /// cell indices. The bit-parallel sweep skips a scenario on a vector
+    /// when none of its faults changes a valve bordering this region.
+    pub(crate) fn golden_reach(&self, i: usize) -> &[u64] {
+        &self.reach[i]
     }
 
     /// Number of vectors (the paper's `N` when the suite is complete).
@@ -57,7 +69,9 @@ impl TestSuite {
     /// Panics if any vector's length differs from `fpva.valve_count()`.
     pub fn extend(&mut self, fpva: &Fpva, vectors: impl IntoIterator<Item = TestVector>) {
         for v in vectors {
-            self.expected.push(respond(fpva, &v, &FaultSet::new()));
+            let golden = propagate(fpva, &v, &FaultSet::new());
+            self.expected.push(golden.response(fpva));
+            self.reach.push(golden.cell_bits());
             self.vectors.push(v);
         }
     }
@@ -89,7 +103,8 @@ impl TestSuite {
 mod tests {
     use super::*;
     use crate::fault::Fault;
-    use fpva_grid::{FpvaBuilder, PortKind, Side, ValveId, ValveState};
+    use crate::pressure::propagate;
+    use fpva_grid::{layouts, FpvaBuilder, PortKind, Side, ValveId, ValveState};
 
     fn line3() -> Fpva {
         FpvaBuilder::new(1, 3)
@@ -144,7 +159,26 @@ mod tests {
         suite.extend(&f, [TestVector::all_open(f.valve_count())]);
         assert_eq!(suite.len(), 2);
         assert_eq!(suite.expected().len(), 2);
+        // Closed: only the source cell; open: the whole line.
+        assert_eq!(suite.golden_reach(0), &[0b001]);
+        assert_eq!(suite.golden_reach(1), &[0b111]);
         let faults = FaultSet::try_from_faults(vec![Fault::StuckAt0(ValveId(1))]).unwrap();
         assert_eq!(suite.first_detecting_vector(&f, &faults), Some(1));
+    }
+
+    #[test]
+    fn golden_reach_is_the_fault_free_pressure_region() {
+        let f = layouts::custom_biochip();
+        let mut vector = TestVector::all_open(f.valve_count());
+        for v in (0..f.valve_count()).step_by(3) {
+            vector.set(ValveId(v), ValveState::Closed);
+        }
+        let suite = TestSuite::new(&f, vec![vector.clone()]);
+        let golden = propagate(&f, &vector, &FaultSet::new());
+        let reach = suite.golden_reach(0);
+        assert_eq!(reach.len(), f.cell_count().div_ceil(64));
+        for c in 0..f.cell_count() {
+            assert_eq!(reach[c / 64] >> (c % 64) & 1 == 1, golden.at(f.cell_at(c)));
+        }
     }
 }

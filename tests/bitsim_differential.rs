@@ -1,12 +1,22 @@
 //! Differential tests for the bit-parallel simulation kernel: the
-//! word-parallel bitset BFS must reproduce the scalar oracle's campaign
+//! vector-major bitset sweep must reproduce the scalar oracle's campaign
 //! rows **byte for byte** — same detections, same escapes, same order —
-//! on every Table I layout and on the multi-sink example chip, for every
-//! lane packing (trial counts off the 64-lane boundary included).
+//! and its audits' `undetected` lists, on every Table I layout and on the
+//! multi-sink example chip, for every lane packing and chunk split (trial
+//! counts off the 64-lane and chunk boundaries included). Complete plans
+//! detect nearly every fault, so the weak-suite cases apply only a plan's
+//! flow paths, or only its cuts, to make faults escape.
 
+use fpva::sim::audit::{leak_coverage_with, single_fault_coverage_with, two_fault_audit_with};
+use fpva::sim::bitsim::SWEEP_CHUNK;
 use fpva::sim::campaign::{self, CampaignConfig};
-use fpva::{layouts, Atpg, CampaignRow, Fpva, SimKernel, TestSuite};
+use fpva::{
+    layouts, Atpg, CampaignRow, CoverageReport, FaultSet, Fpva, ObservableLeaks, SimKernel,
+    TestSuite,
+};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::sync::OnceLock;
 
 /// The 5x5 Table I array with its generated suite, built once — plan
@@ -97,6 +107,166 @@ fn lane_packing_edge_cases_match_scalar_oracle() {
         let rows = assert_kernels_agree(fpva, suite, &config);
         assert_eq!(rows[0].trials, trials);
     }
+}
+
+/// Two weak suites from `fpva`'s plan: its flow-path vectors only, and
+/// its cut vectors only. Cut vectors cannot see a stuck-at-0, and path
+/// vectors see a stuck-at-1 only where it pressurises an otherwise dry
+/// sink, so plenty of faults escape each.
+fn weak_suites(fpva: &Fpva) -> [(&'static str, TestSuite); 2] {
+    let plan = Atpg::new().generate(fpva).expect("plan generates");
+    let paths = plan.flow_paths().iter().map(|p| p.to_vector(fpva));
+    let cuts = plan.cut_sets().iter().map(|c| c.to_vector(fpva));
+    [
+        ("paths only", TestSuite::new(fpva, paths.collect())),
+        ("cuts only", TestSuite::new(fpva, cuts.collect())),
+    ]
+}
+
+/// Asserts that both kernels report the same universe and the same
+/// `undetected` list, in order, and returns how many escaped.
+fn assert_audits_agree<F: PartialEq + std::fmt::Debug>(
+    what: &str,
+    bit: &CoverageReport<F>,
+    scalar: &CoverageReport<F>,
+) -> usize {
+    assert_eq!(bit.total, scalar.total, "{what}: universe size");
+    assert_eq!(bit.undetected, scalar.undetected, "{what}: undetected");
+    scalar.undetected.len()
+}
+
+/// Trial counts on both sides of the 64-lane and the chunk boundaries.
+const TRIAL_COUNTS: [usize; 7] = [
+    1,
+    63,
+    64,
+    65,
+    SWEEP_CHUNK - 1,
+    SWEEP_CHUNK,
+    SWEEP_CHUNK + 70,
+];
+
+/// The scalar oracle on trials `0..trials` of one campaign row: each
+/// trial's fault set, drawn as `campaign::run` draws it (from its own RNG
+/// seeded by `trial_seed`), with the verdict of `TestSuite::detects`.
+fn oracle_trials(
+    fpva: &Fpva,
+    suite: &TestSuite,
+    leaks: &ObservableLeaks,
+    seed: u64,
+    fault_count: usize,
+    trials: usize,
+) -> Vec<(FaultSet, bool)> {
+    (0..trials)
+        .map(|trial| {
+            let mut rng = StdRng::seed_from_u64(campaign::trial_seed(seed, fault_count, trial));
+            let set = campaign::random_fault_set_from(fpva, &mut rng, fault_count, Some(leaks));
+            let detected = suite.detects(fpva, &set);
+            (set, detected)
+        })
+        .collect()
+}
+
+/// The campaign row of a prefix of oracle trials: every trial depends
+/// only on its own index, so the first `n` trials of a longer row are the
+/// whole of an `n`-trial row.
+fn oracle_row(fault_count: usize, trials: &[(FaultSet, bool)]) -> CampaignRow {
+    CampaignRow {
+        fault_count,
+        trials: trials.len(),
+        detected: trials.iter().filter(|(_, detected)| *detected).count(),
+        escapes: trials
+            .iter()
+            .filter(|(_, detected)| !detected)
+            .map(|(set, _)| set.clone())
+            .take(campaign::MAX_RECORDED_ESCAPES)
+            .collect(),
+    }
+}
+
+/// Campaign rows at every count of [`TRIAL_COUNTS`], fault counts 1–5
+/// with control leaks, and the audits, under both weak suites of `fpva`:
+/// the bit kernel, on the worker pool, must match the scalar oracle, and
+/// the suites must actually let faults escape.
+fn weak_suites_match_scalar_oracle(name: &str, fpva: &Fpva, pair_audit: bool) {
+    let leaks = ObservableLeaks::build(fpva);
+    let longest = TRIAL_COUNTS.into_iter().max().expect("non-empty");
+    for (suite_name, suite) in weak_suites(fpva) {
+        let what = format!("{name}, {suite_name}");
+        let seed = 0x3ea_c5ee;
+        let oracle: Vec<_> = (1..=5)
+            .map(|k| oracle_trials(fpva, &suite, &leaks, seed, k, longest))
+            .collect();
+        for trials in TRIAL_COUNTS {
+            let config = CampaignConfig {
+                trials,
+                fault_counts: (1..=5).collect(),
+                seed,
+                include_control_leaks: true,
+                threads: 0,
+                kernel: SimKernel::BitParallel,
+            };
+            let expected: Vec<CampaignRow> = (1..=5)
+                .zip(&oracle)
+                .map(|(k, row)| oracle_row(k, &row[..trials]))
+                .collect();
+            assert_eq!(
+                campaign::run(fpva, &suite, &config),
+                expected,
+                "{what}: {trials} trials"
+            );
+        }
+        let escaped = oracle.iter().flatten().filter(|(_, hit)| !hit).count();
+        assert!(escaped > 0, "{what}: no campaign trial escaped");
+        let audit_escapes = assert_audits_agree(
+            &format!("{what}: single faults"),
+            &single_fault_coverage_with(fpva, &suite, SimKernel::BitParallel),
+            &single_fault_coverage_with(fpva, &suite, SimKernel::Scalar),
+        ) + assert_audits_agree(
+            &format!("{what}: leaks"),
+            &leak_coverage_with(fpva, &suite, SimKernel::BitParallel),
+            &leak_coverage_with(fpva, &suite, SimKernel::Scalar),
+        );
+        assert!(audit_escapes > 0, "{what}: every single fault detected");
+        if pair_audit {
+            let pairs = assert_audits_agree(
+                &format!("{what}: two-fault pairs"),
+                &two_fault_audit_with(fpva, &suite, 0, SimKernel::BitParallel),
+                &two_fault_audit_with(fpva, &suite, 0, SimKernel::Scalar),
+            );
+            assert!(pairs > 0, "{what}: every two-fault pair detected");
+        }
+    }
+}
+
+#[test]
+fn weak_suites_match_scalar_oracle_on_table1_5x5() {
+    weak_suites_match_scalar_oracle("5x5", &layouts::table1_5x5(), true);
+}
+
+// The larger weak-suite cases run in release CI. On a 2-vCPU 2.0 GHz Xeon
+// they take about 2 s (10x10), 8 s (custom_biochip) and 30 s (30x30)
+// there, nearly all of it in the scalar oracle, and 10 to 20 times as
+// long in a debug build.
+
+#[test]
+#[ignore = "release-only: the scalar oracle is slow in a debug build"]
+fn weak_suites_match_scalar_oracle_on_table1_10x10() {
+    weak_suites_match_scalar_oracle("10x10", &layouts::table1_10x10(), true);
+}
+
+#[test]
+#[ignore = "release-only: the scalar oracle is slow in a debug build"]
+fn weak_suites_match_scalar_oracle_on_multi_sink_biochip() {
+    weak_suites_match_scalar_oracle("custom_biochip", &layouts::custom_biochip(), true);
+}
+
+/// Without the exhaustive two-fault audit, whose scalar oracle would
+/// apply up to the whole suite to each of about 2.9 M pairs.
+#[test]
+#[ignore = "release-only: the scalar oracle is slow in a debug build"]
+fn weak_suites_match_scalar_oracle_on_table1_30x30() {
+    weak_suites_match_scalar_oracle("30x30", &layouts::table1_30x30(), false);
 }
 
 #[test]

@@ -6,6 +6,7 @@
 
 use fpva::grid::{PortKind, Side};
 use fpva::sim::audit;
+use fpva::sim::bitsim::SWEEP_CHUNK;
 use fpva::sim::campaign::{self, CampaignConfig};
 use fpva::{layouts, Atpg, CampaignRow, CoverageReport, Fault, Fpva, TestSuite};
 use proptest::prelude::*;
@@ -46,7 +47,9 @@ proptest! {
     fn rows_are_thread_count_invariant_for_any_seed(seed in any::<u64>()) {
         let (fpva, suite) = planned_5x5();
         let config = |threads| CampaignConfig {
-            trials: 72, // spans several trial chunks
+            // Two full bit-parallel chunks and a partial one, so the
+            // pooled run really splits each row.
+            trials: 2 * SWEEP_CHUNK + 72,
             fault_counts: vec![1, 3],
             seed,
             threads,
@@ -81,8 +84,10 @@ fn multi_sink_campaign_smoke() {
         .generate(&fpva)
         .expect("custom biochip plan generates")
         .to_suite(&fpva);
+    // Two full bit-parallel chunks and a partial one per row.
+    let trials = 2 * SWEEP_CHUNK + 60;
     let config = |threads| CampaignConfig {
-        trials: 60,
+        trials,
         fault_counts: vec![1, 2],
         threads,
         ..Default::default()
@@ -90,7 +95,7 @@ fn multi_sink_campaign_smoke() {
     let rows = campaign::run(&fpva, &suite, &config(4));
     assert_eq!(rows.len(), 2);
     for row in &rows {
-        assert_eq!(row.trials, 60);
+        assert_eq!(row.trials, trials);
         assert!(row.detected <= row.trials);
         assert!(row.escapes.len() <= campaign::MAX_RECORDED_ESCAPES);
         // The generated suite catches most random faults even on this
@@ -109,11 +114,24 @@ fn multi_sink_campaign_smoke() {
 
 #[test]
 fn two_fault_audit_is_thread_count_invariant_end_to_end() {
-    let (fpva, suite) = planned_5x5();
-    let serial = audit::two_fault_audit(fpva, suite, 1);
-    assert_eq!(serial.total, 39 * 38);
+    // The smallest square array whose pair universe spans two full
+    // chunks and a partial one, so the pooled runs really split it.
+    let pairs = |n: usize| {
+        let valves = 2 * n * (n - 1);
+        valves * (valves - 1)
+    };
+    let side = (2..)
+        .find(|&n| pairs(n) > 2 * SWEEP_CHUNK && pairs(n) % SWEEP_CHUNK != 0)
+        .expect("pair counts grow without bound");
+    let fpva = layouts::full_array(side, side);
+    let suite = Atpg::new()
+        .generate(&fpva)
+        .expect("full array plan generates")
+        .to_suite(&fpva);
+    let serial = audit::two_fault_audit(&fpva, &suite, 1);
+    assert_eq!(serial.total, pairs(side));
     for threads in [2, 8] {
-        assert_eq!(audit::two_fault_audit(fpva, suite, threads), serial);
+        assert_eq!(audit::two_fault_audit(&fpva, &suite, threads), serial);
     }
 }
 
