@@ -164,11 +164,7 @@ fn main() {
     for entry in layouts::table1().into_iter().take(2) {
         let plan = Atpg::new().generate(&entry.fpva).expect("valid layout");
         let suite = plan.to_suite(&entry.fpva);
-        let report = if entry.fpva.valve_count() <= 200 {
-            audit::two_fault_audit_with(&entry.fpva, &suite, args.threads, args.kernel)
-        } else {
-            audit::two_fault_audit_sampled(&entry.fpva, &suite, 20_000, 7)
-        };
+        let report = audit::two_fault_audit_with(&entry.fpva, &suite, args.threads, args.kernel);
         println!(
             "{:<8}: {}/{} pairs detected ({})",
             entry.name,

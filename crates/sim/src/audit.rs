@@ -5,17 +5,21 @@
 //! (2·n_v of them), [`leak_coverage`] every physically adjacent control
 //! leak, and [`two_fault_audit`] every (stuck-at-0, stuck-at-1) pair — the
 //! combination Section III-A identifies as the dangerous mutually masking
-//! case and the paper's "any two faults" guarantee is about. The pairwise
-//! sweep is quadratic in the valve count, so it runs on the same scoped
-//! worker pool ([`crate::exec`]) as the campaign.
+//! case and the paper's "any two faults" guarantee is about. The pair
+//! universe is quadratic in the valve count, so the bit-parallel kernel
+//! decides most pairs by composition: a pair responds like its stuck-at-0
+//! alone on any vector that detects the stuck-at-0 and whose pressure
+//! region under it the stuck-at-1 valve cannot change, so only the pairs
+//! whose stuck-at-1 crosses every such region are simulated. The audit
+//! runs in fixed chunks of stuck-at-0 valves on the same scoped worker
+//! pool ([`crate::exec`]) as the campaign.
 
-use crate::bitsim::{BitSimulator, KernelStats, LoweredChip, SimKernel, SWEEP_CHUNK};
+use crate::bitsim::{BitSimulator, KernelStats, LoweredChip, SimKernel, LANES, SWEEP_CHUNK};
 use crate::exec;
 use crate::fault::{Fault, FaultSet};
 use crate::suite::TestSuite;
 use fpva_grid::{Fpva, ValveId};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use std::ops::Range;
 
 /// Result of a fault-universe sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -140,14 +144,23 @@ fn sweep_universe(
     }
 }
 
+/// Stuck-at-0 valves per work chunk of the two-fault audit, on both
+/// kernels. A multiple of [`LANES`] and never derived from the thread
+/// count, so the chunk decomposition, and with it the `undetected` order
+/// and every [`KernelStats`] counter, is the same for every pool size.
+/// A larger chunk packs more stuck-at-0 lanes into each word pass of the
+/// pre-pass; 256 still splits the 30×30 audit into seven pool chunks.
+pub const VALVE_CHUNK: usize = 4 * LANES;
+
 /// Checks every (stuck-at-0, stuck-at-1) pair on distinct valves — the
 /// mutual-masking scenario of the paper's Fig. 5(c)/(d) — spreading the
-/// O(n_v²) sweep over `threads` workers (`1` = serial on the calling
-/// thread, `0` = all CPUs), on the default (bit-parallel) kernel. The
-/// report is identical for every thread count, with `undetected` in the
+/// O(n_v²) pair universe over `threads` workers (`1` = serial on the
+/// calling thread, `0` = all CPUs), on the default (bit-parallel) kernel.
+/// The report is identical for every thread count, with `undetected` in the
 /// serial scan order (outer stuck-at-0 valve, inner stuck-at-1 valve).
-/// Exhaustive even on the large arrays given enough threads;
-/// [`two_fault_audit_sampled`] remains the cheap alternative.
+/// The bit-parallel kernel decides most pairs by composing single-fault
+/// results (see [`two_fault_audit_with`]), which keeps the audit
+/// exhaustive on every Table I array.
 pub fn two_fault_audit(
     fpva: &Fpva,
     suite: &TestSuite,
@@ -157,11 +170,26 @@ pub fn two_fault_audit(
 }
 
 /// [`two_fault_audit`] on an explicit kernel. `total`/`undetected` are
-/// identical for both kernels. Both split the scan order into chunks of
-/// [`SWEEP_CHUNK`] pairs, a fixed size, so the chunk decomposition, and
-/// with it the `undetected` ordering, never depends on the thread count;
-/// the bit-parallel kernel pushes each chunk through one vector-major
-/// [`BitSimulator::sweep`].
+/// identical for both kernels.
+///
+/// Both split the outer stuck-at-0 valves into chunks of [`VALVE_CHUNK`],
+/// a fixed size, so the chunk decomposition, and with it the `undetected`
+/// ordering, never depends on the thread count. The scalar kernel, the
+/// unpruned oracle, applies the suite to every pair of its chunk. The
+/// bit-parallel kernel first sweeps the chunk's stuck-at-0 faults alone:
+/// a pair (stuck-at-0 `a`, stuck-at-1 `b`) is detected whenever some
+/// vector detects `a` alone and `b` is commanded open in it or does not
+/// cross the boundary of the region it pressurises under `a`, because that
+/// region then stays closed under the pair's open edges and the pair
+/// responds exactly like `a`. Only the surviving pairs, in scan order, go
+/// through vector-major [`BitSimulator::sweep`]s of at most
+/// [`SWEEP_CHUNK`] pairs each; a stuck-at-0 no vector detects keeps all of
+/// its partners.
+///
+/// [`KernelStats`] counts both stages like sweeps: the stuck-at-0
+/// scenarios of the first stage add to `lanes`, their 64-scenario blocks
+/// to `blocks` and its packed passes to `word_passes`, on top of the
+/// surviving pairs' sweeps.
 pub fn two_fault_audit_with(
     fpva: &Fpva,
     suite: &TestSuite,
@@ -170,51 +198,10 @@ pub fn two_fault_audit_with(
 ) -> CoverageReport<(Fault, Fault)> {
     let nv = fpva.valve_count();
     let total = nv * nv.saturating_sub(1);
-    // Pair index -> (a, b), b skipping the diagonal; matches the nested
-    // `for a { for b }` scan order.
-    let pair_at = |p: usize| {
-        let a = p / (nv - 1);
-        let r = p % (nv - 1);
-        let b = if r >= a { r + 1 } else { r };
-        (Fault::StuckAt0(ValveId(a)), Fault::StuckAt1(ValveId(b)))
-    };
     let lowered = (kernel == SimKernel::BitParallel && total > 0).then(|| LoweredChip::build(fpva));
-    let chunks = exec::run_chunked(threads, total, SWEEP_CHUNK, |pairs| {
-        let mut stats = KernelStats::default();
-        let mut undetected = Vec::new();
-        match &lowered {
-            Some(chip) => {
-                let scenarios: Vec<[Fault; 2]> = pairs
-                    .map(|p| {
-                        let (a, b) = pair_at(p);
-                        [a, b]
-                    })
-                    .collect();
-                let mut sim = BitSimulator::new(chip);
-                let verdicts = sim.sweep(suite, &scenarios);
-                for (&[a, b], hit) in scenarios.iter().zip(verdicts) {
-                    if !hit {
-                        undetected.push((a, b));
-                    }
-                }
-                stats = sim.stats();
-            }
-            None => {
-                for p in pairs {
-                    let pair = pair_at(p);
-                    let set = FaultSet::try_from_faults(vec![pair.0, pair.1])
-                        .expect("distinct valves cannot conflict");
-                    match suite.first_detecting_vector(fpva, &set) {
-                        Some(ix) => stats.scalar_passes += ix + 1,
-                        None => {
-                            stats.scalar_passes += suite.len();
-                            undetected.push(pair);
-                        }
-                    }
-                }
-            }
-        }
-        (undetected, stats)
+    let chunks = exec::run_chunked(threads, nv, VALVE_CHUNK, |valves| match &lowered {
+        Some(chip) => composed_chunk(chip, suite, valves),
+        None => scalar_chunk(fpva, suite, valves),
     });
     let mut undetected = Vec::new();
     let mut stats = KernelStats::default();
@@ -229,47 +216,63 @@ pub fn two_fault_audit_with(
     }
 }
 
-/// Randomly samples `samples` (stuck-at-0, stuck-at-1) pairs; reproducible
-/// via `seed`.
-///
-/// # Panics
-///
-/// Panics if the array has fewer than two valves.
-pub fn two_fault_audit_sampled(
-    fpva: &Fpva,
+/// The undetected pairs of the stuck-at-0 valves `valves`, in scan order,
+/// on the bit-parallel kernel: the single-fault pre-pass, then a sweep of
+/// the surviving pairs [`SWEEP_CHUNK`] at a time.
+fn composed_chunk(
+    chip: &LoweredChip,
     suite: &TestSuite,
-    samples: usize,
-    seed: u64,
-) -> CoverageReport<(Fault, Fault)> {
-    let nv = fpva.valve_count();
-    assert!(nv >= 2, "two-fault audit needs at least two valves");
-    let mut rng = StdRng::seed_from_u64(seed);
+    valves: Range<usize>,
+) -> (Vec<(Fault, Fault)>, KernelStats) {
+    let nv = chip.valve_count();
+    let mut sim = BitSimulator::new(chip);
+    let partners = sim.undecided_partners(suite, valves.clone());
+    let mut pairs = valves.zip(partners).flat_map(|(a, list)| {
+        let list = list.unwrap_or_else(|| (0..nv).filter(|&b| b != a).map(ValveId).collect());
+        list.into_iter()
+            .map(move |b| [Fault::StuckAt0(ValveId(a)), Fault::StuckAt1(b)])
+    });
     let mut undetected = Vec::new();
-    let mut stats = KernelStats::default();
-    for _ in 0..samples {
-        let a = ValveId(rng.gen_range(0..nv));
-        let b = loop {
-            let b = ValveId(rng.gen_range(0..nv));
-            if b != a {
-                break b;
-            }
-        };
-        let pair = (Fault::StuckAt0(a), Fault::StuckAt1(b));
-        let set = FaultSet::try_from_faults(vec![pair.0, pair.1])
-            .expect("distinct valves cannot conflict");
-        match suite.first_detecting_vector(fpva, &set) {
-            Some(ix) => stats.scalar_passes += ix + 1,
-            None => {
-                stats.scalar_passes += suite.len();
-                undetected.push(pair);
+    loop {
+        let scenarios: Vec<[Fault; 2]> = pairs.by_ref().take(SWEEP_CHUNK).collect();
+        if scenarios.is_empty() {
+            break;
+        }
+        let verdicts = sim.sweep(suite, &scenarios);
+        for (&[a, b], hit) in scenarios.iter().zip(verdicts) {
+            if !hit {
+                undetected.push((a, b));
             }
         }
     }
-    CoverageReport {
-        total: samples,
-        undetected,
-        stats,
+    (undetected, sim.stats())
+}
+
+/// The undetected pairs of the stuck-at-0 valves `valves`, in scan order,
+/// on the scalar kernel: every pair against the suite.
+fn scalar_chunk(
+    fpva: &Fpva,
+    suite: &TestSuite,
+    valves: Range<usize>,
+) -> (Vec<(Fault, Fault)>, KernelStats) {
+    let nv = fpva.valve_count();
+    let mut stats = KernelStats::default();
+    let mut undetected = Vec::new();
+    for a in valves {
+        for b in (0..nv).filter(|&b| b != a) {
+            let pair = (Fault::StuckAt0(ValveId(a)), Fault::StuckAt1(ValveId(b)));
+            let set = FaultSet::try_from_faults(vec![pair.0, pair.1])
+                .expect("distinct valves cannot conflict");
+            match suite.first_detecting_vector(fpva, &set) {
+                Some(ix) => stats.scalar_passes += ix + 1,
+                None => {
+                    stats.scalar_passes += suite.len();
+                    undetected.push(pair);
+                }
+            }
+        }
     }
+    (undetected, stats)
 }
 
 #[cfg(test)]
@@ -363,16 +366,6 @@ mod tests {
         assert_eq!(report.total, 0);
         assert_eq!(report.coverage(), None);
         assert!(report.is_complete());
-    }
-
-    #[test]
-    fn sampled_audit_is_reproducible() {
-        let f = line4();
-        let suite = complete_suite(&f);
-        let a = two_fault_audit_sampled(&f, &suite, 25, 9);
-        let b = two_fault_audit_sampled(&f, &suite, 25, 9);
-        assert_eq!(a, b);
-        assert_eq!(a.total, 25);
     }
 
     #[test]

@@ -20,7 +20,9 @@
 //!   AND/OR over the lowered adjacency,
 //! * [`BitSimulator`] — the fault-dropping sweep built on top: applies a
 //!   suite vector by vector to a chunk of scenarios and reports which
-//!   ones some vector detects, plus [`KernelStats`] counters.
+//!   ones some vector detects, plus [`KernelStats`] counters. The same
+//!   word pass drives the two-fault audit's stuck-at-0 pre-pass (see
+//!   "Two-fault audit by composition" in the crate docs).
 //!
 //! # Vector-major sweep with fault dropping
 //!
@@ -60,9 +62,11 @@
 use crate::fault::Fault;
 #[cfg(doc)]
 use crate::fault::FaultSet;
+use crate::pressure::Response;
 use crate::suite::TestSuite;
 use fpva_grid::{EdgeKind, Fpva, PortKind, TestVector, ValveId};
 use std::collections::VecDeque;
+use std::ops::Range;
 
 /// Scenarios packed per machine word.
 pub const LANES: usize = 64;
@@ -409,12 +413,16 @@ pub enum SimKernel {
 pub struct KernelStats {
     /// 64-scenario blocks of the bit-parallel kernel's input: a sweep over
     /// `n` scenarios adds `n.div_ceil(64)`, however few word passes it
-    /// needs.
+    /// needs. The two-fault audit's pre-pass over `n` stuck-at-0 faults
+    /// adds the same.
     pub blocks: usize,
     /// Packed bitset-BFS passes of the bit-parallel kernel: per vector, one
-    /// per 64 still-undetected scenarios that the vector disturbs.
+    /// per 64 still-undetected scenarios that the vector disturbs (in the
+    /// two-fault audit's pre-pass, per 64 stuck-at-0 faults with partners
+    /// left to resolve).
     pub word_passes: usize,
-    /// Scenarios swept by the bit-parallel kernel.
+    /// Scenarios swept by the bit-parallel kernel, the two-fault audit's
+    /// pre-pass stuck-at-0 faults included.
     pub lanes: usize,
     /// Scalar BFS passes (vector applications) by the scalar kernel.
     pub scalar_passes: usize,
@@ -542,26 +550,152 @@ impl<'c> BitSimulator<'c> {
             }
             self.load_vector(vector);
             for block in packed.chunks(LANES) {
-                for (lane, &s) in block.iter().enumerate() {
-                    self.inject(vector, lane, scenarios[s].as_ref());
-                }
-                let live = !0u64 >> (LANES - block.len());
-                self.frontier
-                    .flood(chip, chip.source_cells(), live, &self.open);
-                self.stats.word_passes += 1;
-                let mut differs = 0u64;
-                for (&cell, &gold) in chip.sink_cells().iter().zip(golden.readings()) {
-                    let gold = if gold { !0u64 } else { 0 };
-                    differs |= self.frontier.lanes_at(cell as usize) ^ gold;
-                }
+                let differs = self.word_pass(vector, golden, scenarios, block);
                 for (lane, &s) in block.iter().enumerate() {
                     detected[s] = differs >> lane & 1 == 1;
-                    self.restore(vector, scenarios[s].as_ref());
                 }
             }
             pending.retain(|&s| !detected[s]);
         }
         detected
+    }
+
+    /// The stuck-at-1 partners that each stuck-at-0 valve of `valves`
+    /// leaves to simulation in the two-fault audit, one entry per valve.
+    ///
+    /// A pair (stuck-at-0 `a`, stuck-at-1 `b`) is detected when some vector
+    /// detects `a` alone and `b` is commanded open in it or has both or
+    /// neither endpoint cell in the region the vector pressurises under
+    /// `a` alone (see the crate docs). So for every vector that detects
+    /// `a`, only the commanded-closed partners crossing that region's
+    /// boundary survive: the first detection scatters them from the
+    /// frontier, later ones filter the list, and `a` stays in the pre-pass
+    /// until its list is empty. The entry is `None` when no vector detects
+    /// `a`, so every partner survives. Lists are in valve order.
+    ///
+    /// The stuck-at-0 scenarios are packed like [`BitSimulator::sweep`]'s
+    /// and counted like them in [`KernelStats`]. Vectors whose golden
+    /// response pressurises no sink are skipped: a stuck-at-0 only shrinks
+    /// the reach.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the suite's vectors were built for a different valve
+    /// count than the lowered chip, or if `valves` reaches past it.
+    pub(crate) fn undecided_partners(
+        &mut self,
+        suite: &TestSuite,
+        valves: Range<usize>,
+    ) -> Vec<Option<Vec<ValveId>>> {
+        let chip = self.chip;
+        let scenarios: Vec<[Fault; 1]> = valves.map(|a| [Fault::StuckAt0(ValveId(a))]).collect();
+        self.stats.blocks += scenarios.len().div_ceil(LANES);
+        self.stats.lanes += scenarios.len();
+        let mut partners: Vec<Option<Vec<ValveId>>> = vec![None; scenarios.len()];
+        // The stuck-at-0 valves with partners left to resolve.
+        let mut pending: Vec<usize> = (0..scenarios.len()).collect();
+        let mut packed = Vec::new();
+        for (i, (vector, golden)) in suite.vectors().iter().zip(suite.expected()).enumerate() {
+            if pending.is_empty() {
+                break;
+            }
+            assert_eq!(
+                vector.len(),
+                chip.valve_count(),
+                "vector/chip size mismatch"
+            );
+            if !golden.any_pressure() {
+                continue;
+            }
+            let reach = suite.golden_reach(i);
+            packed.clear();
+            packed.extend(
+                pending
+                    .iter()
+                    .copied()
+                    .filter(|&s| chip.disturbs(vector, reach, &scenarios[s])),
+            );
+            if packed.is_empty() {
+                continue;
+            }
+            self.load_vector(vector);
+            for block in packed.chunks(LANES) {
+                let differs = self.word_pass(vector, golden, &scenarios, block);
+                let reached = self.frontier.reached();
+                // The lanes of `block` in which valve `b` is commanded
+                // closed and has exactly one endpoint cell reached.
+                let crossing = |b: usize| {
+                    let [c0, c1] = chip.valve_cells[b];
+                    if vector.is_open(ValveId(b)) {
+                        0
+                    } else {
+                        reached.word(c0 as usize) ^ reached.word(c1 as usize)
+                    }
+                };
+                let mut fresh = 0u64;
+                for (lane, &s) in block.iter().enumerate() {
+                    if differs >> lane & 1 == 1 && partners[s].is_none() {
+                        fresh |= 1 << lane;
+                        partners[s] = Some(Vec::new());
+                    }
+                }
+                if fresh != 0 {
+                    for b in 0..chip.valve_count() {
+                        let mut lanes = crossing(b) & fresh;
+                        while lanes != 0 {
+                            let s = block[lanes.trailing_zeros() as usize];
+                            partners[s]
+                                .as_mut()
+                                .expect("a fresh lane has a list")
+                                .push(ValveId(b));
+                            lanes &= lanes - 1;
+                        }
+                    }
+                }
+                let mut again = differs & !fresh;
+                while again != 0 {
+                    let lane = again.trailing_zeros();
+                    partners[block[lane as usize]]
+                        .as_mut()
+                        .expect("a detected lane has a list")
+                        .retain(|b| crossing(b.index()) >> lane & 1 == 1);
+                    again &= again - 1;
+                }
+            }
+            pending.retain(|&s| partners[s].as_ref().is_none_or(|list| !list.is_empty()));
+        }
+        partners
+    }
+
+    /// One packed word pass over the loaded `vector`: injects the faults of
+    /// `block`'s scenarios (lane `l` carries `scenarios[block[l]]`, at most
+    /// [`LANES`] of them), floods only those lanes from the sources,
+    /// restores the commanded valve words and returns the lanes whose sink
+    /// readings differ from `golden`. The frontier keeps the pass's reach.
+    fn word_pass<S: AsRef<[Fault]>>(
+        &mut self,
+        vector: &TestVector,
+        golden: &Response,
+        scenarios: &[S],
+        block: &[usize],
+    ) -> u64 {
+        let chip = self.chip;
+        for (lane, &s) in block.iter().enumerate() {
+            self.inject(vector, lane, scenarios[s].as_ref());
+        }
+        let live = !0u64 >> (LANES - block.len());
+        self.frontier
+            .flood(chip, chip.source_cells(), live, &self.open);
+        self.stats.word_passes += 1;
+        let mut differs = 0u64;
+        for (&cell, &gold) in chip.sink_cells().iter().zip(golden.readings()) {
+            let gold = if gold { !0u64 } else { 0 };
+            differs |= self.frontier.lanes_at(cell as usize) ^ gold;
+        }
+        for &s in block {
+            self.restore(vector, scenarios[s].as_ref());
+        }
+        differs & live
     }
 }
 
@@ -569,6 +703,7 @@ impl<'c> BitSimulator<'c> {
 mod tests {
     use super::*;
     use crate::fault::FaultSet;
+    use crate::pressure::Pressure;
     use fpva_grid::{layouts, FpvaBuilder, Side, TestVector, ValveId, ValveState};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -745,6 +880,135 @@ mod tests {
             }
         }
         assert!(skipped > 1000, "the rule skipped only {skipped} checks");
+    }
+
+    /// Twelve random vectors for `f`, each valve open with probability
+    /// `open_in_4 / 4`. Sparser vectors make more stuck-at-0 faults
+    /// detectable; denser ones pressurise more sinks.
+    fn random_vectors(f: &Fpva, rng: &mut StdRng, open_in_4: usize) -> Vec<TestVector> {
+        (0..12)
+            .map(|_| {
+                let mut vector = TestVector::all_closed(f.valve_count());
+                for (v, _) in f.valves() {
+                    if rng.gen_range(0..4usize) < open_in_4 {
+                        vector.set(v, ValveState::Open);
+                    }
+                }
+                vector
+            })
+            .collect()
+    }
+
+    /// Whether `b` is commanded closed in `vector` and has exactly one
+    /// endpoint cell in `reach`.
+    fn crosses(
+        chip: &LoweredChip,
+        f: &Fpva,
+        reach: &Pressure,
+        vector: &TestVector,
+        b: usize,
+    ) -> bool {
+        let [c0, c1] = chip.valve_cells[b].map(|c| reach.at(f.cell_at(c as usize)));
+        !vector.is_open(ValveId(b)) && c0 != c1
+    }
+
+    /// The composition rule is exact: whenever a vector detects a
+    /// stuck-at-0 alone and the stuck-at-1 partner is commanded open or
+    /// does not cross the stuck-at-0's pressure region, the pair responds
+    /// like the stuck-at-0 alone.
+    #[test]
+    fn composed_pairs_respond_like_their_stuck_at_0() {
+        let mut composed = 0;
+        for f in [
+            layouts::table1_5x5(),
+            layouts::full_array(3, 4),
+            layouts::custom_biochip(),
+        ] {
+            let chip = LoweredChip::build(&f);
+            let mut rng = StdRng::seed_from_u64(23);
+            let suite = TestSuite::new(&f, random_vectors(&f, &mut rng, 3));
+            for _ in 0..30 {
+                let a = ValveId(rng.gen_range(0..f.valve_count()));
+                let alone = FaultSet::try_from_faults(vec![Fault::StuckAt0(a)]).unwrap();
+                for (vector, golden) in suite.vectors().iter().zip(suite.expected()) {
+                    let response = crate::respond(&f, vector, &alone);
+                    if response == *golden {
+                        continue;
+                    }
+                    let reach = crate::propagate(&f, vector, &alone);
+                    for b in (0..f.valve_count()).filter(|&b| b != a.index()) {
+                        if crosses(&chip, &f, &reach, vector, b) {
+                            continue;
+                        }
+                        composed += 1;
+                        let pair = FaultSet::try_from_faults(vec![
+                            Fault::StuckAt0(a),
+                            Fault::StuckAt1(ValveId(b)),
+                        ])
+                        .unwrap();
+                        assert_eq!(
+                            crate::respond(&f, vector, &pair),
+                            response,
+                            "{pair:?} under {vector:?}"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(composed > 1000, "the rule decided only {composed} pairs");
+    }
+
+    /// The pre-pass's partner lists equal the composition rule applied
+    /// with the scalar oracle: `None` when no vector detects the stuck-at-0
+    /// alone, otherwise every partner that is commanded closed and crosses
+    /// the stuck-at-0's pressure region under every detecting vector.
+    #[test]
+    fn partner_lists_follow_the_composition_rule() {
+        let (mut detected, mut undetected, mut filtered) = (0, 0, 0);
+        for f in [layouts::table1_5x5(), layouts::custom_biochip()] {
+            let chip = LoweredChip::build(&f);
+            let nv = f.valve_count();
+            let mut rng = StdRng::seed_from_u64(29);
+            let vectors = [2, 2, 2, 3].map(|open_in_4| random_vectors(&f, &mut rng, open_in_4));
+            let suite = TestSuite::new(&f, vectors.concat());
+            let expected: Vec<Option<Vec<ValveId>>> = (0..nv)
+                .map(|a| {
+                    let alone =
+                        FaultSet::try_from_faults(vec![Fault::StuckAt0(ValveId(a))]).unwrap();
+                    let mut partners: Option<Vec<ValveId>> = None;
+                    for (vector, golden) in suite.vectors().iter().zip(suite.expected()) {
+                        if crate::respond(&f, vector, &alone) == *golden {
+                            continue;
+                        }
+                        let reach = crate::propagate(&f, vector, &alone);
+                        filtered += usize::from(partners.is_some());
+                        let list = partners.get_or_insert_with(|| {
+                            (0..nv).filter(|&b| b != a).map(ValveId).collect()
+                        });
+                        list.retain(|b| crosses(&chip, &f, &reach, vector, b.index()));
+                    }
+                    partners
+                })
+                .collect();
+            // Two calls, the second off a lane-word boundary.
+            let split = nv / 2 + 1;
+            let mut sim = BitSimulator::new(&chip);
+            let mut lists = sim.undecided_partners(&suite, 0..split);
+            lists.extend(sim.undecided_partners(&suite, split..nv));
+            assert_eq!(lists, expected);
+            detected += lists.iter().filter(|list| list.is_some()).count();
+            undetected += lists.iter().filter(|list| list.is_none()).count();
+            let stats = sim.stats();
+            assert_eq!(stats.lanes, nv);
+            assert_eq!(
+                stats.blocks,
+                split.div_ceil(LANES) + (nv - split).div_ceil(LANES)
+            );
+        }
+        assert!(
+            detected > 50 && undetected > 50 && filtered > 40,
+            "{detected} detected, {undetected} undetected, {filtered} filtered"
+        );
     }
 
     #[test]

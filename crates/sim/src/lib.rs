@@ -90,6 +90,39 @@
 //! the scenarios swept, and `word_passes` the packed passes, so
 //! `word_passes / blocks` is the mean number of passes per 64 scenarios.
 //!
+//! ## Two-fault audit by composition
+//!
+//! [`audit::two_fault_audit`] checks all `n_v·(n_v − 1)` (stuck-at-0 `a`,
+//! stuck-at-1 `b`) pairs, but on the bit-parallel kernel it simulates only
+//! the few that single-fault results cannot decide. Let vector `v` detect
+//! `a` alone, and let `R_a(v)` be the region `v` pressurises under `a`
+//! alone. If `b` is commanded open in `v`, the pair's valve states are
+//! `a`'s. Otherwise, if `b` has both or neither endpoint cell in `R_a(v)`,
+//! opening it adds no edge leaving `R_a(v)`. Either way `R_a(v)` holds the
+//! sources and stays closed under the pair's open edges, and the pair
+//! opens every edge `a` does, so the pair pressurises exactly `R_a(v)`,
+//! responds like `a` and is detected.
+//!
+//! The audit therefore splits the stuck-at-0 valves into fixed chunks of
+//! [`audit::VALVE_CHUNK`] and runs a pre-pass per chunk that packs the
+//! stuck-at-0 faults 64 per word pass, like a sweep, skipping vectors whose
+//! golden response pressurises no sink (a stuck-at-0 only shrinks the
+//! reach). When a vector first detects a lane, the lane's partner list is
+//! scattered from the frontier: the commanded-closed valves with exactly
+//! one endpoint reached in that lane. Later detections filter the list the
+//! same way, and a lane stays in the pre-pass until its list is empty. A
+//! stuck-at-0 that no vector detects keeps every partner. The surviving
+//! pairs then go, in scan order, through ordinary [`BitSimulator::sweep`]s
+//! of at most [`bitsim::SWEEP_CHUNK`] pairs, so the `undetected` list is
+//! exactly the unpruned one. On the 30×30 Table I plan this leaves about
+//! 1.5 k of 2.9 M pairs to simulate. The scalar kernel audits every pair
+//! and stays the oracle.
+//!
+//! The audit's [`KernelStats`] count the pre-pass like a sweep: its
+//! stuck-at-0 scenarios go in `lanes`, their 64-scenario blocks in
+//! `blocks`, and its packed passes in `word_passes`, on top of the
+//! counters of the surviving pairs' sweeps.
+//!
 //! **Scalar-oracle invariant:** the scalar path ([`propagate`],
 //! [`TestSuite::detects`], [`campaign::leak_is_observable`]) is retained
 //! unchanged and is the oracle — the bit-parallel kernel must reproduce

@@ -5,14 +5,17 @@
 //! multi-sink example chip, for every lane packing and chunk split (trial
 //! counts off the 64-lane and chunk boundaries included). Complete plans
 //! detect nearly every fault, so the weak-suite cases apply only a plan's
-//! flow paths, or only its cuts, to make faults escape.
+//! flow paths, or only its cuts, to make faults escape. The two-fault
+//! audit, which simulates only the pairs its single-fault pre-pass leaves
+//! undecided, must also report exactly the pairs the sweep of every pair
+//! misses.
 
 use fpva::sim::audit::{leak_coverage_with, single_fault_coverage_with, two_fault_audit_with};
-use fpva::sim::bitsim::SWEEP_CHUNK;
+use fpva::sim::bitsim::{BitSimulator, LoweredChip, SWEEP_CHUNK};
 use fpva::sim::campaign::{self, CampaignConfig};
 use fpva::{
-    layouts, Atpg, CampaignRow, CoverageReport, FaultSet, Fpva, ObservableLeaks, SimKernel,
-    TestSuite,
+    layouts, Atpg, CampaignRow, CoverageReport, Fault, FaultSet, Fpva, ObservableLeaks, SimKernel,
+    TestSuite, ValveId,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -109,15 +112,16 @@ fn lane_packing_edge_cases_match_scalar_oracle() {
     }
 }
 
-/// Two weak suites from `fpva`'s plan: its flow-path vectors only, and
-/// its cut vectors only. Cut vectors cannot see a stuck-at-0, and path
-/// vectors see a stuck-at-1 only where it pressurises an otherwise dry
-/// sink, so plenty of faults escape each.
-fn weak_suites(fpva: &Fpva) -> [(&'static str, TestSuite); 2] {
+/// `fpva`'s complete plan suite, then two weak suites from the same plan:
+/// its flow-path vectors only, and its cut vectors only. Cut vectors
+/// cannot see a stuck-at-0, and path vectors see a stuck-at-1 only where
+/// it pressurises an otherwise dry sink, so plenty of faults escape each.
+fn plan_suites(fpva: &Fpva) -> [(&'static str, TestSuite); 3] {
     let plan = Atpg::new().generate(fpva).expect("plan generates");
     let paths = plan.flow_paths().iter().map(|p| p.to_vector(fpva));
     let cuts = plan.cut_sets().iter().map(|c| c.to_vector(fpva));
     [
+        ("complete plan", plan.to_suite(fpva)),
         ("paths only", TestSuite::new(fpva, paths.collect())),
         ("cuts only", TestSuite::new(fpva, cuts.collect())),
     ]
@@ -191,7 +195,8 @@ fn oracle_row(fault_count: usize, trials: &[(FaultSet, bool)]) -> CampaignRow {
 fn weak_suites_match_scalar_oracle(name: &str, fpva: &Fpva, pair_audit: bool) {
     let leaks = ObservableLeaks::build(fpva);
     let longest = TRIAL_COUNTS.into_iter().max().expect("non-empty");
-    for (suite_name, suite) in weak_suites(fpva) {
+    let [_, paths, cuts] = plan_suites(fpva);
+    for (suite_name, suite) in [paths, cuts] {
         let what = format!("{name}, {suite_name}");
         let seed = 0x3ea_c5ee;
         let oracle: Vec<_> = (1..=5)
@@ -267,6 +272,88 @@ fn weak_suites_match_scalar_oracle_on_multi_sink_biochip() {
 #[ignore = "release-only: the scalar oracle is slow in a debug build"]
 fn weak_suites_match_scalar_oracle_on_table1_30x30() {
     weak_suites_match_scalar_oracle("30x30", &layouts::table1_30x30(), false);
+}
+
+/// The two-fault audit without the single-fault pre-pass: every
+/// (stuck-at-0, stuck-at-1) pair in scan order, pushed through
+/// `BitSimulator::sweep` in `SWEEP_CHUNK` chunks. The sweep itself is
+/// pinned to the scalar oracle by the cases above. Returns the universe
+/// size and the undetected pairs.
+fn unpruned_pair_audit(fpva: &Fpva, suite: &TestSuite) -> (usize, Vec<(Fault, Fault)>) {
+    let chip = LoweredChip::build(fpva);
+    let mut sim = BitSimulator::new(&chip);
+    let nv = fpva.valve_count();
+    let mut pairs = (0..nv).flat_map(|a| {
+        (0..nv)
+            .filter(move |&b| b != a)
+            .map(move |b| [Fault::StuckAt0(ValveId(a)), Fault::StuckAt1(ValveId(b))])
+    });
+    let (mut total, mut undetected) = (0, Vec::new());
+    loop {
+        let scenarios: Vec<[Fault; 2]> = pairs.by_ref().take(SWEEP_CHUNK).collect();
+        if scenarios.is_empty() {
+            return (total, undetected);
+        }
+        total += scenarios.len();
+        let verdicts = sim.sweep(suite, &scenarios);
+        undetected.extend(
+            scenarios
+                .iter()
+                .zip(verdicts)
+                .filter(|(_, hit)| !hit)
+                .map(|(&[a, b], _)| (a, b)),
+        );
+    }
+}
+
+/// The pruned two-fault audit against [`unpruned_pair_audit`], under
+/// `fpva`'s complete plan and both weak suites: same universe, same
+/// `undetected` list in the same order.
+fn pruned_audit_matches_unpruned_sweep(name: &str, fpva: &Fpva) {
+    let mut escaped = 0;
+    for (suite_name, suite) in plan_suites(fpva) {
+        let pruned = two_fault_audit_with(fpva, &suite, 0, SimKernel::BitParallel);
+        let (total, undetected) = unpruned_pair_audit(fpva, &suite);
+        assert_eq!(pruned.total, total, "{name}, {suite_name}: universe size");
+        assert_eq!(
+            pruned.undetected, undetected,
+            "{name}, {suite_name}: undetected"
+        );
+        escaped += undetected.len();
+    }
+    assert!(escaped > 0, "{name}: no suite let a pair escape");
+}
+
+#[test]
+fn pruned_pair_audit_matches_unpruned_sweep_on_table1_10x10() {
+    pruned_audit_matches_unpruned_sweep("10x10", &layouts::table1_10x10());
+}
+
+#[test]
+fn pruned_pair_audit_matches_unpruned_sweep_on_multi_sink_biochip() {
+    pruned_audit_matches_unpruned_sweep("custom_biochip", &layouts::custom_biochip());
+}
+
+// The larger arrays run in release CI. The cuts-only suite detects no
+// stuck-at-0, so it prunes nothing and its 30x30 case sweeps all 2.9 M
+// pairs on both sides.
+
+#[test]
+#[ignore = "release-only: the unpruned sweep is slow in a debug build"]
+fn pruned_pair_audit_matches_unpruned_sweep_on_table1_15x15() {
+    pruned_audit_matches_unpruned_sweep("15x15", &layouts::table1_15x15());
+}
+
+#[test]
+#[ignore = "release-only: the unpruned sweep is slow in a debug build"]
+fn pruned_pair_audit_matches_unpruned_sweep_on_table1_20x20() {
+    pruned_audit_matches_unpruned_sweep("20x20", &layouts::table1_20x20());
+}
+
+#[test]
+#[ignore = "release-only: the unpruned sweep is slow in a debug build"]
+fn pruned_pair_audit_matches_unpruned_sweep_on_table1_30x30() {
+    pruned_audit_matches_unpruned_sweep("30x30", &layouts::table1_30x30());
 }
 
 #[test]

@@ -5,7 +5,7 @@
 //! the explicit empty-universe reporting.
 
 use fpva::grid::{PortKind, Side};
-use fpva::sim::audit;
+use fpva::sim::audit::{self, VALVE_CHUNK};
 use fpva::sim::bitsim::SWEEP_CHUNK;
 use fpva::sim::campaign::{self, CampaignConfig};
 use fpva::{layouts, Atpg, CampaignRow, CoverageReport, Fault, Fpva, TestSuite};
@@ -114,22 +114,23 @@ fn multi_sink_campaign_smoke() {
 
 #[test]
 fn two_fault_audit_is_thread_count_invariant_end_to_end() {
-    // The smallest square array whose pair universe spans two full
-    // chunks and a partial one, so the pooled runs really split it.
-    let pairs = |n: usize| {
-        let valves = 2 * n * (n - 1);
-        valves * (valves - 1)
-    };
+    // The smallest square array whose stuck-at-0 valves span two full
+    // audit chunks and a partial one, so the pooled runs really split it.
+    let valves = |n: usize| 2 * n * (n - 1);
     let side = (2..)
-        .find(|&n| pairs(n) > 2 * SWEEP_CHUNK && pairs(n) % SWEEP_CHUNK != 0)
-        .expect("pair counts grow without bound");
+        .find(|&n| valves(n) > 2 * VALVE_CHUNK && valves(n) % VALVE_CHUNK != 0)
+        .expect("valve counts grow without bound");
     let fpva = layouts::full_array(side, side);
-    let suite = Atpg::new()
+    let plan = Atpg::new()
         .generate(&fpva)
-        .expect("full array plan generates")
-        .to_suite(&fpva);
+        .expect("full array plan generates");
+    // The flow paths alone let pairs escape, so the chunk-ordered merge
+    // of a non-empty `undetected` list is compared too.
+    let paths = plan.flow_paths().iter().map(|p| p.to_vector(&fpva));
+    let suite = TestSuite::new(&fpva, paths.collect());
     let serial = audit::two_fault_audit(&fpva, &suite, 1);
-    assert_eq!(serial.total, pairs(side));
+    assert_eq!(serial.total, valves(side) * (valves(side) - 1));
+    assert!(!serial.is_complete(), "the weak suite lets pairs escape");
     for threads in [2, 8] {
         assert_eq!(audit::two_fault_audit(&fpva, &suite, threads), serial);
     }
