@@ -26,7 +26,10 @@ use crate::error::AtpgError;
 use crate::heuristic::PathCover;
 use crate::path::FlowPath;
 use fpva_grid::{CellId, CellKind, EdgeId, EdgeKind, Fpva, PortId, PortKind};
-use fpva_ilp::{LinExpr, MilpOptions, MilpSolver, Model, Sense, SolveStatus, VarId};
+use fpva_ilp::{
+    CertifyError, CertifySummary, LinExpr, MilpOptions, MilpSolver, Model, Sense, SolveStats,
+    SolveStatus, VarId,
+};
 use std::collections::BTreeMap;
 use std::time::Duration;
 
@@ -61,9 +64,7 @@ impl Default for PathIlpConfig {
 /// iteration deterministic (path extraction walks these maps).
 struct PathVars {
     v: BTreeMap<EdgeId, VarId>,
-    f: BTreeMap<EdgeId, VarId>,
     pe: BTreeMap<PortId, VarId>,
-    fp: BTreeMap<PortId, VarId>,
     c: BTreeMap<CellId, VarId>,
 }
 
@@ -171,7 +172,7 @@ fn build_model(fpva: &Fpva, k: usize) -> (Model, Vec<PathVars>) {
             model.add_eq(balance, 0.0);
         }
 
-        all_vars.push(PathVars { v, f, pe, fp, c });
+        all_vars.push(PathVars { v, pe, c });
     }
 
     // Channel contiguity (the validator's no-bypass rule, implied by the
@@ -315,82 +316,24 @@ fn extract_path(
     FlowPath::new(fpva, source, sink, cells)
 }
 
-/// Aggregate solver effort of one [`min_path_cover_ilp_with_stats`] run,
-/// exposed so callers (notably the `ablation` binary) can attribute
-/// ILP-vs-greedy outcomes honestly: a probe that burned its budget is a
-/// *limit hit*, not evidence about cover existence.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IlpCoverStats {
-    /// Feasibility probes attempted (one per candidate path count `k`).
-    pub probes: usize,
-    /// Probes that ended on a node/time limit without a definite answer.
-    pub limit_probes: usize,
-    /// Branch-and-bound nodes processed across all probes.
-    pub nodes: usize,
-    /// Nodes whose LP relaxation was cut short by the deadline or pivot
-    /// budget (see `fpva_ilp::SolveStats::limit_nodes`).
-    pub limit_nodes: usize,
-    /// Simplex pivots across all probes.
-    pub lp_iterations: usize,
-    /// Full sparse-LU basis refactorizations across all probes.
-    pub refactorizations: usize,
-    /// Forrest–Tomlin basis updates applied in place across all probes.
-    pub ft_updates: usize,
-    /// Forrest–Tomlin updates rejected by the stability test.
-    pub rejected_updates: usize,
-    /// Dual simplex pivots across all probes' warm re-solves (child
-    /// nodes restoring feasibility from the parent basis dually instead
-    /// of restarting primal phase 1).
-    pub dual_pivots: usize,
-    /// Node LP solves started from a usable warm basis across all probes.
-    pub warm_resolves: usize,
-    /// Node LP solves whose warm basis was rejected into a cold slack
-    /// start across all probes (should stay at or near zero).
-    pub cold_restarts: usize,
-    /// Constraints eliminated by static presolve across all probes.
-    pub presolve_rows: usize,
-    /// Variables eliminated by static presolve across all probes.
-    pub presolve_cols: usize,
-    /// Bounds tightened by static presolve across all probes.
-    pub presolve_tightenings: usize,
-    /// Integer bounds tightened by per-node propagation across all probes.
-    pub node_tightenings: usize,
-    /// Nodes pruned by propagation alone (no LP solved) across all probes.
-    pub propagation_prunes: usize,
-    /// Probes whose certificate passed the exact-arithmetic audit
-    /// (zero unless [`PathIlpConfig::certify`] is set).
-    pub certified_probes: usize,
-    /// Branch-and-bound leaves re-proved exactly across all audited
-    /// certificates.
-    pub certificate_leaves: usize,
-    /// Presolve actions audited across all certified probes.
-    pub certificate_actions: usize,
-    /// Probes whose certificate was rejected (or missing) — any non-zero
-    /// value means a solver verdict could not be proven.
-    pub certificate_failures: usize,
-    /// Root-analysis probing propagation runs across all probes (see
-    /// [`fpva_ilp::AnalysisStats`]).
-    pub analysis_probes: usize,
-    /// Variables fixed by root probing across all probes.
-    pub probe_fixings: usize,
-    /// Implications harvested from root probing across all probes.
-    pub implications: usize,
-    /// Bounds lifted from two-sided probes across all probes (always
-    /// zero in certify mode).
-    pub lifted_bounds: usize,
-    /// Distinct conflict-graph edges across all probes.
-    pub conflict_edges: usize,
-    /// Symmetry orbits (size ≥ 2) of interchangeable binaries across all
-    /// probes.
-    pub orbit_count: usize,
-    /// Binaries in those orbits across all probes.
-    pub orbit_vars: usize,
-    /// Fixings propagated to orbit mates without probing them across all
-    /// probes (always zero in certify mode).
-    pub orbit_fixings: usize,
-    /// Probing fixings re-derived exactly across all audited
-    /// certificates.
-    pub certificate_fixings: usize,
+/// One feasibility probe of a [`min_path_cover_ilp_with_stats`] run,
+/// so callers (notably the `ablation` binary and `fpva-lint`) can
+/// attribute ILP-vs-greedy outcomes honestly: a probe that burned its
+/// budget ends [`SolveStatus::Unknown`], which is not evidence about
+/// cover existence.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CoverProbe {
+    /// Candidate path count the probe tried.
+    pub k: usize,
+    /// How the probe's search ended.
+    pub status: SolveStatus,
+    /// The solver's counters for this probe.
+    pub stats: SolveStats,
+    /// The exact-arithmetic audit of the probe's certificate
+    /// ([`fpva_ilp::certify_outcome`]): `None` unless
+    /// [`PathIlpConfig::certify`] is set and the verdict is one a
+    /// certificate can back (`Optimal`, `Feasible` or `Infeasible`).
+    pub certify: Option<Result<CertifySummary, CertifyError>>,
 }
 
 /// Builds the paper's "cover all valves with exactly `k` paths" model
@@ -405,9 +348,10 @@ pub fn cover_model(fpva: &Fpva, k: usize) -> Model {
 /// two rows per passable edge (flow gating), two rows per non-obstacle
 /// cell (degree + balance), one row per source port (injection gating),
 /// two port-opening rows, and one contiguity row per multi-cell open
-/// component; globally, one cover row per valve and `k − 1` symmetry
-/// rows. `fpva-lint` checks the generated model against this formula —
-/// a mismatch means model generation and chip structure disagree.
+/// component; globally, one cover row per valve and `k − 1`
+/// path-ordering rows. `fpva-lint` checks the generated model against
+/// this formula — a mismatch means model generation and chip structure
+/// disagree.
 pub fn expected_constraint_count(fpva: &Fpva, k: usize) -> usize {
     let cells = fpva
         .cells()
@@ -437,209 +381,11 @@ pub fn expected_constraint_count(fpva: &Fpva, k: usize) -> usize {
 /// most `t − 1` lattice edges, and every valve sits on a lattice edge,
 /// so one path covers at most `cell_count − 1` valves. The probe loop
 /// starts here, and `fpva-lint` audits the model at this `k` (any
-/// smaller `k` is provably infeasible — presolve or the certified root
-/// analysis proves it).
+/// smaller `k` is provably infeasible; `fpva-lint --certify` has the
+/// solver prove it for `k − 1` with a certificate it re-checks exactly).
 pub fn min_cover_paths(fpva: &Fpva) -> usize {
     let per_path = fpva.cell_count().saturating_sub(1).max(1);
     fpva.valve_count().div_ceil(per_path).max(1)
-}
-
-/// One candidate automorphism of the `rows × cols` cell lattice: the
-/// dihedral maps that send the grid onto itself. Non-square grids only
-/// admit the three maps that preserve the axis lengths.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum GridMap {
-    FlipRows,
-    FlipCols,
-    Rot180,
-    Transpose,
-    AntiTranspose,
-    Rot90,
-    Rot270,
-}
-
-impl GridMap {
-    fn candidates(rows: usize, cols: usize) -> Vec<GridMap> {
-        let mut maps = vec![GridMap::FlipRows, GridMap::FlipCols, GridMap::Rot180];
-        if rows == cols {
-            maps.extend([
-                GridMap::Transpose,
-                GridMap::AntiTranspose,
-                GridMap::Rot90,
-                GridMap::Rot270,
-            ]);
-        }
-        maps
-    }
-
-    fn apply(self, c: CellId, rows: usize, cols: usize) -> CellId {
-        let (r, k) = (c.row, c.col);
-        match self {
-            GridMap::FlipRows => CellId::new(rows - 1 - r, k),
-            GridMap::FlipCols => CellId::new(r, cols - 1 - k),
-            GridMap::Rot180 => CellId::new(rows - 1 - r, cols - 1 - k),
-            GridMap::Transpose => CellId::new(k, r),
-            GridMap::AntiTranspose => CellId::new(cols - 1 - k, rows - 1 - r),
-            GridMap::Rot90 => CellId::new(k, rows - 1 - r),
-            GridMap::Rot270 => CellId::new(cols - 1 - k, r),
-        }
-    }
-}
-
-/// Checks a candidate grid map against the chip structure (cell kinds,
-/// edge kinds, port placement) and, if it passes, returns the induced
-/// port bijection. Port `Side` is deliberately ignored — the cover model
-/// only uses a port's cell and kind, so a map that relocates the opening
-/// to another side of the same image cell is still a model automorphism.
-fn chip_automorphism(fpva: &Fpva, g: GridMap) -> Option<BTreeMap<PortId, PortId>> {
-    let (rows, cols) = (fpva.rows(), fpva.cols());
-    for cell in fpva.cells() {
-        if fpva.cell_kind(cell) != fpva.cell_kind(g.apply(cell, rows, cols)) {
-            return None;
-        }
-    }
-    for (e, kind) in fpva.edges() {
-        let (a, b) = e.endpoints();
-        let img = fpva.edge_between(g.apply(a, rows, cols), g.apply(b, rows, cols))?;
-        if fpva.edge_kind(img) != kind {
-            return None;
-        }
-    }
-    // Ports grouped by (cell, kind): groups must map onto groups of equal
-    // size; within a group the ports are model-interchangeable, so they
-    // match positionally in id order.
-    let mut groups: BTreeMap<(CellId, PortKind), Vec<PortId>> = BTreeMap::new();
-    for (pid, port) in fpva.ports() {
-        groups.entry((port.cell, port.kind)).or_default().push(pid);
-    }
-    let mut map = BTreeMap::new();
-    for ((cell, kind), pids) in &groups {
-        let image = groups.get(&(g.apply(*cell, rows, cols), *kind))?;
-        if image.len() != pids.len() {
-            return None;
-        }
-        for (&p, &q) in pids.iter().zip(image) {
-            map.insert(p, q);
-        }
-    }
-    Some(map)
-}
-
-/// Builds the signed variable permutation a chip automorphism induces on
-/// the cover model: each path maps onto itself (so the path-ordering
-/// rows are preserved exactly), site/cell/port binaries permute
-/// spatially, and a flow variable picks up a sign flip whenever the map
-/// reverses its edge's canonical north-west orientation. Soundness does
-/// not rest on this construction — the solver re-verifies every
-/// generator structurally ([`fpva_ilp::analyze::verify_automorphism`])
-/// before using it.
-fn model_generator(
-    fpva: &Fpva,
-    g: GridMap,
-    ports: &BTreeMap<PortId, PortId>,
-    model: &Model,
-    vars: &[PathVars],
-) -> fpva_ilp::SignedPerm {
-    let (rows, cols) = (fpva.rows(), fpva.cols());
-    let mut perm: fpva_ilp::SignedPerm = (0..model.var_count()).map(|i| (i, false)).collect();
-    let mut set = |a: VarId, b: VarId, flip: bool| perm[a.index()] = (b.index(), flip);
-    for pv in vars {
-        for (&e, &var) in &pv.v {
-            let (a, b) = e.endpoints();
-            let img = fpva
-                .edge_between(g.apply(a, rows, cols), g.apply(b, rows, cols))
-                .expect("chip automorphism maps edges to edges");
-            set(var, pv.v[&img], false);
-            // Positive flow runs NW endpoint → other endpoint; the image
-            // flow flips sign when the NW endpoint lands on the image's
-            // far endpoint.
-            let flip = g.apply(a, rows, cols) == img.endpoints().1;
-            set(pv.f[&e], pv.f[&img], flip);
-        }
-        for (&p, &var) in &pv.pe {
-            set(var, pv.pe[&ports[&p]], false);
-        }
-        for (&p, &var) in &pv.fp {
-            set(var, pv.fp[&ports[&p]], false);
-        }
-        for (&cell, &var) in &pv.c {
-            set(var, pv.c[&g.apply(cell, rows, cols)], false);
-        }
-    }
-    perm
-}
-
-/// Chip-level symmetry survey for one cover model, as reported by the
-/// `fpva-lint` `symmetry` check.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SymmetryReport {
-    /// Dihedral grid maps compatible with the grid shape.
-    pub candidates: usize,
-    /// Candidates surviving the chip-structure filter (cell kinds, edge
-    /// kinds, port placement) *and* exact structural verification on the
-    /// generated model.
-    pub verified: usize,
-    /// Chip-compatible candidates the model verification rejected — the
-    /// model under-breaks or over-breaks the chip's apparent symmetry.
-    pub rejected: usize,
-    /// Orbits (size ≥ 2) of interchangeable binaries under the verified
-    /// generators.
-    pub orbit_count: usize,
-    /// Binaries in those orbits.
-    pub orbit_vars: usize,
-    /// Total binaries of the model.
-    pub binaries: usize,
-}
-
-/// Detects grid automorphisms of `fpva`, lifts each to a signed variable
-/// permutation of the `k`-path cover model, and keeps those that pass
-/// exact structural verification. The result feeds
-/// [`fpva_ilp::MilpOptions::symmetry`] (orbit-aware branching and orbit
-/// fixing) and the lint `symmetry` check.
-pub fn symmetry_generators(fpva: &Fpva, k: usize) -> Vec<fpva_ilp::SignedPerm> {
-    let (model, vars) = build_model(fpva, k);
-    cover_symmetry(fpva, &model, &vars).0
-}
-
-/// Like [`symmetry_generators`], additionally reporting the survey
-/// counters.
-pub fn symmetry_report(fpva: &Fpva, k: usize) -> SymmetryReport {
-    let (model, vars) = build_model(fpva, k);
-    let (generators, mut report) = cover_symmetry(fpva, &model, &vars);
-    let (orbit_count, orbit_vars) = fpva_ilp::analyze::orbit_summary(&model, &generators);
-    report.orbit_count = orbit_count;
-    report.orbit_vars = orbit_vars;
-    report
-}
-
-fn cover_symmetry(
-    fpva: &Fpva,
-    model: &Model,
-    vars: &[PathVars],
-) -> (Vec<fpva_ilp::SignedPerm>, SymmetryReport) {
-    let candidates = GridMap::candidates(fpva.rows(), fpva.cols());
-    let mut report = SymmetryReport {
-        candidates: candidates.len(),
-        binaries: vars
-            .iter()
-            .map(|pv| pv.v.len() + pv.pe.len())
-            .sum::<usize>(),
-        ..SymmetryReport::default()
-    };
-    let mut generators = Vec::new();
-    for g in candidates {
-        let Some(ports) = chip_automorphism(fpva, g) else {
-            continue;
-        };
-        let perm = model_generator(fpva, g, &ports, model, vars);
-        if fpva_ilp::analyze::verify_automorphism(model, &perm) {
-            report.verified += 1;
-            generators.push(perm);
-        } else {
-            report.rejected += 1;
-        }
-    }
-    (generators, report)
 }
 
 /// Probes increasing path counts `k = lb, lb+1, …` and returns the first
@@ -655,15 +401,15 @@ pub fn min_path_cover_ilp(fpva: &Fpva, config: &PathIlpConfig) -> Result<PathCov
     min_path_cover_ilp_with_stats(fpva, config).0
 }
 
-/// Like [`min_path_cover_ilp`], additionally reporting per-run solver
-/// statistics (returned even when the cover search fails).
+/// Like [`min_path_cover_ilp`], additionally returning one record per
+/// probe run, in probe order (returned even when the cover search fails).
 pub fn min_path_cover_ilp_with_stats(
     fpva: &Fpva,
     config: &PathIlpConfig,
-) -> (Result<PathCover, AtpgError>, IlpCoverStats) {
-    let mut stats = IlpCoverStats::default();
+) -> (Result<PathCover, AtpgError>, Vec<CoverProbe>) {
+    let mut probes = Vec::new();
     if fpva.sources().next().is_none() || fpva.sinks().next().is_none() {
-        return (Err(AtpgError::MissingPorts), stats);
+        return (Err(AtpgError::MissingPorts), probes);
     }
     if fpva.valve_count() == 0 {
         return (
@@ -671,17 +417,13 @@ pub fn min_path_cover_ilp_with_stats(
                 paths: Vec::new(),
                 uncovered: Vec::new(),
             }),
-            stats,
+            probes,
         );
     }
     let lb = min_cover_paths(fpva);
     let mut limited = false;
     for k in lb..=config.max_paths {
         let (model, vars) = build_model(fpva, k);
-        // Grid automorphisms of the chip, lifted to the model's variable
-        // space. The solver re-verifies each claim structurally (and
-        // re-maps it through its own presolve) before trusting it.
-        let (symmetry, _) = cover_symmetry(fpva, &model, &vars);
         let solver = MilpSolver::with_options(MilpOptions {
             time_limit: Some(config.time_limit),
             node_limit: Some(config.node_limit),
@@ -689,7 +431,6 @@ pub fn min_path_cover_ilp_with_stats(
             // uncertified one can stop at the first cover.
             stop_at_first: !config.certify,
             certificate: config.certify,
-            symmetry,
             ..MilpOptions::default()
         });
         let outcome = match solver.solve(&model) {
@@ -699,49 +440,22 @@ pub fn min_path_cover_ilp_with_stats(
                     Err(AtpgError::Solver {
                         reason: e.to_string(),
                     }),
-                    stats,
+                    probes,
                 )
             }
         };
-        stats.probes += 1;
-        stats.nodes += outcome.stats.nodes;
-        stats.limit_nodes += outcome.stats.limit_nodes;
-        stats.lp_iterations += outcome.stats.lp_iterations;
-        stats.refactorizations += outcome.stats.refactorizations;
-        stats.ft_updates += outcome.stats.ft_updates;
-        stats.rejected_updates += outcome.stats.rejected_updates;
-        stats.dual_pivots += outcome.stats.dual_pivots;
-        stats.warm_resolves += outcome.stats.warm_resolves;
-        stats.cold_restarts += outcome.stats.cold_restarts;
-        stats.presolve_rows += outcome.stats.presolve_rows;
-        stats.presolve_cols += outcome.stats.presolve_cols;
-        stats.presolve_tightenings += outcome.stats.presolve_tightenings;
-        stats.node_tightenings += outcome.stats.node_tightenings;
-        stats.propagation_prunes += outcome.stats.propagation_prunes;
-        stats.analysis_probes += outcome.stats.analysis.probes;
-        stats.probe_fixings += outcome.stats.analysis.probe_fixings;
-        stats.implications += outcome.stats.analysis.implications;
-        stats.lifted_bounds += outcome.stats.analysis.lifted_bounds;
-        stats.conflict_edges += outcome.stats.analysis.conflict_edges;
-        stats.orbit_count += outcome.stats.analysis.orbit_count;
-        stats.orbit_vars += outcome.stats.analysis.orbit_vars;
-        stats.orbit_fixings += outcome.stats.analysis.orbit_fixings;
-        if config.certify
+        let certify = (config.certify
             && matches!(
                 outcome.status,
                 SolveStatus::Optimal | SolveStatus::Feasible | SolveStatus::Infeasible
-            )
-        {
-            match fpva_ilp::certify_outcome(&model, &outcome) {
-                Ok(summary) => {
-                    stats.certified_probes += 1;
-                    stats.certificate_leaves += summary.leaves;
-                    stats.certificate_actions += summary.actions;
-                    stats.certificate_fixings += summary.probe_fixings;
-                }
-                Err(_) => stats.certificate_failures += 1,
-            }
-        }
+            ))
+        .then(|| fpva_ilp::certify_outcome(&model, &outcome));
+        probes.push(CoverProbe {
+            k,
+            status: outcome.status,
+            stats: outcome.stats,
+            certify,
+        });
         match outcome.status {
             SolveStatus::Optimal | SolveStatus::Feasible => {
                 let sol = outcome.best.expect("feasible outcome has incumbent");
@@ -751,19 +465,18 @@ pub fn min_path_cover_ilp_with_stats(
                     .collect::<Result<Vec<_>, _>>()
                 {
                     Ok(paths) => paths,
-                    Err(e) => return (Err(e), stats),
+                    Err(e) => return (Err(e), probes),
                 };
                 return (
                     Ok(PathCover {
                         paths,
                         uncovered: Vec::new(),
                     }),
-                    stats,
+                    probes,
                 );
             }
             SolveStatus::Infeasible => continue,
             SolveStatus::Unknown | SolveStatus::Unbounded => {
-                stats.limit_probes += 1;
                 limited = true;
                 continue;
             }
@@ -777,7 +490,7 @@ pub fn min_path_cover_ilp_with_stats(
     } else {
         format!("no cover exists with up to {} paths", config.max_paths)
     };
-    (Err(AtpgError::Solver { reason }), stats)
+    (Err(AtpgError::Solver { reason }), probes)
 }
 
 #[cfg(test)]

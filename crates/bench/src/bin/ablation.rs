@@ -74,14 +74,14 @@ fn main() {
         println!("{row}");
     }
 
-    println!("\n== Ablation 1b: exact-ILP subblock scaling (default limits) ==");
+    println!("\n== Ablation 1b: exact-ILP subblock scaling (default limits, one row per probe) ==");
     println!(
-        "{:<10} | {:>5} | {:>8} | {:>6} | {:>12} | {:>11} | {:>5} | {:>8} | {:>8} | {:>8} | {:>9} | {:>8} | {:>9} | {:>6} | {:>4}",
+        "{:<10} | {:>5} | {:>2} | {:<10} | {:>8} | {:>11} | {:>6} | {:>8} | {:>8} | {:>8} | {:>9} | {:>8} | {:>9} | {:>6} | {:>4}",
         "block",
         "paths",
+        "k",
+        "status",
         "seconds",
-        "probes",
-        "limit-probes",
         "limit-nodes",
         "nodes",
         "pre-rows",
@@ -98,66 +98,33 @@ fn main() {
         .map(|n| (format!("{n}x{n}"), layouts::full_array(n, n)))
         .chain(std::iter::once(("table1_5x5".to_string(), channelled)))
         .collect();
-    let mut analysis_rows = Vec::new();
     for (name, f) in blocks {
-        let t0 = Instant::now();
-        let (res, stats) = min_path_cover_ilp_with_stats(&f, &PathIlpConfig::default());
+        let (res, probes) = min_path_cover_ilp_with_stats(&f, &PathIlpConfig::default());
         let paths = match &res {
             Ok(cover) => cover.paths.len().to_string(),
             Err(_) => "none".into(),
         };
-        println!(
-            "{:<10} | {:>5} | {:>7.2}s | {:>6} | {:>12} | {:>11} | {:>5} | {:>8} | {:>8} | {:>8} | {:>9} | {:>8} | {:>9} | {:>6} | {:>4}",
-            name,
-            paths,
-            t0.elapsed().as_secs_f64(),
-            stats.probes,
-            stats.limit_probes,
-            stats.limit_nodes,
-            stats.nodes,
-            stats.presolve_rows,
-            stats.presolve_cols,
-            stats.refactorizations,
-            stats.ft_updates,
-            stats.rejected_updates,
-            stats.dual_pivots,
-            stats.warm_resolves,
-            stats.cold_restarts
-        );
-        analysis_rows.push((name, stats));
-    }
-
-    // The root static analysis of the same probes, reported separately so
-    // neither table needs a pager: what the conflict graph, probing and
-    // symmetry detection actually found on each block.
-    println!("\n== Ablation 1b (analysis): root static analysis per block ==");
-    println!(
-        "{:<10} | {:>7} | {:>4} | {:>5} | {:>5} | {:>6} | {:>7} | {:>9} | {:>8} | {:>8}",
-        "block",
-        "a-probe",
-        "fix",
-        "impl",
-        "lift",
-        "edges",
-        "orbits",
-        "orbit-var",
-        "sym-fix",
-        "cert-fix"
-    );
-    for (name, stats) in analysis_rows {
-        println!(
-            "{:<10} | {:>7} | {:>4} | {:>5} | {:>5} | {:>6} | {:>7} | {:>9} | {:>8} | {:>8}",
-            name,
-            stats.analysis_probes,
-            stats.probe_fixings,
-            stats.implications,
-            stats.lifted_bounds,
-            stats.conflict_edges,
-            stats.orbit_count,
-            stats.orbit_vars,
-            stats.orbit_fixings,
-            stats.certificate_fixings
-        );
+        for probe in &probes {
+            let s = &probe.stats;
+            println!(
+                "{:<10} | {:>5} | {:>2} | {:<10} | {:>7.2}s | {:>11} | {:>6} | {:>8} | {:>8} | {:>8} | {:>9} | {:>8} | {:>9} | {:>6} | {:>4}",
+                name,
+                paths,
+                probe.k,
+                format!("{:?}", probe.status),
+                s.elapsed.as_secs_f64(),
+                s.limit_nodes,
+                s.nodes,
+                s.presolve_rows,
+                s.presolve_cols,
+                s.refactorizations,
+                s.ft_updates,
+                s.rejected_updates,
+                s.dual_pivots,
+                s.warm_resolves,
+                s.cold_restarts
+            );
+        }
     }
 
     println!("\n== Ablation 2: two-fault detection (stuck-at-0 x stuck-at-1 pairs) ==");

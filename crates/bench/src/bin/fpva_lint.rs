@@ -24,6 +24,9 @@
 //! * `--json` — machine-readable output: one JSON object with the
 //!   diagnostics array, per-severity counts and the exit code.
 //!
+//! A check name that is not in `lint::CHECKS` exits with status 2 and
+//! the list of known names, before any pass runs.
+//!
 //! Diagnostics print in a deterministic order: severity (worst first),
 //! then subject, then check, then message text — independent of the
 //! order the passes ran in.
@@ -67,12 +70,14 @@ fn parse_args() -> Result<Options, String> {
                 let check = args
                     .next()
                     .ok_or_else(|| "--allow needs a check name".to_string())?;
+                lint::known_check(&check)?;
                 opts.allow.push(check);
             }
             "--only" => {
                 let check = args
                     .next()
                     .ok_or_else(|| "--only needs a check name".to_string())?;
+                lint::known_check(&check)?;
                 opts.only.push(check);
             }
             "--help" | "-h" => {
@@ -160,7 +165,6 @@ fn main() -> ExitCode {
         // valves).
         let k = fpva_atpg::ilp_model::min_cover_paths(fpva);
         diags.extend(lint::lint_model(name, fpva, k));
-        diags.extend(lint::lint_analysis(name, fpva, k));
         if opts.certify {
             diags.extend(lint::certify_models(name, fpva, PROBE_BUDGET));
         }

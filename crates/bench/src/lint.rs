@@ -44,6 +44,38 @@ impl fmt::Display for Severity {
     }
 }
 
+/// Every check name a [`Diagnostic`] can carry, in the order the passes
+/// run. `fpva-lint` rejects an `--only` or `--allow` name outside this
+/// list, so a typo cannot silently filter or waive nothing.
+pub const CHECKS: [&str; 10] = [
+    "ports",
+    "connectivity",
+    "flow-paths",
+    "cut-cover",
+    "leak-observability",
+    "path-dominance",
+    "model-shape",
+    "numerics",
+    "presolve",
+    "certify",
+];
+
+/// `Ok` when `name` is one of [`CHECKS`]; the error names every check.
+///
+/// # Errors
+///
+/// Returns a message listing [`CHECKS`] when `name` is not among them.
+pub fn known_check(name: &str) -> Result<(), String> {
+    if CHECKS.contains(&name) {
+        Ok(())
+    } else {
+        Err(format!(
+            "unknown check {name:?}; known checks: {}",
+            CHECKS.join(", ")
+        ))
+    }
+}
+
 /// One finding of a lint pass over a chip or a cover model.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
@@ -51,7 +83,7 @@ pub struct Diagnostic {
     pub severity: Severity,
     /// The chip or model the finding is about (e.g. `"table1_5x5"`).
     pub subject: String,
-    /// Short machine-readable check name (e.g. `"cut-cover"`).
+    /// Short machine-readable check name, one of [`CHECKS`].
     pub check: &'static str,
     /// Human-readable description, with coordinates where applicable.
     pub message: String,
@@ -287,82 +319,6 @@ pub fn lint_model(name: &str, fpva: &Fpva, k: usize) -> Vec<Diagnostic> {
             ),
         ),
     }
-
-    out
-}
-
-/// Statically audits the root-analysis surface of the `k`-path cover
-/// model: conflict-graph density and symmetry-orbit structure.
-///
-/// Both checks are **structural only** — probing is disabled
-/// (`probe_cap = 0`), so the pass stays cheap even on the 30×30 Table I
-/// chip. `conflict-density` summarises the set-packing shape the solver's
-/// clique table will see. `symmetry` runs the grid-automorphism survey:
-/// every dihedral map compatible with the chip is lifted to a signed
-/// variable permutation and *verified structurally* on the model — a
-/// chip-compatible candidate the model rejects is a warning, because the
-/// cover model then breaks a symmetry the chip itself appears to have
-/// (usually a modelling bug, and always a lost pruning opportunity).
-pub fn lint_analysis(name: &str, fpva: &Fpva, k: usize) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    let mut push = |severity, check, message: String| {
-        out.push(Diagnostic {
-            severity,
-            subject: name.to_string(),
-            check,
-            message,
-        });
-    };
-
-    let model = ilp_model::cover_model(fpva, k);
-    let analysis = fpva_ilp::analyze::analyze(
-        &model,
-        &[],
-        &fpva_ilp::AnalyzeOptions {
-            certify: false,
-            probe_cap: 0,
-        },
-    );
-    let s = analysis.stats;
-    let possible = s.binaries.saturating_mul(s.binaries.saturating_sub(1)) / 2;
-    let density = if possible == 0 {
-        0.0
-    } else {
-        s.conflict_edges as f64 / possible as f64
-    };
-    push(
-        Severity::Info,
-        "conflict-density",
-        format!(
-            "k={k}: {} binaries, {} structural conflict edge(s) (density {:.2e}), \
-             {} clique(s), largest {}",
-            s.binaries, s.conflict_edges, density, s.cliques, s.max_clique
-        ),
-    );
-
-    let rep = ilp_model::symmetry_report(fpva, k);
-    if rep.rejected > 0 {
-        push(
-            Severity::Warning,
-            "symmetry",
-            format!(
-                "k={k}: {} of {} chip-compatible grid map(s) failed structural \
-                 verification on the cover model (the model breaks a symmetry \
-                 the chip has)",
-                rep.rejected,
-                rep.rejected + rep.verified
-            ),
-        );
-    }
-    push(
-        Severity::Info,
-        "symmetry",
-        format!(
-            "k={k}: {} dihedral candidate(s), {} verified generator(s); \
-             {} orbit(s) covering {} of {} binaries",
-            rep.candidates, rep.verified, rep.orbit_count, rep.orbit_vars, rep.binaries
-        ),
-    );
 
     out
 }
@@ -628,24 +584,33 @@ pub fn certify_models(name: &str, fpva: &Fpva, probe_budget: Duration) -> Vec<Di
         node_limit: CERTIFY_NODE_BUDGET,
         max_paths: lb + 1,
     };
-    let (cover, stats) = ilp_model::min_path_cover_ilp_with_stats(fpva, &config);
-    if stats.certificate_failures > 0 {
-        push(
-            Severity::Error,
-            "certify",
-            format!(
-                "{} of {} probe certificate(s) failed exact re-verification",
-                stats.certificate_failures, stats.probes
+    let (cover, probes) = ilp_model::min_path_cover_ilp_with_stats(fpva, &config);
+    let (mut certified, mut leaves, mut actions) = (0, 0, 0);
+    for probe in &probes {
+        match &probe.certify {
+            Some(Ok(summary)) => {
+                certified += 1;
+                leaves += summary.leaves;
+                actions += summary.actions;
+            }
+            Some(Err(e)) => push(
+                Severity::Error,
+                "certify",
+                format!(
+                    "k={} probe certificate failed exact re-verification: {e}",
+                    probe.k
+                ),
             ),
-        );
-    } else if stats.certified_probes > 0 {
+            None => {}
+        }
+    }
+    if certified > 0 {
         push(
             Severity::Info,
             "certify",
             format!(
-                "{} probe(s) certified exactly: {} branch-and-bound leaves re-proved, \
-                 {} presolve action(s) audited",
-                stats.certified_probes, stats.certificate_leaves, stats.certificate_actions
+                "{certified} probe(s) certified exactly: {leaves} branch-and-bound leaves \
+                 re-proved, {actions} presolve action(s) audited"
             ),
         );
     }
@@ -795,6 +760,30 @@ mod tests {
                 .any(|d| d.message.contains("cover uses 2 path(s)")),
             "expected a two-path certified cover: {diags:?}"
         );
+    }
+
+    #[test]
+    fn every_emitted_check_is_listed() {
+        // The chips `fpva-lint` audits, through every pass it runs
+        // (`certify` on the smallest chip only: it solves MILPs).
+        let mut chips: Vec<(&str, Fpva)> = layouts::table1()
+            .into_iter()
+            .map(|e| (e.name, e.fpva))
+            .collect();
+        chips.extend(example_chips());
+        let mut diags = certify_models(
+            "full_2x2",
+            &layouts::full_array(2, 2),
+            Duration::from_secs(60),
+        );
+        for (name, fpva) in &chips {
+            diags.extend(lint_chip(name, fpva));
+            diags.extend(lint_paths(name, fpva));
+            diags.extend(lint_model(name, fpva, ilp_model::min_cover_paths(fpva)));
+        }
+        for d in &diags {
+            assert!(CHECKS.contains(&d.check), "unlisted check in {d}");
+        }
     }
 
     #[test]

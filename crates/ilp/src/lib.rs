@@ -15,6 +15,14 @@
 //!   search, most-fractional branching, integral-objective ceiling bounds,
 //!   warm-start incumbents, node/time limits.
 //!
+//! # Branching rule
+//!
+//! Every node branches on its most fractional integer variable (largest
+//! distance of the LP value `v` to the nearest integer; the lowest index
+//! wins ties) and explores the side `v` leans to first: the up child
+//! `x ≥ ⌊v⌋ + 1` when `v − ⌊v⌋ > 0.5`, the down child `x ≤ ⌊v⌋`
+//! otherwise. This is the only search order the driver has.
+//!
 //! # Presolve / postsolve architecture
 //!
 //! [`presolve()`] sits between [`Model`] construction and
@@ -46,39 +54,6 @@
 //! unchanged by the whole layer. [`numerics_report`] shares the same
 //! static machinery to flag tiny/huge coefficients and near-parallel
 //! rows before a solve is attempted.
-//!
-//! # Static analysis: conflict graph, probing, orbits
-//!
-//! Between presolve and the tree sits a second static pass,
-//! [`analyze`](mod@analyze), run once on the model the tree will search
-//! (the reduced model when presolve ran). Unlike presolve it never
-//! rewrites the model — it extracts facts:
-//!
-//! * a **conflict graph** over the binaries, built structurally from
-//!   set-packing/GUB-shaped rows (clique detection per row, with a
-//!   clique table) and extended by probing implications; the conflict
-//!   *degree* weights branching towards entangled variables,
-//! * **root probing**: each binary is tentatively fixed to 0 and 1 and
-//!   the presolve interval propagator is run — a side that propagates to
-//!   an empty domain fixes the variable to the other value before the
-//!   root LP; two live sides yield implications and (outside certify
-//!   mode) union-lifted bounds,
-//! * **symmetry orbits**: callers pass signed variable permutations
-//!   ([`MilpOptions::symmetry`]); each is *structurally verified* by
-//!   [`analyze::verify_automorphism`] against the searched model (so a
-//!   wrong claim is dropped, never trusted — presolve may legitimately
-//!   break a symmetry of the original model), then closed into orbits of
-//!   interchangeable binaries. Branching prefers orbit representatives,
-//!   and probing fixings propagate to orbit mates.
-//!
-//! In certify mode every solution-changing deduction must remain
-//! auditable: probing fixings are logged into the certificate
-//! ([`certify::MilpCertificate::analysis`]) and re-derived by
-//! [`certify_outcome`] with exact rational interval propagation, while
-//! lifted bounds and orbit-propagated fixings are disabled (orbit mates
-//! are simply probed individually, so their fixings arrive logged too).
-//! Orbit-aware *branching order* stays active — a branching choice can
-//! never invalidate a proof.
 //!
 //! # Revised-simplex architecture
 //!
@@ -268,7 +243,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod analyze;
 pub mod bigrat;
 mod branch_bound;
 pub mod certify;
@@ -284,7 +258,6 @@ pub mod simplex;
 mod solution;
 pub mod sparse;
 
-pub use analyze::{Analysis, AnalysisStats, AnalyzeOptions, ProbeFixing, SignedPerm};
 pub use bigrat::BigRat;
 pub use branch_bound::{MilpOptions, MilpSolver};
 pub use certify::{certify_lp, certify_outcome, CertifyError, CertifySummary, MilpCertificate};

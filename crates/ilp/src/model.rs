@@ -168,18 +168,6 @@ impl Model {
         self.constraints.len()
     }
 
-    /// The [`VarId`] of the variable at dense `index` — the bridge back
-    /// from the raw indices reported by analysis results (conflict
-    /// edges, orbits) to the typed handle the accessors take.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= self.var_count()`.
-    pub fn var_id(&self, index: usize) -> VarId {
-        assert!(index < self.vars.len(), "variable index out of range");
-        VarId(index)
-    }
-
     /// Kind of a variable.
     ///
     /// # Panics

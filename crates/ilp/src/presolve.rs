@@ -105,13 +105,6 @@ pub struct Postsolve {
 }
 
 impl Postsolve {
-    /// Original-index → reduced-index map (`None` for eliminated
-    /// variables); used to push caller-supplied symmetry generators into
-    /// the reduced variable space before re-verification.
-    pub(crate) fn forward(&self) -> &[Option<usize>] {
-        &self.forward
-    }
-
     /// Number of variables in the original model.
     pub fn original_var_count(&self) -> usize {
         self.original_n

@@ -71,10 +71,6 @@ pub struct SolveStats {
     /// Nodes pruned by per-node propagation alone — their LP relaxation
     /// was never solved.
     pub propagation_prunes: usize,
-    /// Footprint of the root static-analysis pass (conflict graph,
-    /// probing, symmetry orbits); all zeros when analysis is disabled
-    /// via `MilpOptions::analyze`.
-    pub analysis: crate::analyze::AnalysisStats,
     /// Wall-clock time of the solve.
     pub elapsed: Duration,
     /// Best proven bound on the optimum (in the model's sense); equals the
