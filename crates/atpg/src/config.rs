@@ -13,19 +13,8 @@ pub enum PathEngine {
     Greedy,
     /// The paper's exact ILP (constraints (1)–(8)); practical for small
     /// arrays/subblocks. Falls back to [`PathEngine::Greedy`] when the
-    /// solver hits its limits.
+    /// solver hits its limits or extracts an invalid path.
     Ilp(PathIlpConfig),
-}
-
-/// Which cut-set engine [`crate::Atpg`] uses. Only one engine exists
-/// today; the enum keeps the configuration forward-compatible.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum CutEngine {
-    /// Straight dual-lattice lines with channel detours and targeted
-    /// fix-up cuts; reproduces Table I's `n_c`.
-    #[default]
-    StraightLines,
 }
 
 /// Full configuration of [`crate::Atpg`].
@@ -33,8 +22,6 @@ pub enum CutEngine {
 pub struct AtpgConfig {
     /// Flow-path engine.
     pub path_engine: PathEngine,
-    /// Cut-set engine.
-    pub cut_engine: CutEngine,
     /// Subblock edge length for the hierarchical engine. `None` derives
     /// the band height from the array dimensions
     /// ([`crate::hierarchy::HierarchyConfig::derived_block_size`]); the
@@ -53,7 +40,6 @@ impl Default for AtpgConfig {
     fn default() -> Self {
         AtpgConfig {
             path_engine: PathEngine::default(),
-            cut_engine: CutEngine::default(),
             block_size: None,
             leakage: true,
             seed: 0xDA7E_2017,

@@ -12,10 +12,11 @@
 //!   east boundary column to the sink;
 //! * one flow path per *column band*, mirrored.
 //!
-//! Bands whose serpentine is blocked (obstacles) or ends off the sink
-//! (partial bands of even width) are skipped, and a greedy fix-up stage
-//! covers whatever is left — the hierarchical trade-off the paper reports:
-//! a few more vectors than the direct model, far better scalability.
+//! Bands whose serpentine is blocked (obstacles), crosses a second source
+//! port's inlet or ends off the sink (partial bands of even width) are
+//! skipped, and a greedy fix-up stage covers whatever is left — the
+//! hierarchical trade-off the paper reports: a few more vectors than the
+//! direct model, far better scalability.
 
 use crate::cover::CoverageTracker;
 use crate::error::AtpgError;

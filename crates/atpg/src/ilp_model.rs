@@ -396,7 +396,10 @@ pub fn min_cover_paths(fpva: &Fpva) -> usize {
 ///
 /// * [`AtpgError::MissingPorts`] — no source or sink;
 /// * [`AtpgError::Solver`] — every probe up to
-///   [`PathIlpConfig::max_paths`] was infeasible or hit its limit.
+///   [`PathIlpConfig::max_paths`] was infeasible or hit its limit;
+/// * [`AtpgError::InvalidPath`] — an extracted path is not a valid flow
+///   path (constraints (1)–(8) allow a path through a second source
+///   port's inlet).
 pub fn min_path_cover_ilp(fpva: &Fpva, config: &PathIlpConfig) -> Result<PathCover, AtpgError> {
     min_path_cover_ilp_with_stats(fpva, config).0
 }

@@ -20,7 +20,7 @@
 //! keeps the extra-vector count in the order of the flow-path count, as in
 //! the paper's Table I (`n_l ≈ n_p`).
 
-use crate::connectivity::{endpoint_ports, reachable_from, sink_cells, source_cells, Router};
+use crate::connectivity::{endpoint_ports, Router};
 use crate::error::AtpgError;
 use crate::path::FlowPath;
 use fpva_grid::{EdgeId, Fpva, PortId, ValveId};
@@ -31,22 +31,14 @@ use std::collections::{HashMap, HashSet, VecDeque};
 /// Certifies that the ordered pair `(actuator, victim)` can never be
 /// exposed by any pressure-based vector: with the actuator's edge closed,
 /// no source→sink route can cross the victim's edge at all (the victim's
-/// behaviour is unobservable).
+/// behaviour is unobservable). This is the negation of the simulator's
+/// [`fpva_sim::campaign::leak_is_observable`].
 ///
 /// The canonical case is the two valves of a port-less corner cell: each
 /// is the only route to the other, so closing one hides the other. The
 /// paper's pressure-metering methodology cannot test such a pair either.
 pub fn pair_untestable(fpva: &Fpva, actuator: ValveId, victim: ValveId) -> bool {
-    let blocked: HashSet<EdgeId> = [fpva.edge_of(actuator), fpva.edge_of(victim)]
-        .into_iter()
-        .collect();
-    let from_sources = reachable_from(fpva, &source_cells(fpva), &blocked);
-    let from_sinks = reachable_from(fpva, &sink_cells(fpva), &blocked);
-    let (u, v) = fpva.edge_of(victim).endpoints();
-    let (ui, vi) = (fpva.cell_index(u), fpva.cell_index(v));
-    let forward = from_sources[ui] && from_sinks[vi];
-    let backward = from_sources[vi] && from_sinks[ui];
-    !(forward || backward)
+    !fpva_sim::campaign::leak_is_observable(fpva, actuator, victim)
 }
 
 /// Output of [`leakage_vectors`].
@@ -239,6 +231,37 @@ mod tests {
                 "({a},{b}) reported but not certified"
             );
         }
+    }
+
+    #[test]
+    fn untestable_pairs_are_those_no_route_crosses() {
+        // Reference: with both valves closed and all else open, a pair is
+        // untestable exactly when no source-side flood reaches one end of
+        // the victim while a sink-side flood reaches the other. Two
+        // floods per pair, so only the smaller chips.
+        use crate::connectivity::{reachable_from, sink_cells, source_cells};
+        let chips = [
+            layouts::table1_5x5(),
+            layouts::table1_10x10(),
+            layouts::custom_biochip(),
+        ];
+        let mut untestable = 0;
+        for f in &chips {
+            for (a, _) in f.valves() {
+                for b in f.valve_neighbors(a) {
+                    let blocked: HashSet<EdgeId> = [f.edge_of(a), f.edge_of(b)].into();
+                    let from_sources = reachable_from(f, &source_cells(f), &blocked);
+                    let from_sinks = reachable_from(f, &sink_cells(f), &blocked);
+                    let (u, v) = f.edge_of(b).endpoints();
+                    let (u, v) = (f.cell_index(u), f.cell_index(v));
+                    let crossed =
+                        (from_sources[u] && from_sinks[v]) || (from_sources[v] && from_sinks[u]);
+                    assert_eq!(pair_untestable(f, a, b), !crossed, "({a},{b})");
+                    untestable += usize::from(!crossed);
+                }
+            }
+        }
+        assert_eq!(untestable, 10);
     }
 
     #[test]

@@ -59,7 +59,7 @@ pub mod leakage;
 mod path;
 mod plan;
 
-pub use config::{AtpgConfig, CutEngine, PathEngine};
+pub use config::{AtpgConfig, PathEngine};
 pub use cover::CoverageTracker;
 pub use cutset::CutSet;
 pub use error::AtpgError;

@@ -30,8 +30,9 @@ impl FlowPath {
     /// Returns [`AtpgError::InvalidPath`] unless all of the following hold:
     /// the cell list is non-empty and free of repetitions; the first cell
     /// carries source port `source` and the last carries sink port `sink`;
-    /// consecutive cells are orthogonally adjacent; and no traversed edge
-    /// is a wall.
+    /// consecutive cells are orthogonally adjacent; no traversed edge is a
+    /// wall; every open component (channel) is visited in one contiguous
+    /// run; and no component after the first holds a source port.
     pub fn new(
         fpva: &Fpva,
         source: PortId,
@@ -92,6 +93,19 @@ impl FlowPath {
             return Err(invalid(
                 "path re-enters a transportation channel, creating a pressure bypass loop".into(),
             ));
+        }
+        // A second pressure inlet feeds everything downstream of it on its
+        // own, masking the valves upstream, so no component after the
+        // first may hold a source port.
+        let comp = |c: CellId| comps[fpva.cell_index(c)];
+        let first = comp(cells[0]);
+        if let Some((inlet, _)) = fpva
+            .sources()
+            .find(|(_, p)| comp(p.cell) != first && cells.iter().any(|&c| comp(c) == comp(p.cell)))
+        {
+            return Err(invalid(format!(
+                "path passes source port {inlet}, a second inlet that masks the valves upstream"
+            )));
         }
         Ok(FlowPath {
             source,
@@ -266,6 +280,26 @@ mod tests {
         assert_eq!(p.len(), 1);
         assert!(p.valves(&f).is_empty());
         assert!(!p.is_empty());
+    }
+
+    #[test]
+    fn rejects_a_second_source_mid_path() {
+        // A 1x4 pipeline with a second source on (0,2): pressure entering
+        // there reaches the sink on its own and masks the first two valves.
+        let f = FpvaBuilder::new(1, 4)
+            .port(0, 0, Side::West, fpva_grid::PortKind::Source)
+            .port(0, 2, Side::North, fpva_grid::PortKind::Source)
+            .port(0, 3, Side::East, fpva_grid::PortKind::Sink)
+            .build()
+            .unwrap();
+        let mut sources = f.sources().map(|(id, _)| id);
+        let (first, second) = (sources.next().unwrap(), sources.next().unwrap());
+        let snk = f.sinks().next().unwrap().0;
+        let err =
+            FlowPath::new(&f, first, snk, cells(&[(0, 0), (0, 1), (0, 2), (0, 3)])).unwrap_err();
+        assert!(matches!(err, AtpgError::InvalidPath { .. }));
+        // The same pipe from the second inlet on is a valid path.
+        FlowPath::new(&f, second, snk, cells(&[(0, 2), (0, 3)])).unwrap();
     }
 
     #[test]

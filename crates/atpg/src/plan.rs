@@ -1,6 +1,6 @@
 //! End-to-end test-plan generation: the paper's "Outputs".
 
-use crate::config::{AtpgConfig, CutEngine, PathEngine};
+use crate::config::{AtpgConfig, PathEngine};
 use crate::cutset::{cut_cover, CutSet};
 use crate::error::AtpgError;
 use crate::heuristic::{greedy_cover, PathCover};
@@ -144,7 +144,9 @@ impl Atpg {
             PathEngine::Greedy => Ok((greedy_cover(fpva, self.config.seed)?, "greedy")),
             PathEngine::Ilp(ilp_config) => match min_path_cover_ilp(fpva, ilp_config) {
                 Ok(cover) => Ok((cover, "ilp")),
-                Err(AtpgError::Solver { .. }) => Ok((
+                // Constraints (1)–(8) do not forbid a path through a
+                // second inlet, so an extracted path may be invalid.
+                Err(AtpgError::Solver { .. } | AtpgError::InvalidPath { .. }) => Ok((
                     greedy_cover(fpva, self.config.seed)?,
                     "greedy (ilp fallback)",
                 )),
@@ -172,7 +174,6 @@ impl Atpg {
         stats.path_engine_used = engine;
 
         let t0 = Instant::now();
-        debug_assert_eq!(self.config.cut_engine, CutEngine::StraightLines);
         let cut = cut_cover(fpva)?;
         stats.t_cuts = t0.elapsed();
 
@@ -263,6 +264,24 @@ mod tests {
         let plan = Atpg::with_config(config).generate(&f).unwrap();
         assert!(plan.stats().path_engine_used.starts_with("ilp"));
         assert!(plan.untestable_open().is_empty());
+    }
+
+    #[test]
+    fn ilp_engine_falls_back_when_a_path_crosses_a_second_inlet() {
+        use fpva_grid::{FpvaBuilder, PortKind, Side};
+        let f = FpvaBuilder::new(2, 3)
+            .port(0, 0, Side::West, PortKind::Source)
+            .port(1, 0, Side::West, PortKind::Source)
+            .port(1, 2, Side::East, PortKind::Sink)
+            .build()
+            .unwrap();
+        let config = AtpgConfig {
+            path_engine: PathEngine::Ilp(PathIlpConfig::default()),
+            leakage: false,
+            ..Default::default()
+        };
+        let plan = Atpg::with_config(config).generate(&f).unwrap();
+        assert_eq!(plan.stats().path_engine_used, "greedy (ilp fallback)");
     }
 
     #[test]

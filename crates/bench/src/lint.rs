@@ -540,9 +540,8 @@ pub fn certify_models(name: &str, fpva: &Fpva, probe_budget: Duration) -> Vec<Di
                         "certify",
                         format!(
                             "k={k} (below the structural lower bound {lb}) proven \
-                             infeasible; proof re-verified exactly ({} leaves, \
-                             {} presolve action(s))",
-                            summary.leaves, summary.actions
+                             infeasible; proof re-verified exactly ({} leaves)",
+                            summary.leaves
                         ),
                     ),
                     Err(e) => push(
@@ -585,13 +584,12 @@ pub fn certify_models(name: &str, fpva: &Fpva, probe_budget: Duration) -> Vec<Di
         max_paths: lb + 1,
     };
     let (cover, probes) = ilp_model::min_path_cover_ilp_with_stats(fpva, &config);
-    let (mut certified, mut leaves, mut actions) = (0, 0, 0);
+    let (mut certified, mut leaves) = (0, 0);
     for probe in &probes {
         match &probe.certify {
             Some(Ok(summary)) => {
                 certified += 1;
                 leaves += summary.leaves;
-                actions += summary.actions;
             }
             Some(Err(e)) => push(
                 Severity::Error,
@@ -610,7 +608,7 @@ pub fn certify_models(name: &str, fpva: &Fpva, probe_budget: Duration) -> Vec<Di
             "certify",
             format!(
                 "{certified} probe(s) certified exactly: {leaves} branch-and-bound leaves \
-                 re-proved, {actions} presolve action(s) audited"
+                 re-proved"
             ),
         );
     }

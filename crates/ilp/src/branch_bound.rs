@@ -9,6 +9,9 @@ use crate::solution::{MilpOutcome, Solution, SolveStats, SolveStatus};
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 
+/// A value is considered integral when within this distance of an integer.
+const INTEGER_TOL: f64 = 1e-6;
+
 /// Tuning knobs for [`MilpSolver`].
 #[derive(Debug, Clone)]
 pub struct MilpOptions {
@@ -17,9 +20,6 @@ pub struct MilpOptions {
     pub time_limit: Option<Duration>,
     /// Abort after this many branch-and-bound nodes.
     pub node_limit: Option<usize>,
-    /// A value is considered integral when within this distance of an
-    /// integer.
-    pub integer_tol: f64,
     /// Known objective value of some feasible solution (in the model's
     /// sense). Used as an initial cutoff; the solution itself is *not*
     /// reconstructed — supply it for pruning when a heuristic already
@@ -34,15 +34,15 @@ pub struct MilpOptions {
     /// are re-propagated at every node, and reported solutions are
     /// mapped back through the postsolve record. Disable to solve the
     /// model exactly as written (used by differential harnesses).
+    /// Certificate mode ignores it and never presolves.
     pub presolve: bool,
     /// Record a proof log ([`MilpCertificate`]) of the run into
     /// [`MilpOutcome::certificate`], re-verifiable in exact arithmetic by
-    /// [`crate::certify::certify_outcome`]. Certificate mode keeps every
-    /// pruning decision provable: per-node bound propagation is disabled
-    /// (its tightenings are unproved deductions), and verdicts presolve
-    /// certifies on its own are re-proved by branch-and-bound on the
-    /// original model. Off by default — proof logging costs memory
-    /// (duals per leaf) and some speed.
+    /// [`crate::certify::certify_outcome`]. Certificate mode searches the
+    /// model exactly as written — no presolve and no per-node bound
+    /// propagation — so every leaf proof holds under the caller's own
+    /// rows and bounds plus branch decisions. Off by default — proof
+    /// logging costs memory (duals per leaf) and some speed.
     pub certificate: bool,
 }
 
@@ -51,7 +51,6 @@ impl Default for MilpOptions {
         MilpOptions {
             time_limit: None,
             node_limit: Some(2_000_000),
-            integer_tol: 1e-6,
             initial_incumbent: None,
             stop_at_first: false,
             presolve: true,
@@ -127,7 +126,9 @@ impl MilpSolver {
     pub fn solve(&self, model: &Model) -> Result<MilpOutcome, IlpError> {
         model.validate()?;
         let start = Instant::now();
-        if !self.options.presolve {
+        // Certificate mode searches the model as written, so its tree is
+        // a complete proof about the caller's model.
+        if !self.options.presolve || self.options.certificate {
             return Ok(self.branch_and_bound(model, model, None, PresolveStats::default(), start));
         }
         // Static presolve first: it may certify a terminal verdict (a
@@ -148,19 +149,6 @@ impl MilpSolver {
             best_bound,
             ..SolveStats::default()
         };
-        // In certificate mode a verdict presolve certifies on its own
-        // (pure interval arithmetic) is re-proved by branch-and-bound on
-        // the *original* model: the resulting tree proof needs no
-        // reduced-model equivalence argument, so `certify_outcome` can
-        // check it exactly.
-        if self.options.certificate
-            && matches!(
-                pre.outcome,
-                PresolveOutcome::Infeasible { .. } | PresolveOutcome::Solved(_)
-            )
-        {
-            return Ok(self.branch_and_bound(model, model, None, pstats, start));
-        }
         match pre.outcome {
             PresolveOutcome::Infeasible { .. } => Ok(MilpOutcome {
                 status: SolveStatus::Infeasible,
@@ -217,14 +205,11 @@ impl MilpSolver {
             .map(|v| matches!(v.kind, VarKind::Integer | VarKind::Binary))
             .collect();
         let integral_objective = model.objective_is_integral();
-        let tol = self.options.integer_tol;
         let cert_on = self.options.certificate;
-        // Per-node integer bound propagation only runs when presolve is
-        // on: it is the "reapply the bound-tightening reductions at every
-        // node" half of the presolve design. Certificate mode disables it
-        // — a propagated bound is an unproved deduction, and leaf proofs
-        // must hold under root bounds plus branch decisions alone.
-        let propagator = (postsolve.is_some() && !cert_on).then(|| Propagator::new(model));
+        // Per-node integer bound propagation only runs on a presolved
+        // model, which certificate mode never searches: leaf proofs must
+        // hold under root bounds plus branch decisions alone.
+        let propagator = postsolve.map(|_| Propagator::new(model));
         // Proof log: one NodeCert per branch-and-bound node, root first.
         let mut tree: Vec<NodeCert> = Vec::new();
         if cert_on {
@@ -398,7 +383,7 @@ impl MilpSolver {
                 }
                 let v = sol.x[j];
                 let dist = (v - v.round()).abs();
-                if dist > tol && branch.is_none_or(|(_, _, bd)| dist > bd) {
+                if dist > INTEGER_TOL && branch.is_none_or(|(_, _, bd)| dist > bd) {
                     branch = Some((j, v, dist));
                 }
             }
@@ -490,10 +475,8 @@ impl MilpSolver {
             (None, false) => SolveStatus::Unknown,
         };
         let certificate = cert_on.then(|| MilpCertificate {
-            reduced: model.clone(),
-            presolve: postsolve.map(Postsolve::certificate),
             tree: std::mem::take(&mut tree),
-            incumbent_reduced: incumbent.as_ref().map(|(_, v)| v.clone()),
+            incumbent: incumbent.as_ref().map(|(_, v)| v.clone()),
             initial_cutoff: self
                 .options
                 .initial_incumbent

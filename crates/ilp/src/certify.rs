@@ -20,22 +20,14 @@
 //!   incumbent, an integral LP optimum, or an empty variable domain),
 //!   every internal node records its integer split, and the checker
 //!   replays the tree from the root to confirm the leaves partition the
-//!   search box. The incumbent is re-lifted through the certificate's
-//!   presolve action list and re-checked against the **original** model.
+//!   search box. The incumbent is re-checked against the model exactly.
 //!
+//! Certificate mode never presolves: the tree runs on the caller's model,
+//! so every leaf's multipliers index that model's rows and a passing
+//! certificate is a complete proof about the model it is checked against.
 //! All arithmetic runs on [`BigRat`] — every finite `f64` converts
 //! losslessly — so a passing certificate is a machine-checked proof up to
 //! the explicitly declared tolerances (`1e-6`, scaled by row norms).
-//!
-//! **Trust boundary.** Leaf and incumbent certificates are re-proved from
-//! scratch. Presolve reductions are *audited* (actions must respect the
-//! original bounds, integrality and variable mapping, and the incumbent
-//! must survive an independent replay of the action list) but their
-//! deductions are not re-derived; the equivalence of the reduced model to
-//! the original rests on the presolve implementation. When presolve
-//! certifies a terminal verdict itself, the solver in certificate mode
-//! re-proves that verdict by branch-and-bound on the *original* model, so
-//! terminal `Infeasible`/`Optimal` answers always carry a full tree proof.
 
 use crate::bigrat::BigRat;
 use crate::model::{ConstraintOp, Model, Sense, VarKind};
@@ -45,68 +37,23 @@ use std::fmt;
 
 /// Base feasibility/gap tolerance; row checks scale it by `1 + Σ|aᵢⱼ|`.
 const TOL: f64 = 1e-6;
-/// Tolerance for comparing the replayed postsolve against the reported
-/// incumbent (pure `f64` replay of identical operations).
-const REPLAY_TOL: f64 = 1e-9;
 
 // ---------------------------------------------------------------------------
 // Certificate data
 // ---------------------------------------------------------------------------
-
-/// One recorded presolve reduction, mirroring the internal action stack of
-/// [`mod@crate::presolve`] for certification.
-#[derive(Debug, Clone, PartialEq)]
-pub enum PresolveAction {
-    /// Variable `var` (original index) was fixed to `value`.
-    Fix {
-        /// Original-model variable index.
-        var: usize,
-        /// The fixed value.
-        value: f64,
-    },
-    /// Variable `var` was substituted out of the equality
-    /// `coeff·var + Σ terms = rhs`; restored as
-    /// `clamp((rhs − Σ aᵢxᵢ)/coeff, lb, ub)`.
-    Substitute {
-        /// Original-model variable index.
-        var: usize,
-        /// Coefficient of `var` in the defining row (non-zero).
-        coeff: f64,
-        /// Right-hand side of the defining row.
-        rhs: f64,
-        /// Other `(variable, coefficient)` terms of the defining row.
-        terms: Vec<(usize, f64)>,
-        /// Lower clamp bound (the variable's bounds when substituted).
-        lb: f64,
-        /// Upper clamp bound.
-        ub: f64,
-    },
-}
-
-/// The presolve half of a [`MilpCertificate`]: the reduction action list
-/// plus the original→reduced variable mapping.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PresolveCertificate {
-    /// Variable count of the original model.
-    pub original_vars: usize,
-    /// Original index → reduced index (`None` when eliminated).
-    pub forward: Vec<Option<usize>>,
-    /// Reduction actions in the order presolve applied them.
-    pub actions: Vec<PresolveAction>,
-}
 
 /// The proof artifact attached to one branch-and-bound leaf.
 #[derive(Debug, Clone, PartialEq)]
 pub enum LeafCert {
     /// The node's variable box is empty: `lower[var] > upper[var]`.
     EmptyBox {
-        /// Reduced-model variable with an empty domain.
+        /// The variable with an empty domain.
         var: usize,
     },
     /// The node's LP relaxation is infeasible; `farkas` are row
     /// multipliers whose aggregated row no point in the box satisfies.
     Infeasible {
-        /// Farkas row multipliers (one per reduced-model constraint).
+        /// Farkas row multipliers (one per model constraint).
         farkas: Vec<f64>,
     },
     /// The node was pruned: the dual bound from `duals` dominates the
@@ -122,8 +69,7 @@ pub enum LeafCert {
     },
     /// The node's LP optimum was integral (an incumbent candidate).
     Integral {
-        /// The integral LP optimum (reduced-model variables, integer
-        /// variables rounded).
+        /// The integral LP optimum (integer variables rounded).
         x: Vec<f64>,
         /// Simplex multipliers of the node's optimal basis; they bound
         /// the whole subtree at `x`'s objective.
@@ -151,16 +97,10 @@ pub struct NodeCert {
 /// is enabled.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MilpCertificate {
-    /// The model the tree ran on: the presolve-reduced model, or a copy
-    /// of the original when presolve did not reduce (or was disabled).
-    pub reduced: Model,
-    /// Presolve reduction record (`None` when the tree ran on the
-    /// original model).
-    pub presolve: Option<PresolveCertificate>,
     /// The branching tree; index 0 is the root.
     pub tree: Vec<NodeCert>,
-    /// The final incumbent in reduced-model variable space.
-    pub incumbent_reduced: Option<Vec<f64>>,
+    /// The final incumbent.
+    pub incumbent: Option<Vec<f64>>,
     /// Internal minimisation-form cutoff derived from
     /// [`crate::MilpOptions::initial_incumbent`], if one was supplied.
     pub initial_cutoff: Option<f64>,
@@ -177,22 +117,19 @@ pub struct CertifySummary {
     pub nodes: usize,
     /// Leaf certificates re-proved in exact arithmetic.
     pub leaves: usize,
-    /// Presolve actions audited.
-    pub actions: usize,
 }
 
 // ---------------------------------------------------------------------------
 // Errors
 // ---------------------------------------------------------------------------
 
-/// Why a certificate was rejected, naming the violated row, bound, leaf
-/// or presolve action.
+/// Why a certificate was rejected, naming the violated row, bound or leaf.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CertifyError {
     /// The outcome carries no certificate to check.
     MissingCertificate,
     /// The certificate's shape does not match its claim (wrong vector
-    /// lengths, missing incumbent, reduced model mismatch, …).
+    /// lengths, missing incumbent, …).
     Malformed {
         /// What is inconsistent.
         detail: String,
@@ -204,8 +141,7 @@ pub enum CertifyError {
     },
     /// A claimed-feasible point violates a constraint row.
     RowViolation {
-        /// Tree node of the offending point (`None`: the incumbent
-        /// against the original model).
+        /// Tree node of the offending point (`None`: the incumbent).
         leaf: Option<usize>,
         /// Violated row index.
         row: usize,
@@ -275,19 +211,11 @@ pub enum CertifyError {
         /// What is wrong.
         detail: String,
     },
-    /// A presolve action is inconsistent with the original model.
-    Presolve {
-        /// Index into the action list (`None`: the variable mapping).
-        index: Option<usize>,
-        /// What is wrong.
-        detail: String,
-    },
-    /// Replaying the certificate's presolve actions over the reduced
-    /// incumbent disagrees with the reported solution.
+    /// The certificate's incumbent differs from the reported solution.
     IncumbentMismatch {
-        /// First disagreeing original-model variable.
+        /// First disagreeing variable.
         var: usize,
-        /// Replayed vs reported value.
+        /// Certificate vs reported value.
         detail: String,
     },
     /// Optimality/infeasibility is claimed but the tree is incomplete
@@ -343,12 +271,8 @@ impl fmt::Display for CertifyError {
             CertifyError::TreeMalformed { node, detail } => {
                 write!(f, "branching tree invalid at node {node}: {detail}")
             }
-            CertifyError::Presolve { index, detail } => match index {
-                Some(i) => write!(f, "presolve action {i} rejected: {detail}"),
-                None => write!(f, "presolve record rejected: {detail}"),
-            },
             CertifyError::IncumbentMismatch { var, detail } => {
-                write!(f, "postsolve replay disagrees at variable {var}: {detail}")
+                write!(f, "incumbent disagrees at variable {var}: {detail}")
             }
             CertifyError::Incomplete => {
                 write!(f, "terminal verdict claimed on an incomplete tree")
@@ -706,14 +630,14 @@ pub fn certify_lp(
 // MILP certification
 // ---------------------------------------------------------------------------
 
-/// Re-verifies a branch-and-bound outcome's certificate against the
-/// **original** model in exact rational arithmetic.
+/// Re-verifies a branch-and-bound outcome's certificate against `model`,
+/// the model that was solved, in exact rational arithmetic.
 ///
 /// What is proved depends on [`MilpOutcome::status`]:
 ///
-/// * [`SolveStatus::Optimal`] — the incumbent is feasible in the original
-///   model with the claimed objective, and the complete branching tree
-///   shows no better solution of the reduced model exists.
+/// * [`SolveStatus::Optimal`] — the incumbent is feasible in the model
+///   with the claimed objective, and the complete branching tree shows no
+///   better solution exists.
 /// * [`SolveStatus::Infeasible`] — every leaf of the complete tree is an
 ///   exact infeasibility (or dominated-bound, under an initial cutoff)
 ///   proof.
@@ -723,9 +647,9 @@ pub fn certify_lp(
 /// # Errors
 ///
 /// Returns the first [`CertifyError`] encountered, naming the violated
-/// row, bound, leaf or presolve action.
+/// row, bound or leaf.
 pub fn certify_outcome(
-    original: &Model,
+    model: &Model,
     outcome: &MilpOutcome,
 ) -> Result<CertifySummary, CertifyError> {
     let cert = outcome
@@ -744,63 +668,36 @@ pub fn certify_outcome(
         nodes: cert.tree.len(),
         ..CertifySummary::default()
     };
+    let rm = RatModel::build(model)?;
+    let (base_lower, base_upper) = model_bounds(model);
 
-    // Presolve audit: mapping + per-action consistency with the original.
-    if let Some(p) = &cert.presolve {
-        summary.actions = p.actions.len();
-        audit_presolve(original, &cert.reduced, p)?;
-    } else if cert.reduced != *original {
-        return Err(CertifyError::Malformed {
-            detail: "no presolve record, but the tree model differs from the original".to_string(),
-        });
-    }
-
-    let reduced_rm = RatModel::build(&cert.reduced)?;
-    let (base_lower, base_upper) = model_bounds(&cert.reduced);
-
-    // Incumbent: replay the postsolve, then re-check everything exactly
-    // against the original model.
+    // Incumbent: the certificate's point must be the reported solution,
+    // feasible with the reported objective — exactly.
     let mut incumbent_internal: Option<BigRat> = None;
-    match (&outcome.best, &cert.incumbent_reduced) {
-        (Some(best), Some(reduced_x)) => {
-            reduced_rm.primal_check(&base_lower, &base_upper, reduced_x, true, None)?;
-            incumbent_internal = Some(reduced_rm.internal_objective(reduced_x)?);
-            let replayed = replay_restore(cert.presolve.as_ref(), original.var_count(), reduced_x)?;
-            if replayed.len() != best.values().len() {
+    match (&outcome.best, &cert.incumbent) {
+        (Some(best), Some(x)) => {
+            rm.primal_check(&base_lower, &base_upper, x, true, None)?;
+            incumbent_internal = Some(rm.internal_objective(x)?);
+            if best.values().len() != x.len() {
                 return Err(CertifyError::Malformed {
-                    detail: "restored incumbent length mismatch".to_string(),
+                    detail: "reported solution length mismatch".to_string(),
                 });
             }
-            for (v, (a, b)) in replayed.iter().zip(best.values()).enumerate() {
-                // NaN-safe: an incomparable (NaN) difference must also reject.
-                let within = matches!(
-                    (a - b).abs().partial_cmp(&REPLAY_TOL),
-                    Some(std::cmp::Ordering::Less | std::cmp::Ordering::Equal)
-                );
-                if !within {
-                    return Err(CertifyError::IncumbentMismatch {
-                        var: v,
-                        detail: format!("replayed {a} vs reported {b}"),
-                    });
-                }
+            if let Some(v) = (0..x.len()).find(|&v| x[v] != best.values()[v]) {
+                return Err(CertifyError::IncumbentMismatch {
+                    var: v,
+                    detail: format!("certificate {} vs reported {}", x[v], best.values()[v]),
+                });
             }
-            let original_rm = RatModel::build(original)?;
-            original_rm.primal_check(
-                &model_bounds(original).0,
-                &model_bounds(original).1,
-                best.values(),
-                true,
-                None,
-            )?;
-            // Exact original-model objective vs the reported value.
-            let mut obj = rat(original.objective().constant(), || {
+            // Exact objective, constant included, vs the reported value.
+            let mut obj = rat(model.objective().constant(), || {
                 "objective constant".to_string()
             })?;
             let mut scale = BigRat::one();
-            for (v, c) in original.objective().terms() {
+            for (v, c) in model.objective().terms() {
                 let c = rat(c, || format!("objective coefficient of {v}"))?;
                 scale = &scale + &c.abs();
-                obj = &obj + &(&c * &rat(best.values()[v.index()], || format!("value of {v}"))?);
+                obj = &obj + &(&c * &rat(x[v.index()], || format!("value of {v}"))?);
             }
             let otol = &rat(TOL, || "tolerance".to_string())? * &scale;
             let claimed = rat(best.objective, || "reported objective".to_string())?;
@@ -853,7 +750,7 @@ pub fn certify_outcome(
             },
         };
         summary.leaves = walk_tree(
-            &reduced_rm,
+            &rm,
             &base_lower,
             &base_upper,
             &cert.tree,
@@ -867,190 +764,6 @@ fn model_bounds(model: &Model) -> (Vec<f64>, Vec<f64>) {
     (0..model.var_count())
         .map(|j| model.var_bounds(crate::expr::VarId(j)))
         .unzip()
-}
-
-/// Audits the presolve record against the original model: the forward
-/// mapping must be an injection onto the reduced variables preserving
-/// integrality and only tightening bounds, and every action must respect
-/// the original bounds and kinds.
-fn audit_presolve(
-    original: &Model,
-    reduced: &Model,
-    p: &PresolveCertificate,
-) -> Result<(), CertifyError> {
-    let n = original.var_count();
-    if p.original_vars != n || p.forward.len() != n {
-        return Err(CertifyError::Presolve {
-            index: None,
-            detail: format!(
-                "mapping covers {} variables, original has {n}",
-                p.forward.len()
-            ),
-        });
-    }
-    let rn = reduced.var_count();
-    let mut seen = vec![false; rn];
-    let mut kept = 0usize;
-    for (o, fwd) in p.forward.iter().enumerate() {
-        let Some(r) = fwd else { continue };
-        if *r >= rn || seen[*r] {
-            return Err(CertifyError::Presolve {
-                index: None,
-                detail: format!("forward map sends variable {o} to invalid reduced slot {r}"),
-            });
-        }
-        seen[*r] = true;
-        kept += 1;
-        let oid = crate::expr::VarId(o);
-        let rid = crate::expr::VarId(*r);
-        let o_int = matches!(original.var_kind(oid), VarKind::Integer | VarKind::Binary);
-        let r_int = matches!(reduced.var_kind(rid), VarKind::Integer | VarKind::Binary);
-        if o_int != r_int {
-            return Err(CertifyError::Presolve {
-                index: None,
-                detail: format!("variable {o} changes integrality in the reduced model"),
-            });
-        }
-        let (olb, oub) = original.var_bounds(oid);
-        let (rlb, rub) = reduced.var_bounds(rid);
-        if rlb < olb - TOL || rub > oub + TOL {
-            return Err(CertifyError::Presolve {
-                index: None,
-                detail: format!(
-                    "reduced bounds [{rlb}, {rub}] of variable {o} loosen original [{olb}, {oub}]"
-                ),
-            });
-        }
-    }
-    if kept != rn {
-        return Err(CertifyError::Presolve {
-            index: None,
-            detail: format!("forward map keeps {kept} variables, reduced model has {rn}"),
-        });
-    }
-    for (i, action) in p.actions.iter().enumerate() {
-        let reject = |detail: String| CertifyError::Presolve {
-            index: Some(i),
-            detail,
-        };
-        match action {
-            PresolveAction::Fix { var, value } => {
-                if *var >= n {
-                    return Err(reject(format!("fixes out-of-range variable {var}")));
-                }
-                if p.forward[*var].is_some() {
-                    return Err(reject(format!("fixes surviving variable {var}")));
-                }
-                if !value.is_finite() {
-                    return Err(reject(format!(
-                        "fixes variable {var} to non-finite {value}"
-                    )));
-                }
-                let vid = crate::expr::VarId(*var);
-                let (lb, ub) = original.var_bounds(vid);
-                if *value < lb - TOL || *value > ub + TOL {
-                    return Err(reject(format!(
-                        "fixes variable {var} to {value} outside its bounds [{lb}, {ub}]"
-                    )));
-                }
-                if matches!(original.var_kind(vid), VarKind::Integer | VarKind::Binary)
-                    && value.fract() != 0.0
-                {
-                    return Err(reject(format!(
-                        "fixes integer variable {var} to fractional {value}"
-                    )));
-                }
-            }
-            PresolveAction::Substitute {
-                var,
-                coeff,
-                rhs,
-                terms,
-                lb,
-                ub,
-            } => {
-                if *var >= n {
-                    return Err(reject(format!("substitutes out-of-range variable {var}")));
-                }
-                if p.forward[*var].is_some() {
-                    return Err(reject(format!("substitutes surviving variable {var}")));
-                }
-                if !coeff.is_finite() || *coeff == 0.0 {
-                    return Err(reject(format!(
-                        "substitution of variable {var} has unusable coefficient {coeff}"
-                    )));
-                }
-                if !rhs.is_finite() {
-                    return Err(reject(format!(
-                        "substitution of variable {var} has non-finite rhs"
-                    )));
-                }
-                for &(v, a) in terms {
-                    if v >= n || v == *var || !a.is_finite() {
-                        return Err(reject(format!(
-                            "substitution of variable {var} references invalid term ({v}, {a})"
-                        )));
-                    }
-                }
-                let (olb, oub) = original.var_bounds(crate::expr::VarId(*var));
-                if *lb < olb - TOL || *ub > oub + TOL || lb > ub {
-                    return Err(reject(format!(
-                        "substitution clamp [{lb}, {ub}] of variable {var} loosens [{olb}, {oub}]"
-                    )));
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Independently replays the certificate's postsolve record over the
-/// reduced incumbent — the same arithmetic as `Postsolve::restore`, but
-/// driven by the *certificate's* action list, so a corrupted action
-/// surfaces as a mismatch with the reported solution or as an original-
-/// model violation.
-fn replay_restore(
-    presolve: Option<&PresolveCertificate>,
-    original_n: usize,
-    reduced_x: &[f64],
-) -> Result<Vec<f64>, CertifyError> {
-    let Some(p) = presolve else {
-        return Ok(reduced_x.to_vec());
-    };
-    let mut full = vec![f64::NAN; original_n];
-    for (o, fwd) in p.forward.iter().enumerate() {
-        if let Some(r) = fwd {
-            let Some(&v) = reduced_x.get(*r) else {
-                return Err(CertifyError::Malformed {
-                    detail: "reduced incumbent shorter than the forward map".to_string(),
-                });
-            };
-            full[o] = v;
-        }
-    }
-    for action in p.actions.iter().rev() {
-        match action {
-            PresolveAction::Fix { var, value } => full[*var] = *value,
-            PresolveAction::Substitute {
-                var,
-                coeff,
-                rhs,
-                terms,
-                lb,
-                ub,
-            } => {
-                let rest: f64 = terms.iter().map(|&(v, a)| a * full[v]).sum();
-                full[*var] = ((rhs - rest) / coeff).clamp(*lb, *ub);
-            }
-        }
-    }
-    if let Some(v) = full.iter().position(|v| !v.is_finite()) {
-        return Err(CertifyError::IncumbentMismatch {
-            var: v,
-            detail: "replayed restoration leaves the variable undefined".to_string(),
-        });
-    }
-    Ok(full)
 }
 
 /// Replays the branching tree from the root, re-proving every leaf under
@@ -1366,8 +1079,8 @@ mod tests {
 
     #[test]
     fn milp_infeasible_certificate_verifies() {
-        // Presolve certifies this on its own; certificate mode must
-        // re-prove it with a tree on the original model.
+        // Presolve alone would certify this; certificate mode proves it
+        // with a tree on the model as written.
         let mut m = Model::new(Sense::Minimize);
         let x = m.binary_var("x");
         let y = m.binary_var("y");
@@ -1381,8 +1094,8 @@ mod tests {
 
     #[test]
     fn presolve_solved_model_is_reproved() {
-        // Presolve solves this outright; the certificate run must fall
-        // back to a real tree proof on the original model.
+        // Presolve alone would solve this outright; the certificate run
+        // proves it with a tree instead.
         let mut m = Model::new(Sense::Minimize);
         let x = m.binary_var("x");
         m.add_geq(LinExpr::from(x), 1.0);
@@ -1394,22 +1107,32 @@ mod tests {
     }
 
     #[test]
-    fn presolve_reduction_audited_through_postsolve() {
-        // A fixed variable (singleton row) plus a real binary core: the
-        // certificate carries a presolve record with at least one action.
+    fn leaf_multipliers_index_the_callers_rows() {
+        // Presolve would fix z and drop its singleton row, shrinking the
+        // model to one row; the proof must still speak about both rows.
         let mut m = Model::new(Sense::Maximize);
         let z = m.integer_var("z", 1.0, 1.0);
         let x = m.binary_var("x");
         let y = m.binary_var("y");
+        m.add_leq(LinExpr::from(z), 1.0);
         m.add_leq(2.0 * x + 2.0 * y + z, 4.0);
         m.set_objective(x + y + 3.0 * z);
         let out = certified().solve(&m).unwrap();
         assert_eq!(out.status, crate::SolveStatus::Optimal);
         let cert = out.certificate.as_ref().unwrap();
-        if let Some(p) = &cert.presolve {
-            assert!(!p.actions.is_empty() || p.forward.iter().all(Option::is_some));
+        let mut multipliers = 0;
+        for node in &cert.tree {
+            let mult = match &node.leaf {
+                Some(LeafCert::Infeasible { farkas }) => farkas,
+                Some(LeafCert::Bound { duals, .. } | LeafCert::Integral { duals, .. }) => duals,
+                Some(LeafCert::EmptyBox { .. }) | None => continue,
+            };
+            assert_eq!(mult.len(), m.constraint_count());
+            multipliers += 1;
         }
-        certify_outcome(&m, &out).unwrap();
+        assert!(multipliers >= 1);
+        let leaves = cert.tree.iter().filter(|n| n.leaf.is_some()).count();
+        assert_eq!(certify_outcome(&m, &out).unwrap().leaves, leaves);
     }
 
     #[test]

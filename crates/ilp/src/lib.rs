@@ -26,33 +26,30 @@
 //! # Presolve / postsolve architecture
 //!
 //! [`presolve()`] sits between [`Model`] construction and
-//! [`Model::to_sparse_lp`]. It runs row, duplicate and column sweeps to
-//! a fixpoint (bounded by a pass cap): empty and singleton rows become
-//! bound updates, redundant rows are dropped and forcing rows fix their
-//! whole support, duplicate rows merge to the tightest combination,
-//! implied-free zero-cost column singletons are substituted out, empty
-//! columns are fixed at their cheapest bound, and integer bounds are
-//! tightened by floor/ceil implied-bound propagation.
+//! [`Model::to_sparse_lp`]. It keeps only the reductions the path-cover
+//! models use: integer bounds are rounded inward and collapsed domains
+//! fixed, then a row sweep runs to a fixpoint (bounded by a pass cap) in
+//! which empty rows are checked and dropped, singleton rows become bound
+//! updates and forcing rows fix their whole support.
 //!
 //! Every deduction is pure interval arithmetic over the variable
-//! bounds, so a [`PresolveOutcome::Infeasible`] or
-//! [`PresolveOutcome::Unbounded`] outcome is a *certificate*, exactly
-//! like the simplex engine's audited verdicts — branch-and-bound can
-//! return it without ever factorizing a basis ([`SolveStats`] then
-//! reports zero nodes). Unboundedness is only certified once zero rows
-//! remain (the model is trivially feasible) and an improving direction
-//! is unbounded; anything subtler is left for the simplex to decide.
+//! bounds, so a [`PresolveOutcome::Infeasible`] outcome (a row whose
+//! activity range misses its rhs) is a *certificate* — branch-and-bound
+//! can return it without ever factorizing a basis ([`SolveStats`] then
+//! reports zero nodes). Once no rows remain, every variable moves to its
+//! cheapest bound: the model is [`PresolveOutcome::Solved`], or
+//! [`PresolveOutcome::Unbounded`] when an improving direction has no
+//! bound. Anything subtler is left for the simplex to decide.
 //!
-//! The reductions are recorded in a [`Postsolve`] action stack; applying
-//! it in reverse lifts any reduced-model solution back to the original
-//! variable space (`x = clamp((rhs − Σ aᵢ·xᵢ)/coeff, lb, ub)` for
-//! substitutions, the recorded value for fixings). [`MilpSolver`] runs
-//! presolve at the root by default ([`MilpOptions::presolve`] turns it
-//! off), re-applies integer implied-bound propagation per node before
-//! each LP, and restores incumbents through the postsolve record, so
-//! solver signatures, reported solutions and verdict semantics are
-//! unchanged by the whole layer. [`numerics_report`] shares the same
-//! static machinery to flag tiny/huge coefficients and near-parallel
+//! Presolve only fixes variables, so the [`Postsolve`] record is the list
+//! of fixed values, which lifts any reduced-model solution back to the
+//! original variable space. [`MilpSolver`] runs presolve at the root by
+//! default ([`MilpOptions::presolve`] turns it off), re-applies integer
+//! implied-bound propagation per node before each LP, and restores
+//! incumbents through the postsolve record, so solver signatures,
+//! reported solutions and verdict semantics are unchanged by the whole
+//! layer. Certificate mode never presolves (see below).
+//! [`numerics_report`] flags tiny/huge coefficients and near-parallel
 //! rows before a solve is attempted.
 //!
 //! # Revised-simplex architecture
@@ -194,26 +191,18 @@
 //! * **MILP level.** [`MilpOptions::certificate`] makes [`MilpSolver`]
 //!   record a [`certify::MilpCertificate`]: the full branching tree
 //!   (every leaf carrying a Farkas ray, a dominating dual bound, an
-//!   integral LP optimum or an empty domain), the reduced-space
-//!   incumbent, and presolve's reduction action list.
+//!   integral LP optimum or an empty domain) and the incumbent.
 //!   [`certify::certify_outcome`] replays the tree from the root,
-//!   re-proves every leaf under its accumulated bounds, audits the
-//!   presolve actions against the original model, independently replays
-//!   the postsolve over the incumbent and re-checks the restored point's
-//!   feasibility and objective against the **original** model — exactly.
-//!   Rejections are structured [`certify::CertifyError`]s naming the
-//!   violated row, bound, leaf or action.
+//!   re-proves every leaf under its accumulated bounds and re-checks the
+//!   incumbent's feasibility and objective — exactly. Rejections are
+//!   structured [`certify::CertifyError`]s naming the violated row, bound
+//!   or leaf.
 //!
-//! Certificate mode changes the search to keep proofs exact: per-node
-//! bound propagation is disabled (a tightened bound is an unproved
-//! deduction; leaf boxes must be root bounds plus branch decisions only),
-//! and when presolve itself certifies an `Infeasible`/`Solved` verdict
-//! the solver re-proves it by branch-and-bound on the *original* model so
-//! the tree proof needs no reduction equivalence argument. The remaining
-//! trust boundary is deliberate and documented: for *pruning* purposes
-//! the reduced model is audited (action-by-action consistency, mapping
-//! injectivity, bounds only tightened, incumbent replay) but presolve's
-//! interval deductions are not re-derived from first principles.
+//! Certificate mode searches the model exactly as written: it never
+//! presolves and disables per-node bound propagation, so leaf boxes are
+//! root bounds plus branch decisions only and every leaf's multipliers
+//! index the caller's rows. A certificate is therefore a complete proof
+//! about the model it is checked against; nothing is taken on trust.
 //!
 //! It is sized for the instances the paper's *hierarchical* flow produces
 //! (subblocks up to a few hundred variables); it is not a general-purpose

@@ -1,17 +1,18 @@
-//! Static presolve: a reduction-and-diagnostics pass over a [`Model`].
+//! Static presolve: a reduction pass over a [`Model`].
 //!
 //! [`presolve`] runs between model construction and
-//! [`Model::to_sparse_lp`]: it removes empty and singleton rows, fixed
-//! and empty columns, substitutes implied-free column singletons, merges
-//! duplicate rows, detects redundant and forcing rows by interval
-//! (activity) arithmetic, and certifies obvious infeasibility or
-//! unboundedness without ever factorizing a basis. Every deduction is a
-//! consequence of interval arithmetic over the variable bounds, so the
-//! certified verdicts remain proofs — exactly the property branch-and-
-//! bound relies on when it consumes `Infeasible`/`Optimal` outcomes.
+//! [`Model::to_sparse_lp`]. It keeps only the reductions the path-cover
+//! models use: integer bounds are rounded inward and collapsed domains
+//! fixed, empty rows are checked and dropped, singleton rows become
+//! bounds, and forcing rows (whose rhs is met only with every variable at
+//! the bound it contributes) fix their whole support. A row whose
+//! activity range misses its rhs certifies infeasibility without
+//! factorizing a basis. Every deduction is interval arithmetic over the
+//! variable bounds, so the certified verdicts are proofs.
 //!
-//! The [`Postsolve`] record maps any solution of the reduced model back
-//! to the original variable space, so solver signatures (and reported
+//! Presolve only ever fixes variables, so the [`Postsolve`] record is the
+//! list of fixed values: it maps any solution of the reduced model back
+//! to the original variable space, and solver signatures (and reported
 //! solutions) are unchanged by presolve.
 
 use crate::model::{ConstraintOp, Model, Sense, VarKind};
@@ -24,18 +25,15 @@ const FEAS_TOL: f64 = 1e-7;
 const INT_TOL: f64 = 1e-6;
 /// Two bounds closer than this collapse the variable to a fixed value.
 const FIX_TOL: f64 = 1e-9;
-/// Relative tolerance for treating two rows as exact scalar multiples.
-const DUP_TOL: f64 = 1e-12;
-/// Fixpoint pass cap — each pass is a full row + column sweep.
+/// Fixpoint pass cap — each pass is a full row sweep.
 const MAX_PASSES: usize = 10;
 
 /// Reduction counters accumulated by [`presolve`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PresolveStats {
-    /// Constraints eliminated (empty, singleton, redundant, forcing,
-    /// duplicate, or substituted away).
+    /// Constraints eliminated (empty, singleton or forcing).
     pub rows_removed: usize,
-    /// Variables eliminated (fixed or substituted out).
+    /// Variables fixed and eliminated.
     pub cols_removed: usize,
     /// Variable bounds strictly tightened.
     pub tightenings: usize,
@@ -43,7 +41,7 @@ pub struct PresolveStats {
     pub passes: usize,
 }
 
-/// Static numerics diagnostics for a model (also used by `fpva-lint`).
+/// Static numerics diagnostics for a model (used by `fpva-lint`).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct NumericsReport {
     /// Smallest non-zero |coefficient| in the constraint matrix.
@@ -78,77 +76,24 @@ pub enum PresolveOutcome {
     Unbounded,
 }
 
-/// A single undo step; applied in reverse order by [`Postsolve::restore`].
-#[derive(Debug, Clone)]
-enum Action {
-    /// `var` was fixed to `value`.
-    Fix { var: usize, value: f64 },
-    /// `var` was substituted out of row `coeff·var + Σ terms = / ≤ / ≥ rhs`;
-    /// restore as `clamp((rhs − Σ aᵢ·xᵢ) / coeff, lb, ub)`.
-    Substitute {
-        var: usize,
-        coeff: f64,
-        rhs: f64,
-        terms: Vec<(usize, f64)>,
-        lb: f64,
-        ub: f64,
-    },
-}
-
 /// Maps solutions of the reduced model back to original variables.
 #[derive(Debug, Clone)]
 pub struct Postsolve {
-    original_n: usize,
-    /// original index → reduced index (None when eliminated).
+    /// original index → reduced index (None when fixed).
     forward: Vec<Option<usize>>,
-    actions: Vec<Action>,
+    /// `(original index, value)` of every fixed variable.
+    fixed: Vec<(usize, f64)>,
 }
 
 impl Postsolve {
     /// Number of variables in the original model.
     pub fn original_var_count(&self) -> usize {
-        self.original_n
+        self.forward.len()
     }
 
     /// Number of variables surviving into the reduced model.
     pub fn reduced_var_count(&self) -> usize {
         self.forward.iter().flatten().count()
-    }
-
-    /// Exports the reduction record for exact-arithmetic auditing by
-    /// [`crate::certify::certify_outcome`]: the variable mapping plus
-    /// every action, in application order.
-    pub fn certificate(&self) -> crate::certify::PresolveCertificate {
-        use crate::certify::PresolveAction;
-        crate::certify::PresolveCertificate {
-            original_vars: self.original_n,
-            forward: self.forward.clone(),
-            actions: self
-                .actions
-                .iter()
-                .map(|a| match a {
-                    Action::Fix { var, value } => PresolveAction::Fix {
-                        var: *var,
-                        value: *value,
-                    },
-                    Action::Substitute {
-                        var,
-                        coeff,
-                        rhs,
-                        terms,
-                        lb,
-                        ub,
-                    } => PresolveAction::Substitute {
-                        var: *var,
-                        coeff: *coeff,
-                        rhs: *rhs,
-                        terms: terms.clone(),
-                        lb: *lb,
-                        ub: *ub,
-                    },
-                })
-                .collect(),
-        }
     }
 
     /// Lifts a reduced-model assignment to the original variable space.
@@ -157,36 +102,19 @@ impl Postsolve {
     ///
     /// Panics if `reduced` is shorter than the reduced variable count.
     pub fn restore(&self, reduced: &[f64]) -> Vec<f64> {
-        let mut full = vec![f64::NAN; self.original_n];
-        for (orig, fwd) in self.forward.iter().enumerate() {
-            if let Some(j) = fwd {
-                full[orig] = reduced[*j];
-            }
-        }
-        // Reverse order: an action's `terms` only reference variables
-        // that were still alive when it was recorded, i.e. variables
-        // restored by later (already-undone) actions or kept variables.
-        for action in self.actions.iter().rev() {
-            match action {
-                Action::Fix { var, value } => full[*var] = *value,
-                Action::Substitute {
-                    var,
-                    coeff,
-                    rhs,
-                    terms,
-                    lb,
-                    ub,
-                } => {
-                    let rest: f64 = terms.iter().map(|&(v, a)| a * full[v]).sum();
-                    full[*var] = ((rhs - rest) / coeff).clamp(*lb, *ub);
-                }
-            }
+        let mut full: Vec<f64> = self
+            .forward
+            .iter()
+            .map(|fwd| fwd.map_or(f64::NAN, |j| reduced[j]))
+            .collect();
+        for &(var, value) in &self.fixed {
+            full[var] = value;
         }
         full
     }
 }
 
-/// Result of [`presolve`]: outcome, undo record, counters, diagnostics.
+/// Result of [`presolve`]: outcome, undo record and counters.
 #[derive(Debug, Clone)]
 pub struct Presolved {
     /// The reduced problem (or a certified terminal verdict).
@@ -195,8 +123,6 @@ pub struct Presolved {
     pub postsolve: Postsolve,
     /// Reduction counters.
     pub stats: PresolveStats,
-    /// Numerics diagnostics of the **original** model.
-    pub numerics: NumericsReport,
 }
 
 struct WVar {
@@ -221,97 +147,26 @@ struct Work {
     vars: Vec<WVar>,
     rows: Vec<Option<WRow>>,
     col_rows: Vec<BTreeSet<usize>>,
-    actions: Vec<Action>,
+    fixed: Vec<(usize, f64)>,
     stats: PresolveStats,
 }
 
-/// Activity bounds of a set of terms: finite part plus infinity counts.
-#[derive(Default, Clone, Copy)]
-struct Activity {
-    min_fin: f64,
-    max_fin: f64,
-    min_ninf: usize, // terms contributing -inf to the min activity
-    max_pinf: usize, // terms contributing +inf to the max activity
-}
-
-impl Activity {
-    fn min(&self) -> f64 {
-        if self.min_ninf > 0 {
-            f64::NEG_INFINITY
-        } else {
-            self.min_fin
-        }
-    }
-    fn max(&self) -> f64 {
-        if self.max_pinf > 0 {
-            f64::INFINITY
-        } else {
-            self.max_fin
-        }
-    }
-    /// Min activity of all terms except `(v, a)`'s contribution.
-    fn min_without(&self, contrib: f64) -> f64 {
-        if contrib == f64::NEG_INFINITY {
-            if self.min_ninf == 1 {
-                self.min_fin
-            } else {
-                f64::NEG_INFINITY
-            }
-        } else if self.min_ninf > 0 {
-            f64::NEG_INFINITY
-        } else {
-            self.min_fin - contrib
-        }
-    }
-    fn max_without(&self, contrib: f64) -> f64 {
-        if contrib == f64::INFINITY {
-            if self.max_pinf == 1 {
-                self.max_fin
-            } else {
-                f64::INFINITY
-            }
-        } else if self.max_pinf > 0 {
-            f64::INFINITY
-        } else {
-            self.max_fin - contrib
-        }
-    }
-}
-
 impl Work {
-    /// Contribution of one term to the minimum activity (may be -inf).
-    fn min_contrib(&self, v: usize, a: f64) -> f64 {
-        if a > 0.0 {
-            a * self.vars[v].lb
-        } else {
-            a * self.vars[v].ub
-        }
-    }
-    fn max_contrib(&self, v: usize, a: f64) -> f64 {
-        if a > 0.0 {
-            a * self.vars[v].ub
-        } else {
-            a * self.vars[v].lb
-        }
-    }
-
-    fn activity(&self, terms: &[(usize, f64)]) -> Activity {
-        let mut act = Activity::default();
+    /// Minimum and maximum activity of `terms` over the variable bounds;
+    /// an unbounded variable makes them −∞ and +∞.
+    fn activity(&self, terms: &[(usize, f64)]) -> (f64, f64) {
+        let (mut min, mut max) = (0.0, 0.0);
         for &(v, a) in terms {
-            let lo = self.min_contrib(v, a);
-            let hi = self.max_contrib(v, a);
-            if lo == f64::NEG_INFINITY {
-                act.min_ninf += 1;
+            let (lb, ub) = (self.vars[v].lb, self.vars[v].ub);
+            let (lo, hi) = if a > 0.0 {
+                (a * lb, a * ub)
             } else {
-                act.min_fin += lo;
-            }
-            if hi == f64::INFINITY {
-                act.max_pinf += 1;
-            } else {
-                act.max_fin += hi;
-            }
+                (a * ub, a * lb)
+            };
+            min += lo;
+            max += hi;
         }
-        act
+        (min, max)
     }
 
     fn remove_row(&mut self, r: usize) {
@@ -349,7 +204,7 @@ impl Work {
         let value = value.clamp(var.lb, var.ub);
         self.vars[v].alive = false;
         self.stats.cols_removed += 1;
-        self.actions.push(Action::Fix { var: v, value });
+        self.fixed.push((v, value));
         for r in std::mem::take(&mut self.col_rows[v]) {
             if let Some(row) = self.rows[r].as_mut() {
                 if let Some(a) = row.terms.remove(&v) {
@@ -360,11 +215,12 @@ impl Work {
         Ok(())
     }
 
-    /// Tightens the upper bound; returns whether it improved.
-    fn tighten_ub(&mut self, v: usize, mut new_ub: f64) -> Result<bool, Infeasible> {
+    /// Lowers the upper bound to `new_ub` (rounded down for integers) when
+    /// that tightens it, fixing the variable once its domain collapses.
+    fn tighten_ub(&mut self, v: usize, mut new_ub: f64) -> Result<(), Infeasible> {
         let var = &self.vars[v];
         if !var.alive {
-            return Ok(false);
+            return Ok(());
         }
         if var.kind != VarKind::Continuous {
             new_ub = (new_ub + INT_TOL).floor();
@@ -376,7 +232,7 @@ impl Work {
             new_ub.is_finite()
         };
         if !improves {
-            return Ok(false);
+            return Ok(());
         }
         if new_ub < var.lb - FEAS_TOL {
             return Err(Infeasible(format!(
@@ -390,13 +246,14 @@ impl Work {
         if self.vars[v].ub - lb <= FIX_TOL {
             self.fix(v, lb)?;
         }
-        Ok(true)
+        Ok(())
     }
 
-    fn tighten_lb(&mut self, v: usize, mut new_lb: f64) -> Result<bool, Infeasible> {
+    /// The lower-bound mirror of `tighten_ub`.
+    fn tighten_lb(&mut self, v: usize, mut new_lb: f64) -> Result<(), Infeasible> {
         let var = &self.vars[v];
         if !var.alive {
-            return Ok(false);
+            return Ok(());
         }
         if var.kind != VarKind::Continuous {
             new_lb = (new_lb - INT_TOL).ceil();
@@ -404,7 +261,7 @@ impl Work {
         let cur = var.lb;
         let improves = new_lb > cur + FIX_TOL * (1.0 + cur.abs());
         if !improves {
-            return Ok(false);
+            return Ok(());
         }
         if new_lb > var.ub + FEAS_TOL {
             return Err(Infeasible(format!(
@@ -418,7 +275,7 @@ impl Work {
         if ub.is_finite() && ub - self.vars[v].lb <= FIX_TOL {
             self.fix(v, ub)?;
         }
-        Ok(true)
+        Ok(())
     }
 
     /// Applies a singleton row `a·x (op) rhs` as a bound and removes it.
@@ -485,8 +342,7 @@ impl Work {
                 continue;
             }
 
-            let act = self.activity(&terms);
-            let (minact, maxact) = (act.min(), act.max());
+            let (minact, maxact) = self.activity(&terms);
             // Certified infeasibility: even the most favourable bound
             // assignment misses the rhs.
             let infeasible = match op {
@@ -498,17 +354,6 @@ impl Work {
                 return Err(Infeasible(format!(
                     "constraint #{r}: activity range [{minact}, {maxact}] cannot meet {op:?} {rhs}"
                 )));
-            }
-            // Redundancy: satisfied by every assignment within bounds.
-            let redundant = match op {
-                ConstraintOp::Leq => maxact <= rhs,
-                ConstraintOp::Geq => minact >= rhs,
-                ConstraintOp::Eq => false,
-            };
-            if redundant {
-                self.remove_row(r);
-                changed = true;
-                continue;
             }
             // Forcing: the rhs is only reachable with every variable at
             // the extreme bound it contributes (tight tolerance — this
@@ -529,304 +374,19 @@ impl Work {
                 }
                 self.remove_row(r);
                 changed = true;
-                continue;
-            }
-            // Implied-bound tightening, integer variables only: floor/
-            // ceil rounding keeps the deduction exact, so no integer
-            // point is ever cut off (continuous implied bounds are left
-            // to the simplex to avoid FP-rounding unsoundness).
-            for &(v, a) in &terms {
-                if self.vars[v].kind == VarKind::Continuous || !self.vars[v].alive {
-                    continue;
-                }
-                if op != ConstraintOp::Geq {
-                    // Σ ≤ rhs ⇒ a·x ≤ rhs − minact(others)
-                    let others = act.min_without(self.min_contrib(v, a));
-                    if others.is_finite() {
-                        let bound = (rhs - others) / a;
-                        let t = if a > 0.0 {
-                            self.tighten_ub(v, bound)?
-                        } else {
-                            self.tighten_lb(v, bound)?
-                        };
-                        changed |= t;
-                    }
-                }
-                if op != ConstraintOp::Leq {
-                    // Σ ≥ rhs ⇒ a·x ≥ rhs − maxact(others)
-                    let others = act.max_without(self.max_contrib(v, a));
-                    if others.is_finite() {
-                        let bound = (rhs - others) / a;
-                        let t = if a > 0.0 {
-                            self.tighten_lb(v, bound)?
-                        } else {
-                            self.tighten_ub(v, bound)?
-                        };
-                        changed |= t;
-                    }
-                }
-                if self.rows[r].is_none() {
-                    break; // a fix emptied and removed this row
-                }
             }
         }
         Ok(changed)
-    }
-
-    /// Merges duplicate rows (identical support, proportional coeffs).
-    fn duplicate_pass(&mut self) -> Result<bool, Infeasible> {
-        let mut groups: BTreeMap<Vec<usize>, Vec<usize>> = BTreeMap::new();
-        for (r, row) in self.rows.iter().enumerate() {
-            if let Some(row) = row {
-                if row.terms.len() >= 2 {
-                    groups
-                        .entry(row.terms.keys().copied().collect())
-                        .or_default()
-                        .push(r);
-                }
-            }
-        }
-        let mut changed = false;
-        for rows in groups.values().filter(|g| g.len() >= 2) {
-            for i in 0..rows.len() {
-                for j in (i + 1)..rows.len() {
-                    if self.rows[rows[i]].is_none() || self.rows[rows[j]].is_none() {
-                        continue;
-                    }
-                    changed |= self.try_merge(rows[i], rows[j])?;
-                }
-            }
-        }
-        Ok(changed)
-    }
-
-    /// Attempts to merge row `rj` into row `ri`; both share support.
-    fn try_merge(&mut self, ri: usize, rj: usize) -> Result<bool, Infeasible> {
-        let (a, b) = (
-            self.rows[ri].as_ref().unwrap(),
-            self.rows[rj].as_ref().unwrap(),
-        );
-        let (&first, &ai) = a.terms.iter().next().unwrap();
-        let k = b.terms[&first] / ai;
-        for (v, &av) in &a.terms {
-            let bv = b.terms[v];
-            if (bv - k * av).abs() > DUP_TOL * (1.0 + (k * av).abs()) {
-                return Ok(false);
-            }
-        }
-        // Normalise row j onto row i's scale: b/k (op flips when k < 0).
-        let rhs_j = b.rhs / k;
-        let op_j = match (b.op, k > 0.0) {
-            (op, true) => op,
-            (ConstraintOp::Leq, false) => ConstraintOp::Geq,
-            (ConstraintOp::Geq, false) => ConstraintOp::Leq,
-            (ConstraintOp::Eq, false) => ConstraintOp::Eq,
-        };
-        let (op_i, rhs_i) = (a.op, a.rhs);
-        use ConstraintOp::{Eq, Geq, Leq};
-        let merged = match (op_i, op_j) {
-            (Eq, Eq) => {
-                if (rhs_i - rhs_j).abs() > FEAS_TOL {
-                    return Err(Infeasible(format!(
-                        "duplicate equalities #{ri} and #{rj} demand {rhs_i} and {rhs_j}"
-                    )));
-                }
-                self.remove_row(rj);
-                true
-            }
-            (Eq, Leq) | (Leq, Eq) => {
-                let (eq, le) = if op_i == Eq {
-                    (rhs_i, rhs_j)
-                } else {
-                    (rhs_j, rhs_i)
-                };
-                if eq > le + FEAS_TOL {
-                    return Err(Infeasible(format!(
-                        "rows #{ri}/#{rj}: equality at {eq} violates duplicate ≤ {le}"
-                    )));
-                }
-                let keep = self.rows[ri].as_mut().unwrap();
-                keep.op = Eq;
-                keep.rhs = eq;
-                self.remove_row(rj);
-                true
-            }
-            (Eq, Geq) | (Geq, Eq) => {
-                let (eq, ge) = if op_i == Eq {
-                    (rhs_i, rhs_j)
-                } else {
-                    (rhs_j, rhs_i)
-                };
-                if eq < ge - FEAS_TOL {
-                    return Err(Infeasible(format!(
-                        "rows #{ri}/#{rj}: equality at {eq} violates duplicate ≥ {ge}"
-                    )));
-                }
-                let keep = self.rows[ri].as_mut().unwrap();
-                keep.op = Eq;
-                keep.rhs = eq;
-                self.remove_row(rj);
-                true
-            }
-            (Leq, Leq) => {
-                self.rows[ri].as_mut().unwrap().rhs = rhs_i.min(rhs_j);
-                self.remove_row(rj);
-                true
-            }
-            (Geq, Geq) => {
-                self.rows[ri].as_mut().unwrap().rhs = rhs_i.max(rhs_j);
-                self.remove_row(rj);
-                true
-            }
-            (Leq, Geq) | (Geq, Leq) => {
-                let (le, ge) = if op_i == Leq {
-                    (rhs_i, rhs_j)
-                } else {
-                    (rhs_j, rhs_i)
-                };
-                if ge > le + FEAS_TOL {
-                    return Err(Infeasible(format!(
-                        "rows #{ri}/#{rj}: duplicate ≥ {ge} contradicts ≤ {le}"
-                    )));
-                }
-                if (le - ge).abs() <= DUP_TOL * (1.0 + le.abs()) {
-                    let keep = self.rows[ri].as_mut().unwrap();
-                    keep.op = Eq;
-                    keep.rhs = le;
-                    self.remove_row(rj);
-                    true
-                } else {
-                    false // a genuine two-sided range; keep both rows
-                }
-            }
-        };
-        Ok(merged)
-    }
-
-    /// Column sweep: empty columns and implied-free column singletons.
-    fn col_pass(&mut self) -> Result<bool, Infeasible> {
-        let mut changed = false;
-        for v in 0..self.vars.len() {
-            if !self.vars[v].alive {
-                continue;
-            }
-            let count = self.col_rows[v].len();
-            if count == 0 {
-                // Empty column: fix at the cheapest bound when finite;
-                // an improving infinite direction is left alive — the
-                // finalisation step certifies Unbounded only once the
-                // rest of the model is known feasible (zero rows left).
-                let c = self.sign * self.vars[v].obj;
-                if c < 0.0 && self.vars[v].ub.is_infinite() {
-                    continue;
-                }
-                let val = if c < 0.0 {
-                    self.vars[v].ub
-                } else {
-                    self.vars[v].lb
-                };
-                self.fix(v, val)?;
-                changed = true;
-                continue;
-            }
-            if count == 1 && self.vars[v].kind == VarKind::Continuous && self.vars[v].obj == 0.0 {
-                let r = *self.col_rows[v].iter().next().unwrap();
-                changed |= self.substitute_singleton(v, r);
-            }
-        }
-        Ok(changed)
-    }
-
-    /// Substitutes a zero-cost continuous column singleton out of its
-    /// only row. Equality rows need the implied-free condition; for
-    /// inequality rows the variable acts as a bounded slack.
-    fn substitute_singleton(&mut self, v: usize, r: usize) -> bool {
-        let Some(row) = self.rows[r].as_ref() else {
-            return false;
-        };
-        if row.terms.len() < 2 {
-            return false; // leave singleton rows to the row pass
-        }
-        let a = row.terms[&v];
-        let (op, rhs) = (row.op, row.rhs);
-        let others: Vec<(usize, f64)> = row
-            .terms
-            .iter()
-            .filter(|&(&w, _)| w != v)
-            .map(|(&w, &c)| (w, c))
-            .collect();
-        let (lb, ub) = (self.vars[v].lb, self.vars[v].ub);
-
-        let record = |work: &mut Work| {
-            work.actions.push(Action::Substitute {
-                var: v,
-                coeff: a,
-                rhs,
-                terms: others.clone(),
-                lb,
-                ub,
-            });
-            work.vars[v].alive = false;
-            work.col_rows[v].clear();
-            work.stats.cols_removed += 1;
-        };
-
-        match op {
-            ConstraintOp::Eq => {
-                // Implied-free check: the row itself confines v to
-                // [(rhs − omax)/a, (rhs − omin)/a] (a > 0); only when
-                // that interval sits inside [lb, ub] can the explicit
-                // bounds be dropped along with the row.
-                let oact = self.activity(&others);
-                let (omin, omax) = (oact.min(), oact.max());
-                if !omin.is_finite() || !omax.is_finite() {
-                    return false;
-                }
-                let (ilo, ihi) = if a > 0.0 {
-                    ((rhs - omax) / a, (rhs - omin) / a)
-                } else {
-                    ((rhs - omin) / a, (rhs - omax) / a)
-                };
-                let pad = FIX_TOL * (1.0 + ilo.abs().max(ihi.abs()));
-                if ilo < lb - pad || ihi > ub + pad {
-                    return false;
-                }
-                record(self);
-                self.remove_row(r);
-                true
-            }
-            ConstraintOp::Leq | ConstraintOp::Geq => {
-                // a·v + rest (op) rhs is satisfiable in v exactly when
-                // rest (op) rhs − extreme(a·v); the extreme is -inf/+inf
-                // for an unbounded slack (row vanishes) and a finite
-                // shift otherwise.
-                let extreme = if (op == ConstraintOp::Leq) == (a > 0.0) {
-                    a * lb
-                } else {
-                    a * ub // may be ±inf
-                };
-                record(self);
-                if extreme.is_infinite() {
-                    self.remove_row(r);
-                } else {
-                    let row = self.rows[r].as_mut().unwrap();
-                    row.terms.remove(&v);
-                    row.rhs -= extreme;
-                }
-                true
-            }
-        }
     }
 }
 
 /// Runs the presolve pass over `model`.
 ///
 /// The input is unchanged; the result holds the reduced model (or a
-/// certified verdict), the [`Postsolve`] undo record, reduction
-/// counters, and a numerics report. Call after [`Model::validate`] —
-/// non-finite data may otherwise panic.
+/// certified verdict), the [`Postsolve`] undo record and reduction
+/// counters. Call after [`Model::validate`] — non-finite data may
+/// otherwise panic.
 pub fn presolve(model: &Model) -> Presolved {
-    let numerics = numerics_report(model);
     let n = model.var_count();
     let sign = match model.sense() {
         Sense::Minimize => 1.0,
@@ -847,7 +407,7 @@ pub fn presolve(model: &Model) -> Presolved {
             .collect(),
         rows: Vec::with_capacity(model.constraint_count()),
         col_rows: vec![BTreeSet::new(); n],
-        actions: Vec::new(),
+        fixed: Vec::new(),
         stats: PresolveStats::default(),
     };
     for (v, c) in model.objective().terms() {
@@ -886,10 +446,7 @@ pub fn presolve(model: &Model) -> Presolved {
         }
         for _ in 0..MAX_PASSES {
             work.stats.passes += 1;
-            let mut changed = work.row_pass()?;
-            changed |= work.duplicate_pass()?;
-            changed |= work.col_pass()?;
-            if !changed {
+            if !work.row_pass()? {
                 break;
             }
         }
@@ -899,9 +456,8 @@ pub fn presolve(model: &Model) -> Presolved {
     let verdict = fixpoint(&mut work);
     let mut forward = vec![None; n];
     let postsolve = |work: &Work, forward: Vec<Option<usize>>| Postsolve {
-        original_n: n,
         forward,
-        actions: work.actions.clone(),
+        fixed: work.fixed.clone(),
     };
 
     if let Err(Infeasible(reason)) = verdict {
@@ -909,7 +465,6 @@ pub fn presolve(model: &Model) -> Presolved {
             outcome: PresolveOutcome::Infeasible { reason },
             postsolve: postsolve(&work, forward),
             stats: work.stats,
-            numerics,
         };
     }
 
@@ -927,7 +482,6 @@ pub fn presolve(model: &Model) -> Presolved {
                     outcome: PresolveOutcome::Unbounded,
                     postsolve: postsolve(&work, forward),
                     stats: work.stats,
-                    numerics,
                 };
             }
             let val = if c < 0.0 {
@@ -944,7 +498,6 @@ pub fn presolve(model: &Model) -> Presolved {
             outcome: PresolveOutcome::Solved(values),
             postsolve: ps,
             stats: work.stats,
-            numerics,
         };
     }
 
@@ -989,10 +542,8 @@ pub fn presolve(model: &Model) -> Presolved {
     }
     // Fixed variables fold their objective contribution into the
     // constant so reduced and original objectives agree pointwise.
-    for action in &work.actions {
-        if let Action::Fix { var, value } = action {
-            constant += model.objective().coeff(crate::expr::VarId(*var)) * value;
-        }
+    for &(var, value) in &work.fixed {
+        constant += model.objective().coeff(crate::expr::VarId(var)) * value;
     }
     obj.add_constant(constant);
     reduced.set_objective(obj);
@@ -1001,7 +552,6 @@ pub fn presolve(model: &Model) -> Presolved {
         outcome: PresolveOutcome::Reduced(reduced),
         postsolve: postsolve(&work, forward),
         stats: work.stats,
-        numerics,
     }
 }
 
@@ -1053,15 +603,15 @@ pub fn numerics_report(model: &Model) -> NumericsReport {
     rep
 }
 
-/// Per-node integer bound propagation over the (reduced) model's rows.
-///
-/// Branch-and-bound applies this to every node's bound vectors before
-/// solving the LP relaxation: floor/ceil implied bounds on integer
-/// variables are exact deductions, so nodes pruned here are pruned with
-/// certainty and the search's certified verdicts are preserved.
 /// One propagation row: sparse terms, operator and right-hand side.
 type PropRow = (Vec<(usize, f64)>, ConstraintOp, f64);
 
+/// Per-node integer bound propagation over the reduced model's rows.
+///
+/// Product-mode branch-and-bound applies this to every node's bound
+/// vectors before solving the LP relaxation: floor/ceil implied bounds on
+/// integer variables are exact deductions, so nodes pruned here are
+/// pruned with certainty.
 #[derive(Debug, Clone)]
 pub(crate) struct Propagator {
     rows: Vec<PropRow>,
@@ -1224,13 +774,6 @@ mod tests {
     use crate::expr::LinExpr;
     use crate::model::Sense;
 
-    fn reduced(p: &Presolved) -> &Model {
-        match &p.outcome {
-            PresolveOutcome::Reduced(m) => m,
-            other => panic!("expected Reduced, got {other:?}"),
-        }
-    }
-
     #[test]
     fn singleton_equality_fixes_variable() {
         let mut m = Model::new(Sense::Minimize);
@@ -1290,65 +833,6 @@ mod tests {
     }
 
     #[test]
-    fn redundant_row_is_dropped() {
-        let mut m = Model::new(Sense::Minimize);
-        let x = m.binary_var("x");
-        let y = m.binary_var("y");
-        m.add_leq(x + y, 5.0); // max activity 2 <= 5
-        m.add_geq(x + y, 1.0); // kept
-        m.set_objective(x + y);
-        let p = presolve(&m);
-        assert_eq!(p.stats.rows_removed, 1);
-        assert_eq!(reduced(&p).constraint_count(), 1);
-    }
-
-    #[test]
-    fn duplicate_rows_merge_to_tightest() {
-        let mut m = Model::new(Sense::Maximize);
-        let x = m.binary_var("x");
-        let y = m.binary_var("y");
-        m.add_leq(x + y, 1.0);
-        m.add_leq(2.0 * x + 2.0 * y, 4.0); // scaled duplicate, rhs 2 > 1
-        m.set_objective(x + y);
-        let p = presolve(&m);
-        assert_eq!(reduced(&p).constraint_count(), 1);
-        assert!(p.stats.rows_removed >= 1);
-    }
-
-    #[test]
-    fn contradictory_duplicate_equalities_are_infeasible() {
-        let mut m = Model::new(Sense::Minimize);
-        let x = m.continuous_var("x", 0.0, 10.0);
-        let y = m.continuous_var("y", 0.0, 10.0);
-        m.add_eq(x + y, 3.0);
-        m.add_eq(2.0 * x + 2.0 * y, 8.0); // says x + y = 4
-        m.set_objective(LinExpr::from(x));
-        let p = presolve(&m);
-        assert!(matches!(p.outcome, PresolveOutcome::Infeasible { .. }));
-    }
-
-    #[test]
-    fn implied_free_singleton_substitution_roundtrips() {
-        // s appears only in the equality, has zero cost, and the row
-        // confines it to [0, 2] inside its [-,5] bounds -> substituted.
-        let mut m = Model::new(Sense::Minimize);
-        let x = m.continuous_var("x", 0.0, 1.0);
-        let y = m.continuous_var("y", 0.0, 1.0);
-        let s = m.continuous_var("s", -3.0, 5.0);
-        m.add_eq(x + y + s, 2.0);
-        m.add_geq(x + y, 0.5);
-        m.set_objective(x + y);
-        let p = presolve(&m);
-        let r = reduced(&p);
-        assert_eq!(r.var_count(), 2);
-        // Solve-by-hand reduced optimum: x + y = 0.5. Restore s.
-        let full = p.postsolve.restore(&[0.5, 0.0]);
-        assert_eq!(full.len(), 3);
-        assert!((full[0] + full[1] + full[2] - 2.0).abs() < 1e-9);
-        assert!(full[2] >= -3.0 && full[2] <= 5.0);
-    }
-
-    #[test]
     fn bounds_only_model_is_solved_outright() {
         let mut m = Model::new(Sense::Maximize);
         let x = m.integer_var("x", 0.0, 7.0);
@@ -1377,21 +861,6 @@ mod tests {
         m.add_geq(LinExpr::new(), 1.0); // 0 >= 1
         let p = presolve(&m);
         assert!(matches!(p.outcome, PresolveOutcome::Infeasible { .. }));
-    }
-
-    #[test]
-    fn integer_implied_bounds_tighten() {
-        // 3x + y <= 4, y in [1, 10] integer -> x <= 1 (from floor(3/3)).
-        let mut m = Model::new(Sense::Maximize);
-        let x = m.integer_var("x", 0.0, 10.0);
-        let y = m.integer_var("y", 1.0, 10.0);
-        m.add_leq(3.0 * x + y, 4.0);
-        m.set_objective(x + y);
-        let p = presolve(&m);
-        assert!(p.stats.tightenings >= 1);
-        let r = reduced(&p);
-        let xr = crate::expr::VarId(0);
-        assert_eq!(r.var_bounds(xr).1, 1.0);
     }
 
     #[test]

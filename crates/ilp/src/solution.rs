@@ -58,10 +58,11 @@ pub struct SolveStats {
     /// are being invalidated somewhere.
     pub cold_restarts: usize,
     /// Constraints eliminated by the root presolve pass (zero when
-    /// presolve is disabled via `MilpOptions::presolve`).
+    /// presolve is disabled via `MilpOptions::presolve`, and in
+    /// certificate mode).
     pub presolve_rows: usize,
-    /// Variables eliminated by the root presolve pass (fixed or
-    /// substituted out; restored transparently in reported solutions).
+    /// Variables fixed by the root presolve pass (restored transparently
+    /// in reported solutions).
     pub presolve_cols: usize,
     /// Variable bounds tightened by the root presolve pass.
     pub presolve_tightenings: usize,

@@ -4,8 +4,8 @@
 //! Each test class builds a model whose verdict is known by construction,
 //! solves it in proof-logging mode, verifies the pristine certificate,
 //! then corrupts exactly **one** field — a dual value, a Farkas
-//! coefficient, a leaf bound, a branch decision, an incumbent entry or a
-//! presolve action — and asserts `fpva_ilp::certify` rejects the mutant.
+//! coefficient, a leaf bound, a branch decision or an incumbent entry —
+//! and asserts `fpva_ilp::certify` rejects the mutant.
 //! Every mutation is chosen to be *mathematically* invalidating (not just
 //! syntactically odd): the perturbations `δ ∈ [0.5, 3]` are orders of
 //! magnitude above every audit tolerance, zeroed Farkas coordinates leave
@@ -14,10 +14,10 @@
 //! certifies anyway is a soundness hole in the checker.
 //!
 //! Four status classes are exercised: LP optimal, LP infeasible (Farkas),
-//! MILP optimal (branching tree + presolve actions + incumbent) and MILP
-//! infeasible (tree-wide infeasibility proof).
+//! MILP optimal (branching tree + incumbent) and MILP infeasible
+//! (tree-wide infeasibility proof).
 
-use fpva_ilp::certify::{LeafCert, MilpCertificate, PresolveAction};
+use fpva_ilp::certify::{LeafCert, MilpCertificate};
 use fpva_ilp::simplex::{LpCertificate, LpStatus};
 use fpva_ilp::{certify_lp, certify_outcome, MilpOptions, MilpSolver, Model, Sense, SolveStatus};
 use proptest::prelude::*;
@@ -177,12 +177,8 @@ enum Site {
     FarkasFlip(usize, usize),
     /// Make a branch's recorded floor fractional.
     BranchFloor(usize),
-    /// Perturb one entry of the reduced-space incumbent.
+    /// Perturb one entry of the incumbent.
     Incumbent(usize),
-    /// Perturb a presolve `Fix` value out of its (tight) bounds.
-    FixValue(usize),
-    /// Zero a presolve `Substitute` coefficient.
-    SubstituteCoeff(usize),
     /// Claim the proof is incomplete.
     Complete,
     /// Drop the incumbent from an optimality proof.
@@ -200,16 +196,8 @@ fn milp_sites(cert: &MilpCertificate, optimal: bool) -> Vec<Site> {
     if optimal {
         sites.push(Site::DropIncumbent);
     }
-    if let Some(inc) = &cert.incumbent_reduced {
+    if let Some(inc) = &cert.incumbent {
         sites.extend((0..inc.len()).map(Site::Incumbent));
-    }
-    if let Some(p) = &cert.presolve {
-        for (i, a) in p.actions.iter().enumerate() {
-            match a {
-                PresolveAction::Fix { .. } => sites.push(Site::FixValue(i)),
-                PresolveAction::Substitute { .. } => sites.push(Site::SubstituteCoeff(i)),
-            }
-        }
     }
     for (n, node) in cert.tree.iter().enumerate() {
         if node.branch.is_some() {
@@ -244,23 +232,9 @@ fn milp_sites(cert: &MilpCertificate, optimal: bool) -> Vec<Site> {
 fn apply(cert: &mut MilpCertificate, site: Site, delta: f64) {
     match site {
         Site::Complete => cert.complete = false,
-        Site::DropIncumbent => cert.incumbent_reduced = None,
+        Site::DropIncumbent => cert.incumbent = None,
         Site::Incumbent(i) => {
-            cert.incumbent_reduced.as_mut().expect("site exists")[i] += delta;
-        }
-        Site::FixValue(i) => {
-            let p = cert.presolve.as_mut().expect("site exists");
-            let PresolveAction::Fix { value, .. } = &mut p.actions[i] else {
-                panic!("site enumerated a Fix action");
-            };
-            *value += delta;
-        }
-        Site::SubstituteCoeff(i) => {
-            let p = cert.presolve.as_mut().expect("site exists");
-            let PresolveAction::Substitute { coeff, .. } = &mut p.actions[i] else {
-                panic!("site enumerated a Substitute action");
-            };
-            *coeff = 0.0;
+            cert.incumbent.as_mut().expect("site exists")[i] += delta;
         }
         Site::BranchFloor(n) => {
             let b = cert.tree[n].branch.as_mut().expect("site exists");
@@ -304,8 +278,7 @@ fn apply(cert: &mut MilpCertificate, site: Site, delta: f64) {
 
 /// MILP optimal fixture: maximize x + y + 3z with 2x + 2y ≤ 3 over
 /// binaries and z ∈ [1, 1] integer. The relaxation is fractional (real
-/// branching), z is presolved away (a guaranteed `Fix` action) and the
-/// `≤` row keeps every leaf dual in the `y ≤ 0` cone.
+/// branching) and the `≤` row keeps every leaf dual in the `y ≤ 0` cone.
 fn milp_optimal_fixture() -> (Model, fpva_ilp::MilpOutcome) {
     let mut m = Model::new(Sense::Maximize);
     let x = m.binary_var("x");
@@ -320,8 +293,7 @@ fn milp_optimal_fixture() -> (Model, fpva_ilp::MilpOutcome) {
 }
 
 /// MILP infeasible fixture: x + y ≥ 3 over binaries (box maximum is 2).
-/// Presolve certifies this outright; certificate mode re-proves it with
-/// a tree on the original model whose leaves carry Farkas rays.
+/// Certificate mode proves it with a tree whose leaves carry Farkas rays.
 fn milp_infeasible_fixture() -> (Model, fpva_ilp::MilpOutcome) {
     let mut m = Model::new(Sense::Minimize);
     let x = m.binary_var("x");
@@ -337,8 +309,8 @@ fn milp_infeasible_fixture() -> (Model, fpva_ilp::MilpOutcome) {
 #[test]
 fn milp_fixtures_cover_all_mutation_kinds() {
     // The harness is only as strong as the sites the fixtures expose:
-    // pin down that duals, leaf bounds, branch floors, an incumbent, a
-    // presolve Fix action and Farkas rays all actually occur.
+    // pin down that duals, leaf bounds, branch floors, an incumbent and
+    // Farkas rays all actually occur.
     let (_, out) = milp_optimal_fixture();
     let sites = milp_sites(out.certificate.as_ref().unwrap(), true);
     assert!(
@@ -355,10 +327,6 @@ fn milp_fixtures_cover_all_mutation_kinds() {
     );
     assert!(
         sites.iter().any(|s| matches!(s, Site::Incumbent(_))),
-        "{sites:?}"
-    );
-    assert!(
-        sites.iter().any(|s| matches!(s, Site::FixValue(_))),
         "{sites:?}"
     );
 
