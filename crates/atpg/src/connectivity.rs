@@ -1,6 +1,6 @@
 //! Graph utilities over the valve lattice: reachability, open components
-//! and the exact flow-path router behind the greedy path cover, the
-//! leakage generator and the baseline.
+//! and the exact flow-path router behind the greedy path cover and the
+//! leakage generator.
 //!
 //! # Routing
 //!
@@ -33,7 +33,7 @@
 //! component on the result is then expanded back to cells along its
 //! always-open edges.
 
-use fpva_grid::{CellId, EdgeId, EdgeKind, Fpva, PortId, PortKind};
+use fpva_grid::{CellId, EdgeId, EdgeKind, Fpva, PortId, PortKind, ValveId};
 use rand::Rng;
 use std::collections::{HashSet, VecDeque};
 
@@ -126,30 +126,37 @@ pub fn sink_cells(fpva: &Fpva) -> Vec<CellId> {
     fpva.sinks().map(|(_, p)| p.cell).collect()
 }
 
-/// BFS over passable edges, skipping `blocked` edges. Returns a
-/// `cell_count()`-sized reachability mask.
-pub fn reachable_from(fpva: &Fpva, starts: &[CellId], blocked: &HashSet<EdgeId>) -> Vec<bool> {
+/// Cells reachable from `starts` over passable edges not marked `closed`
+/// (indexed by [`Fpva::edge_index`]). Returns a `cell_count()`-sized
+/// reachability mask.
+pub fn reachable_from(fpva: &Fpva, starts: &[CellId], closed: &[bool]) -> Vec<bool> {
     let mut seen = vec![false; fpva.cell_count()];
-    let mut queue = VecDeque::new();
+    let mut stack: Vec<CellId> = Vec::new();
     for &s in starts {
-        let ix = fpva.cell_index(s);
-        if !seen[ix] {
-            seen[ix] = true;
-            queue.push_back(s);
+        if !std::mem::replace(&mut seen[fpva.cell_index(s)], true) {
+            stack.push(s);
         }
     }
-    while let Some(cell) = queue.pop_front() {
+    while let Some(cell) = stack.pop() {
         for (edge, next) in fpva.neighbors(cell) {
-            if edge_passable(fpva, edge) && !blocked.contains(&edge) {
-                let ix = fpva.cell_index(next);
-                if !seen[ix] {
-                    seen[ix] = true;
-                    queue.push_back(next);
-                }
+            if edge_passable(fpva, edge)
+                && !closed[fpva.edge_index(edge)]
+                && !std::mem::replace(&mut seen[fpva.cell_index(next)], true)
+            {
+                stack.push(next);
             }
         }
     }
     seen
+}
+
+/// The [`reachable_from`] mask with the edges of `valves` closed.
+pub(crate) fn closed_edges(fpva: &Fpva, valves: &[ValveId]) -> Vec<bool> {
+    let mut closed = vec![false; fpva.edge_count()];
+    for &v in valves {
+        closed[fpva.edge_index(fpva.edge_of(v))] = true;
+    }
+    closed
 }
 
 /// Routes a valid source→sink flow path through `edge` that crosses none
@@ -641,15 +648,16 @@ mod tests {
     #[test]
     fn reachability_full_grid() {
         let f = layouts::full_array(3, 3);
-        let seen = reachable_from(&f, &[CellId::new(0, 0)], &HashSet::new());
+        let seen = reachable_from(&f, &[CellId::new(0, 0)], &vec![false; f.edge_count()]);
         assert!(seen.iter().all(|&s| s));
     }
 
     #[test]
     fn reachability_respects_blocked_edges() {
         let f = layouts::full_array(1, 3);
-        let blocked: HashSet<EdgeId> = [EdgeId::horizontal(0, 1)].into_iter().collect();
-        let seen = reachable_from(&f, &[CellId::new(0, 0)], &blocked);
+        let mut closed = vec![false; f.edge_count()];
+        closed[f.edge_index(EdgeId::horizontal(0, 1))] = true;
+        let seen = reachable_from(&f, &[CellId::new(0, 0)], &closed);
         assert!(seen[f.cell_index(CellId::new(0, 1))]);
         assert!(!seen[f.cell_index(CellId::new(0, 2))]);
     }
@@ -662,7 +670,7 @@ mod tests {
             .port(2, 2, Side::East, PortKind::Sink)
             .build()
             .unwrap();
-        let seen = reachable_from(&f, &[CellId::new(0, 0)], &HashSet::new());
+        let seen = reachable_from(&f, &[CellId::new(0, 0)], &vec![false; f.edge_count()]);
         assert!(
             !seen[f.cell_index(CellId::new(0, 2))],
             "obstacle column splits the array"

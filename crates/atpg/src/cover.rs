@@ -41,14 +41,6 @@ impl CoverageTracker {
         valves.into_iter().filter(|&v| self.cover(v)).count()
     }
 
-    /// How many valves the given set would newly cover.
-    pub fn gain<'a, I: IntoIterator<Item = &'a ValveId>>(&self, valves: I) -> usize {
-        valves
-            .into_iter()
-            .filter(|v| !self.covered[v.index()])
-            .count()
-    }
-
     /// `true` when `v` is covered.
     ///
     /// # Panics
@@ -97,14 +89,5 @@ mod tests {
         assert!(!t.is_complete());
         t.cover(ValveId(3));
         assert!(t.is_complete());
-    }
-
-    #[test]
-    fn gain_counts_only_new() {
-        let f = layouts::full_array(2, 2);
-        let mut t = CoverageTracker::new(&f);
-        t.cover(ValveId(1));
-        let set = [ValveId(0), ValveId(1), ValveId(2)];
-        assert_eq!(t.gain(set.iter()), 2);
     }
 }

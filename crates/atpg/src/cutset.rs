@@ -18,7 +18,7 @@
 //! stuck-at-0 fault at that valve could "repair" the cut and mask a
 //! stuck-at-1 inside it.
 
-use crate::connectivity::{reachable_from, sink_cells, source_cells};
+use crate::connectivity::{closed_edges, reachable_from, sink_cells, source_cells};
 use crate::error::AtpgError;
 use fpva_grid::{Axis, CellId, EdgeId, EdgeKind, Fpva, TestVector, ValveId, ValveState};
 use serde::{Deserialize, Serialize};
@@ -41,8 +41,7 @@ impl CutSet {
     pub fn new(fpva: &Fpva, mut valves: Vec<ValveId>) -> Result<Self, AtpgError> {
         valves.sort_unstable();
         valves.dedup();
-        let blocked: HashSet<EdgeId> = valves.iter().map(|&v| fpva.edge_of(v)).collect();
-        let reach = reachable_from(fpva, &source_cells(fpva), &blocked);
+        let reach = reachable_from(fpva, &source_cells(fpva), &closed_edges(fpva, &valves));
         for sink in sink_cells(fpva) {
             if reach[fpva.cell_index(sink)] {
                 return Err(AtpgError::NotSeparating { reached_sink: sink });
@@ -331,20 +330,15 @@ pub fn straight_line_cuts(fpva: &Fpva) -> Result<Vec<CutSet>, AtpgError> {
     Ok(cuts)
 }
 
-/// A cut forced through the given valve's dual segment: the curve runs
-/// from one endpoint of the segment to the chip boundary, and from the
-/// other endpoint to the boundary avoiding the first half. Used to cover
-/// valves the straight-line family misses.
-pub fn cut_through_valve(fpva: &Fpva, valve: ValveId) -> Option<CutSet> {
-    exposing_cut(fpva, valve, exposed_valves).map(|(cut, _)| cut)
-}
-
 /// Decides which members of a cut its vector exposes ([`exposed_valves`];
 /// the tests swap in a reference definition).
 type Exposure = fn(&Fpva, &CutSet) -> Vec<ValveId>;
 
-/// [`cut_through_valve`], with the cut's exposed members (which always
-/// include `valve`).
+/// A cut forced through the given valve's dual segment, with the cut's
+/// exposed members (which always include `valve`): the curve runs from one
+/// endpoint of the segment to the chip boundary, and from the other
+/// endpoint to the boundary avoiding the first half. Used to cover valves
+/// the straight-line family misses.
 fn exposing_cut(fpva: &Fpva, valve: ValveId, exposure: Exposure) -> Option<(CutSet, Vec<ValveId>)> {
     let (rows, cols) = (fpva.rows(), fpva.cols());
     let edge = fpva.edge_of(valve);
@@ -420,12 +414,9 @@ impl CutCover {
 /// the other from a sink, since any reconnecting route crosses the valve
 /// once and avoids every other member.
 pub fn exposed_valves(fpva: &Fpva, cut: &CutSet) -> Vec<ValveId> {
-    let mut closed = vec![false; fpva.edge_count()];
-    for &v in cut.valves() {
-        closed[fpva.edge_index(fpva.edge_of(v))] = true;
-    }
-    let from_sources = reach_around(fpva, &source_cells(fpva), &closed);
-    let from_sinks = reach_around(fpva, &sink_cells(fpva), &closed);
+    let closed = closed_edges(fpva, cut.valves());
+    let from_sources = reachable_from(fpva, &source_cells(fpva), &closed);
+    let from_sinks = reachable_from(fpva, &sink_cells(fpva), &closed);
     cut.valves()
         .iter()
         .copied()
@@ -435,29 +426,6 @@ pub fn exposed_valves(fpva: &Fpva, cut: &CutSet) -> Vec<ValveId> {
             (from_sources[x] && from_sinks[y]) || (from_sources[y] && from_sinks[x])
         })
         .collect()
-}
-
-/// Cells reachable from `starts` over passable edges not marked `closed`
-/// (indexed by [`Fpva::edge_index`]).
-fn reach_around(fpva: &Fpva, starts: &[CellId], closed: &[bool]) -> Vec<bool> {
-    let mut seen = vec![false; fpva.cell_count()];
-    let mut queue: Vec<CellId> = Vec::new();
-    for &s in starts {
-        if !std::mem::replace(&mut seen[fpva.cell_index(s)], true) {
-            queue.push(s);
-        }
-    }
-    while let Some(cell) = queue.pop() {
-        for (edge, next) in fpva.neighbors(cell) {
-            if fpva.edge_kind(edge) != EdgeKind::Wall
-                && !closed[fpva.edge_index(edge)]
-                && !std::mem::replace(&mut seen[fpva.cell_index(next)], true)
-            {
-                queue.push(next);
-            }
-        }
-    }
-    seen
 }
 
 /// The full cut-set generator: straight-line cuts plus targeted cuts for
@@ -591,8 +559,10 @@ mod tests {
     fn cut_through_specific_valve() {
         let f = layouts::full_array(4, 4);
         for (v, _) in f.valves() {
-            let cut = cut_through_valve(&f, v).unwrap_or_else(|| panic!("no cut through {v}"));
+            let (cut, exposed) =
+                exposing_cut(&f, v, exposed_valves).unwrap_or_else(|| panic!("no cut through {v}"));
             assert!(cut.covers(v));
+            assert!(exposed.contains(&v), "{v} in the cut but not exposed");
         }
     }
 

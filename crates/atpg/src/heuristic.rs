@@ -1,22 +1,18 @@
-//! Serpentine and greedy flow-path construction.
+//! Greedy flow-path construction.
 //!
 //! The paper's ILP finds minimum path covers but only scales to small
-//! arrays (hence its hierarchical model). This module provides the
-//! scalable engines:
-//!
-//! * [`serpentine_paths`] — the two boustrophedon sweeps (row-wise and
-//!   column-wise) that cover a full regular array; the paper's Fig. 8(a)
-//!   direct-model result on the 10×10 array has exactly this structure;
-//! * [`greedy_cover`] — repeatedly routes a flow path through an
-//!   uncovered valve with the exact [`Router`], collecting other uncovered
-//!   valves on the way, until all coverable valves are hit. Works on
-//!   arbitrary layouts with channels and obstacles.
+//! arrays (hence its hierarchical model). [`greedy_cover`] is the scalable
+//! engine: it repeatedly routes a flow path through an uncovered valve
+//! with the exact [`Router`], collecting other uncovered valves on the
+//! way, until all coverable valves are hit. It works on arbitrary layouts
+//! with channels and obstacles, and tops up the serpentine bands of the
+//! hierarchical engine ([`crate::hierarchy`]).
 
 use crate::connectivity::{endpoint_ports, source_cells, Router};
 use crate::cover::CoverageTracker;
 use crate::error::AtpgError;
 use crate::path::FlowPath;
-use fpva_grid::{CellId, EdgeKind, Fpva, PortId, ValveId};
+use fpva_grid::{CellId, EdgeKind, Fpva, ValveId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -37,20 +33,6 @@ impl PathCover {
     }
 }
 
-fn first_source(fpva: &Fpva) -> Result<PortId, AtpgError> {
-    fpva.sources()
-        .next()
-        .map(|(id, _)| id)
-        .ok_or(AtpgError::MissingPorts)
-}
-
-fn first_sink(fpva: &Fpva) -> Result<PortId, AtpgError> {
-    fpva.sinks()
-        .next()
-        .map(|(id, _)| id)
-        .ok_or(AtpgError::MissingPorts)
-}
-
 /// Builds the row-wise serpentine cell sequence over `rows`, starting at
 /// `(row_start, 0)` heading east, for a `rows × cols` region. Ends at the
 /// east end when the number of rows is odd, at the west end otherwise.
@@ -64,35 +46,6 @@ pub(crate) fn serpentine_cells(row_start: usize, row_end: usize, cols: usize) ->
         }
     }
     cells
-}
-
-fn transpose(cells: Vec<CellId>) -> Vec<CellId> {
-    cells
-        .into_iter()
-        .map(|c| CellId::new(c.col, c.row))
-        .collect()
-}
-
-/// The two serpentine sweeps of a **full** array with corner ports: a
-/// row-wise sweep covering every horizontal valve and a column-wise sweep
-/// covering every vertical valve. Together they cover all valves when both
-/// dimensions are odd; for even dimensions the sweeps end at the wrong
-/// corner and `greedy_cover` tops up the remainder.
-///
-/// # Errors
-///
-/// Returns [`AtpgError::MissingPorts`] when the array lacks ports, or
-/// [`AtpgError::InvalidPath`] when a sweep is blocked (e.g. by an obstacle)
-/// or does not terminate on the sink cell.
-pub fn serpentine_paths(fpva: &Fpva) -> Result<Vec<FlowPath>, AtpgError> {
-    let source = first_source(fpva)?;
-    let sink = first_sink(fpva)?;
-    let row_sweep = serpentine_cells(0, fpva.rows() - 1, fpva.cols());
-    let col_sweep = transpose(serpentine_cells(0, fpva.cols() - 1, fpva.rows()));
-    Ok(vec![
-        FlowPath::new(fpva, source, sink, row_sweep)?,
-        FlowPath::new(fpva, source, sink, col_sweep)?,
-    ])
 }
 
 /// Greedy path cover: while uncovered valves remain, route a simple
@@ -196,28 +149,6 @@ mod tests {
     use fpva_grid::layouts;
 
     #[test]
-    fn serpentines_cover_full_odd_array() {
-        let f = layouts::full_array(5, 5);
-        let paths = serpentine_paths(&f).unwrap();
-        assert_eq!(paths.len(), 2);
-        let mut tracker = CoverageTracker::new(&f);
-        for p in &paths {
-            tracker.cover_all(p.valves(&f));
-        }
-        assert!(tracker.is_complete(), "{} uncovered", tracker.remaining());
-    }
-
-    #[test]
-    fn serpentine_fails_on_even_dimension() {
-        // Even row count: the row sweep ends at the west edge, not the sink.
-        let f = layouts::full_array(4, 4);
-        assert!(matches!(
-            serpentine_paths(&f),
-            Err(AtpgError::InvalidPath { .. })
-        ));
-    }
-
-    #[test]
     fn greedy_covers_full_grids() {
         for (r, c) in [(3, 3), (4, 4), (4, 6), (5, 5)] {
             let f = layouts::full_array(r, c);
@@ -248,12 +179,8 @@ mod tests {
     }
 
     #[test]
-    fn greedy_reports_uncoverable_pocket() {
+    fn greedy_covers_2x2_with_ports_on_one_row() {
         use fpva_grid::{FpvaBuilder, PortKind, Side};
-        // 2x2 with sink on the same cell as source's row: valve V(0,1)
-        // leads into the dead-end cell (1,1)->(1,0) pocket... build a 1x2
-        // with a stub: the valve into a dead-end cell cannot be on a simple
-        // source->sink path that returns.
         let f = FpvaBuilder::new(2, 2)
             .port(0, 0, Side::West, PortKind::Source)
             .port(0, 1, Side::East, PortKind::Sink)
@@ -266,13 +193,29 @@ mod tests {
     }
 
     #[test]
+    fn greedy_reports_uncoverable_pocket() {
+        use fpva_grid::{EdgeId, FpvaBuilder, PortKind, Side};
+        // The obstacle at (1,2) leaves (0,2) a dead end, entered only
+        // through H(0,1): no simple source->sink path can enter and leave.
+        let f = FpvaBuilder::new(3, 3)
+            .obstacle(1, 2, 1, 2)
+            .port(0, 0, Side::West, PortKind::Source)
+            .port(2, 2, Side::East, PortKind::Sink)
+            .build()
+            .unwrap();
+        let pocket = f.valve_at(EdgeId::horizontal(0, 1)).unwrap();
+        assert_eq!(greedy_cover(&f, 3).unwrap().uncovered, [pocket]);
+    }
+
+    #[test]
     fn prune_drops_fully_shadowed_paths() {
         let f = layouts::full_array(5, 5);
-        let mut paths = serpentine_paths(&f).unwrap();
+        let mut paths = greedy_cover(&f, 17).unwrap().paths;
+        let n = paths.len();
         // Duplicate the first path: the duplicate is redundant.
         paths.push(paths[0].clone());
         let pruned = prune_redundant(&f, paths);
-        assert_eq!(pruned.len(), 2);
+        assert_eq!(pruned.len(), n);
     }
 
     #[test]

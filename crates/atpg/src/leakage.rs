@@ -239,7 +239,7 @@ mod tests {
         // untestable exactly when no source-side flood reaches one end of
         // the victim while a sink-side flood reaches the other. Two
         // floods per pair, so only the smaller chips.
-        use crate::connectivity::{reachable_from, sink_cells, source_cells};
+        use crate::connectivity::{closed_edges, reachable_from, sink_cells, source_cells};
         let chips = [
             layouts::table1_5x5(),
             layouts::table1_10x10(),
@@ -249,9 +249,9 @@ mod tests {
         for f in &chips {
             for (a, _) in f.valves() {
                 for b in f.valve_neighbors(a) {
-                    let blocked: HashSet<EdgeId> = [f.edge_of(a), f.edge_of(b)].into();
-                    let from_sources = reachable_from(f, &source_cells(f), &blocked);
-                    let from_sinks = reachable_from(f, &sink_cells(f), &blocked);
+                    let closed = closed_edges(f, &[a, b]);
+                    let from_sources = reachable_from(f, &source_cells(f), &closed);
+                    let from_sinks = reachable_from(f, &sink_cells(f), &closed);
                     let (u, v) = f.edge_of(b).endpoints();
                     let (u, v) = (f.cell_index(u), f.cell_index(v));
                     let crossed =

@@ -11,8 +11,8 @@
 //!   branches (to avoid the masking of Fig. 5(a)); every valve must lie on
 //!   at least one path, so a stuck-at-0 valve kills the pressure reading of
 //!   the path that covers it. Generated by the paper's ILP (constraints
-//!   (1)–(8), in [`ilp_model`]), by a serpentine/greedy heuristic
-//!   ([`heuristic`]), or hierarchically per block band ([`hierarchy`]).
+//!   (1)–(8), in [`ilp_model`]), by a greedy heuristic ([`heuristic`]),
+//!   or hierarchically per serpentine block band ([`hierarchy`]).
 //! * **Cut-sets** ([`CutSet`]): valve sets whose closure separates sources
 //!   from sinks; a pressure reading while a cut-set is closed proves a
 //!   stuck-at-1 valve. Straight grid lines reproduce the paper's cut
@@ -23,8 +23,8 @@
 //!   "actuator-closed/victim-on-active-path" configuration.
 //!
 //! [`Atpg`] bundles the three generators into one [`TestPlan`]; the
-//! [`baseline`] module implements the naive 2·n_v-vector comparison method
-//! the paper argues against.
+//! [`baseline`] module counts the vectors of the naive 2·n_v comparison
+//! method the paper argues against.
 //!
 //! # Quick start
 //!

@@ -11,9 +11,8 @@
 //!
 //! Run with `cargo run --release -p fpva-bench --bin ablation`. Pass
 //! `--threads N` to spread the pairwise two-fault sweep over N workers
-//! (default: one per CPU; the report is identical for every count) and
-//! `--kernel scalar|bit` to pick the simulation kernel the coverage
-//! audits run on (default: bit-parallel; the reports are identical).
+//! (default: one per CPU; the report is identical for every count). A
+//! trial count is rejected (exit 2): the ablations run fixed workloads.
 
 use fpva_atpg::ilp_model::{min_path_cover_ilp_with_stats, PathIlpConfig};
 use fpva_atpg::{Atpg, AtpgConfig, PathEngine};
@@ -23,7 +22,7 @@ use fpva_sim::audit;
 use std::time::Instant;
 
 fn main() {
-    let args = CliArgs::parse();
+    let threads = CliArgs::parse_threads();
     println!("== Ablation 1: path engine (count, seconds) ==");
     println!(
         "{:<8} | {:>14} | {:>14} | {:>14}",
@@ -131,7 +130,7 @@ fn main() {
     for entry in layouts::table1().into_iter().take(2) {
         let plan = Atpg::new().generate(&entry.fpva).expect("valid layout");
         let suite = plan.to_suite(&entry.fpva);
-        let report = audit::two_fault_audit_with(&entry.fpva, &suite, args.threads, args.kernel);
+        let report = audit::two_fault_audit(&entry.fpva, &suite, threads);
         println!(
             "{:<8}: {}/{} pairs detected ({})",
             entry.name,
@@ -150,10 +149,8 @@ fn main() {
         })
         .generate(&entry.fpva)
         .expect("valid layout");
-        let cov_with =
-            audit::leak_coverage_with(&entry.fpva, &with.to_suite(&entry.fpva), args.kernel);
-        let cov_without =
-            audit::leak_coverage_with(&entry.fpva, &without.to_suite(&entry.fpva), args.kernel);
+        let cov_with = audit::leak_coverage(&entry.fpva, &with.to_suite(&entry.fpva));
+        let cov_without = audit::leak_coverage(&entry.fpva, &without.to_suite(&entry.fpva));
         println!(
             "{:<8}: with n_l={} -> {} | without -> {}",
             entry.name,

@@ -1,9 +1,9 @@
 //! Regenerates **Fig. 8** of the paper: flow paths on the full 10×10 array
 //! from the direct model vs the hierarchical model (5×5 subblocks).
 //!
-//! The paper's direct ILP finds 2 paths; our direct engine (greedy with
-//! serpentine seeds — the exact ILP is impractical at this size without a
-//! commercial solver, see DESIGN.md §4.1) typically needs one or two more.
+//! The paper's direct ILP finds 2 paths; our direct engine (the greedy
+//! cover — the exact ILP is impractical at this size without a commercial
+//! solver) typically needs one or two more.
 //! The hierarchical engine reproduces the paper's 4 paths exactly.
 //!
 //! Run with `cargo run --release -p fpva-bench --bin fig8`. Flags:

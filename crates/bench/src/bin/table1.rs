@@ -5,24 +5,24 @@
 //! Run with `cargo run --release -p fpva-bench --bin table1`. Pass
 //! `--threads N` to generate the five per-array plans on N workers
 //! (default: one per CPU; every plan is deterministic per layout, so the
-//! table is identical for every thread count). `--trials` is not used by
-//! this binary.
+//! table is identical for every thread count). A trial count is rejected
+//! (exit 2): this binary runs no campaign.
 
 use fpva_bench::{plan_table1_with, CliArgs};
 use fpva_sim::exec;
 
 fn main() {
-    let args = CliArgs::parse();
+    let threads = CliArgs::parse_threads();
     // run_chunked caps workers at the chunk count (one chunk per array).
     println!(
         "Table I — test vector generation (paper numbers in parentheses; {} worker(s))",
-        exec::resolve_threads(args.threads).min(fpva_grid::layouts::table1().len())
+        exec::resolve_threads(threads).min(fpva_grid::layouts::table1().len())
     );
     println!(
         "{:<8} {:>6} | {:>9} {:>9} {:>9} {:>11} | {:>8} {:>8} {:>8} {:>8} | {:>9}",
         "array", "n_v", "n_p", "n_c", "n_l", "N", "t_p(s)", "t_c(s)", "t_l(s)", "T(s)", "baseline"
     );
-    for planned in plan_table1_with(args.threads) {
+    for planned in plan_table1_with(threads) {
         let e = &planned.entry;
         let p = &planned.plan;
         let s = p.stats();

@@ -4,7 +4,6 @@
 use fpva_atpg::{Atpg, TestPlan};
 use fpva_grid::layouts::Table1Entry;
 use fpva_grid::Fpva;
-use fpva_sim::SimKernel;
 
 pub mod lint;
 
@@ -81,10 +80,6 @@ pub struct CliArgs {
     pub trials: Option<usize>,
     /// `--threads N`; `0` (the default) means one worker per CPU.
     pub threads: usize,
-    /// `--kernel scalar|bit`; selects the simulation kernel (default:
-    /// the bit-parallel one). Results are identical either way — the
-    /// flag exists for timing comparisons against the scalar oracle.
-    pub kernel: SimKernel,
 }
 
 impl CliArgs {
@@ -121,19 +116,6 @@ impl CliArgs {
                         _ => out.threads = n,
                     }
                 }
-                "--kernel" => {
-                    let raw = match inline {
-                        Some(v) => v.to_string(),
-                        None => args
-                            .next()
-                            .ok_or_else(|| format!("{flag} expects a value"))?,
-                    };
-                    out.kernel = match raw.as_str() {
-                        "scalar" => SimKernel::Scalar,
-                        "bit" | "bit-parallel" => SimKernel::BitParallel,
-                        _ => return Err(format!("{flag} expects `scalar` or `bit`, got `{raw}`")),
-                    };
-                }
                 other => match other.parse() {
                     // Bare positional number: the original `fault_detection`
                     // trial-count invocation, kept for compatibility.
@@ -148,15 +130,26 @@ impl CliArgs {
     /// Parses the process arguments, exiting with usage on a bad command
     /// line.
     pub fn parse() -> Self {
-        Self::parse_from(std::env::args().skip(1)).unwrap_or_else(|msg| {
-            eprintln!("error: {msg}");
-            eprintln!(
-                "usage: [--trials N] [--threads N] [--kernel scalar|bit]   \
-                 (N numeric; --threads 0 = all CPUs)"
-            );
-            std::process::exit(2);
-        })
+        Self::parse_from(std::env::args().skip(1)).unwrap_or_else(|msg| exit_with_usage(&msg))
     }
+
+    /// [`CliArgs::parse`] for a binary that runs a fixed workload
+    /// (`table1`, `ablation`): a trial count, which it would ignore, exits
+    /// with usage too. Returns the `--threads` value.
+    pub fn parse_threads() -> usize {
+        let args = Self::parse();
+        if args.trials.is_some() {
+            exit_with_usage("this binary takes no trial count");
+        }
+        args.threads
+    }
+}
+
+/// Prints `msg` and the usage line to stderr and exits with status 2.
+fn exit_with_usage(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    eprintln!("usage: [--trials N] [--threads N]   (N numeric; --threads 0 = all CPUs)");
+    std::process::exit(2);
 }
 
 /// Renders an optional rate in `[0, 1]` as a percentage, or `"n/a"` when
@@ -192,7 +185,6 @@ mod tests {
             Ok(CliArgs {
                 trials: Some(500),
                 threads: 4,
-                ..Default::default()
             })
         );
         assert_eq!(
@@ -200,7 +192,6 @@ mod tests {
             Ok(CliArgs {
                 trials: Some(500),
                 threads: 4,
-                ..Default::default()
             })
         );
         assert_eq!(
@@ -214,23 +205,6 @@ mod tests {
     }
 
     #[test]
-    fn cli_args_select_the_kernel() {
-        let args =
-            |list: &[&str]| CliArgs::parse_from(list.iter().map(std::string::ToString::to_string));
-        assert_eq!(args(&[]).unwrap().kernel, SimKernel::BitParallel);
-        assert_eq!(
-            args(&["--kernel", "scalar"]).unwrap().kernel,
-            SimKernel::Scalar
-        );
-        assert_eq!(
-            args(&["--kernel=bit"]).unwrap().kernel,
-            SimKernel::BitParallel
-        );
-        assert!(args(&["--kernel", "simd"]).is_err());
-        assert!(args(&["--kernel"]).is_err());
-    }
-
-    #[test]
     fn cli_args_reject_typos_instead_of_guessing() {
         let args =
             |list: &[&str]| CliArgs::parse_from(list.iter().map(std::string::ToString::to_string));
@@ -238,6 +212,7 @@ mod tests {
         assert!(args(&["--threads"]).is_err());
         assert!(args(&["--seed", "5"]).is_err());
         assert!(args(&["--trails=500"]).is_err());
+        assert!(args(&["--kernel", "scalar"]).is_err());
     }
 
     #[test]

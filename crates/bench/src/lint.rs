@@ -157,9 +157,9 @@ pub fn lint_chip(name: &str, fpva: &Fpva) -> Vec<Diagnostic> {
 
     // All-open reachability: the weakest possible requirement — if a sink
     // cannot see a source with every valve open, no test vector ever will.
-    let open = HashSet::new();
-    let from_src = connectivity::reachable_from(fpva, &sources, &open);
-    let from_snk = connectivity::reachable_from(fpva, &sinks, &open);
+    let none_closed = vec![false; fpva.edge_count()];
+    let from_src = connectivity::reachable_from(fpva, &sources, &none_closed);
+    let from_snk = connectivity::reachable_from(fpva, &sinks, &none_closed);
     for (id, port) in fpva.sinks() {
         if !from_src[fpva.cell_index(port.cell)] {
             push(

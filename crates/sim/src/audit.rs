@@ -14,9 +14,9 @@
 //! runs in fixed chunks of stuck-at-0 valves on the same scoped worker
 //! pool ([`crate::exec`]) as the campaign.
 
-use crate::bitsim::{BitSimulator, KernelStats, LoweredChip, SimKernel, LANES, SWEEP_CHUNK};
+use crate::bitsim::{BitSimulator, KernelStats, LoweredChip, LANES, SWEEP_CHUNK};
 use crate::exec;
-use crate::fault::{Fault, FaultSet};
+use crate::fault::Fault;
 use crate::suite::TestSuite;
 use fpva_grid::{Fpva, ValveId};
 use std::ops::Range;
@@ -28,9 +28,8 @@ pub struct CoverageReport<F> {
     pub total: usize,
     /// The ones no vector detected.
     pub undetected: Vec<F>,
-    /// Work counters of the kernel that ran the sweep. Identical across
-    /// thread counts (but not across kernels — that is the point of the
-    /// counters); `total`/`undetected` are identical across both.
+    /// Work counters of the bit-parallel kernel that ran the sweep,
+    /// identical across thread counts.
     pub stats: KernelStats,
 }
 
@@ -52,40 +51,18 @@ impl<F> CoverageReport<F> {
     }
 }
 
-/// Checks every single stuck-at-0 and stuck-at-1 fault, on the default
-/// (bit-parallel) kernel.
+/// Checks every single stuck-at-0 and stuck-at-1 fault.
 pub fn single_fault_coverage(fpva: &Fpva, suite: &TestSuite) -> CoverageReport<Fault> {
-    single_fault_coverage_with(fpva, suite, SimKernel::default())
-}
-
-/// [`single_fault_coverage`] on an explicit kernel. `total`/`undetected`
-/// are identical for both kernels; the scalar path is the differential
-/// oracle.
-pub fn single_fault_coverage_with(
-    fpva: &Fpva,
-    suite: &TestSuite,
-    kernel: SimKernel,
-) -> CoverageReport<Fault> {
     let universe: Vec<Fault> = fpva
         .valves()
         .flat_map(|(v, _)| [Fault::StuckAt0(v), Fault::StuckAt1(v)])
         .collect();
-    sweep_universe(fpva, suite, kernel, universe)
+    sweep_universe(fpva, suite, &universe)
 }
 
 /// Checks every control-leak fault between physically adjacent valves
-/// (ordered pairs: the leak direction matters), on the default
-/// (bit-parallel) kernel.
+/// (ordered pairs: the leak direction matters).
 pub fn leak_coverage(fpva: &Fpva, suite: &TestSuite) -> CoverageReport<Fault> {
-    leak_coverage_with(fpva, suite, SimKernel::default())
-}
-
-/// [`leak_coverage`] on an explicit kernel.
-pub fn leak_coverage_with(
-    fpva: &Fpva,
-    suite: &TestSuite,
-    kernel: SimKernel,
-) -> CoverageReport<Fault> {
     let universe: Vec<Fault> = fpva
         .valves()
         .flat_map(|(actuator, _)| {
@@ -94,114 +71,70 @@ pub fn leak_coverage_with(
                 .map(move |victim| Fault::ControlLeak { actuator, victim })
         })
         .collect();
-    sweep_universe(fpva, suite, kernel, universe)
+    sweep_universe(fpva, suite, &universe)
 }
 
-/// Serial sweep over an explicit single-fault universe: scalar per-fault
-/// detection, or one vector-major [`BitSimulator::sweep`] per
-/// [`SWEEP_CHUNK`] faults on the bit-parallel kernel.
-fn sweep_universe(
-    fpva: &Fpva,
-    suite: &TestSuite,
-    kernel: SimKernel,
-    universe: Vec<Fault>,
-) -> CoverageReport<Fault> {
-    let total = universe.len();
+/// Serial sweep over an explicit single-fault universe: one vector-major
+/// [`BitSimulator::sweep`] per [`SWEEP_CHUNK`] faults.
+fn sweep_universe(fpva: &Fpva, suite: &TestSuite, universe: &[Fault]) -> CoverageReport<Fault> {
+    let chip = LoweredChip::build(fpva);
+    let mut sim = BitSimulator::new(&chip);
     let mut undetected = Vec::new();
-    let mut stats = KernelStats::default();
-    match kernel {
-        SimKernel::Scalar => {
-            for fault in universe {
-                let set = FaultSet::try_from_faults(vec![fault]).expect("single fault is valid");
-                match suite.first_detecting_vector(fpva, &set) {
-                    Some(ix) => stats.scalar_passes += ix + 1,
-                    None => {
-                        stats.scalar_passes += suite.len();
-                        undetected.push(fault);
-                    }
-                }
+    for chunk in universe.chunks(SWEEP_CHUNK) {
+        let scenarios: Vec<[Fault; 1]> = chunk.iter().map(|&fault| [fault]).collect();
+        let verdicts = sim.sweep(suite, &scenarios);
+        for (&fault, hit) in chunk.iter().zip(verdicts) {
+            if !hit {
+                undetected.push(fault);
             }
-        }
-        SimKernel::BitParallel => {
-            let chip = LoweredChip::build(fpva);
-            let mut sim = BitSimulator::new(&chip);
-            for chunk in universe.chunks(SWEEP_CHUNK) {
-                let scenarios: Vec<[Fault; 1]> = chunk.iter().map(|&fault| [fault]).collect();
-                let verdicts = sim.sweep(suite, &scenarios);
-                for (&fault, hit) in chunk.iter().zip(verdicts) {
-                    if !hit {
-                        undetected.push(fault);
-                    }
-                }
-            }
-            stats = sim.stats();
         }
     }
     CoverageReport {
-        total,
+        total: universe.len(),
         undetected,
-        stats,
+        stats: sim.stats(),
     }
 }
 
-/// Stuck-at-0 valves per work chunk of the two-fault audit, on both
-/// kernels. A multiple of [`LANES`] and never derived from the thread
-/// count, so the chunk decomposition, and with it the `undetected` order
-/// and every [`KernelStats`] counter, is the same for every pool size.
-/// A larger chunk packs more stuck-at-0 lanes into each word pass of the
-/// pre-pass; 256 still splits the 30×30 audit into seven pool chunks.
+/// Stuck-at-0 valves per work chunk of the two-fault audit. A multiple of
+/// [`LANES`] and never derived from the thread count, so the chunk
+/// decomposition, and with it the `undetected` order and every
+/// [`KernelStats`] counter, is the same for every pool size. A larger
+/// chunk packs more stuck-at-0 lanes into each word pass of the pre-pass;
+/// 256 still splits the 30×30 audit into seven pool chunks.
 pub const VALVE_CHUNK: usize = 4 * LANES;
 
 /// Checks every (stuck-at-0, stuck-at-1) pair on distinct valves — the
 /// mutual-masking scenario of the paper's Fig. 5(c)/(d) — spreading the
 /// O(n_v²) pair universe over `threads` workers (`1` = serial on the
-/// calling thread, `0` = all CPUs), on the default (bit-parallel) kernel.
-/// The report is identical for every thread count, with `undetected` in the
-/// serial scan order (outer stuck-at-0 valve, inner stuck-at-1 valve).
-/// The bit-parallel kernel decides most pairs by composing single-fault
-/// results (see [`two_fault_audit_with`]), which keeps the audit
-/// exhaustive on every Table I array.
-pub fn two_fault_audit(
-    fpva: &Fpva,
-    suite: &TestSuite,
-    threads: usize,
-) -> CoverageReport<(Fault, Fault)> {
-    two_fault_audit_with(fpva, suite, threads, SimKernel::default())
-}
-
-/// [`two_fault_audit`] on an explicit kernel. `total`/`undetected` are
-/// identical for both kernels.
+/// calling thread, `0` = all CPUs). The report is identical for every
+/// thread count, with `undetected` in the serial scan order (outer
+/// stuck-at-0 valve, inner stuck-at-1 valve).
 ///
-/// Both split the outer stuck-at-0 valves into chunks of [`VALVE_CHUNK`],
-/// a fixed size, so the chunk decomposition, and with it the `undetected`
-/// ordering, never depends on the thread count. The scalar kernel, the
-/// unpruned oracle, applies the suite to every pair of its chunk. The
-/// bit-parallel kernel first sweeps the chunk's stuck-at-0 faults alone:
-/// a pair (stuck-at-0 `a`, stuck-at-1 `b`) is detected whenever some
-/// vector detects `a` alone and `b` is commanded open in it or does not
-/// cross the boundary of the region it pressurises under `a`, because that
-/// region then stays closed under the pair's open edges and the pair
-/// responds exactly like `a`. Only the surviving pairs, in scan order, go
-/// through vector-major [`BitSimulator::sweep`]s of at most
-/// [`SWEEP_CHUNK`] pairs each; a stuck-at-0 no vector detects keeps all of
-/// its partners.
+/// The outer stuck-at-0 valves go in chunks of [`VALVE_CHUNK`]. Each chunk
+/// first sweeps its stuck-at-0 faults alone: a pair (stuck-at-0 `a`,
+/// stuck-at-1 `b`) is detected whenever some vector detects `a` alone and
+/// `b` is commanded open in it or does not cross the boundary of the
+/// region it pressurises under `a`, because that region then stays closed
+/// under the pair's open edges and the pair responds exactly like `a`.
+/// Only the surviving pairs, in scan order, go through vector-major
+/// [`BitSimulator::sweep`]s of at most [`SWEEP_CHUNK`] pairs each; a
+/// stuck-at-0 no vector detects keeps all of its partners. This keeps the
+/// audit exhaustive on every Table I array.
 ///
 /// [`KernelStats`] counts both stages like sweeps: the stuck-at-0
 /// scenarios of the first stage add to `lanes`, their 64-scenario blocks
 /// to `blocks` and its packed passes to `word_passes`, on top of the
 /// surviving pairs' sweeps.
-pub fn two_fault_audit_with(
+pub fn two_fault_audit(
     fpva: &Fpva,
     suite: &TestSuite,
     threads: usize,
-    kernel: SimKernel,
 ) -> CoverageReport<(Fault, Fault)> {
     let nv = fpva.valve_count();
-    let total = nv * nv.saturating_sub(1);
-    let lowered = (kernel == SimKernel::BitParallel && total > 0).then(|| LoweredChip::build(fpva));
-    let chunks = exec::run_chunked(threads, nv, VALVE_CHUNK, |valves| match &lowered {
-        Some(chip) => composed_chunk(chip, suite, valves),
-        None => scalar_chunk(fpva, suite, valves),
+    let chip = LoweredChip::build(fpva);
+    let chunks = exec::run_chunked(threads, nv, VALVE_CHUNK, |valves| {
+        composed_chunk(&chip, suite, valves)
     });
     let mut undetected = Vec::new();
     let mut stats = KernelStats::default();
@@ -210,15 +143,15 @@ pub fn two_fault_audit_with(
         stats.merge(&chunk_stats);
     }
     CoverageReport {
-        total,
+        total: nv * nv.saturating_sub(1),
         undetected,
         stats,
     }
 }
 
-/// The undetected pairs of the stuck-at-0 valves `valves`, in scan order,
-/// on the bit-parallel kernel: the single-fault pre-pass, then a sweep of
-/// the surviving pairs [`SWEEP_CHUNK`] at a time.
+/// The undetected pairs of the stuck-at-0 valves `valves`, in scan order:
+/// the single-fault pre-pass, then a sweep of the surviving pairs
+/// [`SWEEP_CHUNK`] at a time.
 fn composed_chunk(
     chip: &LoweredChip,
     suite: &TestSuite,
@@ -248,36 +181,10 @@ fn composed_chunk(
     (undetected, sim.stats())
 }
 
-/// The undetected pairs of the stuck-at-0 valves `valves`, in scan order,
-/// on the scalar kernel: every pair against the suite.
-fn scalar_chunk(
-    fpva: &Fpva,
-    suite: &TestSuite,
-    valves: Range<usize>,
-) -> (Vec<(Fault, Fault)>, KernelStats) {
-    let nv = fpva.valve_count();
-    let mut stats = KernelStats::default();
-    let mut undetected = Vec::new();
-    for a in valves {
-        for b in (0..nv).filter(|&b| b != a) {
-            let pair = (Fault::StuckAt0(ValveId(a)), Fault::StuckAt1(ValveId(b)));
-            let set = FaultSet::try_from_faults(vec![pair.0, pair.1])
-                .expect("distinct valves cannot conflict");
-            match suite.first_detecting_vector(fpva, &set) {
-                Some(ix) => stats.scalar_passes += ix + 1,
-                None => {
-                    stats.scalar_passes += suite.len();
-                    undetected.push(pair);
-                }
-            }
-        }
-    }
-    (undetected, stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultSet;
     use fpva_grid::{FpvaBuilder, PortKind, Side, TestVector, ValveState};
 
     /// 1x4 pipeline: valves v0, v1, v2 in series.
@@ -407,35 +314,64 @@ mod tests {
         assert!(report.is_complete());
     }
 
-    /// Every audit, bit-parallel vs the scalar oracle: identical verdicts.
+    /// Every audit against the scalar oracle, `TestSuite::detects` applied
+    /// to each fault and pair: same universe, same `undetected` list.
     #[test]
     fn audits_agree_across_kernels() {
+        fn misses<F: Copy>(
+            f: &Fpva,
+            suite: &TestSuite,
+            universe: &[F],
+            faults: impl Fn(F) -> Vec<Fault>,
+        ) -> Vec<F> {
+            let detects = |&x: &F| {
+                let set = FaultSet::try_from_faults(faults(x)).expect("compatible faults");
+                suite.detects(f, &set)
+            };
+            universe.iter().copied().filter(|x| !detects(x)).collect()
+        }
         let f = line4();
+        let valves: Vec<ValveId> = f.valves().map(|(v, _)| v).collect();
+        let singles: Vec<Fault> = valves
+            .iter()
+            .flat_map(|&v| [Fault::StuckAt0(v), Fault::StuckAt1(v)])
+            .collect();
+        let leaks: Vec<Fault> = valves
+            .iter()
+            .flat_map(|&actuator| {
+                f.valve_neighbors(actuator)
+                    .into_iter()
+                    .map(move |victim| Fault::ControlLeak { actuator, victim })
+            })
+            .collect();
+        let pairs: Vec<(Fault, Fault)> = valves
+            .iter()
+            .flat_map(|&a| {
+                valves
+                    .iter()
+                    .filter(move |&&b| b != a)
+                    .map(move |&b| (Fault::StuckAt0(a), Fault::StuckAt1(b)))
+            })
+            .collect();
         for suite in [
             complete_suite(&f),
             TestSuite::new(&f, vec![TestVector::all_open(f.valve_count())]),
             TestSuite::new(&f, vec![TestVector::all_closed(f.valve_count())]),
             TestSuite::new(&f, vec![]),
         ] {
-            for (bit, scalar) in [
-                (
-                    single_fault_coverage_with(&f, &suite, SimKernel::BitParallel),
-                    single_fault_coverage_with(&f, &suite, SimKernel::Scalar),
-                ),
-                (
-                    leak_coverage_with(&f, &suite, SimKernel::BitParallel),
-                    leak_coverage_with(&f, &suite, SimKernel::Scalar),
-                ),
+            for (bit, universe) in [
+                (single_fault_coverage(&f, &suite), &singles),
+                (leak_coverage(&f, &suite), &leaks),
             ] {
-                assert_eq!(bit.total, scalar.total);
-                assert_eq!(bit.undetected, scalar.undetected);
-                assert_eq!(bit.stats.scalar_passes, 0);
-                assert_eq!(scalar.stats.blocks, 0);
+                assert_eq!(bit.total, universe.len());
+                assert_eq!(bit.undetected, misses(&f, &suite, universe, |x| vec![x]));
             }
-            let bit = two_fault_audit_with(&f, &suite, 2, SimKernel::BitParallel);
-            let scalar = two_fault_audit_with(&f, &suite, 2, SimKernel::Scalar);
-            assert_eq!(bit.total, scalar.total);
-            assert_eq!(bit.undetected, scalar.undetected);
+            let bit = two_fault_audit(&f, &suite, 2);
+            assert_eq!(bit.total, pairs.len());
+            assert_eq!(
+                bit.undetected,
+                misses(&f, &suite, &pairs, |(a, b)| vec![a, b])
+            );
         }
     }
 }

@@ -52,12 +52,12 @@
 //! For every `(vector, fault set)` the lane bit computed here equals the
 //! scalar result of [`crate::respond`] compared against the
 //! suite's golden response — byte for byte, not approximately. The scalar
-//! path stays in the tree as the oracle: the differential campaign and
-//! audit tests run both kernels, on complete and on deliberately weak
-//! suites, and assert identical [`crate::campaign::CampaignRow`]s and
-//! `undetected` lists; the unit tests below check the per-scenario
-//! reachability sets and the skip rule themselves. Anything observable
-//! may *only* differ in speed.
+//! path stays in the tree as the oracle: the differential tests build the
+//! expected [`crate::campaign::CampaignRow`]s and audit `undetected`
+//! lists by applying [`TestSuite::detects`] to each trial, fault and pair,
+//! on complete and on deliberately weak suites, and assert that the
+//! campaign and the audits report exactly those; the unit tests below
+//! check the per-scenario reachability sets and the skip rule themselves.
 
 use crate::fault::Fault;
 #[cfg(doc)]
@@ -390,25 +390,11 @@ impl BitFrontier {
     }
 }
 
-/// Which simulation kernel a campaign or audit runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SimKernel {
-    /// One BFS per `(vector, fault set)` — the original path, kept as the
-    /// differential oracle.
-    Scalar,
-    /// [`LANES`] fault scenarios per word through one bitset BFS per
-    /// vector (this module). Produces byte-identical results.
-    #[default]
-    BitParallel,
-}
-
 /// Work counters of a campaign/audit run, for throughput reporting.
 ///
 /// All counters are a pure function of `(chip, suite, config)` — chunk
 /// decomposition, fault dropping and lane packing are deterministic — so
-/// stats, like rows, are identical for every thread count *within* one
-/// kernel. Across kernels only the results match; the stats are exactly
-/// what differs.
+/// stats, like rows, are identical for every thread count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct KernelStats {
     /// 64-scenario blocks of the bit-parallel kernel's input: a sweep over
@@ -424,8 +410,6 @@ pub struct KernelStats {
     /// Scenarios swept by the bit-parallel kernel, the two-fault audit's
     /// pre-pass stuck-at-0 faults included.
     pub lanes: usize,
-    /// Scalar BFS passes (vector applications) by the scalar kernel.
-    pub scalar_passes: usize,
 }
 
 impl KernelStats {
@@ -435,7 +419,6 @@ impl KernelStats {
         self.blocks += other.blocks;
         self.word_passes += other.word_passes;
         self.lanes += other.lanes;
-        self.scalar_passes += other.scalar_passes;
     }
 }
 
@@ -768,6 +751,7 @@ mod tests {
         let f = layouts::full_array(3, 4);
         let chip = LoweredChip::build(&f);
         let mut frontier = BitFrontier::new(chip.cell_count());
+        let leaks = crate::ObservableLeaks::build(&f);
         let mut rng = StdRng::seed_from_u64(11);
         for round in 0..8 {
             // A random vector and 64 random fault sets.
@@ -778,7 +762,9 @@ mod tests {
                 }
             }
             let sets: Vec<FaultSet> = (0..LANES)
-                .map(|_| crate::campaign::random_fault_set(&f, &mut rng, round % 4 + 1, true))
+                .map(|_| {
+                    crate::campaign::random_fault_set_from(&f, &mut rng, round % 4 + 1, &leaks)
+                })
                 .collect();
             let mut sim = BitSimulator::new(&chip);
             sim.load_vector(&vector);
@@ -810,10 +796,11 @@ mod tests {
                 TestVector::all_closed(f.valve_count()),
             ],
         );
+        let leaks = crate::ObservableLeaks::build(&f);
         let mut rng = StdRng::seed_from_u64(5);
         // 70 sets: one full block plus a partial one.
         let sets: Vec<FaultSet> = (0..70)
-            .map(|i| crate::campaign::random_fault_set(&f, &mut rng, i % 5 + 1, true))
+            .map(|i| crate::campaign::random_fault_set_from(&f, &mut rng, i % 5 + 1, &leaks))
             .collect();
         let mut sim = BitSimulator::new(&chip);
         let detected = sim.sweep(&suite, &sets);
@@ -865,8 +852,9 @@ mod tests {
                 })
                 .collect();
             let suite = TestSuite::new(&f, vectors);
+            let leaks = crate::ObservableLeaks::build(&f);
             for k in 0..300 {
-                let set = crate::campaign::random_fault_set(&f, &mut rng, k % 5 + 1, true);
+                let set = crate::campaign::random_fault_set_from(&f, &mut rng, k % 5 + 1, &leaks);
                 for (i, vector) in suite.vectors().iter().enumerate() {
                     if !chip.disturbs(vector, suite.golden_reach(i), set.faults()) {
                         skipped += 1;

@@ -11,7 +11,7 @@
 //! trial order and the order of [`CampaignConfig::fault_counts`].
 
 use crate::bitsim::{
-    BitFrontier, BitSimulator, KernelStats, LaneSet, LoweredChip, SimKernel, LANES, SWEEP_CHUNK,
+    BitFrontier, BitSimulator, KernelStats, LaneSet, LoweredChip, LANES, SWEEP_CHUNK,
 };
 use crate::exec;
 use crate::fault::{Fault, FaultSet};
@@ -237,16 +237,16 @@ pub fn trial_seed(seed: u64, fault_count: usize, trial: usize) -> u64 {
 /// # Determinism contract
 ///
 /// For a fixed `(chip, suite)`, the rows returned by [`run`] are a pure
-/// function of this configuration's `seed`, `trials`,
-/// `include_control_leaks` and the *set* of `fault_counts`: each row
-/// depends only on its own fault count (trial `i` of fault count `k` uses
-/// the RNG seeded by [`trial_seed`]`(seed, k, i)`). In particular the
-/// results do **not** change with [`CampaignConfig::threads`], with the
-/// ordering of `fault_counts`, when `fault_counts` is subset, or with the
-/// [`CampaignConfig::kernel`] — the bit-parallel kernel packs trials into
-/// lanes but derives each trial's faults from the same per-trial RNG and
-/// evaluates the same detection predicate, so rows match the scalar
-/// oracle byte for byte.
+/// function of this configuration's `seed`, `trials` and the *set* of
+/// `fault_counts`: each row depends only on its own fault count (trial `i`
+/// of fault count `k` uses the RNG seeded by [`trial_seed`]`(seed, k, i)`).
+/// In particular the results do **not** change with
+/// [`CampaignConfig::threads`], with the ordering of `fault_counts`, or
+/// when `fault_counts` is subset. The bit-parallel kernel packs trials
+/// into lanes but evaluates the same detection predicate on each trial's
+/// fault set, so every row equals, byte for byte, the row that
+/// [`TestSuite::detects`] gives when applied to those fault sets one by
+/// one.
 #[derive(Debug, Clone)]
 pub struct CampaignConfig {
     /// Trials per fault count (the paper uses 10 000).
@@ -255,16 +255,10 @@ pub struct CampaignConfig {
     pub fault_counts: Vec<usize>,
     /// RNG seed, for reproducible campaigns.
     pub seed: u64,
-    /// Whether control-layer leak faults are part of the mix (in addition
-    /// to stuck-at-0/1).
-    pub include_control_leaks: bool,
     /// Worker threads for the trial sweep: `1` runs serial on the calling
     /// thread, `0` uses one worker per available CPU. Results are
     /// identical for every value (see the determinism contract above).
     pub threads: usize,
-    /// Simulation kernel: the word-parallel bitset BFS (default) or the
-    /// scalar per-trial BFS oracle. Rows are identical either way.
-    pub kernel: SimKernel,
 }
 
 impl Default for CampaignConfig {
@@ -273,9 +267,7 @@ impl Default for CampaignConfig {
             trials: 10_000,
             fault_counts: vec![1, 2, 3, 4, 5],
             seed: 0xF97A_2017,
-            include_control_leaks: true,
             threads: 1,
-            kernel: SimKernel::default(),
         }
     }
 }
@@ -352,28 +344,8 @@ impl CampaignRow {
     }
 }
 
-/// Draws one random fault set with exactly `count` distinct faults.
-///
-/// Convenience wrapper around [`random_fault_set_from`] that scans the
-/// chip's observable-leak table on every call — prefer building one
-/// [`ObservableLeaks`] and reusing it when drawing many sets.
-///
-/// # Panics
-///
-/// As [`random_fault_set_from`].
-pub fn random_fault_set(
-    fpva: &Fpva,
-    rng: &mut impl Rng,
-    count: usize,
-    include_control_leaks: bool,
-) -> FaultSet {
-    let leaks = include_control_leaks.then(|| ObservableLeaks::build(fpva));
-    random_fault_set_from(fpva, rng, count, leaks.as_ref())
-}
-
 /// Draws one random fault set with exactly `count` distinct faults, taking
-/// control-leak candidates from a pre-built [`ObservableLeaks`] table
-/// (`None` disables leak faults).
+/// control-leak candidates from a pre-built [`ObservableLeaks`] table.
 ///
 /// Mix: stuck-at-0 and stuck-at-1 each ~40 %, control leaks ~20 % (when a
 /// non-empty table is supplied). Leak pairs are drawn uniformly from the
@@ -395,11 +367,11 @@ pub fn random_fault_set_from(
     fpva: &Fpva,
     rng: &mut impl Rng,
     count: usize,
-    leaks: Option<&ObservableLeaks>,
+    leaks: &ObservableLeaks,
 ) -> FaultSet {
     let nv = fpva.valve_count();
     assert!(nv > 0, "cannot inject faults into an array without valves");
-    let n_leaks = leaks.map_or(0, ObservableLeaks::len);
+    let n_leaks = leaks.len();
     assert!(
         count <= nv + n_leaks,
         "cannot build {count} distinct compatible faults: this array supports \
@@ -423,8 +395,7 @@ pub fn random_fault_set_from(
             0 | 1 => Fault::StuckAt0(ValveId(rng.gen_range(0..nv))),
             2 | 3 => Fault::StuckAt1(ValveId(rng.gen_range(0..nv))),
             _ => {
-                let (actuator, victim) =
-                    leaks.expect("kind 4 implies a table").pairs()[rng.gen_range(0..n_leaks)];
+                let (actuator, victim) = leaks.pairs()[rng.gen_range(0..n_leaks)];
                 Fault::ControlLeak { actuator, victim }
             }
         };
@@ -456,54 +427,28 @@ pub fn random_fault_set_from(
 /// Panics if the array has no valves, or if a row's fault count exceeds
 /// the chip's distinct-fault capacity (see [`random_fault_set_from`]).
 pub fn run(fpva: &Fpva, suite: &TestSuite, config: &CampaignConfig) -> Vec<CampaignRow> {
-    run_with_stats(fpva, suite, config).0
+    let ctx = ChipContext::par_build(fpva, config.threads);
+    run_in(fpva, suite, config, &ctx).0
 }
 
-/// [`run`], additionally reporting the kernel's work counters (blocks,
-/// word-parallel and scalar BFS passes) summed over all rows. The stats,
-/// like the rows, are identical for every thread count.
-pub fn run_with_stats(
-    fpva: &Fpva,
-    suite: &TestSuite,
-    config: &CampaignConfig,
-) -> (Vec<CampaignRow>, KernelStats) {
-    // The leak table's pair sweep and the adjacency lowering are pure
-    // overhead when no trial will ever use them.
-    let draws_faults = config.trials > 0 && !config.fault_counts.is_empty();
-    let leaks = (config.include_control_leaks && draws_faults)
-        .then(|| ObservableLeaks::par_build(fpva, config.threads));
-    let lowered =
-        (config.kernel == SimKernel::BitParallel && draws_faults).then(|| LoweredChip::build(fpva));
-    run_inner(fpva, suite, config, leaks.as_ref(), lowered.as_ref())
-}
-
-/// [`run_with_stats`] against a pre-built [`ChipContext`], skipping the
-/// per-run leak-table and adjacency-lowering setup entirely — the
-/// entry point for repeated campaigns over one chip (and for benchmarks
-/// that want to time the simulation kernel, not the setup).
+/// [`run`] against a pre-built [`ChipContext`], skipping the per-run
+/// leak-table and adjacency-lowering setup entirely — the entry point for
+/// repeated campaigns over one chip (and for benchmarks that want to time
+/// the simulation kernel, not the setup). Also reports the kernel's work
+/// counters summed over all rows; the stats, like the rows, are identical
+/// for every thread count.
 pub fn run_in(
     fpva: &Fpva,
     suite: &TestSuite,
     config: &CampaignConfig,
     ctx: &ChipContext,
 ) -> (Vec<CampaignRow>, KernelStats) {
-    let leaks = config.include_control_leaks.then(|| ctx.leaks());
-    run_inner(fpva, suite, config, leaks, Some(ctx.lowered()))
-}
-
-fn run_inner(
-    fpva: &Fpva,
-    suite: &TestSuite,
-    config: &CampaignConfig,
-    leaks: Option<&ObservableLeaks>,
-    lowered: Option<&LoweredChip>,
-) -> (Vec<CampaignRow>, KernelStats) {
     let mut stats = KernelStats::default();
     let rows = config
         .fault_counts
         .iter()
         .map(|&fault_count| {
-            let (row, row_stats) = run_row(fpva, suite, config, leaks, lowered, fault_count);
+            let (row, row_stats) = run_row(fpva, suite, config, ctx, fault_count);
             stats.merge(&row_stats);
             row
         })
@@ -511,71 +456,36 @@ fn run_inner(
     (rows, stats)
 }
 
-/// Trials per work chunk of the scalar kernel. Fixed (not derived from the
-/// thread count) so the chunk decomposition itself is deterministic; small
-/// enough that the pool load-balances even on slow chips, large enough to
-/// amortise dispatch. The bit-parallel kernel sweeps [`SWEEP_CHUNK`]
-/// trials per chunk instead. Either way the decomposition never affects
-/// the rows — detection is per-trial and escapes merge in trial order —
-/// which the chunk- and lane-boundary differential tests pin down.
-const TRIAL_CHUNK: usize = 32;
-
+/// One campaign row: the trials go in [`SWEEP_CHUNK`]-trial chunks, each
+/// drawn with its per-trial RNGs and pushed through one vector-major
+/// sweep. The chunk size is fixed, so the decomposition never affects the
+/// row: detection is per trial and escapes merge in trial order.
 fn run_row(
     fpva: &Fpva,
     suite: &TestSuite,
     config: &CampaignConfig,
-    leaks: Option<&ObservableLeaks>,
-    lowered: Option<&LoweredChip>,
+    ctx: &ChipContext,
     fault_count: usize,
 ) -> (CampaignRow, KernelStats) {
-    let chunk_size = match config.kernel {
-        SimKernel::Scalar => TRIAL_CHUNK,
-        SimKernel::BitParallel => SWEEP_CHUNK,
-    };
-    let chunks = exec::run_chunked(config.threads, config.trials, chunk_size, |trials| {
-        let mut stats = KernelStats::default();
+    let chunks = exec::run_chunked(config.threads, config.trials, SWEEP_CHUNK, |trials| {
+        let sets: Vec<FaultSet> = trials
+            .map(|trial| {
+                let mut rng = StdRng::seed_from_u64(trial_seed(config.seed, fault_count, trial));
+                random_fault_set_from(fpva, &mut rng, fault_count, ctx.leaks())
+            })
+            .collect();
+        let mut sim = BitSimulator::new(ctx.lowered());
+        let verdicts = sim.sweep(suite, &sets);
         let mut detected = 0usize;
         let mut escapes = Vec::new();
-        let draw = |trial: usize| {
-            let mut rng = StdRng::seed_from_u64(trial_seed(config.seed, fault_count, trial));
-            random_fault_set_from(fpva, &mut rng, fault_count, leaks)
-        };
-        match lowered {
-            // Bit-parallel: draw the chunk's fault sets with their
-            // per-trial RNGs (identical to the scalar draws) and push the
-            // whole chunk through one vector-major sweep.
-            Some(chip) if config.kernel == SimKernel::BitParallel => {
-                let sets: Vec<FaultSet> = trials.map(draw).collect();
-                let mut sim = BitSimulator::new(chip);
-                let verdicts = sim.sweep(suite, &sets);
-                for (set, hit) in sets.into_iter().zip(verdicts) {
-                    if hit {
-                        detected += 1;
-                    } else if escapes.len() < MAX_RECORDED_ESCAPES {
-                        escapes.push(set);
-                    }
-                }
-                stats = sim.stats();
-            }
-            _ => {
-                for trial in trials {
-                    let faults = draw(trial);
-                    match suite.first_detecting_vector(fpva, &faults) {
-                        Some(ix) => {
-                            detected += 1;
-                            stats.scalar_passes += ix + 1;
-                        }
-                        None => {
-                            stats.scalar_passes += suite.len();
-                            if escapes.len() < MAX_RECORDED_ESCAPES {
-                                escapes.push(faults);
-                            }
-                        }
-                    }
-                }
+        for (set, hit) in sets.into_iter().zip(verdicts) {
+            if hit {
+                detected += 1;
+            } else if escapes.len() < MAX_RECORDED_ESCAPES {
+                escapes.push(set);
             }
         }
-        (detected, escapes, stats)
+        (detected, escapes, sim.stats())
     });
     // Chunks arrive in trial order; keeping each chunk's first
     // MAX_RECORDED_ESCAPES and truncating the concatenation yields exactly
@@ -610,9 +520,10 @@ mod tests {
     #[test]
     fn random_fault_sets_have_requested_size() {
         let f = layouts::table1_5x5();
+        let leaks = ObservableLeaks::build(&f);
         let mut rng = StdRng::seed_from_u64(7);
         for count in 1..=5 {
-            let set = random_fault_set(&f, &mut rng, count, true);
+            let set = random_fault_set_from(&f, &mut rng, count, &leaks);
             assert_eq!(set.len(), count);
         }
     }
@@ -623,7 +534,7 @@ mod tests {
         let leaks = ObservableLeaks::build(&f);
         let mut rng = StdRng::seed_from_u64(42);
         for _ in 0..200 {
-            let set = random_fault_set_from(&f, &mut rng, 5, Some(&leaks));
+            let set = random_fault_set_from(&f, &mut rng, 5, &leaks);
             // try_from_faults re-validates.
             assert!(FaultSet::try_from_faults(set.faults().to_vec()).is_ok());
         }
@@ -679,7 +590,7 @@ mod tests {
         for _ in 0..100 {
             // count == valve count: the full stuck-at capacity, reachable
             // only because redraws are bounded by non-progress alone.
-            let set = random_fault_set_from(&f, &mut rng, 3, Some(&leaks));
+            let set = random_fault_set_from(&f, &mut rng, 3, &leaks);
             assert_eq!(set.len(), 3);
             assert!(set
                 .faults()
@@ -698,7 +609,7 @@ mod tests {
             .unwrap();
         let mut rng = StdRng::seed_from_u64(3);
         // 3 valves, no observable leaks: 4 distinct faults cannot exist.
-        random_fault_set(&f, &mut rng, 4, true);
+        random_fault_set_from(&f, &mut rng, 4, &ObservableLeaks::build(&f));
     }
 
     fn small_suite(f: &Fpva) -> TestSuite {

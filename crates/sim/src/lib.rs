@@ -32,8 +32,8 @@
 //!
 //! Campaign rows are a **pure function of `(chip, suite, config)`** —
 //! byte-identical across thread counts, `fault_counts` ordering and
-//! subsetting, chunk decomposition, lane packing and kernel choice. The
-//! contract has three load-bearing pieces:
+//! subsetting, chunk decomposition and lane packing, and equal to the rows
+//! the scalar oracle gives. The contract has three load-bearing pieces:
 //!
 //! 1. **Per-trial RNG derivation.** No RNG stream is ever shared: trial
 //!    `i` of fault count `k` seeds its own `StdRng` with
@@ -59,13 +59,12 @@
 //!
 //! ## The bit-parallel lane layout
 //!
-//! The default kernel ([`SimKernel::BitParallel`]) packs
-//! [`bitsim::LANES`] = 64 fault scenarios into one `u64` per graph
-//! element: lane `l` of the per-valve word says "scenario `l` holds this
-//! valve open" (commanded state broadcast, then control-leak victims
-//! cleared, then stuck-at overrides — the per-lane replica of
-//! [`FaultSet::effective_states`]), and lane `l` of the per-cell word
-//! says "scenario `l` pressurises this cell". One bitset BFS
+//! The kernel packs [`bitsim::LANES`] = 64 fault scenarios into one `u64`
+//! per graph element: lane `l` of the per-valve word says "scenario `l`
+//! holds this valve open" (commanded state broadcast, then control-leak
+//! victims cleared, then stuck-at overrides — the per-lane replica of
+//! [`FaultSet::effective_states`]), and lane `l` of the per-cell word says
+//! "scenario `l` pressurises this cell". One bitset BFS
 //! ([`bitsim::BitFrontier`]) then floods all 64 scenarios through the
 //! lowered adjacency at once — the inner loop is a word-wide AND against
 //! the valve's lane word and an OR into the neighbour cell.
@@ -93,15 +92,15 @@
 //! ## Two-fault audit by composition
 //!
 //! [`audit::two_fault_audit`] checks all `n_v·(n_v − 1)` (stuck-at-0 `a`,
-//! stuck-at-1 `b`) pairs, but on the bit-parallel kernel it simulates only
-//! the few that single-fault results cannot decide. Let vector `v` detect
-//! `a` alone, and let `R_a(v)` be the region `v` pressurises under `a`
-//! alone. If `b` is commanded open in `v`, the pair's valve states are
-//! `a`'s. Otherwise, if `b` has both or neither endpoint cell in `R_a(v)`,
-//! opening it adds no edge leaving `R_a(v)`. Either way `R_a(v)` holds the
-//! sources and stays closed under the pair's open edges, and the pair
-//! opens every edge `a` does, so the pair pressurises exactly `R_a(v)`,
-//! responds like `a` and is detected.
+//! stuck-at-1 `b`) pairs, but simulates only the few that single-fault
+//! results cannot decide. Let vector `v` detect `a` alone, and let
+//! `R_a(v)` be the region `v` pressurises under `a` alone. If `b` is
+//! commanded open in `v`, the pair's valve states are `a`'s. Otherwise, if
+//! `b` has both or neither endpoint cell in `R_a(v)`, opening it adds no
+//! edge leaving `R_a(v)`. Either way `R_a(v)` holds the sources and stays
+//! closed under the pair's open edges, and the pair opens every edge `a`
+//! does, so the pair pressurises exactly `R_a(v)`, responds like `a` and
+//! is detected.
 //!
 //! The audit therefore splits the stuck-at-0 valves into fixed chunks of
 //! [`audit::VALVE_CHUNK`] and runs a pre-pass per chunk that packs the
@@ -115,8 +114,8 @@
 //! pairs then go, in scan order, through ordinary [`BitSimulator::sweep`]s
 //! of at most [`bitsim::SWEEP_CHUNK`] pairs, so the `undetected` list is
 //! exactly the unpruned one. On the 30×30 Table I plan this leaves about
-//! 1.5 k of 2.9 M pairs to simulate. The scalar kernel audits every pair
-//! and stays the oracle.
+//! 1.5 k of 2.9 M pairs to simulate. [`TestSuite::detects`] applied to
+//! every pair stays the oracle in the differential tests.
 //!
 //! The audit's [`KernelStats`] count the pre-pass like a sweep: its
 //! stuck-at-0 scenarios go in `lanes`, their 64-scenario blocks in
@@ -128,10 +127,10 @@
 //! unchanged and is the oracle — the bit-parallel kernel must reproduce
 //! its results *byte for byte* (same rows, same escapes, same
 //! observable-leak table), never just statistically. Differential tests
-//! (unit, integration and proptest) pin this on every Table I layout and
-//! the multi-sink example chip, under complete plans and under weak
-//! suites (a plan's paths only, its cuts only) that let faults escape;
-//! only [`KernelStats`] may differ between kernels.
+//! (unit, integration and proptest) apply the scalar path to every trial,
+//! fault and pair and pin this on every Table I layout and the multi-sink
+//! example chip, under complete plans and under weak suites (a plan's
+//! paths only, its cuts only) that let faults escape.
 //!
 //! # Example
 //!
@@ -164,7 +163,7 @@ mod pressure;
 mod suite;
 
 pub use audit::CoverageReport;
-pub use bitsim::{BitFrontier, BitSimulator, KernelStats, LaneSet, LoweredChip, SimKernel};
+pub use bitsim::{BitFrontier, BitSimulator, KernelStats, LaneSet, LoweredChip};
 pub use campaign::{CampaignConfig, CampaignRow, ChipContext, ObservableLeaks};
 pub use error::SimError;
 pub use fault::{EffectiveStates, Fault, FaultSet};

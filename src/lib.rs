@@ -52,5 +52,5 @@ pub use fpva_atpg::{Atpg, AtpgConfig, AtpgError, CutSet, FlowPath, TestPlan};
 pub use fpva_grid::{layouts, Fpva, FpvaBuilder, GridError, TestVector, ValveId, ValveState};
 pub use fpva_sim::{
     CampaignConfig, CampaignRow, ChipContext, CoverageReport, Fault, FaultSet, KernelStats,
-    ObservableLeaks, SimKernel, TestSuite,
+    ObservableLeaks, TestSuite,
 };

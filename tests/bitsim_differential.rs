@@ -1,21 +1,22 @@
-//! Differential tests for the bit-parallel simulation kernel: the
-//! vector-major bitset sweep must reproduce the scalar oracle's campaign
-//! rows **byte for byte** — same detections, same escapes, same order —
-//! and its audits' `undetected` lists, on every Table I layout and on the
-//! multi-sink example chip, for every lane packing and chunk split (trial
-//! counts off the 64-lane and chunk boundaries included). Complete plans
-//! detect nearly every fault, so the weak-suite cases apply only a plan's
-//! flow paths, or only its cuts, to make faults escape. The two-fault
-//! audit, which simulates only the pairs its single-fault pre-pass leaves
-//! undecided, must also report exactly the pairs the sweep of every pair
-//! misses.
+//! Differential tests for the bit-parallel simulation kernel against the
+//! scalar oracle, `TestSuite::detects` applied to each trial's fault set,
+//! each fault and each pair: the vector-major bitset sweep must reproduce
+//! the oracle's campaign rows **byte for byte** — same detections, same
+//! escapes, same order — and its audits' `undetected` lists, on every
+//! Table I layout and on the multi-sink example chip, for every lane
+//! packing and chunk split (trial counts off the 64-lane and chunk
+//! boundaries included). Complete plans detect nearly every fault, so the
+//! weak-suite cases apply only a plan's flow paths, or only its cuts, to
+//! make faults escape. The two-fault audit, which simulates only the pairs
+//! its single-fault pre-pass leaves undecided, must also report exactly
+//! the pairs the sweep of every pair misses.
 
-use fpva::sim::audit::{leak_coverage_with, single_fault_coverage_with, two_fault_audit_with};
+use fpva::sim::audit::{leak_coverage, single_fault_coverage, two_fault_audit};
 use fpva::sim::bitsim::{BitSimulator, LoweredChip, SWEEP_CHUNK};
 use fpva::sim::campaign::{self, CampaignConfig};
 use fpva::{
-    layouts, Atpg, CampaignRow, CoverageReport, Fault, FaultSet, Fpva, ObservableLeaks, SimKernel,
-    TestSuite, ValveId,
+    layouts, Atpg, CampaignRow, CoverageReport, Fault, FaultSet, Fpva, ObservableLeaks, TestSuite,
+    ValveId,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -36,22 +37,31 @@ fn planned_5x5() -> &'static (Fpva, TestSuite) {
     })
 }
 
-/// Runs the same campaign under both kernels and asserts row equality.
-fn assert_kernels_agree(fpva: &Fpva, suite: &TestSuite, base: &CampaignConfig) -> Vec<CampaignRow> {
-    let with_kernel = |kernel| CampaignConfig {
-        kernel,
-        ..base.clone()
-    };
-    let scalar = campaign::run(fpva, suite, &with_kernel(SimKernel::Scalar));
-    let bit = campaign::run(fpva, suite, &with_kernel(SimKernel::BitParallel));
+/// Runs a campaign and asserts that its rows equal the scalar oracle's.
+fn assert_rows_match_oracle(
+    fpva: &Fpva,
+    suite: &TestSuite,
+    config: &CampaignConfig,
+) -> Vec<CampaignRow> {
+    let leaks = ObservableLeaks::build(fpva);
+    let oracle: Vec<CampaignRow> = config
+        .fault_counts
+        .iter()
+        .map(|&k| {
+            let trials = oracle_trials(fpva, suite, &leaks, config.seed, k, config.trials);
+            oracle_row(k, &trials)
+        })
+        .collect();
     assert_eq!(
-        scalar, bit,
+        campaign::run(fpva, suite, config),
+        oracle,
         "bit-parallel rows diverged from the scalar oracle"
     );
-    scalar
+    oracle
 }
 
-/// Plans a suite and checks scalar/bit row equality on one layout.
+/// Plans a suite and checks its campaign rows against the oracle on one
+/// layout.
 fn differential_on(name: &str, fpva: &Fpva, trials: usize) {
     let suite = Atpg::new()
         .generate(fpva)
@@ -62,9 +72,8 @@ fn differential_on(name: &str, fpva: &Fpva, trials: usize) {
         fault_counts: vec![1, 3],
         seed: 0x1eaf_5eed ^ trials as u64,
         threads: 1,
-        ..Default::default()
     };
-    let rows = assert_kernels_agree(fpva, &suite, &config);
+    let rows = assert_rows_match_oracle(fpva, &suite, &config);
     assert_eq!(rows.len(), 2, "{name}: one row per fault count");
     for row in &rows {
         assert_eq!(row.trials, trials, "{name}");
@@ -105,9 +114,8 @@ fn lane_packing_edge_cases_match_scalar_oracle() {
             fault_counts: vec![2],
             seed: 7,
             threads: 1,
-            ..Default::default()
         };
-        let rows = assert_kernels_agree(fpva, suite, &config);
+        let rows = assert_rows_match_oracle(fpva, suite, &config);
         assert_eq!(rows[0].trials, trials);
     }
 }
@@ -127,16 +135,54 @@ fn plan_suites(fpva: &Fpva) -> [(&'static str, TestSuite); 3] {
     ]
 }
 
-/// Asserts that both kernels report the same universe and the same
-/// `undetected` list, in order, and returns how many escaped.
-fn assert_audits_agree<F: PartialEq + std::fmt::Debug>(
+/// Every single stuck-at fault, in the audit's scan order.
+fn single_faults(fpva: &Fpva) -> impl Iterator<Item = Fault> + '_ {
+    fpva.valves()
+        .flat_map(|(v, _)| [Fault::StuckAt0(v), Fault::StuckAt1(v)])
+}
+
+/// Every control leak between adjacent valves, in the audit's scan order.
+fn leak_faults(fpva: &Fpva) -> impl Iterator<Item = Fault> + '_ {
+    fpva.valves().flat_map(move |(actuator, _)| {
+        fpva.valve_neighbors(actuator)
+            .into_iter()
+            .map(move |victim| Fault::ControlLeak { actuator, victim })
+    })
+}
+
+/// Every (stuck-at-0, stuck-at-1) pair on distinct valves, in the
+/// two-fault audit's scan order.
+fn stuck_at_pairs(fpva: &Fpva) -> impl Iterator<Item = (Fault, Fault)> {
+    let nv = fpva.valve_count();
+    (0..nv).flat_map(move |a| {
+        (0..nv)
+            .filter(move |&b| b != a)
+            .map(move |b| (Fault::StuckAt0(ValveId(a)), Fault::StuckAt1(ValveId(b))))
+    })
+}
+
+/// Asserts that an audit examined exactly `universe` and reports as
+/// undetected, in order, the scenarios `TestSuite::detects` misses;
+/// returns how many escaped.
+fn assert_audits_agree<F: Copy + PartialEq + std::fmt::Debug>(
     what: &str,
     bit: &CoverageReport<F>,
-    scalar: &CoverageReport<F>,
+    fpva: &Fpva,
+    suite: &TestSuite,
+    universe: impl Iterator<Item = F>,
+    faults: impl Fn(F) -> Vec<Fault>,
 ) -> usize {
-    assert_eq!(bit.total, scalar.total, "{what}: universe size");
-    assert_eq!(bit.undetected, scalar.undetected, "{what}: undetected");
-    scalar.undetected.len()
+    let (mut total, mut undetected) = (0, Vec::new());
+    for scenario in universe {
+        total += 1;
+        let set = FaultSet::try_from_faults(faults(scenario)).expect("compatible faults");
+        if !suite.detects(fpva, &set) {
+            undetected.push(scenario);
+        }
+    }
+    assert_eq!(bit.total, total, "{what}: universe size");
+    assert_eq!(bit.undetected, undetected, "{what}: undetected");
+    undetected.len()
 }
 
 /// Trial counts on both sides of the 64-lane and the chunk boundaries.
@@ -164,7 +210,7 @@ fn oracle_trials(
     (0..trials)
         .map(|trial| {
             let mut rng = StdRng::seed_from_u64(campaign::trial_seed(seed, fault_count, trial));
-            let set = campaign::random_fault_set_from(fpva, &mut rng, fault_count, Some(leaks));
+            let set = campaign::random_fault_set_from(fpva, &mut rng, fault_count, leaks);
             let detected = suite.detects(fpva, &set);
             (set, detected)
         })
@@ -207,9 +253,7 @@ fn weak_suites_match_scalar_oracle(name: &str, fpva: &Fpva, pair_audit: bool) {
                 trials,
                 fault_counts: (1..=5).collect(),
                 seed,
-                include_control_leaks: true,
                 threads: 0,
-                kernel: SimKernel::BitParallel,
             };
             let expected: Vec<CampaignRow> = (1..=5)
                 .zip(&oracle)
@@ -225,19 +269,28 @@ fn weak_suites_match_scalar_oracle(name: &str, fpva: &Fpva, pair_audit: bool) {
         assert!(escaped > 0, "{what}: no campaign trial escaped");
         let audit_escapes = assert_audits_agree(
             &format!("{what}: single faults"),
-            &single_fault_coverage_with(fpva, &suite, SimKernel::BitParallel),
-            &single_fault_coverage_with(fpva, &suite, SimKernel::Scalar),
+            &single_fault_coverage(fpva, &suite),
+            fpva,
+            &suite,
+            single_faults(fpva),
+            |fault| vec![fault],
         ) + assert_audits_agree(
             &format!("{what}: leaks"),
-            &leak_coverage_with(fpva, &suite, SimKernel::BitParallel),
-            &leak_coverage_with(fpva, &suite, SimKernel::Scalar),
+            &leak_coverage(fpva, &suite),
+            fpva,
+            &suite,
+            leak_faults(fpva),
+            |fault| vec![fault],
         );
         assert!(audit_escapes > 0, "{what}: every single fault detected");
         if pair_audit {
             let pairs = assert_audits_agree(
                 &format!("{what}: two-fault pairs"),
-                &two_fault_audit_with(fpva, &suite, 0, SimKernel::BitParallel),
-                &two_fault_audit_with(fpva, &suite, 0, SimKernel::Scalar),
+                &two_fault_audit(fpva, &suite, 0),
+                fpva,
+                &suite,
+                stuck_at_pairs(fpva),
+                |(a, b)| vec![a, b],
             );
             assert!(pairs > 0, "{what}: every two-fault pair detected");
         }
@@ -282,12 +335,7 @@ fn weak_suites_match_scalar_oracle_on_table1_30x30() {
 fn unpruned_pair_audit(fpva: &Fpva, suite: &TestSuite) -> (usize, Vec<(Fault, Fault)>) {
     let chip = LoweredChip::build(fpva);
     let mut sim = BitSimulator::new(&chip);
-    let nv = fpva.valve_count();
-    let mut pairs = (0..nv).flat_map(|a| {
-        (0..nv)
-            .filter(move |&b| b != a)
-            .map(move |b| [Fault::StuckAt0(ValveId(a)), Fault::StuckAt1(ValveId(b))])
-    });
+    let mut pairs = stuck_at_pairs(fpva).map(|(a, b)| [a, b]);
     let (mut total, mut undetected) = (0, Vec::new());
     loop {
         let scenarios: Vec<[Fault; 2]> = pairs.by_ref().take(SWEEP_CHUNK).collect();
@@ -312,7 +360,7 @@ fn unpruned_pair_audit(fpva: &Fpva, suite: &TestSuite) -> (usize, Vec<(Fault, Fa
 fn pruned_audit_matches_unpruned_sweep(name: &str, fpva: &Fpva) {
     let mut escaped = 0;
     for (suite_name, suite) in plan_suites(fpva) {
-        let pruned = two_fault_audit_with(fpva, &suite, 0, SimKernel::BitParallel);
+        let pruned = two_fault_audit(fpva, &suite, 0);
         let (total, undetected) = unpruned_pair_audit(fpva, &suite);
         assert_eq!(pruned.total, total, "{name}, {suite_name}: universe size");
         assert_eq!(
@@ -362,7 +410,6 @@ fn empty_universe_is_undefined_under_the_bit_kernel() {
     let config = CampaignConfig {
         trials: 0,
         fault_counts: vec![1],
-        kernel: SimKernel::BitParallel,
         ..Default::default()
     };
     let rows = campaign::run(fpva, suite, &config);
@@ -375,8 +422,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     // For arbitrary seeds (hence arbitrary fault mixes, control leaks
-    // included) and a trial count off the lane boundary, the kernels
-    // agree row for row — and stay thread-count invariant on top.
+    // included) and a trial count off the lane boundary, the bit kernel
+    // and the scalar oracle agree row for row — and the bit kernel stays
+    // thread-count invariant on top.
     #[test]
     fn kernels_agree_for_any_seed(seed in any::<u64>()) {
         let (fpva, suite) = planned_5x5();
@@ -385,10 +433,9 @@ proptest! {
             fault_counts: vec![1, 2],
             seed,
             threads,
-            ..Default::default()
         };
-        let serial = assert_kernels_agree(fpva, suite, &config(1));
-        let pooled = assert_kernels_agree(fpva, suite, &config(4));
+        let serial = assert_rows_match_oracle(fpva, suite, &config(1));
+        let pooled = assert_rows_match_oracle(fpva, suite, &config(4));
         prop_assert_eq!(serial, pooled);
     }
 }

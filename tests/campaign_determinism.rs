@@ -53,7 +53,6 @@ proptest! {
             fault_counts: vec![1, 3],
             seed,
             threads,
-            ..Default::default()
         };
         let serial = campaign::run(fpva, suite, &config(1));
         let pooled = campaign::run(fpva, suite, &config(8));
@@ -68,7 +67,6 @@ proptest! {
             fault_counts,
             seed,
             threads: 2,
-            ..Default::default()
         };
         let forward = campaign::run(fpva, suite, &config(vec![1, 2]));
         let reversed = campaign::run(fpva, suite, &config(vec![2, 1]));
