@@ -16,17 +16,20 @@
 
 use fpva_atpg::ilp_model::{min_path_cover_ilp_with_stats, PathIlpConfig};
 use fpva_atpg::{Atpg, AtpgConfig, PathEngine};
-use fpva_bench::{percent_or_na, CliArgs};
+use fpva_bench::{outln, percent_or_na, CliArgs};
 use fpva_grid::layouts;
 use fpva_sim::audit;
 use std::time::Instant;
 
 fn main() {
     let threads = CliArgs::parse_threads();
-    println!("== Ablation 1: path engine (count, seconds) ==");
-    println!(
+    outln!("== Ablation 1: path engine (count, seconds) ==");
+    outln!(
         "{:<8} | {:>14} | {:>14} | {:>14}",
-        "array", "hierarchical", "greedy", "ilp(<=5x5)"
+        "array",
+        "hierarchical",
+        "greedy",
+        "ilp(<=5x5)"
     );
     for entry in layouts::table1() {
         let mut row = format!("{:<8} |", entry.name);
@@ -70,11 +73,11 @@ fn main() {
                 Err(_) => row.push_str(&format!(" error {:>6.2}s |", t0.elapsed().as_secs_f64())),
             }
         }
-        println!("{row}");
+        outln!("{row}");
     }
 
-    println!("\n== Ablation 1b: exact-ILP subblock scaling (default limits, one row per probe) ==");
-    println!(
+    outln!("\n== Ablation 1b: exact-ILP subblock scaling (default limits, one row per probe) ==");
+    outln!(
         "{:<10} | {:>5} | {:>2} | {:<10} | {:>8} | {:>11} | {:>6} | {:>8} | {:>8} | {:>8} | {:>9} | {:>8} | {:>9} | {:>6} | {:>4}",
         "block",
         "paths",
@@ -105,7 +108,7 @@ fn main() {
         };
         for probe in &probes {
             let s = &probe.stats;
-            println!(
+            outln!(
                 "{:<10} | {:>5} | {:>2} | {:<10} | {:>7.2}s | {:>11} | {:>6} | {:>8} | {:>8} | {:>8} | {:>9} | {:>8} | {:>9} | {:>6} | {:>4}",
                 name,
                 paths,
@@ -126,12 +129,12 @@ fn main() {
         }
     }
 
-    println!("\n== Ablation 2: two-fault detection (stuck-at-0 x stuck-at-1 pairs) ==");
+    outln!("\n== Ablation 2: two-fault detection (stuck-at-0 x stuck-at-1 pairs) ==");
     for entry in layouts::table1().into_iter().take(2) {
         let plan = Atpg::new().generate(&entry.fpva).expect("valid layout");
         let suite = plan.to_suite(&entry.fpva);
         let report = audit::two_fault_audit(&entry.fpva, &suite, threads);
-        println!(
+        outln!(
             "{:<8}: {}/{} pairs detected ({})",
             entry.name,
             report.total - report.undetected.len(),
@@ -140,7 +143,7 @@ fn main() {
         );
     }
 
-    println!("\n== Ablation 3: control-leak coverage with/without leakage vectors ==");
+    outln!("\n== Ablation 3: control-leak coverage with/without leakage vectors ==");
     for entry in layouts::table1().into_iter().take(2) {
         let with = Atpg::new().generate(&entry.fpva).expect("valid layout");
         let without = Atpg::with_config(AtpgConfig {
@@ -151,7 +154,7 @@ fn main() {
         .expect("valid layout");
         let cov_with = audit::leak_coverage(&entry.fpva, &with.to_suite(&entry.fpva));
         let cov_without = audit::leak_coverage(&entry.fpva, &without.to_suite(&entry.fpva));
-        println!(
+        outln!(
             "{:<8}: with n_l={} -> {} | without -> {}",
             entry.name,
             with.leakage_paths().len(),

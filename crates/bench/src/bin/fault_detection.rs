@@ -9,20 +9,27 @@
 //! every thread count — only the runtime differs. Exits 1 when any
 //! injected fault set escapes the suite, so a run gates detection.
 
-use fpva_bench::{percent_or_na, plan_table1_with, CliArgs};
+use fpva_bench::{outln, percent_or_na, plan_table1_with, CliArgs};
 use fpva_sim::campaign::{self, CampaignConfig};
 use fpva_sim::exec;
 
 fn main() {
     let args = CliArgs::parse();
     let trials = args.trials.unwrap_or(10_000);
-    println!(
+    outln!(
         "Section IV experiment — {trials} random injections per fault count, {} worker(s)",
         exec::resolve_threads(args.threads)
     );
-    println!(
+    outln!(
         "{:<8} {:>6} {:>4} | {:>10} {:>10} {:>10} {:>10} {:>10}",
-        "array", "n_v", "N", "1 fault", "2 faults", "3 faults", "4 faults", "5 faults"
+        "array",
+        "n_v",
+        "N",
+        "1 fault",
+        "2 faults",
+        "3 faults",
+        "4 faults",
+        "5 faults"
     );
     let mut escaped = false;
     for planned in plan_table1_with(args.threads) {
@@ -38,7 +45,7 @@ fn main() {
             .iter()
             .map(|r| format!("{:>6}/{}", r.detected, r.trials))
             .collect();
-        println!(
+        outln!(
             "{:<8} {:>6} {:>4} | {}",
             e.name,
             e.fpva.valve_count(),
@@ -48,7 +55,7 @@ fn main() {
         for r in &rows {
             if !r.all_detected() {
                 escaped = true;
-                println!(
+                outln!(
                     "  !! {} escapes at {} faults (rate {}), e.g. {:?}",
                     r.trials - r.detected,
                     r.fault_count,
@@ -58,7 +65,7 @@ fn main() {
             }
         }
     }
-    println!("\n(paper: all injected faults detected in all 10 000 trials)");
+    outln!("\n(paper: all injected faults detected in all 10 000 trials)");
     if escaped {
         eprintln!("error: some injected fault sets escaped the generated suites");
         std::process::exit(1);

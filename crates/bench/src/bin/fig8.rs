@@ -13,7 +13,7 @@
 
 use fpva_atpg::heuristic::{greedy_cover, prune_redundant};
 use fpva_atpg::hierarchy::{hierarchical_cover, HierarchyConfig};
-use fpva_bench::{render_paths, CliArgs};
+use fpva_bench::{outln, render_paths, CliArgs};
 use fpva_grid::layouts;
 use fpva_sim::exec;
 
@@ -22,7 +22,7 @@ fn main() {
     let seeds = args.trials.unwrap_or(16).max(1);
     let f = layouts::full_array(10, 10);
     // run_chunked caps workers at the chunk count (one chunk per seed).
-    println!(
+    outln!(
         "Fig. 8 — full 10x10 array, {} valves ({} direct seeds, {} worker(s))\n",
         f.valve_count(),
         seeds,
@@ -48,17 +48,17 @@ fn main() {
         .into_iter()
         .min_by_key(Vec::len)
         .expect("at least one seed");
-    println!(
+    outln!(
         "(a) direct model: {} paths (paper: 2 via commercial ILP)",
         direct_paths.len()
     );
-    println!("{}", render_paths(&f, &direct_paths));
+    outln!("{}", render_paths(&f, &direct_paths));
 
     let hier = hierarchical_cover(&f, &HierarchyConfig::default()).expect("ports exist");
     assert!(hier.is_complete(), "hierarchical cover incomplete");
-    println!(
+    outln!(
         "(b) hierarchical model (5x5 blocks): {} paths (paper: 4)",
         hier.paths.len()
     );
-    println!("{}", render_paths(&f, &hier.paths));
+    outln!("{}", render_paths(&f, &hier.paths));
 }

@@ -10,7 +10,7 @@
 //! the rendered figure is identical for every thread count).
 
 use fpva_atpg::{Atpg, AtpgConfig};
-use fpva_bench::{render_paths, CliArgs};
+use fpva_bench::{outln, render_paths, CliArgs};
 use fpva_grid::layouts;
 use fpva_sim::exec;
 
@@ -39,7 +39,7 @@ fn main() {
         .into_iter()
         .min_by_key(fpva_atpg::TestPlan::vector_count)
         .expect("at least one trial");
-    println!(
+    outln!(
         "Fig. 9 — 20x20 array with channels and obstacles: {} flow paths cover all {} valves (paper: 16; best of {} seed(s), {} worker(s))",
         plan.flow_paths().len(),
         f.valve_count(),
@@ -48,7 +48,7 @@ fn main() {
         exec::resolve_threads(args.threads).min(trials)
     );
     assert!(plan.untestable_open().is_empty());
-    println!("{}", render_paths(&f, plan.flow_paths()));
-    println!("legend: digits/letters = path index, ~ = channel, # = obstacle,");
-    println!("        S = pressure source, M = pressure meter");
+    outln!("{}", render_paths(&f, plan.flow_paths()));
+    outln!("legend: digits/letters = path index, ~ = channel, # = obstacle,");
+    outln!("        S = pressure source, M = pressure meter");
 }

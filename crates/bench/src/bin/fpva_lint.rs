@@ -37,6 +37,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use fpva_bench::lint::{self, Diagnostic, Severity};
+use fpva_bench::outln;
 use fpva_grid::layouts;
 
 /// Wall-clock budget per certified solver probe under `--certify`. At
@@ -81,7 +82,7 @@ fn parse_args() -> Result<Options, String> {
                 opts.only.push(check);
             }
             "--help" | "-h" => {
-                println!(
+                outln!(
                     "usage: fpva-lint [--certify] [--deny-warnings] [--allow <check>]... \
                      [--only <check>]... [--json]"
                 );
@@ -111,12 +112,12 @@ fn json_escape(s: &str) -> String {
 }
 
 fn print_json(diags: &[Diagnostic], counts: [usize; 3], chips: usize, exit: u8) {
-    println!("{{");
-    println!("  \"chips\": {chips},");
-    println!("  \"diagnostics\": [");
+    outln!("{{");
+    outln!("  \"chips\": {chips},");
+    outln!("  \"diagnostics\": [");
     for (i, d) in diags.iter().enumerate() {
         let comma = if i + 1 < diags.len() { "," } else { "" };
-        println!(
+        outln!(
             "    {{\"severity\": \"{}\", \"subject\": \"{}\", \"check\": \"{}\", \
              \"message\": \"{}\"}}{comma}",
             d.severity,
@@ -125,15 +126,15 @@ fn print_json(diags: &[Diagnostic], counts: [usize; 3], chips: usize, exit: u8) 
             json_escape(&d.message)
         );
     }
-    println!("  ],");
-    println!(
+    outln!("  ],");
+    outln!(
         "  \"counts\": {{\"info\": {}, \"warning\": {}, \"error\": {}}},",
         counts[Severity::Info as usize],
         counts[Severity::Warning as usize],
         counts[Severity::Error as usize]
     );
-    println!("  \"exit\": {exit}");
-    println!("}}");
+    outln!("  \"exit\": {exit}");
+    outln!("}}");
 }
 
 fn main() -> ExitCode {
@@ -202,12 +203,14 @@ fn main() -> ExitCode {
     if opts.json {
         print_json(&diags, counts, chips.len(), exit);
     } else {
-        println!(
+        outln!(
             "{:<16} {:<8} {:<18} message",
-            "subject", "severity", "check"
+            "subject",
+            "severity",
+            "check"
         );
         for d in &diags {
-            println!(
+            outln!(
                 "{:<16} {:<8} {:<18} {}",
                 d.subject,
                 d.severity.to_string(),
@@ -215,7 +218,7 @@ fn main() -> ExitCode {
                 d.message
             );
         }
-        println!(
+        outln!(
             "\n{} chip(s) audited: {} error(s), {} warning(s), {} info",
             chips.len(),
             counts[Severity::Error as usize],

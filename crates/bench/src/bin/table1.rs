@@ -8,26 +8,36 @@
 //! table is identical for every thread count). A trial count is rejected
 //! (exit 2): this binary runs no campaign.
 
-use fpva_bench::{plan_table1_with, CliArgs};
+use fpva_bench::{outln, plan_table1_with, CliArgs};
 use fpva_sim::exec;
 
 fn main() {
     let threads = CliArgs::parse_threads();
     // run_chunked caps workers at the chunk count (one chunk per array).
-    println!(
+    outln!(
         "Table I — test vector generation (paper numbers in parentheses; {} worker(s))",
         exec::resolve_threads(threads).min(fpva_grid::layouts::table1().len())
     );
-    println!(
+    outln!(
         "{:<8} {:>6} | {:>9} {:>9} {:>9} {:>11} | {:>8} {:>8} {:>8} {:>8} | {:>9}",
-        "array", "n_v", "n_p", "n_c", "n_l", "N", "t_p(s)", "t_c(s)", "t_l(s)", "T(s)", "baseline"
+        "array",
+        "n_v",
+        "n_p",
+        "n_c",
+        "n_l",
+        "N",
+        "t_p(s)",
+        "t_c(s)",
+        "t_l(s)",
+        "T(s)",
+        "baseline"
     );
     for planned in plan_table1_with(threads) {
         let e = &planned.entry;
         let p = &planned.plan;
         let s = p.stats();
         let paper_total = e.paper_flow_paths + e.paper_cut_sets + e.paper_leakage;
-        println!(
+        outln!(
             "{:<8} {:>6} | {:>4} ({:>2}) {:>4} ({:>2}) {:>4} ({:>2}) {:>5} ({:>3}) | {:>8.3} {:>8.3} {:>8.3} {:>8.3} | {:>9}",
             e.name,
             e.fpva.valve_count(),
@@ -54,14 +64,14 @@ fn main() {
         // pairs; report any pair left without a certificate.
         for &(a, b) in p.untestable_pairs() {
             if !fpva_atpg::leakage::pair_untestable(&e.fpva, a, b) {
-                println!(
+                outln!(
                     "  !! {}: leak pair ({a}, {b}) uncovered without certificate",
                     e.name
                 );
             }
         }
     }
-    println!();
-    println!("N is roughly 2*sqrt(n_v) for both implementations; the naive");
-    println!("baseline needs 2*n_v vectors (squared complexity, Section IV).");
+    outln!();
+    outln!("N is roughly 2*sqrt(n_v) for both implementations; the naive");
+    outln!("baseline needs 2*n_v vectors (squared complexity, Section IV).");
 }

@@ -4,8 +4,44 @@
 use fpva_atpg::{Atpg, TestPlan};
 use fpva_grid::layouts::Table1Entry;
 use fpva_grid::Fpva;
+use std::fmt;
+use std::io::{self, Write};
 
 pub mod lint;
+
+/// The exit status of a binary whose stdout reader went away: the status
+/// a shell reports for a process killed by `SIGPIPE`.
+pub const BROKEN_PIPE_STATUS: i32 = 141;
+
+/// `println!` for the benchmark binaries: prints one line to stdout
+/// through [`print_line`], so a closed pipe ends the run quietly with
+/// [`BROKEN_PIPE_STATUS`] instead of a panic.
+#[macro_export]
+macro_rules! outln {
+    () => {
+        $crate::print_line(format_args!(""))
+    };
+    ($($arg:tt)*) => {
+        $crate::print_line(format_args!($($arg)*))
+    };
+}
+
+/// Writes `args` and a newline to stdout. When the reader has closed the
+/// pipe (`ErrorKind::BrokenPipe`, say under `| head`), the process exits at
+/// once with [`BROKEN_PIPE_STATUS`] and no message, so a truncated run never
+/// reports success for work it did not finish.
+///
+/// # Panics
+///
+/// Panics on any other write error, as `println!` does.
+pub fn print_line(args: fmt::Arguments<'_>) {
+    if let Err(e) = writeln!(io::stdout().lock(), "{args}") {
+        if e.kind() == io::ErrorKind::BrokenPipe {
+            std::process::exit(BROKEN_PIPE_STATUS);
+        }
+        panic!("failed printing to stdout: {e}");
+    }
+}
 
 /// A generated plan next to its Table I reference row.
 #[derive(Debug)]

@@ -29,23 +29,54 @@
 //! [`BitSimulator::sweep`] walks the suite once over a whole chunk of
 //! scenarios ([`SWEEP_CHUNK`] in campaigns and audits). At each vector it
 //! looks only at the scenarios no earlier vector detected (fault
-//! dropping), and simulates only those the vector can *disturb*: one of
-//! their faults changes the effective state ([`FaultSet::effective_states`]:
-//! commanded state, then control leaks by the actuator's command, then
-//! stuck-at overrides) of a valve with an endpoint in the vector's
-//! fault-free pressure region `R`, which the [`TestSuite`] keeps per
-//! vector. The disturbed scenarios are packed 64 per word pass in scenario
-//! order, with only the occupied lanes seeded at the sources and compared
-//! at the sinks. Every other scenario is carried to the next vector
-//! unsimulated.
+//! dropping) and sorts each of them into one of three outcomes, using two
+//! cell regions the [`TestSuite`] keeps per vector: the fault-free
+//! pressure region `R` and the sink side `S`, the cells joined to a sink
+//! port by commanded-open edges. A scenario that *reads golden* is carried
+//! to the next vector unsimulated, one that is *detected* is marked with
+//! no word pass, and only the scenarios left to *simulate* are packed 64
+//! per word pass in scenario order, with only the occupied lanes seeded at
+//! the sources and compared at the sinks.
 //!
-//! Skipping a scenario is exact. `R` holds the sources and is closed under
-//! the fault-free open edges, since it is their reach. If the scenario
-//! changes no valve that touches `R`, every edge leaving `R` is a channel
-//! or a valve at its commanded state, so it is closed under the faulty
-//! open edges too, and the edges inside `R` that carried the golden
-//! pressure are unchanged. The faulty reach is therefore `R` itself, and
-//! every sink reads golden.
+//! # Deciding scenarios from regions
+//!
+//! The rules speak of the valves whose effective state
+//! ([`FaultSet::effective_states`]: commanded state, then control leaks by
+//! the actuator's command, then stuck-at overrides) differs from their
+//! command:
+//!
+//! * a *closing* is a stuck-at-0 on a commanded-open valve, or a control
+//!   leak whose actuator is commanded closed and whose victim is commanded
+//!   open and not stuck-at-1;
+//! * an *opening* is a stuck-at-1 on a commanded-closed valve.
+//!
+//! A change *touches* a set of cells when its valve has an endpoint in
+//! it. A cell is *sealed* under a vector when every edge at it is a valve
+//! the vector commands closed; a channel edge at the cell unseals it.
+//!
+//! **Reads golden** when no closing touches `R`, and every opening that
+//! touches `R` either has both endpoints in `R` or leads from `R` to a
+//! sealed cell `y` outside `S` that no other change touches. `R` holds
+//! the sources and is closed under the fault-free open edges, since it is
+//! their reach, and no closing removes an edge inside it, so the faulty
+//! reach contains `R`. The edges leaving `R` are channels or valves at
+//! their commanded (closed) state, except the openings into the cells
+//! `y`. Every edge at such a `y` is a commanded-closed valve, and only the
+//! opening from `R` changes among them, so pressure that enters `y` stays
+//! there. The faulty reach is therefore exactly `R` plus those cells `y`.
+//! None of them holds a sink, because a sealed sink cell lies in `S`, so
+//! every sink reads golden. With no such openings this is the plain skip
+//! rule: a scenario that changes no valve touching `R` reads golden.
+//!
+//! **Detected** when no closing touches `R ∪ S`, and some opening leads
+//! from `R` into a cell `x` of `S` outside `R`. The faulty reach contains
+//! `R` as above, and the opening carries pressure into `x`. No closing
+//! touches `S`, so pressure fills `x`'s commanded component, which holds a
+//! sink. `R` is a union of commanded components and does not hold `x`, so
+//! golden leaves that sink dry while the faulty chip pressurises it.
+//!
+//! **Simulate** every other scenario. The classifier makes one pass over
+//! a scenario's faults and returns at the first closing that touches `R`.
 //!
 //! # Scalar-oracle invariant
 //!
@@ -57,7 +88,8 @@
 //! lists by applying [`TestSuite::detects`] to each trial, fault and pair,
 //! on complete and on deliberately weak suites, and assert that the
 //! campaign and the audits report exactly those; the unit tests below
-//! check the per-scenario reachability sets and the skip rule themselves.
+//! check the per-scenario reachability sets and both decided outcomes of
+//! the classifier against [`crate::respond`].
 
 use crate::fault::Fault;
 #[cfg(doc)]
@@ -190,30 +222,135 @@ impl LoweredChip {
         &self.sinks
     }
 
-    /// Whether some fault of `faults` changes the effective state of a
-    /// valve with an endpoint in `reach` (a bitset over dense cell
-    /// indices) when the chip is driven with `vector`. "Changes" follows
-    /// the [`FaultSet::effective_states`] rules valve by valve, so it holds
-    /// exactly when the valve's effective state differs from its command.
-    fn disturbs(&self, vector: &TestVector, reach: &[u64], faults: &[Fault]) -> bool {
-        let borders = |v: ValveId| {
-            self.valve_cells[v.index()]
-                .iter()
-                .any(|&c| reach[c as usize / 64] >> (c % 64) & 1 == 1)
-        };
-        faults.iter().any(|&fault| {
-            let changes = match fault {
-                Fault::StuckAt0(v) => vector.is_open(v),
-                Fault::StuckAt1(v) => !vector.is_open(v),
-                // A stuck-at-1 victim stays open whatever the leak does.
-                Fault::ControlLeak { actuator, victim } => {
-                    !vector.is_open(actuator)
-                        && vector.is_open(victim)
-                        && !faults.contains(&Fault::StuckAt1(victim))
+    /// Sorts one scenario under `vector` into an [`Outcome`], from the
+    /// vector's fault-free pressure region `reach` and its sink side
+    /// `sink_side` (bitsets over dense cell indices); the rules and why
+    /// each is exact are in the module docs. One pass over `faults`, which
+    /// returns at the first closing that touches `reach`.
+    fn classify(
+        &self,
+        vector: &TestVector,
+        reach: &[u64],
+        sink_side: &[u64],
+        faults: &[Fault],
+    ) -> Outcome {
+        let holds = |set: &[u64], c: u32| set[c as usize / 64] >> (c % 64) & 1 == 1;
+        // Some closing touches `sink_side`.
+        let mut closes_sink_side = false;
+        // Some opening leads from `reach` into `sink_side`.
+        let mut enters_sink_side = false;
+        // Some opening touching `reach` is neither internal to it nor
+        // leads into a sealed cell that only it touches.
+        let mut undecided = false;
+        for &fault in faults {
+            match change(vector, fault, faults) {
+                None => {}
+                Some(Change::Closes(v)) => {
+                    let [a, b] = self.valve_cells[v.index()];
+                    if holds(reach, a) || holds(reach, b) {
+                        return Outcome::Simulate;
+                    }
+                    closes_sink_side |= holds(sink_side, a) || holds(sink_side, b);
                 }
-            };
-            changes && borders(changed_valve(fault))
+                Some(Change::Opens(v)) => {
+                    let [a, b] = self.valve_cells[v.index()];
+                    let y = match (holds(reach, a), holds(reach, b)) {
+                        (true, false) => b,
+                        (false, true) => a,
+                        _ => continue,
+                    };
+                    if holds(sink_side, y) {
+                        enters_sink_side = true;
+                    } else if !self.sealed(vector, y)
+                        || self.touched_elsewhere(vector, y, v, faults)
+                    {
+                        undecided = true;
+                    }
+                }
+            }
+        }
+        if enters_sink_side && !closes_sink_side {
+            Outcome::Detected
+        } else if enters_sink_side || undecided {
+            Outcome::Simulate
+        } else {
+            Outcome::ReadsGolden
+        }
+    }
+
+    /// Whether every edge at cell `c` is a valve that `vector` commands
+    /// closed.
+    fn sealed(&self, vector: &TestVector, c: u32) -> bool {
+        let c = c as usize;
+        self.adj_gate[self.adj_start[c] as usize..self.adj_start[c + 1] as usize]
+            .iter()
+            .all(|&gate| gate != OPEN_GATE && !vector.is_open(ValveId(gate as usize)))
+    }
+
+    /// Whether some change among `faults` on a valve other than `valve`
+    /// touches cell `c`.
+    fn touched_elsewhere(
+        &self,
+        vector: &TestVector,
+        c: u32,
+        valve: ValveId,
+        faults: &[Fault],
+    ) -> bool {
+        faults.iter().any(|&fault| {
+            change(vector, fault, faults).is_some_and(|change| {
+                let w = change.valve();
+                w != valve && self.valve_cells[w.index()].contains(&c)
+            })
         })
+    }
+}
+
+/// What a vector's regions decide about one scenario (see "Deciding
+/// scenarios from regions" in the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Outcome {
+    /// The scenario responds like the fault-free chip: carry it on.
+    ReadsGolden,
+    /// The scenario's response differs from golden: mark it detected.
+    Detected,
+    /// The regions cannot decide: pack it into a word pass.
+    Simulate,
+}
+
+/// A valve whose effective state differs from its command.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Change {
+    /// A commanded-open valve that is effectively closed.
+    Closes(ValveId),
+    /// A commanded-closed valve that is effectively open.
+    Opens(ValveId),
+}
+
+impl Change {
+    /// The changed valve.
+    fn valve(self) -> ValveId {
+        match self {
+            Change::Closes(v) | Change::Opens(v) => v,
+        }
+    }
+}
+
+/// How `fault`, one of the scenario `faults`, changes its valve under
+/// `vector`, following the [`FaultSet::effective_states`] rules valve by
+/// valve; `None` when the valve keeps its command.
+fn change(vector: &TestVector, fault: Fault, faults: &[Fault]) -> Option<Change> {
+    match fault {
+        Fault::StuckAt0(v) if vector.is_open(v) => Some(Change::Closes(v)),
+        Fault::StuckAt1(v) if !vector.is_open(v) => Some(Change::Opens(v)),
+        // A stuck-at-1 victim stays open whatever the leak does.
+        Fault::ControlLeak { actuator, victim }
+            if !vector.is_open(actuator)
+                && vector.is_open(victim)
+                && !faults.contains(&Fault::StuckAt1(victim)) =>
+        {
+            Some(Change::Closes(victim))
+        }
+        _ => None,
     }
 }
 
@@ -403,9 +540,10 @@ pub struct KernelStats {
     /// adds the same.
     pub blocks: usize,
     /// Packed bitset-BFS passes of the bit-parallel kernel: per vector, one
-    /// per 64 still-undetected scenarios that the vector disturbs (in the
-    /// two-fault audit's pre-pass, per 64 stuck-at-0 faults with partners
-    /// left to resolve).
+    /// per 64 still-undetected scenarios that the vector's regions cannot
+    /// decide (in the two-fault audit's pre-pass, per 64 such stuck-at-0
+    /// faults with partners left to resolve). Scenarios the regions decide,
+    /// as reading golden or as detected, cost no pass.
     pub word_passes: usize,
     /// Scenarios swept by the bit-parallel kernel, the two-fault audit's
     /// pre-pass stuck-at-0 faults included.
@@ -491,9 +629,10 @@ impl<'c> BitSimulator<'c> {
     /// response deviates from the suite's golden response — the criterion
     /// of [`TestSuite::detects`].
     ///
-    /// The sweep is vector-major (see the module docs): a vector simulates
-    /// only the still-undetected scenarios it disturbs, 64 per word pass,
-    /// and the sweep ends once every scenario is detected. Memory and the
+    /// The sweep is vector-major (see the module docs): each vector's
+    /// regions decide what they can of the still-undetected scenarios, the
+    /// vector simulates only the rest, 64 per word pass, and the sweep
+    /// ends once every scenario is detected. Memory and the
     /// word-pass count grow with `scenarios.len()`, so callers sweep a
     /// chunk of at most [`SWEEP_CHUNK`] scenarios at a time.
     ///
@@ -509,7 +648,7 @@ impl<'c> BitSimulator<'c> {
         let mut detected = vec![false; scenarios.len()];
         // The scenarios no vector has detected yet, in scenario order.
         let mut pending: Vec<usize> = (0..scenarios.len()).collect();
-        // The pending scenarios the current vector disturbs.
+        // The pending scenarios the current vector's regions cannot decide.
         let mut packed = Vec::new();
         for (i, (vector, golden)) in suite.vectors().iter().zip(suite.expected()).enumerate() {
             if pending.is_empty() {
@@ -520,22 +659,22 @@ impl<'c> BitSimulator<'c> {
                 chip.valve_count(),
                 "vector/chip size mismatch"
             );
-            let reach = suite.golden_reach(i);
+            let (reach, sink_side) = (suite.golden_reach(i), suite.sink_side(i));
             packed.clear();
-            packed.extend(
-                pending
-                    .iter()
-                    .copied()
-                    .filter(|&s| chip.disturbs(vector, reach, scenarios[s].as_ref())),
-            );
-            if packed.is_empty() {
-                continue;
+            for &s in &pending {
+                match chip.classify(vector, reach, sink_side, scenarios[s].as_ref()) {
+                    Outcome::ReadsGolden => {}
+                    Outcome::Detected => detected[s] = true,
+                    Outcome::Simulate => packed.push(s),
+                }
             }
-            self.load_vector(vector);
-            for block in packed.chunks(LANES) {
-                let differs = self.word_pass(vector, golden, scenarios, block);
-                for (lane, &s) in block.iter().enumerate() {
-                    detected[s] = differs >> lane & 1 == 1;
+            if !packed.is_empty() {
+                self.load_vector(vector);
+                for block in packed.chunks(LANES) {
+                    let differs = self.word_pass(vector, golden, scenarios, block);
+                    for (lane, &s) in block.iter().enumerate() {
+                        detected[s] = differs >> lane & 1 == 1;
+                    }
                 }
             }
             pending.retain(|&s| !detected[s]);
@@ -556,10 +695,13 @@ impl<'c> BitSimulator<'c> {
     /// until its list is empty. The entry is `None` when no vector detects
     /// `a`, so every partner survives. Lists are in valve order.
     ///
-    /// The stuck-at-0 scenarios are packed like [`BitSimulator::sweep`]'s
-    /// and counted like them in [`KernelStats`]. Vectors whose golden
-    /// response pressurises no sink are skipped: a stuck-at-0 only shrinks
-    /// the reach.
+    /// The stuck-at-0 scenarios are classified and packed like
+    /// [`BitSimulator::sweep`]'s and counted like them in [`KernelStats`]. A
+    /// lone stuck-at-0 changes at most a closing, so the regions never
+    /// decide it detected: it is simulated exactly when it closes a valve
+    /// touching the golden region. Vectors whose golden response
+    /// pressurises no sink are skipped: a stuck-at-0 only shrinks the
+    /// reach.
     ///
     /// # Panics
     ///
@@ -590,14 +732,11 @@ impl<'c> BitSimulator<'c> {
             if !golden.any_pressure() {
                 continue;
             }
-            let reach = suite.golden_reach(i);
+            let (reach, sink_side) = (suite.golden_reach(i), suite.sink_side(i));
             packed.clear();
-            packed.extend(
-                pending
-                    .iter()
-                    .copied()
-                    .filter(|&s| chip.disturbs(vector, reach, &scenarios[s])),
-            );
+            packed.extend(pending.iter().copied().filter(|&s| {
+                chip.classify(vector, reach, sink_side, &scenarios[s]) == Outcome::Simulate
+            }));
             if packed.is_empty() {
                 continue;
             }
@@ -681,6 +820,12 @@ impl<'c> BitSimulator<'c> {
         differs & live
     }
 }
+
+/// The integration tests' seeded chips, so the classifier's unit test
+/// runs on the cases of their sweep oracle.
+#[cfg(test)]
+#[path = "../../../tests/common/mod.rs"]
+mod common;
 
 #[cfg(test)]
 mod tests {
@@ -828,46 +973,46 @@ mod tests {
         assert_eq!(sim.stats(), KernelStats::default());
     }
 
-    /// The skip rule is exact: whenever a scenario disturbs no valve
-    /// bordering a vector's golden reach, its scalar response is golden.
+    /// Both decided outcomes of the classifier are exact: on the cases of
+    /// the integration sweep oracle (`for_each_classifier_case`), with the
+    /// same 64 fault sets of 1–5 faults per vector, every scenario it
+    /// reads golden responds like the fault-free chip under scalar
+    /// `respond`, and every scenario it marks detected does not.
     #[test]
-    fn undisturbed_scenarios_read_golden() {
-        let mut skipped = 0;
-        for f in [
-            layouts::table1_5x5(),
-            layouts::full_array(3, 4),
-            layouts::custom_biochip(),
-        ] {
-            let chip = LoweredChip::build(&f);
-            let mut rng = StdRng::seed_from_u64(17);
-            let vectors: Vec<TestVector> = (0..12)
-                .map(|_| {
-                    let mut vector = TestVector::all_closed(f.valve_count());
-                    for (v, _) in f.valves() {
-                        if rng.gen_range(0..4) != 0 {
-                            vector.set(v, ValveState::Open);
-                        }
-                    }
-                    vector
-                })
-                .collect();
-            let suite = TestSuite::new(&f, vectors);
-            let leaks = crate::ObservableLeaks::build(&f);
-            for k in 0..300 {
-                let set = crate::campaign::random_fault_set_from(&f, &mut rng, k % 5 + 1, &leaks);
-                for (i, vector) in suite.vectors().iter().enumerate() {
-                    if !chip.disturbs(vector, suite.golden_reach(i), set.faults()) {
-                        skipped += 1;
-                        assert_eq!(
-                            crate::respond(&f, vector, &set),
-                            suite.expected()[i],
-                            "vector {i}: {set:?}"
+    fn decided_scenarios_match_scalar_respond() {
+        let (mut golden, mut detected) = (0, 0);
+        super::common::for_each_classifier_case(|f, vector, rng| {
+            let chip = LoweredChip::build(f);
+            let leaks = crate::ObservableLeaks::build(f);
+            let suite = TestSuite::new(f, vec![vector.clone()]);
+            let (reach, sink_side) = (suite.golden_reach(0), suite.sink_side(0));
+            for k in 0..64 {
+                let count = (k % 5 + 1).min(f.valve_count());
+                let set = crate::campaign::random_fault_set_from(f, rng, count, &leaks);
+                let reads_golden = crate::respond(f, vector, &set) == suite.expected()[0];
+                match chip.classify(vector, reach, sink_side, set.faults()) {
+                    Outcome::ReadsGolden => {
+                        golden += 1;
+                        assert!(
+                            reads_golden,
+                            "read golden but detected: {set:?} under {vector:?}"
                         );
                     }
+                    Outcome::Detected => {
+                        detected += 1;
+                        assert!(
+                            !reads_golden,
+                            "marked detected but golden: {set:?} under {vector:?}"
+                        );
+                    }
+                    Outcome::Simulate => {}
                 }
             }
-        }
-        assert!(skipped > 1000, "the rule skipped only {skipped} checks");
+        });
+        assert!(
+            golden > 1000 && detected > 1000,
+            "{golden} read golden, {detected} detected"
+        );
     }
 
     /// Twelve random vectors for `f`, each valve open with probability

@@ -67,7 +67,7 @@ pub fn leak_is_observable(fpva: &Fpva, actuator: ValveId, victim: ValveId) -> bo
 
 /// Multi-source BFS from `starts` over a vector's open edges, invoking
 /// `visit` on every dequeued cell; stops early once `visit` returns `true`.
-fn bfs_visit(
+pub(crate) fn bfs_visit(
     fpva: &Fpva,
     starts: &[fpva_grid::CellId],
     vector: &TestVector,

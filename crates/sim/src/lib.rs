@@ -73,21 +73,31 @@
 //! block. [`BitSimulator::sweep`] takes a whole chunk of
 //! [`bitsim::SWEEP_CHUNK`] = 2048 scenarios (consecutive campaign trials
 //! or audit faults) and walks the suite once. At each vector it drops the
-//! scenarios an earlier vector detected, and of the rest packs only those
-//! the vector can disturb, 64 per word pass in scenario order: a scenario
-//! is disturbed when one of its faults changes the effective state of a
-//! valve with an endpoint in the vector's fault-free pressure region `R`
-//! ([`TestSuite`] keeps `R` per vector). Only the occupied lanes are
-//! seeded at the sources and compared at the sinks. The other scenarios
-//! move on to the next vector unsimulated, which is exact: `R` holds the
-//! sources and is closed under the golden open edges, and when no changed
-//! valve touches `R` the faulty open edges leaving `R` are the golden
-//! ones, so pressure fills exactly `R` again and every sink reads golden.
+//! scenarios an earlier vector detected, and lets two fault-free regions
+//! of the vector, both kept by [`TestSuite`], decide what they can of the
+//! rest: the golden pressure region `R` and the sink side `S`, the cells
+//! joined to a sink port by commanded-open edges. A scenario *reads
+//! golden* when no valve it closes touches `R`, and every valve it opens
+//! that touches `R` either lies inside `R` or leads from `R` into a sealed
+//! cell (every edge at it a commanded-closed valve) outside `S` that no
+//! other changed valve touches: pressure then fills `R` and those cells,
+//! and no sink. It is *detected* when no valve it closes touches `R ∪ S`
+//! and some valve it opens leads from `R` into a cell of `S`: pressure
+//! then reaches a sink that golden leaves dry. Only the scenarios left undecided are packed,
+//! 64 per word pass in scenario order, with only the occupied lanes seeded
+//! at the sources and compared at the sinks; the others move on to the
+//! next vector, or out of the sweep, unsimulated. The [`bitsim`] module
+//! docs give the rules in full and why each is exact. On the 30×30
+//! campaign bench (2048 three-fault trials) the regions leave 70 word
+//! passes for the chunk's 32 blocks, where packing every scenario that
+//! changes a valve touching `R` took 121.
 //!
 //! [`KernelStats`] counts the sweep's work: `blocks` are the input's
 //! 64-scenario blocks (`⌈n / 64⌉` per sweep of `n` scenarios), `lanes`
-//! the scenarios swept, and `word_passes` the packed passes, so
-//! `word_passes / blocks` is the mean number of passes per 64 scenarios.
+//! the scenarios swept, and `word_passes` the packed passes over the
+//! scenarios the regions cannot decide, so `word_passes / blocks` is the
+//! mean number of passes per 64 scenarios. Scenarios the regions decide
+//! cost no pass and no counter.
 //!
 //! ## Two-fault audit by composition
 //!
@@ -106,11 +116,14 @@
 //! [`audit::VALVE_CHUNK`] and runs a pre-pass per chunk that packs the
 //! stuck-at-0 faults 64 per word pass, like a sweep, skipping vectors whose
 //! golden response pressurises no sink (a stuck-at-0 only shrinks the
-//! reach). When a vector first detects a lane, the lane's partner list is
-//! scattered from the frontier: the commanded-closed valves with exactly
-//! one endpoint reached in that lane. Later detections filter the list the
-//! same way, and a lane stays in the pre-pass until its list is empty. A
-//! stuck-at-0 that no vector detects keeps every partner. The surviving
+//! reach). A lone stuck-at-0 changes at most a closing, so the sweep's
+//! regions never decide it detected: it is simulated exactly when it
+//! closes a valve touching `R`. When a vector first detects a lane, the
+//! lane's partner list is scattered from the frontier: the
+//! commanded-closed valves with exactly one endpoint reached in that lane.
+//! Later detections filter the list the same way, and a lane stays in the
+//! pre-pass until its list is empty. A stuck-at-0 that no vector detects
+//! keeps every partner. The surviving
 //! pairs then go, in scan order, through ordinary [`BitSimulator::sweep`]s
 //! of at most [`bitsim::SWEEP_CHUNK`] pairs, so the `undetected` list is
 //! exactly the unpruned one. On the 30×30 Table I plan this leaves about

@@ -1,5 +1,6 @@
 //! A test-vector suite with pre-computed golden responses.
 
+use crate::campaign::bfs_visit;
 use crate::fault::FaultSet;
 use crate::pressure::{propagate, respond, Response};
 use fpva_grid::{Fpva, TestVector};
@@ -10,6 +11,15 @@ use fpva_grid::{Fpva, TestVector};
 /// A fault set is **detected** when at least one vector's faulty response
 /// differs from the golden response — exactly the pass/fail criterion the
 /// paper's pressure meters implement.
+///
+/// Next to each golden response the suite keeps two cell regions of the
+/// fault-free chip under that vector: the *golden region* `R`, the cells
+/// the sources pressurise, and the *sink side* `S`, the cells joined to a
+/// sink port by commanded-open edges (channels and commanded-open
+/// valves). A sink in `S` outside `R` reads dry on the fault-free chip
+/// but wet as soon as pressure enters its cell's commanded component.
+/// The bit-parallel sweep decides most scenarios from these two regions
+/// without simulating them (see [`crate::bitsim`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TestSuite {
     vectors: Vec<TestVector>,
@@ -17,6 +27,9 @@ pub struct TestSuite {
     /// Per vector, the cells a fault-free chip pressurises: a bitset over
     /// dense cell indices (bit `c % 64` of word `c / 64`).
     reach: Vec<Vec<u64>>,
+    /// Per vector, the cells joined to a sink by commanded-open edges, as
+    /// a bitset like `reach`.
+    sink_side: Vec<Vec<u64>>,
 }
 
 impl TestSuite {
@@ -30,6 +43,7 @@ impl TestSuite {
             vectors: Vec::with_capacity(vectors.len()),
             expected: Vec::with_capacity(vectors.len()),
             reach: Vec::with_capacity(vectors.len()),
+            sink_side: Vec::with_capacity(vectors.len()),
         };
         suite.extend(fpva, vectors);
         suite
@@ -45,11 +59,17 @@ impl TestSuite {
         &self.expected
     }
 
-    /// The fault-free pressure region of vector `i`, as a bitset over dense
-    /// cell indices. The bit-parallel sweep skips a scenario on a vector
-    /// when none of its faults changes a valve bordering this region.
+    /// The fault-free pressure region `R` of vector `i`, as a bitset over
+    /// dense cell indices.
     pub(crate) fn golden_reach(&self, i: usize) -> &[u64] {
         &self.reach[i]
+    }
+
+    /// The sink side `S` of vector `i`: the cells joined to a sink port by
+    /// the vector's commanded-open edges, as a bitset like
+    /// [`TestSuite::golden_reach`].
+    pub(crate) fn sink_side(&self, i: usize) -> &[u64] {
+        &self.sink_side[i]
     }
 
     /// Number of vectors (the paper's `N` when the suite is complete).
@@ -72,6 +92,7 @@ impl TestSuite {
             let golden = propagate(fpva, &v, &FaultSet::new());
             self.expected.push(golden.response(fpva));
             self.reach.push(golden.cell_bits());
+            self.sink_side.push(sink_side_cells(fpva, &v));
             self.vectors.push(v);
         }
     }
@@ -99,9 +120,23 @@ impl TestSuite {
     }
 }
 
+/// The cells joined to a sink port by `vector`'s commanded-open edges: a
+/// bitset over dense cell indices.
+fn sink_side_cells(fpva: &Fpva, vector: &TestVector) -> Vec<u64> {
+    let sinks: Vec<_> = fpva.sinks().map(|(_, p)| p.cell).collect();
+    let mut bits = vec![0u64; fpva.cell_count().div_ceil(64)];
+    bfs_visit(fpva, &sinks, vector, |cell| {
+        let c = fpva.cell_index(cell);
+        bits[c / 64] |= 1 << (c % 64);
+        false
+    });
+    bits
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bitsim::{BitFrontier, LaneSet, LoweredChip};
     use crate::fault::Fault;
     use crate::pressure::propagate;
     use fpva_grid::{layouts, FpvaBuilder, PortKind, Side, ValveId, ValveState};
@@ -162,6 +197,9 @@ mod tests {
         // Closed: only the source cell; open: the whole line.
         assert_eq!(suite.golden_reach(0), &[0b001]);
         assert_eq!(suite.golden_reach(1), &[0b111]);
+        // The sink side mirrors it from the sink cell.
+        assert_eq!(suite.sink_side(0), &[0b100]);
+        assert_eq!(suite.sink_side(1), &[0b111]);
         let faults = FaultSet::try_from_faults(vec![Fault::StuckAt0(ValveId(1))]).unwrap();
         assert_eq!(suite.first_detecting_vector(&f, &faults), Some(1));
     }
@@ -180,5 +218,30 @@ mod tests {
         for c in 0..f.cell_count() {
             assert_eq!(reach[c / 64] >> (c % 64) & 1 == 1, golden.at(f.cell_at(c)));
         }
+    }
+
+    /// The sink side equals the bit kernel's flood from the sink cells
+    /// over the commanded valve states.
+    #[test]
+    fn sink_side_is_the_commanded_reach_of_the_sinks() {
+        let f = layouts::custom_biochip();
+        let mut vector = TestVector::all_open(f.valve_count());
+        for v in (0..f.valve_count()).step_by(2) {
+            vector.set(ValveId(v), ValveState::Closed);
+        }
+        let suite = TestSuite::new(&f, vec![vector.clone()]);
+        let chip = LoweredChip::build(&f);
+        let mut open = LaneSet::zeros(chip.valve_count());
+        open.broadcast(|v| vector.is_open(ValveId(v)));
+        let mut frontier = BitFrontier::new(chip.cell_count());
+        frontier.propagate_from(&chip, chip.sink_cells(), &open);
+        let side = suite.sink_side(0);
+        let mut size = 0;
+        for c in 0..f.cell_count() {
+            let inside = side[c / 64] >> (c % 64) & 1 == 1;
+            assert_eq!(inside, frontier.lanes_at(c) != 0, "cell {c}");
+            size += usize::from(inside);
+        }
+        assert!(size > chip.sink_cells().len(), "only the sink cells");
     }
 }

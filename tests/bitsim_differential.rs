@@ -9,7 +9,11 @@
 //! weak-suite cases apply only a plan's flow paths, or only its cuts, to
 //! make faults escape. The two-fault audit, which simulates only the pairs
 //! its single-fault pre-pass leaves undecided, must also report exactly
-//! the pairs the sweep of every pair misses.
+//! the pairs the sweep of every pair misses. Small generated chips with
+//! random ports pin the sweep's region classifier, scenario by scenario,
+//! under random vectors.
+
+mod common;
 
 use fpva::sim::audit::{leak_coverage, single_fault_coverage, two_fault_audit};
 use fpva::sim::bitsim::{BitSimulator, LoweredChip, SWEEP_CHUNK};
@@ -402,6 +406,42 @@ fn pruned_pair_audit_matches_unpruned_sweep_on_table1_20x20() {
 #[ignore = "release-only: the unpruned sweep is slow in a debug build"]
 fn pruned_pair_audit_matches_unpruned_sweep_on_table1_30x30() {
     pruned_audit_matches_unpruned_sweep("30x30", &layouts::table1_30x30());
+}
+
+/// The oracle of the sweep's region classifier: on every case of
+/// `common::for_each_classifier_case` (64 generated chips with random
+/// ports, `table1_5x5` and `custom_biochip`, twelve random vectors each),
+/// a one-vector suite must give 64 random fault sets of 1–5 faults (at
+/// most one per valve) the same verdicts under `BitSimulator::sweep` as
+/// under `TestSuite::detects`.
+#[test]
+fn sweep_matches_suite_detects_on_generated_chips() {
+    let (mut hits, mut escapes) = (0, 0);
+    common::for_each_classifier_case(|fpva, vector, rng| {
+        let leaks = ObservableLeaks::build(fpva);
+        let suite = TestSuite::new(fpva, vec![vector.clone()]);
+        let sets: Vec<FaultSet> = (0..64)
+            .map(|k| {
+                let count = (k % 5 + 1).min(fpva.valve_count());
+                campaign::random_fault_set_from(fpva, rng, count, &leaks)
+            })
+            .collect();
+        let chip = LoweredChip::build(fpva);
+        let verdicts = BitSimulator::new(&chip).sweep(&suite, &sets);
+        for (set, hit) in sets.iter().zip(verdicts) {
+            assert_eq!(
+                hit,
+                suite.detects(fpva, set),
+                "{set:?} under {vector:?} on {fpva:?}"
+            );
+            hits += usize::from(hit);
+            escapes += usize::from(!hit);
+        }
+    });
+    assert!(
+        hits > 1000 && escapes > 1000,
+        "{hits} detected, {escapes} escaped"
+    );
 }
 
 #[test]

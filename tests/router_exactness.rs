@@ -9,50 +9,15 @@
 //! A valve counts as crossed only when its cells lie in different open
 //! components (inside one component the channel bypasses it).
 
+mod common;
+
+use common::random_chip;
 use fpva::atpg::connectivity::{endpoint_ports, open_components, path_through_edge};
-use fpva::grid::{CellId, EdgeId, EdgeKind, PortKind, Side};
-use fpva::{FlowPath, Fpva, FpvaBuilder};
+use fpva::grid::{CellId, EdgeId, EdgeKind, PortKind};
+use fpva::{FlowPath, Fpva};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
-/// A chip of at most 16 cells with random channels, obstacles and one or
-/// two sources and sinks on random boundary sides.
-fn random_chip(rng: &mut StdRng) -> Fpva {
-    loop {
-        let (rows, cols) = (rng.gen_range(1..5usize), rng.gen_range(1..5usize));
-        let mut b = FpvaBuilder::new(rows, cols);
-        for _ in 0..rng.gen_range(0..4usize) {
-            if rng.gen_bool(0.5) && cols >= 2 {
-                let c = rng.gen_range(0..cols - 1);
-                b = b.channel_horizontal(rng.gen_range(0..rows), c, rng.gen_range(c + 1..cols));
-            } else if rows >= 2 {
-                let r = rng.gen_range(0..rows - 1);
-                b = b.channel_vertical(rng.gen_range(0..cols), r, rng.gen_range(r + 1..rows));
-            }
-        }
-        for _ in 0..rng.gen_range(0..3usize) {
-            let (r, c) = (rng.gen_range(0..rows), rng.gen_range(0..cols));
-            b = b.obstacle(r, c, r, c);
-        }
-        for kind in [PortKind::Source, PortKind::Sink] {
-            for _ in 0..rng.gen_range(1..3usize) {
-                let side =
-                    [Side::North, Side::South, Side::East, Side::West][rng.gen_range(0..4usize)];
-                let (r, c) = match side {
-                    Side::North => (0, rng.gen_range(0..cols)),
-                    Side::South => (rows - 1, rng.gen_range(0..cols)),
-                    Side::West => (rng.gen_range(0..rows), 0),
-                    Side::East => (rng.gen_range(0..rows), cols - 1),
-                };
-                b = b.port(r, c, side, kind);
-            }
-        }
-        if let Ok(f) = b.build() {
-            return f;
-        }
-    }
-}
+use rand::SeedableRng;
 
 /// Depth-first enumeration of valid flow paths; see the module docs.
 struct Enumerator<'a> {
