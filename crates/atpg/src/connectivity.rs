@@ -33,6 +33,7 @@
 //! component on the result is then expanded back to cells along its
 //! always-open edges.
 
+use crate::error::AtpgError;
 use fpva_grid::{CellId, EdgeId, EdgeKind, Fpva, PortId, PortKind, ValveId};
 use rand::Rng;
 use std::collections::{HashSet, VecDeque};
@@ -41,6 +42,18 @@ use std::collections::{HashSet, VecDeque};
 /// edge is a valve or an always-open channel site, not a wall).
 pub fn edge_passable(fpva: &Fpva, edge: EdgeId) -> bool {
     fpva.edge_kind(edge) != EdgeKind::Wall
+}
+
+/// The chip's first source and first sink port.
+///
+/// # Errors
+///
+/// Returns [`AtpgError::MissingPorts`] when the chip lacks a source or a
+/// sink.
+pub(crate) fn ports(fpva: &Fpva) -> Result<(PortId, PortId), AtpgError> {
+    let source = fpva.sources().next().map(|(id, _)| id);
+    let sink = fpva.sinks().next().map(|(id, _)| id);
+    source.zip(sink).ok_or(AtpgError::MissingPorts)
 }
 
 /// Resolves the source and sink ports whose cells are the endpoints of a

@@ -18,7 +18,7 @@
 //! stuck-at-0 fault at that valve could "repair" the cut and mask a
 //! stuck-at-1 inside it.
 
-use crate::connectivity::{closed_edges, reachable_from, sink_cells, source_cells};
+use crate::connectivity::{closed_edges, ports, reachable_from, sink_cells, source_cells};
 use crate::error::AtpgError;
 use fpva_grid::{Axis, CellId, EdgeId, EdgeKind, Fpva, TestVector, ValveId, ValveState};
 use serde::{Deserialize, Serialize};
@@ -289,9 +289,7 @@ pub fn masking_violations(fpva: &Fpva, cut: &CutSet, curve: &[Corner]) -> Vec<Va
 /// On the Table I arrays this produces exactly
 /// `(rows − 1) + (cols − 1)` cut-sets — the paper's `n_c` column.
 pub fn straight_line_cuts(fpva: &Fpva) -> Result<Vec<CutSet>, AtpgError> {
-    if fpva.sources().next().is_none() || fpva.sinks().next().is_none() {
-        return Err(AtpgError::MissingPorts);
-    }
+    ports(fpva)?;
     let (rows, cols) = (fpva.rows(), fpva.cols());
     let mut cuts: Vec<CutSet> = Vec::new();
     let mut seen: HashSet<Vec<ValveId>> = HashSet::new();

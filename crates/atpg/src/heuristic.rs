@@ -8,7 +8,7 @@
 //! with channels and obstacles, and tops up the serpentine bands of the
 //! hierarchical engine ([`crate::hierarchy`]).
 
-use crate::connectivity::{endpoint_ports, source_cells, Router};
+use crate::connectivity::{endpoint_ports, ports, Router};
 use crate::cover::CoverageTracker;
 use crate::error::AtpgError;
 use crate::path::FlowPath;
@@ -59,11 +59,10 @@ pub(crate) fn serpentine_cells(row_start: usize, row_end: usize, cols: usize) ->
 ///
 /// # Errors
 ///
-/// Returns [`AtpgError::MissingPorts`] when the array lacks ports.
+/// Returns [`AtpgError::MissingPorts`] when the array lacks a source or a
+/// sink port.
 pub fn greedy_cover(fpva: &Fpva, seed: u64) -> Result<PathCover, AtpgError> {
-    if source_cells(fpva).is_empty() {
-        return Err(AtpgError::MissingPorts);
-    }
+    ports(fpva)?;
     let mut rng = StdRng::seed_from_u64(seed);
     let mut tracker = CoverageTracker::new(fpva);
     let mut paths: Vec<FlowPath> = Vec::new();
@@ -205,6 +204,16 @@ mod tests {
             .unwrap();
         let pocket = f.valve_at(EdgeId::horizontal(0, 1)).unwrap();
         assert_eq!(greedy_cover(&f, 3).unwrap().uncovered, [pocket]);
+    }
+
+    #[test]
+    fn greedy_rejects_a_chip_without_a_sink() {
+        use fpva_grid::{FpvaBuilder, PortKind, Side};
+        let f = FpvaBuilder::new(3, 3)
+            .port(0, 0, Side::West, PortKind::Source)
+            .build()
+            .unwrap();
+        assert!(matches!(greedy_cover(&f, 3), Err(AtpgError::MissingPorts)));
     }
 
     #[test]

@@ -18,11 +18,12 @@
 //! hierarchical trade-off the paper reports: a few more vectors than the
 //! direct model, far better scalability.
 
+use crate::connectivity::ports;
 use crate::cover::CoverageTracker;
 use crate::error::AtpgError;
 use crate::heuristic::{cover_remaining, serpentine_cells, PathCover};
 use crate::path::FlowPath;
-use fpva_grid::{CellId, CellKind, Fpva, PortId};
+use fpva_grid::{CellId, CellKind, Fpva};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -86,20 +87,6 @@ impl HierarchyConfig {
             Self::derived_block_size(fpva.rows(), fpva.cols())
         }
     }
-}
-
-fn ports(fpva: &Fpva) -> Result<(PortId, PortId), AtpgError> {
-    let source = fpva
-        .sources()
-        .next()
-        .map(|(id, _)| id)
-        .ok_or(AtpgError::MissingPorts)?;
-    let sink = fpva
-        .sinks()
-        .next()
-        .map(|(id, _)| id)
-        .ok_or(AtpgError::MissingPorts)?;
-    Ok((source, sink))
 }
 
 /// Cell sequence of the row-band path for rows `r0..=r1`: descend column 0

@@ -22,6 +22,7 @@
 //! returning the first feasible cover (the paper likewise re-solves with
 //! increased `n_p` when infeasible).
 
+use crate::connectivity::ports;
 use crate::error::AtpgError;
 use crate::heuristic::PathCover;
 use crate::path::FlowPath;
@@ -411,8 +412,8 @@ pub fn min_path_cover_ilp_with_stats(
     config: &PathIlpConfig,
 ) -> (Result<PathCover, AtpgError>, Vec<CoverProbe>) {
     let mut probes = Vec::new();
-    if fpva.sources().next().is_none() || fpva.sinks().next().is_none() {
-        return (Err(AtpgError::MissingPorts), probes);
+    if let Err(e) = ports(fpva) {
+        return (Err(e), probes);
     }
     if fpva.valve_count() == 0 {
         return (
@@ -434,7 +435,6 @@ pub fn min_path_cover_ilp_with_stats(
             // uncertified one can stop at the first cover.
             stop_at_first: !config.certify,
             certificate: config.certify,
-            ..MilpOptions::default()
         });
         let outcome = match solver.solve(&model) {
             Ok(outcome) => outcome,

@@ -20,10 +20,10 @@
 //! keeps the extra-vector count in the order of the flow-path count, as in
 //! the paper's Table I (`n_l ≈ n_p`).
 
-use crate::connectivity::{endpoint_ports, Router};
+use crate::connectivity::{endpoint_ports, ports, Router};
 use crate::error::AtpgError;
 use crate::path::FlowPath;
-use fpva_grid::{EdgeId, Fpva, PortId, ValveId};
+use fpva_grid::{EdgeId, Fpva, ValveId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -57,20 +57,6 @@ impl LeakageCover {
     pub fn is_complete(&self) -> bool {
         self.uncovered_pairs.is_empty()
     }
-}
-
-fn ports(fpva: &Fpva) -> Result<(PortId, PortId), AtpgError> {
-    let source = fpva
-        .sources()
-        .next()
-        .map(|(id, _)| id)
-        .ok_or(AtpgError::MissingPorts)?;
-    let sink = fpva
-        .sinks()
-        .next()
-        .map(|(id, _)| id)
-        .ok_or(AtpgError::MissingPorts)?;
-    Ok((source, sink))
 }
 
 /// Generates the dedicated control-leakage vectors given the already

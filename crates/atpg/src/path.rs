@@ -28,11 +28,12 @@ impl FlowPath {
     /// # Errors
     ///
     /// Returns [`AtpgError::InvalidPath`] unless all of the following hold:
-    /// the cell list is non-empty and free of repetitions; the first cell
-    /// carries source port `source` and the last carries sink port `sink`;
-    /// consecutive cells are orthogonally adjacent; no traversed edge is a
-    /// wall; every open component (channel) is visited in one contiguous
-    /// run; and no component after the first holds a source port.
+    /// both port ids exist on `fpva`; the cell list is non-empty and free
+    /// of repetitions; the first cell carries source port `source` and the
+    /// last carries sink port `sink`; consecutive cells are orthogonally
+    /// adjacent; no traversed edge is a wall; every open component
+    /// (channel) is visited in one contiguous run; and no component after
+    /// the first holds a source port.
     pub fn new(
         fpva: &Fpva,
         source: PortId,
@@ -42,6 +43,12 @@ impl FlowPath {
         let invalid = |reason: String| AtpgError::InvalidPath { reason };
         if cells.is_empty() {
             return Err(invalid("empty cell list".into()));
+        }
+        if let Some(port) = [source, sink]
+            .into_iter()
+            .find(|p| p.0 >= fpva.port_count())
+        {
+            return Err(invalid(format!("port {port} does not exist")));
         }
         let src_port = fpva.port(source);
         let snk_port = fpva.port(sink);
@@ -308,5 +315,18 @@ mod tests {
         let (src, snk) = ports(&f);
         let err = FlowPath::new(&f, snk, src, cells(&[(2, 2), (0, 0)])).unwrap_err();
         assert!(matches!(err, AtpgError::InvalidPath { .. }));
+    }
+
+    #[test]
+    fn rejects_unknown_port_ids() {
+        let f = grid3();
+        let (src, snk) = ports(&f);
+        let path = cells(&[(0, 0), (0, 1), (0, 2), (1, 2), (2, 2)]);
+        FlowPath::new(&f, src, snk, path.clone()).expect("valid path");
+        let unknown = PortId(f.port_count());
+        for (s, t) in [(unknown, snk), (src, unknown), (PortId(7), PortId(1))] {
+            let err = FlowPath::new(&f, s, t, path.clone()).unwrap_err();
+            assert!(matches!(err, AtpgError::InvalidPath { .. }), "{err:?}");
+        }
     }
 }

@@ -1,6 +1,7 @@
 //! End-to-end test-plan generation: the paper's "Outputs".
 
 use crate::config::{AtpgConfig, PathEngine};
+use crate::connectivity::ports;
 use crate::cutset::{cut_cover, CutSet};
 use crate::error::AtpgError;
 use crate::heuristic::{greedy_cover, PathCover};
@@ -163,9 +164,7 @@ impl Atpg {
     /// * [`AtpgError::Solver`] — only if an engine fails without a
     ///   fallback.
     pub fn generate(&self, fpva: &Fpva) -> Result<TestPlan, AtpgError> {
-        if fpva.sources().next().is_none() || fpva.sinks().next().is_none() {
-            return Err(AtpgError::MissingPorts);
-        }
+        ports(fpva)?;
         let mut stats = GenerationStats::default();
 
         let t0 = Instant::now();

@@ -78,7 +78,7 @@ fn main() {
 
     outln!("\n== Ablation 1b: exact-ILP subblock scaling (default limits, one row per probe) ==");
     outln!(
-        "{:<10} | {:>5} | {:>2} | {:<10} | {:>8} | {:>11} | {:>6} | {:>8} | {:>8} | {:>8} | {:>9} | {:>8} | {:>9} | {:>6} | {:>4}",
+        "{:<10} | {:>5} | {:>2} | {:<10} | {:>8} | {:>11} | {:>6} | {:>8} | {:>9} | {:>8} | {:>9} | {:>6} | {:>4}",
         "block",
         "paths",
         "k",
@@ -86,8 +86,6 @@ fn main() {
         "seconds",
         "limit-nodes",
         "nodes",
-        "pre-rows",
-        "pre-cols",
         "refacts",
         "ft-updts",
         "rejected",
@@ -109,7 +107,7 @@ fn main() {
         for probe in &probes {
             let s = &probe.stats;
             outln!(
-                "{:<10} | {:>5} | {:>2} | {:<10} | {:>7.2}s | {:>11} | {:>6} | {:>8} | {:>8} | {:>8} | {:>9} | {:>8} | {:>9} | {:>6} | {:>4}",
+                "{:<10} | {:>5} | {:>2} | {:<10} | {:>7.2}s | {:>11} | {:>6} | {:>8} | {:>9} | {:>8} | {:>9} | {:>6} | {:>4}",
                 name,
                 paths,
                 probe.k,
@@ -117,8 +115,6 @@ fn main() {
                 s.elapsed.as_secs_f64(),
                 s.limit_nodes,
                 s.nodes,
-                s.presolve_rows,
-                s.presolve_cols,
                 s.refactorizations,
                 s.ft_updates,
                 s.rejected_updates,

@@ -4,9 +4,9 @@
 //! build, both at the chip level (connectivity, dead valves, untestable
 //! stuck-at-1 sets, unobservable leaks, duplicate/dominated candidate
 //! paths) and at the cover-model level (constraint-count sanity,
-//! coefficient numerics, certified presolve feasibility). Prints one
-//! diagnostics table and exits nonzero when any finding has `Error`
-//! severity, so CI can gate on it.
+//! coefficient numerics, feasibility under root bound propagation).
+//! Prints one diagnostics table and exits nonzero when any finding has
+//! `Error` severity, so CI can gate on it.
 //!
 //! Flags:
 //!

@@ -8,7 +8,7 @@
 //! whose constraint count deviates from the closed-form formula or whose
 //! coefficients look numerically hostile. Everything here is static: no LP
 //! is factorized and no simulation is run — the most expensive ingredient
-//! is a breadth-first search or a presolve pass.
+//! is a breadth-first search or a bound-propagation pass.
 
 use std::collections::HashSet;
 use std::fmt;
@@ -26,7 +26,7 @@ use fpva_sim::ObservableLeaks;
 /// How bad a [`Diagnostic`] is. Ordered: `Info < Warning < Error`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Severity {
-    /// Expected, informational output (e.g. presolve reduction summary).
+    /// Expected, informational output (e.g. the root propagation summary).
     Info,
     /// Suspicious but not fatal: the chip works, with blind spots.
     Warning,
@@ -255,9 +255,9 @@ pub fn lint_chip(name: &str, fpva: &Fpva) -> Vec<Diagnostic> {
 /// Statically audits the `k`-path ILP cover model of one chip.
 ///
 /// Checks the generated constraint count against the closed-form formula,
-/// flags numerically hostile coefficients, and runs presolve — both as a
-/// reduction summary and as a certified feasibility screen (a presolve
-/// `Infeasible`/`Unbounded` verdict on a cover model is always a chip bug).
+/// flags numerically hostile coefficients, and runs root bound propagation
+/// ([`presolve()`]) — both as a summary and as a certified feasibility
+/// screen (an `Infeasible` verdict on a cover model is always a chip bug).
 pub fn lint_model(name: &str, fpva: &Fpva, k: usize) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     let mut push = |severity, check, message: String| {
@@ -301,21 +301,15 @@ pub fn lint_model(name: &str, fpva: &Fpva, k: usize) -> Vec<Diagnostic> {
             "presolve",
             format!("k={k} cover model certified infeasible without factorizing: {reason}"),
         ),
-        PresolveOutcome::Unbounded => push(
-            Severity::Error,
-            "presolve",
-            format!("k={k} cover model certified unbounded"),
-        ),
-        PresolveOutcome::Reduced(_) | PresolveOutcome::Solved(_) => push(
+        PresolveOutcome::Open => push(
             Severity::Info,
             "presolve",
             format!(
-                "k={k}: presolve removed {} of {} rows and {} of {} cols in {} pass(es)",
-                pre.stats.rows_removed,
-                model.constraint_count(),
-                pre.stats.cols_removed,
+                "k={k}: root propagation tightened {} bound(s) and fixed {} of {} cols ({} rows)",
+                pre.stats.tightenings,
+                pre.stats.fixed,
                 model.var_count(),
-                pre.stats.passes
+                model.constraint_count()
             ),
         ),
     }

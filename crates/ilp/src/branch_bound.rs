@@ -3,7 +3,7 @@
 use crate::certify::{LeafCert, MilpCertificate, NodeCert};
 use crate::error::IlpError;
 use crate::model::{Model, Sense, VarKind};
-use crate::presolve::{self, Postsolve, PresolveOutcome, PresolveStats, Propagator};
+use crate::presolve::Propagator;
 use crate::simplex::{Basis, LpCertificate, LpStatus};
 use crate::solution::{MilpOutcome, Solution, SolveStats, SolveStatus};
 use std::rc::Rc;
@@ -20,29 +20,16 @@ pub struct MilpOptions {
     pub time_limit: Option<Duration>,
     /// Abort after this many branch-and-bound nodes.
     pub node_limit: Option<usize>,
-    /// Known objective value of some feasible solution (in the model's
-    /// sense). Used as an initial cutoff; the solution itself is *not*
-    /// reconstructed — supply it for pruning when a heuristic already
-    /// produced an incumbent.
-    pub initial_incumbent: Option<f64>,
     /// Stop at the first feasible integer solution (useful for pure
     /// feasibility models); the outcome status is then
     /// [`SolveStatus::Feasible`] unless the tree was exhausted anyway.
     pub stop_at_first: bool,
-    /// Run the static [`crate::presolve()`] pass before branch-and-bound
-    /// (default `true`): the root model is reduced once, integer bounds
-    /// are re-propagated at every node, and reported solutions are
-    /// mapped back through the postsolve record. Disable to solve the
-    /// model exactly as written (used by differential harnesses).
-    /// Certificate mode ignores it and never presolves.
-    pub presolve: bool,
     /// Record a proof log ([`MilpCertificate`]) of the run into
     /// [`MilpOutcome::certificate`], re-verifiable in exact arithmetic by
-    /// [`crate::certify::certify_outcome`]. Certificate mode searches the
-    /// model exactly as written — no presolve and no per-node bound
-    /// propagation — so every leaf proof holds under the caller's own
-    /// rows and bounds plus branch decisions. Off by default — proof
-    /// logging costs memory (duals per leaf) and some speed.
+    /// [`crate::certify::certify_outcome`]. Certificate mode runs no bound
+    /// propagation, so every leaf proof holds under the caller's own rows
+    /// and bounds plus branch decisions. Off by default — proof logging
+    /// costs memory (duals per leaf) and some speed.
     pub certificate: bool,
 }
 
@@ -51,9 +38,7 @@ impl Default for MilpOptions {
         MilpOptions {
             time_limit: None,
             node_limit: Some(2_000_000),
-            initial_incumbent: None,
             stop_at_first: false,
-            presolve: true,
             certificate: false,
         }
     }
@@ -92,20 +77,6 @@ impl MilpSolver {
         self
     }
 
-    /// Sets an initial incumbent objective (model sense) for pruning.
-    #[must_use]
-    pub fn initial_incumbent(mut self, objective: f64) -> Self {
-        self.options.initial_incumbent = Some(objective);
-        self
-    }
-
-    /// Enables or disables the static presolve pass (on by default).
-    #[must_use]
-    pub fn presolve(mut self, enabled: bool) -> Self {
-        self.options.presolve = enabled;
-        self
-    }
-
     /// Enables or disables proof logging (off by default); see
     /// [`MilpOptions::certificate`].
     #[must_use]
@@ -114,9 +85,11 @@ impl MilpSolver {
         self
     }
 
-    /// Solves the model.
+    /// Solves the model by branch and bound on the model as written.
     ///
-    /// Infeasibility/unboundedness are reported through
+    /// Product mode runs integer bound propagation ([`crate::presolve()`]'s
+    /// rules) at every node, the root included; certificate mode runs
+    /// none. Infeasibility/unboundedness are reported through
     /// [`MilpOutcome::status`], not as errors.
     ///
     /// # Errors
@@ -125,79 +98,20 @@ impl MilpSolver {
     /// [`Model::validate`].
     pub fn solve(&self, model: &Model) -> Result<MilpOutcome, IlpError> {
         model.validate()?;
+        Ok(self.branch_and_bound(model))
+    }
+
+    /// Depth-first search over `model`.
+    fn branch_and_bound(&self, model: &Model) -> MilpOutcome {
         let start = Instant::now();
-        // Certificate mode searches the model as written, so its tree is
-        // a complete proof about the caller's model.
-        if !self.options.presolve || self.options.certificate {
-            return Ok(self.branch_and_bound(model, model, None, PresolveStats::default(), start));
-        }
-        // Static presolve first: it may certify a terminal verdict (a
-        // proof by interval arithmetic — no LP ever runs), solve the
-        // model outright, or hand back a reduced model whose solutions
-        // are lifted through the postsolve record.
-        let pre = presolve::presolve(model);
-        let pstats = pre.stats;
+        // Hard wall-clock deadline, enforced down inside the simplex pivot
+        // loop — the per-node check alone cannot stop a long single LP.
+        let deadline = self.options.time_limit.map(|limit| start + limit);
+        let n = model.var_count();
         let sign = match model.sense() {
             Sense::Minimize => 1.0,
             Sense::Maximize => -1.0,
         };
-        let make_stats = |best_bound: f64| SolveStats {
-            presolve_rows: pstats.rows_removed,
-            presolve_cols: pstats.cols_removed,
-            presolve_tightenings: pstats.tightenings,
-            elapsed: start.elapsed(),
-            best_bound,
-            ..SolveStats::default()
-        };
-        match pre.outcome {
-            PresolveOutcome::Infeasible { .. } => Ok(MilpOutcome {
-                status: SolveStatus::Infeasible,
-                best: None,
-                stats: make_stats(sign * f64::NEG_INFINITY),
-                certificate: None,
-            }),
-            PresolveOutcome::Unbounded => Ok(MilpOutcome {
-                status: SolveStatus::Unbounded,
-                best: None,
-                stats: make_stats(sign * f64::NEG_INFINITY),
-                certificate: None,
-            }),
-            PresolveOutcome::Solved(values) => {
-                let objective = model.objective().eval(&values);
-                Ok(MilpOutcome {
-                    status: SolveStatus::Optimal,
-                    best: Some(Solution { objective, values }),
-                    stats: make_stats(objective),
-                    certificate: None,
-                })
-            }
-            PresolveOutcome::Reduced(reduced) => {
-                Ok(self.branch_and_bound(model, &reduced, Some(&pre.postsolve), pstats, start))
-            }
-        }
-    }
-
-    /// Depth-first search over `solve_model` — the presolve-reduced model
-    /// when presolve ran, the original model otherwise. Incumbents are
-    /// lifted back through `postsolve` and objectives are always reported
-    /// against `original`, so callers never observe the reduction.
-    fn branch_and_bound(
-        &self,
-        original: &Model,
-        solve_model: &Model,
-        postsolve: Option<&Postsolve>,
-        pstats: PresolveStats,
-        start: Instant,
-    ) -> MilpOutcome {
-        // Hard wall-clock deadline, enforced down inside the simplex pivot
-        // loop — the per-node check alone cannot stop a long single LP.
-        let deadline = self.options.time_limit.map(|limit| start + limit);
-        let n = solve_model.var_count();
-        let sign = match solve_model.sense() {
-            Sense::Minimize => 1.0,
-            Sense::Maximize => -1.0,
-        };
-        let model = solve_model;
 
         let is_int: Vec<bool> = model
             .vars()
@@ -206,10 +120,10 @@ impl MilpSolver {
             .collect();
         let integral_objective = model.objective_is_integral();
         let cert_on = self.options.certificate;
-        // Per-node integer bound propagation only runs on a presolved
-        // model, which certificate mode never searches: leaf proofs must
-        // hold under root bounds plus branch decisions alone.
-        let propagator = postsolve.map(|_| Propagator::new(model));
+        // Per-node integer bound propagation runs in product mode only:
+        // certificate leaf proofs must hold under root bounds plus branch
+        // decisions alone.
+        let propagator = (!cert_on).then(|| Propagator::new(model));
         // Proof log: one NodeCert per branch-and-bound node, root first.
         let mut tree: Vec<NodeCert> = Vec::new();
         if cert_on {
@@ -234,20 +148,9 @@ impl MilpSolver {
         let obj_constant = model.objective().constant();
         engine.set_certify(cert_on);
 
-        let mut stats = SolveStats {
-            presolve_rows: pstats.rows_removed,
-            presolve_cols: pstats.cols_removed,
-            presolve_tightenings: pstats.tightenings,
-            ..SolveStats::default()
-        };
+        let mut stats = SolveStats::default();
         let mut incumbent: Option<(f64, Vec<f64>)> = None; // (min-form obj, values)
-                                                           // The user-facing incumbent value includes the objective constant
-                                                           // (which presolve grows by every fixed variable's contribution);
-                                                           // the search compares min-form objectives, so strip it here.
-        let mut cutoff = self
-            .options
-            .initial_incumbent
-            .map_or(f64::INFINITY, |u| sign * (u - obj_constant));
+        let mut cutoff = f64::INFINITY;
         let mut root_bound = f64::NEG_INFINITY;
         let mut hit_limit = false;
 
@@ -278,11 +181,11 @@ impl MilpSolver {
             // a pruned node is pruned with certainty — no LP needed.
             if let Some(prop) = &propagator {
                 match prop.propagate(&mut lower, &mut upper) {
-                    None => {
+                    Err(_) => {
                         stats.propagation_prunes += 1;
                         continue;
                     }
-                    Some(t) => stats.node_tightenings += t,
+                    Ok(t) => stats.node_tightenings += t,
                 }
             }
             stats.nodes += 1;
@@ -477,22 +380,11 @@ impl MilpSolver {
         let certificate = cert_on.then(|| MilpCertificate {
             tree: std::mem::take(&mut tree),
             incumbent: incumbent.as_ref().map(|(_, v)| v.clone()),
-            initial_cutoff: self
-                .options
-                .initial_incumbent
-                .map(|u| sign * (u - obj_constant)),
             complete: proved_optimal && !cert_failed,
         });
-        let best = incumbent.map(|(_, values)| {
-            // Lift the reduced-space incumbent back to the original
-            // variables; the objective is always evaluated through the
-            // original model so presolve never changes reported values.
-            let values = match postsolve {
-                Some(p) => p.restore(&values),
-                None => values,
-            };
-            let objective = original.objective().eval(&values);
-            Solution { objective, values }
+        let best = incumbent.map(|(_, values)| Solution {
+            objective: model.objective().eval(&values),
+            values,
         });
         stats.best_bound = if status == SolveStatus::Optimal {
             best.as_ref().map_or(f64::NAN, |b| b.objective)
@@ -723,25 +615,6 @@ mod tests {
     }
 
     #[test]
-    fn initial_incumbent_prunes() {
-        let mut m = Model::new(Sense::Minimize);
-        let x = m.binary_var("x");
-        let y = m.binary_var("y");
-        m.add_geq(x + y, 1.0);
-        m.set_objective(x + y);
-        // Claim we already know a solution of value 1: solver must still
-        // prove optimality (finding a solution of value 1 or better).
-        let out = MilpSolver::new().initial_incumbent(1.0).solve(&m).unwrap();
-        // With an integral objective and cutoff 1, nodes with bound > 0+eps
-        // are pruned; the solver may end with no *stored* incumbent but
-        // proven optimality means the cutoff was not beaten.
-        assert!(matches!(
-            out.status,
-            SolveStatus::Optimal | SolveStatus::Infeasible
-        ));
-    }
-
-    #[test]
     fn maximize_reports_user_sense_objective() {
         let mut m = Model::new(Sense::Maximize);
         let x = m.integer_var("x", 0.0, 7.0);
@@ -760,66 +633,26 @@ mod tests {
         let x = m.binary_var("x");
         m.add_geq(LinExpr::from(x), 1.0);
         m.set_objective(LinExpr::from(x));
-        // Presolve fixes x = 1 from the singleton row: zero nodes, and
-        // the reduction is visible in the stats.
+        // Root propagation fixes x = 1 from the singleton row before the
+        // root LP confirms the optimum; the fixing shows in the stats.
         let out = MilpSolver::new().solve(&m).unwrap();
         assert_eq!(out.status, SolveStatus::Optimal);
-        assert_eq!(out.stats.nodes, 0);
-        assert!(out.stats.presolve_rows >= 1);
-        assert!(out.stats.presolve_cols >= 1);
+        assert_eq!(out.stats.nodes, 1);
+        assert_eq!(out.stats.node_tightenings, 1);
         assert_eq!(out.stats.best_bound, 1.0);
-        // With presolve off the same model must cost at least one node.
-        let out = MilpSolver::new().presolve(false).solve(&m).unwrap();
+        // Certificate mode propagates nothing: the LP alone decides.
+        let out = MilpSolver::new().certificate(true).solve(&m).unwrap();
         assert_eq!(out.status, SolveStatus::Optimal);
-        assert!(out.stats.nodes >= 1);
-        assert_eq!(out.stats.presolve_rows, 0);
+        assert_eq!(out.stats.nodes, 1);
+        assert_eq!(out.stats.node_tightenings, 0);
         assert_eq!(out.stats.best_bound, 1.0);
-    }
-
-    #[test]
-    fn presolve_and_raw_agree_on_knapsack() {
-        let mut m = Model::new(Sense::Maximize);
-        let xs: Vec<_> = (0..8).map(|i| m.binary_var(format!("x{i}"))).collect();
-        let mut w = LinExpr::new();
-        let mut v = LinExpr::new();
-        for (i, &x) in xs.iter().enumerate() {
-            w.add_term(x, 2.0 + (i as f64) * 1.7);
-            v.add_term(x, 4.0 + ((i * 3) % 5) as f64);
-        }
-        m.add_leq(w, 15.0);
-        m.set_objective(v + 3.0);
-        let on = MilpSolver::new().solve(&m).unwrap();
-        let off = MilpSolver::new().presolve(false).solve(&m).unwrap();
-        assert_eq!(on.status, SolveStatus::Optimal);
-        assert_eq!(off.status, SolveStatus::Optimal);
-        let (a, b) = (on.best.unwrap(), off.best.unwrap());
-        assert!((a.objective - b.objective).abs() < 1e-6);
-        assert_eq!(a.values().len(), b.values().len());
-    }
-
-    #[test]
-    fn initial_incumbent_cutoff_respects_objective_constant() {
-        // Minimise x + 100 with x ≥ 3 integer in [0, 10] plus a second
-        // variable to keep presolve from solving it outright. A claimed
-        // incumbent of 103 (the true optimum) must not prune the optimum
-        // away: the cutoff must subtract the constant.
-        let mut m = Model::new(Sense::Minimize);
-        let x = m.integer_var("x", 0.0, 10.0);
-        let y = m.integer_var("y", 0.0, 10.0);
+        // A contradiction found by root propagation costs no LP at all.
+        let y = m.binary_var("y");
         m.add_geq(x + y, 3.0);
-        m.set_objective(x + y + 100.0);
-        let out = MilpSolver::new()
-            .initial_incumbent(103.0)
-            .solve(&m)
-            .unwrap();
-        assert!(matches!(
-            out.status,
-            SolveStatus::Optimal | SolveStatus::Infeasible
-        ));
-        assert!((out.stats.best_bound - 103.0).abs() < 1e-6 || out.best.is_none());
-        // Without the claimed incumbent the optimum is reported directly.
         let out = MilpSolver::new().solve(&m).unwrap();
-        assert_eq!(out.status, SolveStatus::Optimal);
-        assert!((out.best.unwrap().objective - 103.0).abs() < 1e-6);
+        assert_eq!(out.status, SolveStatus::Infeasible);
+        assert_eq!(out.stats.nodes, 0);
+        assert_eq!(out.stats.propagation_prunes, 1);
+        assert_eq!(out.stats.lp_iterations, 0);
     }
 }

@@ -22,9 +22,10 @@
 //!   replays the tree from the root to confirm the leaves partition the
 //!   search box. The incumbent is re-checked against the model exactly.
 //!
-//! Certificate mode never presolves: the tree runs on the caller's model,
-//! so every leaf's multipliers index that model's rows and a passing
-//! certificate is a complete proof about the model it is checked against.
+//! The tree runs on the caller's model with no bound propagation, so every
+//! leaf box is root bounds plus branch decisions, every leaf's multipliers
+//! index that model's rows, and a passing certificate is a complete proof
+//! about the model it is checked against.
 //! All arithmetic runs on [`BigRat`] — every finite `f64` converts
 //! losslessly — so a passing certificate is a machine-checked proof up to
 //! the explicitly declared tolerances (`1e-6`, scaled by row norms).
@@ -101,9 +102,6 @@ pub struct MilpCertificate {
     pub tree: Vec<NodeCert>,
     /// The final incumbent.
     pub incumbent: Option<Vec<f64>>,
-    /// Internal minimisation-form cutoff derived from
-    /// [`crate::MilpOptions::initial_incumbent`], if one was supplied.
-    pub initial_cutoff: Option<f64>,
     /// `true` when the search exhausted the tree (no node, time or
     /// iteration limit fired); only complete trees prove
     /// optimality/infeasibility.
@@ -639,8 +637,7 @@ pub fn certify_lp(
 ///   with the claimed objective, and the complete branching tree shows no
 ///   better solution exists.
 /// * [`SolveStatus::Infeasible`] — every leaf of the complete tree is an
-///   exact infeasibility (or dominated-bound, under an initial cutoff)
-///   proof.
+///   exact infeasibility proof.
 /// * [`SolveStatus::Feasible`] — the incumbent is feasible with the
 ///   claimed objective (no optimality claim to check).
 ///
@@ -742,19 +739,14 @@ pub fn certify_outcome(
         if !cert.complete {
             return Err(CertifyError::Incomplete);
         }
-        let threshold = match outcome.status {
-            SolveStatus::Optimal => incumbent_internal.clone(),
-            _ => match cert.initial_cutoff {
-                Some(c) => Some(rat(c, || "initial cutoff".to_string())?),
-                None => None,
-            },
-        };
+        // An infeasibility proof has no incumbent, so its leaves must all
+        // be exact infeasibility (or empty-box) proofs.
         summary.leaves = walk_tree(
             &rm,
             &base_lower,
             &base_upper,
             &cert.tree,
-            threshold.as_ref(),
+            incumbent_internal.as_ref(),
         )?;
     }
     Ok(summary)
@@ -889,8 +881,7 @@ fn walk_tree(
                         let Some(thr) = threshold else {
                             return Err(CertifyError::TreeMalformed {
                                 node: idx,
-                                detail: "bound-pruned leaf without an incumbent or initial cutoff"
-                                    .to_string(),
+                                detail: "bound-pruned leaf without an incumbent".to_string(),
                             });
                         };
                         let l = rm.dual_bound(&lower, &upper, duals, Some(idx))?;
@@ -1079,8 +1070,8 @@ mod tests {
 
     #[test]
     fn milp_infeasible_certificate_verifies() {
-        // Presolve alone would certify this; certificate mode proves it
-        // with a tree on the model as written.
+        // Root propagation alone refutes this in product mode; certificate
+        // mode proves it with a tree on the model as written.
         let mut m = Model::new(Sense::Minimize);
         let x = m.binary_var("x");
         let y = m.binary_var("y");
@@ -1094,8 +1085,8 @@ mod tests {
 
     #[test]
     fn presolve_solved_model_is_reproved() {
-        // Presolve alone would solve this outright; the certificate run
-        // proves it with a tree instead.
+        // Root propagation fixes x in product mode; the certificate run
+        // proves the optimum with a tree instead.
         let mut m = Model::new(Sense::Minimize);
         let x = m.binary_var("x");
         m.add_geq(LinExpr::from(x), 1.0);
@@ -1108,8 +1099,8 @@ mod tests {
 
     #[test]
     fn leaf_multipliers_index_the_callers_rows() {
-        // Presolve would fix z and drop its singleton row, shrinking the
-        // model to one row; the proof must still speak about both rows.
+        // z is fixed and its singleton row redundant; the proof must still
+        // speak about both of the caller's rows.
         let mut m = Model::new(Sense::Maximize);
         let z = m.integer_var("z", 1.0, 1.0);
         let x = m.binary_var("x");

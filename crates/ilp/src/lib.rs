@@ -7,13 +7,13 @@
 //!
 //! * a modelling API ([`Model`], [`LinExpr`], [`VarId`]) for continuous,
 //!   general-integer and binary variables with bounds,
-//! * a **static presolve** layer ([`presolve`](mod@presolve)) that
-//!   shrinks the model and certifies trivial verdicts before any basis
-//!   is factorized,
 //! * a **sparse revised simplex** for the LP relaxations ([`simplex`]),
-//! * a **branch-and-bound** driver ([`MilpSolver`]) with depth-first
-//!   search, most-fractional branching, integral-objective ceiling bounds,
-//!   warm-start incumbents, node/time limits.
+//! * a **branch-and-bound** driver ([`MilpSolver`]) on the model as
+//!   written, with depth-first search, most-fractional branching, integer
+//!   bound propagation at every node ([`presolve`](mod@presolve)),
+//!   integral-objective ceiling bounds and node/time limits,
+//! * **certificates** of its verdicts, re-checked in exact arithmetic
+//!   ([`certify`](mod@certify)).
 //!
 //! # Branching rule
 //!
@@ -23,34 +23,21 @@
 //! `x ≥ ⌊v⌋ + 1` when `v − ⌊v⌋ > 0.5`, the down child `x ≤ ⌊v⌋`
 //! otherwise. This is the only search order the driver has.
 //!
-//! # Presolve / postsolve architecture
+//! # Bound propagation
 //!
-//! [`presolve()`] sits between [`Model`] construction and
-//! [`Model::to_sparse_lp`]. It keeps only the reductions the path-cover
-//! models use: integer bounds are rounded inward and collapsed domains
-//! fixed, then a row sweep runs to a fixpoint (bounded by a pass cap) in
-//! which empty rows are checked and dropped, singleton rows become bound
-//! updates and forcing rows fix their whole support.
-//!
-//! Every deduction is pure interval arithmetic over the variable
-//! bounds, so a [`PresolveOutcome::Infeasible`] outcome (a row whose
-//! activity range misses its rhs) is a *certificate* — branch-and-bound
-//! can return it without ever factorizing a basis ([`SolveStats`] then
-//! reports zero nodes). Once no rows remain, every variable moves to its
-//! cheapest bound: the model is [`PresolveOutcome::Solved`], or
-//! [`PresolveOutcome::Unbounded`] when an improving direction has no
-//! bound. Anything subtler is left for the simplex to decide.
-//!
-//! Presolve only fixes variables, so the [`Postsolve`] record is the list
-//! of fixed values, which lifts any reduced-model solution back to the
-//! original variable space. [`MilpSolver`] runs presolve at the root by
-//! default ([`MilpOptions::presolve`] turns it off), re-applies integer
-//! implied-bound propagation per node before each LP, and restores
-//! incumbents through the postsolve record, so solver signatures,
-//! reported solutions and verdict semantics are unchanged by the whole
-//! layer. Certificate mode never presolves (see below).
-//! [`numerics_report`] flags tiny/huge coefficients and near-parallel
-//! rows before a solve is attempted.
+//! Branch and bound searches the caller's model in both modes; no
+//! reduced copy is built. In product mode every node, the root included,
+//! first runs integer bound propagation over the model's rows: for each
+//! row and integer variable, the activity range of the other terms
+//! implies a floor/ceil bound. These are exact deductions, so a node whose
+//! row cannot hold or whose domain empties is pruned without an LP
+//! ([`SolveStats::propagation_prunes`]); a model the root pass refutes
+//! reports zero nodes. [`presolve()`] runs the root pass alone and
+//! reports its verdict ([`PresolveOutcome`], naming the refuting row) and
+//! what it tightened ([`PresolveStats`]); `fpva-lint` screens cover models
+//! with it. [`numerics_report`] flags tiny/huge coefficients and
+//! near-parallel rows before a solve is attempted. Certificate mode
+//! propagates nothing (see below).
 //!
 //! # Revised-simplex architecture
 //!
@@ -198,11 +185,12 @@
 //!   structured [`certify::CertifyError`]s naming the violated row, bound
 //!   or leaf.
 //!
-//! Certificate mode searches the model exactly as written: it never
-//! presolves and disables per-node bound propagation, so leaf boxes are
-//! root bounds plus branch decisions only and every leaf's multipliers
-//! index the caller's rows. A certificate is therefore a complete proof
-//! about the model it is checked against; nothing is taken on trust.
+//! Certificate mode disables bound propagation, so leaf boxes are root
+//! bounds plus branch decisions only and every leaf's multipliers index
+//! the caller's rows. A certificate is therefore a complete proof about
+//! the model it is checked against; nothing is taken on trust. An
+//! `Infeasible` proof has no incumbent, so every one of its leaves must be
+//! an exact infeasibility or empty-box proof.
 //!
 //! It is sized for the instances the paper's *hierarchical* flow produces
 //! (subblocks up to a few hundred variables); it is not a general-purpose
@@ -254,6 +242,6 @@ pub use error::IlpError;
 pub use expr::{LinExpr, SparseVec, VarId};
 pub use model::{ConstraintOp, Model, Sense, VarKind};
 pub use presolve::{
-    numerics_report, presolve, NumericsReport, Postsolve, PresolveOutcome, PresolveStats, Presolved,
+    numerics_report, presolve, NumericsReport, PresolveOutcome, PresolveStats, Presolved,
 };
 pub use solution::{MilpOutcome, Solution, SolveStats, SolveStatus};

@@ -1,44 +1,32 @@
-//! Static presolve: a reduction pass over a [`Model`].
+//! Root bound propagation and static model diagnostics.
 //!
-//! [`presolve`] runs between model construction and
-//! [`Model::to_sparse_lp`]. It keeps only the reductions the path-cover
-//! models use: integer bounds are rounded inward and collapsed domains
-//! fixed, empty rows are checked and dropped, singleton rows become
-//! bounds, and forcing rows (whose rhs is met only with every variable at
-//! the bound it contributes) fix their whole support. A row whose
-//! activity range misses its rhs certifies infeasibility without
-//! factorizing a basis. Every deduction is interval arithmetic over the
-//! variable bounds, so the certified verdicts are proofs.
-//!
-//! Presolve only ever fixes variables, so the [`Postsolve`] record is the
-//! list of fixed values: it maps any solution of the reduced model back
-//! to the original variable space, and solver signatures (and reported
-//! solutions) are unchanged by presolve.
+//! Product-mode branch and bound ([`crate::MilpSolver`] without
+//! [`crate::MilpOptions::certificate`]) runs the same integer bound
+//! propagation at every node, the root included, on the model as written.
+//! [`presolve`] runs that root pass on its own and reports its verdict and
+//! counters, so `fpva-lint` can screen a model without a solve. Every
+//! deduction is a floor/ceil implied bound on an integer variable,
+//! interval arithmetic over the variable bounds, so an
+//! [`PresolveOutcome::Infeasible`] verdict is a proof that needs no LP.
+//! [`numerics_report`] flags numerically hostile coefficients.
 
-use crate::model::{ConstraintOp, Model, Sense, VarKind};
-use std::collections::{BTreeMap, BTreeSet};
+use crate::model::{ConstraintOp, Model, VarKind};
+use std::collections::BTreeMap;
 
 /// Feasibility slack: a row is declared infeasible only when its best
 /// achievable activity misses the rhs by more than this.
 const FEAS_TOL: f64 = 1e-7;
-/// Integrality tolerance used when rounding integer bounds.
+/// Integrality tolerance used when rounding implied integer bounds.
 const INT_TOL: f64 = 1e-6;
-/// Two bounds closer than this collapse the variable to a fixed value.
-const FIX_TOL: f64 = 1e-9;
-/// Fixpoint pass cap — each pass is a full row sweep.
-const MAX_PASSES: usize = 10;
 
-/// Reduction counters accumulated by [`presolve`].
+/// Counters of one [`presolve`] pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PresolveStats {
-    /// Constraints eliminated (empty, singleton or forcing).
-    pub rows_removed: usize,
-    /// Variables fixed and eliminated.
-    pub cols_removed: usize,
-    /// Variable bounds strictly tightened.
+    /// Variable bounds the pass moved (a lower and an upper bound count
+    /// separately).
     pub tightenings: usize,
-    /// Fixpoint passes executed.
-    pub passes: usize,
+    /// Variables whose domain the pass collapsed to a single value.
+    pub fixed: usize,
 }
 
 /// Static numerics diagnostics for a model (used by `fpva-lint`).
@@ -59,500 +47,55 @@ pub struct NumericsReport {
     pub near_parallel_rows: usize,
 }
 
-/// How the reduced problem relates to the original.
-#[derive(Debug, Clone)]
+/// The verdict of root propagation.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PresolveOutcome {
-    /// A smaller (possibly identical) model remains to be solved.
-    Reduced(Model),
-    /// Presolve fixed every variable; the values are a certified optimal
-    /// assignment in the **original** variable space.
-    Solved(Vec<f64>),
+    /// No contradiction: branch and bound has to decide the model.
+    Open,
     /// The model is proven infeasible by interval arithmetic alone.
     Infeasible {
-        /// Human-readable certificate of the contradiction.
+        /// Names the row whose activity range cannot meet its rhs, or
+        /// whose implied bound empties a variable's domain.
         reason: String,
     },
-    /// The model is feasible and the objective improves without bound.
-    Unbounded,
 }
 
-/// Maps solutions of the reduced model back to original variables.
-#[derive(Debug, Clone)]
-pub struct Postsolve {
-    /// original index → reduced index (None when fixed).
-    forward: Vec<Option<usize>>,
-    /// `(original index, value)` of every fixed variable.
-    fixed: Vec<(usize, f64)>,
-}
-
-impl Postsolve {
-    /// Number of variables in the original model.
-    pub fn original_var_count(&self) -> usize {
-        self.forward.len()
-    }
-
-    /// Number of variables surviving into the reduced model.
-    pub fn reduced_var_count(&self) -> usize {
-        self.forward.iter().flatten().count()
-    }
-
-    /// Lifts a reduced-model assignment to the original variable space.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `reduced` is shorter than the reduced variable count.
-    pub fn restore(&self, reduced: &[f64]) -> Vec<f64> {
-        let mut full: Vec<f64> = self
-            .forward
-            .iter()
-            .map(|fwd| fwd.map_or(f64::NAN, |j| reduced[j]))
-            .collect();
-        for &(var, value) in &self.fixed {
-            full[var] = value;
-        }
-        full
-    }
-}
-
-/// Result of [`presolve`]: outcome, undo record and counters.
-#[derive(Debug, Clone)]
+/// Result of [`presolve`]: verdict and counters.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Presolved {
-    /// The reduced problem (or a certified terminal verdict).
+    /// The verdict of the pass.
     pub outcome: PresolveOutcome,
-    /// Undo record lifting reduced solutions back to original variables.
-    pub postsolve: Postsolve,
-    /// Reduction counters.
+    /// What the pass changed in the model's bounds.
     pub stats: PresolveStats,
 }
 
-struct WVar {
-    kind: VarKind,
-    lb: f64,
-    ub: f64,
-    obj: f64,
-    alive: bool,
-}
-
-struct WRow {
-    terms: BTreeMap<usize, f64>,
-    op: ConstraintOp,
-    rhs: f64,
-}
-
-#[derive(Debug)]
-struct Infeasible(String);
-
-struct Work {
-    sign: f64, // +1 minimize, -1 maximize
-    vars: Vec<WVar>,
-    rows: Vec<Option<WRow>>,
-    col_rows: Vec<BTreeSet<usize>>,
-    fixed: Vec<(usize, f64)>,
-    stats: PresolveStats,
-}
-
-impl Work {
-    /// Minimum and maximum activity of `terms` over the variable bounds;
-    /// an unbounded variable makes them −∞ and +∞.
-    fn activity(&self, terms: &[(usize, f64)]) -> (f64, f64) {
-        let (mut min, mut max) = (0.0, 0.0);
-        for &(v, a) in terms {
-            let (lb, ub) = (self.vars[v].lb, self.vars[v].ub);
-            let (lo, hi) = if a > 0.0 {
-                (a * lb, a * ub)
-            } else {
-                (a * ub, a * lb)
-            };
-            min += lo;
-            max += hi;
-        }
-        (min, max)
-    }
-
-    fn remove_row(&mut self, r: usize) {
-        if let Some(row) = self.rows[r].take() {
-            for &v in row.terms.keys() {
-                self.col_rows[v].remove(&r);
-            }
-            self.stats.rows_removed += 1;
-        }
-    }
-
-    /// Fixes `v` to `value` (rounded for integers, clamped into bounds)
-    /// and substitutes it out of every row it appears in.
-    fn fix(&mut self, v: usize, value: f64) -> Result<(), Infeasible> {
-        let var = &self.vars[v];
-        if !var.alive {
-            return Ok(());
-        }
-        let value = if var.kind == VarKind::Continuous {
-            value
-        } else {
-            if (value - value.round()).abs() > INT_TOL {
-                return Err(Infeasible(format!(
-                    "integer variable x{v} forced to fractional value {value}"
-                )));
-            }
-            value.round()
-        };
-        if value < var.lb - FEAS_TOL || value > var.ub + FEAS_TOL {
-            return Err(Infeasible(format!(
-                "variable x{v} forced to {value} outside [{}, {}]",
-                var.lb, var.ub
-            )));
-        }
-        let value = value.clamp(var.lb, var.ub);
-        self.vars[v].alive = false;
-        self.stats.cols_removed += 1;
-        self.fixed.push((v, value));
-        for r in std::mem::take(&mut self.col_rows[v]) {
-            if let Some(row) = self.rows[r].as_mut() {
-                if let Some(a) = row.terms.remove(&v) {
-                    row.rhs -= a * value;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Lowers the upper bound to `new_ub` (rounded down for integers) when
-    /// that tightens it, fixing the variable once its domain collapses.
-    fn tighten_ub(&mut self, v: usize, mut new_ub: f64) -> Result<(), Infeasible> {
-        let var = &self.vars[v];
-        if !var.alive {
-            return Ok(());
-        }
-        if var.kind != VarKind::Continuous {
-            new_ub = (new_ub + INT_TOL).floor();
-        }
-        let cur = var.ub;
-        let improves = if cur.is_finite() {
-            new_ub < cur - FIX_TOL * (1.0 + cur.abs())
-        } else {
-            new_ub.is_finite()
-        };
-        if !improves {
-            return Ok(());
-        }
-        if new_ub < var.lb - FEAS_TOL {
-            return Err(Infeasible(format!(
-                "variable x{v}: implied upper bound {new_ub} below lower bound {}",
-                var.lb
-            )));
-        }
-        let lb = var.lb;
-        self.vars[v].ub = new_ub.max(lb);
-        self.stats.tightenings += 1;
-        if self.vars[v].ub - lb <= FIX_TOL {
-            self.fix(v, lb)?;
-        }
-        Ok(())
-    }
-
-    /// The lower-bound mirror of `tighten_ub`.
-    fn tighten_lb(&mut self, v: usize, mut new_lb: f64) -> Result<(), Infeasible> {
-        let var = &self.vars[v];
-        if !var.alive {
-            return Ok(());
-        }
-        if var.kind != VarKind::Continuous {
-            new_lb = (new_lb - INT_TOL).ceil();
-        }
-        let cur = var.lb;
-        let improves = new_lb > cur + FIX_TOL * (1.0 + cur.abs());
-        if !improves {
-            return Ok(());
-        }
-        if new_lb > var.ub + FEAS_TOL {
-            return Err(Infeasible(format!(
-                "variable x{v}: implied lower bound {new_lb} above upper bound {}",
-                var.ub
-            )));
-        }
-        let ub = var.ub;
-        self.vars[v].lb = new_lb.min(ub);
-        self.stats.tightenings += 1;
-        if ub.is_finite() && ub - self.vars[v].lb <= FIX_TOL {
-            self.fix(v, ub)?;
-        }
-        Ok(())
-    }
-
-    /// Applies a singleton row `a·x (op) rhs` as a bound and removes it.
-    fn singleton_row(
-        &mut self,
-        v: usize,
-        a: f64,
-        op: ConstraintOp,
-        rhs: f64,
-    ) -> Result<(), Infeasible> {
-        let bound = rhs / a;
-        match (op, a > 0.0) {
-            (ConstraintOp::Leq, true) | (ConstraintOp::Geq, false) => {
-                self.tighten_ub(v, bound)?;
-            }
-            (ConstraintOp::Leq, false) | (ConstraintOp::Geq, true) => {
-                self.tighten_lb(v, bound)?;
-            }
-            (ConstraintOp::Eq, _) => {
-                let var = &self.vars[v];
-                if bound < var.lb - FEAS_TOL || bound > var.ub + FEAS_TOL {
-                    return Err(Infeasible(format!(
-                        "singleton equality fixes x{v} to {bound} outside [{}, {}]",
-                        var.lb, var.ub
-                    )));
-                }
-                self.fix(v, bound)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// One full sweep over the rows; returns whether anything changed.
-    fn row_pass(&mut self) -> Result<bool, Infeasible> {
-        let mut changed = false;
-        for r in 0..self.rows.len() {
-            let Some(row) = self.rows[r].as_ref() else {
-                continue;
-            };
-            let op = row.op;
-            let rhs = row.rhs;
-            let terms: Vec<(usize, f64)> = row.terms.iter().map(|(&v, &a)| (v, a)).collect();
-
-            if terms.is_empty() {
-                let ok = match op {
-                    ConstraintOp::Leq => rhs >= -FEAS_TOL,
-                    ConstraintOp::Geq => rhs <= FEAS_TOL,
-                    ConstraintOp::Eq => rhs.abs() <= FEAS_TOL,
-                };
-                if !ok {
-                    return Err(Infeasible(format!(
-                        "constraint #{r} reduced to the contradiction 0 {op:?} {rhs}"
-                    )));
-                }
-                self.remove_row(r);
-                changed = true;
-                continue;
-            }
-            if terms.len() == 1 {
-                let (v, a) = terms[0];
-                self.remove_row(r);
-                self.singleton_row(v, a, op, rhs)?;
-                changed = true;
-                continue;
-            }
-
-            let (minact, maxact) = self.activity(&terms);
-            // Certified infeasibility: even the most favourable bound
-            // assignment misses the rhs.
-            let infeasible = match op {
-                ConstraintOp::Leq => minact > rhs + FEAS_TOL,
-                ConstraintOp::Geq => maxact < rhs - FEAS_TOL,
-                ConstraintOp::Eq => minact > rhs + FEAS_TOL || maxact < rhs - FEAS_TOL,
-            };
-            if infeasible {
-                return Err(Infeasible(format!(
-                    "constraint #{r}: activity range [{minact}, {maxact}] cannot meet {op:?} {rhs}"
-                )));
-            }
-            // Forcing: the rhs is only reachable with every variable at
-            // the extreme bound it contributes (tight tolerance — this
-            // *fixes* variables, so it must be a near-exact hit).
-            let force_min =
-                minact.is_finite() && (rhs - minact).abs() <= 1e-9 && op != ConstraintOp::Geq;
-            let force_max =
-                maxact.is_finite() && (rhs - maxact).abs() <= 1e-9 && op != ConstraintOp::Leq;
-            if force_min || force_max {
-                for &(v, a) in &terms {
-                    let var = &self.vars[v];
-                    let val = if (a > 0.0) == force_min {
-                        var.lb
-                    } else {
-                        var.ub
-                    };
-                    self.fix(v, val)?;
-                }
-                self.remove_row(r);
-                changed = true;
-            }
-        }
-        Ok(changed)
-    }
-}
-
-/// Runs the presolve pass over `model`.
+/// Runs root bound propagation over `model`'s own bounds, as product-mode
+/// branch and bound does at its root node.
 ///
-/// The input is unchanged; the result holds the reduced model (or a
-/// certified verdict), the [`Postsolve`] undo record and reduction
-/// counters. Call after [`Model::validate`] — non-finite data may
-/// otherwise panic.
+/// The input is unchanged. Call after [`Model::validate`]: on non-finite
+/// data the verdict means nothing.
 pub fn presolve(model: &Model) -> Presolved {
-    let n = model.var_count();
-    let sign = match model.sense() {
-        Sense::Minimize => 1.0,
-        Sense::Maximize => -1.0,
+    let (mut lower, mut upper): (Vec<f64>, Vec<f64>) =
+        model.vars().iter().map(|v| (v.lb, v.ub)).unzip();
+    let verdict = Propagator::new(model).propagate(&mut lower, &mut upper);
+    let mut stats = PresolveStats::default();
+    for (v, (&lb, &ub)) in model.vars().iter().zip(lower.iter().zip(&upper)) {
+        stats.tightenings += usize::from(lb != v.lb) + usize::from(ub != v.ub);
+        stats.fixed += usize::from(lb == ub && v.lb != v.ub);
+    }
+    let outcome = match verdict {
+        Ok(_) => PresolveOutcome::Open,
+        Err(r) => {
+            let row = &model.constraints()[r];
+            PresolveOutcome::Infeasible {
+                reason: format!(
+                    "constraint #{r} ({:?} {}) cannot hold within the propagated bounds",
+                    row.op, row.rhs
+                ),
+            }
+        }
     };
-    let mut work = Work {
-        sign,
-        vars: model
-            .vars()
-            .iter()
-            .map(|v| WVar {
-                kind: v.kind,
-                lb: v.lb,
-                ub: v.ub,
-                obj: 0.0,
-                alive: true,
-            })
-            .collect(),
-        rows: Vec::with_capacity(model.constraint_count()),
-        col_rows: vec![BTreeSet::new(); n],
-        fixed: Vec::new(),
-        stats: PresolveStats::default(),
-    };
-    for (v, c) in model.objective().terms() {
-        work.vars[v.index()].obj = c;
-    }
-    for (r, c) in model.constraints().iter().enumerate() {
-        let terms: BTreeMap<usize, f64> = c.expr.terms().map(|(v, a)| (v.index(), a)).collect();
-        for &v in terms.keys() {
-            work.col_rows[v].insert(r);
-        }
-        work.rows.push(Some(WRow {
-            terms,
-            op: c.op,
-            rhs: c.rhs,
-        }));
-    }
-
-    let fixpoint = |work: &mut Work| -> Result<(), Infeasible> {
-        // Normalise integer bounds and collapse degenerate domains first.
-        for v in 0..work.vars.len() {
-            if work.vars[v].kind != VarKind::Continuous {
-                let lb = (work.vars[v].lb - INT_TOL).ceil();
-                let ub = (work.vars[v].ub + INT_TOL).floor();
-                if ub < lb {
-                    return Err(Infeasible(format!(
-                        "integer variable x{v} has empty domain [{lb}, {ub}]"
-                    )));
-                }
-                work.vars[v].lb = lb;
-                work.vars[v].ub = ub;
-            }
-            let (lb, ub) = (work.vars[v].lb, work.vars[v].ub);
-            if ub.is_finite() && ub - lb <= FIX_TOL {
-                work.fix(v, lb)?;
-            }
-        }
-        for _ in 0..MAX_PASSES {
-            work.stats.passes += 1;
-            if !work.row_pass()? {
-                break;
-            }
-        }
-        Ok(())
-    };
-
-    let verdict = fixpoint(&mut work);
-    let mut forward = vec![None; n];
-    let postsolve = |work: &Work, forward: Vec<Option<usize>>| Postsolve {
-        forward,
-        fixed: work.fixed.clone(),
-    };
-
-    if let Err(Infeasible(reason)) = verdict {
-        return Presolved {
-            outcome: PresolveOutcome::Infeasible { reason },
-            postsolve: postsolve(&work, forward),
-            stats: work.stats,
-        };
-    }
-
-    if work.rows.iter().all(Option::is_none) {
-        // No constraints left: every remaining variable sits at its
-        // cheapest bound. An improving infinite direction is now a
-        // certificate of unboundedness (the model is trivially feasible).
-        for v in 0..work.vars.len() {
-            if !work.vars[v].alive {
-                continue;
-            }
-            let c = work.sign * work.vars[v].obj;
-            if c < 0.0 && work.vars[v].ub.is_infinite() {
-                return Presolved {
-                    outcome: PresolveOutcome::Unbounded,
-                    postsolve: postsolve(&work, forward),
-                    stats: work.stats,
-                };
-            }
-            let val = if c < 0.0 {
-                work.vars[v].ub
-            } else {
-                work.vars[v].lb
-            };
-            work.fix(v, val)
-                .expect("bound endpoints are always in range");
-        }
-        let ps = postsolve(&work, forward);
-        let values = ps.restore(&[]);
-        return Presolved {
-            outcome: PresolveOutcome::Solved(values),
-            postsolve: ps,
-            stats: work.stats,
-        };
-    }
-
-    // Build the reduced model.
-    let mut reduced = Model::new(model.sense());
-    let mut next = 0usize;
-    for (v, wv) in work.vars.iter().enumerate() {
-        if !wv.alive {
-            continue;
-        }
-        forward[v] = Some(next);
-        next += 1;
-        let name = model.var_name(crate::expr::VarId(v));
-        match wv.kind {
-            VarKind::Binary if wv.lb == 0.0 && wv.ub == 1.0 => {
-                reduced.binary_var(name);
-            }
-            VarKind::Binary | VarKind::Integer => {
-                reduced.integer_var(name, wv.lb, wv.ub);
-            }
-            VarKind::Continuous => {
-                reduced.continuous_var(name, wv.lb, wv.ub);
-            }
-        }
-    }
-    for row in work.rows.iter().flatten() {
-        let mut expr = crate::expr::LinExpr::new();
-        for (&v, &a) in &row.terms {
-            expr.add_term(
-                crate::expr::VarId(forward[v].expect("term var is alive")),
-                a,
-            );
-        }
-        reduced.add_constraint(expr, row.op, row.rhs);
-    }
-    let mut obj = crate::expr::LinExpr::new();
-    let mut constant = model.objective().constant();
-    for (v, wv) in work.vars.iter().enumerate() {
-        if wv.alive && wv.obj != 0.0 {
-            obj.add_term(crate::expr::VarId(forward[v].unwrap()), wv.obj);
-        }
-    }
-    // Fixed variables fold their objective contribution into the
-    // constant so reduced and original objectives agree pointwise.
-    for &(var, value) in &work.fixed {
-        constant += model.objective().coeff(crate::expr::VarId(var)) * value;
-    }
-    obj.add_constant(constant);
-    reduced.set_objective(obj);
-
-    Presolved {
-        outcome: PresolveOutcome::Reduced(reduced),
-        postsolve: postsolve(&work, forward),
-        stats: work.stats,
-    }
+    Presolved { outcome, stats }
 }
 
 /// Computes static numerics diagnostics for `model`.
@@ -606,12 +149,12 @@ pub fn numerics_report(model: &Model) -> NumericsReport {
 /// One propagation row: sparse terms, operator and right-hand side.
 type PropRow = (Vec<(usize, f64)>, ConstraintOp, f64);
 
-/// Per-node integer bound propagation over the reduced model's rows.
+/// Per-node integer bound propagation over the model's rows.
 ///
 /// Product-mode branch-and-bound applies this to every node's bound
-/// vectors before solving the LP relaxation: floor/ceil implied bounds on
-/// integer variables are exact deductions, so nodes pruned here are
-/// pruned with certainty.
+/// vectors, the root's included, before solving the LP relaxation:
+/// floor/ceil implied bounds on integer variables are exact deductions, so
+/// nodes pruned here are pruned with certainty.
 #[derive(Debug, Clone)]
 pub(crate) struct Propagator {
     rows: Vec<PropRow>,
@@ -643,13 +186,14 @@ impl Propagator {
     }
 
     /// Tightens integer entries of `lower`/`upper` in place. Returns the
-    /// number of tightenings, or `None` when a domain empties or a row
-    /// becomes unsatisfiable (the node can be pruned without an LP).
-    pub(crate) fn propagate(&self, lower: &mut [f64], upper: &mut [f64]) -> Option<usize> {
+    /// number of tightenings, or `Err` with the index of the row that
+    /// becomes unsatisfiable or empties a domain (the node can be pruned
+    /// without an LP).
+    pub(crate) fn propagate(&self, lower: &mut [f64], upper: &mut [f64]) -> Result<usize, usize> {
         let mut tightened = 0usize;
         for _ in 0..self.passes {
             let before = tightened;
-            for (terms, op, rhs) in &self.rows {
+            for (r, (terms, op, rhs)) in self.rows.iter().enumerate() {
                 let mut min_fin = 0.0;
                 let mut max_fin = 0.0;
                 let mut min_ninf = 0usize;
@@ -680,7 +224,7 @@ impl Propagator {
                     ConstraintOp::Eq => minact > rhs + FEAS_TOL || maxact < rhs - FEAS_TOL,
                 };
                 if infeasible {
-                    return None;
+                    return Err(r);
                 }
                 for &(v, a) in terms {
                     if !self.is_int[v] {
@@ -708,7 +252,7 @@ impl Propagator {
                                     upper[v] = nb;
                                     tightened += 1;
                                     if upper[v] < lower[v] {
-                                        return None;
+                                        return Err(r);
                                     }
                                 }
                             } else {
@@ -717,7 +261,7 @@ impl Propagator {
                                     lower[v] = nb;
                                     tightened += 1;
                                     if upper[v] < lower[v] {
-                                        return None;
+                                        return Err(r);
                                     }
                                 }
                             }
@@ -743,7 +287,7 @@ impl Propagator {
                                     lower[v] = nb;
                                     tightened += 1;
                                     if upper[v] < lower[v] {
-                                        return None;
+                                        return Err(r);
                                     }
                                 }
                             } else {
@@ -752,7 +296,7 @@ impl Propagator {
                                     upper[v] = nb;
                                     tightened += 1;
                                     if upper[v] < lower[v] {
-                                        return None;
+                                        return Err(r);
                                     }
                                 }
                             }
@@ -764,7 +308,7 @@ impl Propagator {
                 break;
             }
         }
-        Some(tightened)
+        Ok(tightened)
     }
 }
 
@@ -780,20 +324,17 @@ mod tests {
         let x = m.binary_var("x");
         let y = m.binary_var("y");
         m.add_eq(LinExpr::from(x), 1.0);
-        m.add_leq(x + y, 2.0); // becomes y <= 1 (redundant) after the fix
+        m.add_leq(x + y, 2.0); // leaves y free after the fix
         m.set_objective(x + y);
         let p = presolve(&m);
-        assert!(p.stats.rows_removed >= 2);
-        assert!(p.stats.cols_removed >= 1);
-        match &p.outcome {
-            // y alone remains, or everything got solved outright.
-            PresolveOutcome::Reduced(r) => assert!(r.var_count() <= 1),
-            PresolveOutcome::Solved(v) => {
-                assert_eq!(v[0], 1.0);
-                assert_eq!(v[1], 0.0);
+        assert_eq!(p.outcome, PresolveOutcome::Open);
+        assert_eq!(
+            p.stats,
+            PresolveStats {
+                tightenings: 1,
+                fixed: 1
             }
-            other => panic!("unexpected {other:?}"),
-        }
+        );
     }
 
     #[test]
@@ -805,10 +346,8 @@ mod tests {
         m.add_geq(x + y, 2.0);
         m.set_objective(x + y);
         let p = presolve(&m);
-        match &p.outcome {
-            PresolveOutcome::Solved(v) => assert_eq!(v, &vec![1.0, 1.0]),
-            other => panic!("expected Solved, got {other:?}"),
-        }
+        assert_eq!(p.outcome, PresolveOutcome::Open);
+        assert_eq!(p.stats.fixed, 2);
     }
 
     #[test]
@@ -816,10 +355,15 @@ mod tests {
         let mut m = Model::new(Sense::Minimize);
         let x = m.binary_var("x");
         let y = m.binary_var("y");
+        m.add_leq(x + y, 2.0);
         m.add_geq(x + y, 3.0);
         m.set_objective(x + y);
-        let p = presolve(&m);
-        assert!(matches!(p.outcome, PresolveOutcome::Infeasible { .. }));
+        match presolve(&m).outcome {
+            PresolveOutcome::Infeasible { reason } => {
+                assert!(reason.starts_with("constraint #1 "), "{reason}");
+            }
+            other => panic!("expected Infeasible, got {other:?}"),
+        }
     }
 
     #[test]
@@ -830,28 +374,6 @@ mod tests {
         m.set_objective(LinExpr::from(x));
         let p = presolve(&m);
         assert!(matches!(p.outcome, PresolveOutcome::Infeasible { .. }));
-    }
-
-    #[test]
-    fn bounds_only_model_is_solved_outright() {
-        let mut m = Model::new(Sense::Maximize);
-        let x = m.integer_var("x", 0.0, 7.0);
-        let y = m.continuous_var("y", -2.0, 3.0);
-        m.set_objective(2.0 * x - y);
-        let p = presolve(&m);
-        match &p.outcome {
-            PresolveOutcome::Solved(v) => assert_eq!(v, &vec![7.0, -2.0]),
-            other => panic!("expected Solved, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn free_improving_direction_is_certified_unbounded() {
-        let mut m = Model::new(Sense::Maximize);
-        let x = m.integer_var("x", 0.0, f64::INFINITY);
-        m.set_objective(LinExpr::from(x));
-        let p = presolve(&m);
-        assert!(matches!(p.outcome, PresolveOutcome::Unbounded));
     }
 
     #[test]
@@ -898,22 +420,10 @@ mod tests {
         // Branching x >= 4 contradicts x + y <= 3.
         let mut lo = vec![4.0, 0.0];
         let mut hi = vec![10.0, 10.0];
-        assert!(prop.propagate(&mut lo, &mut hi).is_none());
-    }
-
-    #[test]
-    fn postsolve_forward_maps_kept_vars() {
-        let mut m = Model::new(Sense::Minimize);
-        let x = m.binary_var("x");
-        let y = m.binary_var("y");
-        let z = m.binary_var("z");
-        m.add_eq(LinExpr::from(y), 1.0); // y fixed
-        m.add_geq(x + z, 1.0);
-        m.set_objective(x + y + z);
+        assert_eq!(prop.propagate(&mut lo, &mut hi), Err(0));
+        // The root pass reports the same two tightenings.
         let p = presolve(&m);
-        assert_eq!(p.postsolve.original_var_count(), 3);
-        assert_eq!(p.postsolve.reduced_var_count(), 2);
-        let full = p.postsolve.restore(&[1.0, 0.0]);
-        assert_eq!(full, vec![1.0, 1.0, 0.0]);
+        assert_eq!(p.outcome, PresolveOutcome::Open);
+        assert_eq!(p.stats.tightenings, 2);
     }
 }

@@ -57,17 +57,9 @@ pub struct SolveStats {
     /// stay at (or near) zero — a nonzero count means parent snapshots
     /// are being invalidated somewhere.
     pub cold_restarts: usize,
-    /// Constraints eliminated by the root presolve pass (zero when
-    /// presolve is disabled via `MilpOptions::presolve`, and in
-    /// certificate mode).
-    pub presolve_rows: usize,
-    /// Variables fixed by the root presolve pass (restored transparently
-    /// in reported solutions).
-    pub presolve_cols: usize,
-    /// Variable bounds tightened by the root presolve pass.
-    pub presolve_tightenings: usize,
     /// Integer bounds tightened by per-node propagation across all
-    /// branch-and-bound nodes.
+    /// branch-and-bound nodes, the root included (zero in certificate
+    /// mode, which propagates nothing).
     pub node_tightenings: usize,
     /// Nodes pruned by per-node propagation alone — their LP relaxation
     /// was never solved.

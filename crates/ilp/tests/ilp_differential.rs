@@ -22,14 +22,14 @@
 //!
 //! Both solvers must agree on the status, and on the objective within
 //! `1e-6` when optimal; the revised simplex's primal point is
-//! additionally checked feasible against rows and bounds.
+//! additionally checked feasible against rows and bounds. The same four
+//! classes, with every other variable integer, also check product-mode
+//! branch and bound against proof mode and its certificate.
 
 use fpva_ilp::dense;
 use fpva_ilp::fixtures;
 use fpva_ilp::simplex::{self, LpProblem, LpRow, LpStatus, SparseLp};
-use fpva_ilp::{
-    presolve, ConstraintOp, LinExpr, MilpSolver, Model, PresolveOutcome, Sense, SolveStatus,
-};
+use fpva_ilp::{certify_outcome, ConstraintOp, LinExpr, MilpSolver, Model, Sense, SolveStatus};
 use proptest::prelude::*;
 
 /// Objective agreement tolerance between the two solvers.
@@ -269,26 +269,34 @@ fn integer_mask(raw: &InstanceRaw) -> Vec<bool> {
     (0..raw.0).map(|j| (j + raw.3).is_multiple_of(2)).collect()
 }
 
-/// Solves the same [`Model`] with presolve on and off; the two runs must
-/// agree on the status, agree on the objective within [`OBJ_TOL`] when
-/// optimal, and the presolved (postsolve-restored) point must satisfy the
-/// original rows and bounds.
-fn check_presolve_agreement(p: &LpProblem, integer: &[bool]) -> Result<(), TestCaseError> {
+/// Solves the same [`Model`] in product mode (bound propagation at every
+/// node, the root included) and in proof mode (`certificate: true`, no
+/// propagation). The two must agree on the status, and on the objective
+/// within [`OBJ_TOL`] when optimal; the product optimum must satisfy the
+/// rows, the bounds and the integer mask; and every proof-mode `Optimal`
+/// or `Infeasible` verdict must pass [`certify_outcome`].
+fn check_product_proof_agreement(p: &LpProblem, integer: &[bool]) -> Result<(), TestCaseError> {
     let m = model_from_problem(p, integer);
-    let with = MilpSolver::new().presolve(true).solve(&m).unwrap();
-    let without = MilpSolver::new().presolve(false).solve(&m).unwrap();
+    let product = MilpSolver::new().solve(&m).unwrap();
+    let proof = MilpSolver::new().certificate(true).solve(&m).unwrap();
     prop_assert_eq!(
-        with.status,
-        without.status,
-        "presolve changed the verdict on {:?}",
+        product.status,
+        proof.status,
+        "product and proof mode disagree on {:?}",
         p
     );
-    if with.status == SolveStatus::Optimal {
-        let a = with.best.expect("optimal outcome carries a solution");
-        let b = without.best.expect("optimal outcome carries a solution");
+    if product.status == SolveStatus::Optimal {
+        let a = product
+            .best
+            .as_ref()
+            .expect("optimal outcome carries a solution");
+        let b = proof
+            .best
+            .as_ref()
+            .expect("optimal outcome carries a solution");
         prop_assert!(
             (a.objective - b.objective).abs() <= OBJ_TOL,
-            "objectives diverge: presolved {} vs raw {} on {:?}",
+            "objectives diverge: product {} vs proof {} on {:?}",
             a.objective,
             b.objective,
             p
@@ -296,17 +304,26 @@ fn check_presolve_agreement(p: &LpProblem, integer: &[bool]) -> Result<(), TestC
         let viol = primal_violation(p, a.values());
         prop_assert!(
             viol <= OBJ_TOL,
-            "restored point violates the model by {viol}"
+            "product optimum violates the model by {viol}"
         );
         for (j, &is_int) in integer.iter().enumerate() {
             if is_int {
                 let v = a.values()[j];
                 prop_assert!(
                     (v - v.round()).abs() <= OBJ_TOL,
-                    "restored x{j}={v} is fractional"
+                    "product optimum x{j}={v} is fractional"
                 );
             }
         }
+    }
+    if matches!(proof.status, SolveStatus::Optimal | SolveStatus::Infeasible) {
+        let audit = certify_outcome(&m, &proof);
+        prop_assert!(
+            audit.is_ok(),
+            "certificate rejected: {:?} on {:?}",
+            audit,
+            p
+        );
     }
     Ok(())
 }
@@ -420,67 +437,32 @@ proptest! {
         check_dual_child(&mut engine, &basis, &p, &p.lower, &upper, "degenerate infeasible child")?;
     }
 
-    // ---- presolve differential: the presolved solver against the raw
-    // solver on the same model, one test per guaranteed status class ----
+    // ---- propagation differential: product mode (root presolve and
+    // per-node propagation) against proof mode (none, certified) on the
+    // same model, one test per guaranteed status class ----
 
     #[test]
     fn presolve_agrees_on_feasible(raw in arb_instance()) {
-        check_presolve_agreement(&build_feasible(&raw, false, false), &integer_mask(&raw))?;
+        check_product_proof_agreement(&build_feasible(&raw, false, false), &integer_mask(&raw))?;
     }
 
     #[test]
     fn presolve_agrees_on_degenerate(raw in arb_instance()) {
-        // Duplicated tight rows are presolve's favourite food (duplicate
-        // and redundant row elimination both fire); verdicts must not move.
-        check_presolve_agreement(&build_feasible(&raw, true, true), &integer_mask(&raw))?;
+        // Duplicated tight rows: every row is forcing at the witness, so
+        // propagation fixes the most variables here.
+        check_product_proof_agreement(&build_feasible(&raw, true, true), &integer_mask(&raw))?;
     }
 
     #[test]
     fn presolve_agrees_on_infeasible(raw in arb_instance()) {
-        check_presolve_agreement(&build_infeasible(&raw), &integer_mask(&raw))?;
+        check_product_proof_agreement(&build_infeasible(&raw), &integer_mask(&raw))?;
     }
 
     #[test]
     fn presolve_agrees_on_unbounded(raw in arb_instance()) {
         // The ray variable z is appended after the mask, so it stays
         // continuous and the instance stays certifiably unbounded.
-        check_presolve_agreement(&build_unbounded(&raw), &integer_mask(&raw))?;
-    }
-
-    #[test]
-    fn postsolve_roundtrips_to_feasible_original(raw in arb_instance()) {
-        let p = build_feasible(&raw, false, false);
-        let n = p.objective.len();
-        let integer = integer_mask(&raw);
-        let m = model_from_problem(&p, &integer);
-        match presolve(&m) {
-            fpva_ilp::Presolved { outcome: PresolveOutcome::Reduced(red), postsolve, .. } => {
-                prop_assert_eq!(postsolve.original_var_count(), n);
-                prop_assert_eq!(postsolve.reduced_var_count(), red.var_count());
-                let out = MilpSolver::new().presolve(false).solve(&red).unwrap();
-                prop_assert_eq!(out.status, SolveStatus::Optimal, "reduced model of a feasible instance");
-                let restored = postsolve.restore(out.best.unwrap().values());
-                prop_assert_eq!(restored.len(), n);
-                let viol = primal_violation(&p, &restored);
-                prop_assert!(viol <= OBJ_TOL, "postsolve point violates the original by {viol}");
-                for (j, &is_int) in integer.iter().enumerate() {
-                    if is_int {
-                        prop_assert!(
-                            (restored[j] - restored[j].round()).abs() <= OBJ_TOL,
-                            "postsolve made x{j}={} fractional", restored[j]
-                        );
-                    }
-                }
-            }
-            fpva_ilp::Presolved { outcome: PresolveOutcome::Solved(values), .. } => {
-                prop_assert_eq!(values.len(), n);
-                let viol = primal_violation(&p, &values);
-                prop_assert!(viol <= OBJ_TOL, "presolve-solved point violates the original by {viol}");
-            }
-            fpva_ilp::Presolved { outcome, .. } => {
-                prop_assert!(false, "feasible instance presolved to {outcome:?}");
-            }
-        }
+        check_product_proof_agreement(&build_unbounded(&raw), &integer_mask(&raw))?;
     }
 }
 
