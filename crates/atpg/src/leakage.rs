@@ -47,8 +47,10 @@ pub struct LeakageCover {
     /// Extra path-shaped vectors dedicated to leakage (the paper's `n_l`).
     pub paths: Vec<FlowPath>,
     /// Adjacent ordered pairs `(actuator, victim)` that no vector covers
-    /// (victim unreachable without crossing the actuator); empty on the
-    /// paper's layouts.
+    /// (victim unreachable without crossing the actuator). On the paper's
+    /// layouts these are the reciprocal pairs of the port-less corner
+    /// cells, each certified by [`pair_untestable`]: 4 on every Table I
+    /// plan, 20 in all.
     pub uncovered_pairs: Vec<(ValveId, ValveId)>,
 }
 

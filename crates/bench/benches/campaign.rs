@@ -10,7 +10,8 @@
 //! worker counts cannot differ here; the pool's determinism is pinned by
 //! the campaign tests instead.
 //!
-//! The kernel must produce the oracle's exact row (asserted below), and
+//! Before timing, the kernel must produce the oracle's exact row for one
+//! chunk at each of the Section IV fault counts 1–5 (asserted below), and
 //! the printed summary lines record the speedup and the kernel's word
 //! passes verbatim.
 
@@ -64,14 +65,19 @@ fn bench_campaign(c: &mut Criterion) {
         threads: 1,
         ..Default::default()
     };
+    for fault_count in 1..=5 {
+        let config = CampaignConfig {
+            fault_counts: vec![fault_count],
+            ..config.clone()
+        };
+        assert_eq!(
+            campaign::run_in(&fpva, &suite, &config, &ctx).0,
+            [oracle_row(&fpva, &suite, &config, &ctx)],
+            "campaign rows must equal the scalar oracle's at fault count {fault_count}"
+        );
+    }
     let oracle = || oracle_row(&fpva, &suite, &config, &ctx);
     let kernel = || campaign::run_in(black_box(&fpva), &suite, &config, &ctx);
-
-    assert_eq!(
-        kernel().0,
-        [oracle()],
-        "campaign rows must equal the scalar oracle's"
-    );
 
     let mut group = c.benchmark_group(format!("campaign_30x30_{SWEEP_CHUNK}_trials"));
     group.sample_size(10);

@@ -27,16 +27,33 @@
 //! # Vector-major sweep with fault dropping
 //!
 //! [`BitSimulator::sweep`] walks the suite once over a whole chunk of
-//! scenarios ([`SWEEP_CHUNK`] in campaigns and audits). At each vector it
-//! looks only at the scenarios no earlier vector detected (fault
-//! dropping) and sorts each of them into one of three outcomes, using two
-//! cell regions the [`TestSuite`] keeps per vector: the fault-free
-//! pressure region `R` and the sink side `S`, the cells joined to a sink
-//! port by commanded-open edges. A scenario that *reads golden* is carried
-//! to the next vector unsimulated, one that is *detected* is marked with
-//! no word pass, and only the scenarios left to *simulate* are packed 64
-//! per word pass in scenario order, with only the occupied lanes seeded at
-//! the sources and compared at the sinks.
+//! scenarios ([`SWEEP_CHUNK`] in campaigns and audits). It visits each
+//! scenario only at the vectors its relevance mask selects (below), in
+//! vector order, and drops it once a vector detects it. At each visit it
+//! sorts the scenario into one of three outcomes, using what the
+//! [`TestSuite`] keeps per vector: the fault-free pressure region `R`, the
+//! sink side `S` (the cells joined to a sink port by commanded-open
+//! edges) and, when `R` is a chain, its chain positions. A scenario that
+//! *reads golden* moves on to the next vector of its mask unsimulated, one
+//! that is *detected* is marked with no word pass, and only the scenarios
+//! left to *simulate* are packed 64 per word pass, with only the occupied
+//! lanes seeded at the sources and compared at the sinks. Per-vector
+//! lists hold each undetected scenario at its next visit, so a vector
+//! outside a scenario's mask costs it nothing.
+//!
+//! # Relevance masks
+//!
+//! The suite keeps two bitsets over its vectors per valve: the vectors
+//! that command the valve open with its endpoints in `R`, so that closing
+//! it touches `R`, and those that command it closed with exactly one
+//! endpoint in `R`, so that opening it crosses `R`. A scenario's mask is
+//! the OR over its faults of the closing mask (a stuck-at-0's valve, a
+//! control leak's victim) or the opening mask (a stuck-at-1's valve). A
+//! leak closes its victim only where its actuator is commanded closed, so
+//! the victim's mask is a superset of where it matters, which is still
+//! exact. At a vector outside the mask no closing touches `R` and no
+//! opening crosses it, and the plain skip rule below reads such a scenario
+//! golden, so skipping the visit changes no outcome.
 //!
 //! # Deciding scenarios from regions
 //!
@@ -75,8 +92,38 @@
 //! sink. `R` is a union of commanded components and does not hold `x`, so
 //! golden leaves that sink dry while the faulty chip pressurises it.
 //!
+//! **Cut** (detected) on a chain, described next.
+//!
 //! **Simulate** every other scenario. The classifier makes one pass over
-//! a scenario's faults and returns at the first closing that touches `R`.
+//! a scenario's faults. Off chains it returns at the first closing that
+//! touches `R`; on a chain it scans on for the earliest cut and the
+//! openings before it.
+//!
+//! # Cutting chains
+//!
+//! A cell's *chain position* is the fewest commanded-open valves on a
+//! route to it from a source over the vector's open edges, so channel
+//! edges join cells of equal position and a commanded-open valve joins
+//! positions that differ by at most one. Every source cell sits at
+//! position 0, a sealed source island included. `R` is a *chain* when some
+//! sink lies at a position above 0 and, below the largest such position
+//! `p`, every position `j` is joined to `j + 1` by exactly one open valve.
+//! A plan's flow-path and leakage vectors open valves that string channel
+//! components one after another from a source to the sinks, so their
+//! regions are chains. A second open valve from some position below `p`
+//! to the next breaks the rule: a parallel valve, a branch, or a second
+//! source component's own way forward.
+//!
+//! A closing whose valve joins positions `k` and `k + 1` *cuts the chain
+//! at `k`*. Take a scenario's earliest cut `k`. **Cut** marks it detected
+//! when `k < p` and no opening has an endpoint at a position `≤ k`
+//! (openings with both endpoints in `R` count too). Let `S_k` be the
+//! cells at positions `≤ k`. `S_k` holds every source, and the only
+//! fault-free open edge leaving it is the valve the cut closes: channels
+//! keep positions, and the valve joining `k` to `k + 1` is the only one.
+//! Closings only remove edges, and no opening touches `S_k`, so the faulty
+//! reach stays inside `S_k`. The sink at position `p > k` lies outside
+//! it: golden pressurises it and the faulty chip does not.
 //!
 //! # Scalar-oracle invariant
 //!
@@ -89,7 +136,8 @@
 //! on complete and on deliberately weak suites, and assert that the
 //! campaign and the audits report exactly those; the unit tests below
 //! check the per-scenario reachability sets and both decided outcomes of
-//! the classifier against [`crate::respond`].
+//! the classifier against [`crate::respond`], and that the relevance masks
+//! skip only scenarios the classifier reads golden.
 
 use crate::fault::Fault;
 #[cfg(doc)]
@@ -112,7 +160,7 @@ pub const LANES: usize = 64;
 pub const SWEEP_CHUNK: usize = 32 * LANES;
 
 /// Gate marker for an always-open (channel) edge in the lowered adjacency.
-const OPEN_GATE: u32 = u32::MAX;
+pub(crate) const OPEN_GATE: u32 = u32::MAX;
 
 /// A chip's adjacency pre-lowered for the bitset kernel: flat CSR arrays
 /// built **once** per chip (next to [`crate::campaign::ObservableLeaks`] in
@@ -222,19 +270,28 @@ impl LoweredChip {
         &self.sinks
     }
 
-    /// Sorts one scenario under `vector` into an [`Outcome`], from the
-    /// vector's fault-free pressure region `reach` and its sink side
-    /// `sink_side` (bitsets over dense cell indices); the rules and why
-    /// each is exact are in the module docs. One pass over `faults`, which
-    /// returns at the first closing that touches `reach`.
-    fn classify(
-        &self,
-        vector: &TestVector,
-        reach: &[u64],
-        sink_side: &[u64],
-        faults: &[Fault],
-    ) -> Outcome {
+    /// Cell `c`'s adjacency entries: the neighbour cell and the gate
+    /// ([`OPEN_GATE`] or a valve index) of each.
+    pub(crate) fn adjacency(&self, c: u32) -> impl Iterator<Item = (u32, u32)> + '_ {
+        let range = self.adj_start[c as usize] as usize..self.adj_start[c as usize + 1] as usize;
+        self.adj_next[range.clone()]
+            .iter()
+            .copied()
+            .zip(self.adj_gate[range].iter().copied())
+    }
+
+    /// Sorts one scenario under vector `i` of `suite` into an [`Outcome`],
+    /// from the vector's golden region, sink side and, when the region is
+    /// a chain, its chain positions; the rules and why each is exact are
+    /// in the module docs. One pass over `faults`. Off chains it returns at
+    /// the first closing that touches the golden region; on a chain it
+    /// scans on for the earliest cut and the openings before it.
+    fn classify(&self, suite: &TestSuite, i: usize, faults: &[Fault]) -> Outcome {
+        let vector = &suite.vectors()[i];
+        let (reach, sink_side) = (suite.golden_reach(i), suite.sink_side(i));
+        let chain = suite.chain(i);
         let holds = |set: &[u64], c: u32| set[c as usize / 64] >> (c % 64) & 1 == 1;
+        let position = |c: u32| chain.map_or(u16::MAX, |chain| chain.position[c as usize]);
         // Some closing touches `sink_side`.
         let mut closes_sink_side = false;
         // Some opening leads from `reach` into `sink_side`.
@@ -242,18 +299,32 @@ impl LoweredChip {
         // Some opening touching `reach` is neither internal to it nor
         // leads into a sealed cell that only it touches.
         let mut undecided = false;
+        // Some closing touches `reach` (only on a chain: elsewhere that
+        // decides `Simulate` at once).
+        let mut closes_reach = false;
+        // The earliest chain position a closing cuts at, and the earliest
+        // position an opening touches.
+        let (mut cut, mut opened) = (u16::MAX, u16::MAX);
         for &fault in faults {
             match change(vector, fault, faults) {
                 None => {}
                 Some(Change::Closes(v)) => {
                     let [a, b] = self.valve_cells[v.index()];
                     if holds(reach, a) || holds(reach, b) {
-                        return Outcome::Simulate;
+                        if chain.is_none() {
+                            return Outcome::Simulate;
+                        }
+                        closes_reach = true;
+                        let (pa, pb) = (position(a), position(b));
+                        if pa != pb {
+                            cut = cut.min(pa.min(pb));
+                        }
                     }
                     closes_sink_side |= holds(sink_side, a) || holds(sink_side, b);
                 }
                 Some(Change::Opens(v)) => {
                     let [a, b] = self.valve_cells[v.index()];
+                    opened = opened.min(position(a)).min(position(b));
                     let y = match (holds(reach, a), holds(reach, b)) {
                         (true, false) => b,
                         (false, true) => a,
@@ -269,7 +340,14 @@ impl LoweredChip {
                 }
             }
         }
-        if enters_sink_side && !closes_sink_side {
+        if closes_reach {
+            let last_sink = chain.map_or(0, |chain| chain.last_sink);
+            if cut < last_sink && opened > cut {
+                Outcome::Detected
+            } else {
+                Outcome::Simulate
+            }
+        } else if enters_sink_side && !closes_sink_side {
             Outcome::Detected
         } else if enters_sink_side || undecided {
             Outcome::Simulate
@@ -352,6 +430,18 @@ fn change(vector: &TestVector, fault: Fault, faults: &[Fault]) -> Option<Change>
         }
         _ => None,
     }
+}
+
+/// The first vector at or after `from` whose bit is set in `mask`, a
+/// bitset over vectors (bit `i % 64` of word `i / 64` for vector `i`).
+fn next_visit(mask: &[u64], from: usize) -> Option<usize> {
+    let mut block = from / 64;
+    let mut word = mask.get(block)? & (!0u64 << (from % 64));
+    while word == 0 {
+        block += 1;
+        word = *mask.get(block)?;
+    }
+    Some(block * 64 + word.trailing_zeros() as usize)
 }
 
 /// The valve whose effective state `fault` can change: a stuck-at
@@ -541,9 +631,10 @@ pub struct KernelStats {
     pub blocks: usize,
     /// Packed bitset-BFS passes of the bit-parallel kernel: per vector, one
     /// per 64 still-undetected scenarios that the vector's regions cannot
-    /// decide (in the two-fault audit's pre-pass, per 64 such stuck-at-0
-    /// faults with partners left to resolve). Scenarios the regions decide,
-    /// as reading golden or as detected, cost no pass.
+    /// decide (in the two-fault audit's pre-pass, per 64 stuck-at-0 faults
+    /// that close a valve touching the golden region and have partners
+    /// left to resolve). Scenarios the regions decide, as reading golden or
+    /// as detected, cost no pass.
     pub word_passes: usize,
     /// Scenarios swept by the bit-parallel kernel, the two-fault audit's
     /// pre-pass stuck-at-0 faults included.
@@ -629,12 +720,13 @@ impl<'c> BitSimulator<'c> {
     /// response deviates from the suite's golden response — the criterion
     /// of [`TestSuite::detects`].
     ///
-    /// The sweep is vector-major (see the module docs): each vector's
-    /// regions decide what they can of the still-undetected scenarios, the
-    /// vector simulates only the rest, 64 per word pass, and the sweep
-    /// ends once every scenario is detected. Memory and the
-    /// word-pass count grow with `scenarios.len()`, so callers sweep a
-    /// chunk of at most [`SWEEP_CHUNK`] scenarios at a time.
+    /// The sweep is vector-major (see the module docs): each scenario is
+    /// visited only at the vectors its faults touch, in vector order, and
+    /// there the vector's regions decide what they can; the vector
+    /// simulates only the rest, 64 per word pass, and a scenario leaves
+    /// the sweep once detected. Memory and the word-pass count grow with
+    /// `scenarios.len()`, so callers sweep a chunk of at most
+    /// [`SWEEP_CHUNK`] scenarios at a time.
     ///
     /// # Panics
     ///
@@ -643,41 +735,64 @@ impl<'c> BitSimulator<'c> {
     /// outside the chip.
     pub fn sweep<S: AsRef<[Fault]>>(&mut self, suite: &TestSuite, scenarios: &[S]) -> Vec<bool> {
         let chip = self.chip;
-        self.stats.blocks += scenarios.len().div_ceil(LANES);
-        self.stats.lanes += scenarios.len();
-        let mut detected = vec![false; scenarios.len()];
-        // The scenarios no vector has detected yet, in scenario order.
-        let mut pending: Vec<usize> = (0..scenarios.len()).collect();
-        // The pending scenarios the current vector's regions cannot decide.
-        let mut packed = Vec::new();
-        for (i, (vector, golden)) in suite.vectors().iter().zip(suite.expected()).enumerate() {
-            if pending.is_empty() {
-                break;
-            }
+        for vector in suite.vectors() {
             assert_eq!(
                 vector.len(),
                 chip.valve_count(),
                 "vector/chip size mismatch"
             );
-            let (reach, sink_side) = (suite.golden_reach(i), suite.sink_side(i));
+        }
+        self.stats.blocks += scenarios.len().div_ceil(LANES);
+        self.stats.lanes += scenarios.len();
+        let mut detected = vec![false; scenarios.len()];
+        // Per scenario, its relevance mask over the vectors: the OR of
+        // its faults' masks, `words` words at `s * words`.
+        let words = suite.len().div_ceil(64);
+        let mut masks = vec![0u64; scenarios.len() * words];
+        // Per vector, the undetected scenarios to visit there next.
+        let mut visits: Vec<Vec<usize>> = vec![Vec::new(); suite.len()];
+        for (s, mask) in masks.chunks_exact_mut(words.max(1)).enumerate() {
+            for (block, word) in mask.iter_mut().enumerate() {
+                for &fault in scenarios[s].as_ref() {
+                    *word |= suite.relevance(fault, block);
+                }
+            }
+            if let Some(i) = next_visit(mask, 0) {
+                visits[i].push(s);
+            }
+        }
+        // The scenarios visited at the current vector, and those of them
+        // its regions cannot decide.
+        let (mut visiting, mut packed) = (Vec::new(), Vec::new());
+        for (i, (vector, golden)) in suite.vectors().iter().zip(suite.expected()).enumerate() {
+            std::mem::swap(&mut visiting, &mut visits[i]);
             packed.clear();
-            for &s in &pending {
-                match chip.classify(vector, reach, sink_side, scenarios[s].as_ref()) {
-                    Outcome::ReadsGolden => {}
+            let mut carry = |s: usize| {
+                if let Some(next) = next_visit(&masks[s * words..(s + 1) * words], i + 1) {
+                    visits[next].push(s);
+                }
+            };
+            for s in visiting.drain(..) {
+                match chip.classify(suite, i, scenarios[s].as_ref()) {
+                    Outcome::ReadsGolden => carry(s),
                     Outcome::Detected => detected[s] = true,
                     Outcome::Simulate => packed.push(s),
                 }
             }
-            if !packed.is_empty() {
-                self.load_vector(vector);
-                for block in packed.chunks(LANES) {
-                    let differs = self.word_pass(vector, golden, scenarios, block);
-                    for (lane, &s) in block.iter().enumerate() {
-                        detected[s] = differs >> lane & 1 == 1;
+            if packed.is_empty() {
+                continue;
+            }
+            self.load_vector(vector);
+            for block in packed.chunks(LANES) {
+                let differs = self.word_pass(vector, golden, scenarios, block);
+                for (lane, &s) in block.iter().enumerate() {
+                    if differs >> lane & 1 == 1 {
+                        detected[s] = true;
+                    } else {
+                        carry(s);
                     }
                 }
             }
-            pending.retain(|&s| !detected[s]);
         }
         detected
     }
@@ -695,11 +810,13 @@ impl<'c> BitSimulator<'c> {
     /// until its list is empty. The entry is `None` when no vector detects
     /// `a`, so every partner survives. Lists are in valve order.
     ///
-    /// The stuck-at-0 scenarios are classified and packed like
-    /// [`BitSimulator::sweep`]'s and counted like them in [`KernelStats`]. A
-    /// lone stuck-at-0 changes at most a closing, so the regions never
-    /// decide it detected: it is simulated exactly when it closes a valve
-    /// touching the golden region. Vectors whose golden response
+    /// The stuck-at-0 scenarios are packed and counted in [`KernelStats`]
+    /// like [`BitSimulator::sweep`]'s. A lone stuck-at-0 is simulated
+    /// exactly when it closes a valve touching the golden region, that is,
+    /// at the vectors of its relevance mask: everywhere else it reads
+    /// golden. The pre-pass needs the faulty frontier to list partners, so
+    /// it ignores the cut rule, which decides many such stuck-at-0 faults
+    /// detected on chains without one. Vectors whose golden response
     /// pressurises no sink are skipped: a stuck-at-0 only shrinks the
     /// reach.
     ///
@@ -732,11 +849,13 @@ impl<'c> BitSimulator<'c> {
             if !golden.any_pressure() {
                 continue;
             }
-            let (reach, sink_side) = (suite.golden_reach(i), suite.sink_side(i));
             packed.clear();
-            packed.extend(pending.iter().copied().filter(|&s| {
-                chip.classify(vector, reach, sink_side, &scenarios[s]) == Outcome::Simulate
-            }));
+            packed.extend(
+                pending
+                    .iter()
+                    .copied()
+                    .filter(|&s| suite.relevance(scenarios[s][0], i / 64) >> (i % 64) & 1 == 1),
+            );
             if packed.is_empty() {
                 continue;
             }
@@ -974,23 +1093,19 @@ mod tests {
     }
 
     /// Both decided outcomes of the classifier are exact: on the cases of
-    /// the integration sweep oracle (`for_each_classifier_case`), with the
-    /// same 64 fault sets of 1–5 faults per vector, every scenario it
-    /// reads golden responds like the fault-free chip under scalar
-    /// `respond`, and every scenario it marks detected does not.
+    /// the integration sweep oracle (`for_each_classifier_case`), every
+    /// scenario it reads golden responds like the fault-free chip under
+    /// scalar `respond`, and every scenario it marks detected does not.
+    /// The walks' chains make the cut rule decide more than a thousand.
     #[test]
     fn decided_scenarios_match_scalar_respond() {
-        let (mut golden, mut detected) = (0, 0);
-        super::common::for_each_classifier_case(|f, vector, rng| {
+        let (mut golden, mut detected, mut cut) = (0, 0, 0);
+        super::common::for_each_classifier_case(|f, vector, sets| {
             let chip = LoweredChip::build(f);
-            let leaks = crate::ObservableLeaks::build(f);
             let suite = TestSuite::new(f, vec![vector.clone()]);
-            let (reach, sink_side) = (suite.golden_reach(0), suite.sink_side(0));
-            for k in 0..64 {
-                let count = (k % 5 + 1).min(f.valve_count());
-                let set = crate::campaign::random_fault_set_from(f, rng, count, &leaks);
-                let reads_golden = crate::respond(f, vector, &set) == suite.expected()[0];
-                match chip.classify(vector, reach, sink_side, set.faults()) {
+            for set in sets {
+                let reads_golden = crate::respond(f, vector, set) == suite.expected()[0];
+                match chip.classify(&suite, 0, set.faults()) {
                     Outcome::ReadsGolden => {
                         golden += 1;
                         assert!(
@@ -1000,6 +1115,7 @@ mod tests {
                     }
                     Outcome::Detected => {
                         detected += 1;
+                        cut += usize::from(super::common::closes_golden_region(f, vector, set));
                         assert!(
                             !reads_golden,
                             "marked detected but golden: {set:?} under {vector:?}"
@@ -1010,8 +1126,40 @@ mod tests {
             }
         });
         assert!(
-            golden > 1000 && detected > 1000,
-            "{golden} read golden, {detected} detected"
+            golden > 1000 && detected > 1000 && cut > 1000,
+            "{golden} read golden, {detected} detected, {cut} of them by the cut rule"
+        );
+    }
+
+    /// The relevance masks are exact: on the same cases, every scenario
+    /// whose mask skips the vector is one the classifier reads golden
+    /// there.
+    #[test]
+    fn masked_out_scenarios_read_golden() {
+        let (mut skipped, mut visited) = (0, 0);
+        super::common::for_each_classifier_case(|f, vector, sets| {
+            let chip = LoweredChip::build(f);
+            let suite = TestSuite::new(f, vec![vector.clone()]);
+            for set in sets {
+                let mask = set
+                    .faults()
+                    .iter()
+                    .fold(0, |mask, &fault| mask | suite.relevance(fault, 0));
+                if mask & 1 == 1 {
+                    visited += 1;
+                    continue;
+                }
+                skipped += 1;
+                assert_eq!(
+                    chip.classify(&suite, 0, set.faults()),
+                    Outcome::ReadsGolden,
+                    "{set:?} under {vector:?}"
+                );
+            }
+        });
+        assert!(
+            skipped > 1000 && visited > 1000,
+            "{skipped} skipped, {visited} visited"
         );
     }
 
@@ -1162,9 +1310,12 @@ mod tests {
         let stats = sim.stats();
         assert_eq!(stats.blocks, 4);
         assert_eq!(stats.lanes, 200);
-        // Two passes pack the 100 stuck-at-0 scenarios on the first
-        // vector; the second vector has nothing left to simulate.
-        assert_eq!(stats.word_passes, 2);
+        // The all-open vector's golden region is a chain of the three
+        // cells, and each stuck-at-0 cuts it before the sink with nothing
+        // opened, so the first vector marks all 100 detected with no word
+        // pass. The stuck-at-1 faults touch no vector's mask: neither
+        // vector visits them.
+        assert_eq!(stats.word_passes, 0);
     }
 
     #[test]

@@ -72,25 +72,32 @@
 //! Which scenarios share a word is decided per vector, not per input
 //! block. [`BitSimulator::sweep`] takes a whole chunk of
 //! [`bitsim::SWEEP_CHUNK`] = 2048 scenarios (consecutive campaign trials
-//! or audit faults) and walks the suite once. At each vector it drops the
-//! scenarios an earlier vector detected, and lets two fault-free regions
-//! of the vector, both kept by [`TestSuite`], decide what they can of the
-//! rest: the golden pressure region `R` and the sink side `S`, the cells
-//! joined to a sink port by commanded-open edges. A scenario *reads
-//! golden* when no valve it closes touches `R`, and every valve it opens
-//! that touches `R` either lies inside `R` or leads from `R` into a sealed
-//! cell (every edge at it a commanded-closed valve) outside `S` that no
-//! other changed valve touches: pressure then fills `R` and those cells,
-//! and no sink. It is *detected* when no valve it closes touches `R ∪ S`
-//! and some valve it opens leads from `R` into a cell of `S`: pressure
-//! then reaches a sink that golden leaves dry. Only the scenarios left undecided are packed,
-//! 64 per word pass in scenario order, with only the occupied lanes seeded
-//! at the sources and compared at the sinks; the others move on to the
-//! next vector, or out of the sweep, unsimulated. The [`bitsim`] module
-//! docs give the rules in full and why each is exact. On the 30×30
-//! campaign bench (2048 three-fault trials) the regions leave 70 word
-//! passes for the chunk's 32 blocks, where packing every scenario that
-//! changes a valve touching `R` took 121.
+//! or audit faults) and walks the suite once. Each scenario is visited
+//! only at the vectors of its relevance mask, the OR of per-valve masks
+//! that [`TestSuite`] keeps: the vectors at which one of its closings
+//! touches the golden pressure region `R` or one of its openings crosses
+//! it. Everywhere else it reads golden. At a visit, what the suite keeps
+//! of the vector decides what it can: `R`, the sink side `S` (the cells
+//! joined to a sink port by commanded-open edges) and, when `R` is a
+//! chain of channel components as on flow-path and leakage vectors, each
+//! cell's position along it. A scenario *reads golden* when no valve it
+//! closes touches `R`, and every valve it opens that touches `R` either
+//! lies inside `R` or leads from `R` into a sealed cell (every edge at it
+//! a commanded-closed valve) outside `S` that no other changed valve
+//! touches: pressure then fills `R` and those cells, and no sink. It is
+//! *detected* when no valve it closes touches `R ∪ S` and some valve it
+//! opens leads from `R` into a cell of `S`: pressure then reaches a sink
+//! that golden leaves dry. On a chain it is also *detected* when its
+//! earliest closing cuts the chain before the last sink and no valve it
+//! opens touches the chain up to the cut: pressure then stays behind the
+//! cut. Only the scenarios left undecided are packed, 64 per word pass,
+//! with only the occupied lanes seeded at the sources and compared at the
+//! sinks; the others move on to their next visit, or out of the sweep,
+//! unsimulated. The [`bitsim`] module docs give the rules in full and why
+//! each is exact. On the 30×30 campaign bench (2048 three-fault trials)
+//! this leaves 46 word passes for the chunk's 32 blocks, where the
+//! regions without chain positions left 70 and packing every scenario
+//! that changes a valve touching `R` took 121.
 //!
 //! [`KernelStats`] counts the sweep's work: `blocks` are the input's
 //! 64-scenario blocks (`⌈n / 64⌉` per sweep of `n` scenarios), `lanes`
@@ -116,10 +123,12 @@
 //! [`audit::VALVE_CHUNK`] and runs a pre-pass per chunk that packs the
 //! stuck-at-0 faults 64 per word pass, like a sweep, skipping vectors whose
 //! golden response pressurises no sink (a stuck-at-0 only shrinks the
-//! reach). A lone stuck-at-0 changes at most a closing, so the sweep's
-//! regions never decide it detected: it is simulated exactly when it
-//! closes a valve touching `R`. When a vector first detects a lane, the
-//! lane's partner list is scattered from the frontier: the
+//! reach). A lone stuck-at-0 is packed exactly at the vectors of its
+//! relevance mask, where it closes a valve touching `R`; elsewhere it
+//! reads golden. The pre-pass needs its faulty frontier to list partners,
+//! so it ignores the chain cut, which would decide many of these
+//! stuck-at-0 faults detected without one. When a vector first detects a
+//! lane, the lane's partner list is scattered from the frontier: the
 //! commanded-closed valves with exactly one endpoint reached in that lane.
 //! Later detections filter the list the same way, and a lane stays in the
 //! pre-pass until its list is empty. A stuck-at-0 that no vector detects
@@ -165,6 +174,10 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+// The shared test chips (`tests/common`) name this crate `fpva_sim`.
+#[cfg(test)]
+extern crate self as fpva_sim;
 
 pub mod audit;
 pub mod bitsim;

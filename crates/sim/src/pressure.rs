@@ -21,16 +21,6 @@ impl Pressure {
     pub fn pressurised_count(&self) -> usize {
         self.pressurised.iter().filter(|&&p| p).count()
     }
-
-    /// The pressurised cells as a bitset over dense cell indices: bit
-    /// `c % 64` of word `c / 64` is set when cell `c` carries pressure.
-    pub(crate) fn cell_bits(&self) -> Vec<u64> {
-        let mut bits = vec![0u64; self.pressurised.len().div_ceil(64)];
-        for (c, _) in self.pressurised.iter().enumerate().filter(|(_, &p)| p) {
-            bits[c / 64] |= 1 << (c % 64);
-        }
-        bits
-    }
 }
 
 /// Readings of all pressure meters (sink ports), in port order.
@@ -43,6 +33,11 @@ pub struct Response {
 }
 
 impl Response {
+    /// The response with these meter readings, in sink-port order.
+    pub(crate) fn from_readings(readings: Vec<bool>) -> Self {
+        Response { readings }
+    }
+
     /// Meter readings in sink-port order (`true` = pressure present).
     pub fn readings(&self) -> &[bool] {
         &self.readings

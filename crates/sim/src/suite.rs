@@ -1,9 +1,9 @@
 //! A test-vector suite with pre-computed golden responses.
 
-use crate::campaign::bfs_visit;
-use crate::fault::FaultSet;
-use crate::pressure::{propagate, respond, Response};
-use fpva_grid::{Fpva, TestVector};
+use crate::bitsim::{LoweredChip, OPEN_GATE};
+use crate::fault::{Fault, FaultSet};
+use crate::pressure::{respond, Response};
+use fpva_grid::{Fpva, TestVector, ValveId};
 
 /// A set of test vectors together with the sink responses of a fault-free
 /// chip, ready for fault-detection queries.
@@ -12,14 +12,28 @@ use fpva_grid::{Fpva, TestVector};
 /// differs from the golden response — exactly the pass/fail criterion the
 /// paper's pressure meters implement.
 ///
-/// Next to each golden response the suite keeps two cell regions of the
-/// fault-free chip under that vector: the *golden region* `R`, the cells
-/// the sources pressurise, and the *sink side* `S`, the cells joined to a
-/// sink port by commanded-open edges (channels and commanded-open
-/// valves). A sink in `S` outside `R` reads dry on the fault-free chip
-/// but wet as soon as pressure enters its cell's commanded component.
-/// The bit-parallel sweep decides most scenarios from these two regions
-/// without simulating them (see [`crate::bitsim`]).
+/// Next to each golden response the suite keeps what the bit-parallel
+/// sweep needs to decide most scenarios without simulating them (see
+/// [`crate::bitsim`]):
+///
+/// * two cell regions of the fault-free chip under the vector: the
+///   *golden region* `R`, the cells the sources pressurise, and the *sink
+///   side* `S`, the cells joined to a sink port by commanded-open edges
+///   (channels and commanded-open valves). A sink in `S` outside `R` reads
+///   dry on the fault-free chip but wet as soon as pressure enters its
+///   cell's commanded component;
+/// * when `R` is a *chain*, each of its cells' chain position: the fewest
+///   commanded-open valves on a route to it from a source. `R` is a chain
+///   when some sink lies at a position above 0 and every position below
+///   the last sink's is joined to the next by exactly one open valve, as
+///   on flow-path and leakage vectors;
+/// * per valve, two *relevance masks* over the vectors: those that command
+///   it open with its endpoints in `R`, so closing it touches `R`, and
+///   those that command it closed with exactly one endpoint in `R`, so
+///   opening it crosses `R`.
+///
+/// All of it comes from one flood from the sources and one from the sinks
+/// per vector, over the chip lowered once per [`TestSuite::extend`] call.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TestSuite {
     vectors: Vec<TestVector>,
@@ -30,6 +44,26 @@ pub struct TestSuite {
     /// Per vector, the cells joined to a sink by commanded-open edges, as
     /// a bitset like `reach`.
     sink_side: Vec<Vec<u64>>,
+    /// Per vector, its golden region's chain positions when it is a chain.
+    chains: Vec<Option<Chain>>,
+    /// The valves' relevance masks in blocks of 64 vectors: entry
+    /// `block * valves + v` holds valve `v`'s closing and opening masks
+    /// over vectors `64 * block ..`, bit `i % 64` for vector `i`.
+    masks: Vec<[u64; 2]>,
+    /// Valves of the chip the suite was built for.
+    valves: usize,
+}
+
+/// The chain positions of a golden region that is a chain (see
+/// [`TestSuite`] and "Cutting chains" in [`crate::bitsim`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Chain {
+    /// Per dense cell index, the fewest commanded-open valves on a route
+    /// to the cell from a source; `u16::MAX` off the golden region and
+    /// past `u16::MAX - 1`, where no cut before the last sink lies.
+    pub(crate) position: Vec<u16>,
+    /// The largest position of a sink cell.
+    pub(crate) last_sink: u16,
 }
 
 impl TestSuite {
@@ -44,6 +78,9 @@ impl TestSuite {
             expected: Vec::with_capacity(vectors.len()),
             reach: Vec::with_capacity(vectors.len()),
             sink_side: Vec::with_capacity(vectors.len()),
+            chains: Vec::with_capacity(vectors.len()),
+            masks: Vec::new(),
+            valves: fpva.valve_count(),
         };
         suite.extend(fpva, vectors);
         suite
@@ -72,6 +109,26 @@ impl TestSuite {
         &self.sink_side[i]
     }
 
+    /// The chain positions of vector `i`'s golden region, or `None` when
+    /// the region is not a chain.
+    pub(crate) fn chain(&self, i: usize) -> Option<&Chain> {
+        self.chains[i].as_ref()
+    }
+
+    /// The vectors `64 * block ..` at which `fault` can change a valve
+    /// touching the golden region, bit `i % 64` for vector `i`: a
+    /// stuck-at-0's closing mask, a stuck-at-1's opening mask and a
+    /// control leak's victim's closing mask (a superset of the vectors
+    /// that also command its actuator closed).
+    pub(crate) fn relevance(&self, fault: Fault, block: usize) -> u64 {
+        let (valve, opening) = match fault {
+            Fault::StuckAt0(v) | Fault::ControlLeak { victim: v, .. } => (v, false),
+            Fault::StuckAt1(v) => (v, true),
+        };
+        assert!(valve.index() < self.valves, "{valve} outside the chip");
+        self.masks[block * self.valves + valve.index()][usize::from(opening)]
+    }
+
     /// Number of vectors (the paper's `N` when the suite is complete).
     pub fn len(&self) -> usize {
         self.vectors.len()
@@ -88,12 +145,29 @@ impl TestSuite {
     ///
     /// Panics if any vector's length differs from `fpva.valve_count()`.
     pub fn extend(&mut self, fpva: &Fpva, vectors: impl IntoIterator<Item = TestVector>) {
-        for v in vectors {
-            let golden = propagate(fpva, &v, &FaultSet::new());
-            self.expected.push(golden.response(fpva));
-            self.reach.push(golden.cell_bits());
-            self.sink_side.push(sink_side_cells(fpva, &v));
-            self.vectors.push(v);
+        let chip = LoweredChip::build(fpva);
+        let mut floods = Floods::new(chip.cell_count());
+        if self.vectors.is_empty() {
+            self.valves = chip.valve_count();
+        }
+        for vector in vectors {
+            assert!(
+                vector.len() == chip.valve_count() && vector.len() == self.valves,
+                "vector/chip size mismatch"
+            );
+            let i = self.vectors.len();
+            if i.is_multiple_of(64) {
+                self.masks.resize(self.masks.len() + self.valves, [0; 2]);
+            }
+            let masks = &mut self.masks[i / 64 * self.valves..];
+            let chain = floods.flood_sources(&chip, &vector, |v, opening| {
+                masks[v][usize::from(opening)] |= 1 << (i % 64);
+            });
+            self.expected.push(floods.response(&chip));
+            self.reach.push(floods.reach());
+            self.sink_side.push(floods.flood_sinks(&chip, &vector));
+            self.chains.push(chain);
+            self.vectors.push(vector);
         }
     }
 
@@ -120,17 +194,167 @@ impl TestSuite {
     }
 }
 
-/// The cells joined to a sink port by `vector`'s commanded-open edges: a
-/// bitset over dense cell indices.
-fn sink_side_cells(fpva: &Fpva, vector: &TestVector) -> Vec<u64> {
-    let sinks: Vec<_> = fpva.sinks().map(|(_, p)| p.cell).collect();
-    let mut bits = vec![0u64; fpva.cell_count().div_ceil(64)];
-    bfs_visit(fpva, &sinks, vector, |cell| {
-        let c = fpva.cell_index(cell);
-        bits[c / 64] |= 1 << (c % 64);
-        false
-    });
-    bits
+/// Scratch state of [`TestSuite::extend`]: the two floods of one vector
+/// over the lowered chip, reused from vector to vector.
+struct Floods {
+    /// Per cell, its chain position in the golden region: the fewest
+    /// commanded-open valves on a route from a source; `u32::MAX` off it.
+    position: Vec<u32>,
+    /// The golden region's cells in order of position.
+    region: Vec<u32>,
+    /// Per position, the open valves joining it to the next.
+    joins: Vec<u32>,
+    /// The cells beyond the open valves of the current position.
+    entered: Vec<u32>,
+    /// The commanded-closed valves from the region to cells not reached
+    /// when the flood passed them, with those cells.
+    closed: Vec<(u32, u32)>,
+    /// The sink-side flood's worklist.
+    stack: Vec<u32>,
+}
+
+impl Floods {
+    fn new(cells: usize) -> Self {
+        Floods {
+            position: vec![u32::MAX; cells],
+            region: Vec::new(),
+            joins: Vec::new(),
+            entered: Vec::new(),
+            closed: Vec::new(),
+            stack: Vec::new(),
+        }
+    }
+
+    /// Floods `vector`'s golden region from the sources, position by
+    /// position: channel edges keep a cell's position, commanded-open
+    /// valves add one. Reports each valve at which a closing touches the
+    /// region as `mask(v, false)` and each at which an opening crosses it
+    /// as `mask(v, true)`, and returns the chain positions when the region
+    /// is a chain.
+    fn flood_sources(
+        &mut self,
+        chip: &LoweredChip,
+        vector: &TestVector,
+        mut mask: impl FnMut(usize, bool),
+    ) -> Option<Chain> {
+        const OFF: u32 = u32::MAX;
+        self.position.fill(OFF);
+        self.region.clear();
+        self.joins.clear();
+        self.closed.clear();
+        for &s in chip.source_cells() {
+            self.position[s as usize] = 0;
+            self.region.push(s);
+        }
+        let (mut k, mut level) = (0, 0);
+        loop {
+            // The cells at `level` are the channel closure of the sources
+            // (level 0) or of the cells entered through an open valve. Each
+            // open valve joining `level - 1` to `level` is counted from
+            // its upper end, where both positions are final.
+            while let Some(&c) = self.region.get(k) {
+                for (next, gate) in chip.adjacency(c) {
+                    let far = self.position[next as usize];
+                    if gate == OPEN_GATE {
+                        if far == OFF {
+                            self.position[next as usize] = level;
+                            self.region.push(next);
+                        }
+                    } else if vector.is_open(ValveId(gate as usize)) {
+                        mask(gate as usize, false);
+                        if far == OFF {
+                            self.entered.push(next);
+                        } else if far + 1 == level {
+                            self.joins[far as usize] += 1;
+                        }
+                    } else if far == OFF {
+                        self.closed.push((gate, next));
+                    }
+                }
+                k += 1;
+            }
+            for next in self.entered.drain(..) {
+                if self.position[next as usize] == OFF {
+                    self.position[next as usize] = level + 1;
+                    self.region.push(next);
+                }
+            }
+            if k == self.region.len() {
+                break;
+            }
+            level += 1;
+            self.joins.push(0);
+        }
+        for &(gate, next) in &self.closed {
+            if self.position[next as usize] == OFF {
+                mask(gate as usize, true);
+            }
+        }
+        let last_sink = chip
+            .sink_cells()
+            .iter()
+            .map(|&c| self.position[c as usize])
+            .filter(|&p| p != OFF)
+            .max()?;
+        let last_sink = u16::try_from(last_sink).ok().filter(|&p| p < u16::MAX)?;
+        if last_sink == 0 || self.joins[..usize::from(last_sink)].iter().any(|&n| n != 1) {
+            return None;
+        }
+        let position = self
+            .position
+            .iter()
+            .map(|&p| u16::try_from(p).unwrap_or(u16::MAX))
+            .collect();
+        Some(Chain {
+            position,
+            last_sink,
+        })
+    }
+
+    /// The golden region of the last [`Floods::flood_sources`] as a bitset
+    /// over dense cell indices.
+    fn reach(&self) -> Vec<u64> {
+        let mut bits = vec![0u64; self.position.len().div_ceil(64)];
+        for &c in &self.region {
+            bits[c as usize / 64] |= 1 << (c % 64);
+        }
+        bits
+    }
+
+    /// The sink readings of the last [`Floods::flood_sources`].
+    fn response(&self, chip: &LoweredChip) -> Response {
+        Response::from_readings(
+            chip.sink_cells()
+                .iter()
+                .map(|&c| self.position[c as usize] != u32::MAX)
+                .collect(),
+        )
+    }
+
+    /// The cells joined to a sink port by `vector`'s commanded-open
+    /// edges: a bitset over dense cell indices.
+    fn flood_sinks(&mut self, chip: &LoweredChip, vector: &TestVector) -> Vec<u64> {
+        let mut bits = vec![0u64; self.position.len().div_ceil(64)];
+        let mut mark = |c: u32, stack: &mut Vec<u32>| {
+            let (word, bit) = (c as usize / 64, 1 << (c % 64));
+            if bits[word] & bit == 0 {
+                bits[word] |= bit;
+                stack.push(c);
+            }
+        };
+        self.stack.clear();
+        for &s in chip.sink_cells() {
+            mark(s, &mut self.stack);
+        }
+        while let Some(c) = self.stack.pop() {
+            for (next, gate) in chip.adjacency(c) {
+                if gate == OPEN_GATE || vector.is_open(ValveId(gate as usize)) {
+                    mark(next, &mut self.stack);
+                }
+            }
+        }
+        bits
+    }
 }
 
 #[cfg(test)]
@@ -218,6 +442,71 @@ mod tests {
         for c in 0..f.cell_count() {
             assert_eq!(reach[c / 64] >> (c % 64) & 1 == 1, golden.at(f.cell_at(c)));
         }
+    }
+
+    /// A single file of open valves from the source to the sink is a
+    /// chain whose positions count the valves crossed; two parallel routes
+    /// are not, nor is a region with a dry sink.
+    #[test]
+    fn chain_positions_count_open_valves_from_the_sources() {
+        let f = line3();
+        let suite = TestSuite::new(
+            &f,
+            vec![
+                TestVector::all_open(f.valve_count()),
+                TestVector::all_closed(f.valve_count()),
+            ],
+        );
+        let chain = suite.chain(0).expect("the open line is a chain");
+        assert_eq!(chain.position, [0, 1, 2]);
+        assert_eq!(chain.last_sink, 2);
+        assert!(suite.chain(1).is_none(), "no sink to cut off");
+        // Fig. 5(a): two open rows join position 0 to 1 twice.
+        let f = FpvaBuilder::new(2, 3)
+            .port(0, 0, Side::West, PortKind::Source)
+            .port(0, 2, Side::East, PortKind::Sink)
+            .build()
+            .unwrap();
+        let suite = TestSuite::new(&f, vec![TestVector::all_open(f.valve_count())]);
+        assert!(suite.chain(0).is_none());
+    }
+
+    /// The relevance masks keep vectors 64 and up in a second block, and
+    /// extending a suite gives the masks of building it at once.
+    #[test]
+    fn relevance_masks_span_blocks_of_64_vectors() {
+        let f = line3();
+        let open = TestVector::all_open(f.valve_count());
+        let mut cut = open.clone();
+        cut.set(ValveId(1), ValveState::Closed);
+        let vectors: Vec<TestVector> = (0..70)
+            .map(|i| {
+                if i % 2 == 0 {
+                    open.clone()
+                } else {
+                    cut.clone()
+                }
+            })
+            .collect();
+        let suite = TestSuite::new(&f, vectors.clone());
+        let evens = 0x5555_5555_5555_5555;
+        // Valve 0 is open with both cells pressurised under every vector.
+        assert_eq!(suite.relevance(Fault::StuckAt0(ValveId(0)), 0), !0);
+        assert_eq!(suite.relevance(Fault::StuckAt0(ValveId(0)), 1), 0b11_1111);
+        // Valve 1 is open under the even vectors and crosses `R` closed
+        // under the odd ones; a leak onto it follows its closing mask.
+        assert_eq!(suite.relevance(Fault::StuckAt0(ValveId(1)), 0), evens);
+        assert_eq!(suite.relevance(Fault::StuckAt0(ValveId(1)), 1), 0b01_0101);
+        assert_eq!(suite.relevance(Fault::StuckAt1(ValveId(1)), 0), !evens);
+        assert_eq!(suite.relevance(Fault::StuckAt1(ValveId(1)), 1), 0b10_1010);
+        let leak = Fault::ControlLeak {
+            actuator: ValveId(0),
+            victim: ValveId(1),
+        };
+        assert_eq!(suite.relevance(leak, 1), 0b01_0101);
+        let mut split = TestSuite::new(&f, vectors[..60].to_vec());
+        split.extend(&f, vectors[60..].iter().cloned());
+        assert_eq!(split, suite);
     }
 
     /// The sink side equals the bit kernel's flood from the sink cells

@@ -11,7 +11,7 @@
 //! its single-fault pre-pass leaves undecided, must also report exactly
 //! the pairs the sweep of every pair misses. Small generated chips with
 //! random ports pin the sweep's region classifier, scenario by scenario,
-//! under random vectors.
+//! under random vectors and source-to-sink walks.
 
 mod common;
 
@@ -410,24 +410,19 @@ fn pruned_pair_audit_matches_unpruned_sweep_on_table1_30x30() {
 
 /// The oracle of the sweep's region classifier: on every case of
 /// `common::for_each_classifier_case` (64 generated chips with random
-/// ports, `table1_5x5` and `custom_biochip`, twelve random vectors each),
-/// a one-vector suite must give 64 random fault sets of 1–5 faults (at
-/// most one per valve) the same verdicts under `BitSimulator::sweep` as
-/// under `TestSuite::detects`.
+/// ports, `table1_5x5` and `custom_biochip`, twelve random vectors and
+/// four source-to-sink walks each), a one-vector suite must give the
+/// case's 64 fault sets the same verdicts under `BitSimulator::sweep` as
+/// under `TestSuite::detects`. A detected set that closes a valve of the
+/// golden region is swept again alone: with no word pass, the cut rule
+/// decided it, and the walks make it do so more than a thousand times.
 #[test]
 fn sweep_matches_suite_detects_on_generated_chips() {
-    let (mut hits, mut escapes) = (0, 0);
-    common::for_each_classifier_case(|fpva, vector, rng| {
-        let leaks = ObservableLeaks::build(fpva);
+    let (mut hits, mut escapes, mut cut) = (0, 0, 0);
+    common::for_each_classifier_case(|fpva, vector, sets| {
         let suite = TestSuite::new(fpva, vec![vector.clone()]);
-        let sets: Vec<FaultSet> = (0..64)
-            .map(|k| {
-                let count = (k % 5 + 1).min(fpva.valve_count());
-                campaign::random_fault_set_from(fpva, rng, count, &leaks)
-            })
-            .collect();
         let chip = LoweredChip::build(fpva);
-        let verdicts = BitSimulator::new(&chip).sweep(&suite, &sets);
+        let verdicts = BitSimulator::new(&chip).sweep(&suite, sets);
         for (set, hit) in sets.iter().zip(verdicts) {
             assert_eq!(
                 hit,
@@ -436,11 +431,16 @@ fn sweep_matches_suite_detects_on_generated_chips() {
             );
             hits += usize::from(hit);
             escapes += usize::from(!hit);
+            if hit && common::closes_golden_region(fpva, vector, set) {
+                let mut alone = BitSimulator::new(&chip);
+                alone.sweep(&suite, std::slice::from_ref(set));
+                cut += usize::from(alone.stats().word_passes == 0);
+            }
         }
     });
     assert!(
-        hits > 1000 && escapes > 1000,
-        "{hits} detected, {escapes} escaped"
+        hits > 1000 && escapes > 1000 && cut > 1000,
+        "{hits} detected ({cut} by the cut rule), {escapes} escaped"
     );
 }
 
