@@ -32,6 +32,19 @@
 //! the array the way the greedy cover and leakage generator need. Each
 //! component on the result is then expanded back to cells along its
 //! always-open edges.
+//!
+//! A walk keeps one invariant: the node it stands on reached the port
+//! class before the walk blocked it. So some neighbour still does, and a
+//! lone candidate neighbour needs no check. Several candidates are decided
+//! by interleaved breadth-first searches, one per candidate node, each
+//! expanding one node per round (the trick of Even and Shiloach for
+//! connectivity under deletions). Searches that meet merge. A search that
+//! meets an unblocked node of the port class is feasible; one that runs
+//! dry is not, and the walk never enters its piece again. Once all but one
+//! have run dry, the last is feasible. A step thus costs about the number
+//! of candidates times the size of the pieces it cuts off, or the distance
+//! at which its searches meet, rather than a search of everything the walk
+//! can still reach.
 
 use crate::error::AtpgError;
 use fpva_grid::{CellId, EdgeId, EdgeKind, Fpva, PortId, PortKind, ValveId};
@@ -215,6 +228,13 @@ pub struct Router<'a> {
     source: Vec<bool>,
     /// Nodes holding a sink port's cell.
     sink: Vec<bool>,
+    /// The max-flow network of [`Router::source_witness`], with the arcs
+    /// of every valve.
+    witness: Network,
+    /// Per node other than a source node: the network index of the arc
+    /// out of it across `adj[x][0]`; the arc across `adj[x][k]` is
+    /// `2 * k` further on.
+    valve_arcs: Vec<usize>,
 }
 
 /// Which port class a walk heads for.
@@ -224,12 +244,26 @@ enum Toward {
     Sinks,
 }
 
-/// Nodes the local connectivity probe of [`Router::feasible_arcs`]
-/// expands before falling back to a full reachability search.
-const LOCAL_PROBE: usize = 24;
+/// Node ids of the witness network: node `x` of the contracted graph is
+/// split into `inn(x) = 2x` and `out(x) = 2x + 1`, and the three terminals
+/// follow the `n` split nodes.
+fn inn(x: usize) -> usize {
+    2 * x
+}
+
+fn out(x: usize) -> usize {
+    2 * x + 1
+}
+
+/// The collectors of the source and the sink units, and the super sink,
+/// of a witness network over `n` nodes.
+fn terminals(n: usize) -> (usize, usize, usize) {
+    (2 * n, 2 * n + 1, 2 * n + 2)
+}
 
 impl<'a> Router<'a> {
-    /// Contracts `fpva`'s open components into the routing graph.
+    /// Contracts `fpva`'s open components into the routing graph and builds
+    /// its witness network.
     pub fn new(fpva: &'a Fpva) -> Self {
         let node = open_components(fpva);
         let n = node.iter().max().map_or(0, |&m| m + 1);
@@ -251,12 +285,33 @@ impl<'a> Router<'a> {
                 PortKind::Sink => sink[x] = true,
             }
         }
+        let (to_sources, to_sinks, t) = terminals(n);
+        let mut witness = Network::new(t + 1);
+        let mut valve_arcs = vec![usize::MAX; n];
+        for x in 0..n {
+            witness.add(inn(x), out(x));
+            if source[x] {
+                witness.add(out(x), to_sources);
+                continue;
+            }
+            if sink[x] {
+                witness.add(out(x), to_sinks);
+            }
+            valve_arcs[x] = witness.to.len();
+            for arc in &adj[x] {
+                witness.add(out(x), inn(arc.to));
+            }
+        }
+        witness.add(to_sources, t);
+        witness.add(to_sinks, t);
         Router {
             fpva,
             node,
             adj,
             source,
             sink,
+            witness,
+            valve_arcs,
         }
     }
 
@@ -278,7 +333,7 @@ impl<'a> Router<'a> {
         let (u, v) = edge.endpoints();
         let (nu, nv) = (self.node_of(u), self.node_of(v));
         let usable = |arc: &Arc| !avoid.contains(&arc.edge);
-        let (up, witness) = self.source_witness(nu, nv, &usable)?;
+        let (up, witness) = self.source_witness(nu, nv, avoid)?;
         let down = if up == nu { nv } else { nu };
         let mut blocked = vec![false; self.adj.len()];
         for &x in &witness {
@@ -300,47 +355,51 @@ impl<'a> Router<'a> {
     }
 
     /// Decides feasibility by max-flow: from a super source into `nu` and
-    /// `nv`, out through one unit to a source node and one to a sink node.
-    /// Each node has capacity 1, so a valve inside one component (`nu ==
-    /// nv`) never gets both units; a source node's only exit is the source
-    /// terminal, so no flow passes through one. Returns the endpoint whose
-    /// unit reaches a source node, with that unit's nodes (endpoint first).
+    /// `nv`, out through one unit to a source node and one to a sink node,
+    /// crossing no `avoid`ed valve. Each node has capacity 1, so a valve
+    /// inside one component (`nu == nv`) never gets both units; a source
+    /// node's only exit is the source terminal, so no flow passes through
+    /// one. Returns the endpoint whose unit reaches a source node, with
+    /// that unit's nodes (endpoint first).
+    ///
+    /// A call runs on the network [`Router::new`] built, with a copy of its
+    /// capacities in which the arcs of the avoided valves are empty; the
+    /// super source is the list of its two arcs' heads. Searches meet the
+    /// arcs in the order a network built for the call would give them, so
+    /// the augmenting paths, and the witness, are the same.
     fn source_witness(
         &self,
         nu: usize,
         nv: usize,
-        usable: &dyn Fn(&Arc) -> bool,
+        avoid: &[EdgeId],
     ) -> Option<(usize, Vec<usize>)> {
-        let n = self.adj.len();
-        let (inn, out) = (|x: usize| 2 * x, |x: usize| 2 * x + 1);
-        let (s, to_sources, to_sinks, t) = (2 * n, 2 * n + 1, 2 * n + 2, 2 * n + 3);
-        let mut net = Network::new(2 * n + 4);
-        for x in 0..n {
-            net.add(inn(x), out(x));
-            if self.source[x] {
-                net.add(out(x), to_sources);
-                continue;
-            }
-            if self.sink[x] {
-                net.add(out(x), to_sinks);
-            }
-            for arc in self.adj[x].iter().filter(|a| usable(a)) {
-                net.add(out(x), inn(arc.to));
+        let net = &self.witness;
+        let (to_sources, to_sinks, t) = terminals(self.adj.len());
+        let mut cap = net.cap.clone();
+        for &edge in avoid {
+            let (a, b) = edge.endpoints();
+            for x in [self.node_of(a), self.node_of(b)] {
+                if self.source[x] {
+                    continue;
+                }
+                for (k, arc) in self.adj[x].iter().enumerate() {
+                    if arc.edge == edge {
+                        cap[self.valve_arcs[x] + 2 * k] = 0;
+                    }
+                }
             }
         }
-        net.add(s, inn(nu));
-        net.add(s, inn(nv));
-        net.add(to_sources, t);
-        net.add(to_sinks, t);
-        if !(net.augment(s, t) && net.augment(s, t)) {
+        // The super source's arcs, in the order a search tries them.
+        let mut entries = vec![inn(nv), inn(nu)];
+        if !(net.augment(&mut cap, &mut entries, t) && net.augment(&mut cap, &mut entries, t)) {
             return None;
         }
-        // Both units leave `s`; follow each to its terminal.
+        // Both units leave the super source; follow each to its terminal.
         for start in [nu, nv] {
             let mut nodes = vec![start];
             let mut at = out(start);
             loop {
-                let next = net.flow_successor(at);
+                let next = net.flow_successor(&cap, at);
                 if next == to_sources {
                     return Some((start, nodes));
                 }
@@ -409,14 +468,15 @@ impl<'a> Router<'a> {
         !blocked[x] && (toward == Toward::Sources || !self.source[x])
     }
 
-    /// Collects into `out` the usable arcs from the (already blocked) node
-    /// `at` after which the port class stays reachable.
+    /// Collects into `out`, in adjacency order, the usable arcs from the
+    /// (already blocked) node `at` after which the port class stays
+    /// reachable.
     ///
-    /// `at` could reach the port class before it was blocked, so some
-    /// neighbour still can; when all candidate neighbours are connected to
-    /// each other without `at`, they all can. A bounded search from one of
-    /// them settles that in the common case; otherwise one search from the
-    /// port class marks exactly the neighbours that reach it.
+    /// `at` reached the port class before it was blocked, so a lone
+    /// candidate does. Several are decided by the interleaved searches of
+    /// the [module documentation](self): one per candidate node, each
+    /// expanding one node per turn, until at most one undecided search is
+    /// left and no other has met the port class.
     fn feasible_arcs(
         &self,
         at: usize,
@@ -426,51 +486,34 @@ impl<'a> Router<'a> {
         scratch: &mut Scratch,
         out: &mut Vec<Arc>,
     ) {
+        let passable = |x: usize| self.passable(x, toward, blocked);
         out.clear();
         out.extend(
             self.adj[at]
                 .iter()
-                .filter(|a| usable(a) && self.passable(a.to, toward, blocked))
+                .filter(|a| usable(a) && passable(a.to))
                 .copied(),
         );
-        let Some(first) = out.first().map(|a| a.to) else {
-            return;
-        };
-        let passable = |x: usize| self.passable(x, toward, blocked);
-        scratch.begin();
-        scratch.visit(first);
-        self.flood(&passable, usable, scratch, LOCAL_PROBE);
-        if out.iter().all(|a| scratch.seen(a.to)) {
+        if out.len() < 2 {
             return;
         }
-        // Full search from the port class.
         scratch.begin();
-        for x in (0..self.adj.len()).filter(|&x| self.is_target(x, toward) && !blocked[x]) {
-            scratch.visit(x);
-        }
-        self.flood(&passable, usable, scratch, usize::MAX);
-        out.retain(|a| scratch.seen(a.to));
-    }
-
-    /// Breadth-first search over passable nodes from everything already
-    /// visited in `scratch`, expanding at most `limit` nodes.
-    fn flood(
-        &self,
-        passable: &dyn Fn(usize) -> bool,
-        usable: &dyn Fn(&Arc) -> bool,
-        scratch: &mut Scratch,
-        limit: usize,
-    ) {
-        let mut head = 0;
-        while head < scratch.queue.len().min(limit) {
-            let x = scratch.queue[head];
-            head += 1;
-            for arc in self.adj[x].iter().filter(|a| usable(a)) {
-                if passable(arc.to) && !scratch.seen(arc.to) {
-                    scratch.visit(arc.to);
-                }
+        for arc in out.iter() {
+            if !scratch.seen(arc.to) {
+                scratch.start(arc.to, self.is_target(arc.to, toward));
             }
         }
+        let mut k = 0;
+        while scratch.undecided() {
+            if let Some(x) = scratch.next(k) {
+                for arc in self.adj[x].iter().filter(|a| usable(a) && passable(a.to)) {
+                    scratch.meet(k, arc.to, self.is_target(arc.to, toward));
+                }
+                scratch.settle(k);
+            }
+            k = (k + 1) % scratch.len;
+        }
+        out.retain(|a| scratch.feasible(a.to));
     }
 
     /// Expands a node path back to cells: `edges[i]` joins `nodes[i]` and
@@ -537,43 +580,188 @@ impl<'a> Router<'a> {
     }
 }
 
-/// Reusable search state over the contracted graph: an epoch-stamped
-/// visited set and the search queue.
+/// What a group of merged searches of [`Scratch`] has found.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+enum Reach {
+    /// Still searching.
+    #[default]
+    Open,
+    /// Met an unblocked node of the port class.
+    Target,
+    /// Ran dry: its piece holds no node of the port class.
+    Dry,
+}
+
+/// One breadth-first search of a [`Router::feasible_arcs`] step.
+#[derive(Debug, Default)]
+struct Search {
+    /// The nodes it visited, in order; those from `head` on are still to
+    /// expand.
+    queue: Vec<usize>,
+    head: usize,
+    /// Union-find parent among the step's searches. A group of merged
+    /// searches keeps its verdict and its number of members with nodes
+    /// left to expand at its root.
+    parent: usize,
+    reach: Reach,
+    live: usize,
+}
+
+/// Reusable state of [`Router::feasible_arcs`] across the steps of a walk:
+/// an epoch-stamped owner per node and a pool of searches.
 #[derive(Debug)]
 struct Scratch {
+    /// The step that last visited each node, and the search that did.
     seen: Vec<u32>,
+    owner: Vec<usize>,
     epoch: u32,
-    queue: Vec<usize>,
+    /// The step's searches are the first `len`; the rest keep their
+    /// queues' allocations for later steps.
+    searches: Vec<Search>,
+    len: usize,
+    /// Groups still `Open`.
+    open: usize,
+    /// Whether some group met the port class.
+    found: bool,
 }
 
 impl Scratch {
     fn new(n: usize) -> Self {
         Scratch {
             seen: vec![0; n],
+            owner: vec![0; n],
             epoch: 0,
-            queue: Vec::with_capacity(n),
+            searches: Vec::new(),
+            len: 0,
+            open: 0,
+            found: false,
         }
     }
 
-    /// Starts a new search with nothing visited.
+    /// Starts a step with nothing visited and no search.
     fn begin(&mut self) {
         self.epoch += 1;
-        self.queue.clear();
-    }
-
-    fn visit(&mut self, x: usize) {
-        self.seen[x] = self.epoch;
-        self.queue.push(x);
+        self.len = 0;
+        self.open = 0;
+        self.found = false;
     }
 
     fn seen(&self, x: usize) -> bool {
         self.seen[x] == self.epoch
     }
+
+    /// Starts a search at the unvisited candidate node `x`.
+    fn start(&mut self, x: usize, target: bool) {
+        let k = self.len;
+        if k == self.searches.len() {
+            self.searches.push(Search::default());
+        }
+        let search = &mut self.searches[k];
+        search.queue.clear();
+        search.head = 0;
+        search.parent = k;
+        search.reach = Reach::Open;
+        search.live = 1;
+        self.len += 1;
+        self.open += 1;
+        self.visit(x, k, target);
+    }
+
+    /// Search `k` visits the unvisited node `x`.
+    fn visit(&mut self, x: usize, k: usize, target: bool) {
+        self.seen[x] = self.epoch;
+        self.owner[x] = k;
+        self.searches[k].queue.push(x);
+        let root = self.find(k);
+        if target && self.searches[root].reach == Reach::Open {
+            self.searches[root].reach = Reach::Target;
+            self.open -= 1;
+            self.found = true;
+        }
+    }
+
+    fn find(&mut self, mut k: usize) -> usize {
+        while self.searches[k].parent != k {
+            let up = self.searches[self.searches[k].parent].parent;
+            self.searches[k].parent = up;
+            k = up;
+        }
+        k
+    }
+
+    /// Whether the step must search on: more than one group is undecided,
+    /// or one is and another already met the port class. A lone undecided
+    /// group with none met holds the node the walk's invariant promises.
+    fn undecided(&self) -> bool {
+        self.open > 1 || (self.open == 1 && self.found)
+    }
+
+    /// The next node search `k` expands, if its group is undecided and it
+    /// has one left.
+    fn next(&mut self, k: usize) -> Option<usize> {
+        let root = self.find(k);
+        if self.searches[root].reach != Reach::Open {
+            return None;
+        }
+        let search = &mut self.searches[k];
+        let x = *search.queue.get(search.head)?;
+        search.head += 1;
+        Some(x)
+    }
+
+    /// Search `k` steps onto the passable node `y`: it visits `y`, or
+    /// merges with the search that already did. No group that ran dry
+    /// borders a visited node, so a merge joins two groups that are
+    /// undecided or met the port class.
+    fn meet(&mut self, k: usize, y: usize, target: bool) {
+        if !self.seen(y) {
+            self.visit(y, k, target);
+            return;
+        }
+        let (a, b) = (self.find(k), self.find(self.owner[y]));
+        if a == b {
+            return;
+        }
+        self.searches[b].parent = a;
+        self.searches[a].live += self.searches[b].live;
+        let (ra, rb) = (self.searches[a].reach, self.searches[b].reach);
+        if ra == Reach::Open || rb == Reach::Open {
+            self.open -= 1;
+        }
+        if rb == Reach::Target {
+            self.searches[a].reach = Reach::Target;
+        }
+    }
+
+    /// Retires search `k` once it has expanded every node it visited; a
+    /// group whose members are all retired before meeting the port class
+    /// ran dry.
+    fn settle(&mut self, k: usize) {
+        let search = &self.searches[k];
+        if search.head < search.queue.len() {
+            return;
+        }
+        let root = self.find(k);
+        let group = &mut self.searches[root];
+        group.live -= 1;
+        if group.live == 0 && group.reach == Reach::Open {
+            group.reach = Reach::Dry;
+            self.open -= 1;
+        }
+    }
+
+    /// Whether the candidate node `x` keeps the port class reachable,
+    /// once the step's searches are decided.
+    fn feasible(&mut self, x: usize) -> bool {
+        let root = self.find(self.owner[x]);
+        self.searches[root].reach != Reach::Dry
+    }
 }
 
 /// A unit-capacity flow network in forward-star form; arc `i`'s residual
-/// twin is `i ^ 1`, so even arcs are the forward ones.
-#[derive(Debug)]
+/// twin is `i ^ 1`, so even arcs are the forward ones. `cap` holds the
+/// capacities before any flow; a max-flow run works on a copy.
+#[derive(Debug, Clone)]
 struct Network {
     head: Vec<usize>,
     next: Vec<usize>,
@@ -606,15 +794,24 @@ impl Network {
         }
     }
 
-    /// Pushes one unit along a shortest augmenting path; `false` when the
-    /// flow is already maximum.
-    fn augment(&mut self, s: usize, t: usize) -> bool {
+    /// Pushes one unit along a shortest augmenting path in the residual
+    /// capacities `cap`, from a super source with one arc into each node
+    /// of `entries` (searched in that order) to `t`, and drops the entry
+    /// it used; `false` when the flow is already maximum.
+    fn augment(&self, cap: &mut [u8], entries: &mut Vec<usize>, t: usize) -> bool {
+        const ENTRY: usize = usize::MAX - 1;
         let mut via = vec![usize::MAX; self.head.len()];
-        let mut queue = VecDeque::from([s]);
+        let mut queue = VecDeque::new();
+        for &x in entries.iter() {
+            if via[x] == usize::MAX {
+                via[x] = ENTRY;
+                queue.push_back(x);
+            }
+        }
         while let Some(x) = queue.pop_front() {
             for a in self.arcs(x) {
                 let y = self.to[a];
-                if self.cap[a] > 0 && y != s && via[y] == usize::MAX {
+                if cap[a] > 0 && via[y] == usize::MAX {
                     via[y] = a;
                     queue.push_back(y);
                 }
@@ -627,19 +824,24 @@ impl Network {
             return false;
         }
         let mut y = t;
-        while y != s {
+        while via[y] != ENTRY {
             let a = via[y];
-            self.cap[a] -= 1;
-            self.cap[a ^ 1] += 1;
+            cap[a] -= 1;
+            cap[a ^ 1] += 1;
             y = self.to[a ^ 1];
         }
+        let used = entries.iter().position(|&x| x == y);
+        entries.remove(used.expect("an augmenting path starts at an entry"));
         true
     }
 
-    /// The head of the forward arc out of `x` that carries flow.
-    fn flow_successor(&self, x: usize) -> usize {
+    /// The head of the forward arc out of `x` that carries flow in the
+    /// residual capacities `cap`. Flow shows on the twin: an emptied arc
+    /// of an avoided valve has no capacity left either, but carries
+    /// nothing.
+    fn flow_successor(&self, cap: &[u8], x: usize) -> usize {
         self.arcs(x)
-            .find(|&a| a % 2 == 0 && self.cap[a] == 0)
+            .find(|&a| a % 2 == 0 && cap[a ^ 1] > 0)
             .map(|a| self.to[a])
             .expect("flow is conserved at every inner node")
     }
@@ -879,5 +1081,369 @@ mod tests {
         }
         let last = path_through_edge(&f, EdgeId::horizontal(0, 2), &[], &|_| false, &mut rng);
         assert_eq!(last, Some(vec![CellId::new(0, 2), CellId::new(0, 3)]));
+    }
+
+    /// Nodes the reference step's local probe expands before its full
+    /// search.
+    const LOCAL_PROBE: usize = 24;
+
+    /// Breadth-first search over passable nodes from everything already in
+    /// `queue` (and marked in `seen`), expanding at most `limit` nodes.
+    fn flood(
+        router: &Router<'_>,
+        passable: &dyn Fn(usize) -> bool,
+        usable: &dyn Fn(&Arc) -> bool,
+        seen: &mut [bool],
+        queue: &mut Vec<usize>,
+        limit: usize,
+    ) {
+        let mut head = 0;
+        while head < queue.len().min(limit) {
+            let x = queue[head];
+            head += 1;
+            for arc in router.adj[x].iter().filter(|a| usable(a)) {
+                if passable(arc.to) && !seen[arc.to] {
+                    seen[arc.to] = true;
+                    queue.push(arc.to);
+                }
+            }
+        }
+    }
+
+    /// The walk step the interleaved searches replaced: a bounded probe
+    /// from the first candidate, then, if the probe misses a candidate,
+    /// one search from the port class. Returns the number of candidates
+    /// and the feasible arcs' edges.
+    fn feasible_by_flood(
+        router: &Router<'_>,
+        at: usize,
+        toward: Toward,
+        blocked: &[bool],
+        usable: &dyn Fn(&Arc) -> bool,
+    ) -> (usize, Vec<EdgeId>) {
+        let n = router.adj.len();
+        let passable = |x: usize| router.passable(x, toward, blocked);
+        let mut out: Vec<Arc> = router.adj[at]
+            .iter()
+            .filter(|a| usable(a) && passable(a.to))
+            .copied()
+            .collect();
+        let candidates = out.len();
+        if let Some(first) = out.first().map(|a| a.to) {
+            let mut seen = vec![false; n];
+            seen[first] = true;
+            let mut queue = vec![first];
+            flood(
+                router,
+                &passable,
+                usable,
+                &mut seen,
+                &mut queue,
+                LOCAL_PROBE,
+            );
+            if !out.iter().all(|a| seen[a.to]) {
+                let mut seen = vec![false; n];
+                let mut queue: Vec<usize> = (0..n)
+                    .filter(|&x| router.is_target(x, toward) && !blocked[x])
+                    .collect();
+                for &x in &queue {
+                    seen[x] = true;
+                }
+                flood(router, &passable, usable, &mut seen, &mut queue, usize::MAX);
+                out.retain(|a| seen[a.to]);
+            }
+        }
+        (candidates, out.iter().map(|a| a.edge).collect())
+    }
+
+    /// Whether `from` reaches an unblocked node of the port class over
+    /// passable nodes.
+    fn reaches(
+        router: &Router<'_>,
+        from: usize,
+        toward: Toward,
+        blocked: &[bool],
+        usable: &dyn Fn(&Arc) -> bool,
+    ) -> bool {
+        let passable = |x: usize| router.passable(x, toward, blocked);
+        let mut seen = vec![false; router.adj.len()];
+        seen[from] = true;
+        let mut queue = vec![from];
+        flood(router, &passable, usable, &mut seen, &mut queue, usize::MAX);
+        queue.iter().any(|&x| router.is_target(x, toward))
+    }
+
+    /// Walks like [`Router::walk`], `walks` times on `f`, each from a random
+    /// start that reaches its port class over a random blocked set, with
+    /// a random avoided valve half the time. Checks every step's feasible
+    /// arcs against [`feasible_by_flood`] and returns how many steps it
+    /// checked and how many of them pruned a candidate.
+    fn check_walk_steps(f: &Fpva, walks: usize, rng: &mut StdRng) -> (usize, usize) {
+        let router = Router::new(f);
+        let n = router.adj.len();
+        let valves: Vec<EdgeId> = f.valves().map(|(_, e)| e).collect();
+        let mut scratch = Scratch::new(n);
+        let mut out = Vec::new();
+        let (mut steps, mut pruned) = (0, 0);
+        for _ in 0..walks {
+            let toward = if rng.gen_bool(0.5) {
+                Toward::Sources
+            } else {
+                Toward::Sinks
+            };
+            let avoid = if valves.is_empty() || rng.gen_bool(0.5) {
+                Vec::new()
+            } else {
+                vec![valves[rng.gen_range(0..valves.len())]]
+            };
+            let usable = |a: &Arc| !avoid.contains(&a.edge);
+            let density = [0.0, 0.15, 0.3, 0.45][rng.gen_range(0..4usize)];
+            let mut blocked: Vec<bool> = (0..n).map(|_| rng.gen_bool(density)).collect();
+            let mut at = rng.gen_range(0..n);
+            blocked[at] = false;
+            if router.is_target(at, toward)
+                || !router.passable(at, toward, &blocked)
+                || !reaches(&router, at, toward, &blocked, &usable)
+            {
+                continue;
+            }
+            while !router.is_target(at, toward) {
+                blocked[at] = true;
+                router.feasible_arcs(at, toward, &blocked, &usable, &mut scratch, &mut out);
+                let (candidates, expected) =
+                    feasible_by_flood(&router, at, toward, &blocked, &usable);
+                let got: Vec<EdgeId> = out.iter().map(|a| a.edge).collect();
+                assert_eq!(got, expected, "step from node {at} toward {toward:?}");
+                steps += 1;
+                pruned += usize::from(expected.len() < candidates);
+                at = out[rng.gen_range(0..out.len())].to;
+            }
+        }
+        (steps, pruned)
+    }
+
+    /// A chip of 3–12 cells a side with up to three horizontal or vertical
+    /// channels, up to two 1×1 or 2×2 obstacles, and one to three ports of
+    /// each kind on random boundary cells.
+    fn generated_chip(rng: &mut StdRng) -> Fpva {
+        loop {
+            let (rows, cols) = (rng.gen_range(3..13usize), rng.gen_range(3..13usize));
+            let mut b = FpvaBuilder::new(rows, cols);
+            for _ in 0..rng.gen_range(0..4usize) {
+                if rng.gen_bool(0.5) {
+                    let c = rng.gen_range(0..cols - 1);
+                    let end = rng.gen_range(c + 1..cols.min(c + 6));
+                    b = b.channel_horizontal(rng.gen_range(0..rows), c, end);
+                } else {
+                    let r = rng.gen_range(0..rows - 1);
+                    let end = rng.gen_range(r + 1..rows.min(r + 6));
+                    b = b.channel_vertical(rng.gen_range(0..cols), r, end);
+                }
+            }
+            for _ in 0..rng.gen_range(0..3usize) {
+                let size = rng.gen_range(0..2usize);
+                let (r, c) = (rng.gen_range(0..rows - size), rng.gen_range(0..cols - size));
+                b = b.obstacle(r, c, r + size, c + size);
+            }
+            for kind in [PortKind::Source, PortKind::Sink] {
+                for _ in 0..rng.gen_range(1..4usize) {
+                    let side = [Side::North, Side::South, Side::East, Side::West]
+                        [rng.gen_range(0..4usize)];
+                    let (r, c) = match side {
+                        Side::North => (0, rng.gen_range(0..cols)),
+                        Side::South => (rows - 1, rng.gen_range(0..cols)),
+                        Side::West => (rng.gen_range(0..rows), 0),
+                        Side::East => (rng.gen_range(0..rows), cols - 1),
+                    };
+                    b = b.port(r, c, side, kind);
+                }
+            }
+            if let Ok(f) = b.build() {
+                return f;
+            }
+        }
+    }
+
+    /// Fixed chips followed by `generated` drawn ones.
+    fn differential_chips(fixed: Vec<Fpva>, generated: usize, rng: &mut StdRng) -> Vec<Fpva> {
+        let mut chips = fixed;
+        chips.extend(std::iter::repeat_with(|| generated_chip(rng)).take(generated));
+        chips
+    }
+
+    fn check_feasible_arcs(chips: &[Fpva], walks: usize, rng: &mut StdRng) -> (usize, usize) {
+        chips.iter().fold((0, 0), |(steps, pruned), f| {
+            let (s, p) = check_walk_steps(f, walks, rng);
+            (steps + s, pruned + p)
+        })
+    }
+
+    #[test]
+    fn feasible_arcs_match_probe_and_flood() {
+        let mut rng = StdRng::seed_from_u64(0xF10D);
+        let fixed = vec![
+            layouts::table1_5x5(),
+            layouts::table1_10x10(),
+            layouts::custom_biochip(),
+        ];
+        let chips = differential_chips(fixed, 40, &mut rng);
+        let (steps, pruned) = check_feasible_arcs(&chips, 60, &mut rng);
+        assert!(
+            pruned > 1000,
+            "{pruned} of {steps} steps pruned a candidate"
+        );
+    }
+
+    #[test]
+    #[ignore = "release-only: thousands of walks, slow in a debug build"]
+    fn feasible_arcs_match_probe_and_flood_at_scale() {
+        let mut rng = StdRng::seed_from_u64(0x5CA1E);
+        let fixed = vec![
+            layouts::table1_5x5(),
+            layouts::table1_10x10(),
+            layouts::table1_30x30(),
+            layouts::custom_biochip(),
+        ];
+        let chips = differential_chips(fixed, 396, &mut rng);
+        let (steps, pruned) = check_feasible_arcs(&chips, 150, &mut rng);
+        assert!(
+            pruned > 20_000,
+            "{pruned} of {steps} steps pruned a candidate"
+        );
+    }
+
+    /// Pushes one unit from the real super source `s` along a shortest
+    /// augmenting path in `net.cap`, as [`Network::augment`] did before
+    /// its super source became a list of entries.
+    fn augment_from(net: &mut Network, s: usize, t: usize) -> bool {
+        let mut via = vec![usize::MAX; net.head.len()];
+        let mut queue = VecDeque::from([s]);
+        while let Some(x) = queue.pop_front() {
+            for a in net.arcs(x) {
+                let y = net.to[a];
+                if net.cap[a] > 0 && y != s && via[y] == usize::MAX {
+                    via[y] = a;
+                    queue.push_back(y);
+                }
+            }
+            if via[t] != usize::MAX {
+                break;
+            }
+        }
+        if via[t] == usize::MAX {
+            return false;
+        }
+        let mut y = t;
+        while y != s {
+            let a = via[y];
+            net.cap[a] -= 1;
+            net.cap[a ^ 1] += 1;
+            y = net.to[a ^ 1];
+        }
+        true
+    }
+
+    /// [`Router::source_witness`] as it was: a network built afresh for
+    /// the call, without the avoided valves' arcs, with a real super
+    /// source, and flow read off the forward arcs.
+    fn witness_by_fresh_network(
+        router: &Router<'_>,
+        nu: usize,
+        nv: usize,
+        avoid: &[EdgeId],
+    ) -> Option<(usize, Vec<usize>)> {
+        let n = router.adj.len();
+        let (to_sources, to_sinks, t) = terminals(n);
+        let s = t + 1;
+        let mut net = Network::new(s + 1);
+        for x in 0..n {
+            net.add(inn(x), out(x));
+            if router.source[x] {
+                net.add(out(x), to_sources);
+                continue;
+            }
+            if router.sink[x] {
+                net.add(out(x), to_sinks);
+            }
+            for arc in router.adj[x].iter().filter(|a| !avoid.contains(&a.edge)) {
+                net.add(out(x), inn(arc.to));
+            }
+        }
+        net.add(s, inn(nu));
+        net.add(s, inn(nv));
+        net.add(to_sources, t);
+        net.add(to_sinks, t);
+        if !(augment_from(&mut net, s, t) && augment_from(&mut net, s, t)) {
+            return None;
+        }
+        for start in [nu, nv] {
+            let mut nodes = vec![start];
+            let mut at = out(start);
+            loop {
+                let next = net
+                    .arcs(at)
+                    .find(|&a| a % 2 == 0 && net.cap[a] == 0)
+                    .map(|a| net.to[a])
+                    .expect("flow is conserved at every inner node");
+                if next == to_sources {
+                    return Some((start, nodes));
+                }
+                if next == to_sinks {
+                    break;
+                }
+                nodes.push(next / 2);
+                at = out(next / 2);
+            }
+        }
+        unreachable!("a flow of two reaches both terminals")
+    }
+
+    /// For every valve of `f`, with no valve avoided and with each
+    /// adjacent one avoided, the reusable network's witness equals a
+    /// fresh network's. Returns the calls and those that found a witness.
+    fn check_witnesses(f: &Fpva) -> (usize, usize) {
+        let router = Router::new(f);
+        let (mut calls, mut found) = (0, 0);
+        for (v, edge) in f.valves() {
+            let (a, b) = edge.endpoints();
+            let (nu, nv) = (router.node_of(a), router.node_of(b));
+            let mut avoids = vec![Vec::new()];
+            avoids.extend(f.valve_neighbors(v).into_iter().map(|w| vec![f.edge_of(w)]));
+            for avoid in &avoids {
+                let got = router.source_witness(nu, nv, avoid);
+                let expected = witness_by_fresh_network(&router, nu, nv, avoid);
+                assert_eq!(got, expected, "valve {v} avoiding {avoid:?}");
+                calls += 1;
+                found += usize::from(got.is_some());
+            }
+        }
+        (calls, found)
+    }
+
+    fn check_all_witnesses(chips: &[Fpva]) -> (usize, usize) {
+        chips.iter().fold((0, 0), |(calls, found), f| {
+            let (c, w) = check_witnesses(f);
+            (calls + c, found + w)
+        })
+    }
+
+    #[test]
+    fn reused_witness_network_matches_a_fresh_one() {
+        let mut rng = StdRng::seed_from_u64(0x1717);
+        let fixed = vec![layouts::table1_5x5(), layouts::custom_biochip()];
+        let chips = differential_chips(fixed, 2, &mut rng);
+        let (calls, found) = check_all_witnesses(&chips);
+        assert!(found > calls / 2 && found < calls, "{found} of {calls}");
+    }
+
+    #[test]
+    #[ignore = "release-only: every valve of every Table I chip, slow in a debug build"]
+    fn reused_witness_network_matches_a_fresh_one_at_scale() {
+        let mut rng = StdRng::seed_from_u64(0x7177);
+        let mut fixed: Vec<Fpva> = layouts::table1().into_iter().map(|e| e.fpva).collect();
+        fixed.push(layouts::custom_biochip());
+        let chips = differential_chips(fixed, 200, &mut rng);
+        let (calls, found) = check_all_witnesses(&chips);
+        assert!(found > calls / 2 && found < calls, "{found} of {calls}");
     }
 }

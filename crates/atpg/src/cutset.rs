@@ -240,15 +240,22 @@ fn crossed_valves(fpva: &Fpva, corners: &[Corner]) -> Vec<ValveId> {
 /// *both* dual endpoints lie on the curve is added to the returned valve
 /// set, so that no single stuck-at-0 valve can re-form the cut and mask a
 /// stuck-at-1 inside it (Fig. 5(c)/(d)).
+///
+/// A valve's dual endpoints are adjacent corners, so only the segments
+/// between adjacent on-curve corners need a look. Valves already in the
+/// set may be pushed again; [`CutSet::new`] sorts and dedups.
 fn apply_masking_constraint(fpva: &Fpva, corners: &[Corner], valves: &mut Vec<ValveId>) {
-    let on_curve: HashSet<Corner> = corners.iter().copied().collect();
-    for (valve, edge) in fpva.valves() {
-        if valves.contains(&valve) {
-            continue;
-        }
-        let (p, q) = dual_endpoints(edge);
-        if on_curve.contains(&p) && on_curve.contains(&q) {
-            valves.push(valve);
+    let cols = fpva.cols() + 1;
+    let mut on_curve = vec![false; (fpva.rows() + 1) * cols];
+    for &(i, j) in corners {
+        on_curve[i * cols + j] = true;
+    }
+    for &(i, j) in corners {
+        // Each segment once, from its upper or left corner.
+        for next in [(i + 1, j), (i, j + 1)] {
+            if next.0 <= fpva.rows() && next.1 < cols && on_curve[next.0 * cols + next.1] {
+                valves.extend(crossing(fpva, (i, j), next).and_then(|e| fpva.valve_at(e)));
+            }
         }
     }
 }
@@ -290,11 +297,9 @@ pub fn masking_violations(fpva: &Fpva, cut: &CutSet, curve: &[Corner]) -> Vec<Va
 /// `(rows − 1) + (cols − 1)` cut-sets — the paper's `n_c` column.
 pub fn straight_line_cuts(fpva: &Fpva) -> Result<Vec<CutSet>, AtpgError> {
     ports(fpva)?;
-    let (rows, cols) = (fpva.rows(), fpva.cols());
     let mut cuts: Vec<CutSet> = Vec::new();
     let mut seen: HashSet<Vec<ValveId>> = HashSet::new();
-    let mut push_curve = |curve: Option<Vec<Corner>>| {
-        let Some(curve) = curve else { return };
+    for curve in line_curves(fpva) {
         let mut valves = crossed_valves(fpva, &curve);
         apply_masking_constraint(fpva, &curve, &mut valves);
         if let Ok(cut) = CutSet::new(fpva, valves) {
@@ -302,30 +307,29 @@ pub fn straight_line_cuts(fpva: &Fpva) -> Result<Vec<CutSet>, AtpgError> {
                 cuts.push(cut);
             }
         }
-    };
-    for j in 1..cols {
-        // Vertical moves on the intended column boundary cost 1,
-        // everything else 2 (keeps detours local).
-        let cost = move |a: Corner, b: Corner| -> usize {
-            if a.1 == j && b.1 == j {
-                1
-            } else {
-                2
-            }
-        };
-        push_curve(dual_dijkstra(fpva, (0, j), (rows, j), cost));
-    }
-    for i in 1..rows {
-        let cost = move |a: Corner, b: Corner| -> usize {
-            if a.0 == i && b.0 == i {
-                1
-            } else {
-                2
-            }
-        };
-        push_curve(dual_dijkstra(fpva, (i, 0), (i, cols), cost));
     }
     Ok(cuts)
+}
+
+/// The dual-lattice curves of [`straight_line_cuts`]: one along each
+/// interior column boundary, then one along each interior row boundary,
+/// where a route exists.
+fn line_curves(fpva: &Fpva) -> impl Iterator<Item = Vec<Corner>> + '_ {
+    let (rows, cols) = (fpva.rows(), fpva.cols());
+    // Moves along the intended boundary cost 1, everything else 2 (keeps
+    // detours local).
+    let along = |on: bool| if on { 1 } else { 2 };
+    let columns = (1..cols).filter_map(move |j| {
+        dual_dijkstra(fpva, (0, j), (rows, j), move |a, b| {
+            along(a.1 == j && b.1 == j)
+        })
+    });
+    let lines = (1..rows).filter_map(move |i| {
+        dual_dijkstra(fpva, (i, 0), (i, cols), move |a, b| {
+            along(a.0 == i && b.0 == i)
+        })
+    });
+    columns.chain(lines)
 }
 
 /// Decides which members of a cut its vector exposes ([`exposed_valves`];
@@ -525,15 +529,52 @@ mod tests {
 
     #[test]
     fn straight_cuts_have_no_masking_violations_on_full_grid() {
+        /// The curve's crossed valves with constraint (9) applied, as a
+        /// cut, checked against [`masking_violations`]' scan of every
+        /// valve: nothing is missing, and nothing is added beyond what
+        /// the scan finds. Returns how many valves the constraint added.
+        fn check(f: &Fpva, curve: &[Corner]) -> usize {
+            let crossed = crossed_valves(f, curve);
+            let as_cut = |mut valves: Vec<ValveId>| {
+                valves.sort_unstable();
+                valves.dedup();
+                CutSet { valves }
+            };
+            let mut valves = crossed.clone();
+            apply_masking_constraint(f, curve, &mut valves);
+            let cut = as_cut(valves);
+            assert!(masking_violations(f, &cut, curve).is_empty());
+            let missing = masking_violations(f, &as_cut(crossed.clone()), curve);
+            let added = missing.len();
+            let mut expected = crossed;
+            expected.extend(missing);
+            assert_eq!(cut, as_cut(expected), "curve {curve:?}");
+            added
+        }
+
         let f = layouts::full_array(4, 4);
         // Regenerate the curves to audit them.
         for j in 1..4 {
             let curve = dual_bfs(&f, (0, j), |c| c.0 == 4, &HashSet::new()).unwrap();
-            let mut valves = crossed_valves(&f, &curve);
-            apply_masking_constraint(&f, &curve, &mut valves);
-            let cut = CutSet::new(&f, valves).unwrap();
-            assert!(masking_violations(&f, &cut, &curve).is_empty());
+            check(&f, &curve);
+            assert!(CutSet::new(&f, crossed_valves(&f, &curve)).is_ok());
         }
+        // A U-turn passes both corners of V(0, 1) without crossing it.
+        let u_turn = [(0, 1), (1, 1), (2, 1), (2, 2), (1, 2), (0, 2)];
+        assert_eq!(check(&f, &u_turn), 1);
+        // The line curves of the generator, detours around channels
+        // included.
+        let mut chips: Vec<Fpva> = layouts::table1().into_iter().map(|e| e.fpva).collect();
+        chips.push(layouts::custom_biochip());
+        chips.extend(generated_chips());
+        let mut curves = 0;
+        for f in &chips {
+            for curve in line_curves(f) {
+                check(f, &curve);
+                curves += 1;
+            }
+        }
+        assert!(curves > 200, "{curves} curves");
     }
 
     #[test]

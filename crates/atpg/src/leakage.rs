@@ -26,7 +26,7 @@ use crate::path::FlowPath;
 use fpva_grid::{EdgeId, Fpva, ValveId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 
 /// Certifies that the ordered pair `(actuator, victim)` can never be
 /// exposed by any pressure-based vector: with the actuator's edge closed,
@@ -80,37 +80,33 @@ pub fn leakage_vectors(
     let mut rng = StdRng::seed_from_u64(seed);
     let router = Router::new(fpva);
 
-    // Valve sets of the existing path vectors.
-    let mut path_sets: Vec<HashSet<ValveId>> = flow_paths
-        .iter()
-        .map(|p| p.valves(fpva).into_iter().collect())
-        .collect();
+    // Valve sets of the existing path vectors, one bit per valve.
+    let valve_set = |path: &FlowPath| {
+        let mut set = vec![0u64; fpva.valve_count().div_ceil(64)];
+        for v in path.valves(fpva) {
+            set[v.index() / 64] |= 1 << (v.index() % 64);
+        }
+        set
+    };
+    let mut path_sets: Vec<Vec<u64>> = flow_paths.iter().map(valve_set).collect();
 
     // A pair (a, b) is covered iff some path-shaped vector has b on the
     // path and a off it.
-    let pair_covered = |sets: &[HashSet<ValveId>], a: ValveId, b: ValveId| {
-        sets.iter().any(|s| s.contains(&b) && !s.contains(&a))
-    };
+    let has = |set: &[u64], v: ValveId| set[v.index() / 64] >> (v.index() % 64) & 1 == 1;
+    let pair_covered =
+        |sets: &[Vec<u64>], a: ValveId, b: ValveId| sets.iter().any(|s| has(s, b) && !has(s, a));
 
-    // `pending_victims` is a multiset of the victim valves still in `todo`
-    // (victims repeat across pairs), kept in sync with every queue edit so
-    // the routing preference below is an O(1) lookup instead of a rescan
-    // of the whole queue per expanded edge.
+    // `pending_victims` counts, per valve, the pairs still in `todo` with
+    // that valve as victim (victims repeat across pairs). It is kept in
+    // sync with every queue edit, so the routing preference below is one
+    // lookup instead of a rescan of the whole queue per expanded edge.
     let mut todo: VecDeque<(ValveId, ValveId)> = VecDeque::new();
-    let mut pending_victims: HashMap<ValveId, usize> = HashMap::new();
+    let mut pending_victims = vec![0u32; fpva.valve_count()];
     for (a, _) in fpva.valves() {
         for b in fpva.valve_neighbors(a) {
             if !pair_covered(&path_sets, a, b) {
                 todo.push_back((a, b));
-                *pending_victims.entry(b).or_insert(0) += 1;
-            }
-        }
-    }
-    fn drop_victim(pending: &mut HashMap<ValveId, usize>, v: ValveId) {
-        match pending.get_mut(&v) {
-            Some(n) if *n > 1 => *n -= 1,
-            _ => {
-                pending.remove(&v);
+                pending_victims[b.index()] += 1;
             }
         }
     }
@@ -122,7 +118,7 @@ pub fn leakage_vectors(
         // vector covers many pairs at once.
         let prefer = |e: EdgeId| {
             fpva.valve_at(e)
-                .is_some_and(|v| pending_victims.contains_key(&v))
+                .is_some_and(|v| pending_victims[v.index()] > 0)
         };
         let found =
             router.path_through_edge(fpva.edge_of(b), &[fpva.edge_of(a)], &prefer, &mut rng);
@@ -133,13 +129,13 @@ pub fn leakage_vectors(
                 let (src, snk) = endpoint_ports(fpva, &cells).expect("routes end at port cells");
                 let path =
                     FlowPath::new(fpva, src, snk, cells).expect("routes are valid flow paths");
-                path_sets.push(path.valves(fpva).into_iter().collect());
+                path_sets.push(valve_set(&path));
                 extra_paths.push(path);
                 let newest = &path_sets[path_sets.len() - 1..];
                 todo.retain(|&(x, y)| {
                     let keep = !pair_covered(newest, x, y);
                     if !keep {
-                        drop_victim(&mut pending_victims, y);
+                        pending_victims[y.index()] -= 1;
                     }
                     keep
                 });
@@ -147,7 +143,7 @@ pub fn leakage_vectors(
             None => {
                 uncovered.push((a, b));
                 todo.pop_front();
-                drop_victim(&mut pending_victims, b);
+                pending_victims[b.index()] -= 1;
             }
         }
     }
@@ -161,8 +157,10 @@ pub fn leakage_vectors(
 mod tests {
     use super::*;
     use crate::heuristic::greedy_cover;
+    use crate::hierarchy::{hierarchical_cover, HierarchyConfig};
     use fpva_grid::layouts;
     use fpva_sim::{audit, TestSuite};
+    use std::collections::HashSet;
 
     #[test]
     fn leak_pairs_all_covered_on_5x5_except_corner_pockets() {
@@ -385,6 +383,16 @@ mod tests {
             elapsed < std::time::Duration::from_secs(30),
             "repair took {elapsed:?}"
         );
+
+        // The plan's own regime: the hierarchical flow paths cover most
+        // pairs before the queue starts, and the first scan sorts them out.
+        let f = layouts::table1_10x10();
+        let flow = hierarchical_cover(&f, &HierarchyConfig::default()).unwrap();
+        let fast = leakage_vectors(&f, &flow.paths, 5, 32).unwrap();
+        let slow = reference_leakage_vectors(&f, &flow.paths, 5);
+        assert_eq!(fast.paths, slow.paths);
+        assert_eq!(fast.uncovered_pairs, slow.uncovered_pairs);
+        assert!(!fast.paths.is_empty());
     }
 
     #[test]
