@@ -37,8 +37,9 @@
 //! class before the walk blocked it. So some neighbour still does, and a
 //! lone candidate neighbour needs no check. Several candidates are decided
 //! by interleaved breadth-first searches, one per candidate node, each
-//! expanding one node per round (the trick of Even and Shiloach for
-//! connectivity under deletions). Searches that meet merge. A search that
+//! expanding one node per round (the trick of Even and Shiloach, "An
+//! On-Line Edge-Deletion Problem", J. ACM 1981, for connectivity under
+//! deletions). Searches that meet merge. A search that
 //! meets an unblocked node of the port class is feasible; one that runs
 //! dry is not, and the walk never enters its piece again. Once all but one
 //! have run dry, the last is feasible. A step thus costs about the number
