@@ -46,11 +46,24 @@
 //! of candidates times the size of the pieces it cuts off, or the distance
 //! at which its searches meet, rather than a search of everything the walk
 //! can still reach.
+//!
+//! # One router per plan
+//!
+//! [`crate::Atpg::generate`] lowers a chip once: it builds one [`Router`]
+//! and every stage answers its question on that graph. The band check
+//! and the greedy fix-up validate their paths against the router's
+//! components instead of recomputing them, the cut stage decides each
+//! candidate cut by two floods over the contracted graph, and the
+//! leakage stage routes on it. The public per-stage entry points
+//! ([`crate::hierarchy::hierarchical_cover`], [`crate::heuristic::greedy_cover`],
+//! [`crate::cutset::cut_cover`], [`crate::leakage::leakage_vectors`]) each
+//! build their own router, so called one by one they return exactly what
+//! `generate` does.
 
 use crate::error::AtpgError;
 use fpva_grid::{CellId, EdgeId, EdgeKind, Fpva, PortId, PortKind, ValveId};
 use rand::Rng;
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 
 /// Whether fluid could ever cross this edge on a fault-free chip (i.e. the
 /// edge is a valve or an always-open channel site, not a wall).
@@ -125,7 +138,9 @@ pub fn open_components(fpva: &Fpva) -> Vec<usize> {
 /// Checks the channel-contiguity rule: the cells of every open component
 /// appear as one contiguous run of `cells`.
 pub fn components_contiguous(fpva: &Fpva, components: &[usize], cells: &[CellId]) -> bool {
-    let mut closed: HashSet<usize> = HashSet::new();
+    // Component ids are below the cell count, so one flag per cell can
+    // mark the components the run has left.
+    let mut left = vec![false; components.len()];
     let mut current = usize::MAX;
     for &cell in cells {
         let c = components[fpva.cell_index(cell)];
@@ -133,9 +148,9 @@ pub fn components_contiguous(fpva: &Fpva, components: &[usize], cells: &[CellId]
             continue;
         }
         if current != usize::MAX {
-            closed.insert(current);
+            left[current] = true;
         }
-        if closed.contains(&c) {
+        if left[c] {
             return false;
         }
         current = c;
@@ -316,8 +331,60 @@ impl<'a> Router<'a> {
         }
     }
 
+    /// The chip the router was built for.
+    pub(crate) fn fpva(&self) -> &'a Fpva {
+        self.fpva
+    }
+
+    /// The node of each cell: the chip's [`open_components`].
+    pub(crate) fn components(&self) -> &[usize] {
+        &self.node
+    }
+
+    /// The number of nodes of the contracted graph.
+    pub(crate) fn node_count(&self) -> usize {
+        self.adj.len()
+    }
+
     fn node_of(&self, cell: CellId) -> usize {
         self.node[self.fpva.cell_index(cell)]
+    }
+
+    /// Marks in `seen` the nodes reachable from those holding a port of
+    /// kind `from`, across the valves whose edges `closed` (indexed by
+    /// [`Fpva::edge_index`]) leaves open. Channel sites are inside nodes
+    /// and walls are no arcs, so neither needs a check. Stops early and
+    /// returns `false` when it reaches a node holding a port of the other
+    /// kind.
+    pub(crate) fn flood(
+        &self,
+        from: PortKind,
+        closed: &[bool],
+        seen: &mut [bool],
+        stack: &mut Vec<usize>,
+    ) -> bool {
+        let (starts, stops) = match from {
+            PortKind::Source => (&self.source, &self.sink),
+            PortKind::Sink => (&self.sink, &self.source),
+        };
+        seen.fill(false);
+        stack.clear();
+        for (x, _) in starts.iter().enumerate().filter(|(_, &start)| start) {
+            seen[x] = true;
+            stack.push(x);
+        }
+        while let Some(x) = stack.pop() {
+            if stops[x] {
+                return false;
+            }
+            for arc in &self.adj[x] {
+                if !seen[arc.to] && !closed[self.fpva.edge_index(arc.edge)] {
+                    seen[arc.to] = true;
+                    stack.push(arc.to);
+                }
+            }
+        }
+        true
     }
 
     /// The exact router behind [`path_through_edge`]; same contract.
@@ -377,6 +444,7 @@ impl<'a> Router<'a> {
         let net = &self.witness;
         let (to_sources, to_sinks, t) = terminals(self.adj.len());
         let mut cap = net.cap.clone();
+        let (mut via, mut queue) = (vec![usize::MAX; net.head.len()], Vec::new());
         for &edge in avoid {
             let (a, b) = edge.endpoints();
             for x in [self.node_of(a), self.node_of(b)] {
@@ -392,7 +460,8 @@ impl<'a> Router<'a> {
         }
         // The super source's arcs, in the order a search tries them.
         let mut entries = vec![inn(nv), inn(nu)];
-        if !(net.augment(&mut cap, &mut entries, t) && net.augment(&mut cap, &mut entries, t)) {
+        let mut augment = |cap: &mut [u8]| net.augment(cap, &mut entries, t, &mut via, &mut queue);
+        if !(augment(&mut cap) && augment(&mut cap)) {
             return None;
         }
         // Both units leave the super source; follow each to its terminal.
@@ -434,16 +503,13 @@ impl<'a> Router<'a> {
         let mut nodes = vec![start];
         let mut edges = Vec::new();
         let mut scratch = Scratch::new(self.adj.len());
-        let mut feasible = Vec::new();
+        let (mut feasible, mut preferred) = (Vec::new(), Vec::new());
         let mut at = start;
         while !self.is_target(at, toward) {
             blocked[at] = true;
             self.feasible_arcs(at, toward, blocked, usable, &mut scratch, &mut feasible);
-            let preferred: Vec<Arc> = feasible
-                .iter()
-                .copied()
-                .filter(|a| prefer(a.edge))
-                .collect();
+            preferred.clear();
+            preferred.extend(feasible.iter().copied().filter(|a| prefer(a.edge)));
             let pool = if preferred.is_empty() {
                 &feasible
             } else {
@@ -538,14 +604,14 @@ impl<'a> Router<'a> {
         for (i, &x) in nodes.iter().enumerate() {
             let exit = edges.get(i).map(|&e| cell_in(e, x));
             match (i.checked_sub(1).map(|k| cell_in(edges[k], x)), exit) {
-                (Some(entry), Some(exit)) => cells.extend(self.within(entry, |c| c == exit)),
+                (Some(entry), Some(exit)) => self.within(entry, |c| c == exit, &mut cells),
                 (Some(entry), None) => {
-                    cells.extend(self.within(entry, |c| is_port(c, PortKind::Sink)));
+                    self.within(entry, |c| is_port(c, PortKind::Sink), &mut cells);
                 }
                 (None, Some(exit)) => {
-                    let mut run = self.within(exit, |c| is_port(c, PortKind::Source));
-                    run.reverse();
-                    cells.extend(run);
+                    // The first node: its run is all `cells` holds.
+                    self.within(exit, |c| is_port(c, PortKind::Source), &mut cells);
+                    cells.reverse();
                 }
                 (None, None) => unreachable!("a path through a valve spans two nodes"),
             }
@@ -553,9 +619,15 @@ impl<'a> Router<'a> {
         cells
     }
 
-    /// Shortest run of cells from `from` to the first cell meeting `goal`
-    /// along always-open edges, i.e. inside `from`'s open component.
-    fn within(&self, from: CellId, goal: impl Fn(CellId) -> bool) -> Vec<CellId> {
+    /// Appends to `cells` the shortest run of cells from `from` to the
+    /// first cell meeting `goal` along always-open edges, i.e. inside
+    /// `from`'s open component. A run whose first cell meets `goal`, as
+    /// every lone cell's does, is that cell alone.
+    fn within(&self, from: CellId, goal: impl Fn(CellId) -> bool, cells: &mut Vec<CellId>) {
+        if goal(from) {
+            cells.push(from);
+            return;
+        }
         // Components are short channels: a list scan beats a cell-sized map.
         let mut visited: Vec<(CellId, usize)> = vec![(from, usize::MAX)];
         let mut head = 0;
@@ -570,14 +642,13 @@ impl<'a> Router<'a> {
             }
             head += 1;
         }
-        let mut run = Vec::new();
+        let start = cells.len();
         let mut k = head;
         while k != usize::MAX {
-            run.push(visited[k].0);
+            cells.push(visited[k].0);
             k = visited[k].1;
         }
-        run.reverse();
-        run
+        cells[start..].reverse();
     }
 }
 
@@ -799,41 +870,57 @@ impl Network {
     /// capacities `cap`, from a super source with one arc into each node
     /// of `entries` (searched in that order) to `t`, and drops the entry
     /// it used; `false` when the flow is already maximum.
-    fn augment(&self, cap: &mut [u8], entries: &mut Vec<usize>, t: usize) -> bool {
+    ///
+    /// `via` (one `usize::MAX` per node) and `queue` are scratch space for
+    /// the search; `via` is handed back as it came, so a caller can reuse
+    /// both across augmentations.
+    fn augment(
+        &self,
+        cap: &mut [u8],
+        entries: &mut Vec<usize>,
+        t: usize,
+        via: &mut [usize],
+        queue: &mut Vec<usize>,
+    ) -> bool {
         const ENTRY: usize = usize::MAX - 1;
-        let mut via = vec![usize::MAX; self.head.len()];
-        let mut queue = VecDeque::new();
+        queue.clear();
         for &x in entries.iter() {
             if via[x] == usize::MAX {
                 via[x] = ENTRY;
-                queue.push_back(x);
+                queue.push(x);
             }
         }
-        while let Some(x) = queue.pop_front() {
+        let mut head = 0;
+        while let Some(&x) = queue.get(head) {
+            head += 1;
             for a in self.arcs(x) {
                 let y = self.to[a];
                 if cap[a] > 0 && via[y] == usize::MAX {
                     via[y] = a;
-                    queue.push_back(y);
+                    queue.push(y);
                 }
             }
             if via[t] != usize::MAX {
                 break;
             }
         }
-        if via[t] == usize::MAX {
-            return false;
+        let found = via[t] != usize::MAX;
+        if found {
+            let mut y = t;
+            while via[y] != ENTRY {
+                let a = via[y];
+                cap[a] -= 1;
+                cap[a ^ 1] += 1;
+                y = self.to[a ^ 1];
+            }
+            let used = entries.iter().position(|&x| x == y);
+            entries.remove(used.expect("an augmenting path starts at an entry"));
         }
-        let mut y = t;
-        while via[y] != ENTRY {
-            let a = via[y];
-            cap[a] -= 1;
-            cap[a ^ 1] += 1;
-            y = self.to[a ^ 1];
+        // Every node the search marked is on the queue.
+        for &x in queue.iter() {
+            via[x] = usize::MAX;
         }
-        let used = entries.iter().position(|&x| x == y);
-        entries.remove(used.expect("an augmenting path starts at an entry"));
-        true
+        found
     }
 
     /// The head of the forward arc out of `x` that carries flow in the
@@ -854,6 +941,7 @@ mod tests {
     use fpva_grid::{layouts, Axis, FpvaBuilder, Side};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::collections::HashSet;
 
     fn crosses(f: &Fpva, cells: &[CellId], edge: EdgeId) -> bool {
         cells

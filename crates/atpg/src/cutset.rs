@@ -17,10 +17,24 @@
 //! cut curve, that valve must itself join the cut-set — otherwise one
 //! stuck-at-0 fault at that valve could "repair" the cut and mask a
 //! stuck-at-1 inside it.
+//!
+//! # Cost
+//!
+//! A grid line that no channel site crosses is its own curve: its `n`
+//! moves cost 1 each, while any other route adds an off-line move at cost
+//! 2 or a backtrack, so it is the unique cheapest one and needs no search.
+//! Only a line a channel crosses runs the Dijkstra search for its detour.
+//!
+//! Each candidate cut is then decided by two floods over the chip's
+//! contracted graph ([`Router`]), where channel sites are always open and
+//! walls absent: one from the sources, which drops the candidate as soon
+//! as it reaches a sink, and one from the sinks. Which members the cut
+//! exposes is read off the two ([`exposed_valves`]). A valve inside one
+//! channel component is bypassed, so it neither separates nor is exposed.
 
-use crate::connectivity::{closed_edges, ports, reachable_from, sink_cells, source_cells};
+use crate::connectivity::{closed_edges, ports, reachable_from, sink_cells, source_cells, Router};
 use crate::error::AtpgError;
-use fpva_grid::{Axis, CellId, EdgeId, EdgeKind, Fpva, TestVector, ValveId, ValveState};
+use fpva_grid::{Axis, CellId, EdgeId, EdgeKind, Fpva, PortKind, TestVector, ValveId, ValveState};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashSet, VecDeque};
 
@@ -288,6 +302,81 @@ pub fn masking_violations(fpva: &Fpva, cut: &CutSet, curve: &[Corner]) -> Vec<Va
         .collect()
 }
 
+/// The valves a cut along `curve` closes: those it crosses, plus `through`
+/// and the constraint-(9) repair, ascending and without repeats.
+fn curve_valves(fpva: &Fpva, curve: &[Corner], through: Option<ValveId>) -> Vec<ValveId> {
+    let mut valves = crossed_valves(fpva, curve);
+    valves.extend(through);
+    apply_masking_constraint(fpva, curve, &mut valves);
+    valves.sort_unstable();
+    valves.dedup();
+    valves
+}
+
+/// Decides candidate cuts on a [`Router`]'s contracted graph by two
+/// floods, reusing its buffers from one candidate to the next.
+struct CutCheck<'a> {
+    router: &'a Router<'a>,
+    /// The candidate's valve edges, by [`Fpva::edge_index`].
+    closed: Vec<bool>,
+    from_sources: Vec<bool>,
+    from_sinks: Vec<bool>,
+    stack: Vec<usize>,
+}
+
+impl<'a> CutCheck<'a> {
+    fn new(router: &'a Router<'a>) -> Self {
+        let nodes = router.node_count();
+        CutCheck {
+            router,
+            closed: vec![false; router.fpva().edge_count()],
+            from_sources: vec![false; nodes],
+            from_sinks: vec![false; nodes],
+            stack: Vec::new(),
+        }
+    }
+
+    /// `None` when closing `valves` leaves some sink reachable from a
+    /// source; otherwise the members whose stuck-at-1 fault the cut
+    /// exposes, in the order of `valves` ([`exposed_valves`]).
+    fn decide(&mut self, valves: &[ValveId]) -> Option<Vec<ValveId>> {
+        let fpva = self.router.fpva();
+        let edges = valves.iter().map(|&v| fpva.edge_index(fpva.edge_of(v)));
+        for e in edges.clone() {
+            self.closed[e] = true;
+        }
+        let separates = self.router.flood(
+            PortKind::Source,
+            &self.closed,
+            &mut self.from_sources,
+            &mut self.stack,
+        );
+        let exposed = separates.then(|| {
+            self.router.flood(
+                PortKind::Sink,
+                &self.closed,
+                &mut self.from_sinks,
+                &mut self.stack,
+            );
+            let node = self.router.components();
+            let (src, snk) = (&self.from_sources, &self.from_sinks);
+            valves
+                .iter()
+                .copied()
+                .filter(|&v| {
+                    let (a, b) = fpva.edge_of(v).endpoints();
+                    let (x, y) = (node[fpva.cell_index(a)], node[fpva.cell_index(b)]);
+                    (src[x] && snk[y]) || (src[y] && snk[x])
+                })
+                .collect()
+        });
+        for e in edges {
+            self.closed[e] = false;
+        }
+        exposed
+    }
+}
+
 /// Generates the straight-line cut family: one cut per interior column
 /// boundary (vertical lines) and one per interior row boundary (horizontal
 /// lines), with dual-lattice detours around channels and the constraint-(9)
@@ -296,58 +385,85 @@ pub fn masking_violations(fpva: &Fpva, cut: &CutSet, curve: &[Corner]) -> Vec<Va
 /// On the Table I arrays this produces exactly
 /// `(rows − 1) + (cols − 1)` cut-sets — the paper's `n_c` column.
 pub fn straight_line_cuts(fpva: &Fpva) -> Result<Vec<CutSet>, AtpgError> {
+    let cuts = line_cuts(&mut CutCheck::new(&Router::new(fpva)))?;
+    Ok(cuts.into_iter().map(|(cut, _)| cut).collect())
+}
+
+/// The cuts of [`straight_line_cuts`], each with the members it exposes.
+fn line_cuts(check: &mut CutCheck<'_>) -> Result<Vec<(CutSet, Vec<ValveId>)>, AtpgError> {
+    let fpva = check.router.fpva();
     ports(fpva)?;
-    let mut cuts: Vec<CutSet> = Vec::new();
+    let mut cuts = Vec::new();
     let mut seen: HashSet<Vec<ValveId>> = HashSet::new();
     for curve in line_curves(fpva) {
-        let mut valves = crossed_valves(fpva, &curve);
-        apply_masking_constraint(fpva, &curve, &mut valves);
-        if let Ok(cut) = CutSet::new(fpva, valves) {
-            if seen.insert(cut.valves().to_vec()) {
-                cuts.push(cut);
-            }
+        let valves = curve_valves(fpva, &curve, None);
+        if !seen.insert(valves.clone()) {
+            continue;
+        }
+        if let Some(exposed) = check.decide(&valves) {
+            cuts.push((CutSet { valves }, exposed));
         }
     }
     Ok(cuts)
+}
+
+/// The two boundary corners of each interior grid line: the column
+/// boundaries first, then the row boundaries.
+fn line_ends(fpva: &Fpva) -> impl Iterator<Item = (Corner, Corner)> {
+    let (rows, cols) = (fpva.rows(), fpva.cols());
+    let columns = (1..cols).map(move |j| ((0, j), (rows, j)));
+    columns.chain((1..rows).map(move |i| ((i, 0), (i, cols))))
+}
+
+/// The corners of the grid line from `start` to `goal`, in order.
+fn straight_run(start: Corner, goal: Corner) -> Vec<Corner> {
+    if start.1 == goal.1 {
+        (start.0..=goal.0).map(|i| (i, start.1)).collect()
+    } else {
+        (start.1..=goal.1).map(|j| (start.0, j)).collect()
+    }
+}
+
+/// The cost of a move for the curve of the grid line from `start` to
+/// `goal`: 1 along the line, 2 anywhere else (keeps detours local).
+fn line_cost(start: Corner, goal: Corner) -> impl Fn(Corner, Corner) -> usize {
+    let on_line = move |c: Corner| {
+        if start.1 == goal.1 {
+            c.1 == start.1
+        } else {
+            c.0 == start.0
+        }
+    };
+    move |a, b| if on_line(a) && on_line(b) { 1 } else { 2 }
+}
+
+/// The cheapest curve under [`line_cost`] between a grid line's two
+/// boundary corners: the line itself when no channel site crosses it (see
+/// the [module documentation](self)), otherwise [`dual_dijkstra`]'s detour.
+fn line_curve(fpva: &Fpva, start: Corner, goal: Corner) -> Option<Vec<Corner>> {
+    let line = straight_run(start, goal);
+    if line.windows(2).all(|w| move_allowed(fpva, w[0], w[1])) {
+        return Some(line);
+    }
+    dual_dijkstra(fpva, start, goal, line_cost(start, goal))
 }
 
 /// The dual-lattice curves of [`straight_line_cuts`]: one along each
 /// interior column boundary, then one along each interior row boundary,
 /// where a route exists.
 fn line_curves(fpva: &Fpva) -> impl Iterator<Item = Vec<Corner>> + '_ {
-    let (rows, cols) = (fpva.rows(), fpva.cols());
-    // Moves along the intended boundary cost 1, everything else 2 (keeps
-    // detours local).
-    let along = |on: bool| if on { 1 } else { 2 };
-    let columns = (1..cols).filter_map(move |j| {
-        dual_dijkstra(fpva, (0, j), (rows, j), move |a, b| {
-            along(a.1 == j && b.1 == j)
-        })
-    });
-    let lines = (1..rows).filter_map(move |i| {
-        dual_dijkstra(fpva, (i, 0), (i, cols), move |a, b| {
-            along(a.0 == i && b.0 == i)
-        })
-    });
-    columns.chain(lines)
+    line_ends(fpva).filter_map(|(start, goal)| line_curve(fpva, start, goal))
 }
 
-/// Decides which members of a cut its vector exposes ([`exposed_valves`];
-/// the tests swap in a reference definition).
-type Exposure = fn(&Fpva, &CutSet) -> Vec<ValveId>;
-
-/// A cut forced through the given valve's dual segment, with the cut's
-/// exposed members (which always include `valve`): the curve runs from one
-/// endpoint of the segment to the chip boundary, and from the other
-/// endpoint to the boundary avoiding the first half. Used to cover valves
-/// the straight-line family misses.
-fn exposing_cut(fpva: &Fpva, valve: ValveId, exposure: Exposure) -> Option<(CutSet, Vec<ValveId>)> {
+/// The curves [`exposing_cut`] tries through the given valve's dual
+/// segment, in order: from one endpoint of the segment to a chip side,
+/// and from the other endpoint to a side avoiding the first half. The
+/// curve must leave sources and sinks on opposite sides; which pair of
+/// sides achieves that depends on the port placement, so every pair is
+/// offered.
+fn exposing_curves(fpva: &Fpva, valve: ValveId) -> impl Iterator<Item = Vec<Corner>> + '_ {
     let (rows, cols) = (fpva.rows(), fpva.cols());
-    let edge = fpva.edge_of(valve);
-    let (p, q) = dual_endpoints(edge);
-    // The curve must leave sources and sinks on opposite sides; which pair
-    // of boundary sides achieves that depends on the port placement, so
-    // probe all combinations and keep the first separating curve.
+    let (p, q) = dual_endpoints(fpva.edge_of(valve));
     type SideGoal = fn(Corner, usize, usize) -> bool;
     let sides: [SideGoal; 4] = [
         |c, _, _| c.0 == 0,
@@ -355,37 +471,36 @@ fn exposing_cut(fpva: &Fpva, valve: ValveId, exposure: Exposure) -> Option<(CutS
         |c, _, _| c.1 == 0,
         |c, _, cols| c.1 == cols,
     ];
-    for g1 in sides {
-        for g2 in sides {
-            let mut forbidden: HashSet<Corner> = HashSet::new();
-            forbidden.insert(q);
-            let Some(half1) = dual_bfs(fpva, p, |c| g1(c, rows, cols), &forbidden) else {
-                continue;
-            };
-            forbidden.remove(&q);
-            forbidden.extend(half1.iter().copied());
-            let Some(half2) = dual_bfs(fpva, q, |c| g2(c, rows, cols), &forbidden) else {
-                continue;
-            };
+    sides.into_iter().flat_map(move |g1| {
+        let half1 = dual_bfs(fpva, p, |c| g1(c, rows, cols), &HashSet::from([q]));
+        let forbidden: HashSet<Corner> = half1.iter().flatten().copied().collect();
+        sides.into_iter().filter_map(move |g2| {
+            let half1 = half1.as_ref()?;
+            let half2 = dual_bfs(fpva, q, |c| g2(c, rows, cols), &forbidden)?;
             // Assemble: boundary <- half1 reversed, p, q, half2 -> boundary.
-            let mut curve: Vec<Corner> = half1.into_iter().rev().collect();
+            let mut curve: Vec<Corner> = half1.iter().rev().copied().collect();
             curve.extend(half2);
-            let mut valves = crossed_valves(fpva, &curve);
-            valves.push(valve);
-            apply_masking_constraint(fpva, &curve, &mut valves);
-            let Ok(cut) = CutSet::new(fpva, valves) else {
-                continue;
-            };
-            // The cut must be *minimal through `valve`*: a stuck-at-1 at
-            // `valve` is only observable if opening it alone reconnects a
-            // source to a sink. Otherwise try the next curve shape.
-            let exposed = exposure(fpva, &cut);
-            if exposed.contains(&valve) {
-                return Some((cut, exposed));
-            }
-        }
-    }
-    None
+            Some(curve)
+        })
+    })
+}
+
+/// A cut forced through the given valve's dual segment, with the cut's
+/// exposed members (which always include `valve`): the first of
+/// [`exposing_curves`] that separates and exposes `valve`. Used to cover
+/// valves the straight-line family misses.
+fn exposing_cut(check: &mut CutCheck<'_>, valve: ValveId) -> Option<(CutSet, Vec<ValveId>)> {
+    let fpva = check.router.fpva();
+    exposing_curves(fpva, valve).find_map(|curve| {
+        let valves = curve_valves(fpva, &curve, Some(valve));
+        // The cut must be *minimal through `valve`*: a stuck-at-1 at
+        // `valve` is only observable if opening it alone reconnects a
+        // source to a sink. Otherwise try the next curve shape.
+        let exposed = check.decide(&valves)?;
+        exposed
+            .contains(&valve)
+            .then_some((CutSet { valves }, exposed))
+    })
 }
 
 /// Result of [`cut_cover`].
@@ -408,7 +523,8 @@ impl CutCover {
 /// Valves of `cut` whose stuck-at-1 fault the cut vector *exposes*:
 /// opening that valve alone (everything else as commanded) reconnects a
 /// source to a sink. Valves the cut merely contains redundantly (e.g.
-/// added by the constraint-(9) repair) are not exposed by it.
+/// added by the constraint-(9) repair) are not exposed by it, and a cut
+/// that does not separate exposes nothing.
 ///
 /// With the whole cut closed, one search from the sources and one from
 /// the sinks decide every member at once: opening `(x, y)` alone joins a
@@ -416,18 +532,10 @@ impl CutCover {
 /// the other from a sink, since any reconnecting route crosses the valve
 /// once and avoids every other member.
 pub fn exposed_valves(fpva: &Fpva, cut: &CutSet) -> Vec<ValveId> {
-    let closed = closed_edges(fpva, cut.valves());
-    let from_sources = reachable_from(fpva, &source_cells(fpva), &closed);
-    let from_sinks = reachable_from(fpva, &sink_cells(fpva), &closed);
-    cut.valves()
-        .iter()
-        .copied()
-        .filter(|&v| {
-            let (x, y) = fpva.edge_of(v).endpoints();
-            let (x, y) = (fpva.cell_index(x), fpva.cell_index(y));
-            (from_sources[x] && from_sinks[y]) || (from_sources[y] && from_sinks[x])
-        })
-        .collect()
+    let router = Router::new(fpva);
+    CutCheck::new(&router)
+        .decide(cut.valves())
+        .unwrap_or_default()
 }
 
 /// The full cut-set generator: straight-line cuts plus targeted cuts for
@@ -438,21 +546,25 @@ pub fn exposed_valves(fpva: &Fpva, cut: &CutSet) -> Vec<ValveId> {
 ///
 /// Returns [`AtpgError::MissingPorts`] when the array lacks ports.
 pub fn cut_cover(fpva: &Fpva) -> Result<CutCover, AtpgError> {
-    cut_cover_with(fpva, exposed_valves)
+    cut_cover_on(&Router::new(fpva))
 }
 
-fn cut_cover_with(fpva: &Fpva, exposure: Exposure) -> Result<CutCover, AtpgError> {
-    let mut cuts = straight_line_cuts(fpva)?;
+/// [`cut_cover`] on the router of the chip.
+pub(crate) fn cut_cover_on(router: &Router<'_>) -> Result<CutCover, AtpgError> {
+    let fpva = router.fpva();
+    let mut check = CutCheck::new(router);
+    let mut cuts = Vec::new();
     let mut exposed = vec![false; fpva.valve_count()];
-    for cut in &cuts {
-        for v in exposure(fpva, cut) {
-            exposed[v.index()] = true;
+    for (cut, members) in line_cuts(&mut check)? {
+        for w in members {
+            exposed[w.index()] = true;
         }
+        cuts.push(cut);
     }
     let mut uncovered = Vec::new();
     for (v, _) in fpva.valves() {
         if !exposed[v.index()] {
-            if let Some((cut, members)) = exposing_cut(fpva, v, exposure) {
+            if let Some((cut, members)) = exposing_cut(&mut check, v) {
                 for w in members {
                     exposed[w.index()] = true;
                 }
@@ -466,9 +578,9 @@ fn cut_cover_with(fpva: &Fpva, exposure: Exposure) -> Result<CutCover, AtpgError
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use fpva_grid::{layouts, FpvaBuilder, PortKind, Side};
+    use fpva_grid::{layouts, FpvaBuilder, Side};
 
     #[test]
     fn straight_cut_counts_match_table1() {
@@ -566,7 +678,7 @@ mod tests {
         // included.
         let mut chips: Vec<Fpva> = layouts::table1().into_iter().map(|e| e.fpva).collect();
         chips.push(layouts::custom_biochip());
-        chips.extend(generated_chips());
+        chips.extend(generated_chips(4));
         let mut curves = 0;
         for f in &chips {
             for curve in line_curves(f) {
@@ -594,12 +706,61 @@ mod tests {
         }
     }
 
+    /// Checks every grid line of `chips` against [`dual_dijkstra`] under
+    /// the same costs; returns how many lines took the straight run and
+    /// how many a channel crosses.
+    fn check_line_curves(chips: &[Fpva]) -> (usize, usize) {
+        let (mut straight, mut searched) = (0, 0);
+        for f in chips {
+            for (start, goal) in line_ends(f) {
+                let expected = dual_dijkstra(f, start, goal, line_cost(start, goal));
+                assert_eq!(
+                    line_curve(f, start, goal),
+                    expected,
+                    "{start:?} to {goal:?}"
+                );
+                let run = straight_run(start, goal);
+                if run.windows(2).all(|w| move_allowed(f, w[0], w[1])) {
+                    straight += 1;
+                } else {
+                    searched += 1;
+                }
+            }
+        }
+        (straight, searched)
+    }
+
+    #[test]
+    fn straight_lines_match_dual_dijkstra() {
+        let mut chips: Vec<Fpva> = layouts::table1().into_iter().map(|e| e.fpva).collect();
+        chips.push(layouts::custom_biochip());
+        chips.extend(generated_chips(4));
+        chips.extend((4..=12).map(|n| layouts::full_array(n, n)));
+        let (straight, searched) = check_line_curves(&chips);
+        assert!(
+            straight > 100 && searched > 10,
+            "{straight} straight lines, {searched} searched"
+        );
+    }
+
+    #[test]
+    #[ignore = "release-only: hundreds of chips, slow in a debug build"]
+    fn straight_lines_match_dual_dijkstra_at_scale() {
+        let (straight, searched) = check_line_curves(&generated_chips(400));
+        assert!(
+            straight > 1000 && searched > 100,
+            "{straight} straight lines, {searched} searched"
+        );
+    }
+
     #[test]
     fn cut_through_specific_valve() {
         let f = layouts::full_array(4, 4);
+        let router = Router::new(&f);
+        let mut check = CutCheck::new(&router);
         for (v, _) in f.valves() {
             let (cut, exposed) =
-                exposing_cut(&f, v, exposed_valves).unwrap_or_else(|| panic!("no cut through {v}"));
+                exposing_cut(&mut check, v).unwrap_or_else(|| panic!("no cut through {v}"));
             assert!(cut.covers(v));
             assert!(exposed.contains(&v), "{v} in the cut but not exposed");
         }
@@ -691,14 +852,15 @@ mod tests {
             .collect()
     }
 
-    /// Chips with channels, obstacles and one or two ports of each kind on
-    /// random boundary sides, drawn from fixed seeds.
-    fn generated_chips() -> Vec<Fpva> {
+    /// The first `count` chips of a fixed-seed stream: 4–7 cells a side,
+    /// with channels, obstacles and one or two ports of each kind on
+    /// random boundary sides.
+    pub(crate) fn generated_chips(count: usize) -> Vec<Fpva> {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(0xC075);
         let mut chips = Vec::new();
-        while chips.len() < 4 {
+        while chips.len() < count {
             let (rows, cols) = (rng.gen_range(4..8), rng.gen_range(4..8));
             let mut b = FpvaBuilder::new(rows, cols);
             for _ in 0..rng.gen_range(0..3usize) {
@@ -729,19 +891,110 @@ mod tests {
         chips
     }
 
+    /// [`cut_cover`] on the cell-level definitions: each candidate checked
+    /// by [`CutSet::new`], its exposure by [`exposed_by_rescan`].
+    fn cut_cover_by_rescan(f: &Fpva) -> CutCover {
+        let mut cuts: Vec<CutSet> = Vec::new();
+        for curve in line_curves(f) {
+            if let Ok(cut) = CutSet::new(f, curve_valves(f, &curve, None)) {
+                if !cuts.contains(&cut) {
+                    cuts.push(cut);
+                }
+            }
+        }
+        let mut exposed = vec![false; f.valve_count()];
+        for cut in &cuts {
+            for w in exposed_by_rescan(f, cut) {
+                exposed[w.index()] = true;
+            }
+        }
+        let mut uncovered = Vec::new();
+        for (v, _) in f.valves() {
+            if exposed[v.index()] {
+                continue;
+            }
+            let found = exposing_curves(f, v).find_map(|curve| {
+                let cut = CutSet::new(f, curve_valves(f, &curve, Some(v))).ok()?;
+                let members = exposed_by_rescan(f, &cut);
+                members.contains(&v).then_some((cut, members))
+            });
+            if let Some((cut, members)) = found {
+                for w in members {
+                    exposed[w.index()] = true;
+                }
+                cuts.push(cut);
+            } else {
+                uncovered.push(v);
+            }
+        }
+        CutCover { cuts, uncovered }
+    }
+
+    /// Checks `f`'s cut cover against [`cut_cover_by_rescan`], and the two
+    /// floods against [`CutSet::new`] and [`exposed_by_rescan`] on every
+    /// line candidate and, on chips of at most 100 cells, every exposing
+    /// candidate through every valve. Returns how many candidates the
+    /// floods kept and how many they dropped.
+    fn check_cut_decisions(f: &Fpva) -> (usize, usize) {
+        let fast = cut_cover(f).unwrap();
+        let reference = cut_cover_by_rescan(f);
+        assert_eq!(fast.cuts, reference.cuts);
+        assert_eq!(fast.uncovered, reference.uncovered);
+        for cut in &fast.cuts {
+            assert_eq!(exposed_valves(f, cut), exposed_by_rescan(f, cut));
+        }
+        let mut candidates: Vec<Vec<ValveId>> =
+            line_curves(f).map(|c| curve_valves(f, &c, None)).collect();
+        if f.cell_count() <= 100 {
+            for (v, _) in f.valves() {
+                candidates.extend(exposing_curves(f, v).map(|c| curve_valves(f, &c, Some(v))));
+            }
+        }
+        let router = Router::new(f);
+        let mut check = CutCheck::new(&router);
+        let (mut kept, mut dropped) = (0, 0);
+        for valves in candidates {
+            let decided = check.decide(&valves);
+            match CutSet::new(f, valves.clone()) {
+                Ok(cut) => {
+                    assert_eq!(decided, Some(exposed_by_rescan(f, &cut)), "{valves:?}");
+                    kept += 1;
+                }
+                Err(_) => {
+                    assert_eq!(decided, None, "{valves:?} does not separate");
+                    dropped += 1;
+                }
+            }
+        }
+        (kept, dropped)
+    }
+
+    fn check_all_cut_decisions(chips: &[Fpva]) -> (usize, usize) {
+        chips.iter().fold((0, 0), |(kept, dropped), f| {
+            let (k, d) = check_cut_decisions(f);
+            (kept + k, dropped + d)
+        })
+    }
+
     #[test]
     fn two_search_exposure_matches_per_member_rescans() {
         let mut chips: Vec<Fpva> = layouts::table1().into_iter().map(|e| e.fpva).collect();
         chips.push(layouts::custom_biochip());
-        chips.extend(generated_chips());
-        for f in &chips {
-            let fast = cut_cover(f).unwrap();
-            let reference = cut_cover_with(f, exposed_by_rescan).unwrap();
-            assert_eq!(fast.cuts, reference.cuts);
-            assert_eq!(fast.uncovered, reference.uncovered);
-            for cut in &fast.cuts {
-                assert_eq!(exposed_valves(f, cut), exposed_by_rescan(f, cut));
-            }
-        }
+        chips.extend(generated_chips(4));
+        let (kept, dropped) = check_all_cut_decisions(&chips);
+        assert!(
+            kept > 1000 && dropped > 1000,
+            "{kept} kept, {dropped} dropped"
+        );
+    }
+
+    #[test]
+    #[ignore = "release-only: every candidate cut of hundreds of chips"]
+    fn two_search_exposure_matches_per_member_rescans_at_scale() {
+        let (kept, dropped) = check_all_cut_decisions(&generated_chips(300));
+        assert!(
+            kept > 10_000 && dropped > 10_000,
+            "{kept} kept, {dropped} dropped"
+        );
     }
 }

@@ -62,11 +62,16 @@ pub(crate) fn serpentine_cells(row_start: usize, row_end: usize, cols: usize) ->
 /// Returns [`AtpgError::MissingPorts`] when the array lacks a source or a
 /// sink port.
 pub fn greedy_cover(fpva: &Fpva, seed: u64) -> Result<PathCover, AtpgError> {
-    ports(fpva)?;
+    greedy_cover_on(&Router::new(fpva), seed)
+}
+
+/// [`greedy_cover`] on the router of the chip.
+pub(crate) fn greedy_cover_on(router: &Router<'_>, seed: u64) -> Result<PathCover, AtpgError> {
+    ports(router.fpva())?;
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut tracker = CoverageTracker::new(fpva);
+    let mut tracker = CoverageTracker::new(router.fpva());
     let mut paths: Vec<FlowPath> = Vec::new();
-    let uncovered = cover_remaining(fpva, &mut tracker, &mut paths, &mut rng);
+    let uncovered = cover_remaining(router, &mut tracker, &mut paths, &mut rng);
     Ok(PathCover { paths, uncovered })
 }
 
@@ -74,12 +79,12 @@ pub fn greedy_cover(fpva: &Fpva, seed: u64) -> Result<PathCover, AtpgError> {
 /// valves no valid path crosses, which it returns ascending; shared by
 /// the greedy and hierarchical engines.
 pub(crate) fn cover_remaining(
-    fpva: &Fpva,
+    router: &Router<'_>,
     tracker: &mut CoverageTracker,
     paths: &mut Vec<FlowPath>,
     rng: &mut StdRng,
 ) -> Vec<ValveId> {
-    let router = Router::new(fpva);
+    let fpva = router.fpva();
     let mut uncovered_final: Vec<ValveId> = Vec::new();
     loop {
         let candidates = tracker.uncovered();
@@ -105,7 +110,8 @@ pub(crate) fn cover_remaining(
             continue;
         };
         let (src, snk) = endpoint_ports(fpva, &cells).expect("routes end at port cells");
-        let path = FlowPath::new(fpva, src, snk, cells).expect("routes are valid flow paths");
+        let path = FlowPath::with_components(fpva, router.components(), src, snk, cells)
+            .expect("routes are valid flow paths");
         tracker.cover_all(path.valves(fpva));
         paths.push(path);
     }

@@ -18,7 +18,7 @@
 //! hierarchical trade-off the paper reports: a few more vectors than the
 //! direct model, far better scalability.
 
-use crate::connectivity::ports;
+use crate::connectivity::{ports, Router};
 use crate::cover::CoverageTracker;
 use crate::error::AtpgError;
 use crate::heuristic::{cover_remaining, serpentine_cells, PathCover};
@@ -111,16 +111,17 @@ fn row_band_cells(fpva: &Fpva, r0: usize, r1: usize) -> Vec<CellId> {
 
 /// Attempts to build all band paths; invalid bands are silently skipped
 /// (their valves fall through to the fix-up stage).
-fn band_paths(fpva: &Fpva, block_size: usize) -> Result<Vec<FlowPath>, AtpgError> {
+fn band_paths(router: &Router<'_>, block_size: usize) -> Result<Vec<FlowPath>, AtpgError> {
+    let fpva = router.fpva();
     let (source, sink) = ports(fpva)?;
+    let band = |cells| FlowPath::with_components(fpva, router.components(), source, sink, cells);
     let (rows, cols) = (fpva.rows(), fpva.cols());
     let mut paths = Vec::new();
     // Row bands.
     let mut r0 = 0;
     while r0 < rows {
         let r1 = (r0 + block_size - 1).min(rows - 1);
-        let cells = row_band_cells(fpva, r0, r1);
-        if let Ok(p) = FlowPath::new(fpva, source, sink, cells) {
+        if let Ok(p) = band(row_band_cells(fpva, r0, r1)) {
             paths.push(p);
         }
         r0 = r1 + 1;
@@ -129,8 +130,7 @@ fn band_paths(fpva: &Fpva, block_size: usize) -> Result<Vec<FlowPath>, AtpgError
     let mut c0 = 0;
     while c0 < cols {
         let c1 = (c0 + block_size - 1).min(cols - 1);
-        let cells = col_band_cells(fpva, c0, c1);
-        if let Ok(p) = FlowPath::new(fpva, source, sink, cells) {
+        if let Ok(p) = band(col_band_cells(fpva, c0, c1)) {
             paths.push(p);
         }
         c0 = c1 + 1;
@@ -168,14 +168,23 @@ fn col_band_cells(fpva: &Fpva, c0: usize, c1: usize) -> Vec<CellId> {
 /// Returns [`AtpgError::MissingPorts`] when the array lacks a source or a
 /// sink port.
 pub fn hierarchical_cover(fpva: &Fpva, config: &HierarchyConfig) -> Result<PathCover, AtpgError> {
+    hierarchical_cover_on(&Router::new(fpva), config)
+}
+
+/// [`hierarchical_cover`] on the router of the chip.
+pub(crate) fn hierarchical_cover_on(
+    router: &Router<'_>,
+    config: &HierarchyConfig,
+) -> Result<PathCover, AtpgError> {
+    let fpva = router.fpva();
     let block = config.resolved_block_size(fpva);
-    let mut paths = band_paths(fpva, block)?;
+    let mut paths = band_paths(router, block)?;
     let mut tracker = CoverageTracker::new(fpva);
     for p in &paths {
         tracker.cover_all(p.valves(fpva));
     }
     let mut rng = StdRng::seed_from_u64(config.seed);
-    let uncovered = cover_remaining(fpva, &mut tracker, &mut paths, &mut rng);
+    let uncovered = cover_remaining(router, &mut tracker, &mut paths, &mut rng);
     Ok(PathCover { paths, uncovered })
 }
 

@@ -77,24 +77,29 @@ pub fn leakage_vectors(
     _tries: usize,
 ) -> Result<LeakageCover, AtpgError> {
     ports(fpva)?; // Fail fast when the chip has no source or no sink.
-    let mut rng = StdRng::seed_from_u64(seed);
-    let router = Router::new(fpva);
+    Ok(leakage_vectors_on(&Router::new(fpva), flow_paths, seed))
+}
 
-    // Valve sets of the existing path vectors, one bit per valve.
-    let valve_set = |path: &FlowPath| {
-        let mut set = vec![0u64; fpva.valve_count().div_ceil(64)];
-        for v in path.valves(fpva) {
-            set[v.index() / 64] |= 1 << (v.index() % 64);
-        }
-        set
-    };
-    let mut path_sets: Vec<Vec<u64>> = flow_paths.iter().map(valve_set).collect();
+/// [`leakage_vectors`] on the router of a chip that has ports.
+pub(crate) fn leakage_vectors_on(
+    router: &Router<'_>,
+    flow_paths: &[FlowPath],
+    seed: u64,
+) -> LeakageCover {
+    let fpva = router.fpva();
+    let mut rng = StdRng::seed_from_u64(seed);
 
     // A pair (a, b) is covered iff some path-shaped vector has b on the
-    // path and a off it.
-    let has = |set: &[u64], v: ValveId| set[v.index() / 64] >> (v.index() % 64) & 1 == 1;
-    let pair_covered =
-        |sets: &[Vec<u64>], a: ValveId, b: ValveId| sets.iter().any(|s| has(s, b) && !has(s, a));
+    // path and a off it. Per valve, one bit per flow path holding it.
+    let words = flow_paths.len().div_ceil(64);
+    let mut holders = vec![0u64; fpva.valve_count() * words];
+    for (k, path) in flow_paths.iter().enumerate() {
+        for v in path.valves(fpva) {
+            holders[v.index() * words + k / 64] |= 1 << (k % 64);
+        }
+    }
+    let held = |v: ValveId| &holders[v.index() * words..][..words];
+    let covered = |a: ValveId, b: ValveId| held(b).iter().zip(held(a)).any(|(b, a)| b & !a != 0);
 
     // `pending_victims` counts, per valve, the pairs still in `todo` with
     // that valve as victim (victims repeat across pairs). It is kept in
@@ -104,7 +109,7 @@ pub fn leakage_vectors(
     let mut pending_victims = vec![0u32; fpva.valve_count()];
     for (a, _) in fpva.valves() {
         for b in fpva.valve_neighbors(a) {
-            if !pair_covered(&path_sets, a, b) {
+            if !covered(a, b) {
                 todo.push_back((a, b));
                 pending_victims[b.index()] += 1;
             }
@@ -113,6 +118,8 @@ pub fn leakage_vectors(
 
     let mut extra_paths: Vec<FlowPath> = Vec::new();
     let mut uncovered: Vec<(ValveId, ValveId)> = Vec::new();
+    // The valves of the newest extra path, cleared after its queue scan.
+    let mut on_path = vec![false; fpva.valve_count()];
     while let Some(&(a, b)) = todo.front() {
         // Prefer steps that knock out other pending victims, so one extra
         // vector covers many pairs at once.
@@ -127,18 +134,23 @@ pub fn leakage_vectors(
                 // The router may end at any source/sink pair, so the ports
                 // must be read off the path itself.
                 let (src, snk) = endpoint_ports(fpva, &cells).expect("routes end at port cells");
-                let path =
-                    FlowPath::new(fpva, src, snk, cells).expect("routes are valid flow paths");
-                path_sets.push(valve_set(&path));
-                extra_paths.push(path);
-                let newest = &path_sets[path_sets.len() - 1..];
+                let path = FlowPath::with_components(fpva, router.components(), src, snk, cells)
+                    .expect("routes are valid flow paths");
+                let valves = path.valves(fpva);
+                for v in &valves {
+                    on_path[v.index()] = true;
+                }
                 todo.retain(|&(x, y)| {
-                    let keep = !pair_covered(newest, x, y);
+                    let keep = !on_path[y.index()] || on_path[x.index()];
                     if !keep {
                         pending_victims[y.index()] -= 1;
                     }
                     keep
                 });
+                for v in &valves {
+                    on_path[v.index()] = false;
+                }
+                extra_paths.push(path);
             }
             None => {
                 uncovered.push((a, b));
@@ -147,10 +159,10 @@ pub fn leakage_vectors(
             }
         }
     }
-    Ok(LeakageCover {
+    LeakageCover {
         paths: extra_paths,
         uncovered_pairs: uncovered,
-    })
+    }
 }
 
 #[cfg(test)]

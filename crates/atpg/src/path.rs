@@ -1,11 +1,11 @@
 //! Simple source→sink flow paths (Section III-A/B of the paper).
 
+use crate::connectivity::{components_contiguous, open_components};
 use crate::error::AtpgError;
 use fpva_grid::{
     CellId, EdgeId, EdgeKind, Fpva, PortId, PortKind, TestVector, ValveId, ValveState,
 };
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 
 /// A *flow path*: a simple (loop- and branch-free) sequence of cells from a
 /// source port to a sink port.
@@ -36,6 +36,18 @@ impl FlowPath {
     /// the first holds a source port.
     pub fn new(
         fpva: &Fpva,
+        source: PortId,
+        sink: PortId,
+        cells: Vec<CellId>,
+    ) -> Result<Self, AtpgError> {
+        Self::with_components(fpva, &open_components(fpva), source, sink, cells)
+    }
+
+    /// [`FlowPath::new`] with the chip's [`open_components`] map already at
+    /// hand, as a [`crate::connectivity::Router`] holds it.
+    pub(crate) fn with_components(
+        fpva: &Fpva,
+        components: &[usize],
         source: PortId,
         sink: PortId,
         cells: Vec<CellId>,
@@ -71,12 +83,12 @@ impl FlowPath {
                 snk_port.cell
             )));
         }
-        let mut seen = HashSet::with_capacity(cells.len());
+        let mut seen = vec![false; fpva.cell_count()];
         for &c in &cells {
             if c.row >= fpva.rows() || c.col >= fpva.cols() {
                 return Err(invalid(format!("cell {c} outside the array")));
             }
-            if !seen.insert(c) {
+            if std::mem::replace(&mut seen[fpva.cell_index(c)], true) {
                 return Err(invalid(format!("cell {c} repeats; path must be simple")));
             }
         }
@@ -95,8 +107,7 @@ impl FlowPath {
         // channel sites, so revisiting a channel component after leaving it
         // creates an implicit loop that can mask stuck-at-0 faults on the
         // path (the same interference the paper's Fig. 5(a) forbids).
-        let comps = crate::connectivity::open_components(fpva);
-        if !crate::connectivity::components_contiguous(fpva, &comps, &cells) {
+        if !components_contiguous(fpva, components, &cells) {
             return Err(invalid(
                 "path re-enters a transportation channel, creating a pressure bypass loop".into(),
             ));
@@ -104,7 +115,7 @@ impl FlowPath {
         // A second pressure inlet feeds everything downstream of it on its
         // own, masking the valves upstream, so no component after the
         // first may hold a source port.
-        let comp = |c: CellId| comps[fpva.cell_index(c)];
+        let comp = |c: CellId| components[fpva.cell_index(c)];
         let first = comp(cells[0]);
         if let Some((inlet, _)) = fpva
             .sources()

@@ -1,13 +1,13 @@
 //! End-to-end test-plan generation: the paper's "Outputs".
 
 use crate::config::{AtpgConfig, PathEngine};
-use crate::connectivity::ports;
-use crate::cutset::{cut_cover, CutSet};
+use crate::connectivity::{ports, Router};
+use crate::cutset::{cut_cover_on, CutSet};
 use crate::error::AtpgError;
-use crate::heuristic::{greedy_cover, PathCover};
-use crate::hierarchy::{hierarchical_cover, HierarchyConfig};
+use crate::heuristic::{greedy_cover_on, PathCover};
+use crate::hierarchy::{hierarchical_cover_on, HierarchyConfig};
 use crate::ilp_model::min_path_cover_ilp;
-use crate::leakage::leakage_vectors;
+use crate::leakage::leakage_vectors_on;
 use crate::path::FlowPath;
 use fpva_grid::{Fpva, TestVector, ValveId};
 use fpva_sim::TestSuite;
@@ -132,7 +132,7 @@ impl Atpg {
         &self.config
     }
 
-    fn generate_paths(&self, fpva: &Fpva) -> Result<(PathCover, &'static str), AtpgError> {
+    fn generate_paths(&self, router: &Router<'_>) -> Result<(PathCover, &'static str), AtpgError> {
         match &self.config.path_engine {
             PathEngine::Hierarchical => {
                 let hc = HierarchyConfig {
@@ -140,15 +140,15 @@ impl Atpg {
                     seed: self.config.seed,
                     tries: self.config.tries,
                 };
-                Ok((hierarchical_cover(fpva, &hc)?, "hierarchical"))
+                Ok((hierarchical_cover_on(router, &hc)?, "hierarchical"))
             }
-            PathEngine::Greedy => Ok((greedy_cover(fpva, self.config.seed)?, "greedy")),
-            PathEngine::Ilp(ilp_config) => match min_path_cover_ilp(fpva, ilp_config) {
+            PathEngine::Greedy => Ok((greedy_cover_on(router, self.config.seed)?, "greedy")),
+            PathEngine::Ilp(ilp_config) => match min_path_cover_ilp(router.fpva(), ilp_config) {
                 Ok(cover) => Ok((cover, "ilp")),
                 // Constraints (1)–(8) do not forbid a path through a
                 // second inlet, so an extracted path may be invalid.
                 Err(AtpgError::Solver { .. } | AtpgError::InvalidPath { .. }) => Ok((
-                    greedy_cover(fpva, self.config.seed)?,
+                    greedy_cover_on(router, self.config.seed)?,
                     "greedy (ilp fallback)",
                 )),
                 Err(e) => Err(e),
@@ -156,7 +156,9 @@ impl Atpg {
         }
     }
 
-    /// Generates the full test plan for `fpva`.
+    /// Generates the full test plan for `fpva`. The chip is lowered once,
+    /// into one [`Router`] that every stage works on; `t_paths` includes
+    /// that build.
     ///
     /// # Errors
     ///
@@ -168,22 +170,18 @@ impl Atpg {
         let mut stats = GenerationStats::default();
 
         let t0 = Instant::now();
-        let (path_cover, engine) = self.generate_paths(fpva)?;
+        let router = Router::new(fpva);
+        let (path_cover, engine) = self.generate_paths(&router)?;
         stats.t_paths = t0.elapsed();
         stats.path_engine_used = engine;
 
         let t0 = Instant::now();
-        let cut = cut_cover(fpva)?;
+        let cut = cut_cover_on(&router)?;
         stats.t_cuts = t0.elapsed();
 
         let leak = if self.config.leakage {
             let t0 = Instant::now();
-            let leak = leakage_vectors(
-                fpva,
-                &path_cover.paths,
-                self.config.seed ^ 0x5EAF,
-                self.config.tries,
-            )?;
+            let leak = leakage_vectors_on(&router, &path_cover.paths, self.config.seed ^ 0x5EAF);
             stats.t_leakage = t0.elapsed();
             leak
         } else {
@@ -302,6 +300,66 @@ mod tests {
         let plan = Atpg::with_config(config).generate(&f).unwrap();
         assert!(plan.leakage_paths().is_empty());
         assert_eq!(plan.stats().t_leakage, Duration::ZERO);
+    }
+
+    /// Checks that `generate` on `f` returns what the public phases return
+    /// when called one at a time, as the benchmark's traced run rebuilds
+    /// it, for the hierarchical and the greedy engine.
+    fn check_public_phases(f: &Fpva) {
+        use crate::cutset::cut_cover;
+        use crate::heuristic::greedy_cover;
+        use crate::hierarchy::hierarchical_cover;
+        use crate::leakage::leakage_vectors;
+        let config = AtpgConfig::default();
+        let hierarchy = HierarchyConfig {
+            block_size: config.block_size,
+            seed: config.seed,
+            tries: config.tries,
+        };
+        let cuts = cut_cover(f).unwrap();
+        for engine in [PathEngine::Hierarchical, PathEngine::Greedy] {
+            let paths = match engine {
+                PathEngine::Greedy => greedy_cover(f, config.seed),
+                _ => hierarchical_cover(f, &hierarchy),
+            }
+            .unwrap();
+            let leak =
+                leakage_vectors(f, &paths.paths, config.seed ^ 0x5EAF, config.tries).unwrap();
+            let plan = Atpg::with_config(AtpgConfig {
+                path_engine: engine,
+                ..AtpgConfig::default()
+            })
+            .generate(f)
+            .unwrap();
+            let mut vectors: Vec<TestVector> = paths.paths.iter().map(|p| p.to_vector(f)).collect();
+            vectors.extend(cuts.cuts.iter().map(|c| c.to_vector(f)));
+            vectors.extend(leak.paths.iter().map(|p| p.to_vector(f)));
+            assert_eq!(plan.all_vectors(f), vectors);
+            assert_eq!(plan.flow_paths(), paths.paths);
+            assert_eq!(plan.cut_sets(), cuts.cuts);
+            assert_eq!(plan.leakage_paths(), leak.paths);
+            assert_eq!(plan.untestable_open(), paths.uncovered);
+            assert_eq!(plan.untestable_closed(), cuts.uncovered);
+            assert_eq!(plan.untestable_pairs(), leak.uncovered_pairs);
+        }
+    }
+
+    #[test]
+    fn generate_equals_the_public_phases() {
+        let mut chips: Vec<Fpva> = layouts::table1().into_iter().map(|e| e.fpva).collect();
+        chips.push(layouts::custom_biochip());
+        chips.extend(crate::cutset::tests::generated_chips(12));
+        for f in &chips {
+            check_public_phases(f);
+        }
+    }
+
+    #[test]
+    #[ignore = "release-only: hundreds of chips, slow in a debug build"]
+    fn generate_equals_the_public_phases_at_scale() {
+        for f in &crate::cutset::tests::generated_chips(300) {
+            check_public_phases(f);
+        }
     }
 
     #[test]
