@@ -58,12 +58,15 @@
 //! ([`crate::hierarchy::hierarchical_cover`], [`crate::heuristic::greedy_cover`],
 //! [`crate::cutset::cut_cover`], [`crate::leakage::leakage_vectors`]) each
 //! build their own router, so called one by one they return exactly what
-//! `generate` does.
+//! `generate` does. A router builds the max-flow network behind its
+//! feasibility test when it first routes a path, so the cut stage, which
+//! only floods, never builds one.
 
 use crate::error::AtpgError;
 use fpva_grid::{CellId, EdgeId, EdgeKind, Fpva, PortId, PortKind, ValveId};
 use rand::Rng;
 use std::collections::VecDeque;
+use std::sync::OnceLock;
 
 /// Whether fluid could ever cross this edge on a fault-free chip (i.e. the
 /// edge is a valve or an always-open channel site, not a wall).
@@ -244,9 +247,17 @@ pub struct Router<'a> {
     source: Vec<bool>,
     /// Nodes holding a sink port's cell.
     sink: Vec<bool>,
-    /// The max-flow network of [`Router::source_witness`], with the arcs
-    /// of every valve.
-    witness: Network,
+    /// The network of [`Router::source_witness`], built on its first
+    /// call, so a router that only floods (the cut stage's) never holds
+    /// one.
+    witness: OnceLock<Witness>,
+}
+
+/// The max-flow network of [`Router::source_witness`], with the arcs of
+/// every valve.
+#[derive(Debug, Clone)]
+struct Witness {
+    net: Network,
     /// Per node other than a source node: the network index of the arc
     /// out of it across `adj[x][0]`; the arc across `adj[x][k]` is
     /// `2 * k` further on.
@@ -278,8 +289,7 @@ fn terminals(n: usize) -> (usize, usize, usize) {
 }
 
 impl<'a> Router<'a> {
-    /// Contracts `fpva`'s open components into the routing graph and builds
-    /// its witness network.
+    /// Contracts `fpva`'s open components into the routing graph.
     pub fn new(fpva: &'a Fpva) -> Self {
         let node = open_components(fpva);
         let n = node.iter().max().map_or(0, |&m| m + 1);
@@ -301,34 +311,41 @@ impl<'a> Router<'a> {
                 PortKind::Sink => sink[x] = true,
             }
         }
-        let (to_sources, to_sinks, t) = terminals(n);
-        let mut witness = Network::new(t + 1);
-        let mut valve_arcs = vec![usize::MAX; n];
-        for x in 0..n {
-            witness.add(inn(x), out(x));
-            if source[x] {
-                witness.add(out(x), to_sources);
-                continue;
-            }
-            if sink[x] {
-                witness.add(out(x), to_sinks);
-            }
-            valve_arcs[x] = witness.to.len();
-            for arc in &adj[x] {
-                witness.add(out(x), inn(arc.to));
-            }
-        }
-        witness.add(to_sources, t);
-        witness.add(to_sinks, t);
         Router {
             fpva,
             node,
             adj,
             source,
             sink,
-            witness,
-            valve_arcs,
+            witness: OnceLock::new(),
         }
+    }
+
+    /// The witness network, built on the first call.
+    fn witness(&self) -> &Witness {
+        self.witness.get_or_init(|| {
+            let n = self.adj.len();
+            let (to_sources, to_sinks, t) = terminals(n);
+            let mut net = Network::new(t + 1);
+            let mut valve_arcs = vec![usize::MAX; n];
+            for (x, arcs) in self.adj.iter().enumerate() {
+                net.add(inn(x), out(x));
+                if self.source[x] {
+                    net.add(out(x), to_sources);
+                    continue;
+                }
+                if self.sink[x] {
+                    net.add(out(x), to_sinks);
+                }
+                valve_arcs[x] = net.to.len();
+                for arc in arcs {
+                    net.add(out(x), inn(arc.to));
+                }
+            }
+            net.add(to_sources, t);
+            net.add(to_sinks, t);
+            Witness { net, valve_arcs }
+        })
     }
 
     /// The chip the router was built for.
@@ -430,18 +447,18 @@ impl<'a> Router<'a> {
     /// one. Returns the endpoint whose unit reaches a source node, with
     /// that unit's nodes (endpoint first).
     ///
-    /// A call runs on the network [`Router::new`] built, with a copy of its
-    /// capacities in which the arcs of the avoided valves are empty; the
-    /// super source is the list of its two arcs' heads. Searches meet the
-    /// arcs in the order a network built for the call would give them, so
-    /// the augmenting paths, and the witness, are the same.
+    /// A call runs on the router's network, built on the first call, with
+    /// a copy of its capacities in which the arcs of the avoided valves are
+    /// empty; the super source is the list of its two arcs' heads. Searches
+    /// meet the arcs in the order a network built for the call would give
+    /// them, so the augmenting paths, and the witness, are the same.
     fn source_witness(
         &self,
         nu: usize,
         nv: usize,
         avoid: &[EdgeId],
     ) -> Option<(usize, Vec<usize>)> {
-        let net = &self.witness;
+        let Witness { net, valve_arcs } = self.witness();
         let (to_sources, to_sinks, t) = terminals(self.adj.len());
         let mut cap = net.cap.clone();
         let (mut via, mut queue) = (vec![usize::MAX; net.head.len()], Vec::new());
@@ -453,7 +470,7 @@ impl<'a> Router<'a> {
                 }
                 for (k, arc) in self.adj[x].iter().enumerate() {
                     if arc.edge == edge {
-                        cap[self.valve_arcs[x] + 2 * k] = 0;
+                        cap[valve_arcs[x] + 2 * k] = 0;
                     }
                 }
             }
@@ -947,6 +964,22 @@ mod tests {
         cells
             .windows(2)
             .any(|w| f.edge_between(w[0], w[1]) == Some(edge))
+    }
+
+    /// The cut stage floods the router's graph and never routes, so it
+    /// leaves the witness network unbuilt; the first route builds it.
+    #[test]
+    fn witness_network_is_built_on_the_first_route() {
+        let f = layouts::table1_5x5();
+        let router = Router::new(&f);
+        crate::cutset::cut_cover_on(&router).unwrap();
+        assert!(router.witness.get().is_none());
+        let edge = f.edge_of(ValveId(0));
+        let mut rng = StdRng::seed_from_u64(1);
+        assert!(router
+            .path_through_edge(edge, &[], &|_| false, &mut rng)
+            .is_some());
+        assert!(router.witness.get().is_some());
     }
 
     #[test]

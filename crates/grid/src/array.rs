@@ -301,9 +301,17 @@ impl Fpva {
     /// leakage faults: leakage can only occur between control channels that
     /// run close to each other.
     pub fn valve_neighbors(&self, v: ValveId) -> Vec<ValveId> {
+        let mut out = Vec::new();
+        self.valve_neighbors_into(v, &mut out);
+        out
+    }
+
+    /// [`Fpva::valve_neighbors`] written into `out`, which is cleared
+    /// first, so a caller scanning many valves reuses one buffer.
+    pub fn valve_neighbors_into(&self, v: ValveId, out: &mut Vec<ValveId>) {
         let edge = self.edge_of(v);
         let (a, b) = edge.endpoints();
-        let mut out = Vec::new();
+        out.clear();
         for cell in [a, b] {
             for (e, _) in self.neighbors(cell) {
                 if e == edge {
@@ -317,7 +325,6 @@ impl Fpva {
             }
         }
         out.sort_unstable();
-        out
     }
 
     /// Cells on the chip boundary, clockwise starting at `(0, 0)`.
@@ -464,5 +471,10 @@ mod tests {
         // (1,0) touches: V(0,0), V(1,0); (1,1) touches: V(0,1), V(1,1), H(1,1).
         assert_eq!(n.len(), 5);
         assert!(!n.contains(&v));
+        let mut buffer = vec![v];
+        for (w, _) in f.valves() {
+            f.valve_neighbors_into(w, &mut buffer);
+            assert_eq!(buffer, f.valve_neighbors(w));
+        }
     }
 }

@@ -63,14 +63,16 @@ pub fn single_fault_coverage(fpva: &Fpva, suite: &TestSuite) -> CoverageReport<F
 /// Checks every control-leak fault between physically adjacent valves
 /// (ordered pairs: the leak direction matters).
 pub fn leak_coverage(fpva: &Fpva, suite: &TestSuite) -> CoverageReport<Fault> {
-    let universe: Vec<Fault> = fpva
-        .valves()
-        .flat_map(|(actuator, _)| {
-            fpva.valve_neighbors(actuator)
-                .into_iter()
-                .map(move |victim| Fault::ControlLeak { actuator, victim })
-        })
-        .collect();
+    let mut universe = Vec::new();
+    let mut neighbors = Vec::new();
+    for (actuator, _) in fpva.valves() {
+        fpva.valve_neighbors_into(actuator, &mut neighbors);
+        universe.extend(
+            neighbors
+                .iter()
+                .map(|&victim| Fault::ControlLeak { actuator, victim }),
+        );
+    }
     sweep_universe(fpva, suite, &universe)
 }
 

@@ -41,20 +41,6 @@
 //! lists hold each undetected scenario at its next visit, so a vector
 //! outside a scenario's mask costs it nothing.
 //!
-//! # Relevance masks
-//!
-//! The suite keeps two bitsets over its vectors per valve: the vectors
-//! that command the valve open with its endpoints in `R`, so that closing
-//! it touches `R`, and those that command it closed with exactly one
-//! endpoint in `R`, so that opening it crosses `R`. A scenario's mask is
-//! the OR over its faults of the closing mask (a stuck-at-0's valve, a
-//! control leak's victim) or the opening mask (a stuck-at-1's valve). A
-//! leak closes its victim only where its actuator is commanded closed, so
-//! the victim's mask is a superset of where it matters, which is still
-//! exact. At a vector outside the mask no closing touches `R` and no
-//! opening crosses it, and the plain skip rule below reads such a scenario
-//! golden, so skipping the visit changes no outcome.
-//!
 //! # Deciding scenarios from regions
 //!
 //! The rules speak of the valves whose effective state
@@ -125,6 +111,58 @@
 //! reach stays inside `S_k`. The sink at position `p > k` lies outside
 //! it: golden pressurises it and the faulty chip does not.
 //!
+//! # Relevance masks
+//!
+//! The suite keeps three bitsets over its vectors per valve, in the terms
+//! of "Deciding scenarios from regions". A cell is a *dead end* under a
+//! vector when it is sealed and lies outside `S`.
+//!
+//! * The *closing* mask holds the vectors that pressurise some sink and
+//!   command the valve open with its endpoints in `R`, so that closing it
+//!   touches `R`.
+//! * The *opening* mask holds the vectors that command the valve closed
+//!   with exactly one endpoint in `R`, so that opening it crosses `R`,
+//!   unless its far cell is a dead end.
+//! * The *dead-end* mask holds the vectors at which the valve crosses `R`
+//!   into a dead end.
+//!
+//! A scenario's mask is the OR over its faults of the closing mask (a
+//! stuck-at-0's valve, a control leak's victim) or the opening mask (a
+//! stuck-at-1's valve). When two of its stuck-at-1 valves share an
+//! endpoint cell, their dead-end masks join in too. A leak closes its
+//! victim only where its actuator is commanded closed, so the victim's
+//! mask is a superset of where it matters, which is still exact. Masks
+//! only schedule visits: a visited scenario is classified on all of its
+//! faults. Two lemmas show that every visit they leave out reads golden.
+//!
+//! **Lemma A.** A scenario that opens no valve crossing `R` keeps the
+//! faulty reach inside `R`. The faulty flood starts at the sources, inside
+//! `R`. `R` is closed under the fault-free open edges, so every edge from
+//! `R` to a cell outside it is a commanded-closed valve with exactly one
+//! endpoint in `R`, and the first cell outside `R` that the flood reaches
+//! would come through such a valve. Only a stuck-at-1 opens one, and that
+//! opening would cross `R`. So at a vector that pressurises no sink, where
+//! `R` holds no sink, such a scenario reads golden whatever it closes.
+//!
+//! **Lemma B.** Let every opening that crosses `R` lead into a dead end,
+//! and no two of the scenario's stuck-at-1 valves share a cell. Pressure
+//! that enters a dead end `y` can leave it only through a second
+//! effectively open valve at `y`. None of `y`'s valves is commanded open,
+//! so no closing happens there, and only a stuck-at-1 opens one, which
+//! would share `y` with the valve the pressure came through. With lemma A,
+//! the faulty reach stays inside `R` plus such dead ends, which hold no
+//! sink: a sink's cell lies in `S`.
+//!
+//! At a vector outside a scenario's mask, every opening that crosses `R`
+//! leads into a dead end (its opening bit is clear), and none does when
+//! two stuck-at-1 valves share a cell (its dead-end bit is clear too); a
+//! closing touches `R` only at a vector that pressurises no sink (its
+//! closing bit is clear). So the faulty reach stays inside `R` plus dead
+//! ends. Where no sink is wet, every sink reads dry, as golden. Where one
+//! is, no closing touches `R`, so the faulty reach also keeps all of `R`,
+//! which holds the sources and loses no edge, and every reading is golden.
+//! Skipping the visit changes no outcome.
+//!
 //! # Scalar-oracle invariant
 //!
 //! For every `(vector, fault set)` the lane bit computed here equals the
@@ -136,8 +174,8 @@
 //! on complete and on deliberately weak suites, and assert that the
 //! campaign and the audits report exactly those; the unit tests below
 //! check the per-scenario reachability sets and both decided outcomes of
-//! the classifier against [`crate::respond`], and that the relevance masks
-//! skip only scenarios the classifier reads golden.
+//! the classifier against [`crate::respond`], and that every visit the
+//! relevance masks skip responds golden under [`crate::respond`].
 
 use crate::fault::Fault;
 #[cfg(doc)]
@@ -290,7 +328,6 @@ impl LoweredChip {
         let vector = &suite.vectors()[i];
         let (reach, sink_side) = (suite.golden_reach(i), suite.sink_side(i));
         let chain = suite.chain(i);
-        let holds = |set: &[u64], c: u32| set[c as usize / 64] >> (c % 64) & 1 == 1;
         let position = |c: u32| chain.map_or(u16::MAX, |chain| chain.position[c as usize]);
         // Some closing touches `sink_side`.
         let mut closes_sink_side = false;
@@ -358,11 +395,41 @@ impl LoweredChip {
 
     /// Whether every edge at cell `c` is a valve that `vector` commands
     /// closed.
-    fn sealed(&self, vector: &TestVector, c: u32) -> bool {
+    pub(crate) fn sealed(&self, vector: &TestVector, c: u32) -> bool {
         let c = c as usize;
         self.adj_gate[self.adj_start[c] as usize..self.adj_start[c + 1] as usize]
             .iter()
             .all(|&gate| gate != OPEN_GATE && !vector.is_open(ValveId(gate as usize)))
+    }
+
+    /// Writes into `mask` the vectors of `suite` at which a sweep visits
+    /// the scenario `faults`, bit `i % 64` of word `i / 64` for vector `i`:
+    /// the OR of its faults' relevance masks, with the dead-end masks of
+    /// its stuck-at-1 faults when two of them meet at a cell.
+    fn relevance_mask(&self, suite: &TestSuite, faults: &[Fault], mask: &mut [u64]) {
+        let dead_ends = self.stuck_open_valves_meet(faults);
+        for (block, word) in mask.iter_mut().enumerate() {
+            *word = faults.iter().fold(0, |word, &fault| {
+                word | suite.relevance(fault, block, dead_ends)
+            });
+        }
+    }
+
+    /// Whether two stuck-at-1 faults among `faults` sit on valves that
+    /// share an endpoint cell: only then may a scenario's dead-end
+    /// openings change a reading (see "Relevance masks" in the module
+    /// docs).
+    fn stuck_open_valves_meet(&self, faults: &[Fault]) -> bool {
+        faults.iter().enumerate().any(|(k, &fault)| {
+            let Fault::StuckAt1(a) = fault else {
+                return false;
+            };
+            let [a0, a1] = self.valve_cells[a.index()];
+            faults[k + 1..].iter().any(|&other| {
+                matches!(other, Fault::StuckAt1(b)
+                    if self.valve_cells[b.index()].iter().any(|&c| c == a0 || c == a1))
+            })
+        })
     }
 
     /// Whether some change among `faults` on a valve other than `valve`
@@ -432,6 +499,12 @@ fn change(vector: &TestVector, fault: Fault, faults: &[Fault]) -> Option<Change>
     }
 }
 
+/// Whether cell `c` lies in `set`, a bitset over dense cell indices (bit
+/// `c % 64` of word `c / 64`).
+pub(crate) fn holds(set: &[u64], c: u32) -> bool {
+    set[c as usize / 64] >> (c % 64) & 1 == 1
+}
+
 /// The first vector at or after `from` whose bit is set in `mask`, a
 /// bitset over vectors (bit `i % 64` of word `i / 64` for vector `i`).
 fn next_visit(mask: &[u64], from: usize) -> Option<usize> {
@@ -446,7 +519,7 @@ fn next_visit(mask: &[u64], from: usize) -> Option<usize> {
 
 /// The valve whose effective state `fault` can change: a stuck-at
 /// fault's own valve, a control leak's victim.
-fn changed_valve(fault: Fault) -> ValveId {
+pub(crate) fn changed_valve(fault: Fault) -> ValveId {
     match fault {
         Fault::StuckAt0(v) | Fault::StuckAt1(v) => v,
         Fault::ControlLeak { victim, .. } => victim,
@@ -752,11 +825,7 @@ impl<'c> BitSimulator<'c> {
         // Per vector, the undetected scenarios to visit there next.
         let mut visits: Vec<Vec<usize>> = vec![Vec::new(); suite.len()];
         for (s, mask) in masks.chunks_exact_mut(words.max(1)).enumerate() {
-            for (block, word) in mask.iter_mut().enumerate() {
-                for &fault in scenarios[s].as_ref() {
-                    *word |= suite.relevance(fault, block);
-                }
-            }
+            chip.relevance_mask(suite, scenarios[s].as_ref(), mask);
             if let Some(i) = next_visit(mask, 0) {
                 visits[i].push(s);
             }
@@ -814,11 +883,11 @@ impl<'c> BitSimulator<'c> {
     /// like [`BitSimulator::sweep`]'s. A lone stuck-at-0 is simulated
     /// exactly when it closes a valve touching the golden region, that is,
     /// at the vectors of its relevance mask: everywhere else it reads
-    /// golden. The pre-pass needs the faulty frontier to list partners, so
-    /// it ignores the cut rule, which decides many such stuck-at-0 faults
-    /// detected on chains without one. Vectors whose golden response
-    /// pressurises no sink are skipped: a stuck-at-0 only shrinks the
-    /// reach.
+    /// golden. The mask holds only vectors that pressurise a sink, since
+    /// elsewhere a stuck-at-0 only shrinks a dry region. The pre-pass needs
+    /// the faulty frontier to list partners, so it ignores the cut rule,
+    /// which decides many such stuck-at-0 faults detected on chains
+    /// without one.
     ///
     /// # Panics
     ///
@@ -846,15 +915,11 @@ impl<'c> BitSimulator<'c> {
                 chip.valve_count(),
                 "vector/chip size mismatch"
             );
-            if !golden.any_pressure() {
-                continue;
-            }
             packed.clear();
             packed.extend(
-                pending
-                    .iter()
-                    .copied()
-                    .filter(|&s| suite.relevance(scenarios[s][0], i / 64) >> (i % 64) & 1 == 1),
+                pending.iter().copied().filter(|&s| {
+                    suite.relevance(scenarios[s][0], i / 64, false) >> (i % 64) & 1 == 1
+                }),
             );
             if packed.is_empty() {
                 continue;
@@ -951,7 +1016,7 @@ mod tests {
     use super::*;
     use crate::fault::FaultSet;
     use crate::pressure::Pressure;
-    use fpva_grid::{layouts, FpvaBuilder, Side, TestVector, ValveId, ValveState};
+    use fpva_grid::{layouts, EdgeId, FpvaBuilder, Side, TestVector, ValveId, ValveState};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -1132,27 +1197,25 @@ mod tests {
     }
 
     /// The relevance masks are exact: on the same cases, every scenario
-    /// whose mask skips the vector is one the classifier reads golden
-    /// there.
+    /// whose mask skips the vector responds like the fault-free chip under
+    /// scalar `respond`.
     #[test]
     fn masked_out_scenarios_read_golden() {
         let (mut skipped, mut visited) = (0, 0);
         super::common::for_each_classifier_case(|f, vector, sets| {
             let chip = LoweredChip::build(f);
             let suite = TestSuite::new(f, vec![vector.clone()]);
+            let mut mask = [0];
             for set in sets {
-                let mask = set
-                    .faults()
-                    .iter()
-                    .fold(0, |mask, &fault| mask | suite.relevance(fault, 0));
-                if mask & 1 == 1 {
+                chip.relevance_mask(&suite, set.faults(), &mut mask);
+                if mask[0] & 1 == 1 {
                     visited += 1;
                     continue;
                 }
                 skipped += 1;
                 assert_eq!(
-                    chip.classify(&suite, 0, set.faults()),
-                    Outcome::ReadsGolden,
+                    crate::respond(f, vector, set),
+                    suite.expected()[0],
                     "{set:?} under {vector:?}"
                 );
             }
@@ -1160,6 +1223,174 @@ mod tests {
         assert!(
             skipped > 1000 && visited > 1000,
             "{skipped} skipped, {visited} visited"
+        );
+    }
+
+    /// A 2x2 array with the source at `(0, 0)`, sinks at `(0, 1)` and
+    /// `(1, 1)`, and its valves: top, bottom, left and right.
+    fn two_sinks() -> (Fpva, [ValveId; 4]) {
+        let f = FpvaBuilder::new(2, 2)
+            .port(0, 0, Side::West, PortKind::Source)
+            .port(0, 1, Side::East, PortKind::Sink)
+            .port(1, 1, Side::East, PortKind::Sink)
+            .build()
+            .unwrap();
+        let valves = [
+            EdgeId::horizontal(0, 0),
+            EdgeId::horizontal(1, 0),
+            EdgeId::vertical(0, 0),
+            EdgeId::vertical(0, 1),
+        ]
+        .map(|edge| f.valve_at(edge).unwrap());
+        (f, valves)
+    }
+
+    /// Visits the masks skip, skipped or visited as lemmas A and B say.
+    fn check_tight_mask_cases() {
+        let stuck = |faults: Vec<Fault>| FaultSet::try_from_faults(faults).unwrap();
+        // Lemma A: on a cut vector no sink is wet, so a stuck-at-0 or a
+        // leak that only closes a valve inside `R` is never visited.
+        let f = line3();
+        let mut cut = TestVector::all_open(f.valve_count());
+        cut.set(ValveId(1), ValveState::Closed);
+        let suite = TestSuite::new(&f, vec![cut.clone()]);
+        let chip = LoweredChip::build(&f);
+        for set in [
+            stuck(vec![Fault::StuckAt0(ValveId(0))]),
+            stuck(vec![Fault::ControlLeak {
+                actuator: ValveId(1),
+                victim: ValveId(0),
+            }]),
+        ] {
+            let mut mask = [0];
+            chip.relevance_mask(&suite, set.faults(), &mut mask);
+            assert_eq!(mask, [0], "{set:?}");
+            assert_eq!(crate::respond(&f, &cut, &set), suite.expected()[0]);
+        }
+        // Lemma B: the path vector opens the top valve, so the left valve
+        // leads from `R` into the sealed cell `(1, 0)` off the sink side,
+        // and the right valve into the sealed sink cell `(1, 1)`.
+        let (f, [top, bottom, left, right]) = two_sinks();
+        let vector = TestVector::from_open_valves(f.valve_count(), [top]);
+        let suite = TestSuite::new(&f, vec![vector.clone()]);
+        let chip = LoweredChip::build(&f);
+        let mut sim = BitSimulator::new(&chip);
+        let alone = stuck(vec![Fault::StuckAt1(left)]);
+        let meeting = stuck(vec![Fault::StuckAt1(left), Fault::StuckAt1(bottom)]);
+        let into_sink = stuck(vec![Fault::StuckAt1(right)]);
+        let mut mask = [0];
+        chip.relevance_mask(&suite, alone.faults(), &mut mask);
+        assert_eq!(mask, [0], "one opening into a dead end is skipped");
+        assert_eq!(crate::respond(&f, &vector, &alone), suite.expected()[0]);
+        // A second stuck-at-1 at `(1, 0)` carries the pressure on to the
+        // second sink: the pair is visited and detected.
+        chip.relevance_mask(&suite, meeting.faults(), &mut mask);
+        assert_eq!(mask, [1], "two openings at one sealed cell are visited");
+        assert_ne!(crate::respond(&f, &vector, &meeting), suite.expected()[0]);
+        // A sealed sink cell is no dead end.
+        chip.relevance_mask(&suite, into_sink.faults(), &mut mask);
+        assert_eq!(mask, [1], "an opening into a sealed sink is visited");
+        assert_eq!(
+            sim.sweep(&suite, &[alone, meeting, into_sink]),
+            [false, true, true]
+        );
+    }
+
+    /// Checks that every visit the relevance masks skip responds golden
+    /// under scalar `respond`, on `chips` chips from `random_chip` with
+    /// valves, each under a suite of four walk vectors and four random
+    /// ones. Per walk vector come 64 fault sets drawn toward its golden
+    /// region and 64 uniform ones, each checked at all eight vectors.
+    /// Returns the skipped visits at which a closing touches `R` (lemma
+    /// A's) and those at which an opening crosses `R` into a dead end
+    /// (lemma B's), and the visits the dead-end masks add that detect
+    /// their scenario.
+    fn check_tight_masks(chips: usize, seed: u64) -> [usize; 3] {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (mut by_a, mut by_b, mut meeting) = (0, 0, 0);
+        for _ in 0..chips {
+            let f = loop {
+                let f = super::common::random_chip(&mut rng);
+                if f.valve_count() > 0 {
+                    break f;
+                }
+            };
+            let chip = LoweredChip::build(&f);
+            let leaks = crate::ObservableLeaks::build(&f);
+            let walks: Vec<TestVector> = (0..4)
+                .map(|_| super::common::walk_vector(&f, &mut rng))
+                .collect();
+            let mut vectors = walks.clone();
+            vectors.extend(random_vectors(&f, &mut rng, 2).into_iter().take(4));
+            let suite = TestSuite::new(&f, vectors);
+            let mut sets = Vec::new();
+            for walk in &walks {
+                sets.extend(super::common::region_fault_sets(&f, walk, &mut rng));
+                sets.extend((0..64).map(|k| {
+                    let count = (k % 5 + 1).min(f.valve_count());
+                    crate::campaign::random_fault_set_from(&f, &mut rng, count, &leaks)
+                }));
+            }
+            let golden: Vec<Pressure> = suite
+                .vectors()
+                .iter()
+                .map(|v| crate::propagate(&f, v, &FaultSet::new()))
+                .collect();
+            let mut mask = [0];
+            for set in &sets {
+                chip.relevance_mask(&suite, set.faults(), &mut mask);
+                let plain = set
+                    .faults()
+                    .iter()
+                    .fold(0, |word, &fault| word | suite.relevance(fault, 0, false));
+                for (i, vector) in suite.vectors().iter().enumerate() {
+                    let reads_golden = crate::respond(&f, vector, set) == suite.expected()[i];
+                    if mask[0] >> i & 1 == 1 {
+                        meeting += usize::from(plain >> i & 1 == 0 && !reads_golden);
+                        continue;
+                    }
+                    assert!(
+                        reads_golden,
+                        "skipped but detected: {set:?} under {vector:?}"
+                    );
+                    let (mut closes, mut crosses) = (false, false);
+                    for &fault in set.faults() {
+                        let v = changed_valve(fault);
+                        let (a, b) = f.valve_endpoints(v);
+                        let (a, b) = (golden[i].at(a), golden[i].at(b));
+                        if matches!(fault, Fault::StuckAt1(_)) {
+                            crosses |= !vector.is_open(v) && a != b;
+                        } else {
+                            closes |= vector.is_open(v) && (a || b);
+                        }
+                    }
+                    by_a += usize::from(closes);
+                    by_b += usize::from(crosses);
+                }
+            }
+        }
+        [by_a, by_b, meeting]
+    }
+
+    /// The tightened masks skip only visits that cannot change a reading:
+    /// the cases of lemmas A and B, then random multi-port chips.
+    #[test]
+    fn tight_masks_skip_only_golden_visits() {
+        check_tight_mask_cases();
+        let [by_a, by_b, meeting] = check_tight_masks(100, 0x7167);
+        assert!(
+            by_a > 5000 && by_b > 20_000 && meeting > 500,
+            "lemma A skipped {by_a}, lemma B {by_b}; dead ends detected {meeting}"
+        );
+    }
+
+    #[test]
+    #[ignore = "release-only: scalar responses of every visit on 4000 chips"]
+    fn tight_masks_skip_only_golden_visits_at_scale() {
+        let [by_a, by_b, meeting] = check_tight_masks(4000, 0x7168);
+        assert!(
+            by_a > 200_000 && by_b > 800_000 && meeting > 20_000,
+            "lemma A skipped {by_a}, lemma B {by_b}; dead ends detected {meeting}"
         );
     }
 

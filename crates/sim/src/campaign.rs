@@ -18,7 +18,7 @@ use crate::fault::{Fault, FaultSet};
 use crate::suite::TestSuite;
 use fpva_grid::{Fpva, TestVector, ValveId, ValveState};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 /// Whether a control-leak `(actuator → victim)` is observable at all by
 /// pressure metering: with the actuator closed, some source→sink pressure
@@ -135,14 +135,12 @@ impl ObservableLeaks {
     /// sources reach one victim endpoint and the sinks reach the other.
     pub(crate) fn par_build_lowered(fpva: &Fpva, threads: usize, chip: &LoweredChip) -> Self {
         const PAIR_CHUNK: usize = 4 * LANES;
-        let candidates: Vec<(ValveId, ValveId)> = fpva
-            .valves()
-            .flat_map(|(actuator, _)| {
-                fpva.valve_neighbors(actuator)
-                    .into_iter()
-                    .map(move |victim| (actuator, victim))
-            })
-            .collect();
+        let mut candidates: Vec<(ValveId, ValveId)> = Vec::new();
+        let mut neighbors = Vec::new();
+        for (actuator, _) in fpva.valves() {
+            fpva.valve_neighbors_into(actuator, &mut neighbors);
+            candidates.extend(neighbors.iter().map(|&victim| (actuator, victim)));
+        }
         let chunks = exec::run_chunked(threads, candidates.len(), PAIR_CHUNK, |range| {
             let mut fwd = BitFrontier::new(chip.cell_count());
             let mut bwd = BitFrontier::new(chip.cell_count());
@@ -357,6 +355,9 @@ impl CampaignRow {
 /// counted unobservable redraws as failures — could spuriously panic on
 /// leak-heavy small arrays.
 ///
+/// The campaign draws its trials with the same drawer, so a trial's fault
+/// set is this function's result for the RNG seeded by [`trial_seed`].
+///
 /// # Panics
 ///
 /// Panics if the array has no valves, if `count` exceeds the number of
@@ -369,49 +370,125 @@ pub fn random_fault_set_from(
     count: usize,
     leaks: &ObservableLeaks,
 ) -> FaultSet {
-    let nv = fpva.valve_count();
-    assert!(nv > 0, "cannot inject faults into an array without valves");
-    let n_leaks = leaks.len();
-    assert!(
-        count <= nv + n_leaks,
-        "cannot build {count} distinct compatible faults: this array supports \
-         at most {nv} stuck-at faults plus {n_leaks} observable leaks"
-    );
-    let mut faults: Vec<Fault> = Vec::with_capacity(count);
-    let mut stalled = 0usize;
-    while faults.len() < count {
-        assert!(
-            stalled < 10_000 * (count + 1),
-            "fault drawing made no progress for {stalled} attempts \
-             (requested {count} of at most {})",
-            nv + n_leaks
-        );
-        let kind = if n_leaks > 0 {
-            rng.gen_range(0..5)
-        } else {
-            rng.gen_range(0..4)
-        };
-        let fault = match kind {
-            0 | 1 => Fault::StuckAt0(ValveId(rng.gen_range(0..nv))),
-            2 | 3 => Fault::StuckAt1(ValveId(rng.gen_range(0..nv))),
-            _ => {
-                let (actuator, victim) = leaks.pairs()[rng.gen_range(0..n_leaks)];
-                Fault::ControlLeak { actuator, victim }
-            }
-        };
-        let conflict = match fault {
-            Fault::StuckAt0(v) => faults.contains(&Fault::StuckAt1(v)),
-            Fault::StuckAt1(v) => faults.contains(&Fault::StuckAt0(v)),
-            Fault::ControlLeak { .. } => false,
-        };
-        if conflict || faults.contains(&fault) {
-            stalled += 1;
-            continue;
-        }
-        stalled = 0;
-        faults.push(fault);
-    }
+    let mut faults = Vec::with_capacity(count);
+    Drawer::new(fpva, count, leaks).draw(rng, &mut faults);
     FaultSet::try_from_faults(faults).expect("construction avoids conflicts")
+}
+
+/// Uniform samples from `0..span` by rejection, with the rejection zone
+/// computed once: each sample consumes the same random words and returns
+/// the same value as `rng.gen_range(0..span)`.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    span: u64,
+    /// The largest accepted word: the zone below it is a whole number of
+    /// spans, so `word % span` is unbiased.
+    zone: u64,
+}
+
+impl Span {
+    /// # Panics
+    ///
+    /// Panics if `span` is zero.
+    fn new(span: usize) -> Self {
+        let span = span as u64;
+        Span {
+            span,
+            zone: u64::MAX - (u64::MAX - span + 1) % span,
+        }
+    }
+
+    fn sample(self, rng: &mut impl RngCore) -> usize {
+        loop {
+            let word = rng.next_u64();
+            if word <= self.zone {
+                return (word % self.span) as usize;
+            }
+        }
+    }
+}
+
+/// Draws fault sets of one size on one chip (see
+/// [`random_fault_set_from`]), appending each set's faults to a caller's
+/// buffer; the spans of the fault kinds, the valves and the leak table
+/// are set up once per drawer.
+#[derive(Debug)]
+struct Drawer<'a> {
+    count: usize,
+    /// Distinct compatible faults the chip supports.
+    capacity: usize,
+    kinds: Span,
+    valves: Span,
+    leaks: &'a [(ValveId, ValveId)],
+    /// The leak table's span, when it is not empty.
+    leak: Option<Span>,
+}
+
+impl<'a> Drawer<'a> {
+    /// # Panics
+    ///
+    /// Panics if the array has no valves, or if `count` exceeds the
+    /// number of distinct compatible faults the chip supports.
+    fn new(fpva: &Fpva, count: usize, leaks: &'a ObservableLeaks) -> Self {
+        let nv = fpva.valve_count();
+        assert!(nv > 0, "cannot inject faults into an array without valves");
+        let n_leaks = leaks.len();
+        assert!(
+            count <= nv + n_leaks,
+            "cannot build {count} distinct compatible faults: this array supports \
+             at most {nv} stuck-at faults plus {n_leaks} observable leaks"
+        );
+        Drawer {
+            count,
+            capacity: nv + n_leaks,
+            kinds: Span::new(if n_leaks > 0 { 5 } else { 4 }),
+            valves: Span::new(nv),
+            leaks: leaks.pairs(),
+            leak: (n_leaks > 0).then(|| Span::new(n_leaks)),
+        }
+    }
+
+    /// Appends one fault set of `count` distinct compatible faults to
+    /// `out`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if drawing stalls without progress for an implausible
+    /// number of consecutive attempts.
+    fn draw(&self, rng: &mut impl RngCore, out: &mut Vec<Fault>) {
+        let start = out.len();
+        let mut stalled = 0usize;
+        while out.len() - start < self.count {
+            assert!(
+                stalled < 10_000 * (self.count + 1),
+                "fault drawing made no progress for {stalled} attempts \
+                 (requested {} of at most {})",
+                self.count,
+                self.capacity
+            );
+            let fault = match self.kinds.sample(rng) {
+                0 | 1 => Fault::StuckAt0(ValveId(self.valves.sample(rng))),
+                2 | 3 => Fault::StuckAt1(ValveId(self.valves.sample(rng))),
+                _ => {
+                    let leak = self.leak.expect("leaks are drawn only from a table");
+                    let (actuator, victim) = self.leaks[leak.sample(rng)];
+                    Fault::ControlLeak { actuator, victim }
+                }
+            };
+            let drawn = &out[start..];
+            let conflict = match fault {
+                Fault::StuckAt0(v) => drawn.contains(&Fault::StuckAt1(v)),
+                Fault::StuckAt1(v) => drawn.contains(&Fault::StuckAt0(v)),
+                Fault::ControlLeak { .. } => false,
+            };
+            if conflict || drawn.contains(&fault) {
+                stalled += 1;
+                continue;
+            }
+            stalled = 0;
+            out.push(fault);
+        }
+    }
 }
 
 /// Runs the full campaign: for every entry of
@@ -457,9 +534,11 @@ pub fn run_in(
 }
 
 /// One campaign row: the trials go in [`SWEEP_CHUNK`]-trial chunks, each
-/// drawn with its per-trial RNGs and pushed through one vector-major
-/// sweep. The chunk size is fixed, so the decomposition never affects the
-/// row: detection is per trial and escapes merge in trial order.
+/// drawn with its per-trial RNGs into one flat buffer and pushed through
+/// one vector-major sweep over its slices; only a recorded escape becomes
+/// a [`FaultSet`]. The chunk size is fixed, so the decomposition never
+/// affects the row: detection is per trial and escapes merge in trial
+/// order.
 fn run_row(
     fpva: &Fpva,
     suite: &TestSuite,
@@ -468,11 +547,14 @@ fn run_row(
     fault_count: usize,
 ) -> (CampaignRow, KernelStats) {
     let chunks = exec::run_chunked(config.threads, config.trials, SWEEP_CHUNK, |trials| {
-        let sets: Vec<FaultSet> = trials
-            .map(|trial| {
-                let mut rng = StdRng::seed_from_u64(trial_seed(config.seed, fault_count, trial));
-                random_fault_set_from(fpva, &mut rng, fault_count, ctx.leaks())
-            })
+        let drawer = Drawer::new(fpva, fault_count, ctx.leaks());
+        let mut faults = Vec::with_capacity(trials.len() * fault_count);
+        for trial in trials.clone() {
+            let mut rng = StdRng::seed_from_u64(trial_seed(config.seed, fault_count, trial));
+            drawer.draw(&mut rng, &mut faults);
+        }
+        let sets: Vec<&[Fault]> = (0..trials.len())
+            .map(|t| &faults[t * fault_count..][..fault_count])
             .collect();
         let mut sim = BitSimulator::new(ctx.lowered());
         let verdicts = sim.sweep(suite, &sets);
@@ -482,7 +564,7 @@ fn run_row(
             if hit {
                 detected += 1;
             } else if escapes.len() < MAX_RECORDED_ESCAPES {
-                escapes.push(set);
+                escapes.push(set.iter().copied().collect());
             }
         }
         (detected, escapes, sim.stats())
@@ -537,6 +619,21 @@ mod tests {
             let set = random_fault_set_from(&f, &mut rng, 5, &leaks);
             // try_from_faults re-validates.
             assert!(FaultSet::try_from_faults(set.faults().to_vec()).is_ok());
+        }
+    }
+
+    /// A span consumes the same random words and returns the same values
+    /// as `gen_range`, so the campaign draws the fault sets that per-call
+    /// sampling drew; the last two spans reject about a quarter and half
+    /// of all words.
+    #[test]
+    fn spans_sample_like_gen_range() {
+        for span in [1, 4, 5, 39, 1704, 3 << 62, (1 << 63) + 1] {
+            let mut ours = StdRng::seed_from_u64(span as u64);
+            let mut theirs = ours.clone();
+            for _ in 0..200 {
+                assert_eq!(Span::new(span).sample(&mut ours), theirs.gen_range(0..span));
+            }
         }
     }
 

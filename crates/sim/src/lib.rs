@@ -74,11 +74,15 @@
 //! [`bitsim::SWEEP_CHUNK`] = 2048 scenarios (consecutive campaign trials
 //! or audit faults) and walks the suite once. Each scenario is visited
 //! only at the vectors of its relevance mask, the OR of per-valve masks
-//! that [`TestSuite`] keeps: the vectors at which one of its closings
-//! touches the golden pressure region `R` or one of its openings crosses
-//! it. Everywhere else it reads golden. At a visit, what the suite keeps
-//! of the vector decides what it can: `R`, the sink side `S` (the cells
-//! joined to a sink port by commanded-open edges) and, when `R` is a
+//! that [`TestSuite`] keeps: the vectors that pressurise a sink and at
+//! which one of its closings touches the golden pressure region `R`, and
+//! those at which one of its openings crosses `R`. An opening into a *dead
+//! end*, a cell that holds no sink and whose every edge is a
+//! commanded-closed valve, counts only when two of the scenario's
+//! stuck-at-1 valves share a cell, since only then can pressure leave the
+//! dead end. Everywhere else it reads golden. At a visit, what the suite
+//! keeps of the vector decides what it can: `R`, the sink side `S` (the
+//! cells joined to a sink port by commanded-open edges) and, when `R` is a
 //! chain of channel components as on flow-path and leakage vectors, each
 //! cell's position along it. A scenario *reads golden* when no valve it
 //! closes touches `R`, and every valve it opens that touches `R` either
@@ -93,11 +97,12 @@
 //! cut. Only the scenarios left undecided are packed, 64 per word pass,
 //! with only the occupied lanes seeded at the sources and compared at the
 //! sinks; the others move on to their next visit, or out of the sweep,
-//! unsimulated. The [`bitsim`] module docs give the rules in full and why
-//! each is exact. On the 30×30 campaign bench (2048 three-fault trials)
-//! this leaves 46 word passes for the chunk's 32 blocks, where the
-//! regions without chain positions left 70 and packing every scenario
-//! that changes a valve touching `R` took 121.
+//! unsimulated. The [`bitsim`] module docs give the rules and the masks in
+//! full and why each is exact. On the 30×30 campaign bench (2048
+//! three-fault trials) this leaves 18 word passes for the chunk's 32
+//! blocks, where masks with closings at every vector left 46, the regions
+//! without chain positions 70, and packing every scenario that changes a
+//! valve touching `R` took 121.
 //!
 //! [`KernelStats`] counts the sweep's work: `blocks` are the input's
 //! 64-scenario blocks (`⌈n / 64⌉` per sweep of `n` scenarios), `lanes`
@@ -121,13 +126,13 @@
 //!
 //! The audit therefore splits the stuck-at-0 valves into fixed chunks of
 //! [`audit::VALVE_CHUNK`] and runs a pre-pass per chunk that packs the
-//! stuck-at-0 faults 64 per word pass, like a sweep, skipping vectors whose
-//! golden response pressurises no sink (a stuck-at-0 only shrinks the
-//! reach). A lone stuck-at-0 is packed exactly at the vectors of its
-//! relevance mask, where it closes a valve touching `R`; elsewhere it
-//! reads golden. The pre-pass needs its faulty frontier to list partners,
-//! so it ignores the chain cut, which would decide many of these
-//! stuck-at-0 faults detected without one. When a vector first detects a
+//! stuck-at-0 faults 64 per word pass, like a sweep. A lone stuck-at-0 is
+//! packed exactly at the vectors of its relevance mask, which pressurise a
+//! sink and at which it closes a valve touching `R`; elsewhere it reads
+//! golden (where no sink is wet, a stuck-at-0 only shrinks a dry region).
+//! The pre-pass needs its faulty frontier to list partners, so it ignores
+//! the chain cut, which would decide many of these stuck-at-0 faults
+//! detected without one. When a vector first detects a
 //! lane, the lane's partner list is scattered from the frontier: the
 //! commanded-closed valves with exactly one endpoint reached in that lane.
 //! Later detections filter the list the same way, and a lane stays in the

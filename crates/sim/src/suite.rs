@@ -1,6 +1,6 @@
 //! A test-vector suite with pre-computed golden responses.
 
-use crate::bitsim::{LoweredChip, OPEN_GATE};
+use crate::bitsim::{changed_valve, holds, LoweredChip, OPEN_GATE};
 use crate::fault::{Fault, FaultSet};
 use crate::pressure::{respond, Response};
 use fpva_grid::{Fpva, TestVector, ValveId};
@@ -27,13 +27,18 @@ use fpva_grid::{Fpva, TestVector, ValveId};
 ///   when some sink lies at a position above 0 and every position below
 ///   the last sink's is joined to the next by exactly one open valve, as
 ///   on flow-path and leakage vectors;
-/// * per valve, two *relevance masks* over the vectors: those that command
-///   it open with its endpoints in `R`, so closing it touches `R`, and
-///   those that command it closed with exactly one endpoint in `R`, so
-///   opening it crosses `R`.
+/// * per valve, three *relevance masks* over the vectors: the *closing*
+///   mask, the vectors that pressurise a sink and command the valve open
+///   with its endpoints in `R`, so closing it touches `R`; the *opening*
+///   mask, those that command it closed with exactly one endpoint in `R`,
+///   so opening it crosses `R`, except where its far cell is a *dead end*:
+///   sealed (every edge at it a valve the vector commands closed) and
+///   outside `S`. Those vectors form the *dead-end* mask.
 ///
 /// All of it comes from one flood from the sources and one from the sinks
 /// per vector, over the chip lowered once per [`TestSuite::extend`] call.
+/// Why the masks leave out only visits that cannot change a reading is in
+/// "Relevance masks" in [`crate::bitsim`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TestSuite {
     vectors: Vec<TestVector>,
@@ -47,12 +52,19 @@ pub struct TestSuite {
     /// Per vector, its golden region's chain positions when it is a chain.
     chains: Vec<Option<Chain>>,
     /// The valves' relevance masks in blocks of 64 vectors: entry
-    /// `block * valves + v` holds valve `v`'s closing and opening masks
-    /// over vectors `64 * block ..`, bit `i % 64` for vector `i`.
-    masks: Vec<[u64; 2]>,
+    /// `block * valves + v` holds valve `v`'s closing, opening and
+    /// dead-end masks over vectors `64 * block ..`, bit `i % 64` for
+    /// vector `i`.
+    masks: Vec<[u64; 3]>,
     /// Valves of the chip the suite was built for.
     valves: usize,
 }
+
+/// Indices of a valve's closing, opening and dead-end masks in an entry of
+/// [`TestSuite::masks`](TestSuite).
+const CLOSING: usize = 0;
+const OPENING: usize = 1;
+const DEAD_END: usize = 2;
 
 /// The chain positions of a golden region that is a chain (see
 /// [`TestSuite`] and "Cutting chains" in [`crate::bitsim`]).
@@ -115,18 +127,20 @@ impl TestSuite {
         self.chains[i].as_ref()
     }
 
-    /// The vectors `64 * block ..` at which `fault` can change a valve
-    /// touching the golden region, bit `i % 64` for vector `i`: a
-    /// stuck-at-0's closing mask, a stuck-at-1's opening mask and a
-    /// control leak's victim's closing mask (a superset of the vectors
-    /// that also command its actuator closed).
-    pub(crate) fn relevance(&self, fault: Fault, block: usize) -> u64 {
-        let (valve, opening) = match fault {
-            Fault::StuckAt0(v) | Fault::ControlLeak { victim: v, .. } => (v, false),
-            Fault::StuckAt1(v) => (v, true),
-        };
+    /// The vectors `64 * block ..` at which `fault` can change a reading,
+    /// bit `i % 64` for vector `i`: a stuck-at-0's closing mask, a
+    /// stuck-at-1's opening mask, with its dead-end mask when `dead_ends`,
+    /// and a control leak's victim's closing mask (a superset of the
+    /// vectors that also command its actuator closed).
+    pub(crate) fn relevance(&self, fault: Fault, block: usize, dead_ends: bool) -> u64 {
+        let valve = changed_valve(fault);
         assert!(valve.index() < self.valves, "{valve} outside the chip");
-        self.masks[block * self.valves + valve.index()][usize::from(opening)]
+        let masks = self.masks[block * self.valves + valve.index()];
+        match fault {
+            Fault::StuckAt1(_) if dead_ends => masks[OPENING] | masks[DEAD_END],
+            Fault::StuckAt1(_) => masks[OPENING],
+            _ => masks[CLOSING],
+        }
     }
 
     /// Number of vectors (the paper's `N` when the suite is complete).
@@ -157,15 +171,25 @@ impl TestSuite {
             );
             let i = self.vectors.len();
             if i.is_multiple_of(64) {
-                self.masks.resize(self.masks.len() + self.valves, [0; 2]);
+                self.masks.resize(self.masks.len() + self.valves, [0; 3]);
             }
+            let chain = floods.flood_sources(&chip, &vector);
+            let expected = floods.response(&chip);
+            let sink_side = floods.flood_sinks(&chip, &vector);
             let masks = &mut self.masks[i / 64 * self.valves..];
-            let chain = floods.flood_sources(&chip, &vector, |v, opening| {
-                masks[v][usize::from(opening)] |= 1 << (i % 64);
-            });
-            self.expected.push(floods.response(&chip));
+            let bit = 1 << (i % 64);
+            if expected.any_pressure() {
+                for &v in &floods.open {
+                    masks[v as usize][CLOSING] |= bit;
+                }
+            }
+            for &(v, y) in &floods.crossing {
+                let dead_end = !holds(&sink_side, y) && chip.sealed(&vector, y);
+                masks[v as usize][if dead_end { DEAD_END } else { OPENING }] |= bit;
+            }
+            self.expected.push(expected);
             self.reach.push(floods.reach());
-            self.sink_side.push(floods.flood_sinks(&chip, &vector));
+            self.sink_side.push(sink_side);
             self.chains.push(chain);
             self.vectors.push(vector);
         }
@@ -206,9 +230,12 @@ struct Floods {
     joins: Vec<u32>,
     /// The cells beyond the open valves of the current position.
     entered: Vec<u32>,
-    /// The commanded-closed valves from the region to cells not reached
-    /// when the flood passed them, with those cells.
-    closed: Vec<(u32, u32)>,
+    /// The commanded-open valves with an endpoint in the golden region,
+    /// once per such endpoint.
+    open: Vec<u32>,
+    /// The commanded-closed valves with exactly one endpoint in the golden
+    /// region, with their far cells.
+    crossing: Vec<(u32, u32)>,
     /// The sink-side flood's worklist.
     stack: Vec<u32>,
 }
@@ -220,28 +247,25 @@ impl Floods {
             region: Vec::new(),
             joins: Vec::new(),
             entered: Vec::new(),
-            closed: Vec::new(),
+            open: Vec::new(),
+            crossing: Vec::new(),
             stack: Vec::new(),
         }
     }
 
     /// Floods `vector`'s golden region from the sources, position by
     /// position: channel edges keep a cell's position, commanded-open
-    /// valves add one. Reports each valve at which a closing touches the
-    /// region as `mask(v, false)` and each at which an opening crosses it
-    /// as `mask(v, true)`, and returns the chain positions when the region
-    /// is a chain.
-    fn flood_sources(
-        &mut self,
-        chip: &LoweredChip,
-        vector: &TestVector,
-        mut mask: impl FnMut(usize, bool),
-    ) -> Option<Chain> {
+    /// valves add one. Lists the valves at which a closing touches the
+    /// region in `open` and those at which an opening crosses it in
+    /// `crossing`, and returns the chain positions when the region is a
+    /// chain.
+    fn flood_sources(&mut self, chip: &LoweredChip, vector: &TestVector) -> Option<Chain> {
         const OFF: u32 = u32::MAX;
         self.position.fill(OFF);
         self.region.clear();
         self.joins.clear();
-        self.closed.clear();
+        self.open.clear();
+        self.crossing.clear();
         for &s in chip.source_cells() {
             self.position[s as usize] = 0;
             self.region.push(s);
@@ -261,14 +285,14 @@ impl Floods {
                             self.region.push(next);
                         }
                     } else if vector.is_open(ValveId(gate as usize)) {
-                        mask(gate as usize, false);
+                        self.open.push(gate);
                         if far == OFF {
                             self.entered.push(next);
                         } else if far + 1 == level {
                             self.joins[far as usize] += 1;
                         }
                     } else if far == OFF {
-                        self.closed.push((gate, next));
+                        self.crossing.push((gate, next));
                     }
                 }
                 k += 1;
@@ -285,11 +309,10 @@ impl Floods {
             level += 1;
             self.joins.push(0);
         }
-        for &(gate, next) in &self.closed {
-            if self.position[next as usize] == OFF {
-                mask(gate as usize, true);
-            }
-        }
+        // A valve listed before the flood reached its far cell lies inside.
+        let position = &self.position;
+        self.crossing
+            .retain(|&(_, next)| position[next as usize] == OFF);
         let last_sink = chip
             .sink_cells()
             .iter()
@@ -472,7 +495,8 @@ mod tests {
     }
 
     /// The relevance masks keep vectors 64 and up in a second block, and
-    /// extending a suite gives the masks of building it at once.
+    /// extending a suite gives the masks of building it at once. Closing
+    /// bits fall only on vectors that pressurise a sink.
     #[test]
     fn relevance_masks_span_blocks_of_64_vectors() {
         let f = line3();
@@ -490,20 +514,42 @@ mod tests {
             .collect();
         let suite = TestSuite::new(&f, vectors.clone());
         let evens = 0x5555_5555_5555_5555;
-        // Valve 0 is open with both cells pressurised under every vector.
-        assert_eq!(suite.relevance(Fault::StuckAt0(ValveId(0)), 0), !0);
-        assert_eq!(suite.relevance(Fault::StuckAt0(ValveId(0)), 1), 0b11_1111);
+        // Valve 0 is open with both cells pressurised under every vector,
+        // but only the even vectors wet the sink.
+        assert_eq!(
+            suite.relevance(Fault::StuckAt0(ValveId(0)), 0, false),
+            evens
+        );
+        assert_eq!(
+            suite.relevance(Fault::StuckAt0(ValveId(0)), 1, false),
+            0b01_0101
+        );
         // Valve 1 is open under the even vectors and crosses `R` closed
-        // under the odd ones; a leak onto it follows its closing mask.
-        assert_eq!(suite.relevance(Fault::StuckAt0(ValveId(1)), 0), evens);
-        assert_eq!(suite.relevance(Fault::StuckAt0(ValveId(1)), 1), 0b01_0101);
-        assert_eq!(suite.relevance(Fault::StuckAt1(ValveId(1)), 0), !evens);
-        assert_eq!(suite.relevance(Fault::StuckAt1(ValveId(1)), 1), 0b10_1010);
+        // under the odd ones, into the sink's cell: no dead end. A leak
+        // onto it follows its closing mask.
+        assert_eq!(
+            suite.relevance(Fault::StuckAt0(ValveId(1)), 0, false),
+            evens
+        );
+        assert_eq!(
+            suite.relevance(Fault::StuckAt0(ValveId(1)), 1, false),
+            0b01_0101
+        );
+        for dead_ends in [false, true] {
+            assert_eq!(
+                suite.relevance(Fault::StuckAt1(ValveId(1)), 0, dead_ends),
+                !evens
+            );
+            assert_eq!(
+                suite.relevance(Fault::StuckAt1(ValveId(1)), 1, dead_ends),
+                0b10_1010
+            );
+        }
         let leak = Fault::ControlLeak {
             actuator: ValveId(0),
             victim: ValveId(1),
         };
-        assert_eq!(suite.relevance(leak, 1), 0b01_0101);
+        assert_eq!(suite.relevance(leak, 1, false), 0b01_0101);
         let mut split = TestSuite::new(&f, vectors[..60].to_vec());
         split.extend(&f, vectors[60..].iter().cloned());
         assert_eq!(split, suite);
