@@ -87,7 +87,7 @@ pub(crate) fn ports(fpva: &Fpva) -> Result<(PortId, PortId), AtpgError> {
 }
 
 /// Resolves the source and sink ports whose cells are the endpoints of a
-/// routed path. [`path_through_edge`] routes between *arbitrary*
+/// routed path. [`Router::path_through_edge`] routes between *arbitrary*
 /// source/sink pairs, so callers must not assume the chip's first ports;
 /// on multi-port chips that assumption rejects (or mis-labels) every path
 /// that terminates elsewhere.
@@ -202,27 +202,6 @@ pub(crate) fn closed_edges(fpva: &Fpva, valves: &[ValveId]) -> Vec<bool> {
         closed[fpva.edge_index(fpva.edge_of(v))] = true;
     }
     closed
-}
-
-/// Routes a valid source→sink flow path through `edge` that crosses none
-/// of the `avoid` edges; see the [module documentation](self) for what
-/// "valid" means and how the path is built. `prefer` marks the valve
-/// edges the path should collect where it has a choice, and `rng` breaks
-/// ties among them.
-///
-/// Returns the cell sequence (first cell = a source-port cell, last = a
-/// sink-port cell), or `None` exactly when no valid path exists.
-///
-/// Builds a [`Router`] per call; callers routing many paths on one chip
-/// should build it once and call [`Router::path_through_edge`].
-pub fn path_through_edge(
-    fpva: &Fpva,
-    edge: EdgeId,
-    avoid: &[EdgeId],
-    prefer: &dyn Fn(EdgeId) -> bool,
-    rng: &mut impl Rng,
-) -> Option<Vec<CellId>> {
-    Router::new(fpva).path_through_edge(edge, avoid, prefer, rng)
 }
 
 /// One arc of the contracted graph: a valve between two open components.
@@ -404,7 +383,14 @@ impl<'a> Router<'a> {
         true
     }
 
-    /// The exact router behind [`path_through_edge`]; same contract.
+    /// Routes a valid source→sink flow path through `edge` that crosses
+    /// none of the `avoid` edges; see the [module documentation](self) for
+    /// what "valid" means and how the path is built. `prefer` marks the
+    /// valve edges the path should collect where it has a choice, and
+    /// `rng` breaks ties among them.
+    ///
+    /// Returns the cell sequence (first cell = a source-port cell, last =
+    /// a sink-port cell), or `None` exactly when no valid path exists.
     pub fn path_through_edge(
         &self,
         edge: EdgeId,
@@ -1041,7 +1027,8 @@ mod tests {
         let f = layouts::full_array(3, 3);
         let mut rng = StdRng::seed_from_u64(11);
         for (_, edge) in f.valves() {
-            let cells = path_through_edge(&f, edge, &[], &|_| false, &mut rng)
+            let cells = Router::new(&f)
+                .path_through_edge(edge, &[], &|_| false, &mut rng)
                 .unwrap_or_else(|| panic!("no path through {edge}"));
             assert!(
                 crosses(&f, &cells, edge),
@@ -1055,8 +1042,7 @@ mod tests {
         let f = layouts::full_array(1, 3);
         let mut rng = StdRng::seed_from_u64(5);
         // A 1x3 pipeline: avoiding edge 0 makes edge 1 unreachable.
-        let got = path_through_edge(
-            &f,
+        let got = Router::new(&f).path_through_edge(
             EdgeId::horizontal(0, 1),
             &[EdgeId::horizontal(0, 0)],
             &|_| false,
@@ -1123,7 +1109,8 @@ mod tests {
         let comps = open_components(&f);
         let mut rng = StdRng::seed_from_u64(2);
         for (_, edge) in f.valves() {
-            let cells = path_through_edge(&f, edge, &[], &|_| false, &mut rng)
+            let cells = Router::new(&f)
+                .path_through_edge(edge, &[], &|_| false, &mut rng)
                 .unwrap_or_else(|| panic!("no path through {edge}"));
             assert!(
                 components_contiguous(&f, &comps, &cells),
@@ -1141,12 +1128,13 @@ mod tests {
         let edge = EdgeId::vertical(0, 0);
         for seed in 0..8 {
             let mut rng = StdRng::seed_from_u64(seed);
-            let down =
-                path_through_edge(&f, edge, &[], &|e| e.axis == Axis::Vertical, &mut rng).unwrap();
+            let down = Router::new(&f)
+                .path_through_edge(edge, &[], &|e| e.axis == Axis::Vertical, &mut rng)
+                .unwrap();
             assert_eq!(down[2], CellId::new(2, 0), "preferred vertical step");
-            let across =
-                path_through_edge(&f, edge, &[], &|e| e.axis == Axis::Horizontal, &mut rng)
-                    .unwrap();
+            let across = Router::new(&f)
+                .path_through_edge(edge, &[], &|e| e.axis == Axis::Horizontal, &mut rng)
+                .unwrap();
             assert_eq!(across[2], CellId::new(1, 1), "preferred horizontal step");
         }
     }
@@ -1163,8 +1151,12 @@ mod tests {
             .unwrap();
         let mut rng = StdRng::seed_from_u64(1);
         let pocket = EdgeId::horizontal(0, 1);
-        assert!(path_through_edge(&f, pocket, &[], &|_| false, &mut rng).is_none());
-        assert!(path_through_edge(&f, EdgeId::vertical(0, 0), &[], &|_| false, &mut rng).is_some());
+        assert!(Router::new(&f)
+            .path_through_edge(pocket, &[], &|_| false, &mut rng)
+            .is_none());
+        assert!(Router::new(&f)
+            .path_through_edge(EdgeId::vertical(0, 0), &[], &|_| false, &mut rng)
+            .is_some());
     }
 
     #[test]
@@ -1182,7 +1174,9 @@ mod tests {
         let inner = EdgeId::vertical(1, 0);
         assert_eq!(f.edge_kind(inner), EdgeKind::Valve);
         let mut rng = StdRng::seed_from_u64(4);
-        assert!(path_through_edge(&f, inner, &[], &|_| false, &mut rng).is_none());
+        assert!(Router::new(&f)
+            .path_through_edge(inner, &[], &|_| false, &mut rng)
+            .is_none());
     }
 
     #[test]
@@ -1199,9 +1193,12 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         for col in 0..2 {
             let edge = EdgeId::horizontal(0, col);
-            assert!(path_through_edge(&f, edge, &[], &|_| false, &mut rng).is_none());
+            assert!(Router::new(&f)
+                .path_through_edge(edge, &[], &|_| false, &mut rng)
+                .is_none());
         }
-        let last = path_through_edge(&f, EdgeId::horizontal(0, 2), &[], &|_| false, &mut rng);
+        let last =
+            Router::new(&f).path_through_edge(EdgeId::horizontal(0, 2), &[], &|_| false, &mut rng);
         assert_eq!(last, Some(vec![CellId::new(0, 2), CellId::new(0, 3)]));
     }
 

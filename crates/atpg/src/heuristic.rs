@@ -119,35 +119,6 @@ pub(crate) fn cover_remaining(
     uncovered_final
 }
 
-/// Removes paths whose every valve is also covered by the other paths
-/// (scanning newest-first, which tends to keep the large early sweeps).
-pub fn prune_redundant(fpva: &Fpva, paths: Vec<FlowPath>) -> Vec<FlowPath> {
-    let mut keep: Vec<bool> = vec![true; paths.len()];
-    let valve_sets: Vec<Vec<ValveId>> = paths.iter().map(|p| p.valves(fpva)).collect();
-    for i in (0..paths.len()).rev() {
-        let mut counts = vec![0usize; fpva.valve_count()];
-        for (j, set) in valve_sets.iter().enumerate() {
-            if j != i && keep[j] {
-                for v in set {
-                    counts[v.index()] += 1;
-                }
-            }
-        }
-        // Path i is redundant when every valve it covers is covered elsewhere
-        // — unless it is the last remaining path (keep at least one).
-        let redundant =
-            !valve_sets[i].is_empty() && valve_sets[i].iter().all(|v| counts[v.index()] > 0);
-        if redundant && keep.iter().filter(|&&k| k).count() > 1 {
-            keep[i] = false;
-        }
-    }
-    paths
-        .into_iter()
-        .zip(keep)
-        .filter_map(|(p, k)| k.then_some(p))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -220,17 +191,6 @@ mod tests {
             .build()
             .unwrap();
         assert!(matches!(greedy_cover(&f, 3), Err(AtpgError::MissingPorts)));
-    }
-
-    #[test]
-    fn prune_drops_fully_shadowed_paths() {
-        let f = layouts::full_array(5, 5);
-        let mut paths = greedy_cover(&f, 17).unwrap().paths;
-        let n = paths.len();
-        // Duplicate the first path: the duplicate is redundant.
-        paths.push(paths[0].clone());
-        let pruned = prune_redundant(&f, paths);
-        assert_eq!(pruned.len(), n);
     }
 
     #[test]

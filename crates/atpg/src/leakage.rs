@@ -107,14 +107,10 @@ pub(crate) fn leakage_vectors_on(
     // lookup instead of a rescan of the whole queue per expanded edge.
     let mut todo: VecDeque<(ValveId, ValveId)> = VecDeque::new();
     let mut pending_victims = vec![0u32; fpva.valve_count()];
-    let mut neighbors = Vec::new();
-    for (a, _) in fpva.valves() {
-        fpva.valve_neighbors_into(a, &mut neighbors);
-        for &b in &neighbors {
-            if !covered(a, b) {
-                todo.push_back((a, b));
-                pending_victims[b.index()] += 1;
-            }
+    for (a, b) in fpva.valve_neighbor_pairs() {
+        if !covered(a, b) {
+            todo.push_back((a, b));
+            pending_victims[b.index()] += 1;
         }
     }
 

@@ -19,8 +19,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use fpva_atpg::Atpg;
 use fpva_grid::{layouts, Fpva};
 use fpva_sim::bitsim::SWEEP_CHUNK;
-use fpva_sim::campaign::{self, CampaignConfig, CampaignRow, ChipContext};
-use fpva_sim::TestSuite;
+use fpva_sim::campaign::{self, CampaignConfig, CampaignRow};
+use fpva_sim::{ObservableLeaks, TestSuite};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -33,7 +33,7 @@ fn oracle_row(
     fpva: &Fpva,
     suite: &TestSuite,
     config: &CampaignConfig,
-    ctx: &ChipContext,
+    leaks: &ObservableLeaks,
 ) -> CampaignRow {
     let fault_count = config.fault_counts[0];
     let mut row = CampaignRow {
@@ -44,7 +44,7 @@ fn oracle_row(
     };
     for trial in 0..config.trials {
         let mut rng = StdRng::seed_from_u64(campaign::trial_seed(config.seed, fault_count, trial));
-        let set = campaign::random_fault_set_from(fpva, &mut rng, fault_count, ctx.leaks());
+        let set = campaign::random_fault_set_from(fpva, &mut rng, fault_count, leaks);
         if suite.detects(fpva, &set) {
             row.detected += 1;
         } else if row.escapes.len() < campaign::MAX_RECORDED_ESCAPES {
@@ -58,7 +58,7 @@ fn bench_campaign(c: &mut Criterion) {
     let fpva = layouts::table1_30x30();
     let plan = Atpg::new().generate(&fpva).expect("valid layout");
     let suite = plan.to_suite(&fpva);
-    let ctx = ChipContext::build(&fpva);
+    let leaks = ObservableLeaks::build(&fpva);
     let config = CampaignConfig {
         trials: SWEEP_CHUNK,
         fault_counts: vec![3],
@@ -71,13 +71,13 @@ fn bench_campaign(c: &mut Criterion) {
             ..config.clone()
         };
         assert_eq!(
-            campaign::run_in(&fpva, &suite, &config, &ctx).0,
-            [oracle_row(&fpva, &suite, &config, &ctx)],
+            campaign::run_in(&fpva, &suite, &config, &leaks).0,
+            [oracle_row(&fpva, &suite, &config, &leaks)],
             "campaign rows must equal the scalar oracle's at fault count {fault_count}"
         );
     }
-    let oracle = || oracle_row(&fpva, &suite, &config, &ctx);
-    let kernel = || campaign::run_in(black_box(&fpva), &suite, &config, &ctx);
+    let oracle = || oracle_row(&fpva, &suite, &config, &leaks);
+    let kernel = || campaign::run_in(black_box(&fpva), &suite, &config, &leaks);
 
     let mut group = c.benchmark_group(format!("campaign_30x30_{SWEEP_CHUNK}_trials"));
     group.sample_size(10);

@@ -11,7 +11,7 @@
 //! 16) and `--threads N` spreads it over N workers (default: one per
 //! CPU; the rendered figure is identical for every thread count).
 
-use fpva_atpg::heuristic::{greedy_cover, prune_redundant};
+use fpva_atpg::heuristic::greedy_cover;
 use fpva_atpg::hierarchy::{hierarchical_cover, HierarchyConfig};
 use fpva_bench::{outln, render_paths, CliArgs};
 use fpva_grid::layouts;
@@ -39,7 +39,7 @@ fn main() {
             .map(|seed| {
                 let cover = greedy_cover(&f, 0xF18A ^ seed as u64).expect("full array has ports");
                 assert!(cover.is_complete(), "direct cover incomplete");
-                prune_redundant(&f, cover.paths)
+                cover.paths
             })
             .min_by_key(Vec::len)
             .expect("chunk is non-empty")

@@ -145,16 +145,6 @@ impl Fpva {
         self.indexer().index(e)
     }
 
-    /// The edge with the given dense index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= edge_count()`.
-    pub fn edge_at(&self, index: usize) -> EdgeId {
-        assert!(index < self.edge_count(), "edge index {index} out of range");
-        self.indexer().edge(index)
-    }
-
     /// Dense index of a cell, row-major.
     pub fn cell_index(&self, c: CellId) -> usize {
         debug_assert!(c.row < self.rows && c.col < self.cols);
@@ -327,6 +317,27 @@ impl Fpva {
         out.sort_unstable();
     }
 
+    /// Every ordered pair `(actuator, victim)` of adjacent valves, the
+    /// universe of control-leakage faults: actuators ascending, each one's
+    /// victims as [`Fpva::valve_neighbors`] lists them. One buffer serves
+    /// the whole scan.
+    pub fn valve_neighbor_pairs(&self) -> impl Iterator<Item = (ValveId, ValveId)> + '_ {
+        // A valve's endpoint cells have at most three other edges each.
+        let mut victims = Vec::with_capacity(6);
+        let (mut actuator, mut next) = (0, 0);
+        std::iter::from_fn(move || {
+            while next == victims.len() {
+                if actuator == self.valve_count() {
+                    return None;
+                }
+                self.valve_neighbors_into(ValveId(actuator), &mut victims);
+                (actuator, next) = (actuator + 1, 0);
+            }
+            next += 1;
+            Some((ValveId(actuator - 1), victims[next - 1]))
+        })
+    }
+
     /// Cells on the chip boundary, clockwise starting at `(0, 0)`.
     pub fn boundary_cells(&self) -> Vec<CellId> {
         let (rows, cols) = (self.rows, self.cols);
@@ -476,5 +487,11 @@ mod tests {
             f.valve_neighbors_into(w, &mut buffer);
             assert_eq!(buffer, f.valve_neighbors(w));
         }
+        let pairs: Vec<_> = f
+            .valves()
+            .flat_map(|(a, _)| f.valve_neighbors(a).into_iter().map(move |b| (a, b)))
+            .collect();
+        assert!(pairs.len() > f.valve_count());
+        assert!(f.valve_neighbor_pairs().eq(pairs));
     }
 }

@@ -14,7 +14,7 @@
 //! runs in fixed chunks of stuck-at-0 valves on the same scoped worker
 //! pool ([`crate::exec`]) as the campaign.
 
-use crate::bitsim::{BitSimulator, KernelStats, LoweredChip, LANES, SWEEP_CHUNK};
+use crate::bitsim::{BitSimulator, KernelStats, LANES, SWEEP_CHUNK};
 use crate::exec;
 use crate::fault::Fault;
 use crate::suite::TestSuite;
@@ -57,34 +57,27 @@ pub fn single_fault_coverage(fpva: &Fpva, suite: &TestSuite) -> CoverageReport<F
         .valves()
         .flat_map(|(v, _)| [Fault::StuckAt0(v), Fault::StuckAt1(v)])
         .collect();
-    sweep_universe(fpva, suite, &universe)
+    sweep_universe(suite, &universe)
 }
 
 /// Checks every control-leak fault between physically adjacent valves
 /// (ordered pairs: the leak direction matters).
 pub fn leak_coverage(fpva: &Fpva, suite: &TestSuite) -> CoverageReport<Fault> {
-    let mut universe = Vec::new();
-    let mut neighbors = Vec::new();
-    for (actuator, _) in fpva.valves() {
-        fpva.valve_neighbors_into(actuator, &mut neighbors);
-        universe.extend(
-            neighbors
-                .iter()
-                .map(|&victim| Fault::ControlLeak { actuator, victim }),
-        );
-    }
-    sweep_universe(fpva, suite, &universe)
+    let universe: Vec<Fault> = fpva
+        .valve_neighbor_pairs()
+        .map(|(actuator, victim)| Fault::ControlLeak { actuator, victim })
+        .collect();
+    sweep_universe(suite, &universe)
 }
 
 /// Serial sweep over an explicit single-fault universe: one vector-major
 /// [`BitSimulator::sweep`] per [`SWEEP_CHUNK`] faults.
-fn sweep_universe(fpva: &Fpva, suite: &TestSuite, universe: &[Fault]) -> CoverageReport<Fault> {
-    let chip = LoweredChip::build(fpva);
-    let mut sim = BitSimulator::new(&chip);
+fn sweep_universe(suite: &TestSuite, universe: &[Fault]) -> CoverageReport<Fault> {
+    let mut sim = BitSimulator::new(suite);
     let mut undetected = Vec::new();
     for chunk in universe.chunks(SWEEP_CHUNK) {
         let scenarios: Vec<[Fault; 1]> = chunk.iter().map(|&fault| [fault]).collect();
-        let verdicts = sim.sweep(suite, &scenarios);
+        let verdicts = sim.sweep(&scenarios);
         for (&fault, hit) in chunk.iter().zip(verdicts) {
             if !hit {
                 undetected.push(fault);
@@ -134,9 +127,8 @@ pub fn two_fault_audit(
     threads: usize,
 ) -> CoverageReport<(Fault, Fault)> {
     let nv = fpva.valve_count();
-    let chip = LoweredChip::build(fpva);
     let chunks = exec::run_chunked(threads, nv, VALVE_CHUNK, |valves| {
-        composed_chunk(&chip, suite, valves)
+        composed_chunk(suite, nv, valves)
     });
     let mut undetected = Vec::new();
     let mut stats = KernelStats::default();
@@ -151,17 +143,16 @@ pub fn two_fault_audit(
     }
 }
 
-/// The undetected pairs of the stuck-at-0 valves `valves`, in scan order:
-/// the single-fault pre-pass, then a sweep of the surviving pairs
-/// [`SWEEP_CHUNK`] at a time.
+/// The undetected pairs of the stuck-at-0 valves `valves` of the `nv`
+/// valves, in scan order: the single-fault pre-pass, then a sweep of the
+/// surviving pairs [`SWEEP_CHUNK`] at a time.
 fn composed_chunk(
-    chip: &LoweredChip,
     suite: &TestSuite,
+    nv: usize,
     valves: Range<usize>,
 ) -> (Vec<(Fault, Fault)>, KernelStats) {
-    let nv = chip.valve_count();
-    let mut sim = BitSimulator::new(chip);
-    let partners = sim.undecided_partners(suite, valves.clone());
+    let mut sim = BitSimulator::new(suite);
+    let partners = sim.undecided_partners(valves.clone());
     let mut pairs = valves.zip(partners).flat_map(|(a, list)| {
         let list = list.unwrap_or_else(|| (0..nv).filter(|&b| b != a).map(ValveId).collect());
         list.into_iter()
@@ -173,7 +164,7 @@ fn composed_chunk(
         if scenarios.is_empty() {
             break;
         }
-        let verdicts = sim.sweep(suite, &scenarios);
+        let verdicts = sim.sweep(&scenarios);
         for (&[a, b], hit) in scenarios.iter().zip(verdicts) {
             if !hit {
                 undetected.push((a, b));

@@ -118,29 +118,19 @@ impl ObservableLeaks {
     /// Like [`ObservableLeaks::build`], with the candidate-pair probes
     /// spread over `threads` workers (`0` = all CPUs). The resulting table
     /// is identical for every thread count.
-    pub fn par_build(fpva: &Fpva, threads: usize) -> Self {
-        Self::par_build_lowered(fpva, threads, &LoweredChip::build(fpva))
-    }
-
-    /// [`ObservableLeaks::par_build`] over an already-lowered chip, so a
-    /// caller holding a [`ChipContext`]-style precomputation does not
-    /// lower twice.
     ///
-    /// The probes run on the bit-parallel kernel: [`LANES`] candidate
-    /// pairs share one word, and two full-flood passes (forward from the
-    /// sources, backward from the sinks) replace the per-pair goal-directed
-    /// BFS of [`leak_is_observable`] — which stays as the scalar oracle,
-    /// pinned equal by the unit tests. Undirected reachability makes the
-    /// two formulations coincide: a pair is observable exactly when the
+    /// The probes run on the bit-parallel kernel, over the chip lowered
+    /// once for them: [`LANES`] candidate pairs share one word, and two
+    /// full-flood passes (forward from the sources, backward from the
+    /// sinks) replace the per-pair goal-directed BFS of
+    /// [`leak_is_observable`] — which stays as the scalar oracle, pinned
+    /// equal by the unit tests. Undirected reachability makes the two
+    /// formulations coincide: a pair is observable exactly when the
     /// sources reach one victim endpoint and the sinks reach the other.
-    pub(crate) fn par_build_lowered(fpva: &Fpva, threads: usize, chip: &LoweredChip) -> Self {
+    pub fn par_build(fpva: &Fpva, threads: usize) -> Self {
         const PAIR_CHUNK: usize = 4 * LANES;
-        let mut candidates: Vec<(ValveId, ValveId)> = Vec::new();
-        let mut neighbors = Vec::new();
-        for (actuator, _) in fpva.valves() {
-            fpva.valve_neighbors_into(actuator, &mut neighbors);
-            candidates.extend(neighbors.iter().map(|&victim| (actuator, victim)));
-        }
+        let chip = &LoweredChip::build(fpva);
+        let candidates: Vec<(ValveId, ValveId)> = fpva.valve_neighbor_pairs().collect();
         let chunks = exec::run_chunked(threads, candidates.len(), PAIR_CHUNK, |range| {
             let mut fwd = BitFrontier::new(chip.cell_count());
             let mut bwd = BitFrontier::new(chip.cell_count());
@@ -153,8 +143,8 @@ impl ObservableLeaks {
                     open.clear_lane(actuator.index(), lane);
                     open.clear_lane(victim.index(), lane);
                 }
-                fwd.propagate(chip, &open);
-                bwd.propagate_from(chip, chip.sink_cells(), &open);
+                fwd.flood(chip, chip.source_cells(), !0, &open);
+                bwd.flood(chip, chip.sink_cells(), !0, &open);
                 for (lane, &(actuator, victim)) in block.iter().enumerate() {
                     let (u, w) = fpva.edge_of(victim).endpoints();
                     let (ui, wi) = (fpva.cell_index(u), fpva.cell_index(w));
@@ -195,17 +185,11 @@ impl ObservableLeaks {
     ///
     /// Pass the same `fpva` the table was built from.
     pub fn unobservable_pairs(&self, fpva: &Fpva) -> Vec<(ValveId, ValveId)> {
-        let observable: std::collections::BTreeSet<_> = self.pairs.iter().copied().collect();
-        let mut out = Vec::new();
-        for a in 0..fpva.valve_count() {
-            let actuator = ValveId(a);
-            for victim in fpva.valve_neighbors(actuator) {
-                if !observable.contains(&(actuator, victim)) {
-                    out.push((actuator, victim));
-                }
-            }
-        }
-        out
+        // The table keeps the scan order, so one merge pass splits it off.
+        let mut observable = self.pairs.iter().peekable();
+        fpva.valve_neighbor_pairs()
+            .filter(|pair| observable.next_if_eq(&pair).is_none())
+            .collect()
     }
 }
 
@@ -270,42 +254,13 @@ impl Default for CampaignConfig {
     }
 }
 
-/// Per-chip precomputed campaign state: the observable-leak table and the
-/// bit-parallel lowered adjacency, built **once** per chip and shared
-/// read-only by any number of [`run_in`] calls (and their workers). A
-/// campaign service re-running suites against the same chip should build
-/// this once instead of paying the per-[`run`] setup each time.
-#[derive(Debug, Clone)]
-pub struct ChipContext {
-    leaks: ObservableLeaks,
-    lowered: LoweredChip,
-}
-
-impl ChipContext {
-    /// Builds the context serially; see [`ChipContext::par_build`].
-    pub fn build(fpva: &Fpva) -> Self {
-        Self::par_build(fpva, 1)
-    }
-
-    /// Builds the context with the leak-table probes spread over
-    /// `threads` workers (`0` = all CPUs); the result is identical for
-    /// every thread count.
-    pub fn par_build(fpva: &Fpva, threads: usize) -> Self {
-        let lowered = LoweredChip::build(fpva);
-        let leaks = ObservableLeaks::par_build_lowered(fpva, threads, &lowered);
-        ChipContext { leaks, lowered }
-    }
-
-    /// The chip's observable control-leak table.
-    pub fn leaks(&self) -> &ObservableLeaks {
-        &self.leaks
-    }
-
-    /// The chip's adjacency, lowered for the bit-parallel kernel.
-    pub fn lowered(&self) -> &LoweredChip {
-        &self.lowered
-    }
-}
+/// The per-chip campaign state [`run_in`] takes besides the suite: the
+/// observable-leak table, built **once** per chip and shared read-only by
+/// any number of [`run_in`] calls (and their workers). The suite already
+/// holds the chip's lowering. The name stays for callers that build the
+/// table as `ChipContext::build`, such as the benchmark harness
+/// (`perfbench/src/workload.rs`).
+pub type ChipContext = ObservableLeaks;
 
 /// Outcome for one fault count.
 #[derive(Debug, Clone, PartialEq)]
@@ -504,28 +459,28 @@ impl<'a> Drawer<'a> {
 /// Panics if the array has no valves, or if a row's fault count exceeds
 /// the chip's distinct-fault capacity (see [`random_fault_set_from`]).
 pub fn run(fpva: &Fpva, suite: &TestSuite, config: &CampaignConfig) -> Vec<CampaignRow> {
-    let ctx = ChipContext::par_build(fpva, config.threads);
-    run_in(fpva, suite, config, &ctx).0
+    let leaks = ObservableLeaks::par_build(fpva, config.threads);
+    run_in(fpva, suite, config, &leaks).0
 }
 
-/// [`run`] against a pre-built [`ChipContext`], skipping the per-run
-/// leak-table and adjacency-lowering setup entirely — the entry point for
-/// repeated campaigns over one chip (and for benchmarks that want to time
-/// the simulation kernel, not the setup). Also reports the kernel's work
-/// counters summed over all rows; the stats, like the rows, are identical
-/// for every thread count.
+/// [`run`] against a pre-built leak table, skipping the per-run setup
+/// entirely (the suite lowered the chip when it was built) — the entry
+/// point for repeated campaigns over one chip (and for benchmarks that
+/// want to time the simulation kernel, not the setup). Also reports the
+/// kernel's work counters summed over all rows; the stats, like the rows,
+/// are identical for every thread count.
 pub fn run_in(
     fpva: &Fpva,
     suite: &TestSuite,
     config: &CampaignConfig,
-    ctx: &ChipContext,
+    leaks: &ObservableLeaks,
 ) -> (Vec<CampaignRow>, KernelStats) {
     let mut stats = KernelStats::default();
     let rows = config
         .fault_counts
         .iter()
         .map(|&fault_count| {
-            let (row, row_stats) = run_row(fpva, suite, config, ctx, fault_count);
+            let (row, row_stats) = run_row(fpva, suite, config, leaks, fault_count);
             stats.merge(&row_stats);
             row
         })
@@ -543,11 +498,11 @@ fn run_row(
     fpva: &Fpva,
     suite: &TestSuite,
     config: &CampaignConfig,
-    ctx: &ChipContext,
+    leaks: &ObservableLeaks,
     fault_count: usize,
 ) -> (CampaignRow, KernelStats) {
     let chunks = exec::run_chunked(config.threads, config.trials, SWEEP_CHUNK, |trials| {
-        let drawer = Drawer::new(fpva, fault_count, ctx.leaks());
+        let drawer = Drawer::new(fpva, fault_count, leaks);
         let mut faults = Vec::with_capacity(trials.len() * fault_count);
         for trial in trials.clone() {
             let mut rng = StdRng::seed_from_u64(trial_seed(config.seed, fault_count, trial));
@@ -556,8 +511,8 @@ fn run_row(
         let sets: Vec<&[Fault]> = (0..trials.len())
             .map(|t| &faults[t * fault_count..][..fault_count])
             .collect();
-        let mut sim = BitSimulator::new(ctx.lowered());
-        let verdicts = sim.sweep(suite, &sets);
+        let mut sim = BitSimulator::new(suite);
+        let verdicts = sim.sweep(&sets);
         let mut detected = 0usize;
         let mut escapes = Vec::new();
         for (set, hit) in sets.into_iter().zip(verdicts) {

@@ -51,11 +51,12 @@
 //!    row.
 //! 3. **Precomputation outside the hot loop.** [`ObservableLeaks`] scans
 //!    every ordered adjacent valve pair once per chip (so leak draws are
-//!    table lookups, not BFS probes), and [`bitsim::LoweredChip`] lowers
-//!    the cell adjacency once per chip into flat CSR arrays. Both are
-//!    plain shared data (`Send + Sync`), built once and read by every
-//!    worker; [`campaign::ChipContext`] bundles them for reuse across
-//!    runs.
+//!    table lookups, not BFS probes), and [`TestSuite::new`] lowers the
+//!    cell adjacency once per chip into flat CSR arrays that the suite
+//!    keeps for its own floods and for every [`BitSimulator`] bound to
+//!    it. Both are plain shared data (`Send + Sync`), built once and read
+//!    by every worker; [`campaign::run_in`] takes the leak table
+//!    ([`campaign::ChipContext`]) for reuse across runs.
 //!
 //! ## The bit-parallel lane layout
 //!
@@ -64,10 +65,10 @@
 //! holds this valve open" (commanded state broadcast, then control-leak
 //! victims cleared, then stuck-at overrides — the per-lane replica of
 //! [`FaultSet::effective_states`]), and lane `l` of the per-cell word says
-//! "scenario `l` pressurises this cell". One bitset BFS
-//! ([`bitsim::BitFrontier`]) then floods all 64 scenarios through the
-//! lowered adjacency at once — the inner loop is a word-wide AND against
-//! the valve's lane word and an OR into the neighbour cell.
+//! "scenario `l` pressurises this cell". One bitset BFS then floods all 64
+//! scenarios through the lowered adjacency at once — the inner loop is a
+//! word-wide AND against the valve's lane word and an OR into the
+//! neighbour cell.
 //!
 //! Which scenarios share a word is decided per vector, not per input
 //! block. [`BitSimulator::sweep`] takes a whole chunk of
@@ -194,7 +195,7 @@ mod pressure;
 mod suite;
 
 pub use audit::CoverageReport;
-pub use bitsim::{BitFrontier, BitSimulator, KernelStats, LaneSet, LoweredChip};
+pub use bitsim::{BitSimulator, KernelStats};
 pub use campaign::{CampaignConfig, CampaignRow, ChipContext, ObservableLeaks};
 pub use error::SimError;
 pub use fault::{EffectiveStates, Fault, FaultSet};

@@ -36,11 +36,15 @@ use fpva_grid::{Fpva, TestVector, ValveId};
 ///   outside `S`. Those vectors form the *dead-end* mask.
 ///
 /// All of it comes from one flood from the sources and one from the sinks
-/// per vector, over the chip lowered once per [`TestSuite::extend`] call.
-/// Why the masks leave out only visits that cannot change a reading is in
-/// "Relevance masks" in [`crate::bitsim`].
+/// per vector, over the chip that [`TestSuite::new`] lowers once and the
+/// suite keeps for [`TestSuite::extend`] and for every
+/// [`BitSimulator`](crate::BitSimulator) bound to it. Why the masks leave
+/// out only visits that cannot change a reading is in "Relevance masks" in
+/// [`crate::bitsim`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TestSuite {
+    /// The chip the suite was built for, lowered once.
+    chip: LoweredChip,
     vectors: Vec<TestVector>,
     expected: Vec<Response>,
     /// Per vector, the cells a fault-free chip pressurises: a bitset over
@@ -56,8 +60,6 @@ pub struct TestSuite {
     /// dead-end masks over vectors `64 * block ..`, bit `i % 64` for
     /// vector `i`.
     masks: Vec<[u64; 3]>,
-    /// Valves of the chip the suite was built for.
-    valves: usize,
 }
 
 /// Indices of a valve's closing, opening and dead-end masks in an entry of
@@ -79,23 +81,29 @@ pub(crate) struct Chain {
 }
 
 impl TestSuite {
-    /// Builds the suite and computes the golden response of every vector.
+    /// Lowers `fpva` once, then builds the suite and computes the golden
+    /// response of every vector.
     ///
     /// # Panics
     ///
     /// Panics if any vector's length differs from `fpva.valve_count()`.
     pub fn new(fpva: &Fpva, vectors: Vec<TestVector>) -> Self {
         let mut suite = TestSuite {
+            chip: LoweredChip::build(fpva),
             vectors: Vec::with_capacity(vectors.len()),
             expected: Vec::with_capacity(vectors.len()),
             reach: Vec::with_capacity(vectors.len()),
             sink_side: Vec::with_capacity(vectors.len()),
             chains: Vec::with_capacity(vectors.len()),
             masks: Vec::new(),
-            valves: fpva.valve_count(),
         };
-        suite.extend(fpva, vectors);
+        suite.extend(vectors);
         suite
+    }
+
+    /// The chip the suite was built for, lowered for the bit kernel.
+    pub(crate) fn chip(&self) -> &LoweredChip {
+        &self.chip
     }
 
     /// The vectors, in application order.
@@ -133,9 +141,9 @@ impl TestSuite {
     /// and a control leak's victim's closing mask (a superset of the
     /// vectors that also command its actuator closed).
     pub(crate) fn relevance(&self, fault: Fault, block: usize, dead_ends: bool) -> u64 {
-        let valve = changed_valve(fault);
-        assert!(valve.index() < self.valves, "{valve} outside the chip");
-        let masks = self.masks[block * self.valves + valve.index()];
+        let (valve, valves) = (changed_valve(fault), self.chip.valve_count());
+        assert!(valve.index() < valves, "{valve} outside the chip");
+        let masks = self.masks[block * valves + valve.index()];
         match fault {
             Fault::StuckAt1(_) if dead_ends => masks[OPENING] | masks[DEAD_END],
             Fault::StuckAt1(_) => masks[OPENING],
@@ -153,39 +161,34 @@ impl TestSuite {
         self.vectors.is_empty()
     }
 
-    /// Appends more vectors, computing their golden responses.
+    /// Appends more vectors for the suite's chip, computing their golden
+    /// responses.
     ///
     /// # Panics
     ///
-    /// Panics if any vector's length differs from `fpva.valve_count()`.
-    pub fn extend(&mut self, fpva: &Fpva, vectors: impl IntoIterator<Item = TestVector>) {
-        let chip = LoweredChip::build(fpva);
-        let mut floods = Floods::new(chip.cell_count());
-        if self.vectors.is_empty() {
-            self.valves = chip.valve_count();
-        }
+    /// Panics if any vector's length differs from the chip's valve count.
+    pub fn extend(&mut self, vectors: impl IntoIterator<Item = TestVector>) {
+        let valves = self.chip.valve_count();
+        let mut floods = Floods::new(self.chip.cell_count());
         for vector in vectors {
-            assert!(
-                vector.len() == chip.valve_count() && vector.len() == self.valves,
-                "vector/chip size mismatch"
-            );
+            assert_eq!(vector.len(), valves, "vector/chip size mismatch");
             let i = self.vectors.len();
             if i.is_multiple_of(64) {
-                self.masks.resize(self.masks.len() + self.valves, [0; 3]);
+                self.masks.resize(self.masks.len() + valves, [0; 3]);
             }
-            let chain = floods.flood_sources(&chip, &vector);
-            let expected = floods.response(&chip);
-            let sink_side = floods.flood_sinks(&chip, &vector);
-            let masks = &mut self.masks[i / 64 * self.valves..];
+            let chain = floods.flood_sources(&self.chip, &vector);
+            let expected = floods.response(&self.chip);
+            let sink_side = floods.flood_sinks(&self.chip, &vector);
+            let base = i / 64 * valves;
             let bit = 1 << (i % 64);
             if expected.any_pressure() {
                 for &v in &floods.open {
-                    masks[v as usize][CLOSING] |= bit;
+                    self.masks[base + v as usize][CLOSING] |= bit;
                 }
             }
             for &(v, y) in &floods.crossing {
-                let dead_end = !holds(&sink_side, y) && chip.sealed(&vector, y);
-                masks[v as usize][if dead_end { DEAD_END } else { OPENING }] |= bit;
+                let dead_end = !holds(&sink_side, y) && self.sealed(&vector, y);
+                self.masks[base + v as usize][if dead_end { DEAD_END } else { OPENING }] |= bit;
             }
             self.expected.push(expected);
             self.reach.push(floods.reach());
@@ -383,7 +386,7 @@ impl Floods {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bitsim::{BitFrontier, LaneSet, LoweredChip};
+    use crate::bitsim::{BitFrontier, LaneSet};
     use crate::fault::Fault;
     use crate::pressure::propagate;
     use fpva_grid::{layouts, FpvaBuilder, PortKind, Side, ValveId, ValveState};
@@ -438,7 +441,7 @@ mod tests {
     fn extend_keeps_golden_in_sync() {
         let f = line3();
         let mut suite = TestSuite::new(&f, vec![TestVector::all_closed(f.valve_count())]);
-        suite.extend(&f, [TestVector::all_open(f.valve_count())]);
+        suite.extend([TestVector::all_open(f.valve_count())]);
         assert_eq!(suite.len(), 2);
         assert_eq!(suite.expected().len(), 2);
         // Closed: only the source cell; open: the whole line.
@@ -551,7 +554,7 @@ mod tests {
         };
         assert_eq!(suite.relevance(leak, 1, false), 0b01_0101);
         let mut split = TestSuite::new(&f, vectors[..60].to_vec());
-        split.extend(&f, vectors[60..].iter().cloned());
+        split.extend(vectors[60..].iter().cloned());
         assert_eq!(split, suite);
     }
 
@@ -565,16 +568,16 @@ mod tests {
             vector.set(ValveId(v), ValveState::Closed);
         }
         let suite = TestSuite::new(&f, vec![vector.clone()]);
-        let chip = LoweredChip::build(&f);
+        let chip = suite.chip();
         let mut open = LaneSet::zeros(chip.valve_count());
         open.broadcast(|v| vector.is_open(ValveId(v)));
         let mut frontier = BitFrontier::new(chip.cell_count());
-        frontier.propagate_from(&chip, chip.sink_cells(), &open);
+        frontier.flood(chip, chip.sink_cells(), !0, &open);
         let side = suite.sink_side(0);
         let mut size = 0;
         for c in 0..f.cell_count() {
             let inside = side[c / 64] >> (c % 64) & 1 == 1;
-            assert_eq!(inside, frontier.lanes_at(c) != 0, "cell {c}");
+            assert_eq!(inside, frontier.reached().word(c) != 0, "cell {c}");
             size += usize::from(inside);
         }
         assert!(size > chip.sink_cells().len(), "only the sink cells");

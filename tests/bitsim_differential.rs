@@ -16,11 +16,11 @@
 mod common;
 
 use fpva::sim::audit::{leak_coverage, single_fault_coverage, two_fault_audit};
-use fpva::sim::bitsim::{BitSimulator, LoweredChip, SWEEP_CHUNK};
+use fpva::sim::bitsim::{BitSimulator, SWEEP_CHUNK};
 use fpva::sim::campaign::{self, CampaignConfig};
 use fpva::{
-    layouts, Atpg, CampaignRow, CoverageReport, Fault, FaultSet, Fpva, ObservableLeaks, TestSuite,
-    ValveId,
+    layouts, Atpg, CampaignRow, CoverageReport, Fault, FaultSet, Fpva, KernelStats,
+    ObservableLeaks, TestSuite, ValveId,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -337,8 +337,7 @@ fn weak_suites_match_scalar_oracle_on_table1_30x30() {
 /// pinned to the scalar oracle by the cases above. Returns the universe
 /// size and the undetected pairs.
 fn unpruned_pair_audit(fpva: &Fpva, suite: &TestSuite) -> (usize, Vec<(Fault, Fault)>) {
-    let chip = LoweredChip::build(fpva);
-    let mut sim = BitSimulator::new(&chip);
+    let mut sim = BitSimulator::new(suite);
     let mut pairs = stuck_at_pairs(fpva).map(|(a, b)| [a, b]);
     let (mut total, mut undetected) = (0, Vec::new());
     loop {
@@ -347,7 +346,7 @@ fn unpruned_pair_audit(fpva: &Fpva, suite: &TestSuite) -> (usize, Vec<(Fault, Fa
             return (total, undetected);
         }
         total += scenarios.len();
-        let verdicts = sim.sweep(suite, &scenarios);
+        let verdicts = sim.sweep(&scenarios);
         undetected.extend(
             scenarios
                 .iter()
@@ -421,8 +420,7 @@ fn sweep_matches_suite_detects_on_generated_chips() {
     let (mut hits, mut escapes, mut cut) = (0, 0, 0);
     common::for_each_classifier_case(|fpva, vector, sets| {
         let suite = TestSuite::new(fpva, vec![vector.clone()]);
-        let chip = LoweredChip::build(fpva);
-        let verdicts = BitSimulator::new(&chip).sweep(&suite, sets);
+        let verdicts = BitSimulator::new(&suite).sweep(sets);
         for (set, hit) in sets.iter().zip(verdicts) {
             assert_eq!(
                 hit,
@@ -432,8 +430,8 @@ fn sweep_matches_suite_detects_on_generated_chips() {
             hits += usize::from(hit);
             escapes += usize::from(!hit);
             if hit && common::closes_golden_region(fpva, vector, set) {
-                let mut alone = BitSimulator::new(&chip);
-                alone.sweep(&suite, std::slice::from_ref(set));
+                let mut alone = BitSimulator::new(&suite);
+                alone.sweep(std::slice::from_ref(set));
                 cut += usize::from(alone.stats().word_passes == 0);
             }
         }
@@ -442,6 +440,68 @@ fn sweep_matches_suite_detects_on_generated_chips() {
         hits > 1000 && escapes > 1000 && cut > 1000,
         "{hits} detected ({cut} by the cut rule), {escapes} escaped"
     );
+}
+
+/// The kernel's work counters `(blocks, word_passes, lanes)` on each
+/// Table I plan, for a 2048-trial campaign at fault counts 1–5 (default
+/// seed, one thread), then the two-fault, single-fault and leak audits.
+/// They move only when visit scheduling, the region classifier or word
+/// packing changes; a change that means to move them says why. Every
+/// trial is detected, and the audits leave 0, 0 and 4 faults undetected
+/// (the leaks between the two valves of a port-less corner cell).
+#[test]
+fn kernel_counters_are_pinned_on_table1_plans() {
+    type Counts = (usize, usize, usize);
+    let pinned: [[Counts; 4]; 5] = [
+        [(160, 72, 10240), (2, 16, 56), (2, 0, 78), (3, 0, 176)],
+        [(160, 70, 10240), (6, 35, 327), (6, 1, 352), (15, 0, 926)],
+        [(160, 70, 10240), (15, 95, 825), (13, 1, 822), (36, 0, 2256)],
+        [
+            (160, 70, 10240),
+            (21, 149, 1248),
+            (24, 5, 1488),
+            (66, 0, 4170),
+        ],
+        [
+            (160, 76, 10240),
+            (54, 382, 3159),
+            (54, 6, 3408),
+            (153, 0, 9770),
+        ],
+    ];
+    let counts = |stats: KernelStats| (stats.blocks, stats.word_passes, stats.lanes);
+    for (entry, expected) in layouts::table1().into_iter().zip(pinned) {
+        let (name, f) = (entry.name, &entry.fpva);
+        let suite = Atpg::new().generate(f).expect("plan generates").to_suite(f);
+        let config = CampaignConfig {
+            trials: 2048,
+            fault_counts: (1..=5).collect(),
+            threads: 1,
+            ..Default::default()
+        };
+        let (rows, stats) = campaign::run_in(f, &suite, &config, &ObservableLeaks::build(f));
+        assert!(
+            rows.iter().all(CampaignRow::all_detected),
+            "{name}: {rows:?}"
+        );
+        let pairs = two_fault_audit(f, &suite, 1);
+        let singles = single_fault_coverage(f, &suite);
+        let leaks = leak_coverage(f, &suite);
+        assert_eq!(
+            [
+                pairs.undetected.len(),
+                singles.undetected.len(),
+                leaks.undetected.len()
+            ],
+            [0, 0, 4],
+            "{name}: undetected"
+        );
+        assert_eq!(
+            [stats, pairs.stats, singles.stats, leaks.stats].map(counts),
+            expected,
+            "{name}: campaign, two-fault, single-fault and leak counters"
+        );
+    }
 }
 
 #[test]

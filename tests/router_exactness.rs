@@ -1,7 +1,7 @@
 //! Exactness of the flow-path router: on small random chips, a
 //! brute-force enumeration of every valid flow path decides which valves
-//! are routable, and `path_through_edge` must agree on every valve, with
-//! and without each adjacent valve to avoid.
+//! are routable, and `Router::path_through_edge` must agree on every
+//! valve, with and without each adjacent valve to avoid.
 //!
 //! A valid flow path is simple, starts at a source port's cell and ends at
 //! a sink port's cell, visits every open component in one contiguous run,
@@ -12,7 +12,7 @@
 mod common;
 
 use common::random_chip;
-use fpva::atpg::connectivity::{endpoint_ports, open_components, path_through_edge};
+use fpva::atpg::connectivity::{endpoint_ports, open_components, Router};
 use fpva::grid::{CellId, EdgeId, EdgeKind, PortKind};
 use fpva::{FlowPath, Fpva};
 use proptest::prelude::*;
@@ -108,6 +108,7 @@ proptest! {
         let f = random_chip(&mut rng);
         let masks = valid_path_masks(&f);
         let comp = open_components(&f);
+        let router = Router::new(&f);
         let prefer = |e: EdgeId| (f.edge_index(e) as u64 ^ seed).is_multiple_of(3);
         for (valve, edge) in f.valves() {
             let (u, v) = edge.endpoints();
@@ -120,7 +121,7 @@ proptest! {
                         m & bit(valve) != 0 && avoid.is_none_or(|a| m & bit(a) == 0)
                     });
                 let avoid_edges: Vec<EdgeId> = avoid.map(|a| f.edge_of(a)).into_iter().collect();
-                let got = path_through_edge(&f, edge, &avoid_edges, &prefer, &mut rng);
+                let got = router.path_through_edge(edge, &avoid_edges, &prefer, &mut rng);
                 prop_assert_eq!(
                     got.is_some(),
                     exists,
