@@ -33,19 +33,26 @@
 //! component on the result is then expanded back to cells along its
 //! always-open edges.
 //!
+//! A walk reads two node masks: the nodes it may not enter, and the nodes
+//! it heads for. The sink side's walk may enter no source node, so the
+//! source nodes are blocked with the witness while it runs, and its
+//! targets are the sink nodes it can still enter: the sinks that are not
+//! sources. The source side's walk heads for the source nodes.
+//!
 //! A walk keeps one invariant: the node it stands on reached the port
 //! class before the walk blocked it. So some neighbour still does, and a
 //! lone candidate neighbour needs no check. Several candidates are decided
 //! by interleaved breadth-first searches, one per candidate node, each
 //! expanding one node per round (the trick of Even and Shiloach, "An
 //! On-Line Edge-Deletion Problem", J. ACM 1981, for connectivity under
-//! deletions). Searches that meet merge. A search that
-//! meets an unblocked node of the port class is feasible; one that runs
-//! dry is not, and the walk never enters its piece again. Once all but one
-//! have run dry, the last is feasible. A step thus costs about the number
-//! of candidates times the size of the pieces it cuts off, or the distance
-//! at which its searches meet, rather than a search of everything the walk
-//! can still reach.
+//! deletions). Searches that meet merge: a step has few, so each carries
+//! the label of its group, and a merge relabels the absorbed group's
+//! members. A search that meets an unblocked node of the port class is
+//! feasible; one that runs dry is not, and the walk never enters its piece
+//! again. Once all but one have run dry, the last is feasible. A step thus
+//! costs about the number of candidates times the size of the pieces it
+//! cuts off, or the distance at which its searches meet, rather than a
+//! search of everything the walk can still reach.
 //!
 //! # One router per plan
 //!
@@ -58,15 +65,23 @@
 //! ([`crate::hierarchy::hierarchical_cover`], [`crate::heuristic::greedy_cover`],
 //! [`crate::cutset::cut_cover`], [`crate::leakage::leakage_vectors`]) each
 //! build their own router, so called one by one they return exactly what
-//! `generate` does. A router builds the max-flow network behind its
-//! feasibility test when it first routes a path, so the cut stage, which
-//! only floods, never builds one.
+//! `generate` does.
+//!
+//! The lowering is flat: the arcs leaving each node are one run of a
+//! single array of 8-byte `(node, valve)` pairs, found by per-node
+//! offsets, so a search reads consecutive memory and compares valves by
+//! id. On its first route a router builds the max-flow network behind its
+//! feasibility test, frozen into the same offset form, and the scratch
+//! space of a route: the copy of the network's capacities, the marks and
+//! queue of its augmenting searches, the walks' blocked mask, search state
+//! and candidate, node and valve buffers, and the cell buffers of the
+//! expansion. Routing therefore takes `&mut self` and allocates only the
+//! cell path it returns, and a router that only floods (the cut stage's)
+//! builds neither.
 
 use crate::error::AtpgError;
 use fpva_grid::{CellId, EdgeId, EdgeKind, Fpva, PortId, PortKind, ValveId};
 use rand::Rng;
-use std::collections::VecDeque;
-use std::sync::OnceLock;
 
 /// Whether fluid could ever cross this edge on a fault-free chip (i.e. the
 /// edge is a valve or an always-open channel site, not a wall).
@@ -114,6 +129,7 @@ pub fn endpoint_ports(fpva: &Fpva, cells: &[CellId]) -> Option<(PortId, PortId)>
 /// loop through the channel — [`crate::FlowPath`] rejects that.
 pub fn open_components(fpva: &Fpva) -> Vec<usize> {
     let mut comp = vec![usize::MAX; fpva.cell_count()];
+    let mut stack = Vec::new();
     let mut next = 0usize;
     for cell in fpva.cells() {
         let ix = fpva.cell_index(cell);
@@ -121,14 +137,14 @@ pub fn open_components(fpva: &Fpva) -> Vec<usize> {
             continue;
         }
         comp[ix] = next;
-        let mut queue = VecDeque::from([cell]);
-        while let Some(c) = queue.pop_front() {
+        stack.push(cell);
+        while let Some(c) = stack.pop() {
             for (edge, n) in fpva.neighbors(c) {
                 if fpva.edge_kind(edge) == EdgeKind::Open {
                     let ni = fpva.cell_index(n);
                     if comp[ni] == usize::MAX {
                         comp[ni] = next;
-                        queue.push_back(n);
+                        stack.push(n);
                     }
                 }
             }
@@ -204,50 +220,85 @@ pub(crate) fn closed_edges(fpva: &Fpva, valves: &[ValveId]) -> Vec<bool> {
     closed
 }
 
+/// A node, valve or network arc index as stored in the router's arrays.
+fn id(x: usize) -> u32 {
+    u32::try_from(x).expect("a chip's lowering has fewer than 2^32 nodes and arcs")
+}
+
+/// The empty entry of the router's linked lists and search marks.
+const NONE: usize = usize::MAX;
+
 /// One arc of the contracted graph: a valve between two open components.
 #[derive(Debug, Clone, Copy)]
 struct Arc {
     /// The node on the far side.
-    to: usize,
-    /// The valve edge the arc crosses.
-    edge: EdgeId,
+    to: u32,
+    /// The valve the arc crosses, by [`ValveId::index`].
+    valve: u32,
 }
 
 /// The chip's flow layer with every open component contracted to one
 /// node: the exact router of the [module documentation](self).
+///
+/// The graph is built once, in flat arrays. Routing needs more, built on
+/// the first [`Router::path_through_edge`] and reused by every later one:
+/// the witness max-flow network and the scratch space of a route.
 #[derive(Debug, Clone)]
 pub struct Router<'a> {
     fpva: &'a Fpva,
     /// Node of each cell ([`open_components`]).
     node: Vec<usize>,
-    /// Arcs leaving each node, in valve order.
-    adj: Vec<Vec<Arc>>,
+    /// The arcs leaving node `x` are `arcs[offsets[x]..offsets[x + 1]]`,
+    /// in valve order.
+    offsets: Vec<usize>,
+    arcs: Vec<Arc>,
     /// Nodes holding a source port's cell.
     source: Vec<bool>,
     /// Nodes holding a sink port's cell.
     sink: Vec<bool>,
-    /// The network of [`Router::source_witness`], built on its first
-    /// call, so a router that only floods (the cut stage's) never holds
-    /// one.
-    witness: OnceLock<Witness>,
+    /// Built on the first route, so a router that only floods (the cut
+    /// stage's) holds none.
+    routing: Option<Routing>,
 }
 
-/// The max-flow network of [`Router::source_witness`], with the arcs of
-/// every valve.
+/// What routing needs beyond the contracted graph: the witness network of
+/// [`Router::source_witness`] and the buffers of a route, each sized for
+/// the chip when built, so a route allocates only the path it returns.
 #[derive(Debug, Clone)]
-struct Witness {
+struct Routing {
     net: Network,
-    /// Per node other than a source node: the network index of the arc
-    /// out of it across `adj[x][0]`; the arc across `adj[x][k]` is
-    /// `2 * k` further on.
-    valve_arcs: Vec<usize>,
+    /// Per arc of the contracted graph out of a node other than a source
+    /// node: the network's arc across the same valve.
+    valve_arcs: Vec<u32>,
+    /// The source nodes, which the sink side's walk may not enter.
+    sources: Vec<usize>,
+    /// The residual capacities of the route's max-flow, and the marks and
+    /// queue of its augmenting searches.
+    cap: Vec<u8>,
+    via: Vec<u32>,
+    queue: Vec<u32>,
+    /// The source side's witness, endpoint first.
+    witness: Vec<usize>,
+    walk: Walk,
+    /// The cells of one component on the way to a goal, each with the
+    /// index of the cell it was reached from ([`Router::within`]).
+    run: Vec<(CellId, usize)>,
+    /// The route's cells.
+    cells: Vec<CellId>,
 }
 
-/// Which port class a walk heads for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Toward {
-    Sources,
-    Sinks,
+/// The state of a route's two walks.
+#[derive(Debug, Clone)]
+struct Walk {
+    /// Nodes the walk may not enter.
+    blocked: Vec<bool>,
+    search: Searches,
+    /// A step's feasible arcs, and those the caller prefers.
+    feasible: Vec<Arc>,
+    preferred: Vec<Arc>,
+    /// The nodes walked, and the valves between them.
+    nodes: Vec<usize>,
+    valves: Vec<u32>,
 }
 
 /// Node ids of the witness network: node `x` of the contracted graph is
@@ -272,13 +323,29 @@ impl<'a> Router<'a> {
     pub fn new(fpva: &'a Fpva) -> Self {
         let node = open_components(fpva);
         let n = node.iter().max().map_or(0, |&m| m + 1);
-        let mut adj = vec![Vec::new(); n];
-        for (_, edge) in fpva.valves() {
+        // A valve between two nodes, with its nodes.
+        let between = |(v, edge): (ValveId, EdgeId)| {
             let (a, b) = edge.endpoints();
             let (x, y) = (node[fpva.cell_index(a)], node[fpva.cell_index(b)]);
-            if x != y {
-                adj[x].push(Arc { to: y, edge });
-                adj[y].push(Arc { to: x, edge });
+            (x != y).then_some((v, x, y))
+        };
+        let mut offsets = vec![0; n + 1];
+        for (_, x, y) in fpva.valves().filter_map(between) {
+            offsets[x + 1] += 1;
+            offsets[y + 1] += 1;
+        }
+        for x in 0..n {
+            offsets[x + 1] += offsets[x];
+        }
+        let mut fill = offsets[..n].to_vec();
+        let mut arcs = vec![Arc { to: 0, valve: 0 }; offsets[n]];
+        for (v, x, y) in fpva.valves().filter_map(between) {
+            for (from, to) in [(x, y), (y, x)] {
+                arcs[fill[from]] = Arc {
+                    to: id(to),
+                    valve: id(v.index()),
+                };
+                fill[from] += 1;
             }
         }
         let mut source = vec![false; n];
@@ -293,38 +360,12 @@ impl<'a> Router<'a> {
         Router {
             fpva,
             node,
-            adj,
+            offsets,
+            arcs,
             source,
             sink,
-            witness: OnceLock::new(),
+            routing: None,
         }
-    }
-
-    /// The witness network, built on the first call.
-    fn witness(&self) -> &Witness {
-        self.witness.get_or_init(|| {
-            let n = self.adj.len();
-            let (to_sources, to_sinks, t) = terminals(n);
-            let mut net = Network::new(t + 1);
-            let mut valve_arcs = vec![usize::MAX; n];
-            for (x, arcs) in self.adj.iter().enumerate() {
-                net.add(inn(x), out(x));
-                if self.source[x] {
-                    net.add(out(x), to_sources);
-                    continue;
-                }
-                if self.sink[x] {
-                    net.add(out(x), to_sinks);
-                }
-                valve_arcs[x] = net.to.len();
-                for arc in arcs {
-                    net.add(out(x), inn(arc.to));
-                }
-            }
-            net.add(to_sources, t);
-            net.add(to_sinks, t);
-            Witness { net, valve_arcs }
-        })
     }
 
     /// The chip the router was built for.
@@ -339,19 +380,23 @@ impl<'a> Router<'a> {
 
     /// The number of nodes of the contracted graph.
     pub(crate) fn node_count(&self) -> usize {
-        self.adj.len()
+        self.source.len()
     }
 
     fn node_of(&self, cell: CellId) -> usize {
         self.node[self.fpva.cell_index(cell)]
     }
 
+    /// The arcs leaving node `x`, in valve order.
+    fn arcs(&self, x: usize) -> &[Arc] {
+        &self.arcs[self.offsets[x]..self.offsets[x + 1]]
+    }
+
     /// Marks in `seen` the nodes reachable from those holding a port of
-    /// kind `from`, across the valves whose edges `closed` (indexed by
-    /// [`Fpva::edge_index`]) leaves open. Channel sites are inside nodes
-    /// and walls are no arcs, so neither needs a check. Stops early and
-    /// returns `false` when it reaches a node holding a port of the other
-    /// kind.
+    /// kind `from`, across the valves that `closed` (indexed by
+    /// [`ValveId::index`]) leaves open. Channel sites are inside nodes and
+    /// walls are no arcs, so neither needs a check. Stops early and returns
+    /// `false` when it reaches a node holding a port of the other kind.
     pub(crate) fn flood(
         &self,
         from: PortKind,
@@ -373,10 +418,11 @@ impl<'a> Router<'a> {
             if stops[x] {
                 return false;
             }
-            for arc in &self.adj[x] {
-                if !seen[arc.to] && !closed[self.fpva.edge_index(arc.edge)] {
-                    seen[arc.to] = true;
-                    stack.push(arc.to);
+            for arc in self.arcs(x) {
+                let y = arc.to as usize;
+                if !seen[y] && !closed[arc.valve as usize] {
+                    seen[y] = true;
+                    stack.push(y);
                 }
             }
         }
@@ -384,45 +430,73 @@ impl<'a> Router<'a> {
     }
 
     /// Routes a valid source→sink flow path through `edge` that crosses
-    /// none of the `avoid` edges; see the [module documentation](self) for
-    /// what "valid" means and how the path is built. `prefer` marks the
-    /// valve edges the path should collect where it has a choice, and
-    /// `rng` breaks ties among them.
+    /// none of the `avoid`ed valves; see the [module documentation](self)
+    /// for what "valid" means and how the path is built. `prefer` marks
+    /// the valves the path should collect where it has a choice, and `rng`
+    /// breaks ties among them.
     ///
     /// Returns the cell sequence (first cell = a source-port cell, last =
     /// a sink-port cell), or `None` exactly when no valid path exists.
+    /// The first route builds the router's witness network and scratch
+    /// space; every route reuses them and allocates only the returned
+    /// path.
     pub fn path_through_edge(
-        &self,
+        &mut self,
         edge: EdgeId,
-        avoid: &[EdgeId],
-        prefer: &dyn Fn(EdgeId) -> bool,
+        avoid: &[ValveId],
+        prefer: &dyn Fn(ValveId) -> bool,
         rng: &mut impl Rng,
     ) -> Option<Vec<CellId>> {
-        if self.fpva.edge_kind(edge) != EdgeKind::Valve || avoid.contains(&edge) {
+        let valve = self.fpva.valve_at(edge)?;
+        if avoid.contains(&valve) {
             return None;
         }
-        let (u, v) = edge.endpoints();
+        let mut routing = self.routing.take().unwrap_or_else(|| Routing::new(self));
+        let path = self.route(&mut routing, valve, avoid, prefer, rng);
+        self.routing = Some(routing);
+        path
+    }
+
+    /// [`Router::path_through_edge`] on the valve `valve`, with the
+    /// router's routing state `r`, which it hands back with every node
+    /// unblocked.
+    fn route(
+        &self,
+        r: &mut Routing,
+        valve: ValveId,
+        avoid: &[ValveId],
+        prefer: &dyn Fn(ValveId) -> bool,
+        rng: &mut impl Rng,
+    ) -> Option<Vec<CellId>> {
+        let (u, v) = self.fpva.edge_of(valve).endpoints();
         let (nu, nv) = (self.node_of(u), self.node_of(v));
-        let usable = |arc: &Arc| !avoid.contains(&arc.edge);
-        let (up, witness) = self.source_witness(nu, nv, avoid)?;
+        let up = self.source_witness(r, nu, nv, avoid)?;
         let down = if up == nu { nv } else { nu };
-        let mut blocked = vec![false; self.adj.len()];
-        for &x in &witness {
-            blocked[x] = true;
+        let w = &mut r.walk;
+        w.nodes.clear();
+        w.valves.clear();
+        // No flow passes through a source node, so neither the witness nor
+        // a source node holds `down`; with the source nodes blocked, the
+        // sink side's targets are the sinks that are not sources.
+        for &x in r.witness.iter().chain(&r.sources) {
+            w.blocked[x] = true;
         }
-        let (down_nodes, down_edges) =
-            self.walk(down, Toward::Sinks, &mut blocked, &usable, prefer, rng);
-        for &x in &witness {
-            blocked[x] = false;
+        self.walk(w, down, &self.sink, avoid, prefer, rng);
+        for &x in r.witness.iter().chain(&r.sources) {
+            w.blocked[x] = false;
         }
-        let (mut nodes, mut edges) =
-            self.walk(up, Toward::Sources, &mut blocked, &usable, prefer, rng);
-        nodes.reverse();
-        edges.reverse();
-        nodes.extend(down_nodes);
-        edges.push(edge);
-        edges.extend(down_edges);
-        Some(self.expand(&nodes, &edges))
+        let (down_nodes, down_valves) = (w.nodes.len(), w.valves.len());
+        w.valves.push(id(valve.index()));
+        self.walk(w, up, &self.source, avoid, prefer, rng);
+        // The source side was walked from `up` outwards: put it first,
+        // reversed, ahead of the sink side.
+        swap_reversed(&mut w.nodes, down_nodes);
+        swap_reversed(&mut w.valves, down_valves);
+        for &x in &w.nodes {
+            w.blocked[x] = false;
+        }
+        self.expand(&w.nodes, &w.valves, &mut r.run, &mut r.cells);
+        Some(r.cells.clone())
     }
 
     /// Decides feasibility by max-flow: from a super source into `nu` and
@@ -430,168 +504,177 @@ impl<'a> Router<'a> {
     /// crossing no `avoid`ed valve. Each node has capacity 1, so a valve
     /// inside one component (`nu == nv`) never gets both units; a source
     /// node's only exit is the source terminal, so no flow passes through
-    /// one. Returns the endpoint whose unit reaches a source node, with
-    /// that unit's nodes (endpoint first).
+    /// one. Returns the endpoint whose unit reaches a source node, and
+    /// leaves that unit's nodes (endpoint first) in `r.witness`.
     ///
-    /// A call runs on the router's network, built on the first call, with
-    /// a copy of its capacities in which the arcs of the avoided valves are
-    /// empty; the super source is the list of its two arcs' heads. Searches
-    /// meet the arcs in the order a network built for the call would give
-    /// them, so the augmenting paths, and the witness, are the same.
+    /// A call runs on the router's network with a copy of its capacities
+    /// in which the arcs of the avoided valves are empty; the super source
+    /// is the list of its two arcs' heads. Searches meet the arcs in the
+    /// order a network built for the call would give them, so the
+    /// augmenting paths, and the witness, are the same.
     fn source_witness(
         &self,
+        r: &mut Routing,
         nu: usize,
         nv: usize,
-        avoid: &[EdgeId],
-    ) -> Option<(usize, Vec<usize>)> {
-        let Witness { net, valve_arcs } = self.witness();
-        let (to_sources, to_sinks, t) = terminals(self.adj.len());
-        let mut cap = net.cap.clone();
-        let (mut via, mut queue) = (vec![usize::MAX; net.head.len()], Vec::new());
-        for &edge in avoid {
-            let (a, b) = edge.endpoints();
+        avoid: &[ValveId],
+    ) -> Option<usize> {
+        let Routing {
+            net,
+            valve_arcs,
+            cap,
+            via,
+            queue,
+            witness,
+            ..
+        } = r;
+        let (to_sources, to_sinks, t) = terminals(self.node_count());
+        cap.copy_from_slice(&net.cap);
+        for &valve in avoid {
+            let (a, b) = self.fpva.edge_of(valve).endpoints();
             for x in [self.node_of(a), self.node_of(b)] {
                 if self.source[x] {
                     continue;
                 }
-                for (k, arc) in self.adj[x].iter().enumerate() {
-                    if arc.edge == edge {
-                        cap[valve_arcs[x] + 2 * k] = 0;
+                for (p, arc) in (self.offsets[x]..).zip(self.arcs(x)) {
+                    if arc.valve as usize == valve.index() {
+                        cap[valve_arcs[p] as usize] = 0;
                     }
                 }
             }
         }
         // The super source's arcs, in the order a search tries them.
-        let mut entries = vec![inn(nv), inn(nu)];
-        let mut augment = |cap: &mut [u8]| net.augment(cap, &mut entries, t, &mut via, &mut queue);
-        if !(augment(&mut cap) && augment(&mut cap)) {
-            return None;
-        }
+        let entries = [inn(nv), inn(nu)];
+        let first = net.augment(cap, &entries, t, via, queue)?;
+        net.augment(cap, &[entries[1 - first]], t, via, queue)?;
         // Both units leave the super source; follow each to its terminal.
         for start in [nu, nv] {
-            let mut nodes = vec![start];
+            witness.clear();
+            witness.push(start);
             let mut at = out(start);
             loop {
-                let next = net.flow_successor(&cap, at);
+                let next = net.flow_successor(cap, at);
                 if next == to_sources {
-                    return Some((start, nodes));
+                    return Some(start);
                 }
                 if next == to_sinks {
                     break;
                 }
-                nodes.push(next / 2);
+                witness.push(next / 2);
                 at = out(next / 2);
             }
         }
         unreachable!("a flow of two reaches both terminals")
     }
 
-    /// Grows one side of the path from `start` until it stands on a node of
-    /// the port class it heads for, never entering a `blocked` node (nor,
-    /// heading for sinks, a source node). Every node it visits is left
-    /// blocked. Returns the visited nodes (`start` first) and the valve
-    /// edges between them.
+    /// Grows one side of the path from `start` until it stands on a node
+    /// of `target`, never entering a `blocked` node nor crossing an
+    /// `avoid`ed valve. Appends the nodes it visits (`start` first) to
+    /// `w.nodes` and the valves between them to `w.valves`, and leaves
+    /// every visited node blocked.
     ///
-    /// The caller guarantees that the port class is reachable from `start`;
-    /// every step keeps it reachable, so the walk never backtracks.
+    /// The caller guarantees that a target is reachable from `start`;
+    /// every step keeps one reachable, so the walk never backtracks.
     fn walk(
         &self,
+        w: &mut Walk,
         start: usize,
-        toward: Toward,
-        blocked: &mut [bool],
-        usable: &dyn Fn(&Arc) -> bool,
-        prefer: &dyn Fn(EdgeId) -> bool,
+        target: &[bool],
+        avoid: &[ValveId],
+        prefer: &dyn Fn(ValveId) -> bool,
         rng: &mut impl Rng,
-    ) -> (Vec<usize>, Vec<EdgeId>) {
-        let mut nodes = vec![start];
-        let mut edges = Vec::new();
-        let mut scratch = Scratch::new(self.adj.len());
-        let (mut feasible, mut preferred) = (Vec::new(), Vec::new());
+    ) {
+        w.nodes.push(start);
         let mut at = start;
-        while !self.is_target(at, toward) {
-            blocked[at] = true;
-            self.feasible_arcs(at, toward, blocked, usable, &mut scratch, &mut feasible);
-            preferred.clear();
-            preferred.extend(feasible.iter().copied().filter(|a| prefer(a.edge)));
-            let pool = if preferred.is_empty() {
-                &feasible
+        while !target[at] {
+            w.blocked[at] = true;
+            self.feasible_arcs(
+                at,
+                target,
+                &w.blocked,
+                avoid,
+                &mut w.search,
+                &mut w.feasible,
+            );
+            w.preferred.clear();
+            let preferred = w
+                .feasible
+                .iter()
+                .filter(|a| prefer(ValveId(a.valve as usize)));
+            w.preferred.extend(preferred);
+            let pool = if w.preferred.is_empty() {
+                &w.feasible
             } else {
-                &preferred
+                &w.preferred
             };
             let arc = pool[rng.gen_range(0..pool.len())];
-            nodes.push(arc.to);
-            edges.push(arc.edge);
-            at = arc.to;
+            at = arc.to as usize;
+            w.nodes.push(at);
+            w.valves.push(arc.valve);
         }
-        blocked[at] = true;
-        (nodes, edges)
+        w.blocked[at] = true;
     }
 
-    fn is_target(&self, x: usize, toward: Toward) -> bool {
-        match toward {
-            Toward::Sources => self.source[x],
-            Toward::Sinks => self.sink[x] && !self.source[x],
-        }
-    }
-
-    fn passable(&self, x: usize, toward: Toward, blocked: &[bool]) -> bool {
-        !blocked[x] && (toward == Toward::Sources || !self.source[x])
-    }
-
-    /// Collects into `out`, in adjacency order, the usable arcs from the
-    /// (already blocked) node `at` after which the port class stays
-    /// reachable.
+    /// Collects into `out`, in valve order, the arcs from the (already
+    /// blocked) node `at` into unblocked nodes across valves not
+    /// `avoid`ed, after which a `target` node stays reachable.
     ///
-    /// `at` reached the port class before it was blocked, so a lone
-    /// candidate does. Several are decided by the interleaved searches of
-    /// the [module documentation](self): one per candidate node, each
+    /// `at` reached a target before it was blocked, so a lone candidate
+    /// does. Several are decided by the interleaved searches of the
+    /// [module documentation](self): one per candidate node, each
     /// expanding one node per turn, until at most one undecided search is
-    /// left and no other has met the port class.
+    /// left and no other has met a target.
     fn feasible_arcs(
         &self,
         at: usize,
-        toward: Toward,
+        target: &[bool],
         blocked: &[bool],
-        usable: &dyn Fn(&Arc) -> bool,
-        scratch: &mut Scratch,
+        avoid: &[ValveId],
+        search: &mut Searches,
         out: &mut Vec<Arc>,
     ) {
-        let passable = |x: usize| self.passable(x, toward, blocked);
+        let usable = |a: &&Arc| {
+            !blocked[a.to as usize] && avoid.iter().all(|v| v.index() != a.valve as usize)
+        };
         out.clear();
-        out.extend(
-            self.adj[at]
-                .iter()
-                .filter(|a| usable(a) && passable(a.to))
-                .copied(),
-        );
+        out.extend(self.arcs(at).iter().filter(usable));
         if out.len() < 2 {
             return;
         }
-        scratch.begin();
+        search.begin();
         for arc in out.iter() {
-            if !scratch.seen(arc.to) {
-                scratch.start(arc.to, self.is_target(arc.to, toward));
+            let x = arc.to as usize;
+            if !search.seen(x) {
+                search.start(x, target[x]);
             }
         }
         let mut k = 0;
-        while scratch.undecided() {
-            if let Some(x) = scratch.next(k) {
-                for arc in self.adj[x].iter().filter(|a| usable(a) && passable(a.to)) {
-                    scratch.meet(k, arc.to, self.is_target(arc.to, toward));
+        while search.undecided() {
+            if let Some(x) = search.next(k) {
+                for arc in self.arcs(x).iter().filter(usable) {
+                    let y = arc.to as usize;
+                    search.meet(k, y, target[y]);
                 }
-                scratch.settle(k);
+                search.settle(k);
             }
-            k = (k + 1) % scratch.len;
+            k = (k + 1) % search.searches.len();
         }
-        out.retain(|a| scratch.feasible(a.to));
+        out.retain(|a| search.feasible(a.to as usize));
     }
 
-    /// Expands a node path back to cells: `edges[i]` joins `nodes[i]` and
+    /// Expands a node path into `cells`: `valves[i]` joins `nodes[i]` and
     /// `nodes[i + 1]`; the first node is entered at a source cell and the
-    /// last left at a sink cell.
-    fn expand(&self, nodes: &[usize], edges: &[EdgeId]) -> Vec<CellId> {
-        let cell_in = |edge: EdgeId, x: usize| {
-            let (a, b) = edge.endpoints();
+    /// last left at a sink cell. `run` is scratch space for
+    /// [`Router::within`].
+    fn expand(
+        &self,
+        nodes: &[usize],
+        valves: &[u32],
+        run: &mut Vec<(CellId, usize)>,
+        cells: &mut Vec<CellId>,
+    ) {
+        let cell_in = |valve: u32, x: usize| {
+            let (a, b) = self.fpva.edge_of(ValveId(valve as usize)).endpoints();
             if self.node_of(a) == x {
                 a
             } else {
@@ -603,111 +686,180 @@ impl<'a> Router<'a> {
                 .ports()
                 .any(|(_, p)| p.cell == cell && p.kind == kind)
         };
-        let mut cells = Vec::new();
+        cells.clear();
         for (i, &x) in nodes.iter().enumerate() {
-            let exit = edges.get(i).map(|&e| cell_in(e, x));
-            match (i.checked_sub(1).map(|k| cell_in(edges[k], x)), exit) {
-                (Some(entry), Some(exit)) => self.within(entry, |c| c == exit, &mut cells),
+            let exit = valves.get(i).map(|&e| cell_in(e, x));
+            match (i.checked_sub(1).map(|k| cell_in(valves[k], x)), exit) {
+                (Some(entry), Some(exit)) => self.within(entry, |c| c == exit, run, cells),
                 (Some(entry), None) => {
-                    self.within(entry, |c| is_port(c, PortKind::Sink), &mut cells);
+                    self.within(entry, |c| is_port(c, PortKind::Sink), run, cells);
                 }
                 (None, Some(exit)) => {
                     // The first node: its run is all `cells` holds.
-                    self.within(exit, |c| is_port(c, PortKind::Source), &mut cells);
+                    self.within(exit, |c| is_port(c, PortKind::Source), run, cells);
                     cells.reverse();
                 }
                 (None, None) => unreachable!("a path through a valve spans two nodes"),
             }
         }
-        cells
     }
 
     /// Appends to `cells` the shortest run of cells from `from` to the
     /// first cell meeting `goal` along always-open edges, i.e. inside
     /// `from`'s open component. A run whose first cell meets `goal`, as
-    /// every lone cell's does, is that cell alone.
-    fn within(&self, from: CellId, goal: impl Fn(CellId) -> bool, cells: &mut Vec<CellId>) {
+    /// every lone cell's does, is that cell alone. `run` is scratch space.
+    fn within(
+        &self,
+        from: CellId,
+        goal: impl Fn(CellId) -> bool,
+        run: &mut Vec<(CellId, usize)>,
+        cells: &mut Vec<CellId>,
+    ) {
         if goal(from) {
             cells.push(from);
             return;
         }
         // Components are short channels: a list scan beats a cell-sized map.
-        let mut visited: Vec<(CellId, usize)> = vec![(from, usize::MAX)];
+        run.clear();
+        run.push((from, NONE));
         let mut head = 0;
-        while !goal(visited[head].0) {
-            let cell = visited[head].0;
+        while !goal(run[head].0) {
+            let cell = run[head].0;
             for (edge, next) in self.fpva.neighbors(cell) {
                 if self.fpva.edge_kind(edge) == EdgeKind::Open
-                    && !visited.iter().any(|&(c, _)| c == next)
+                    && !run.iter().any(|&(c, _)| c == next)
                 {
-                    visited.push((next, head));
+                    run.push((next, head));
                 }
             }
             head += 1;
         }
         let start = cells.len();
         let mut k = head;
-        while k != usize::MAX {
-            cells.push(visited[k].0);
-            k = visited[k].1;
+        while k != NONE {
+            cells.push(run[k].0);
+            k = run[k].1;
         }
         cells[start..].reverse();
     }
 }
 
-/// What a group of merged searches of [`Scratch`] has found.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// Turns `[a, b]`, where `a = buf[..split]`, into `[reversed b, a]`.
+fn swap_reversed<T>(buf: &mut [T], split: usize) {
+    buf.rotate_left(split);
+    let moved = buf.len() - split;
+    buf[..moved].reverse();
+}
+
+impl Routing {
+    /// The witness network of `router` and route buffers sized for its
+    /// chip.
+    fn new(router: &Router<'_>) -> Self {
+        let n = router.node_count();
+        let (to_sources, to_sinks, t) = terminals(n);
+        let mut pairs = Vec::new();
+        let mut valve_arcs = vec![u32::MAX; router.arcs.len()];
+        for x in 0..n {
+            pairs.push((inn(x), out(x)));
+            if router.source[x] {
+                pairs.push((out(x), to_sources));
+                continue;
+            }
+            if router.sink[x] {
+                pairs.push((out(x), to_sinks));
+            }
+            for (p, arc) in (router.offsets[x]..).zip(router.arcs(x)) {
+                valve_arcs[p] = id(pairs.len());
+                pairs.push((out(x), inn(arc.to as usize)));
+            }
+        }
+        pairs.push((to_sources, t));
+        pairs.push((to_sinks, t));
+        let (net, forward) = Network::freeze(t + 1, &pairs);
+        for a in valve_arcs.iter_mut().filter(|a| **a != u32::MAX) {
+            *a = forward[*a as usize];
+        }
+        let degree = (0..n).map(|x| router.arcs(x).len()).max().unwrap_or(0);
+        let mut cells_per_node = vec![0usize; n];
+        for &x in &router.node {
+            cells_per_node[x] += 1;
+        }
+        let largest = cells_per_node.into_iter().max().unwrap_or(0);
+        Routing {
+            valve_arcs,
+            sources: (0..n).filter(|&x| router.source[x]).collect(),
+            cap: net.cap.clone(),
+            via: vec![u32::MAX; t + 1],
+            queue: Vec::with_capacity(t + 1),
+            witness: Vec::with_capacity(n),
+            walk: Walk {
+                blocked: vec![false; n],
+                search: Searches::new(n, degree),
+                feasible: Vec::with_capacity(degree),
+                preferred: Vec::with_capacity(degree),
+                nodes: Vec::with_capacity(n),
+                valves: Vec::with_capacity(n),
+            },
+            run: Vec::with_capacity(largest),
+            cells: Vec::with_capacity(router.node.len()),
+            net,
+        }
+    }
+}
+
+/// What a group of merged searches of [`Searches`] has found.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Reach {
     /// Still searching.
-    #[default]
     Open,
-    /// Met an unblocked node of the port class.
+    /// Met an unblocked target node.
     Target,
-    /// Ran dry: its piece holds no node of the port class.
+    /// Ran dry: its piece holds no target node.
     Dry,
 }
 
-/// One breadth-first search of a [`Router::feasible_arcs`] step.
-#[derive(Debug, Default)]
+/// One breadth-first search of a [`Router::feasible_arcs`] step. Its
+/// queue is a list linked through [`Searches::link`].
+#[derive(Debug, Clone, Copy)]
 struct Search {
-    /// The nodes it visited, in order; those from `head` on are still to
-    /// expand.
-    queue: Vec<usize>,
+    /// The next node to expand ([`NONE`] when it has none left) and the
+    /// last node it visited.
     head: usize,
-    /// Union-find parent among the step's searches. A group of merged
-    /// searches keeps its verdict and its number of members with nodes
-    /// left to expand at its root.
-    parent: usize,
+    tail: usize,
+    /// The search whose record holds the group's verdict, and, in that
+    /// record, the verdict and the number of members with nodes left to
+    /// expand.
+    group: usize,
     reach: Reach,
     live: usize,
 }
 
-/// Reusable state of [`Router::feasible_arcs`] across the steps of a walk:
-/// an epoch-stamped owner per node and a pool of searches.
-#[derive(Debug)]
-struct Scratch {
+/// Reusable state of [`Router::feasible_arcs`] across the steps of a
+/// router's walks: per node an epoch-stamped owner and the link to the
+/// next node of its owner's queue, and the step's searches.
+#[derive(Debug, Clone)]
+struct Searches {
     /// The step that last visited each node, and the search that did.
     seen: Vec<u32>,
     owner: Vec<usize>,
+    link: Vec<usize>,
     epoch: u32,
-    /// The step's searches are the first `len`; the rest keep their
-    /// queues' allocations for later steps.
     searches: Vec<Search>,
-    len: usize,
     /// Groups still `Open`.
     open: usize,
-    /// Whether some group met the port class.
+    /// Whether some group met a target.
     found: bool,
 }
 
-impl Scratch {
-    fn new(n: usize) -> Self {
-        Scratch {
-            seen: vec![0; n],
-            owner: vec![0; n],
+impl Searches {
+    /// State for `nodes` nodes and steps of up to `candidates` candidates.
+    fn new(nodes: usize, candidates: usize) -> Self {
+        Searches {
+            seen: vec![0; nodes],
+            owner: vec![0; nodes],
+            link: vec![NONE; nodes],
             epoch: 0,
-            searches: Vec::new(),
-            len: 0,
+            searches: Vec::with_capacity(candidates),
             open: 0,
             found: false,
         }
@@ -715,8 +867,13 @@ impl Scratch {
 
     /// Starts a step with nothing visited and no search.
     fn begin(&mut self) {
-        self.epoch += 1;
-        self.len = 0;
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // The stamps of 2^32 steps ago would read as this step's.
+            self.seen.fill(0);
+            self.epoch = 1;
+        }
+        self.searches.clear();
         self.open = 0;
         self.found = false;
     }
@@ -725,19 +882,17 @@ impl Scratch {
         self.seen[x] == self.epoch
     }
 
-    /// Starts a search at the unvisited candidate node `x`.
+    /// Starts a search, a group of its own, at the unvisited candidate
+    /// node `x`.
     fn start(&mut self, x: usize, target: bool) {
-        let k = self.len;
-        if k == self.searches.len() {
-            self.searches.push(Search::default());
-        }
-        let search = &mut self.searches[k];
-        search.queue.clear();
-        search.head = 0;
-        search.parent = k;
-        search.reach = Reach::Open;
-        search.live = 1;
-        self.len += 1;
+        let k = self.searches.len();
+        self.searches.push(Search {
+            head: NONE,
+            tail: NONE,
+            group: k,
+            reach: Reach::Open,
+            live: 1,
+        });
         self.open += 1;
         self.visit(x, k, target);
     }
@@ -746,27 +901,26 @@ impl Scratch {
     fn visit(&mut self, x: usize, k: usize, target: bool) {
         self.seen[x] = self.epoch;
         self.owner[x] = k;
-        self.searches[k].queue.push(x);
-        let root = self.find(k);
-        if target && self.searches[root].reach == Reach::Open {
-            self.searches[root].reach = Reach::Target;
+        self.link[x] = NONE;
+        let search = &mut self.searches[k];
+        if search.head == NONE {
+            search.head = x;
+        } else {
+            self.link[search.tail] = x;
+        }
+        search.tail = x;
+        let group = search.group;
+        let group = &mut self.searches[group];
+        if target && group.reach == Reach::Open {
+            group.reach = Reach::Target;
             self.open -= 1;
             self.found = true;
         }
     }
 
-    fn find(&mut self, mut k: usize) -> usize {
-        while self.searches[k].parent != k {
-            let up = self.searches[self.searches[k].parent].parent;
-            self.searches[k].parent = up;
-            k = up;
-        }
-        k
-    }
-
     /// Whether the step must search on: more than one group is undecided,
-    /// or one is and another already met the port class. A lone undecided
-    /// group with none met holds the node the walk's invariant promises.
+    /// or one is and another already met a target. A lone undecided group
+    /// with none met holds the node the walk's invariant promises.
     fn undecided(&self) -> bool {
         self.open > 1 || (self.open == 1 && self.found)
     }
@@ -774,32 +928,34 @@ impl Scratch {
     /// The next node search `k` expands, if its group is undecided and it
     /// has one left.
     fn next(&mut self, k: usize) -> Option<usize> {
-        let root = self.find(k);
-        if self.searches[root].reach != Reach::Open {
+        let search = self.searches[k];
+        if self.searches[search.group].reach != Reach::Open || search.head == NONE {
             return None;
         }
-        let search = &mut self.searches[k];
-        let x = *search.queue.get(search.head)?;
-        search.head += 1;
-        Some(x)
+        self.searches[k].head = self.link[search.head];
+        Some(search.head)
     }
 
-    /// Search `k` steps onto the passable node `y`: it visits `y`, or
-    /// merges with the search that already did. No group that ran dry
-    /// borders a visited node, so a merge joins two groups that are
-    /// undecided or met the port class.
+    /// Search `k` steps onto the passable node `y`: it visits `y`, or its
+    /// group absorbs the group of the search that already did. No group
+    /// that ran dry borders a visited node, so a merge joins two groups
+    /// that are undecided or met a target.
     fn meet(&mut self, k: usize, y: usize, target: bool) {
         if !self.seen(y) {
             self.visit(y, k, target);
             return;
         }
-        let (a, b) = (self.find(k), self.find(self.owner[y]));
+        let (a, b) = (self.searches[k].group, self.searches[self.owner[y]].group);
         if a == b {
             return;
         }
-        self.searches[b].parent = a;
-        self.searches[a].live += self.searches[b].live;
+        for search in &mut self.searches {
+            if search.group == b {
+                search.group = a;
+            }
+        }
         let (ra, rb) = (self.searches[a].reach, self.searches[b].reach);
+        self.searches[a].live += self.searches[b].live;
         if ra == Reach::Open || rb == Reach::Open {
             self.open -= 1;
         }
@@ -809,15 +965,14 @@ impl Scratch {
     }
 
     /// Retires search `k` once it has expanded every node it visited; a
-    /// group whose members are all retired before meeting the port class
-    /// ran dry.
+    /// group whose members are all retired before meeting a target ran
+    /// dry.
     fn settle(&mut self, k: usize) {
-        let search = &self.searches[k];
-        if search.head < search.queue.len() {
+        let search = self.searches[k];
+        if search.head != NONE {
             return;
         }
-        let root = self.find(k);
-        let group = &mut self.searches[root];
+        let group = &mut self.searches[search.group];
         group.live -= 1;
         if group.live == 0 && group.reach == Reach::Open {
             group.reach = Reach::Dry;
@@ -825,105 +980,125 @@ impl Scratch {
         }
     }
 
-    /// Whether the candidate node `x` keeps the port class reachable,
-    /// once the step's searches are decided.
-    fn feasible(&mut self, x: usize) -> bool {
-        let root = self.find(self.owner[x]);
-        self.searches[root].reach != Reach::Dry
+    /// Whether the candidate node `x` keeps a target reachable, once the
+    /// step's searches are decided.
+    fn feasible(&self, x: usize) -> bool {
+        let group = self.searches[self.owner[x]].group;
+        self.searches[group].reach != Reach::Dry
     }
 }
 
-/// A unit-capacity flow network in forward-star form; arc `i`'s residual
-/// twin is `i ^ 1`, so even arcs are the forward ones. `cap` holds the
-/// capacities before any flow; a max-flow run works on a copy.
+/// A unit-capacity flow network, frozen: the arcs out of node `x` are
+/// `offsets[x]..offsets[x + 1]`, arc `a`'s residual twin is `twin[a]`, and
+/// `cap` holds the capacities before any flow, so the forward arcs are
+/// those with a unit. A max-flow run works on a copy of `cap`.
 #[derive(Debug, Clone)]
 struct Network {
-    head: Vec<usize>,
-    next: Vec<usize>,
-    to: Vec<usize>,
+    offsets: Vec<u32>,
+    to: Vec<u32>,
+    twin: Vec<u32>,
     cap: Vec<u8>,
 }
 
 impl Network {
-    fn new(nodes: usize) -> Self {
-        Network {
-            head: vec![usize::MAX; nodes],
-            next: Vec::new(),
-            to: Vec::new(),
-            cap: Vec::new(),
+    /// The network of the unit arcs `pairs`, added in that order, each
+    /// with its empty twin. Each node lists its arcs newest first: the
+    /// searches meet them in that order, which fixes the augmenting paths,
+    /// the witnesses and so the plans. Returns the network and the index
+    /// of each pair's forward arc.
+    fn freeze(nodes: usize, pairs: &[(usize, usize)]) -> (Network, Vec<u32>) {
+        let mut ends = vec![0usize; nodes + 1];
+        for &(a, b) in pairs {
+            ends[a + 1] += 1;
+            ends[b + 1] += 1;
         }
+        for x in 0..nodes {
+            ends[x + 1] += ends[x];
+        }
+        let arcs = ends[nodes];
+        let offsets = ends.iter().map(|&e| id(e)).collect();
+        // Each node's run fills from its end, so the newest arc is first.
+        let mut fill = ends.split_off(1);
+        let (mut to, mut twin, mut cap) = (vec![0; arcs], vec![0; arcs], vec![0; arcs]);
+        let mut forward = Vec::with_capacity(pairs.len());
+        for &(a, b) in pairs {
+            fill[a] -= 1;
+            fill[b] -= 1;
+            let (f, r) = (fill[a], fill[b]);
+            (to[f], twin[f], cap[f]) = (id(b), id(r), 1);
+            (to[r], twin[r]) = (id(a), id(f));
+            forward.push(id(f));
+        }
+        let net = Network {
+            offsets,
+            to,
+            twin,
+            cap,
+        };
+        (net, forward)
     }
 
-    fn arcs(&self, x: usize) -> impl Iterator<Item = usize> + '_ {
-        let live = |a: usize| (a != usize::MAX).then_some(a);
-        std::iter::successors(live(self.head[x]), move |&a| live(self.next[a]))
-    }
-
-    /// Adds a capacity-1 arc and its empty residual twin.
-    fn add(&mut self, from: usize, to: usize) {
-        for (a, b, cap) in [(from, to, 1), (to, from, 0)] {
-            self.next.push(self.head[a]);
-            self.head[a] = self.to.len();
-            self.to.push(b);
-            self.cap.push(cap);
-        }
+    fn arcs(&self, x: usize) -> std::ops::Range<usize> {
+        self.offsets[x] as usize..self.offsets[x + 1] as usize
     }
 
     /// Pushes one unit along a shortest augmenting path in the residual
     /// capacities `cap`, from a super source with one arc into each node
-    /// of `entries` (searched in that order) to `t`, and drops the entry
-    /// it used; `false` when the flow is already maximum.
+    /// of `entries` (searched in that order) to `t`. Returns the position
+    /// in `entries` of the node the path starts at, or `None` when the
+    /// flow is already maximum.
     ///
-    /// `via` (one `usize::MAX` per node) and `queue` are scratch space for
+    /// `via` (one `u32::MAX` per node) and `queue` are scratch space for
     /// the search; `via` is handed back as it came, so a caller can reuse
     /// both across augmentations.
     fn augment(
         &self,
         cap: &mut [u8],
-        entries: &mut Vec<usize>,
+        entries: &[usize],
         t: usize,
-        via: &mut [usize],
-        queue: &mut Vec<usize>,
-    ) -> bool {
-        const ENTRY: usize = usize::MAX - 1;
+        via: &mut [u32],
+        queue: &mut Vec<u32>,
+    ) -> Option<usize> {
+        const UNSEEN: u32 = u32::MAX;
+        const ENTRY: u32 = u32::MAX - 1;
         queue.clear();
-        for &x in entries.iter() {
-            if via[x] == usize::MAX {
+        for &x in entries {
+            if via[x] == UNSEEN {
                 via[x] = ENTRY;
-                queue.push(x);
+                queue.push(id(x));
             }
         }
         let mut head = 0;
         while let Some(&x) = queue.get(head) {
             head += 1;
-            for a in self.arcs(x) {
+            for a in self.arcs(x as usize) {
                 let y = self.to[a];
-                if cap[a] > 0 && via[y] == usize::MAX {
-                    via[y] = a;
+                if cap[a] > 0 && via[y as usize] == UNSEEN {
+                    via[y as usize] = a as u32;
                     queue.push(y);
                 }
             }
-            if via[t] != usize::MAX {
+            if via[t] != UNSEEN {
                 break;
             }
         }
-        let found = via[t] != usize::MAX;
-        if found {
+        let used = (via[t] != UNSEEN).then(|| {
             let mut y = t;
             while via[y] != ENTRY {
-                let a = via[y];
+                let a = via[y] as usize;
+                let back = self.twin[a] as usize;
                 cap[a] -= 1;
-                cap[a ^ 1] += 1;
-                y = self.to[a ^ 1];
+                cap[back] += 1;
+                y = self.to[back] as usize;
             }
             let used = entries.iter().position(|&x| x == y);
-            entries.remove(used.expect("an augmenting path starts at an entry"));
-        }
+            used.expect("an augmenting path starts at an entry")
+        });
         // Every node the search marked is on the queue.
         for &x in queue.iter() {
-            via[x] = usize::MAX;
+            via[x as usize] = UNSEEN;
         }
-        found
+        used
     }
 
     /// The head of the forward arc out of `x` that carries flow in the
@@ -932,8 +1107,8 @@ impl Network {
     /// nothing.
     fn flow_successor(&self, cap: &[u8], x: usize) -> usize {
         self.arcs(x)
-            .find(|&a| a % 2 == 0 && cap[a ^ 1] > 0)
-            .map(|a| self.to[a])
+            .find(|&a| self.cap[a] > 0 && cap[self.twin[a] as usize] > 0)
+            .map(|a| self.to[a] as usize)
             .expect("flow is conserved at every inner node")
     }
 }
@@ -944,7 +1119,7 @@ mod tests {
     use fpva_grid::{layouts, Axis, FpvaBuilder, Side};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use std::collections::HashSet;
+    use std::collections::{HashSet, VecDeque};
 
     fn crosses(f: &Fpva, cells: &[CellId], edge: EdgeId) -> bool {
         cells
@@ -953,19 +1128,20 @@ mod tests {
     }
 
     /// The cut stage floods the router's graph and never routes, so it
-    /// leaves the witness network unbuilt; the first route builds it.
+    /// leaves the witness network and the route buffers unbuilt; the first
+    /// route builds them.
     #[test]
     fn witness_network_is_built_on_the_first_route() {
         let f = layouts::table1_5x5();
-        let router = Router::new(&f);
+        let mut router = Router::new(&f);
         crate::cutset::cut_cover_on(&router).unwrap();
-        assert!(router.witness.get().is_none());
+        assert!(router.routing.is_none());
         let edge = f.edge_of(ValveId(0));
         let mut rng = StdRng::seed_from_u64(1);
         assert!(router
             .path_through_edge(edge, &[], &|_| false, &mut rng)
             .is_some());
-        assert!(router.witness.get().is_some());
+        assert!(router.routing.is_some());
     }
 
     #[test]
@@ -1003,7 +1179,7 @@ mod tests {
     #[test]
     fn routed_paths_are_simple_port_to_port_and_cross_the_edge() {
         let f = layouts::full_array(4, 4);
-        let router = Router::new(&f);
+        let mut router = Router::new(&f);
         for seed in 0..5 {
             let mut rng = StdRng::seed_from_u64(seed);
             for (_, edge) in f.valves() {
@@ -1042,9 +1218,10 @@ mod tests {
         let f = layouts::full_array(1, 3);
         let mut rng = StdRng::seed_from_u64(5);
         // A 1x3 pipeline: avoiding edge 0 makes edge 1 unreachable.
+        let first = f.valve_at(EdgeId::horizontal(0, 0)).unwrap();
         let got = Router::new(&f).path_through_edge(
             EdgeId::horizontal(0, 1),
-            &[EdgeId::horizontal(0, 0)],
+            &[first],
             &|_| false,
             &mut rng,
         );
@@ -1126,14 +1303,15 @@ mod tests {
         // Whichever axis is preferred, every seed takes it.
         let f = layouts::full_array(3, 3);
         let edge = EdgeId::vertical(0, 0);
+        let axis = |v: ValveId| f.edge_of(v).axis;
         for seed in 0..8 {
             let mut rng = StdRng::seed_from_u64(seed);
             let down = Router::new(&f)
-                .path_through_edge(edge, &[], &|e| e.axis == Axis::Vertical, &mut rng)
+                .path_through_edge(edge, &[], &|v| axis(v) == Axis::Vertical, &mut rng)
                 .unwrap();
             assert_eq!(down[2], CellId::new(2, 0), "preferred vertical step");
             let across = Router::new(&f)
-                .path_through_edge(edge, &[], &|e| e.axis == Axis::Horizontal, &mut rng)
+                .path_through_edge(edge, &[], &|v| axis(v) == Axis::Horizontal, &mut rng)
                 .unwrap();
             assert_eq!(across[2], CellId::new(1, 1), "preferred horizontal step");
         }
@@ -1206,11 +1384,12 @@ mod tests {
     /// search.
     const LOCAL_PROBE: usize = 24;
 
-    /// Breadth-first search over passable nodes from everything already in
-    /// `queue` (and marked in `seen`), expanding at most `limit` nodes.
+    /// Breadth-first search over unblocked nodes and `usable` arcs from
+    /// everything already in `queue` (and marked in `seen`), expanding at
+    /// most `limit` nodes.
     fn flood(
         router: &Router<'_>,
-        passable: &dyn Fn(usize) -> bool,
+        blocked: &[bool],
         usable: &dyn Fn(&Arc) -> bool,
         seen: &mut [bool],
         queue: &mut Vec<usize>,
@@ -1220,10 +1399,11 @@ mod tests {
         while head < queue.len().min(limit) {
             let x = queue[head];
             head += 1;
-            for arc in router.adj[x].iter().filter(|a| usable(a)) {
-                if passable(arc.to) && !seen[arc.to] {
-                    seen[arc.to] = true;
-                    queue.push(arc.to);
+            for arc in router.arcs(x).iter().filter(|a| usable(a)) {
+                let y = arc.to as usize;
+                if !blocked[y] && !seen[y] {
+                    seen[y] = true;
+                    queue.push(y);
                 }
             }
         }
@@ -1231,111 +1411,106 @@ mod tests {
 
     /// The walk step the interleaved searches replaced: a bounded probe
     /// from the first candidate, then, if the probe misses a candidate,
-    /// one search from the port class. Returns the number of candidates
-    /// and the feasible arcs' edges.
+    /// one search from the unblocked targets. Returns the number of
+    /// candidates and the feasible arcs' valves.
     fn feasible_by_flood(
         router: &Router<'_>,
         at: usize,
-        toward: Toward,
+        target: &[bool],
         blocked: &[bool],
         usable: &dyn Fn(&Arc) -> bool,
-    ) -> (usize, Vec<EdgeId>) {
-        let n = router.adj.len();
-        let passable = |x: usize| router.passable(x, toward, blocked);
-        let mut out: Vec<Arc> = router.adj[at]
+    ) -> (usize, Vec<u32>) {
+        let n = router.node_count();
+        let mut out: Vec<Arc> = router
+            .arcs(at)
             .iter()
-            .filter(|a| usable(a) && passable(a.to))
+            .filter(|a| usable(a) && !blocked[a.to as usize])
             .copied()
             .collect();
         let candidates = out.len();
-        if let Some(first) = out.first().map(|a| a.to) {
+        if let Some(first) = out.first().map(|a| a.to as usize) {
             let mut seen = vec![false; n];
             seen[first] = true;
             let mut queue = vec![first];
-            flood(
-                router,
-                &passable,
-                usable,
-                &mut seen,
-                &mut queue,
-                LOCAL_PROBE,
-            );
-            if !out.iter().all(|a| seen[a.to]) {
+            flood(router, blocked, usable, &mut seen, &mut queue, LOCAL_PROBE);
+            if !out.iter().all(|a| seen[a.to as usize]) {
                 let mut seen = vec![false; n];
-                let mut queue: Vec<usize> = (0..n)
-                    .filter(|&x| router.is_target(x, toward) && !blocked[x])
-                    .collect();
+                let mut queue: Vec<usize> = (0..n).filter(|&x| target[x] && !blocked[x]).collect();
                 for &x in &queue {
                     seen[x] = true;
                 }
-                flood(router, &passable, usable, &mut seen, &mut queue, usize::MAX);
-                out.retain(|a| seen[a.to]);
+                flood(router, blocked, usable, &mut seen, &mut queue, usize::MAX);
+                out.retain(|a| seen[a.to as usize]);
             }
         }
-        (candidates, out.iter().map(|a| a.edge).collect())
+        (candidates, out.iter().map(|a| a.valve).collect())
     }
 
-    /// Whether `from` reaches an unblocked node of the port class over
-    /// passable nodes.
+    /// Whether `from` reaches a target over unblocked nodes.
     fn reaches(
         router: &Router<'_>,
         from: usize,
-        toward: Toward,
+        target: &[bool],
         blocked: &[bool],
         usable: &dyn Fn(&Arc) -> bool,
     ) -> bool {
-        let passable = |x: usize| router.passable(x, toward, blocked);
-        let mut seen = vec![false; router.adj.len()];
+        let mut seen = vec![false; router.node_count()];
         seen[from] = true;
         let mut queue = vec![from];
-        flood(router, &passable, usable, &mut seen, &mut queue, usize::MAX);
-        queue.iter().any(|&x| router.is_target(x, toward))
+        flood(router, blocked, usable, &mut seen, &mut queue, usize::MAX);
+        queue.iter().any(|&x| target[x])
     }
 
     /// Walks like [`Router::walk`], `walks` times on `f`, each from a random
-    /// start that reaches its port class over a random blocked set, with
-    /// a random avoided valve half the time. Checks every step's feasible
-    /// arcs against [`feasible_by_flood`] and returns how many steps it
-    /// checked and how many of them pruned a candidate.
+    /// start that reaches its targets over a random blocked set, with a
+    /// random avoided valve half the time. A walk heads for the source
+    /// nodes, or for the sink nodes with every source node blocked, as a
+    /// route's two walks do. Checks every step's feasible arcs against
+    /// [`feasible_by_flood`] and returns how many steps it checked and how
+    /// many of them pruned a candidate.
     fn check_walk_steps(f: &Fpva, walks: usize, rng: &mut StdRng) -> (usize, usize) {
         let router = Router::new(f);
-        let n = router.adj.len();
-        let valves: Vec<EdgeId> = f.valves().map(|(_, e)| e).collect();
-        let mut scratch = Scratch::new(n);
+        let n = router.node_count();
+        let valves: Vec<ValveId> = f.valves().map(|(v, _)| v).collect();
+        let mut search = Searches::new(n, 0);
         let mut out = Vec::new();
         let (mut steps, mut pruned) = (0, 0);
         for _ in 0..walks {
-            let toward = if rng.gen_bool(0.5) {
-                Toward::Sources
-            } else {
-                Toward::Sinks
-            };
+            let to_sources = rng.gen_bool(0.5);
             let avoid = if valves.is_empty() || rng.gen_bool(0.5) {
                 Vec::new()
             } else {
                 vec![valves[rng.gen_range(0..valves.len())]]
             };
-            let usable = |a: &Arc| !avoid.contains(&a.edge);
+            let usable = |a: &Arc| !avoid.iter().any(|v| v.index() == a.valve as usize);
             let density = [0.0, 0.15, 0.3, 0.45][rng.gen_range(0..4usize)];
             let mut blocked: Vec<bool> = (0..n).map(|_| rng.gen_bool(density)).collect();
             let mut at = rng.gen_range(0..n);
             blocked[at] = false;
-            if router.is_target(at, toward)
-                || !router.passable(at, toward, &blocked)
-                || !reaches(&router, at, toward, &blocked, &usable)
-            {
+            let target = if to_sources {
+                &router.source
+            } else {
+                for (b, &s) in blocked.iter_mut().zip(&router.source) {
+                    *b |= s;
+                }
+                &router.sink
+            };
+            if target[at] || blocked[at] || !reaches(&router, at, target, &blocked, &usable) {
                 continue;
             }
-            while !router.is_target(at, toward) {
+            while !target[at] {
                 blocked[at] = true;
-                router.feasible_arcs(at, toward, &blocked, &usable, &mut scratch, &mut out);
+                router.feasible_arcs(at, target, &blocked, &avoid, &mut search, &mut out);
                 let (candidates, expected) =
-                    feasible_by_flood(&router, at, toward, &blocked, &usable);
-                let got: Vec<EdgeId> = out.iter().map(|a| a.edge).collect();
-                assert_eq!(got, expected, "step from node {at} toward {toward:?}");
+                    feasible_by_flood(&router, at, target, &blocked, &usable);
+                let got: Vec<u32> = out.iter().map(|a| a.valve).collect();
+                assert_eq!(
+                    got, expected,
+                    "step from node {at}, to sources: {to_sources}"
+                );
                 steps += 1;
                 pruned += usize::from(expected.len() < candidates);
-                at = out[rng.gen_range(0..out.len())].to;
+                at = out[rng.gen_range(0..out.len())].to as usize;
             }
         }
         (steps, pruned)
@@ -1431,10 +1606,45 @@ mod tests {
         );
     }
 
+    /// A unit-capacity network in forward-star form, each node's arcs in a
+    /// linked list, newest first; arc `i`'s residual twin is `i ^ 1`: the
+    /// reference the frozen network is checked against.
+    struct ListNetwork {
+        head: Vec<usize>,
+        next: Vec<usize>,
+        to: Vec<usize>,
+        cap: Vec<u8>,
+    }
+
+    impl ListNetwork {
+        fn new(nodes: usize) -> Self {
+            ListNetwork {
+                head: vec![usize::MAX; nodes],
+                next: Vec::new(),
+                to: Vec::new(),
+                cap: Vec::new(),
+            }
+        }
+
+        fn arcs(&self, x: usize) -> impl Iterator<Item = usize> + '_ {
+            let live = |a: usize| (a != usize::MAX).then_some(a);
+            std::iter::successors(live(self.head[x]), move |&a| live(self.next[a]))
+        }
+
+        /// Adds a capacity-1 arc and its empty residual twin.
+        fn add(&mut self, from: usize, to: usize) {
+            for (a, b, cap) in [(from, to, 1), (to, from, 0)] {
+                self.next.push(self.head[a]);
+                self.head[a] = self.to.len();
+                self.to.push(b);
+                self.cap.push(cap);
+            }
+        }
+    }
+
     /// Pushes one unit from the real super source `s` along a shortest
-    /// augmenting path in `net.cap`, as [`Network::augment`] did before
-    /// its super source became a list of entries.
-    fn augment_from(net: &mut Network, s: usize, t: usize) -> bool {
+    /// augmenting path in `net.cap`.
+    fn augment_from(net: &mut ListNetwork, s: usize, t: usize) -> bool {
         let mut via = vec![usize::MAX; net.head.len()];
         let mut queue = VecDeque::from([s]);
         while let Some(x) = queue.pop_front() {
@@ -1462,19 +1672,19 @@ mod tests {
         true
     }
 
-    /// [`Router::source_witness`] as it was: a network built afresh for
-    /// the call, without the avoided valves' arcs, with a real super
+    /// [`Router::source_witness`] on a forward-star network built afresh
+    /// for the call, without the avoided valves' arcs, with a real super
     /// source, and flow read off the forward arcs.
     fn witness_by_fresh_network(
         router: &Router<'_>,
         nu: usize,
         nv: usize,
-        avoid: &[EdgeId],
+        avoid: &[ValveId],
     ) -> Option<(usize, Vec<usize>)> {
-        let n = router.adj.len();
+        let n = router.node_count();
         let (to_sources, to_sinks, t) = terminals(n);
         let s = t + 1;
-        let mut net = Network::new(s + 1);
+        let mut net = ListNetwork::new(s + 1);
         for x in 0..n {
             net.add(inn(x), out(x));
             if router.source[x] {
@@ -1484,8 +1694,12 @@ mod tests {
             if router.sink[x] {
                 net.add(out(x), to_sinks);
             }
-            for arc in router.adj[x].iter().filter(|a| !avoid.contains(&a.edge)) {
-                net.add(out(x), inn(arc.to));
+            let kept = router.arcs(x).iter().filter(|a| {
+                let valve = ValveId(a.valve as usize);
+                !avoid.contains(&valve)
+            });
+            for arc in kept {
+                net.add(out(x), inn(arc.to as usize));
             }
         }
         net.add(s, inn(nu));
@@ -1518,18 +1732,22 @@ mod tests {
     }
 
     /// For every valve of `f`, with no valve avoided and with each
-    /// adjacent one avoided, the reusable network's witness equals a
-    /// fresh network's. Returns the calls and those that found a witness.
+    /// adjacent one avoided, the witness of the router's frozen network,
+    /// reused across all calls, equals a fresh network's. Returns the
+    /// calls and those that found a witness.
     fn check_witnesses(f: &Fpva) -> (usize, usize) {
         let router = Router::new(f);
+        let mut routing = Routing::new(&router);
         let (mut calls, mut found) = (0, 0);
         for (v, edge) in f.valves() {
             let (a, b) = edge.endpoints();
             let (nu, nv) = (router.node_of(a), router.node_of(b));
             let mut avoids = vec![Vec::new()];
-            avoids.extend(f.valve_neighbors(v).into_iter().map(|w| vec![f.edge_of(w)]));
+            avoids.extend(f.valve_neighbors(v).into_iter().map(|w| vec![w]));
             for avoid in &avoids {
-                let got = router.source_witness(nu, nv, avoid);
+                let got = router
+                    .source_witness(&mut routing, nu, nv, avoid)
+                    .map(|up| (up, routing.witness.clone()));
                 let expected = witness_by_fresh_network(&router, nu, nv, avoid);
                 assert_eq!(got, expected, "valve {v} avoiding {avoid:?}");
                 calls += 1;

@@ -314,10 +314,12 @@ fn curve_valves(fpva: &Fpva, curve: &[Corner], through: Option<ValveId>) -> Vec<
 }
 
 /// Decides candidate cuts on a [`Router`]'s contracted graph by two
-/// floods, reusing its buffers from one candidate to the next.
+/// floods, reusing its buffers from one candidate to the next. A
+/// candidate marks its valves in a valve-indexed mask, which the floods
+/// read by each arc's valve id.
 struct CutCheck<'a> {
     router: &'a Router<'a>,
-    /// The candidate's valve edges, by [`Fpva::edge_index`].
+    /// The candidate's valves, by [`ValveId::index`].
     closed: Vec<bool>,
     from_sources: Vec<bool>,
     from_sinks: Vec<bool>,
@@ -329,7 +331,7 @@ impl<'a> CutCheck<'a> {
         let nodes = router.node_count();
         CutCheck {
             router,
-            closed: vec![false; router.fpva().edge_count()],
+            closed: vec![false; router.fpva().valve_count()],
             from_sources: vec![false; nodes],
             from_sinks: vec![false; nodes],
             stack: Vec::new(),
@@ -341,9 +343,8 @@ impl<'a> CutCheck<'a> {
     /// exposes, in the order of `valves` ([`exposed_valves`]).
     fn decide(&mut self, valves: &[ValveId]) -> Option<Vec<ValveId>> {
         let fpva = self.router.fpva();
-        let edges = valves.iter().map(|&v| fpva.edge_index(fpva.edge_of(v)));
-        for e in edges.clone() {
-            self.closed[e] = true;
+        for v in valves {
+            self.closed[v.index()] = true;
         }
         let separates = self.router.flood(
             PortKind::Source,
@@ -370,8 +371,8 @@ impl<'a> CutCheck<'a> {
                 })
                 .collect()
         });
-        for e in edges {
-            self.closed[e] = false;
+        for v in valves {
+            self.closed[v.index()] = false;
         }
         exposed
     }

@@ -12,7 +12,7 @@ use crate::connectivity::{endpoint_ports, ports, Router};
 use crate::cover::CoverageTracker;
 use crate::error::AtpgError;
 use crate::path::FlowPath;
-use fpva_grid::{CellId, EdgeKind, Fpva, ValveId};
+use fpva_grid::{CellId, Fpva, ValveId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -62,11 +62,11 @@ pub(crate) fn serpentine_cells(row_start: usize, row_end: usize, cols: usize) ->
 /// Returns [`AtpgError::MissingPorts`] when the array lacks a source or a
 /// sink port.
 pub fn greedy_cover(fpva: &Fpva, seed: u64) -> Result<PathCover, AtpgError> {
-    greedy_cover_on(&Router::new(fpva), seed)
+    greedy_cover_on(&mut Router::new(fpva), seed)
 }
 
 /// [`greedy_cover`] on the router of the chip.
-pub(crate) fn greedy_cover_on(router: &Router<'_>, seed: u64) -> Result<PathCover, AtpgError> {
+pub(crate) fn greedy_cover_on(router: &mut Router<'_>, seed: u64) -> Result<PathCover, AtpgError> {
     ports(router.fpva())?;
     let mut rng = StdRng::seed_from_u64(seed);
     let mut tracker = CoverageTracker::new(router.fpva());
@@ -78,35 +78,28 @@ pub(crate) fn greedy_cover_on(router: &Router<'_>, seed: u64) -> Result<PathCove
 /// Routes additional paths until `tracker` is complete except for the
 /// valves no valid path crosses, which it returns ascending; shared by
 /// the greedy and hierarchical engines.
+///
+/// Each path is routed through the lowest valve that is neither covered
+/// nor listed, found by one forward scan of the valve ids: a routed path
+/// always covers its own target, so every valve behind the scan is
+/// covered or listed, and stays so.
 pub(crate) fn cover_remaining(
-    router: &Router<'_>,
+    router: &mut Router<'_>,
     tracker: &mut CoverageTracker,
     paths: &mut Vec<FlowPath>,
     rng: &mut StdRng,
 ) -> Vec<ValveId> {
     let fpva = router.fpva();
-    let mut uncovered_final: Vec<ValveId> = Vec::new();
-    loop {
-        let candidates = tracker.uncovered();
-        let Some(target) = candidates
-            .iter()
-            .copied()
-            .find(|v| !uncovered_final.contains(v))
-        else {
-            break;
-        };
-        let prefer = |e: fpva_grid::EdgeId| -> bool {
-            match fpva.edge_kind(e) {
-                EdgeKind::Valve => {
-                    !tracker.is_covered(fpva.valve_at(e).expect("valve edge has id"))
-                }
-                _ => false,
-            }
-        };
+    let mut uncovered = Vec::new();
+    for (target, edge) in fpva.valves() {
+        if tracker.is_covered(target) {
+            continue;
+        }
+        let prefer = |v: ValveId| !tracker.is_covered(v);
         // The router may end at any source/sink pair; read the ports off
         // the path endpoints rather than assuming the first ports.
-        let Some(cells) = router.path_through_edge(fpva.edge_of(target), &[], &prefer, rng) else {
-            uncovered_final.push(target);
+        let Some(cells) = router.path_through_edge(edge, &[], &prefer, rng) else {
+            uncovered.push(target);
             continue;
         };
         let (src, snk) = endpoint_ports(fpva, &cells).expect("routes end at port cells");
@@ -115,8 +108,7 @@ pub(crate) fn cover_remaining(
         tracker.cover_all(path.valves(fpva));
         paths.push(path);
     }
-    uncovered_final.sort_unstable();
-    uncovered_final
+    uncovered
 }
 
 #[cfg(test)]

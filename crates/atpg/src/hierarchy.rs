@@ -168,12 +168,12 @@ fn col_band_cells(fpva: &Fpva, c0: usize, c1: usize) -> Vec<CellId> {
 /// Returns [`AtpgError::MissingPorts`] when the array lacks a source or a
 /// sink port.
 pub fn hierarchical_cover(fpva: &Fpva, config: &HierarchyConfig) -> Result<PathCover, AtpgError> {
-    hierarchical_cover_on(&Router::new(fpva), config)
+    hierarchical_cover_on(&mut Router::new(fpva), config)
 }
 
 /// [`hierarchical_cover`] on the router of the chip.
 pub(crate) fn hierarchical_cover_on(
-    router: &Router<'_>,
+    router: &mut Router<'_>,
     config: &HierarchyConfig,
 ) -> Result<PathCover, AtpgError> {
     let fpva = router.fpva();

@@ -23,7 +23,7 @@
 use crate::connectivity::{endpoint_ports, ports, Router};
 use crate::error::AtpgError;
 use crate::path::FlowPath;
-use fpva_grid::{EdgeId, Fpva, ValveId};
+use fpva_grid::{Fpva, ValveId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::VecDeque;
@@ -77,12 +77,12 @@ pub fn leakage_vectors(
     _tries: usize,
 ) -> Result<LeakageCover, AtpgError> {
     ports(fpva)?; // Fail fast when the chip has no source or no sink.
-    Ok(leakage_vectors_on(&Router::new(fpva), flow_paths, seed))
+    Ok(leakage_vectors_on(&mut Router::new(fpva), flow_paths, seed))
 }
 
 /// [`leakage_vectors`] on the router of a chip that has ports.
 pub(crate) fn leakage_vectors_on(
-    router: &Router<'_>,
+    router: &mut Router<'_>,
     flow_paths: &[FlowPath],
     seed: u64,
 ) -> LeakageCover {
@@ -121,12 +121,8 @@ pub(crate) fn leakage_vectors_on(
     while let Some(&(a, b)) = todo.front() {
         // Prefer steps that knock out other pending victims, so one extra
         // vector covers many pairs at once.
-        let prefer = |e: EdgeId| {
-            fpva.valve_at(e)
-                .is_some_and(|v| pending_victims[v.index()] > 0)
-        };
-        let found =
-            router.path_through_edge(fpva.edge_of(b), &[fpva.edge_of(a)], &prefer, &mut rng);
+        let prefer = |v: ValveId| pending_victims[v.index()] > 0;
+        let found = router.path_through_edge(fpva.edge_of(b), &[a], &prefer, &mut rng);
         match found {
             Some(cells) => {
                 // The router may end at any source/sink pair, so the ports
@@ -327,7 +323,7 @@ mod tests {
             seed: u64,
         ) -> LeakageCover {
             let mut rng = StdRng::seed_from_u64(seed);
-            let router = Router::new(fpva);
+            let mut router = Router::new(fpva);
             let mut path_sets: Vec<HashSet<ValveId>> = flow_paths
                 .iter()
                 .map(|p| p.valves(fpva).into_iter().collect())
@@ -346,16 +342,8 @@ mod tests {
             let mut extra_paths: Vec<FlowPath> = Vec::new();
             let mut uncovered: Vec<(ValveId, ValveId)> = Vec::new();
             while let Some(&(a, b)) = todo.first() {
-                let prefer = |e: EdgeId| {
-                    fpva.valve_at(e)
-                        .is_some_and(|v| todo.iter().any(|&(_, y)| y == v))
-                };
-                let found = router.path_through_edge(
-                    fpva.edge_of(b),
-                    &[fpva.edge_of(a)],
-                    &prefer,
-                    &mut rng,
-                );
+                let prefer = |v: ValveId| todo.iter().any(|&(_, y)| y == v);
+                let found = router.path_through_edge(fpva.edge_of(b), &[a], &prefer, &mut rng);
                 match found {
                     Some(cells) => {
                         let (src, snk) = endpoint_ports(fpva, &cells).unwrap();

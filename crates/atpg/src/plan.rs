@@ -132,7 +132,10 @@ impl Atpg {
         &self.config
     }
 
-    fn generate_paths(&self, router: &Router<'_>) -> Result<(PathCover, &'static str), AtpgError> {
+    fn generate_paths(
+        &self,
+        router: &mut Router<'_>,
+    ) -> Result<(PathCover, &'static str), AtpgError> {
         match &self.config.path_engine {
             PathEngine::Hierarchical => {
                 let hc = HierarchyConfig {
@@ -170,8 +173,8 @@ impl Atpg {
         let mut stats = GenerationStats::default();
 
         let t0 = Instant::now();
-        let router = Router::new(fpva);
-        let (path_cover, engine) = self.generate_paths(&router)?;
+        let mut router = Router::new(fpva);
+        let (path_cover, engine) = self.generate_paths(&mut router)?;
         stats.t_paths = t0.elapsed();
         stats.path_engine_used = engine;
 
@@ -181,7 +184,8 @@ impl Atpg {
 
         let leak = if self.config.leakage {
             let t0 = Instant::now();
-            let leak = leakage_vectors_on(&router, &path_cover.paths, self.config.seed ^ 0x5EAF);
+            let leak =
+                leakage_vectors_on(&mut router, &path_cover.paths, self.config.seed ^ 0x5EAF);
             stats.t_leakage = t0.elapsed();
             leak
         } else {
@@ -359,6 +363,89 @@ mod tests {
     fn generate_equals_the_public_phases_at_scale() {
         for f in &crate::cutset::tests::generated_chips(300) {
             check_public_phases(f);
+        }
+    }
+
+    /// FNV-1a 64 over the little-endian bytes of `words`.
+    fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+        words
+            .into_iter()
+            .flat_map(u64::to_le_bytes)
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            })
+    }
+
+    /// One word per valve of each vector (1 open), then the untestable
+    /// open and closed valves and the untestable pairs, with `u64::MAX`
+    /// closing each vector and each valve list.
+    fn plan_digest(f: &Fpva, plan: &TestPlan) -> u64 {
+        let index = |v: ValveId| v.index() as u64;
+        let mut words = Vec::new();
+        for vector in plan.all_vectors(f) {
+            words.extend(f.valves().map(|(v, _)| u64::from(vector.is_open(v))));
+            words.push(u64::MAX);
+        }
+        words.extend(plan.untestable_open().iter().copied().map(index));
+        words.push(u64::MAX);
+        words.extend(plan.untestable_closed().iter().copied().map(index));
+        words.push(u64::MAX);
+        for &(a, b) in plan.untestable_pairs() {
+            words.extend([index(a), index(b)]);
+        }
+        fnv1a(words)
+    }
+
+    /// Every vector and verdict of the default plans, hierarchical and
+    /// greedy, on Table I, `custom_biochip` and twelve generated chips: a
+    /// change that claims the same plans must leave these digests alone.
+    #[test]
+    fn default_plans_are_pinned() {
+        // (digest, N) of the hierarchical plan, then of the greedy one.
+        let expected: [(u64, usize, u64, usize); 18] = [
+            (0x3ce6_519d_41b8_07c5, 18, 0xd0b9_bf40_44cc_c7c5, 18),
+            (0x8790_f2f3_c555_834c, 37, 0xce9e_12ad_5a00_c2ec, 37),
+            (0x74fb_c423_4950_a4a1, 54, 0xece3_1a9e_8733_1651, 56),
+            (0xc931_3d03_e832_5e28, 69, 0x4e70_5558_3da7_e460, 62),
+            (0x546b_a077_6c61_f7e4, 94, 0x38de_86b5_e14b_5025, 92),
+            (0xfa83_3665_a158_9675, 131, 0x1ed6_5519_cc02_631c, 132),
+            (0x743b_3b04_0b50_4ce7, 29, 0x743b_3b04_0b50_4ce7, 29),
+            (0x3c64_6850_d153_3d3d, 13, 0x3c64_6850_d153_3d3d, 13),
+            (0xc460_892e_19d6_6918, 16, 0xc460_892e_19d6_6918, 16),
+            (0x15b8_404f_c9d2_0284, 18, 0x15b8_404f_c9d2_0284, 18),
+            (0x8810_92e9_416b_e0cc, 42, 0x8810_92e9_416b_e0cc, 42),
+            (0x22c1_3d8d_e743_5d76, 21, 0x22c1_3d8d_e743_5d76, 21),
+            (0xf319_c05d_100f_89da, 12, 0xf319_c05d_100f_89da, 12),
+            (0xb128_7072_f988_9e21, 29, 0xb128_7072_f988_9e21, 29),
+            (0xe762_53bb_b942_2428, 13, 0xe762_53bb_b942_2428, 13),
+            (0x00cc_ef89_ad3d_e3e5, 33, 0x00cc_ef89_ad3d_e3e5, 33),
+            (0xf124_ceec_8e97_abce, 23, 0xf124_ceec_8e97_abce, 23),
+            (0x19b7_fb28_e5fd_d108, 22, 0x19b7_fb28_e5fd_d108, 22),
+        ];
+        let mut chips: Vec<Fpva> = layouts::table1().into_iter().map(|e| e.fpva).collect();
+        chips.push(layouts::custom_biochip());
+        chips.extend(crate::cutset::tests::generated_chips(12));
+        assert_eq!(chips.len(), expected.len());
+        for (i, (f, &(hier, hier_n, greedy, greedy_n))) in chips.iter().zip(&expected).enumerate() {
+            for (engine, digest, n) in [
+                (PathEngine::Hierarchical, hier, hier_n),
+                (PathEngine::Greedy, greedy, greedy_n),
+            ] {
+                let name = format!("chip {i}, {engine:?}");
+                let plan = Atpg::with_config(AtpgConfig {
+                    path_engine: engine,
+                    ..AtpgConfig::default()
+                })
+                .generate(f)
+                .unwrap();
+                assert_eq!(plan.vector_count(), n, "{name}");
+                assert_eq!(
+                    plan_digest(f, &plan),
+                    digest,
+                    "{name}: {:#018x}",
+                    plan_digest(f, &plan)
+                );
+            }
         }
     }
 

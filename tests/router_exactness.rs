@@ -108,8 +108,8 @@ proptest! {
         let f = random_chip(&mut rng);
         let masks = valid_path_masks(&f);
         let comp = open_components(&f);
-        let router = Router::new(&f);
-        let prefer = |e: EdgeId| (f.edge_index(e) as u64 ^ seed).is_multiple_of(3);
+        let mut router = Router::new(&f);
+        let prefer = |v: fpva::ValveId| (f.edge_index(f.edge_of(v)) as u64 ^ seed).is_multiple_of(3);
         for (valve, edge) in f.valves() {
             let (u, v) = edge.endpoints();
             let separate = comp[f.cell_index(u)] != comp[f.cell_index(v)];
@@ -120,8 +120,8 @@ proptest! {
                     && masks.iter().any(|&m| {
                         m & bit(valve) != 0 && avoid.is_none_or(|a| m & bit(a) == 0)
                     });
-                let avoid_edges: Vec<EdgeId> = avoid.map(|a| f.edge_of(a)).into_iter().collect();
-                let got = router.path_through_edge(edge, &avoid_edges, &prefer, &mut rng);
+                let avoided: Vec<fpva::ValveId> = avoid.into_iter().collect();
+                let got = router.path_through_edge(edge, &avoided, &prefer, &mut rng);
                 prop_assert_eq!(
                     got.is_some(),
                     exists,
@@ -135,8 +135,8 @@ proptest! {
                 let path = FlowPath::new(&f, src, snk, cells.clone());
                 prop_assert!(path.is_ok(), "invalid path {:?}: {:?}", cells, path);
                 prop_assert!(crosses(&f, &cells, edge), "path {:?} skips {}", cells, edge);
-                for a in &avoid_edges {
-                    prop_assert!(!crosses(&f, &cells, *a), "path {:?} crosses {}", cells, a);
+                for &a in &avoided {
+                    prop_assert!(!crosses(&f, &cells, f.edge_of(a)), "path {:?} crosses {}", cells, a);
                 }
                 let first = comp[f.cell_index(cells[0])];
                 prop_assert!(
