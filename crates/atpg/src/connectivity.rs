@@ -83,12 +83,6 @@ use crate::error::AtpgError;
 use fpva_grid::{CellId, EdgeId, EdgeKind, Fpva, PortId, PortKind, ValveId};
 use rand::Rng;
 
-/// Whether fluid could ever cross this edge on a fault-free chip (i.e. the
-/// edge is a valve or an always-open channel site, not a wall).
-pub fn edge_passable(fpva: &Fpva, edge: EdgeId) -> bool {
-    fpva.edge_kind(edge) != EdgeKind::Wall
-}
-
 /// The chip's first source and first sink port.
 ///
 /// # Errors
@@ -187,7 +181,8 @@ pub fn sink_cells(fpva: &Fpva) -> Vec<CellId> {
     fpva.sinks().map(|(_, p)| p.cell).collect()
 }
 
-/// Cells reachable from `starts` over passable edges not marked `closed`
+/// Cells reachable from `starts` over the edges fluid can cross (valves and
+/// always-open channel sites, not walls) that are not marked `closed`
 /// (indexed by [`Fpva::edge_index`]). Returns a `cell_count()`-sized
 /// reachability mask.
 pub fn reachable_from(fpva: &Fpva, starts: &[CellId], closed: &[bool]) -> Vec<bool> {
@@ -200,7 +195,7 @@ pub fn reachable_from(fpva: &Fpva, starts: &[CellId], closed: &[bool]) -> Vec<bo
     }
     while let Some(cell) = stack.pop() {
         for (edge, next) in fpva.neighbors(cell) {
-            if edge_passable(fpva, edge)
+            if fpva.edge_kind(edge) != EdgeKind::Wall
                 && !closed[fpva.edge_index(edge)]
                 && !std::mem::replace(&mut seen[fpva.cell_index(next)], true)
             {

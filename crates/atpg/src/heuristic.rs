@@ -9,10 +9,9 @@
 //! hierarchical engine ([`crate::hierarchy`]).
 
 use crate::connectivity::{endpoint_ports, ports, Router};
-use crate::cover::CoverageTracker;
 use crate::error::AtpgError;
 use crate::path::FlowPath;
-use fpva_grid::{CellId, Fpva, ValveId};
+use fpva_grid::{Fpva, ValveId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -31,21 +30,6 @@ impl PathCover {
     pub fn is_complete(&self) -> bool {
         self.uncovered.is_empty()
     }
-}
-
-/// Builds the row-wise serpentine cell sequence over `rows`, starting at
-/// `(row_start, 0)` heading east, for a `rows × cols` region. Ends at the
-/// east end when the number of rows is odd, at the west end otherwise.
-pub(crate) fn serpentine_cells(row_start: usize, row_end: usize, cols: usize) -> Vec<CellId> {
-    let mut cells = Vec::with_capacity((row_end - row_start + 1) * cols);
-    for (k, row) in (row_start..=row_end).enumerate() {
-        if k % 2 == 0 {
-            cells.extend((0..cols).map(|c| CellId::new(row, c)));
-        } else {
-            cells.extend((0..cols).rev().map(|c| CellId::new(row, c)));
-        }
-    }
-    cells
 }
 
 /// Greedy path cover: while uncovered valves remain, route a simple
@@ -69,15 +53,14 @@ pub fn greedy_cover(fpva: &Fpva, seed: u64) -> Result<PathCover, AtpgError> {
 pub(crate) fn greedy_cover_on(router: &mut Router<'_>, seed: u64) -> Result<PathCover, AtpgError> {
     ports(router.fpva())?;
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut tracker = CoverageTracker::new(router.fpva());
     let mut paths: Vec<FlowPath> = Vec::new();
-    let uncovered = cover_remaining(router, &mut tracker, &mut paths, &mut rng);
+    let uncovered = cover_remaining(router, &mut paths, &mut rng);
     Ok(PathCover { paths, uncovered })
 }
 
-/// Routes additional paths until `tracker` is complete except for the
-/// valves no valid path crosses, which it returns ascending; shared by
-/// the greedy and hierarchical engines.
+/// Routes additional paths until every valve lies on one of `paths` except
+/// those no valid path crosses, which it returns ascending; shared by the
+/// greedy and hierarchical engines.
 ///
 /// Each path is routed through the lowest valve that is neither covered
 /// nor listed, found by one forward scan of the valve ids: a routed path
@@ -85,17 +68,20 @@ pub(crate) fn greedy_cover_on(router: &mut Router<'_>, seed: u64) -> Result<Path
 /// covered or listed, and stays so.
 pub(crate) fn cover_remaining(
     router: &mut Router<'_>,
-    tracker: &mut CoverageTracker,
     paths: &mut Vec<FlowPath>,
     rng: &mut StdRng,
 ) -> Vec<ValveId> {
     let fpva = router.fpva();
+    let mut covered = vec![false; fpva.valve_count()];
+    for v in paths.iter().flat_map(|p| p.valves(fpva)) {
+        covered[v.index()] = true;
+    }
     let mut uncovered = Vec::new();
     for (target, edge) in fpva.valves() {
-        if tracker.is_covered(target) {
+        if covered[target.index()] {
             continue;
         }
-        let prefer = |v: ValveId| !tracker.is_covered(v);
+        let prefer = |v: ValveId| !covered[v.index()];
         // The router may end at any source/sink pair; read the ports off
         // the path endpoints rather than assuming the first ports.
         let Some(cells) = router.path_through_edge(edge, &[], &prefer, rng) else {
@@ -105,7 +91,9 @@ pub(crate) fn cover_remaining(
         let (src, snk) = endpoint_ports(fpva, &cells).expect("routes end at port cells");
         let path = FlowPath::with_components(fpva, router.components(), src, snk, cells)
             .expect("routes are valid flow paths");
-        tracker.cover_all(path.valves(fpva));
+        for v in path.valves(fpva) {
+            covered[v.index()] = true;
+        }
         paths.push(path);
     }
     uncovered

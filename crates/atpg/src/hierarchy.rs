@@ -19,9 +19,8 @@
 //! direct model, far better scalability.
 
 use crate::connectivity::{ports, Router};
-use crate::cover::CoverageTracker;
 use crate::error::AtpgError;
-use crate::heuristic::{cover_remaining, serpentine_cells, PathCover};
+use crate::heuristic::{cover_remaining, PathCover};
 use crate::path::FlowPath;
 use fpva_grid::{CellId, CellKind, Fpva};
 use rand::rngs::StdRng;
@@ -89,22 +88,26 @@ impl HierarchyConfig {
     }
 }
 
-/// Cell sequence of the row-band path for rows `r0..=r1`: descend column 0
-/// from the top, serpentine the band, then route to the bottom-right sink.
-fn row_band_cells(fpva: &Fpva, r0: usize, r1: usize) -> Vec<CellId> {
-    let (rows, cols) = (fpva.rows(), fpva.cols());
-    let mut cells: Vec<CellId> = (0..r0).map(|r| CellId::new(r, 0)).collect();
-    let band = serpentine_cells(r0, r1, cols);
-    let ends_east = (r1 - r0).is_multiple_of(2);
-    cells.extend(band);
-    if ends_east {
+/// `(row, col)` sequence of the band path for rows `r0..=r1` of a
+/// `rows × cols` array: descend column 0 from the top, serpentine the band
+/// (row `r0` heading east), then route to the bottom-right corner.
+fn band_cells(rows: usize, cols: usize, r0: usize, r1: usize) -> Vec<(usize, usize)> {
+    let mut cells: Vec<(usize, usize)> = (0..r0).map(|r| (r, 0)).collect();
+    for (k, row) in (r0..=r1).enumerate() {
+        if k % 2 == 0 {
+            cells.extend((0..cols).map(|c| (row, c)));
+        } else {
+            cells.extend((0..cols).rev().map(|c| (row, c)));
+        }
+    }
+    if (r1 - r0).is_multiple_of(2) {
         // Band ends at (r1, cols-1): descend the east column to the sink.
-        cells.extend((r1 + 1..rows).map(|r| CellId::new(r, cols - 1)));
+        cells.extend((r1 + 1..rows).map(|r| (r, cols - 1)));
     } else {
         // Band ends at (r1, 0): keep descending the west column, then run
         // east along the bottom row.
-        cells.extend((r1 + 1..rows).map(|r| CellId::new(r, 0)));
-        cells.extend((1..cols).map(|c| CellId::new(rows - 1, c)));
+        cells.extend((r1 + 1..rows).map(|r| (r, 0)));
+        cells.extend((1..cols).map(|c| (rows - 1, c)));
     }
     cells
 }
@@ -117,47 +120,24 @@ fn band_paths(router: &Router<'_>, block_size: usize) -> Result<Vec<FlowPath>, A
     let band = |cells| FlowPath::with_components(fpva, router.components(), source, sink, cells);
     let (rows, cols) = (fpva.rows(), fpva.cols());
     let mut paths = Vec::new();
-    // Row bands.
-    let mut r0 = 0;
-    while r0 < rows {
-        let r1 = (r0 + block_size - 1).min(rows - 1);
-        if let Ok(p) = band(row_band_cells(fpva, r0, r1)) {
-            paths.push(p);
+    // Row bands, then column bands: build on the transposed geometry, then
+    // mirror.
+    for (transposed, lines, width) in [(false, rows, cols), (true, cols, rows)] {
+        let mut r0 = 0;
+        while r0 < lines {
+            let r1 = (r0 + block_size - 1).min(lines - 1);
+            let cells = band_cells(lines, width, r0, r1)
+                .into_iter()
+                .map(|(r, c)| if transposed { (c, r) } else { (r, c) })
+                .map(|(r, c)| CellId::new(r, c))
+                .collect();
+            if let Ok(p) = band(cells) {
+                paths.push(p);
+            }
+            r0 = r1 + 1;
         }
-        r0 = r1 + 1;
-    }
-    // Column bands: build on the transposed geometry, then mirror.
-    let mut c0 = 0;
-    while c0 < cols {
-        let c1 = (c0 + block_size - 1).min(cols - 1);
-        if let Ok(p) = band(col_band_cells(fpva, c0, c1)) {
-            paths.push(p);
-        }
-        c0 = c1 + 1;
     }
     Ok(paths)
-}
-
-/// Mirror image of [`row_band_cells`] for a column band `c0..=c1`.
-fn col_band_cells(fpva: &Fpva, c0: usize, c1: usize) -> Vec<CellId> {
-    let (rows, cols) = (fpva.rows(), fpva.cols());
-    let mut cells: Vec<CellId> = (0..c0).map(|c| CellId::new(0, c)).collect();
-    // Column serpentine: column c0 heads south, c0+1 north, ...
-    for (k, col) in (c0..=c1).enumerate() {
-        if k % 2 == 0 {
-            cells.extend((0..rows).map(|r| CellId::new(r, col)));
-        } else {
-            cells.extend((0..rows).rev().map(|r| CellId::new(r, col)));
-        }
-    }
-    let ends_south = (c1 - c0).is_multiple_of(2);
-    if ends_south {
-        cells.extend((c1 + 1..cols).map(|c| CellId::new(rows - 1, c)));
-    } else {
-        cells.extend((c1 + 1..cols).map(|c| CellId::new(0, c)));
-        cells.extend((1..rows).map(|r| CellId::new(r, cols - 1)));
-    }
-    cells
 }
 
 /// Hierarchical path cover: band paths plus a greedy fix-up for valves the
@@ -179,12 +159,8 @@ pub(crate) fn hierarchical_cover_on(
     let fpva = router.fpva();
     let block = config.resolved_block_size(fpva);
     let mut paths = band_paths(router, block)?;
-    let mut tracker = CoverageTracker::new(fpva);
-    for p in &paths {
-        tracker.cover_all(p.valves(fpva));
-    }
     let mut rng = StdRng::seed_from_u64(config.seed);
-    let uncovered = cover_remaining(router, &mut tracker, &mut paths, &mut rng);
+    let uncovered = cover_remaining(router, &mut paths, &mut rng);
     Ok(PathCover { paths, uncovered })
 }
 
@@ -195,11 +171,13 @@ mod tests {
 
     fn assert_complete(fpva: &Fpva, cover: &PathCover) {
         assert!(cover.is_complete(), "uncovered: {:?}", cover.uncovered);
-        let mut tracker = CoverageTracker::new(fpva);
+        let mut covered = vec![false; fpva.valve_count()];
         for p in &cover.paths {
-            tracker.cover_all(p.valves(fpva));
+            for v in p.valves(fpva) {
+                covered[v.index()] = true;
+            }
         }
-        assert!(tracker.is_complete());
+        assert!(covered.iter().all(|&c| c));
     }
 
     #[test]

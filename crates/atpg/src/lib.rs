@@ -49,7 +49,6 @@
 pub mod baseline;
 mod config;
 pub mod connectivity;
-mod cover;
 pub mod cutset;
 mod error;
 pub mod heuristic;
@@ -60,7 +59,6 @@ mod path;
 mod plan;
 
 pub use config::{AtpgConfig, PathEngine};
-pub use cover::CoverageTracker;
 pub use cutset::CutSet;
 pub use error::AtpgError;
 pub use path::FlowPath;

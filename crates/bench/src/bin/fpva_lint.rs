@@ -1,9 +1,9 @@
 //! `fpva-lint`: static diagnostics over every benchmark and example chip.
 //!
 //! Audits the five Table I layouts plus the chips the `examples/` binaries
-//! build, both at the chip level (connectivity, dead valves, untestable
-//! stuck-at-1 sets, unobservable leaks, duplicate/dominated candidate
-//! paths) and at the cover-model level (constraint-count sanity,
+//! build, both at the chip level (connectivity, the untestable stuck-at-0
+//! and stuck-at-1 valves of the chip's generated test plan, unobservable
+//! leaks) and at the cover-model level (constraint-count sanity,
 //! coefficient numerics, feasibility under root bound propagation).
 //! Prints one diagnostics table and exits nonzero when any finding has
 //! `Error` severity, so CI can gate on it.
@@ -159,7 +159,6 @@ fn main() -> ExitCode {
     let mut diags: Vec<Diagnostic> = Vec::new();
     for (name, fpva) in &chips {
         diags.extend(lint::lint_chip(name, fpva));
-        diags.extend(lint::lint_paths(name, fpva));
         // Audit the model at the probe loop's starting k — any smaller k is
         // provably infeasible (a single path traverses at most cell_count - 1
         // distinct valve edges, so k paths cover at most k * (cell_count - 1)

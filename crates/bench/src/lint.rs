@@ -1,22 +1,23 @@
 //! Static analysis of chips and their ILP cover models (`fpva-lint`).
 //!
-//! The checks mirror the failure modes the rest of the workspace can only
-//! discover dynamically (by running ATPG or the MILP solver): valves that no
-//! source→sink flow path can exercise, sinks that are unreachable even with
-//! every valve open, valves without a closable cut (untestable stuck-at-1),
-//! control-leak pairs with zero pressure observability, and cover models
+//! The chip pass reports sinks that are unreachable even with every valve
+//! open, stranded flow cells, valves that no valid source→sink flow path
+//! can exercise (untestable stuck-at-0), valves without a closable cut
+//! (untestable stuck-at-1) and control-leak pairs with zero pressure
+//! observability. The two untestable lists are the verdicts of the default
+//! plan generator ([`Atpg::generate`], run once per chip), so the lint and
+//! a generated plan never disagree. The model pass flags cover models
 //! whose constraint count deviates from the closed-form formula or whose
-//! coefficients look numerically hostile. Everything here is static: no LP
-//! is factorized and no simulation is run — the most expensive ingredient
-//! is a breadth-first search or a bound-propagation pass.
+//! coefficients look numerically hostile, and runs root bound propagation.
+//! Apart from [`certify_models`], which solves the cover probes, no LP is
+//! factorized and no fault is simulated.
 
-use std::collections::HashSet;
 use std::fmt;
 use std::time::Duration;
 
-use fpva_atpg::{connectivity, cutset, ilp_model};
+use fpva_atpg::{connectivity, ilp_model, Atpg};
 use fpva_grid::layouts;
-use fpva_grid::{CellId, CellKind, EdgeId, Fpva};
+use fpva_grid::{CellKind, Fpva, ValveId};
 use fpva_ilp::{
     certify_outcome, numerics_report, presolve, MilpOptions, MilpSolver, PresolveOutcome,
     SolveStatus,
@@ -47,13 +48,12 @@ impl fmt::Display for Severity {
 /// Every check name a [`Diagnostic`] can carry, in the order the passes
 /// run. `fpva-lint` rejects an `--only` or `--allow` name outside this
 /// list, so a typo cannot silently filter or waive nothing.
-pub const CHECKS: [&str; 10] = [
+pub const CHECKS: [&str; 9] = [
     "ports",
     "connectivity",
     "flow-paths",
     "cut-cover",
     "leak-observability",
-    "path-dominance",
     "model-shape",
     "numerics",
     "presolve",
@@ -104,26 +104,28 @@ pub fn max_severity(diags: &[Diagnostic]) -> Option<Severity> {
     diags.iter().map(|d| d.severity).max()
 }
 
-/// Formats up to six edges as `(r,c)-(r,c)` coordinates, eliding the rest.
-fn edge_list(edges: &[EdgeId]) -> String {
+/// Formats up to six valves as `(r,c)-(r,c)` coordinates, eliding the rest.
+fn valve_list(fpva: &Fpva, valves: &[ValveId]) -> String {
     const CAP: usize = 6;
-    let mut parts: Vec<String> = edges
+    let mut parts: Vec<String> = valves
         .iter()
         .take(CAP)
-        .map(std::string::ToString::to_string)
+        .map(|&v| fpva.edge_of(v).to_string())
         .collect();
-    if edges.len() > CAP {
-        parts.push(format!("… {} more", edges.len() - CAP));
+    if valves.len() > CAP {
+        parts.push(format!("… {} more", valves.len() - CAP));
     }
     parts.join(", ")
 }
 
-/// Statically audits one chip.
+/// Audits one chip.
 ///
 /// Checks, in order: port presence, all-open sink reachability, stranded
-/// flow cells, valves on no source→sink flow path, valves with no closable
-/// cut (the `untestable_closed` set of a generated plan), and control-leak
-/// pairs with zero observability.
+/// flow cells, then one run of the default plan generator, whose
+/// `untestable_open` valves (no valid flow path crosses them) are reported
+/// as `flow-paths` and whose `untestable_closed` valves (no closable cut
+/// exposes them) as `cut-cover`, and last control-leak pairs with zero
+/// observability.
 pub fn lint_chip(name: &str, fpva: &Fpva) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     let mut push = |severity, check, message: String| {
@@ -159,7 +161,6 @@ pub fn lint_chip(name: &str, fpva: &Fpva) -> Vec<Diagnostic> {
     // cannot see a source with every valve open, no test vector ever will.
     let none_closed = vec![false; fpva.edge_count()];
     let from_src = connectivity::reachable_from(fpva, &sources, &none_closed);
-    let from_snk = connectivity::reachable_from(fpva, &sinks, &none_closed);
     for (id, port) in fpva.sinks() {
         if !from_src[fpva.cell_index(port.cell)] {
             push(
@@ -188,51 +189,39 @@ pub fn lint_chip(name: &str, fpva: &Fpva) -> Vec<Diagnostic> {
         );
     }
 
-    // A valve both of whose endpoints are source- and sink-reachable can sit
-    // on some source→sink walk; anything else is dead weight for flow tests.
-    let dead: Vec<EdgeId> = fpva
-        .valves()
-        .filter(|&(_, e)| {
-            let (a, b) = e.endpoints();
-            ![a, b].into_iter().all(|c| {
-                let ix = fpva.cell_index(c);
-                from_src[ix] && from_snk[ix]
-            })
-        })
-        .map(|(_, e)| e)
-        .collect();
-    if !dead.is_empty() {
-        push(
-            Severity::Warning,
-            "flow-paths",
-            format!(
-                "{} valve(s) lie on no source→sink flow path: {}",
-                dead.len(),
-                edge_list(&dead)
-            ),
-        );
-    }
-
-    // Valves no source/sink cut can close: the plan generator would report
-    // exactly these as `untestable_closed` (stuck-at-1 escapes).
-    match cutset::cut_cover(fpva) {
-        Ok(cover) if !cover.uncovered.is_empty() => {
-            let edges: Vec<EdgeId> = cover.uncovered.iter().map(|&v| fpva.edge_of(v)).collect();
-            push(
-                Severity::Warning,
-                "cut-cover",
-                format!(
-                    "{} valve(s) have no closable source/sink cut (untestable stuck-at-1): {}",
-                    edges.len(),
-                    edge_list(&edges)
+    // The generator's exact router and cut stage decide which valves no
+    // flow path or cut can test: report those verdicts, not a second guess.
+    match Atpg::new().generate(fpva) {
+        Ok(plan) => {
+            for (check, valves, verdict) in [
+                (
+                    "flow-paths",
+                    plan.untestable_open(),
+                    "lie on no valid source→sink flow path (untestable stuck-at-0)",
                 ),
-            );
+                (
+                    "cut-cover",
+                    plan.untestable_closed(),
+                    "have no closable source/sink cut (untestable stuck-at-1)",
+                ),
+            ] {
+                if !valves.is_empty() {
+                    push(
+                        Severity::Warning,
+                        check,
+                        format!(
+                            "{} valve(s) {verdict}: {}",
+                            valves.len(),
+                            valve_list(fpva, valves)
+                        ),
+                    );
+                }
+            }
         }
-        Ok(_) => {}
         Err(e) => push(
             Severity::Error,
-            "cut-cover",
-            format!("cut-set construction failed: {e}"),
+            "flow-paths",
+            format!("test-plan generation failed: {e}"),
         ),
     }
 
@@ -317,173 +306,11 @@ pub fn lint_model(name: &str, fpva: &Fpva, k: usize) -> Vec<Diagnostic> {
     out
 }
 
-/// Ceiling on candidate paths enumerated by [`lint_paths`]; past it the
-/// dominance check reports itself as partial instead of truncating
-/// silently.
-const PATH_ENUM_CAP: usize = 128;
-
-/// Ceiling on DFS edge expansions of [`lint_paths`], a safety valve for
-/// chips whose path space is huge but sink-sparse.
-const PATH_STEP_CAP: usize = 200_000;
-
 /// Branch-and-bound node budget per certified probe of
 /// [`certify_models`] — bounds the proof tree the exact-arithmetic audit
 /// must replay, since auditing costs roughly nodes × rows big-rational
 /// operations.
 const CERTIFY_NODE_BUDGET: usize = 2_000;
-
-/// Depth-first enumeration of simple source→sink paths, recorded as
-/// sorted edge lists. Returns `true` while under both caps.
-fn enumerate_paths(
-    fpva: &Fpva,
-    cell: CellId,
-    sinks: &HashSet<CellId>,
-    visited: &mut [bool],
-    edges: &mut Vec<EdgeId>,
-    paths: &mut Vec<Vec<EdgeId>>,
-    steps: &mut usize,
-) -> bool {
-    if sinks.contains(&cell) && !edges.is_empty() {
-        if paths.len() == PATH_ENUM_CAP {
-            return false;
-        }
-        let mut sorted = edges.clone();
-        sorted.sort_unstable();
-        paths.push(sorted);
-    }
-    for (edge, next) in fpva.neighbors(cell) {
-        if !connectivity::edge_passable(fpva, edge)
-            || fpva.cell_kind(next) == CellKind::Obstacle
-            || visited[fpva.cell_index(next)]
-        {
-            continue;
-        }
-        *steps += 1;
-        if *steps > PATH_STEP_CAP {
-            return false;
-        }
-        visited[fpva.cell_index(next)] = true;
-        edges.push(edge);
-        let under_cap = enumerate_paths(fpva, next, sinks, visited, edges, paths, steps);
-        edges.pop();
-        visited[fpva.cell_index(next)] = false;
-        if !under_cap {
-            return false;
-        }
-    }
-    true
-}
-
-/// `true` when sorted slice `a` is a subset of sorted slice `b`.
-fn is_subset(a: &[EdgeId], b: &[EdgeId]) -> bool {
-    let mut it = b.iter();
-    a.iter().all(|x| it.any(|y| y == x))
-}
-
-/// Detects duplicate and dominated candidate paths of the cover model.
-///
-/// Enumerates simple source→sink paths (the walks the k-path ILP chooses
-/// among) and compares their edge sets pairwise: two candidates with
-/// *identical* edge sets are duplicates (distinct port pairs routing the
-/// same channel run), and a candidate whose edge set is a *strict subset*
-/// of another's is dominated — every valve it can exercise, the superset
-/// path exercises too, so it can only enlarge the search space, never the
-/// cover. Both are warnings with `(r,c)-(r,c)` coordinates. Enumeration
-/// is capped (`PATH_ENUM_CAP` paths / `PATH_STEP_CAP` expansions);
-/// past a cap an info diagnostic marks the check as partial.
-pub fn lint_paths(name: &str, fpva: &Fpva) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    let mut push = |severity, check, message: String| {
-        out.push(Diagnostic {
-            severity,
-            subject: name.to_string(),
-            check,
-            message,
-        });
-    };
-
-    let sources = connectivity::source_cells(fpva);
-    let sinks: HashSet<CellId> = connectivity::sink_cells(fpva).into_iter().collect();
-    let mut paths: Vec<Vec<EdgeId>> = Vec::new();
-    let mut steps = 0usize;
-    let mut complete = true;
-    let mut seen_starts: HashSet<CellId> = HashSet::new();
-    for &start in &sources {
-        if !seen_starts.insert(start) || fpva.cell_kind(start) == CellKind::Obstacle {
-            continue;
-        }
-        let mut visited = vec![false; fpva.cell_count()];
-        visited[fpva.cell_index(start)] = true;
-        let mut edges = Vec::new();
-        if !enumerate_paths(
-            fpva,
-            start,
-            &sinks,
-            &mut visited,
-            &mut edges,
-            &mut paths,
-            &mut steps,
-        ) {
-            complete = false;
-            break;
-        }
-    }
-    if !complete {
-        push(
-            Severity::Info,
-            "path-dominance",
-            format!(
-                "path enumeration truncated at {} path(s) / {steps} expansion(s); \
-                 the dominance check is partial",
-                paths.len()
-            ),
-        );
-    }
-
-    const REPORT_CAP: usize = 4;
-    let mut flagged = vec![false; paths.len()];
-    let mut extra = 0usize;
-    for i in 0..paths.len() {
-        for j in i + 1..paths.len() {
-            let (kind, victim) = if paths[i] == paths[j] {
-                ("duplicate of", j)
-            } else if is_subset(&paths[i], &paths[j]) {
-                ("dominated by", i)
-            } else if is_subset(&paths[j], &paths[i]) {
-                ("dominated by", j)
-            } else {
-                continue;
-            };
-            if flagged[victim] {
-                continue;
-            }
-            flagged[victim] = true;
-            if flagged.iter().filter(|&&f| f).count() > REPORT_CAP {
-                extra += 1;
-                continue;
-            }
-            let other = i + j - victim;
-            push(
-                Severity::Warning,
-                "path-dominance",
-                format!(
-                    "candidate path {} is {kind} a {}-edge candidate {}",
-                    edge_list(&paths[victim]),
-                    paths[other].len(),
-                    edge_list(&paths[other]),
-                ),
-            );
-        }
-    }
-    if extra > 0 {
-        push(
-            Severity::Warning,
-            "path-dominance",
-            format!("{extra} further duplicate/dominated candidate path(s) elided"),
-        );
-    }
-    out
-}
 
 /// Solves the chip's path-cover probes in proof-logging mode and audits
 /// every returned certificate in exact rational arithmetic
@@ -636,6 +463,7 @@ pub fn example_chips() -> Vec<(&'static str, Fpva)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fpva_atpg::cutset;
 
     #[test]
     fn table1_chips_lint_without_errors() {
@@ -670,6 +498,32 @@ mod tests {
     }
 
     #[test]
+    fn pocket_valve_flagged_by_flow_paths() {
+        use fpva_grid::{FpvaBuilder, PortKind, Side};
+        // The obstacle at (1,2) leaves (0,2) a dead end, entered only
+        // through (0,1)-(0,2): both of that valve's cells are reachable
+        // from the source and the sink with every valve open, yet no
+        // simple source→sink path can enter the pocket and leave it.
+        let f = FpvaBuilder::new(3, 3)
+            .obstacle(1, 2, 1, 2)
+            .port(0, 0, Side::West, PortKind::Source)
+            .port(2, 2, Side::East, PortKind::Sink)
+            .build()
+            .unwrap();
+        let diags = lint_chip("pocket", &f);
+        let flow = diags
+            .iter()
+            .find(|d| d.check == "flow-paths")
+            .expect("the pocket valve must trigger the flow-paths lint");
+        assert_eq!(flow.severity, Severity::Warning);
+        assert!(
+            flow.message.contains("(0,1)-(0,2)"),
+            "message {:?} lacks the pocket valve",
+            flow.message
+        );
+    }
+
+    #[test]
     fn model_lint_is_clean_on_5x5() {
         let diags = lint_model("table1_5x5", &layouts::table1_5x5(), 2);
         assert!(
@@ -689,42 +543,6 @@ mod tests {
         let f = fpva_grid::FpvaBuilder::new(3, 3).build().unwrap();
         let diags = lint_chip("portless", &f);
         assert_eq!(max_severity(&diags), Some(Severity::Error));
-    }
-
-    #[test]
-    fn dominated_candidate_paths_flagged_with_coordinates() {
-        use fpva_grid::{FpvaBuilder, PortKind, Side};
-        // Source at the west end, sinks midway and at the east end: the
-        // short candidate's edge set is a strict subset of the long one's.
-        let f = FpvaBuilder::new(1, 4)
-            .port(0, 0, Side::West, PortKind::Source)
-            .port(0, 2, Side::North, PortKind::Sink)
-            .port(0, 3, Side::East, PortKind::Sink)
-            .build()
-            .unwrap();
-        let diags = lint_paths("dominated", &f);
-        let dom = diags
-            .iter()
-            .find(|d| d.check == "path-dominance" && d.severity == Severity::Warning)
-            .expect("the midway-sink path must be flagged as dominated");
-        assert!(
-            dom.message.contains("dominated by") && dom.message.contains("(0,1)-(0,2)"),
-            "message lacks verdict or coordinates: {:?}",
-            dom.message
-        );
-    }
-
-    #[test]
-    fn full_arrays_have_no_dominated_candidates() {
-        // Single source, single sink: two simple paths with the same
-        // endpoints can never have nested edge sets.
-        let diags = lint_paths("full_3x3", &layouts::full_array(3, 3));
-        assert!(
-            diags
-                .iter()
-                .all(|d| d.check != "path-dominance" || d.severity < Severity::Warning),
-            "unexpected dominance warning: {diags:?}"
-        );
     }
 
     #[test]
@@ -770,7 +588,6 @@ mod tests {
         );
         for (name, fpva) in &chips {
             diags.extend(lint_chip(name, fpva));
-            diags.extend(lint_paths(name, fpva));
             diags.extend(lint_model(name, fpva, ilp_model::min_cover_paths(fpva)));
         }
         for d in &diags {

@@ -4,13 +4,25 @@ use crate::certify::{LeafCert, MilpCertificate, NodeCert};
 use crate::error::IlpError;
 use crate::model::{Model, Sense, VarKind};
 use crate::presolve::Propagator;
-use crate::simplex::{Basis, LpCertificate, LpStatus};
+use crate::simplex::{Basis, LpCertificate, LpStatus, SimplexEngine};
 use crate::solution::{MilpOutcome, Solution, SolveStats, SolveStatus};
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 /// A value is considered integral when within this distance of an integer.
 const INTEGER_TOL: f64 = 1e-6;
+
+/// Copies the LP engine's factorization and re-solve counters into `stats`.
+fn copy_engine_counters(stats: &mut SolveStats, engine: &SimplexEngine<'_>) {
+    let factor = engine.factor_stats();
+    stats.refactorizations = factor.refactorizations;
+    stats.ft_updates = factor.ft_updates;
+    stats.rejected_updates = factor.rejected_updates;
+    let es = engine.engine_stats();
+    stats.dual_pivots = es.dual_pivots;
+    stats.warm_resolves = es.warm_resolves;
+    stats.cold_restarts = es.cold_restarts;
+}
 
 /// Tuning knobs for [`MilpSolver`].
 #[derive(Debug, Clone)]
@@ -217,14 +229,7 @@ impl MilpSolver {
                     // Bounds only tighten below the root, so any unbounded
                     // node implies an unbounded relaxation.
                     stats.elapsed = start.elapsed();
-                    let factor = engine.factor_stats();
-                    stats.refactorizations = factor.refactorizations;
-                    stats.ft_updates = factor.ft_updates;
-                    stats.rejected_updates = factor.rejected_updates;
-                    let es = engine.engine_stats();
-                    stats.dual_pivots = es.dual_pivots;
-                    stats.warm_resolves = es.warm_resolves;
-                    stats.cold_restarts = es.cold_restarts;
+                    copy_engine_counters(&mut stats, &engine);
                     stats.best_bound = f64::NEG_INFINITY * sign;
                     return MilpOutcome {
                         status: SolveStatus::Unbounded,
@@ -362,14 +367,7 @@ impl MilpSolver {
         }
 
         stats.elapsed = start.elapsed();
-        let factor = engine.factor_stats();
-        stats.refactorizations = factor.refactorizations;
-        stats.ft_updates = factor.ft_updates;
-        stats.rejected_updates = factor.rejected_updates;
-        let es = engine.engine_stats();
-        stats.dual_pivots = es.dual_pivots;
-        stats.warm_resolves = es.warm_resolves;
-        stats.cold_restarts = es.cold_restarts;
+        copy_engine_counters(&mut stats, &engine);
         let proved_optimal = !hit_limit && stats.limit_nodes == 0;
         let status = match (&incumbent, proved_optimal) {
             (Some(_), true) => SolveStatus::Optimal,
