@@ -54,7 +54,7 @@
 //! cuts off, or the distance at which its searches meet, rather than a
 //! search of everything the walk can still reach.
 //!
-//! # One router per plan
+//! # One graph per plan, shared by two threads
 //!
 //! [`crate::Atpg::generate`] lowers a chip once: it builds one [`Router`]
 //! and every stage answers its question on that graph. The band check
@@ -67,17 +67,26 @@
 //! build their own router, so called one by one they return exactly what
 //! `generate` does.
 //!
+//! A router never changes once built. Floods and routes only read it and
+//! write into scratch space their caller owns: a flood into the masks and
+//! stack it is handed, a route into a [`Routing`]. So the cut stage can
+//! flood the graph on a second thread while the calling thread routes on
+//! it, and on larger chips `generate` runs it that way. The scratch space
+//! follows the stages that route: the path stage and then the leakage
+//! stage pass one `Routing` along on the calling thread, so a plan builds
+//! the witness network at most once, and the cut stage, which only
+//! floods, builds none.
+//!
 //! The lowering is flat: the arcs leaving each node are one run of a
 //! single array of 8-byte `(node, valve)` pairs, found by per-node
 //! offsets, so a search reads consecutive memory and compares valves by
-//! id. On its first route a router builds the max-flow network behind its
-//! feasibility test, frozen into the same offset form, and the scratch
-//! space of a route: the copy of the network's capacities, the marks and
-//! queue of its augmenting searches, the walks' blocked mask, search state
-//! and candidate, node and valve buffers, and the cell buffers of the
-//! expansion. Routing therefore takes `&mut self` and allocates only the
-//! cell path it returns, and a router that only floods (the cut stage's)
-//! builds neither.
+//! id. The first route that gets an empty `Routing` builds in it the
+//! max-flow network behind the feasibility test, frozen into the same
+//! offset form, and the scratch space of a route: the copy of the
+//! network's capacities, the marks and queue of its augmenting searches,
+//! the walks' blocked mask, search state and candidate, node and valve
+//! buffers, and the cell buffers of the expansion. Every later route
+//! reuses them and allocates only the cell path it returns.
 
 use crate::error::AtpgError;
 use fpva_grid::{CellId, EdgeId, EdgeKind, Fpva, PortId, PortKind, ValveId};
@@ -235,9 +244,9 @@ struct Arc {
 /// The chip's flow layer with every open component contracted to one
 /// node: the exact router of the [module documentation](self).
 ///
-/// The graph is built once, in flat arrays. Routing needs more, built on
-/// the first [`Router::path_through_edge`] and reused by every later one:
-/// the witness max-flow network and the scratch space of a route.
+/// The graph is built once, in flat arrays, and never changes: routes and
+/// floods only read it, so threads can share one router. What a route
+/// writes lives in a [`Routing`] that the caller passes along.
 #[derive(Debug, Clone)]
 pub struct Router<'a> {
     fpva: &'a Fpva,
@@ -251,16 +260,24 @@ pub struct Router<'a> {
     source: Vec<bool>,
     /// Nodes holding a sink port's cell.
     sink: Vec<bool>,
-    /// Built on the first route, so a router that only floods (the cut
-    /// stage's) holds none.
-    routing: Option<Routing>,
 }
 
-/// What routing needs beyond the contracted graph: the witness network of
+/// The scratch space of routes on one [`Router`]: the witness max-flow
+/// network of its chip and the buffers of a route. A new `Routing` is
+/// empty; the first [`Router::path_through_edge`] that gets it builds the
+/// network and sizes the buffers for the router's chip, and every later
+/// route on that router reuses them, so a route allocates only the path
+/// it returns. Pass one `Routing` to one router only.
+#[derive(Debug, Clone, Default)]
+pub struct Routing {
+    scratch: Option<Scratch>,
+}
+
+/// What a [`Routing`] holds once built: the witness network of
 /// [`Router::source_witness`] and the buffers of a route, each sized for
-/// the chip when built, so a route allocates only the path it returns.
+/// the chip.
 #[derive(Debug, Clone)]
-struct Routing {
+struct Scratch {
     net: Network,
     /// Per arc of the contracted graph out of a node other than a source
     /// node: the network's arc across the same valve.
@@ -359,7 +376,6 @@ impl<'a> Router<'a> {
             arcs,
             source,
             sink,
-            routing: None,
         }
     }
 
@@ -432,11 +448,12 @@ impl<'a> Router<'a> {
     ///
     /// Returns the cell sequence (first cell = a source-port cell, last =
     /// a sink-port cell), or `None` exactly when no valid path exists.
-    /// The first route builds the router's witness network and scratch
-    /// space; every route reuses them and allocates only the returned
-    /// path.
+    /// The first route on an empty `routing` builds its witness network
+    /// and buffers; every route reuses them and allocates only the
+    /// returned path.
     pub fn path_through_edge(
-        &mut self,
+        &self,
+        routing: &mut Routing,
         edge: EdgeId,
         avoid: &[ValveId],
         prefer: &dyn Fn(ValveId) -> bool,
@@ -446,18 +463,19 @@ impl<'a> Router<'a> {
         if avoid.contains(&valve) {
             return None;
         }
-        let mut routing = self.routing.take().unwrap_or_else(|| Routing::new(self));
-        let path = self.route(&mut routing, valve, avoid, prefer, rng);
-        self.routing = Some(routing);
-        path
+        let r = routing.scratch.get_or_insert_with(|| Scratch::new(self));
+        debug_assert!(
+            r.valve_arcs.len() == self.arcs.len() && r.walk.blocked.len() == self.node_count(),
+            "a Routing serves the router that built it"
+        );
+        self.route(r, valve, avoid, prefer, rng)
     }
 
     /// [`Router::path_through_edge`] on the valve `valve`, with the
-    /// router's routing state `r`, which it hands back with every node
-    /// unblocked.
+    /// scratch space `r`, which it hands back with every node unblocked.
     fn route(
         &self,
-        r: &mut Routing,
+        r: &mut Scratch,
         valve: ValveId,
         avoid: &[ValveId],
         prefer: &dyn Fn(ValveId) -> bool,
@@ -509,12 +527,12 @@ impl<'a> Router<'a> {
     /// augmenting paths, and the witness, are the same.
     fn source_witness(
         &self,
-        r: &mut Routing,
+        r: &mut Scratch,
         nu: usize,
         nv: usize,
         avoid: &[ValveId],
     ) -> Option<usize> {
-        let Routing {
+        let Scratch {
             net,
             valve_arcs,
             cap,
@@ -746,7 +764,7 @@ fn swap_reversed<T>(buf: &mut [T], split: usize) {
     buf[..moved].reverse();
 }
 
-impl Routing {
+impl Scratch {
     /// The witness network of `router` and route buffers sized for its
     /// chip.
     fn new(router: &Router<'_>) -> Self {
@@ -780,7 +798,7 @@ impl Routing {
             cells_per_node[x] += 1;
         }
         let largest = cells_per_node.into_iter().max().unwrap_or(0);
-        Routing {
+        Scratch {
             valve_arcs,
             sources: (0..n).filter(|&x| router.source[x]).collect(),
             cap: net.cap.clone(),
@@ -1122,21 +1140,20 @@ mod tests {
             .any(|w| f.edge_between(w[0], w[1]) == Some(edge))
     }
 
-    /// The cut stage floods the router's graph and never routes, so it
-    /// leaves the witness network and the route buffers unbuilt; the first
-    /// route builds them.
+    /// A new `Routing` holds no witness network and no route buffers;
+    /// the first route builds them.
     #[test]
     fn witness_network_is_built_on_the_first_route() {
         let f = layouts::table1_5x5();
-        let mut router = Router::new(&f);
-        crate::cutset::cut_cover_on(&router).unwrap();
-        assert!(router.routing.is_none());
+        let router = Router::new(&f);
+        let mut routing = Routing::default();
+        assert!(routing.scratch.is_none());
         let edge = f.edge_of(ValveId(0));
         let mut rng = StdRng::seed_from_u64(1);
         assert!(router
-            .path_through_edge(edge, &[], &|_| false, &mut rng)
+            .path_through_edge(&mut routing, edge, &[], &|_| false, &mut rng)
             .is_some());
-        assert!(router.routing.is_some());
+        assert!(routing.scratch.is_some());
     }
 
     #[test]
@@ -1174,12 +1191,13 @@ mod tests {
     #[test]
     fn routed_paths_are_simple_port_to_port_and_cross_the_edge() {
         let f = layouts::full_array(4, 4);
-        let mut router = Router::new(&f);
+        let router = Router::new(&f);
+        let mut routing = Routing::default();
         for seed in 0..5 {
             let mut rng = StdRng::seed_from_u64(seed);
             for (_, edge) in f.valves() {
                 let path = router
-                    .path_through_edge(edge, &[], &|_| false, &mut rng)
+                    .path_through_edge(&mut routing, edge, &[], &|_| false, &mut rng)
                     .expect("every valve of a full grid is routable");
                 assert_eq!(path[0], CellId::new(0, 0));
                 assert_eq!(*path.last().unwrap(), CellId::new(3, 3));
@@ -1199,7 +1217,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         for (_, edge) in f.valves() {
             let cells = Router::new(&f)
-                .path_through_edge(edge, &[], &|_| false, &mut rng)
+                .path_through_edge(&mut Routing::default(), edge, &[], &|_| false, &mut rng)
                 .unwrap_or_else(|| panic!("no path through {edge}"));
             assert!(
                 crosses(&f, &cells, edge),
@@ -1215,6 +1233,7 @@ mod tests {
         // A 1x3 pipeline: avoiding edge 0 makes edge 1 unreachable.
         let first = f.valve_at(EdgeId::horizontal(0, 0)).unwrap();
         let got = Router::new(&f).path_through_edge(
+            &mut Routing::default(),
             EdgeId::horizontal(0, 1),
             &[first],
             &|_| false,
@@ -1282,7 +1301,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         for (_, edge) in f.valves() {
             let cells = Router::new(&f)
-                .path_through_edge(edge, &[], &|_| false, &mut rng)
+                .path_through_edge(&mut Routing::default(), edge, &[], &|_| false, &mut rng)
                 .unwrap_or_else(|| panic!("no path through {edge}"));
             assert!(
                 components_contiguous(&f, &comps, &cells),
@@ -1302,11 +1321,23 @@ mod tests {
         for seed in 0..8 {
             let mut rng = StdRng::seed_from_u64(seed);
             let down = Router::new(&f)
-                .path_through_edge(edge, &[], &|v| axis(v) == Axis::Vertical, &mut rng)
+                .path_through_edge(
+                    &mut Routing::default(),
+                    edge,
+                    &[],
+                    &|v| axis(v) == Axis::Vertical,
+                    &mut rng,
+                )
                 .unwrap();
             assert_eq!(down[2], CellId::new(2, 0), "preferred vertical step");
             let across = Router::new(&f)
-                .path_through_edge(edge, &[], &|v| axis(v) == Axis::Horizontal, &mut rng)
+                .path_through_edge(
+                    &mut Routing::default(),
+                    edge,
+                    &[],
+                    &|v| axis(v) == Axis::Horizontal,
+                    &mut rng,
+                )
                 .unwrap();
             assert_eq!(across[2], CellId::new(1, 1), "preferred horizontal step");
         }
@@ -1325,10 +1356,16 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let pocket = EdgeId::horizontal(0, 1);
         assert!(Router::new(&f)
-            .path_through_edge(pocket, &[], &|_| false, &mut rng)
+            .path_through_edge(&mut Routing::default(), pocket, &[], &|_| false, &mut rng)
             .is_none());
         assert!(Router::new(&f)
-            .path_through_edge(EdgeId::vertical(0, 0), &[], &|_| false, &mut rng)
+            .path_through_edge(
+                &mut Routing::default(),
+                EdgeId::vertical(0, 0),
+                &[],
+                &|_| false,
+                &mut rng
+            )
             .is_some());
     }
 
@@ -1348,7 +1385,7 @@ mod tests {
         assert_eq!(f.edge_kind(inner), EdgeKind::Valve);
         let mut rng = StdRng::seed_from_u64(4);
         assert!(Router::new(&f)
-            .path_through_edge(inner, &[], &|_| false, &mut rng)
+            .path_through_edge(&mut Routing::default(), inner, &[], &|_| false, &mut rng)
             .is_none());
     }
 
@@ -1367,11 +1404,16 @@ mod tests {
         for col in 0..2 {
             let edge = EdgeId::horizontal(0, col);
             assert!(Router::new(&f)
-                .path_through_edge(edge, &[], &|_| false, &mut rng)
+                .path_through_edge(&mut Routing::default(), edge, &[], &|_| false, &mut rng)
                 .is_none());
         }
-        let last =
-            Router::new(&f).path_through_edge(EdgeId::horizontal(0, 2), &[], &|_| false, &mut rng);
+        let last = Router::new(&f).path_through_edge(
+            &mut Routing::default(),
+            EdgeId::horizontal(0, 2),
+            &[],
+            &|_| false,
+            &mut rng,
+        );
         assert_eq!(last, Some(vec![CellId::new(0, 2), CellId::new(0, 3)]));
     }
 
@@ -1732,7 +1774,7 @@ mod tests {
     /// calls and those that found a witness.
     fn check_witnesses(f: &Fpva) -> (usize, usize) {
         let router = Router::new(f);
-        let mut routing = Routing::new(&router);
+        let mut scratch = Scratch::new(&router);
         let (mut calls, mut found) = (0, 0);
         for (v, edge) in f.valves() {
             let (a, b) = edge.endpoints();
@@ -1741,8 +1783,8 @@ mod tests {
             avoids.extend(f.valve_neighbors(v).into_iter().map(|w| vec![w]));
             for avoid in &avoids {
                 let got = router
-                    .source_witness(&mut routing, nu, nv, avoid)
-                    .map(|up| (up, routing.witness.clone()));
+                    .source_witness(&mut scratch, nu, nv, avoid)
+                    .map(|up| (up, scratch.witness.clone()));
                 let expected = witness_by_fresh_network(&router, nu, nv, avoid);
                 assert_eq!(got, expected, "valve {v} avoiding {avoid:?}");
                 calls += 1;

@@ -8,7 +8,7 @@
 //! with channels and obstacles, and tops up the serpentine bands of the
 //! hierarchical engine ([`crate::hierarchy`]).
 
-use crate::connectivity::{endpoint_ports, ports, Router};
+use crate::connectivity::{endpoint_ports, ports, Router, Routing};
 use crate::error::AtpgError;
 use crate::path::FlowPath;
 use fpva_grid::{Fpva, ValveId};
@@ -46,15 +46,19 @@ impl PathCover {
 /// Returns [`AtpgError::MissingPorts`] when the array lacks a source or a
 /// sink port.
 pub fn greedy_cover(fpva: &Fpva, seed: u64) -> Result<PathCover, AtpgError> {
-    greedy_cover_on(&mut Router::new(fpva), seed)
+    greedy_cover_on(&Router::new(fpva), &mut Routing::default(), seed)
 }
 
-/// [`greedy_cover`] on the router of the chip.
-pub(crate) fn greedy_cover_on(router: &mut Router<'_>, seed: u64) -> Result<PathCover, AtpgError> {
+/// [`greedy_cover`] on the router of the chip, routing with `routing`.
+pub(crate) fn greedy_cover_on(
+    router: &Router<'_>,
+    routing: &mut Routing,
+    seed: u64,
+) -> Result<PathCover, AtpgError> {
     ports(router.fpva())?;
     let mut rng = StdRng::seed_from_u64(seed);
     let mut paths: Vec<FlowPath> = Vec::new();
-    let uncovered = cover_remaining(router, &mut paths, &mut rng);
+    let uncovered = cover_remaining(router, routing, &mut paths, &mut rng);
     Ok(PathCover { paths, uncovered })
 }
 
@@ -67,7 +71,8 @@ pub(crate) fn greedy_cover_on(router: &mut Router<'_>, seed: u64) -> Result<Path
 /// always covers its own target, so every valve behind the scan is
 /// covered or listed, and stays so.
 pub(crate) fn cover_remaining(
-    router: &mut Router<'_>,
+    router: &Router<'_>,
+    routing: &mut Routing,
     paths: &mut Vec<FlowPath>,
     rng: &mut StdRng,
 ) -> Vec<ValveId> {
@@ -84,7 +89,7 @@ pub(crate) fn cover_remaining(
         let prefer = |v: ValveId| !covered[v.index()];
         // The router may end at any source/sink pair; read the ports off
         // the path endpoints rather than assuming the first ports.
-        let Some(cells) = router.path_through_edge(edge, &[], &prefer, rng) else {
+        let Some(cells) = router.path_through_edge(routing, edge, &[], &prefer, rng) else {
             uncovered.push(target);
             continue;
         };

@@ -18,7 +18,7 @@
 //! hierarchical trade-off the paper reports: a few more vectors than the
 //! direct model, far better scalability.
 
-use crate::connectivity::{ports, Router};
+use crate::connectivity::{ports, Router, Routing};
 use crate::error::AtpgError;
 use crate::heuristic::{cover_remaining, PathCover};
 use crate::path::FlowPath;
@@ -148,19 +148,21 @@ fn band_paths(router: &Router<'_>, block_size: usize) -> Result<Vec<FlowPath>, A
 /// Returns [`AtpgError::MissingPorts`] when the array lacks a source or a
 /// sink port.
 pub fn hierarchical_cover(fpva: &Fpva, config: &HierarchyConfig) -> Result<PathCover, AtpgError> {
-    hierarchical_cover_on(&mut Router::new(fpva), config)
+    hierarchical_cover_on(&Router::new(fpva), &mut Routing::default(), config)
 }
 
-/// [`hierarchical_cover`] on the router of the chip.
+/// [`hierarchical_cover`] on the router of the chip, routing the fix-up
+/// with `routing`.
 pub(crate) fn hierarchical_cover_on(
-    router: &mut Router<'_>,
+    router: &Router<'_>,
+    routing: &mut Routing,
     config: &HierarchyConfig,
 ) -> Result<PathCover, AtpgError> {
     let fpva = router.fpva();
     let block = config.resolved_block_size(fpva);
     let mut paths = band_paths(router, block)?;
     let mut rng = StdRng::seed_from_u64(config.seed);
-    let uncovered = cover_remaining(router, &mut paths, &mut rng);
+    let uncovered = cover_remaining(router, routing, &mut paths, &mut rng);
     Ok(PathCover { paths, uncovered })
 }
 

@@ -20,7 +20,7 @@
 //! keeps the extra-vector count in the order of the flow-path count, as in
 //! the paper's Table I (`n_l ≈ n_p`).
 
-use crate::connectivity::{endpoint_ports, ports, Router};
+use crate::connectivity::{endpoint_ports, ports, Router, Routing};
 use crate::error::AtpgError;
 use crate::path::FlowPath;
 use fpva_grid::{Fpva, ValveId};
@@ -42,7 +42,7 @@ pub fn pair_untestable(fpva: &Fpva, actuator: ValveId, victim: ValveId) -> bool 
 }
 
 /// Output of [`leakage_vectors`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct LeakageCover {
     /// Extra path-shaped vectors dedicated to leakage (the paper's `n_l`).
     pub paths: Vec<FlowPath>,
@@ -77,12 +77,20 @@ pub fn leakage_vectors(
     _tries: usize,
 ) -> Result<LeakageCover, AtpgError> {
     ports(fpva)?; // Fail fast when the chip has no source or no sink.
-    Ok(leakage_vectors_on(&mut Router::new(fpva), flow_paths, seed))
+    let router = Router::new(fpva);
+    Ok(leakage_vectors_on(
+        &router,
+        &mut Routing::default(),
+        flow_paths,
+        seed,
+    ))
 }
 
-/// [`leakage_vectors`] on the router of a chip that has ports.
+/// [`leakage_vectors`] on the router of a chip that has ports, routing
+/// with `routing`.
 pub(crate) fn leakage_vectors_on(
-    router: &mut Router<'_>,
+    router: &Router<'_>,
+    routing: &mut Routing,
     flow_paths: &[FlowPath],
     seed: u64,
 ) -> LeakageCover {
@@ -122,7 +130,7 @@ pub(crate) fn leakage_vectors_on(
         // Prefer steps that knock out other pending victims, so one extra
         // vector covers many pairs at once.
         let prefer = |v: ValveId| pending_victims[v.index()] > 0;
-        let found = router.path_through_edge(fpva.edge_of(b), &[a], &prefer, &mut rng);
+        let found = router.path_through_edge(routing, fpva.edge_of(b), &[a], &prefer, &mut rng);
         match found {
             Some(cells) => {
                 // The router may end at any source/sink pair, so the ports
@@ -323,7 +331,8 @@ mod tests {
             seed: u64,
         ) -> LeakageCover {
             let mut rng = StdRng::seed_from_u64(seed);
-            let mut router = Router::new(fpva);
+            let router = Router::new(fpva);
+            let mut routing = Routing::default();
             let mut path_sets: Vec<HashSet<ValveId>> = flow_paths
                 .iter()
                 .map(|p| p.valves(fpva).into_iter().collect())
@@ -343,7 +352,13 @@ mod tests {
             let mut uncovered: Vec<(ValveId, ValveId)> = Vec::new();
             while let Some(&(a, b)) = todo.first() {
                 let prefer = |v: ValveId| todo.iter().any(|&(_, y)| y == v);
-                let found = router.path_through_edge(fpva.edge_of(b), &[a], &prefer, &mut rng);
+                let found = router.path_through_edge(
+                    &mut routing,
+                    fpva.edge_of(b),
+                    &[a],
+                    &prefer,
+                    &mut rng,
+                );
                 match found {
                     Some(cells) => {
                         let (src, snk) = endpoint_ports(fpva, &cells).unwrap();

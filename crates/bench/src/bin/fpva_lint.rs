@@ -2,9 +2,9 @@
 //!
 //! Audits the five Table I layouts plus the chips the `examples/` binaries
 //! build, both at the chip level (connectivity, the untestable stuck-at-0
-//! and stuck-at-1 valves of the chip's generated test plan, unobservable
-//! leaks) and at the cover-model level (constraint-count sanity,
-//! coefficient numerics, feasibility under root bound propagation).
+//! and stuck-at-1 valves and leak pairs of the chip's generated test plan)
+//! and at the cover-model level (constraint-count sanity, coefficient
+//! numerics, feasibility under root bound propagation).
 //! Prints one diagnostics table and exits nonzero when any finding has
 //! `Error` severity, so CI can gate on it.
 //!

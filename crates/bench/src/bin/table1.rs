@@ -5,8 +5,10 @@
 //! Run with `cargo run --release -p fpva-bench --bin table1`. Pass
 //! `--threads N` to generate the five per-array plans on N workers
 //! (default: one per CPU; every plan is deterministic per layout, so the
-//! table is identical for every thread count). A trial count is rejected
-//! (exit 2): this binary runs no campaign.
+//! table is identical for every thread count, apart from the timings).
+//! On a host with more than one CPU each worker also runs the cut stage of
+//! the larger layouts on a helper thread (see `Atpg::generate`). A trial
+//! count is rejected (exit 2): this binary runs no campaign.
 
 use fpva_bench::{outln, plan_table1_with, CliArgs};
 use fpva_sim::exec;
@@ -74,4 +76,12 @@ fn main() {
     outln!();
     outln!("N is roughly 2*sqrt(n_v) for both implementations; the naive");
     outln!("baseline needs 2*n_v vectors (squared complexity, Section IV).");
+    outln!(
+        "T = t_p + t_c + t_l. From {} valves up, on a host with more than one CPU",
+        fpva_atpg::Atpg::CUT_HELPER_MIN_VALVES
+    );
+    outln!(
+        "(this one has {}), t_c runs beside t_p + t_l, so a plan takes about T - t_c.",
+        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+    );
 }

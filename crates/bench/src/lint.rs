@@ -3,8 +3,8 @@
 //! The chip pass reports sinks that are unreachable even with every valve
 //! open, stranded flow cells, valves that no valid source→sink flow path
 //! can exercise (untestable stuck-at-0), valves without a closable cut
-//! (untestable stuck-at-1) and control-leak pairs with zero pressure
-//! observability. The two untestable lists are the verdicts of the default
+//! (untestable stuck-at-1) and control-leak pairs that no valid flow path
+//! can expose. The three untestable lists are the verdicts of the default
 //! plan generator ([`Atpg::generate`], run once per chip), so the lint and
 //! a generated plan never disagree. The model pass flags cover models
 //! whose constraint count deviates from the closed-form formula or whose
@@ -22,7 +22,6 @@ use fpva_ilp::{
     certify_outcome, numerics_report, presolve, MilpOptions, MilpSolver, PresolveOutcome,
     SolveStatus,
 };
-use fpva_sim::ObservableLeaks;
 
 /// How bad a [`Diagnostic`] is. Ordered: `Info < Warning < Error`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -106,14 +105,23 @@ pub fn max_severity(diags: &[Diagnostic]) -> Option<Severity> {
 
 /// Formats up to six valves as `(r,c)-(r,c)` coordinates, eliding the rest.
 fn valve_list(fpva: &Fpva, valves: &[ValveId]) -> String {
+    capped_list(valves, |&v| fpva.edge_of(v).to_string())
+}
+
+/// Formats up to six ordered leak pairs as `actuator→victim` valve
+/// coordinates, eliding the rest.
+fn pair_list(fpva: &Fpva, pairs: &[(ValveId, ValveId)]) -> String {
+    capped_list(pairs, |&(a, b)| {
+        format!("{}→{}", fpva.edge_of(a), fpva.edge_of(b))
+    })
+}
+
+/// Formats up to six `items` with `show`, eliding the rest.
+fn capped_list<T>(items: &[T], show: impl Fn(&T) -> String) -> String {
     const CAP: usize = 6;
-    let mut parts: Vec<String> = valves
-        .iter()
-        .take(CAP)
-        .map(|&v| fpva.edge_of(v).to_string())
-        .collect();
-    if valves.len() > CAP {
-        parts.push(format!("… {} more", valves.len() - CAP));
+    let mut parts: Vec<String> = items.iter().take(CAP).map(show).collect();
+    if items.len() > CAP {
+        parts.push(format!("… {} more", items.len() - CAP));
     }
     parts.join(", ")
 }
@@ -123,9 +131,10 @@ fn valve_list(fpva: &Fpva, valves: &[ValveId]) -> String {
 /// Checks, in order: port presence, all-open sink reachability, stranded
 /// flow cells, then one run of the default plan generator, whose
 /// `untestable_open` valves (no valid flow path crosses them) are reported
-/// as `flow-paths` and whose `untestable_closed` valves (no closable cut
-/// exposes them) as `cut-cover`, and last control-leak pairs with zero
-/// observability.
+/// as `flow-paths`, whose `untestable_closed` valves (no closable cut
+/// exposes them) as `cut-cover`, and whose `untestable_pairs` (no valid
+/// flow path crosses the victim while the actuator is closed) as
+/// `leak-observability`, for information.
 pub fn lint_chip(name: &str, fpva: &Fpva) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     let mut push = |severity, check, message: String| {
@@ -189,8 +198,9 @@ pub fn lint_chip(name: &str, fpva: &Fpva) -> Vec<Diagnostic> {
         );
     }
 
-    // The generator's exact router and cut stage decide which valves no
-    // flow path or cut can test: report those verdicts, not a second guess.
+    // The generator's exact router, cut stage and leakage stage decide
+    // which valves no flow path or cut can test and which leaks no flow
+    // path can expose: report those verdicts, not a second guess.
     match Atpg::new().generate(fpva) {
         Ok(plan) => {
             for (check, valves, verdict) in [
@@ -217,25 +227,25 @@ pub fn lint_chip(name: &str, fpva: &Fpva) -> Vec<Diagnostic> {
                     );
                 }
             }
+            let pairs = plan.untestable_pairs();
+            if !pairs.is_empty() {
+                push(
+                    Severity::Info,
+                    "leak-observability",
+                    format!(
+                        "{} ordered adjacent valve pair(s) have control leaks no valid flow path \
+                         can expose (actuator→victim): {}",
+                        pairs.len(),
+                        pair_list(fpva, pairs)
+                    ),
+                );
+            }
         }
         Err(e) => push(
             Severity::Error,
             "flow-paths",
             format!("test-plan generation failed: {e}"),
         ),
-    }
-
-    // Control leaks the pressure meters can never observe.
-    let pairs = ObservableLeaks::build(fpva).unobservable_pairs(fpva);
-    if !pairs.is_empty() {
-        push(
-            Severity::Info,
-            "leak-observability",
-            format!(
-                "{} adjacent valve pair(s) have control leaks with zero pressure observability",
-                pairs.len()
-            ),
-        );
     }
 
     out
@@ -520,6 +530,40 @@ mod tests {
             flow.message.contains("(0,1)-(0,2)"),
             "message {:?} lacks the pocket valve",
             flow.message
+        );
+    }
+
+    #[test]
+    fn leak_pairs_are_the_plans_with_coordinates() {
+        use fpva_grid::{FpvaBuilder, PortKind, Side};
+        // A source on the west and another beside the sink on the south
+        // row: the plan leaves 8 ordered leak pairs untestable, where a
+        // zero-observability scan over all vectors finds 4.
+        let f = FpvaBuilder::new(3, 4)
+            .port(2, 0, Side::West, PortKind::Source)
+            .port(2, 2, Side::South, PortKind::Source)
+            .port(2, 3, Side::South, PortKind::Sink)
+            .build()
+            .unwrap();
+        let pairs = Atpg::new()
+            .generate(&f)
+            .unwrap()
+            .untestable_pairs()
+            .to_vec();
+        assert_eq!(pairs.len(), 8, "{pairs:?}");
+        let diags = lint_chip("two_sources", &f);
+        let leak = diags
+            .iter()
+            .find(|d| d.check == "leak-observability")
+            .expect("the plan's untestable pairs must trigger the leak lint");
+        assert_eq!(leak.severity, Severity::Info);
+        assert!(leak.message.starts_with("8 "), "{:?}", leak.message);
+        let (a, b) = pairs[0];
+        let first = format!("{}→{}", f.edge_of(a), f.edge_of(b));
+        assert!(
+            leak.message.contains(&first),
+            "message {:?} lacks the pair {first}",
+            leak.message
         );
     }
 

@@ -176,21 +176,6 @@ impl ObservableLeaks {
     pub fn is_empty(&self) -> bool {
         self.pairs.is_empty()
     }
-
-    /// The ordered adjacent `(actuator, victim)` pairs of `fpva` that no
-    /// pressure metering can observe — the complement of this table over
-    /// the full adjacent-pair scan. A non-empty result means some leak
-    /// faults are untestable by construction on this chip; `fpva-lint`
-    /// surfaces them as zero-observability diagnostics.
-    ///
-    /// Pass the same `fpva` the table was built from.
-    pub fn unobservable_pairs(&self, fpva: &Fpva) -> Vec<(ValveId, ValveId)> {
-        // The table keeps the scan order, so one merge pass splits it off.
-        let mut observable = self.pairs.iter().peekable();
-        fpva.valve_neighbor_pairs()
-            .filter(|pair| observable.next_if_eq(&pair).is_none())
-            .collect()
-    }
 }
 
 /// Derives the seed of one trial's private RNG from the campaign seed, the
@@ -611,18 +596,6 @@ mod tests {
             .sum();
         assert_eq!(table.len(), probed);
         assert_eq!(table, ObservableLeaks::par_build(&f, 4));
-    }
-
-    #[test]
-    fn unobservable_pairs_complement_the_observable_table() {
-        let f = layouts::table1_5x5();
-        let table = ObservableLeaks::build(&f);
-        let unobservable = table.unobservable_pairs(&f);
-        let total: usize = f.valves().map(|(a, _)| f.valve_neighbors(a).len()).sum();
-        assert_eq!(table.len() + unobservable.len(), total);
-        for (a, b) in unobservable {
-            assert!(!leak_is_observable(&f, a, b));
-        }
     }
 
     #[test]

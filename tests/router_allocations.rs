@@ -1,12 +1,12 @@
-//! A route allocates only the path it returns: once a router's first
-//! route has built its witness network and scratch space,
+//! A route allocates only the path it returns: once the first route has
+//! built the witness network and scratch space in its `Routing`,
 //! `Router::path_through_edge` makes one heap allocation when it finds a
 //! path and none when no path exists.
 //!
 //! The allocator of this test binary counts the allocations of each
 //! thread, so the test runs in a binary of its own.
 
-use fpva::atpg::connectivity::Router;
+use fpva::atpg::connectivity::{Router, Routing};
 use fpva::grid::layouts;
 use fpva::ValveId;
 use rand::rngs::StdRng;
@@ -49,18 +49,20 @@ fn allocations() -> usize {
 #[test]
 fn a_route_allocates_only_its_path() {
     for f in [layouts::table1_10x10(), layouts::custom_biochip()] {
-        let mut router = Router::new(&f);
+        let router = Router::new(&f);
+        let mut routing = Routing::default();
         let mut rng = StdRng::seed_from_u64(7);
         let prefer = |v: ValveId| v.index().is_multiple_of(3);
         // The first route builds the witness network and the buffers.
-        router.path_through_edge(f.edge_of(ValveId(0)), &[], &prefer, &mut rng);
+        router.path_through_edge(&mut routing, f.edge_of(ValveId(0)), &[], &prefer, &mut rng);
         let (mut found, mut missed) = (0, 0);
         for (v, edge) in f.valves() {
             let avoids = std::iter::once(None).chain(f.valve_neighbors(v).into_iter().map(Some));
             for avoid in avoids {
                 let avoided: Vec<ValveId> = avoid.into_iter().collect();
                 let before = allocations();
-                let path = router.path_through_edge(edge, &avoided, &prefer, &mut rng);
+                let path =
+                    router.path_through_edge(&mut routing, edge, &avoided, &prefer, &mut rng);
                 let made = allocations() - before;
                 assert_eq!(
                     made,

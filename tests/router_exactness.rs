@@ -12,7 +12,7 @@
 mod common;
 
 use common::random_chip;
-use fpva::atpg::connectivity::{endpoint_ports, open_components, Router};
+use fpva::atpg::connectivity::{endpoint_ports, open_components, Router, Routing};
 use fpva::grid::{CellId, EdgeId, EdgeKind, PortKind};
 use fpva::{FlowPath, Fpva};
 use proptest::prelude::*;
@@ -108,7 +108,8 @@ proptest! {
         let f = random_chip(&mut rng);
         let masks = valid_path_masks(&f);
         let comp = open_components(&f);
-        let mut router = Router::new(&f);
+        let router = Router::new(&f);
+        let mut routing = Routing::default();
         let prefer = |v: fpva::ValveId| (f.edge_index(f.edge_of(v)) as u64 ^ seed).is_multiple_of(3);
         for (valve, edge) in f.valves() {
             let (u, v) = edge.endpoints();
@@ -121,7 +122,7 @@ proptest! {
                         m & bit(valve) != 0 && avoid.is_none_or(|a| m & bit(a) == 0)
                     });
                 let avoided: Vec<fpva::ValveId> = avoid.into_iter().collect();
-                let got = router.path_through_edge(edge, &avoided, &prefer, &mut rng);
+                let got = router.path_through_edge(&mut routing, edge, &avoided, &prefer, &mut rng);
                 prop_assert_eq!(
                     got.is_some(),
                     exists,
