@@ -223,9 +223,10 @@ impl Atpg {
     /// valves, on a host with more than one CPU, it runs on a scoped helper
     /// thread while the calling thread runs the path stage and then the
     /// leakage stage, so `t_c` overlaps `t_p + t_l` and the plan takes
-    /// about `T − t_c` of wall time. Elsewhere the three stages run in
-    /// turn on the calling thread. The plan is the same either way, and a
-    /// panic in the cut stage reaches the caller either way.
+    /// about `T − t_c` of wall time. Elsewhere the calling thread runs it
+    /// after them, unless the path stage failed. The plan is the same
+    /// either way, and a panic in the cut stage reaches the caller either
+    /// way.
     ///
     /// # Errors
     ///
@@ -244,34 +245,31 @@ impl Atpg {
         let t0 = Instant::now();
         let router = Router::new(fpva);
         stats.t_paths = t0.elapsed();
-        // The path and the leakage stage route on the calling thread, one
-        // after the other, and share one scratch space.
-        let mut routing = Routing::default();
         let cut_stage = || {
             let t0 = Instant::now();
             (cut_cover_on(&router), t0.elapsed())
         };
-        let (path_cover, (cut, t_cuts), leak) = if helper {
-            thread::scope(|s| {
-                let cut_stage = s.spawn(cut_stage);
-                let routed = self
-                    .path_stage(&router, &mut routing, &mut stats)
-                    .map(|cover| {
-                        let leak =
-                            self.leakage_stage(&router, &mut routing, &cover.paths, &mut stats);
-                        (cover, leak)
-                    });
-                let cut = cut_stage
+        // The path and the leakage stage route on the calling thread, one
+        // after the other, and share one scratch space; the helper, if
+        // any, runs the cut stage beside them.
+        let mut routing = Routing::default();
+        let (routed, helper_cut) = thread::scope(|s| {
+            let helper = helper.then(|| s.spawn(cut_stage));
+            let routed = self
+                .path_stage(&router, &mut routing, &mut stats)
+                .map(|cover| {
+                    let leak = self.leakage_stage(&router, &mut routing, &cover.paths, &mut stats);
+                    (cover, leak)
+                });
+            let cut = helper.map(|cut_stage| {
+                cut_stage
                     .join()
-                    .unwrap_or_else(|payload| panic::resume_unwind(payload));
-                routed.map(|(cover, leak)| (cover, cut, leak))
-            })?
-        } else {
-            let cover = self.path_stage(&router, &mut routing, &mut stats)?;
-            let cut = cut_stage();
-            let leak = self.leakage_stage(&router, &mut routing, &cover.paths, &mut stats);
-            (cover, cut, leak)
-        };
+                    .unwrap_or_else(|payload| panic::resume_unwind(payload))
+            });
+            (routed, cut)
+        });
+        let (path_cover, leak) = routed?;
+        let (cut, t_cuts) = helper_cut.unwrap_or_else(cut_stage);
         stats.t_cuts = t_cuts;
         let cut = cut?;
 

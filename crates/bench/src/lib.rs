@@ -1,5 +1,5 @@
-//! Shared helpers for the benchmark binaries and Criterion benches that
-//! regenerate the tables and figures of the paper.
+//! Shared helpers for the binaries that regenerate the tables and figures
+//! of the paper.
 
 use fpva_atpg::{Atpg, TestPlan};
 use fpva_grid::layouts::Table1Entry;
@@ -52,25 +52,15 @@ pub struct PlannedEntry {
     pub plan: TestPlan,
 }
 
-/// Generates plans for every Table I array with the default configuration,
-/// serially (see [`plan_table1_with`] for the parallel variant).
+/// Generates plans for every Table I array with the default configuration
+/// on up to `threads` workers (`0` = one per CPU). Each plan is a
+/// deterministic function of its layout alone, so the result is identical
+/// for every thread count — the rows come back in Table I order regardless.
 ///
 /// # Panics
 ///
 /// Panics if generation fails on a benchmark layout (they are validated by
 /// the test suite, so this indicates a build problem).
-pub fn plan_table1() -> Vec<PlannedEntry> {
-    plan_table1_with(1)
-}
-
-/// Like [`plan_table1`], but generates the per-array plans on up to
-/// `threads` workers (`0` = one per CPU). Each plan is a deterministic
-/// function of its layout alone, so the result is identical for every
-/// thread count — the rows come back in Table I order regardless.
-///
-/// # Panics
-///
-/// Panics if generation fails on a benchmark layout.
 pub fn plan_table1_with(threads: usize) -> Vec<PlannedEntry> {
     let entries = fpva_grid::layouts::table1();
     fpva_sim::exec::run_chunked(threads, entries.len(), 1, |range| {

@@ -226,8 +226,6 @@ pub mod certify;
 pub mod dense;
 mod error;
 mod expr;
-#[doc(hidden)]
-pub mod fixtures;
 pub mod lu;
 mod model;
 pub mod presolve;

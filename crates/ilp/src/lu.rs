@@ -183,8 +183,8 @@ impl RowEta {
 }
 
 /// Cumulative factorization effort counters, exposed through the simplex
-/// engine so branch-and-bound (and the `ablation`/bench consumers) can
-/// report how the basis was maintained.
+/// engine so branch and bound (and through it `ablation`) can report how
+/// the basis was maintained.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FactorStats {
     /// Full Markowitz refactorizations performed.
@@ -194,18 +194,6 @@ pub struct FactorStats {
     /// Updates rejected by the stability test (each forces a
     /// refactorization).
     pub rejected_updates: usize,
-    /// Largest `V`-plus-`H` fill (stored entries) seen so far.
-    pub peak_fill: usize,
-}
-
-impl FactorStats {
-    /// Merges `other` into `self` (aggregation across solves/probes).
-    pub fn absorb(&mut self, other: &FactorStats) {
-        self.refactorizations += other.refactorizations;
-        self.ft_updates += other.ft_updates;
-        self.rejected_updates += other.rejected_updates;
-        self.peak_fill = self.peak_fill.max(other.peak_fill);
-    }
 }
 
 /// Why a factorization or update could not be completed.
@@ -468,7 +456,6 @@ impl LuFactors {
             }
         }
         self.base_fill = self.v_fill;
-        self.stats.peak_fill = self.stats.peak_fill.max(self.v_fill);
         self.valid = true;
         Ok(())
     }
@@ -642,7 +629,6 @@ impl LuFactors {
         self.vdiag[p] = diag;
         self.updates_since += 1;
         self.stats.ft_updates += 1;
-        self.stats.peak_fill = self.stats.peak_fill.max(self.v_fill + self.h_fill);
         Ok(())
     }
 }

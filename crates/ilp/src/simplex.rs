@@ -2166,6 +2166,14 @@ mod tests {
         let (infeasible, none) = engine.solve(&[2.0, 2.0], &[2.0, 2.0], None, Some(&basis));
         assert_eq!(infeasible.status, LpStatus::Infeasible);
         assert!(none.is_none(), "failed solves return no basis");
+        // A fresh engine handed the root basis installs it and confirms
+        // optimality without a pivot.
+        let (installed, _) = prepared
+            .engine()
+            .solve(&p.lower, &p.upper, None, Some(&basis));
+        assert_eq!(installed.start, WarmStart::Installed);
+        assert_eq!(installed.iterations, 0, "the installed basis is optimal");
+        assert!((installed.objective + 3.0).abs() < 1e-6);
     }
 
     #[test]

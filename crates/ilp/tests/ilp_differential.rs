@@ -27,7 +27,6 @@
 //! branch and bound against proof mode and its certificate.
 
 use fpva_ilp::dense;
-use fpva_ilp::fixtures;
 use fpva_ilp::simplex::{self, LpProblem, LpRow, LpStatus, SparseLp};
 use fpva_ilp::{certify_outcome, ConstraintOp, LinExpr, MilpSolver, Model, Sense, SolveStatus};
 use proptest::prelude::*;
@@ -466,6 +465,52 @@ proptest! {
     }
 }
 
+/// Variable count of [`multi_knapsack_lp`].
+const CHAIN_VARS: usize = 14;
+
+/// A multi-knapsack LP whose binding capacity rows force real pivots on
+/// every re-solve, while `x = lower` stays feasible under the whole
+/// [`chain_bounds`] schedule (capacities dwarf the largest scheduled
+/// lower bounds) — so every warm-started step is `Optimal`.
+fn multi_knapsack_lp() -> LpProblem {
+    let n = CHAIN_VARS;
+    let mut rows = Vec::new();
+    for k in 0..4usize {
+        let coeffs: Vec<(usize, f64)> = (0..n)
+            .map(|i| (i, 1.0 + ((i * (k + 2) + k) % 4) as f64))
+            .collect();
+        let capacity = 0.35 * 6.0 * coeffs.iter().map(|&(_, w)| w).sum::<f64>();
+        rows.push(LpRow {
+            coeffs,
+            op: ConstraintOp::Leq,
+            rhs: capacity,
+        });
+    }
+    LpProblem {
+        objective: (0..n).map(|i| -(1.0 + ((i * 5) % 9) as f64)).collect(),
+        rows,
+        lower: vec![0.0; n],
+        upper: vec![6.0; n],
+    }
+}
+
+/// The bound schedule of the warm-start chain: a tightening window that
+/// cycles over the variables — lower bounds rise on one index, upper
+/// bounds drop on another, then both relax.
+fn chain_bounds(step: usize) -> (Vec<f64>, Vec<f64>) {
+    let n = CHAIN_VARS;
+    let mut lower = vec![0.0; n];
+    let mut upper = vec![6.0; n];
+    let a = step % n;
+    let b = (step * 5 + 2) % n;
+    lower[a] = (step % 3) as f64;
+    upper[b] = 2.0 + ((step % 5) as f64);
+    if lower[b] > upper[b] {
+        lower[b] = upper[b];
+    }
+    (lower, upper)
+}
+
 /// Deterministic long warm-start chain: one persistent engine re-solves
 /// the same LP under a cycling schedule of bound tightenings, each step
 /// checked against a fresh dense-oracle solve of the identical problem.
@@ -474,17 +519,16 @@ proptest! {
 /// exactly the branch-and-bound access pattern the LU factors exist for.
 #[test]
 fn long_warm_start_chain_tracks_dense_oracle() {
-    // The shared multi-knapsack chain workload (`fpva_ilp::fixtures`):
-    // binding capacity rows force real pivots on every re-solve, and the
-    // schedule keeps each step feasible, so every step is Optimal. The
-    // `fpva-bench` LU bench times this exact construction.
-    let p = fixtures::multi_knapsack_lp();
+    // The multi-knapsack chain: binding capacity rows force real pivots
+    // on every re-solve, and the schedule keeps each step feasible, so
+    // every step is Optimal.
+    let p = multi_knapsack_lp();
     let prepared = SparseLp::from_problem(&p);
     let mut engine = prepared.engine();
     let mut basis = None;
     let mut agreements = 0usize;
     for step in 0..400 {
-        let (lower, upper) = fixtures::chain_bounds(step);
+        let (lower, upper) = chain_bounds(step);
         // Every 25th step drops the warm basis on purpose, so the chain
         // mixes cold primal phase-1 solves into the dual re-solves and
         // both start paths are exercised against the oracle.

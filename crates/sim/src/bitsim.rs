@@ -778,8 +778,8 @@ impl<'s> BitSimulator<'s> {
 
     /// Applies the suite to every scenario (one fault list each, e.g. a
     /// [`FaultSet`]) and returns, per scenario, whether some vector's
-    /// response deviates from the suite's golden response — the criterion
-    /// of [`TestSuite::detects`].
+    /// response deviates from the suite's golden response — the detection
+    /// rule of [`TestSuite::detects`].
     ///
     /// The sweep is vector-major (see the module docs): each scenario is
     /// visited only at the vectors its faults touch, in vector order, and

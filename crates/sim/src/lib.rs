@@ -99,11 +99,11 @@
 //! with only the occupied lanes seeded at the sources and compared at the
 //! sinks; the others move on to their next visit, or out of the sweep,
 //! unsimulated. The [`bitsim`] module docs give the rules and the masks in
-//! full and why each is exact. On the 30×30 campaign bench (2048
-//! three-fault trials) this leaves 18 word passes for the chunk's 32
-//! blocks, where masks with closings at every vector left 46, the regions
-//! without chain positions 70, and packing every scenario that changes a
-//! valve touching `R` took 121.
+//! full and why each is exact. On one chunk of 2048 three-fault trials
+//! against the 30×30 Table I plan this leaves 18 word passes for the
+//! chunk's 32 blocks, where masks with closings at every vector left 46,
+//! the regions without chain positions 70, and packing every scenario
+//! that changes a valve touching `R` took 121.
 //!
 //! [`KernelStats`] counts the sweep's work: `blocks` are the input's
 //! 64-scenario blocks (`⌈n / 64⌉` per sweep of `n` scenarios), `lanes`

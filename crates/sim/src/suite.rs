@@ -9,7 +9,7 @@ use fpva_grid::{Fpva, TestVector, ValveId};
 /// chip, ready for fault-detection queries.
 ///
 /// A fault set is **detected** when at least one vector's faulty response
-/// differs from the golden response — exactly the pass/fail criterion the
+/// differs from the golden response — exactly the pass/fail rule the
 /// paper's pressure meters implement.
 ///
 /// Next to each golden response the suite keeps what the bit-parallel

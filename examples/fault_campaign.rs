@@ -18,7 +18,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let config = CampaignConfig {
-        trials: 2_000, // the paper uses 10_000; see the fault_detection bench
+        trials: 2_000, // the paper uses 10_000; see the fault_detection binary
         fault_counts: vec![1, 2, 3, 4, 5],
         threads: 0, // one worker per CPU; the rows do not depend on this
         ..Default::default()

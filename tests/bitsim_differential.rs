@@ -106,6 +106,28 @@ fn rows_match_scalar_oracle_on_all_table1_layouts() {
     }
 }
 
+/// The complete 30x30 Table I plan suite at one full sweep chunk per
+/// fault count 1–5 (default seed, one thread): the campaign whose kernel
+/// counters `kernel_counters_are_pinned_on_table1_plans` pins, row for row
+/// against the oracle. It takes about 1.5 s in a release build on a 2-vCPU
+/// Xeon.
+#[test]
+#[ignore = "release-only: the scalar oracle is slow in a debug build"]
+fn rows_match_scalar_oracle_on_complete_30x30_suite() {
+    let fpva = layouts::table1_30x30();
+    let suite = Atpg::new()
+        .generate(&fpva)
+        .expect("30x30 plan generates")
+        .to_suite(&fpva);
+    let config = CampaignConfig {
+        trials: SWEEP_CHUNK,
+        fault_counts: (1..=5).collect(),
+        threads: 1,
+        ..Default::default()
+    };
+    assert_rows_match_oracle(&fpva, &suite, &config);
+}
+
 #[test]
 fn lane_packing_edge_cases_match_scalar_oracle() {
     let (fpva, suite) = planned_5x5();
