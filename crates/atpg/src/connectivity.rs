@@ -1129,7 +1129,8 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fpva_grid::{layouts, Axis, FpvaBuilder, Side};
+    use fpva_grid::layouts::{self, GenSpec, PortRule};
+    use fpva_grid::{Axis, FpvaBuilder, Side};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::collections::{HashSet, VecDeque};
@@ -1553,52 +1554,20 @@ mod tests {
         (steps, pruned)
     }
 
-    /// A chip of 3–12 cells a side with up to three horizontal or vertical
-    /// channels, up to two 1×1 or 2×2 obstacles, and one to three ports of
-    /// each kind on random boundary cells.
-    fn generated_chip(rng: &mut StdRng) -> Fpva {
-        loop {
-            let (rows, cols) = (rng.gen_range(3..13usize), rng.gen_range(3..13usize));
-            let mut b = FpvaBuilder::new(rows, cols);
-            for _ in 0..rng.gen_range(0..4usize) {
-                if rng.gen_bool(0.5) {
-                    let c = rng.gen_range(0..cols - 1);
-                    let end = rng.gen_range(c + 1..cols.min(c + 6));
-                    b = b.channel_horizontal(rng.gen_range(0..rows), c, end);
-                } else {
-                    let r = rng.gen_range(0..rows - 1);
-                    let end = rng.gen_range(r + 1..rows.min(r + 6));
-                    b = b.channel_vertical(rng.gen_range(0..cols), r, end);
-                }
-            }
-            for _ in 0..rng.gen_range(0..3usize) {
-                let size = rng.gen_range(0..2usize);
-                let (r, c) = (rng.gen_range(0..rows - size), rng.gen_range(0..cols - size));
-                b = b.obstacle(r, c, r + size, c + size);
-            }
-            for kind in [PortKind::Source, PortKind::Sink] {
-                for _ in 0..rng.gen_range(1..4usize) {
-                    let side = [Side::North, Side::South, Side::East, Side::West]
-                        [rng.gen_range(0..4usize)];
-                    let (r, c) = match side {
-                        Side::North => (0, rng.gen_range(0..cols)),
-                        Side::South => (rows - 1, rng.gen_range(0..cols)),
-                        Side::West => (rng.gen_range(0..rows), 0),
-                        Side::East => (rng.gen_range(0..rows), cols - 1),
-                    };
-                    b = b.port(r, c, side, kind);
-                }
-            }
-            if let Ok(f) = b.build() {
-                return f;
-            }
-        }
-    }
+    /// Chips of 3–12 cells a side with channels of either orientation and
+    /// one to three ports of each kind on the boundary.
+    const DIFFERENTIAL_CHIPS: GenSpec = GenSpec {
+        sides: 3..13,
+        channels: 0..4,
+        vertical_channels: true,
+        ports: PortRule::Boundary(1..4),
+    };
 
-    /// Fixed chips followed by `generated` drawn ones.
+    /// Fixed chips followed by `generated` ones of [`DIFFERENTIAL_CHIPS`].
     fn differential_chips(fixed: Vec<Fpva>, generated: usize, rng: &mut StdRng) -> Vec<Fpva> {
+        let mut draw = |range| rng.gen_range(range);
         let mut chips = fixed;
-        chips.extend(std::iter::repeat_with(|| generated_chip(rng)).take(generated));
+        chips.extend((0..generated).map(|_| layouts::generated(&DIFFERENTIAL_CHIPS, &mut draw)));
         chips
     }
 

@@ -28,8 +28,14 @@
 //! Each candidate cut is then decided by two floods over the chip's
 //! contracted graph ([`Router`]), where channel sites are always open and
 //! walls absent: one from the sources, which drops the candidate as soon
-//! as it reaches a sink, and one from the sinks. Which members the cut
-//! exposes is read off the two ([`exposed_valves`]). A valve inside one
+//! as it reaches a sink, and one from the sinks. A cut *exposes* a member
+//! whose stuck-at-1 fault it detects: opening that valve alone reconnects
+//! a source to a sink. The two floods decide every member at once:
+//! opening `(x, y)` alone joins a source to a sink exactly when one
+//! endpoint is reached from a source and the other from a sink, since any
+//! reconnecting route crosses the valve once and avoids every other
+//! member. A member the cut holds redundantly, such as one the
+//! constraint-(9) repair added, is not exposed, and a valve inside one
 //! channel component is bypassed, so it neither separates nor is exposed.
 
 use crate::connectivity::{closed_edges, ports, reachable_from, sink_cells, source_cells, Router};
@@ -286,22 +292,6 @@ fn dual_endpoints(edge: EdgeId) -> (Corner, Corner) {
     }
 }
 
-/// Valves of a cut curve that violate constraint (9) — used by tests and
-/// audits; the generators below always repair violations instead.
-pub fn masking_violations(fpva: &Fpva, cut: &CutSet, curve: &[Corner]) -> Vec<ValveId> {
-    let on_curve: HashSet<Corner> = curve.iter().copied().collect();
-    fpva.valves()
-        .filter(|&(v, edge)| {
-            if cut.covers(v) {
-                return false;
-            }
-            let (p, q) = dual_endpoints(edge);
-            on_curve.contains(&p) && on_curve.contains(&q)
-        })
-        .map(|(v, _)| v)
-        .collect()
-}
-
 /// The valves a cut along `curve` closes: those it crosses, plus `through`
 /// and the constraint-(9) repair, ascending and without repeats.
 fn curve_valves(fpva: &Fpva, curve: &[Corner], through: Option<ValveId>) -> Vec<ValveId> {
@@ -339,8 +329,8 @@ impl<'a> CutCheck<'a> {
     }
 
     /// `None` when closing `valves` leaves some sink reachable from a
-    /// source; otherwise the members whose stuck-at-1 fault the cut
-    /// exposes, in the order of `valves` ([`exposed_valves`]).
+    /// source; otherwise the members the cut exposes, in the order of
+    /// `valves` (see the [module documentation](self)).
     fn decide(&mut self, valves: &[ValveId]) -> Option<Vec<ValveId>> {
         let fpva = self.router.fpva();
         for v in valves {
@@ -521,27 +511,9 @@ impl CutCover {
     }
 }
 
-/// Valves of `cut` whose stuck-at-1 fault the cut vector *exposes*:
-/// opening that valve alone (everything else as commanded) reconnects a
-/// source to a sink. Valves the cut merely contains redundantly (e.g.
-/// added by the constraint-(9) repair) are not exposed by it, and a cut
-/// that does not separate exposes nothing.
-///
-/// With the whole cut closed, one search from the sources and one from
-/// the sinks decide every member at once: opening `(x, y)` alone joins a
-/// source to a sink exactly when one endpoint is reached from a source and
-/// the other from a sink, since any reconnecting route crosses the valve
-/// once and avoids every other member.
-pub fn exposed_valves(fpva: &Fpva, cut: &CutSet) -> Vec<ValveId> {
-    let router = Router::new(fpva);
-    CutCheck::new(&router)
-        .decide(cut.valves())
-        .unwrap_or_default()
-}
-
 /// The full cut-set generator: straight-line cuts plus targeted cuts for
 /// any valve whose stuck-at-1 fault the lines do not *expose* (membership
-/// in a cut is not enough — see [`exposed_valves`]).
+/// in a cut is not enough — see the [module documentation](self)).
 ///
 /// # Errors
 ///
@@ -581,7 +553,8 @@ pub(crate) fn cut_cover_on(router: &Router<'_>) -> Result<CutCover, AtpgError> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use fpva_grid::{layouts, FpvaBuilder, Side};
+    use fpva_grid::layouts::{self, GenSpec, PortRule};
+    use fpva_grid::{FpvaBuilder, Side};
 
     #[test]
     fn straight_cut_counts_match_table1() {
@@ -640,6 +613,22 @@ pub(crate) mod tests {
         assert!(!cut.is_empty());
     }
 
+    /// Valves of a cut curve that violate constraint (9); the generators
+    /// always repair violations instead.
+    fn masking_violations(fpva: &Fpva, cut: &CutSet, curve: &[Corner]) -> Vec<ValveId> {
+        let on_curve: HashSet<Corner> = curve.iter().copied().collect();
+        fpva.valves()
+            .filter(|&(v, edge)| {
+                if cut.covers(v) {
+                    return false;
+                }
+                let (p, q) = dual_endpoints(edge);
+                on_curve.contains(&p) && on_curve.contains(&q)
+            })
+            .map(|(v, _)| v)
+            .collect()
+    }
+
     #[test]
     fn straight_cuts_have_no_masking_violations_on_full_grid() {
         /// The curve's crossed valves with constraint (9) applied, as a
@@ -679,7 +668,7 @@ pub(crate) mod tests {
         // included.
         let mut chips: Vec<Fpva> = layouts::table1().into_iter().map(|e| e.fpva).collect();
         chips.push(layouts::custom_biochip());
-        chips.extend(generated_chips(4));
+        chips.extend(seeded_chips(4));
         let mut curves = 0;
         for f in &chips {
             for curve in line_curves(f) {
@@ -735,7 +724,7 @@ pub(crate) mod tests {
     fn straight_lines_match_dual_dijkstra() {
         let mut chips: Vec<Fpva> = layouts::table1().into_iter().map(|e| e.fpva).collect();
         chips.push(layouts::custom_biochip());
-        chips.extend(generated_chips(4));
+        chips.extend(seeded_chips(4));
         chips.extend((4..=12).map(|n| layouts::full_array(n, n)));
         let (straight, searched) = check_line_curves(&chips);
         assert!(
@@ -747,7 +736,7 @@ pub(crate) mod tests {
     #[test]
     #[ignore = "release-only: hundreds of chips, slow in a debug build"]
     fn straight_lines_match_dual_dijkstra_at_scale() {
-        let (straight, searched) = check_line_curves(&generated_chips(400));
+        let (straight, searched) = check_line_curves(&seeded_chips(400));
         assert!(
             straight > 1000 && searched > 100,
             "{straight} straight lines, {searched} searched"
@@ -782,6 +771,15 @@ pub(crate) mod tests {
         let cover = cut_cover(&f).unwrap();
         assert!(!cover.is_complete());
         assert_eq!(cover.uncovered.len(), f.valve_count());
+    }
+
+    /// The members of `cut` it exposes, by [`CutCheck::decide`]; nothing
+    /// when the cut does not separate.
+    fn exposed_valves(fpva: &Fpva, cut: &CutSet) -> Vec<ValveId> {
+        let router = Router::new(fpva);
+        CutCheck::new(&router)
+            .decide(cut.valves())
+            .unwrap_or_default()
     }
 
     #[test]
@@ -853,43 +851,23 @@ pub(crate) mod tests {
             .collect()
     }
 
-    /// The first `count` chips of a fixed-seed stream: 4–7 cells a side,
-    /// with channels, obstacles and one or two ports of each kind on
-    /// random boundary sides.
-    pub(crate) fn generated_chips(count: usize) -> Vec<Fpva> {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
+    /// Chips of 4–7 cells a side with horizontal channels and one or two
+    /// boundary ports of each kind, twelve pinned by the plan digests.
+    const PINNED_CHIPS: GenSpec = GenSpec {
+        sides: 4..8,
+        channels: 0..3,
+        vertical_channels: false,
+        ports: PortRule::Boundary(1..3),
+    };
+
+    /// The first `count` chips of [`PINNED_CHIPS`] from seed `0xC075`.
+    pub(crate) fn seeded_chips(count: usize) -> Vec<Fpva> {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(0xC075);
-        let mut chips = Vec::new();
-        while chips.len() < count {
-            let (rows, cols) = (rng.gen_range(4..8), rng.gen_range(4..8));
-            let mut b = FpvaBuilder::new(rows, cols);
-            for _ in 0..rng.gen_range(0..3usize) {
-                let (r, c) = (rng.gen_range(0..rows), rng.gen_range(0..cols - 1));
-                b = b.channel_horizontal(r, c, rng.gen_range(c + 1..cols));
-            }
-            for _ in 0..rng.gen_range(0..3usize) {
-                let (r, c) = (rng.gen_range(0..rows), rng.gen_range(0..cols));
-                b = b.obstacle(r, c, r, c);
-            }
-            for kind in [PortKind::Source, PortKind::Sink] {
-                for _ in 0..rng.gen_range(1..3usize) {
-                    let side = [Side::North, Side::South, Side::East, Side::West]
-                        [rng.gen_range(0..4usize)];
-                    let (r, c) = match side {
-                        Side::North => (0, rng.gen_range(0..cols)),
-                        Side::South => (rows - 1, rng.gen_range(0..cols)),
-                        Side::West => (rng.gen_range(0..rows), 0),
-                        Side::East => (rng.gen_range(0..rows), cols - 1),
-                    };
-                    b = b.port(r, c, side, kind);
-                }
-            }
-            if let Ok(f) = b.build() {
-                chips.push(f);
-            }
-        }
-        chips
+        let mut draw = |range| rng.gen_range(range);
+        (0..count)
+            .map(|_| layouts::generated(&PINNED_CHIPS, &mut draw))
+            .collect()
     }
 
     /// [`cut_cover`] on the cell-level definitions: each candidate checked
@@ -981,7 +959,7 @@ pub(crate) mod tests {
     fn two_search_exposure_matches_per_member_rescans() {
         let mut chips: Vec<Fpva> = layouts::table1().into_iter().map(|e| e.fpva).collect();
         chips.push(layouts::custom_biochip());
-        chips.extend(generated_chips(4));
+        chips.extend(seeded_chips(4));
         let (kept, dropped) = check_all_cut_decisions(&chips);
         assert!(
             kept > 1000 && dropped > 1000,
@@ -992,7 +970,7 @@ pub(crate) mod tests {
     #[test]
     #[ignore = "release-only: every candidate cut of hundreds of chips"]
     fn two_search_exposure_matches_per_member_rescans_at_scale() {
-        let (kept, dropped) = check_all_cut_decisions(&generated_chips(300));
+        let (kept, dropped) = check_all_cut_decisions(&seeded_chips(300));
         assert!(
             kept > 10_000 && dropped > 10_000,
             "{kept} kept, {dropped} dropped"

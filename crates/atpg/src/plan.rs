@@ -440,7 +440,7 @@ mod tests {
     fn generate_equals_the_public_phases() {
         let mut chips: Vec<Fpva> = layouts::table1().into_iter().map(|e| e.fpva).collect();
         chips.push(layouts::custom_biochip());
-        chips.extend(crate::cutset::tests::generated_chips(12));
+        chips.extend(crate::cutset::tests::seeded_chips(12));
         for f in &chips {
             check_public_phases(f);
         }
@@ -449,7 +449,7 @@ mod tests {
     #[test]
     #[ignore = "release-only: hundreds of chips, slow in a debug build"]
     fn generate_equals_the_public_phases_at_scale() {
-        for f in &crate::cutset::tests::generated_chips(300) {
+        for f in &crate::cutset::tests::seeded_chips(300) {
             check_public_phases(f);
         }
     }
@@ -512,7 +512,7 @@ mod tests {
         ];
         let mut chips: Vec<Fpva> = layouts::table1().into_iter().map(|e| e.fpva).collect();
         chips.push(layouts::custom_biochip());
-        chips.extend(crate::cutset::tests::generated_chips(12));
+        chips.extend(crate::cutset::tests::seeded_chips(12));
         assert_eq!(chips.len(), expected.len());
         // Chips on both sides of the helper threshold, so that both
         // schedules of `generate` stay pinned wherever it moves.
@@ -548,7 +548,7 @@ mod tests {
     fn both_schedules_give_the_same_plans() {
         let mut chips: Vec<Fpva> = layouts::table1().into_iter().map(|e| e.fpva).collect();
         chips.push(layouts::custom_biochip());
-        chips.extend(crate::cutset::tests::generated_chips(12));
+        chips.extend(crate::cutset::tests::seeded_chips(12));
         for f in &chips {
             for engine in [PathEngine::Hierarchical, PathEngine::Greedy] {
                 let atpg = Atpg::with_config(AtpgConfig {

@@ -1,4 +1,5 @@
-//! The benchmark arrays of Table I of the paper.
+//! The benchmark arrays of Table I of the paper, and [`generated`] chips
+//! for checks off Table I.
 //!
 //! The paper specifies the dimensions and valve counts (39, 176, 411, 744
 //! and 1704) of its five test arrays and states that they "contain long
@@ -16,6 +17,7 @@
 use crate::array::{Fpva, PortKind};
 use crate::builder::FpvaBuilder;
 use crate::geometry::Side;
+use std::ops::Range;
 
 /// A named Table I benchmark instance.
 #[derive(Debug, Clone)]
@@ -53,6 +55,88 @@ pub fn full_array(rows: usize, cols: usize) -> Fpva {
     corner_ports(FpvaBuilder::new(rows, cols), rows, cols)
         .build()
         .expect("full array with corner ports is always valid")
+}
+
+/// The shape of a family of [`generated`] chips. Each chip also gets
+/// zero to two one-cell obstacles.
+#[derive(Debug, Clone)]
+pub struct GenSpec {
+    /// The range of the row count and of the column count.
+    pub sides: Range<usize>,
+    /// The range of the channel count.
+    pub channels: Range<usize>,
+    /// Whether a channel may run down a column; otherwise every channel
+    /// runs along a row.
+    pub vertical_channels: bool,
+    /// Where the ports go.
+    pub ports: PortRule,
+}
+
+/// Where [`generated`] puts a chip's ports.
+#[derive(Debug, Clone)]
+pub enum PortRule {
+    /// Table I's placement: one source on the top-left corner cell,
+    /// facing west, and one sink on the bottom-right one, facing east.
+    Corners,
+    /// Per kind, a count drawn from the range, each port on a random side
+    /// and a random cell of that side.
+    Boundary(Range<usize>),
+}
+
+/// A chip of the family `spec`, built from values `draw(range)` returns
+/// in `range`. The caller owns the randomness, so a seeded generator
+/// passed as `&mut |r| rng.gen_range(r)` gives a reproducible family.
+///
+/// The draws come in a fixed order: rows, columns and the channel count;
+/// per channel, its orientation (if vertical channels are allowed), its
+/// row or column, first cell and last cell; the obstacle count and each
+/// obstacle's cell; then, under [`PortRule::Boundary`], per port kind,
+/// sources first, the port count and each port's side and cell. A channel
+/// on a chip one cell across is skipped, and a layout the builder rejects
+/// is drawn again.
+pub fn generated(spec: &GenSpec, draw: &mut impl FnMut(Range<usize>) -> usize) -> Fpva {
+    loop {
+        let (rows, cols) = (draw(spec.sides.clone()), draw(spec.sides.clone()));
+        let mut b = FpvaBuilder::new(rows, cols);
+        for _ in 0..draw(spec.channels.clone()) {
+            let vertical = spec.vertical_channels && draw(0..2) == 1;
+            let (across, along) = if vertical { (cols, rows) } else { (rows, cols) };
+            if along < 2 {
+                continue;
+            }
+            let (line, first) = (draw(0..across), draw(0..along - 1));
+            let last = draw(first + 1..along);
+            b = if vertical {
+                b.channel_vertical(line, first, last)
+            } else {
+                b.channel_horizontal(line, first, last)
+            };
+        }
+        for _ in 0..draw(0..3) {
+            let (r, c) = (draw(0..rows), draw(0..cols));
+            b = b.obstacle(r, c, r, c);
+        }
+        match &spec.ports {
+            PortRule::Corners => b = corner_ports(b, rows, cols),
+            PortRule::Boundary(count) => {
+                for kind in [PortKind::Source, PortKind::Sink] {
+                    for _ in 0..draw(count.clone()) {
+                        let side = [Side::North, Side::South, Side::East, Side::West][draw(0..4)];
+                        let (r, c) = match side {
+                            Side::North => (0, draw(0..cols)),
+                            Side::South => (rows - 1, draw(0..cols)),
+                            Side::West => (draw(0..rows), 0),
+                            Side::East => (draw(0..rows), cols - 1),
+                        };
+                        b = b.port(r, c, side, kind);
+                    }
+                }
+            }
+        }
+        if let Ok(f) = b.build() {
+            return f;
+        }
+    }
 }
 
 /// Table I row 1: 5×5 array, 39 valves (one short channel).

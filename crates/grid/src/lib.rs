@@ -18,7 +18,8 @@
 //! * [`TestVector`] — one open/closed assignment for every valve (the
 //!   paper's "Outputs"),
 //! * [`layouts`] — the five benchmark arrays of Table I with valve counts
-//!   matching the paper exactly (39, 176, 411, 744, 1704),
+//!   matching the paper exactly (39, 176, 411, 744, 1704), and
+//!   [`layouts::generated`] chips of a seeded family,
 //! * [`render`] — ASCII rendering used to regenerate Fig. 8 and Fig. 9.
 //!
 //! # Example

@@ -1259,7 +1259,7 @@ mod tests {
     }
 
     /// Checks that every visit the relevance masks skip responds golden
-    /// under scalar `respond`, on `chips` chips from `random_chip` with
+    /// under scalar `respond`, on `chips` chips of `SMALL_CHIPS` with
     /// valves, each under a suite of four walk vectors and four random
     /// ones. Per walk vector come 64 fault sets drawn toward its golden
     /// region and 64 uniform ones, each checked at all eight vectors.
@@ -1272,7 +1272,9 @@ mod tests {
         let (mut by_a, mut by_b, mut meeting) = (0, 0, 0);
         for _ in 0..chips {
             let f = loop {
-                let f = super::common::random_chip(&mut rng);
+                let f = layouts::generated(&super::common::SMALL_CHIPS, &mut |range| {
+                    rng.gen_range(range)
+                });
                 if f.valve_count() > 0 {
                     break f;
                 }

@@ -2,8 +2,12 @@
 //! arrays and audit them with the simulator.
 
 use fpva::grid::{PortKind, Side};
-use fpva::sim::audit;
-use fpva::{layouts, Atpg, FpvaBuilder};
+use fpva::layouts::{self, GenSpec, PortRule};
+use fpva::sim::{audit, Fault};
+use fpva::{Atpg, Fpva, FpvaBuilder};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::ops::Range;
 
 #[test]
 fn table1_valve_counts_match_paper() {
@@ -83,12 +87,62 @@ fn mid_side_ports_leave_no_valve_falsely_untestable() {
     );
 }
 
+/// Generates `f`'s default plan and checks that every single stuck-at and
+/// leak fault its suite misses is listed in the plan's matching
+/// `untestable_*` list.
+fn assert_undetected_faults_are_listed(f: &Fpva) {
+    let plan = Atpg::new().generate(f).unwrap();
+    let suite = plan.to_suite(f);
+    let single = audit::single_fault_coverage(f, &suite);
+    let leak = audit::leak_coverage(f, &suite);
+    let unlisted: Vec<&Fault> = single
+        .undetected
+        .iter()
+        .chain(&leak.undetected)
+        .filter(|fault| match **fault {
+            Fault::StuckAt0(v) => !plan.untestable_open().contains(&v),
+            Fault::StuckAt1(v) => !plan.untestable_closed().contains(&v),
+            Fault::ControlLeak { actuator, victim } => {
+                !plan.untestable_pairs().contains(&(actuator, victim))
+            }
+        })
+        .collect();
+    assert!(
+        unlisted.is_empty(),
+        "undetected but not listed: {unlisted:?} on {f:?}"
+    );
+}
+
+/// Checks the plans of the generated family: sides in `sides`, up to three
+/// channels of either orientation and ports on any boundary cell, with
+/// `chips_per_class` chips of each port class: one source and one sink
+/// (seed `0x5EEE`), and one or two of each (seed `0x5EEF`), each class on
+/// a thread of its own.
+fn check_generated_family(sides: Range<usize>, chips_per_class: usize) {
+    std::thread::scope(|scope| {
+        for (ports, seed) in [(1..2, 0x5EEE), (1..3, 0x5EEF)] {
+            let spec = GenSpec {
+                sides: sides.clone(),
+                channels: 0..4,
+                vertical_channels: true,
+                ports: PortRule::Boundary(ports),
+            };
+            scope.spawn(move || {
+                let mut rng = StdRng::seed_from_u64(seed);
+                for _ in 0..chips_per_class {
+                    let f = layouts::generated(&spec, &mut |range| rng.gen_range(range));
+                    assert_undetected_faults_are_listed(&f);
+                }
+            });
+        }
+    });
+}
+
 #[test]
 fn two_source_plans_list_every_fault_they_leave_undetected() {
     // A second inlet masks every valve upstream of it on a path that
     // crosses it, so such a path claims coverage it does not give. Each
     // fault the suite misses must be listed as untestable instead.
-    use fpva::sim::Fault;
     let chips = [
         FpvaBuilder::new(6, 6)
             .port(0, 0, Side::West, PortKind::Source)
@@ -105,30 +159,15 @@ fn two_source_plans_list_every_fault_they_leave_undetected() {
             .port(9, 9, Side::East, PortKind::Sink),
     ];
     for builder in chips {
-        let f = builder.build().unwrap();
-        let plan = Atpg::new().generate(&f).unwrap();
-        let suite = plan.to_suite(&f);
-        let single = audit::single_fault_coverage(&f, &suite);
-        let leak = audit::leak_coverage(&f, &suite);
-        let unlisted: Vec<&Fault> = single
-            .undetected
-            .iter()
-            .chain(&leak.undetected)
-            .filter(|fault| match **fault {
-                Fault::StuckAt0(v) => !plan.untestable_open().contains(&v),
-                Fault::StuckAt1(v) => !plan.untestable_closed().contains(&v),
-                Fault::ControlLeak { actuator, victim } => {
-                    !plan.untestable_pairs().contains(&(actuator, victim))
-                }
-            })
-            .collect();
-        assert!(
-            unlisted.is_empty(),
-            "{}x{}: undetected but not listed: {unlisted:?}",
-            f.rows(),
-            f.cols()
-        );
+        assert_undetected_faults_are_listed(&builder.build().unwrap());
     }
+    check_generated_family(4..9, 50);
+}
+
+#[test]
+#[ignore = "release-only: thousands of generated chips"]
+fn generated_plans_list_every_fault_they_leave_undetected_at_scale() {
+    check_generated_family(4..13, 2000);
 }
 
 #[test]

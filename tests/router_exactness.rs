@@ -11,13 +11,13 @@
 
 mod common;
 
-use common::random_chip;
+use common::SMALL_CHIPS;
 use fpva::atpg::connectivity::{endpoint_ports, open_components, Router, Routing};
 use fpva::grid::{CellId, EdgeId, EdgeKind, PortKind};
-use fpva::{FlowPath, Fpva};
+use fpva::{layouts, FlowPath, Fpva};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// Depth-first enumeration of valid flow paths; see the module docs.
 struct Enumerator<'a> {
@@ -105,7 +105,7 @@ proptest! {
     #[test]
     fn router_finds_a_path_iff_one_exists(seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let f = random_chip(&mut rng);
+        let f = layouts::generated(&SMALL_CHIPS, &mut |range| rng.gen_range(range));
         let masks = valid_path_masks(&f);
         let comp = open_components(&f);
         let router = Router::new(&f);
