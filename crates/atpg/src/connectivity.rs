@@ -1,13 +1,13 @@
-//! Graph utilities over the valve lattice: reachability, open components
-//! and the exact flow-path router behind the greedy path cover and the
-//! leakage generator.
+//! The exact flow-path router behind the greedy path cover and the
+//! leakage generator, and the port helpers of the stages that route.
 //!
 //! # Routing
 //!
-//! [`Router`] contracts every open component (a transportation channel,
-//! or a lone cell) to one node, joined by one arc per valve between two
-//! components. The paper's channel-contiguity rule then says exactly that
-//! a flow path is a simple path in this contracted graph. A flow path
+//! [`Router`] routes on the chip's [`ChipGraph`], which contracts every
+//! open component (a transportation channel, or a lone cell) to one node,
+//! joined by one arc per valve between two components. The paper's
+//! channel-contiguity rule then says exactly that a flow path is a simple
+//! path in this contracted graph. A flow path
 //! through valve `(u, v)` is two node-disjoint paths: one from `u`'s or
 //! `v`'s node to a source node, one from the other endpoint to a sink
 //! node. A unit-capacity max-flow with node splitting decides in
@@ -57,15 +57,15 @@
 //! # One graph per plan, shared by two threads
 //!
 //! [`crate::Atpg::generate`] lowers a chip once: it builds one [`Router`]
-//! and every stage answers its question on that graph. The band check
-//! and the greedy fix-up validate their paths against the router's
-//! components instead of recomputing them, the cut stage decides each
-//! candidate cut by two floods over the contracted graph, and the
-//! leakage stage routes on it. The public per-stage entry points
+//! around the chip's [`ChipGraph`], and every stage answers its question
+//! on that graph. The band check and the greedy fix-up validate their
+//! paths against the graph's components instead of recomputing them, the
+//! cut stage decides each candidate cut by two of the graph's floods, and
+//! the leakage stage routes on it. The public per-stage entry points
 //! ([`crate::hierarchy::hierarchical_cover`], [`crate::heuristic::greedy_cover`],
 //! [`crate::cutset::cut_cover`], [`crate::leakage::leakage_vectors`]) each
-//! build their own router, so called one by one they return exactly what
-//! `generate` does.
+//! lower the chip themselves, so called one by one they return exactly
+//! what `generate` does.
 //!
 //! A router never changes once built. Floods and routes only read it and
 //! write into scratch space their caller owns: a flood into the masks and
@@ -77,19 +77,18 @@
 //! the witness network at most once, and the cut stage, which only
 //! floods, builds none.
 //!
-//! The lowering is flat: the arcs leaving each node are one run of a
-//! single array of 8-byte `(node, valve)` pairs, found by per-node
-//! offsets, so a search reads consecutive memory and compares valves by
-//! id. The first route that gets an empty `Routing` builds in it the
-//! max-flow network behind the feasibility test, frozen into the same
-//! offset form, and the scratch space of a route: the copy of the
+//! The graph is flat, so a search reads consecutive memory and compares
+//! valves by id. The first route that gets an empty `Routing` builds in
+//! it the max-flow network behind the feasibility test, frozen into the
+//! same offset form, and the scratch space of a route: the copy of the
 //! network's capacities, the marks and queue of its augmenting searches,
 //! the walks' blocked mask, search state and candidate, node and valve
 //! buffers, and the cell buffers of the expansion. Every later route
 //! reuses them and allocates only the cell path it returns.
 
 use crate::error::AtpgError;
-use fpva_grid::{CellId, EdgeId, EdgeKind, Fpva, PortId, PortKind, ValveId};
+use fpva_grid::graph::Arc;
+use fpva_grid::{CellId, ChipGraph, EdgeId, EdgeKind, Fpva, PortId, PortKind, ValveId};
 use rand::Rng;
 
 /// The chip's first source and first sink port.
@@ -123,42 +122,9 @@ pub fn endpoint_ports(fpva: &Fpva, cells: &[CellId]) -> Option<(PortId, PortId)>
     Some((source, sink))
 }
 
-/// Component id per cell (indexed by [`Fpva::cell_index`]) where cells
-/// joined by always-open channel edges share a component. Cells outside
-/// channels are singleton components.
-///
-/// Pressure spreads freely inside such a component, so a flow path that
-/// visits one component in two separate stretches has an implicit bypass
-/// loop through the channel — [`crate::FlowPath`] rejects that.
-pub fn open_components(fpva: &Fpva) -> Vec<usize> {
-    let mut comp = vec![usize::MAX; fpva.cell_count()];
-    let mut stack = Vec::new();
-    let mut next = 0usize;
-    for cell in fpva.cells() {
-        let ix = fpva.cell_index(cell);
-        if comp[ix] != usize::MAX {
-            continue;
-        }
-        comp[ix] = next;
-        stack.push(cell);
-        while let Some(c) = stack.pop() {
-            for (edge, n) in fpva.neighbors(c) {
-                if fpva.edge_kind(edge) == EdgeKind::Open {
-                    let ni = fpva.cell_index(n);
-                    if comp[ni] == usize::MAX {
-                        comp[ni] = next;
-                        stack.push(n);
-                    }
-                }
-            }
-        }
-        next += 1;
-    }
-    comp
-}
-
 /// Checks the channel-contiguity rule: the cells of every open component
-/// appear as one contiguous run of `cells`.
+/// (by `components`, a [`ChipGraph::components`] map) appear as one
+/// contiguous run of `cells`.
 pub fn components_contiguous(fpva: &Fpva, components: &[usize], cells: &[CellId]) -> bool {
     // Component ids are below the cell count, so one flag per cell can
     // mark the components the run has left.
@@ -180,50 +146,6 @@ pub fn components_contiguous(fpva: &Fpva, components: &[usize], cells: &[CellId]
     true
 }
 
-/// Cells of all source ports.
-pub fn source_cells(fpva: &Fpva) -> Vec<CellId> {
-    fpva.sources().map(|(_, p)| p.cell).collect()
-}
-
-/// Cells of all sink ports.
-pub fn sink_cells(fpva: &Fpva) -> Vec<CellId> {
-    fpva.sinks().map(|(_, p)| p.cell).collect()
-}
-
-/// Cells reachable from `starts` over the edges fluid can cross (valves and
-/// always-open channel sites, not walls) that are not marked `closed`
-/// (indexed by [`Fpva::edge_index`]). Returns a `cell_count()`-sized
-/// reachability mask.
-pub fn reachable_from(fpva: &Fpva, starts: &[CellId], closed: &[bool]) -> Vec<bool> {
-    let mut seen = vec![false; fpva.cell_count()];
-    let mut stack: Vec<CellId> = Vec::new();
-    for &s in starts {
-        if !std::mem::replace(&mut seen[fpva.cell_index(s)], true) {
-            stack.push(s);
-        }
-    }
-    while let Some(cell) = stack.pop() {
-        for (edge, next) in fpva.neighbors(cell) {
-            if fpva.edge_kind(edge) != EdgeKind::Wall
-                && !closed[fpva.edge_index(edge)]
-                && !std::mem::replace(&mut seen[fpva.cell_index(next)], true)
-            {
-                stack.push(next);
-            }
-        }
-    }
-    seen
-}
-
-/// The [`reachable_from`] mask with the edges of `valves` closed.
-pub(crate) fn closed_edges(fpva: &Fpva, valves: &[ValveId]) -> Vec<bool> {
-    let mut closed = vec![false; fpva.edge_count()];
-    for &v in valves {
-        closed[fpva.edge_index(fpva.edge_of(v))] = true;
-    }
-    closed
-}
-
 /// A node, valve or network arc index as stored in the router's arrays.
 fn id(x: usize) -> u32 {
     u32::try_from(x).expect("a chip's lowering has fewer than 2^32 nodes and arcs")
@@ -232,34 +154,16 @@ fn id(x: usize) -> u32 {
 /// The empty entry of the router's linked lists and search marks.
 const NONE: usize = usize::MAX;
 
-/// One arc of the contracted graph: a valve between two open components.
-#[derive(Debug, Clone, Copy)]
-struct Arc {
-    /// The node on the far side.
-    to: u32,
-    /// The valve the arc crosses, by [`ValveId::index`].
-    valve: u32,
-}
-
-/// The chip's flow layer with every open component contracted to one
-/// node: the exact router of the [module documentation](self).
+/// The exact router of the [module documentation](self), on the chip's
+/// [`ChipGraph`].
 ///
-/// The graph is built once, in flat arrays, and never changes: routes and
-/// floods only read it, so threads can share one router. What a route
-/// writes lives in a [`Routing`] that the caller passes along.
+/// The graph is built once and never changes: routes only read it, so
+/// threads can share one router. What a route writes lives in a
+/// [`Routing`] that the caller passes along.
 #[derive(Debug, Clone)]
 pub struct Router<'a> {
     fpva: &'a Fpva,
-    /// Node of each cell ([`open_components`]).
-    node: Vec<usize>,
-    /// The arcs leaving node `x` are `arcs[offsets[x]..offsets[x + 1]]`,
-    /// in valve order.
-    offsets: Vec<usize>,
-    arcs: Vec<Arc>,
-    /// Nodes holding a source port's cell.
-    source: Vec<bool>,
-    /// Nodes holding a sink port's cell.
-    sink: Vec<bool>,
+    graph: ChipGraph,
 }
 
 /// The scratch space of routes on one [`Router`]: the witness max-flow
@@ -282,8 +186,6 @@ struct Scratch {
     /// Per arc of the contracted graph out of a node other than a source
     /// node: the network's arc across the same valve.
     valve_arcs: Vec<u32>,
-    /// The source nodes, which the sink side's walk may not enter.
-    sources: Vec<usize>,
     /// The residual capacities of the route's max-flow, and the marks and
     /// queue of its augmenting searches.
     cap: Vec<u8>,
@@ -331,51 +233,11 @@ fn terminals(n: usize) -> (usize, usize, usize) {
 }
 
 impl<'a> Router<'a> {
-    /// Contracts `fpva`'s open components into the routing graph.
+    /// Lowers `fpva` into the [`ChipGraph`] the router routes on.
     pub fn new(fpva: &'a Fpva) -> Self {
-        let node = open_components(fpva);
-        let n = node.iter().max().map_or(0, |&m| m + 1);
-        // A valve between two nodes, with its nodes.
-        let between = |(v, edge): (ValveId, EdgeId)| {
-            let (a, b) = edge.endpoints();
-            let (x, y) = (node[fpva.cell_index(a)], node[fpva.cell_index(b)]);
-            (x != y).then_some((v, x, y))
-        };
-        let mut offsets = vec![0; n + 1];
-        for (_, x, y) in fpva.valves().filter_map(between) {
-            offsets[x + 1] += 1;
-            offsets[y + 1] += 1;
-        }
-        for x in 0..n {
-            offsets[x + 1] += offsets[x];
-        }
-        let mut fill = offsets[..n].to_vec();
-        let mut arcs = vec![Arc { to: 0, valve: 0 }; offsets[n]];
-        for (v, x, y) in fpva.valves().filter_map(between) {
-            for (from, to) in [(x, y), (y, x)] {
-                arcs[fill[from]] = Arc {
-                    to: id(to),
-                    valve: id(v.index()),
-                };
-                fill[from] += 1;
-            }
-        }
-        let mut source = vec![false; n];
-        let mut sink = vec![false; n];
-        for (_, port) in fpva.ports() {
-            let x = node[fpva.cell_index(port.cell)];
-            match port.kind {
-                PortKind::Source => source[x] = true,
-                PortKind::Sink => sink[x] = true,
-            }
-        }
         Router {
             fpva,
-            node,
-            offsets,
-            arcs,
-            source,
-            sink,
+            graph: ChipGraph::new(fpva),
         }
     }
 
@@ -384,60 +246,13 @@ impl<'a> Router<'a> {
         self.fpva
     }
 
-    /// The node of each cell: the chip's [`open_components`].
-    pub(crate) fn components(&self) -> &[usize] {
-        &self.node
-    }
-
-    /// The number of nodes of the contracted graph.
-    pub(crate) fn node_count(&self) -> usize {
-        self.source.len()
+    /// The chip's lowered graph, which the router routes on.
+    pub(crate) fn graph(&self) -> &ChipGraph {
+        &self.graph
     }
 
     fn node_of(&self, cell: CellId) -> usize {
-        self.node[self.fpva.cell_index(cell)]
-    }
-
-    /// The arcs leaving node `x`, in valve order.
-    fn arcs(&self, x: usize) -> &[Arc] {
-        &self.arcs[self.offsets[x]..self.offsets[x + 1]]
-    }
-
-    /// Marks in `seen` the nodes reachable from those holding a port of
-    /// kind `from`, across the valves that `closed` (indexed by
-    /// [`ValveId::index`]) leaves open. Channel sites are inside nodes and
-    /// walls are no arcs, so neither needs a check. Stops early and returns
-    /// `false` when it reaches a node holding a port of the other kind.
-    pub(crate) fn flood(
-        &self,
-        from: PortKind,
-        closed: &[bool],
-        seen: &mut [bool],
-        stack: &mut Vec<usize>,
-    ) -> bool {
-        let (starts, stops) = match from {
-            PortKind::Source => (&self.source, &self.sink),
-            PortKind::Sink => (&self.sink, &self.source),
-        };
-        seen.fill(false);
-        stack.clear();
-        for (x, _) in starts.iter().enumerate().filter(|(_, &start)| start) {
-            seen[x] = true;
-            stack.push(x);
-        }
-        while let Some(x) = stack.pop() {
-            if stops[x] {
-                return false;
-            }
-            for arc in self.arcs(x) {
-                let y = arc.to as usize;
-                if !seen[y] && !closed[arc.valve as usize] {
-                    seen[y] = true;
-                    stack.push(y);
-                }
-            }
-        }
-        true
+        self.graph.node(self.fpva.cell_index(cell))
     }
 
     /// Routes a valid source→sink flow path through `edge` that crosses
@@ -465,7 +280,8 @@ impl<'a> Router<'a> {
         }
         let r = routing.scratch.get_or_insert_with(|| Scratch::new(self));
         debug_assert!(
-            r.valve_arcs.len() == self.arcs.len() && r.walk.blocked.len() == self.node_count(),
+            r.valve_arcs.len() == self.graph.arc_count()
+                && r.walk.blocked.len() == self.graph.node_count(),
             "a Routing serves the router that built it"
         );
         self.route(r, valve, avoid, prefer, rng)
@@ -481,8 +297,7 @@ impl<'a> Router<'a> {
         prefer: &dyn Fn(ValveId) -> bool,
         rng: &mut impl Rng,
     ) -> Option<Vec<CellId>> {
-        let (u, v) = self.fpva.edge_of(valve).endpoints();
-        let (nu, nv) = (self.node_of(u), self.node_of(v));
+        let [nu, nv] = self.graph.valve_nodes(valve).map(|x| x as usize);
         let up = self.source_witness(r, nu, nv, avoid)?;
         let down = if up == nu { nv } else { nu };
         let w = &mut r.walk;
@@ -491,16 +306,17 @@ impl<'a> Router<'a> {
         // No flow passes through a source node, so neither the witness nor
         // a source node holds `down`; with the source nodes blocked, the
         // sink side's targets are the sinks that are not sources.
-        for &x in r.witness.iter().chain(&r.sources) {
+        let sources = self.graph.source_nodes().iter().map(|&x| x as usize);
+        for x in r.witness.iter().copied().chain(sources.clone()) {
             w.blocked[x] = true;
         }
-        self.walk(w, down, &self.sink, avoid, prefer, rng);
-        for &x in r.witness.iter().chain(&r.sources) {
+        self.walk(w, down, self.graph.sink_flags(), avoid, prefer, rng);
+        for x in r.witness.iter().copied().chain(sources) {
             w.blocked[x] = false;
         }
         let (down_nodes, down_valves) = (w.nodes.len(), w.valves.len());
         w.valves.push(id(valve.index()));
-        self.walk(w, up, &self.source, avoid, prefer, rng);
+        self.walk(w, up, self.graph.source_flags(), avoid, prefer, rng);
         // The source side was walked from `up` outwards: put it first,
         // reversed, ahead of the sink side.
         swap_reversed(&mut w.nodes, down_nodes);
@@ -541,15 +357,14 @@ impl<'a> Router<'a> {
             witness,
             ..
         } = r;
-        let (to_sources, to_sinks, t) = terminals(self.node_count());
+        let (to_sources, to_sinks, t) = terminals(self.graph.node_count());
         cap.copy_from_slice(&net.cap);
         for &valve in avoid {
-            let (a, b) = self.fpva.edge_of(valve).endpoints();
-            for x in [self.node_of(a), self.node_of(b)] {
-                if self.source[x] {
+            for x in self.graph.valve_nodes(valve).map(|x| x as usize) {
+                if self.graph.source_flags()[x] {
                     continue;
                 }
-                for (p, arc) in (self.offsets[x]..).zip(self.arcs(x)) {
+                for (p, arc) in (self.graph.arc_offset(x)..).zip(self.graph.arcs(x)) {
                     if arc.valve as usize == valve.index() {
                         cap[valve_arcs[p] as usize] = 0;
                     }
@@ -650,7 +465,7 @@ impl<'a> Router<'a> {
             !blocked[a.to as usize] && avoid.iter().all(|v| v.index() != a.valve as usize)
         };
         out.clear();
-        out.extend(self.arcs(at).iter().filter(usable));
+        out.extend(self.graph.arcs(at).iter().filter(usable));
         if out.len() < 2 {
             return;
         }
@@ -664,7 +479,7 @@ impl<'a> Router<'a> {
         let mut k = 0;
         while search.undecided() {
             if let Some(x) = search.next(k) {
-                for arc in self.arcs(x).iter().filter(usable) {
+                for arc in self.graph.arcs(x).iter().filter(usable) {
                     let y = arc.to as usize;
                     search.meet(k, y, target[y]);
                 }
@@ -768,20 +583,21 @@ impl Scratch {
     /// The witness network of `router` and route buffers sized for its
     /// chip.
     fn new(router: &Router<'_>) -> Self {
-        let n = router.node_count();
+        let graph = &router.graph;
+        let n = graph.node_count();
         let (to_sources, to_sinks, t) = terminals(n);
         let mut pairs = Vec::new();
-        let mut valve_arcs = vec![u32::MAX; router.arcs.len()];
+        let mut valve_arcs = vec![u32::MAX; graph.arc_count()];
         for x in 0..n {
             pairs.push((inn(x), out(x)));
-            if router.source[x] {
+            if graph.source_flags()[x] {
                 pairs.push((out(x), to_sources));
                 continue;
             }
-            if router.sink[x] {
+            if graph.sink_flags()[x] {
                 pairs.push((out(x), to_sinks));
             }
-            for (p, arc) in (router.offsets[x]..).zip(router.arcs(x)) {
+            for (p, arc) in (graph.arc_offset(x)..).zip(graph.arcs(x)) {
                 valve_arcs[p] = id(pairs.len());
                 pairs.push((out(x), inn(arc.to as usize)));
             }
@@ -792,15 +608,14 @@ impl Scratch {
         for a in valve_arcs.iter_mut().filter(|a| **a != u32::MAX) {
             *a = forward[*a as usize];
         }
-        let degree = (0..n).map(|x| router.arcs(x).len()).max().unwrap_or(0);
+        let degree = (0..n).map(|x| graph.arcs(x).len()).max().unwrap_or(0);
         let mut cells_per_node = vec![0usize; n];
-        for &x in &router.node {
+        for &x in graph.components() {
             cells_per_node[x] += 1;
         }
         let largest = cells_per_node.into_iter().max().unwrap_or(0);
         Scratch {
             valve_arcs,
-            sources: (0..n).filter(|&x| router.source[x]).collect(),
             cap: net.cap.clone(),
             via: vec![u32::MAX; t + 1],
             queue: Vec::with_capacity(t + 1),
@@ -814,7 +629,7 @@ impl Scratch {
                 valves: Vec::with_capacity(n),
             },
             run: Vec::with_capacity(largest),
-            cells: Vec::with_capacity(router.node.len()),
+            cells: Vec::with_capacity(graph.components().len()),
             net,
         }
     }
@@ -1157,19 +972,29 @@ mod tests {
         assert!(routing.scratch.is_some());
     }
 
+    /// Per cell of `f`, whether the flood of the router's graph from the
+    /// sources, with the valves `closed` closed, reaches the cell's node.
+    fn reachable(f: &Fpva, closed: &[bool]) -> Vec<bool> {
+        let router = Router::new(f);
+        let graph = router.graph();
+        let mut seen = vec![false; graph.node_count()];
+        graph.flood(PortKind::Source, closed, false, &mut seen, &mut Vec::new());
+        (0..f.cell_count()).map(|c| seen[graph.node(c)]).collect()
+    }
+
     #[test]
     fn reachability_full_grid() {
         let f = layouts::full_array(3, 3);
-        let seen = reachable_from(&f, &[CellId::new(0, 0)], &vec![false; f.edge_count()]);
+        let seen = reachable(&f, &vec![false; f.valve_count()]);
         assert!(seen.iter().all(|&s| s));
     }
 
     #[test]
     fn reachability_respects_blocked_edges() {
         let f = layouts::full_array(1, 3);
-        let mut closed = vec![false; f.edge_count()];
-        closed[f.edge_index(EdgeId::horizontal(0, 1))] = true;
-        let seen = reachable_from(&f, &[CellId::new(0, 0)], &closed);
+        let mut closed = vec![false; f.valve_count()];
+        closed[f.valve_at(EdgeId::horizontal(0, 1)).unwrap().index()] = true;
+        let seen = reachable(&f, &closed);
         assert!(seen[f.cell_index(CellId::new(0, 1))]);
         assert!(!seen[f.cell_index(CellId::new(0, 2))]);
     }
@@ -1182,7 +1007,7 @@ mod tests {
             .port(2, 2, Side::East, PortKind::Sink)
             .build()
             .unwrap();
-        let seen = reachable_from(&f, &[CellId::new(0, 0)], &vec![false; f.edge_count()]);
+        let seen = reachable(&f, &vec![false; f.valve_count()]);
         assert!(
             !seen[f.cell_index(CellId::new(0, 2))],
             "obstacle column splits the array"
@@ -1251,8 +1076,8 @@ mod tests {
             .port(2, 3, Side::South, PortKind::Sink)
             .build()
             .unwrap();
-        let comps = open_components(&f);
-        let id = |r, c| comps[f.cell_index(CellId::new(r, c))];
+        let router = Router::new(&f);
+        let id = |r, c| router.node_of(CellId::new(r, c));
         assert_eq!(id(1, 0), id(1, 1));
         assert_eq!(id(1, 1), id(1, 2));
         assert_ne!(id(1, 0), id(1, 3));
@@ -1269,7 +1094,8 @@ mod tests {
             .port(2, 3, Side::South, PortKind::Sink)
             .build()
             .unwrap();
-        let comps = open_components(&f);
+        let graph = ChipGraph::new(&f);
+        let comps = graph.components();
         // Straight pass through the channel: fine.
         let pass: Vec<CellId> = vec![
             CellId::new(0, 0),
@@ -1277,7 +1103,7 @@ mod tests {
             CellId::new(1, 1),
             CellId::new(2, 1),
         ];
-        assert!(components_contiguous(&f, &comps, &pass));
+        assert!(components_contiguous(&f, comps, &pass));
         // Leave the channel and come back: bypass loop, rejected.
         let reenter: Vec<CellId> = vec![
             CellId::new(1, 0),
@@ -1285,7 +1111,7 @@ mod tests {
             CellId::new(0, 1),
             CellId::new(1, 1),
         ];
-        assert!(!components_contiguous(&f, &comps, &reenter));
+        assert!(!components_contiguous(&f, comps, &reenter));
     }
 
     #[test]
@@ -1298,14 +1124,15 @@ mod tests {
             .port(4, 4, Side::East, PortKind::Sink)
             .build()
             .unwrap();
-        let comps = open_components(&f);
+        let graph = ChipGraph::new(&f);
+        let comps = graph.components();
         let mut rng = StdRng::seed_from_u64(2);
         for (_, edge) in f.valves() {
             let cells = Router::new(&f)
                 .path_through_edge(&mut Routing::default(), edge, &[], &|_| false, &mut rng)
                 .unwrap_or_else(|| panic!("no path through {edge}"));
             assert!(
-                components_contiguous(&f, &comps, &cells),
+                components_contiguous(&f, comps, &cells),
                 "path through {edge} re-enters the channel"
             );
         }
@@ -1437,7 +1264,7 @@ mod tests {
         while head < queue.len().min(limit) {
             let x = queue[head];
             head += 1;
-            for arc in router.arcs(x).iter().filter(|a| usable(a)) {
+            for arc in router.graph.arcs(x).iter().filter(|a| usable(a)) {
                 let y = arc.to as usize;
                 if !blocked[y] && !seen[y] {
                     seen[y] = true;
@@ -1458,8 +1285,9 @@ mod tests {
         blocked: &[bool],
         usable: &dyn Fn(&Arc) -> bool,
     ) -> (usize, Vec<u32>) {
-        let n = router.node_count();
+        let n = router.graph.node_count();
         let mut out: Vec<Arc> = router
+            .graph
             .arcs(at)
             .iter()
             .filter(|a| usable(a) && !blocked[a.to as usize])
@@ -1492,7 +1320,7 @@ mod tests {
         blocked: &[bool],
         usable: &dyn Fn(&Arc) -> bool,
     ) -> bool {
-        let mut seen = vec![false; router.node_count()];
+        let mut seen = vec![false; router.graph.node_count()];
         seen[from] = true;
         let mut queue = vec![from];
         flood(router, blocked, usable, &mut seen, &mut queue, usize::MAX);
@@ -1508,7 +1336,7 @@ mod tests {
     /// many of them pruned a candidate.
     fn check_walk_steps(f: &Fpva, walks: usize, rng: &mut StdRng) -> (usize, usize) {
         let router = Router::new(f);
-        let n = router.node_count();
+        let n = router.graph.node_count();
         let valves: Vec<ValveId> = f.valves().map(|(v, _)| v).collect();
         let mut search = Searches::new(n, 0);
         let mut out = Vec::new();
@@ -1526,12 +1354,12 @@ mod tests {
             let mut at = rng.gen_range(0..n);
             blocked[at] = false;
             let target = if to_sources {
-                &router.source
+                router.graph.source_flags()
             } else {
-                for (b, &s) in blocked.iter_mut().zip(&router.source) {
+                for (b, &s) in blocked.iter_mut().zip(router.graph.source_flags()) {
                     *b |= s;
                 }
-                &router.sink
+                router.graph.sink_flags()
             };
             if target[at] || blocked[at] || !reaches(&router, at, target, &blocked, &usable) {
                 continue;
@@ -1687,20 +1515,20 @@ mod tests {
         nv: usize,
         avoid: &[ValveId],
     ) -> Option<(usize, Vec<usize>)> {
-        let n = router.node_count();
+        let n = router.graph.node_count();
         let (to_sources, to_sinks, t) = terminals(n);
         let s = t + 1;
         let mut net = ListNetwork::new(s + 1);
         for x in 0..n {
             net.add(inn(x), out(x));
-            if router.source[x] {
+            if router.graph.source_flags()[x] {
                 net.add(out(x), to_sources);
                 continue;
             }
-            if router.sink[x] {
+            if router.graph.sink_flags()[x] {
                 net.add(out(x), to_sinks);
             }
-            let kept = router.arcs(x).iter().filter(|a| {
+            let kept = router.graph.arcs(x).iter().filter(|a| {
                 let valve = ValveId(a.valve as usize);
                 !avoid.contains(&valve)
             });

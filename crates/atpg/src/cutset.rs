@@ -26,9 +26,9 @@
 //! Only a line a channel crosses runs the Dijkstra search for its detour.
 //!
 //! Each candidate cut is then decided by two floods over the chip's
-//! contracted graph ([`Router`]), where channel sites are always open and
-//! walls absent: one from the sources, which drops the candidate as soon
-//! as it reaches a sink, and one from the sinks. A cut *exposes* a member
+//! [`ChipGraph`], where channel sites are inside nodes and walls absent:
+//! one from the sources, which drops the candidate as soon as it reaches
+//! a sink, and one from the sinks. A cut *exposes* a member
 //! whose stuck-at-1 fault it detects: opening that valve alone reconnects
 //! a source to a sink. The two floods decide every member at once:
 //! opening `(x, y)` alone joins a source to a sink exactly when one
@@ -38,9 +38,11 @@
 //! constraint-(9) repair added, is not exposed, and a valve inside one
 //! channel component is bypassed, so it neither separates nor is exposed.
 
-use crate::connectivity::{closed_edges, ports, reachable_from, sink_cells, source_cells, Router};
+use crate::connectivity::ports;
 use crate::error::AtpgError;
-use fpva_grid::{Axis, CellId, EdgeId, EdgeKind, Fpva, PortKind, TestVector, ValveId, ValveState};
+use fpva_grid::{
+    Axis, CellId, ChipGraph, EdgeId, EdgeKind, Fpva, PortKind, TestVector, ValveId, ValveState,
+};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashSet, VecDeque};
 
@@ -57,15 +59,31 @@ impl CutSet {
     ///
     /// # Errors
     ///
-    /// [`AtpgError::NotSeparating`] when some sink is still reachable.
+    /// [`AtpgError::NotSeparating`] with the first sink port, in port
+    /// order, that is still reachable.
     pub fn new(fpva: &Fpva, mut valves: Vec<ValveId>) -> Result<Self, AtpgError> {
         valves.sort_unstable();
         valves.dedup();
-        let reach = reachable_from(fpva, &source_cells(fpva), &closed_edges(fpva, &valves));
-        for sink in sink_cells(fpva) {
-            if reach[fpva.cell_index(sink)] {
-                return Err(AtpgError::NotSeparating { reached_sink: sink });
-            }
+        let graph = ChipGraph::new(fpva);
+        let mut closed = vec![false; fpva.valve_count()];
+        for v in &valves {
+            closed[v.index()] = true;
+        }
+        let mut reach = vec![false; graph.node_count()];
+        if !graph.flood(
+            PortKind::Source,
+            &closed,
+            false,
+            &mut reach,
+            &mut Vec::new(),
+        ) {
+            let (_, sink) = fpva
+                .sinks()
+                .find(|(_, p)| reach[graph.node(fpva.cell_index(p.cell))])
+                .expect("a flood that meets a sink node reaches a sink port");
+            return Err(AtpgError::NotSeparating {
+                reached_sink: sink.cell,
+            });
         }
         Ok(CutSet { valves })
     }
@@ -292,23 +310,23 @@ fn dual_endpoints(edge: EdgeId) -> (Corner, Corner) {
     }
 }
 
-/// The valves a cut along `curve` closes: those it crosses, plus `through`
-/// and the constraint-(9) repair, ascending and without repeats.
-fn curve_valves(fpva: &Fpva, curve: &[Corner], through: Option<ValveId>) -> Vec<ValveId> {
+/// The valves a cut along `curve` closes: those it crosses and the
+/// constraint-(9) repair, ascending and without repeats.
+fn curve_valves(fpva: &Fpva, curve: &[Corner]) -> Vec<ValveId> {
     let mut valves = crossed_valves(fpva, curve);
-    valves.extend(through);
     apply_masking_constraint(fpva, curve, &mut valves);
     valves.sort_unstable();
     valves.dedup();
     valves
 }
 
-/// Decides candidate cuts on a [`Router`]'s contracted graph by two
-/// floods, reusing its buffers from one candidate to the next. A
-/// candidate marks its valves in a valve-indexed mask, which the floods
-/// read by each arc's valve id.
+/// Decides candidate cuts on a chip's [`ChipGraph`] by two floods,
+/// reusing its buffers from one candidate to the next. A candidate marks
+/// its valves in a valve-indexed mask, which the floods read by each arc's
+/// valve id.
 struct CutCheck<'a> {
-    router: &'a Router<'a>,
+    fpva: &'a Fpva,
+    graph: &'a ChipGraph,
     /// The candidate's valves, by [`ValveId::index`].
     closed: Vec<bool>,
     from_sources: Vec<bool>,
@@ -317,11 +335,12 @@ struct CutCheck<'a> {
 }
 
 impl<'a> CutCheck<'a> {
-    fn new(router: &'a Router<'a>) -> Self {
-        let nodes = router.node_count();
+    fn new(fpva: &'a Fpva, graph: &'a ChipGraph) -> Self {
+        let nodes = graph.node_count();
         CutCheck {
-            router,
-            closed: vec![false; router.fpva().valve_count()],
+            fpva,
+            graph,
+            closed: vec![false; fpva.valve_count()],
             from_sources: vec![false; nodes],
             from_sinks: vec![false; nodes],
             stack: Vec::new(),
@@ -332,31 +351,30 @@ impl<'a> CutCheck<'a> {
     /// source; otherwise the members the cut exposes, in the order of
     /// `valves` (see the [module documentation](self)).
     fn decide(&mut self, valves: &[ValveId]) -> Option<Vec<ValveId>> {
-        let fpva = self.router.fpva();
         for v in valves {
             self.closed[v.index()] = true;
         }
-        let separates = self.router.flood(
+        let separates = self.graph.flood(
             PortKind::Source,
             &self.closed,
+            true,
             &mut self.from_sources,
             &mut self.stack,
         );
         let exposed = separates.then(|| {
-            self.router.flood(
+            self.graph.flood(
                 PortKind::Sink,
                 &self.closed,
+                true,
                 &mut self.from_sinks,
                 &mut self.stack,
             );
-            let node = self.router.components();
             let (src, snk) = (&self.from_sources, &self.from_sinks);
             valves
                 .iter()
                 .copied()
                 .filter(|&v| {
-                    let (a, b) = fpva.edge_of(v).endpoints();
-                    let (x, y) = (node[fpva.cell_index(a)], node[fpva.cell_index(b)]);
+                    let [x, y] = self.graph.valve_nodes(v).map(|x| x as usize);
                     (src[x] && snk[y]) || (src[y] && snk[x])
                 })
                 .collect()
@@ -376,18 +394,18 @@ impl<'a> CutCheck<'a> {
 /// On the Table I arrays this produces exactly
 /// `(rows − 1) + (cols − 1)` cut-sets — the paper's `n_c` column.
 pub fn straight_line_cuts(fpva: &Fpva) -> Result<Vec<CutSet>, AtpgError> {
-    let cuts = line_cuts(&mut CutCheck::new(&Router::new(fpva)))?;
+    let cuts = line_cuts(&mut CutCheck::new(fpva, &ChipGraph::new(fpva)))?;
     Ok(cuts.into_iter().map(|(cut, _)| cut).collect())
 }
 
 /// The cuts of [`straight_line_cuts`], each with the members it exposes.
 fn line_cuts(check: &mut CutCheck<'_>) -> Result<Vec<(CutSet, Vec<ValveId>)>, AtpgError> {
-    let fpva = check.router.fpva();
+    let fpva = check.fpva;
     ports(fpva)?;
     let mut cuts = Vec::new();
     let mut seen: HashSet<Vec<ValveId>> = HashSet::new();
     for curve in line_curves(fpva) {
-        let valves = curve_valves(fpva, &curve, None);
+        let valves = curve_valves(fpva, &curve);
         if !seen.insert(valves.clone()) {
             continue;
         }
@@ -481,9 +499,11 @@ fn exposing_curves(fpva: &Fpva, valve: ValveId) -> impl Iterator<Item = Vec<Corn
 /// [`exposing_curves`] that separates and exposes `valve`. Used to cover
 /// valves the straight-line family misses.
 fn exposing_cut(check: &mut CutCheck<'_>, valve: ValveId) -> Option<(CutSet, Vec<ValveId>)> {
-    let fpva = check.router.fpva();
+    let fpva = check.fpva;
     exposing_curves(fpva, valve).find_map(|curve| {
-        let valves = curve_valves(fpva, &curve, Some(valve));
+        // The curve crosses `valve`'s own segment from `p` to `q`, so
+        // its crossed valves hold `valve`.
+        let valves = curve_valves(fpva, &curve);
         // The cut must be *minimal through `valve`*: a stuck-at-1 at
         // `valve` is only observable if opening it alone reconnects a
         // source to a sink. Otherwise try the next curve shape.
@@ -519,13 +539,12 @@ impl CutCover {
 ///
 /// Returns [`AtpgError::MissingPorts`] when the array lacks ports.
 pub fn cut_cover(fpva: &Fpva) -> Result<CutCover, AtpgError> {
-    cut_cover_on(&Router::new(fpva))
+    cut_cover_on(fpva, &ChipGraph::new(fpva))
 }
 
-/// [`cut_cover`] on the router of the chip.
-pub(crate) fn cut_cover_on(router: &Router<'_>) -> Result<CutCover, AtpgError> {
-    let fpva = router.fpva();
-    let mut check = CutCheck::new(router);
+/// [`cut_cover`] on the chip's graph.
+pub(crate) fn cut_cover_on(fpva: &Fpva, graph: &ChipGraph) -> Result<CutCover, AtpgError> {
+    let mut check = CutCheck::new(fpva, graph);
     let mut cuts = Vec::new();
     let mut exposed = vec![false; fpva.valve_count()];
     for (cut, members) in line_cuts(&mut check)? {
@@ -746,8 +765,8 @@ pub(crate) mod tests {
     #[test]
     fn cut_through_specific_valve() {
         let f = layouts::full_array(4, 4);
-        let router = Router::new(&f);
-        let mut check = CutCheck::new(&router);
+        let graph = ChipGraph::new(&f);
+        let mut check = CutCheck::new(&f, &graph);
         for (v, _) in f.valves() {
             let (cut, exposed) =
                 exposing_cut(&mut check, v).unwrap_or_else(|| panic!("no cut through {v}"));
@@ -776,8 +795,8 @@ pub(crate) mod tests {
     /// The members of `cut` it exposes, by [`CutCheck::decide`]; nothing
     /// when the cut does not separate.
     fn exposed_valves(fpva: &Fpva, cut: &CutSet) -> Vec<ValveId> {
-        let router = Router::new(fpva);
-        CutCheck::new(&router)
+        let graph = ChipGraph::new(fpva);
+        CutCheck::new(fpva, &graph)
             .decide(cut.valves())
             .unwrap_or_default()
     }
@@ -807,46 +826,55 @@ pub(crate) mod tests {
         assert_eq!(exposed_valves(&f, &tight).len(), 2);
     }
 
-    /// The reference definition of exposure: one search per member, with
-    /// that member open and the rest of the cut closed.
-    fn exposed_by_rescan(fpva: &Fpva, cut: &CutSet) -> Vec<ValveId> {
-        // Passable edges per cell as (edge index, far cell), built once per
-        // cut: in debug builds `Fpva::neighbors` would dominate the searches.
-        let adj: Vec<Vec<(usize, usize)>> = fpva
-            .cells()
+    /// Passable edges per cell as (edge index, far cell), built once per
+    /// chip: in debug builds `Fpva::neighbors` would dominate the searches.
+    fn passable(fpva: &Fpva) -> Vec<Vec<(usize, usize)>> {
+        fpva.cells()
             .map(|c| {
                 fpva.neighbors(c)
                     .filter(|&(e, _)| fpva.edge_kind(e) != EdgeKind::Wall)
                     .map(|(e, n)| (fpva.edge_index(e), fpva.cell_index(n)))
                     .collect()
             })
+            .collect()
+    }
+
+    /// Whether some source cell reaches a sink cell over `adj` with the
+    /// valves `closed` closed: the cell-level search the graph's floods
+    /// are checked against.
+    fn sources_reach_a_sink(fpva: &Fpva, adj: &[Vec<(usize, usize)>], closed: &[ValveId]) -> bool {
+        let mut shut = vec![false; fpva.edge_count()];
+        for &w in closed {
+            shut[fpva.edge_index(fpva.edge_of(w))] = true;
+        }
+        let mut seen = vec![false; fpva.cell_count()];
+        let mut stack: Vec<usize> = fpva
+            .sources()
+            .map(|(_, p)| fpva.cell_index(p.cell))
             .collect();
-        let index = |cells: Vec<CellId>| -> Vec<usize> {
-            cells.into_iter().map(|c| fpva.cell_index(c)).collect()
-        };
-        let (sources, sinks) = (index(source_cells(fpva)), index(sink_cells(fpva)));
+        for &s in &stack {
+            seen[s] = true;
+        }
+        while let Some(x) = stack.pop() {
+            for &(e, y) in &adj[x] {
+                if !shut[e] && !seen[y] {
+                    seen[y] = true;
+                    stack.push(y);
+                }
+            }
+        }
+        fpva.sinks().any(|(_, p)| seen[fpva.cell_index(p.cell)])
+    }
+
+    /// The reference definition of exposure: one search per member, with
+    /// that member open and the rest of the cut closed.
+    fn exposed_by_rescan(fpva: &Fpva, adj: &[Vec<(usize, usize)>], cut: &CutSet) -> Vec<ValveId> {
         cut.valves()
             .iter()
             .copied()
             .filter(|&v| {
-                let mut closed = vec![false; fpva.edge_count()];
-                for &w in cut.valves().iter().filter(|&&w| w != v) {
-                    closed[fpva.edge_index(fpva.edge_of(w))] = true;
-                }
-                let mut seen = vec![false; fpva.cell_count()];
-                let mut stack = sources.clone();
-                for &s in &sources {
-                    seen[s] = true;
-                }
-                while let Some(x) = stack.pop() {
-                    for &(e, y) in &adj[x] {
-                        if !closed[e] && !seen[y] {
-                            seen[y] = true;
-                            stack.push(y);
-                        }
-                    }
-                }
-                sinks.iter().any(|&s| seen[s])
+                let rest: Vec<ValveId> = cut.valves().iter().copied().filter(|&w| w != v).collect();
+                sources_reach_a_sink(fpva, adj, &rest)
             })
             .collect()
     }
@@ -871,11 +899,14 @@ pub(crate) mod tests {
     }
 
     /// [`cut_cover`] on the cell-level definitions: each candidate checked
-    /// by [`CutSet::new`], its exposure by [`exposed_by_rescan`].
-    fn cut_cover_by_rescan(f: &Fpva) -> CutCover {
+    /// by [`sources_reach_a_sink`], its exposure by [`exposed_by_rescan`].
+    fn cut_cover_by_rescan(f: &Fpva, adj: &[Vec<(usize, usize)>]) -> CutCover {
+        let separating = |valves: Vec<ValveId>| {
+            (!sources_reach_a_sink(f, adj, &valves)).then_some(CutSet { valves })
+        };
         let mut cuts: Vec<CutSet> = Vec::new();
         for curve in line_curves(f) {
-            if let Ok(cut) = CutSet::new(f, curve_valves(f, &curve, None)) {
+            if let Some(cut) = separating(curve_valves(f, &curve)) {
                 if !cuts.contains(&cut) {
                     cuts.push(cut);
                 }
@@ -883,7 +914,7 @@ pub(crate) mod tests {
         }
         let mut exposed = vec![false; f.valve_count()];
         for cut in &cuts {
-            for w in exposed_by_rescan(f, cut) {
+            for w in exposed_by_rescan(f, adj, cut) {
                 exposed[w.index()] = true;
             }
         }
@@ -893,8 +924,8 @@ pub(crate) mod tests {
                 continue;
             }
             let found = exposing_curves(f, v).find_map(|curve| {
-                let cut = CutSet::new(f, curve_valves(f, &curve, Some(v))).ok()?;
-                let members = exposed_by_rescan(f, &cut);
+                let cut = separating(curve_valves(f, &curve))?;
+                let members = exposed_by_rescan(f, adj, &cut);
                 members.contains(&v).then_some((cut, members))
             });
             if let Some((cut, members)) = found {
@@ -910,39 +941,45 @@ pub(crate) mod tests {
     }
 
     /// Checks `f`'s cut cover against [`cut_cover_by_rescan`], and the two
-    /// floods against [`CutSet::new`] and [`exposed_by_rescan`] on every
-    /// line candidate and, on chips of at most 100 cells, every exposing
-    /// candidate through every valve. Returns how many candidates the
-    /// floods kept and how many they dropped.
+    /// floods and [`CutSet::new`] against [`sources_reach_a_sink`] and
+    /// [`exposed_by_rescan`] on every line candidate and, on chips of at
+    /// most 100 cells, every exposing candidate through every valve.
+    /// Returns how many candidates the floods kept and how many they
+    /// dropped.
     fn check_cut_decisions(f: &Fpva) -> (usize, usize) {
+        let adj = passable(f);
         let fast = cut_cover(f).unwrap();
-        let reference = cut_cover_by_rescan(f);
+        let reference = cut_cover_by_rescan(f, &adj);
         assert_eq!(fast.cuts, reference.cuts);
         assert_eq!(fast.uncovered, reference.uncovered);
         for cut in &fast.cuts {
-            assert_eq!(exposed_valves(f, cut), exposed_by_rescan(f, cut));
+            assert_eq!(exposed_valves(f, cut), exposed_by_rescan(f, &adj, cut));
         }
         let mut candidates: Vec<Vec<ValveId>> =
-            line_curves(f).map(|c| curve_valves(f, &c, None)).collect();
+            line_curves(f).map(|c| curve_valves(f, &c)).collect();
         if f.cell_count() <= 100 {
             for (v, _) in f.valves() {
-                candidates.extend(exposing_curves(f, v).map(|c| curve_valves(f, &c, Some(v))));
+                candidates.extend(exposing_curves(f, v).map(|c| curve_valves(f, &c)));
             }
         }
-        let router = Router::new(f);
-        let mut check = CutCheck::new(&router);
+        let graph = ChipGraph::new(f);
+        let mut check = CutCheck::new(f, &graph);
         let (mut kept, mut dropped) = (0, 0);
         for valves in candidates {
             let decided = check.decide(&valves);
-            match CutSet::new(f, valves.clone()) {
-                Ok(cut) => {
-                    assert_eq!(decided, Some(exposed_by_rescan(f, &cut)), "{valves:?}");
-                    kept += 1;
-                }
-                Err(_) => {
-                    assert_eq!(decided, None, "{valves:?} does not separate");
-                    dropped += 1;
-                }
+            let separates = !sources_reach_a_sink(f, &adj, &valves);
+            assert_eq!(
+                CutSet::new(f, valves.clone()).is_ok(),
+                separates,
+                "{valves:?}"
+            );
+            if separates {
+                let cut = CutSet { valves };
+                assert_eq!(decided, Some(exposed_by_rescan(f, &adj, &cut)), "{cut:?}");
+                kept += 1;
+            } else {
+                assert_eq!(decided, None, "{valves:?} does not separate");
+                dropped += 1;
             }
         }
         (kept, dropped)

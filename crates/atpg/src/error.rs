@@ -1,6 +1,6 @@
 //! Error type of the test generator.
 
-use fpva_grid::{CellId, ValveId};
+use fpva_grid::CellId;
 use std::error::Error;
 use std::fmt;
 
@@ -21,12 +21,6 @@ pub enum AtpgError {
         /// A sink cell still reachable with the cut closed.
         reached_sink: CellId,
     },
-    /// Path generation could not cover these valves (disconnected or
-    /// dead-end structure).
-    UncoverableValves {
-        /// The valves no simple source→sink path could reach.
-        valves: Vec<ValveId>,
-    },
     /// The ILP engine failed (solver limit or internal error).
     Solver {
         /// Human-readable reason.
@@ -45,13 +39,6 @@ impl fmt::Display for AtpgError {
                 write!(
                     f,
                     "cut-set does not separate sources from sink cell {reached_sink}"
-                )
-            }
-            AtpgError::UncoverableValves { valves } => {
-                write!(
-                    f,
-                    "no simple source-to-sink path covers {} valve(s)",
-                    valves.len()
                 )
             }
             AtpgError::Solver { reason } => write!(f, "ILP engine failed: {reason}"),

@@ -94,7 +94,7 @@ pub(crate) fn cover_remaining(
             continue;
         };
         let (src, snk) = endpoint_ports(fpva, &cells).expect("routes end at port cells");
-        let path = FlowPath::with_components(fpva, router.components(), src, snk, cells)
+        let path = FlowPath::with_components(fpva, router.graph().components(), src, snk, cells)
             .expect("routes are valid flow paths");
         for v in path.valves(fpva) {
             covered[v.index()] = true;

@@ -117,7 +117,8 @@ fn band_cells(rows: usize, cols: usize, r0: usize, r1: usize) -> Vec<(usize, usi
 fn band_paths(router: &Router<'_>, block_size: usize) -> Result<Vec<FlowPath>, AtpgError> {
     let fpva = router.fpva();
     let (source, sink) = ports(fpva)?;
-    let band = |cells| FlowPath::with_components(fpva, router.components(), source, sink, cells);
+    let band =
+        |cells| FlowPath::with_components(fpva, router.graph().components(), source, sink, cells);
     let (rows, cols) = (fpva.rows(), fpva.cols());
     let mut paths = Vec::new();
     // Row bands, then column bands: build on the transposed geometry, then

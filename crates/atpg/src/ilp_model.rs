@@ -26,7 +26,7 @@ use crate::connectivity::ports;
 use crate::error::AtpgError;
 use crate::heuristic::PathCover;
 use crate::path::FlowPath;
-use fpva_grid::{CellId, CellKind, EdgeId, EdgeKind, Fpva, PortId, PortKind};
+use fpva_grid::{CellId, CellKind, ChipGraph, EdgeId, EdgeKind, Fpva, PortId, PortKind};
 use fpva_ilp::{
     CertifyError, CertifySummary, LinExpr, MilpOptions, MilpSolver, Model, Sense, SolveStats,
     SolveStatus, VarId,
@@ -192,7 +192,8 @@ fn build_model(fpva: &Fpva, k: usize) -> (Model, Vec<PathVars>) {
     // surface any of this; with the LU basis the k=2 probe on
     // `table1_5x5` otherwise returns a bypass "cover" the extractor must
     // reject.)
-    let components = crate::connectivity::open_components(fpva);
+    let graph = ChipGraph::new(fpva);
+    let components = graph.components();
     let mut comp_sizes: BTreeMap<usize, usize> = BTreeMap::new();
     for &cell in &cells {
         *comp_sizes
@@ -363,7 +364,8 @@ pub fn expected_constraint_count(fpva: &Fpva, k: usize) -> usize {
         .filter(|&(_, kind)| kind != EdgeKind::Wall)
         .count();
     let sources = fpva.sources().count();
-    let components = crate::connectivity::open_components(fpva);
+    let graph = ChipGraph::new(fpva);
+    let components = graph.components();
     let mut comp_sizes: BTreeMap<usize, usize> = BTreeMap::new();
     for cell in fpva.cells() {
         if fpva.cell_kind(cell) != CellKind::Obstacle {

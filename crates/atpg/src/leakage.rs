@@ -136,8 +136,9 @@ pub(crate) fn leakage_vectors_on(
                 // The router may end at any source/sink pair, so the ports
                 // must be read off the path itself.
                 let (src, snk) = endpoint_ports(fpva, &cells).expect("routes end at port cells");
-                let path = FlowPath::with_components(fpva, router.components(), src, snk, cells)
-                    .expect("routes are valid flow paths");
+                let path =
+                    FlowPath::with_components(fpva, router.graph().components(), src, snk, cells)
+                        .expect("routes are valid flow paths");
                 let valves = path.valves(fpva);
                 for v in &valves {
                     on_path[v.index()] = true;
@@ -236,10 +237,10 @@ mod tests {
     #[test]
     fn untestable_pairs_are_those_no_route_crosses() {
         // Reference: with both valves closed and all else open, a pair is
-        // untestable exactly when no source-side flood reaches one end of
-        // the victim while a sink-side flood reaches the other. Two
-        // floods per pair, so only the smaller chips.
-        use crate::connectivity::{closed_edges, reachable_from, sink_cells, source_cells};
+        // untestable exactly when no source-side flood of the chip graph
+        // reaches one end of the victim while a sink-side flood reaches
+        // the other. Two floods per pair, so only the smaller chips.
+        use fpva_grid::{ChipGraph, PortKind};
         let chips = [
             layouts::table1_5x5(),
             layouts::table1_10x10(),
@@ -247,13 +248,26 @@ mod tests {
         ];
         let mut untestable = 0;
         for f in &chips {
+            let graph = ChipGraph::new(f);
+            let mut closed = vec![false; f.valve_count()];
+            let mut from_sources = vec![false; graph.node_count()];
+            let mut from_sinks = vec![false; graph.node_count()];
+            let mut stack = Vec::new();
             for (a, _) in f.valves() {
                 for b in f.valve_neighbors(a) {
-                    let closed = closed_edges(f, &[a, b]);
-                    let from_sources = reachable_from(f, &source_cells(f), &closed);
-                    let from_sinks = reachable_from(f, &sink_cells(f), &closed);
-                    let (u, v) = f.edge_of(b).endpoints();
-                    let (u, v) = (f.cell_index(u), f.cell_index(v));
+                    closed[a.index()] = true;
+                    closed[b.index()] = true;
+                    graph.flood(
+                        PortKind::Source,
+                        &closed,
+                        false,
+                        &mut from_sources,
+                        &mut stack,
+                    );
+                    graph.flood(PortKind::Sink, &closed, false, &mut from_sinks, &mut stack);
+                    closed[a.index()] = false;
+                    closed[b.index()] = false;
+                    let [u, v] = graph.valve_nodes(b).map(|x| x as usize);
                     let crossed =
                         (from_sources[u] && from_sinks[v]) || (from_sources[v] && from_sinks[u]);
                     assert_eq!(pair_untestable(f, a, b), !crossed, "({a},{b})");

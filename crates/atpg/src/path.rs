@@ -1,9 +1,9 @@
 //! Simple source→sink flow paths (Section III-A/B of the paper).
 
-use crate::connectivity::{components_contiguous, open_components};
+use crate::connectivity::components_contiguous;
 use crate::error::AtpgError;
 use fpva_grid::{
-    CellId, EdgeId, EdgeKind, Fpva, PortId, PortKind, TestVector, ValveId, ValveState,
+    CellId, ChipGraph, EdgeId, EdgeKind, Fpva, PortId, PortKind, TestVector, ValveId, ValveState,
 };
 use serde::{Deserialize, Serialize};
 
@@ -40,11 +40,11 @@ impl FlowPath {
         sink: PortId,
         cells: Vec<CellId>,
     ) -> Result<Self, AtpgError> {
-        Self::with_components(fpva, &open_components(fpva), source, sink, cells)
+        Self::with_components(fpva, ChipGraph::new(fpva).components(), source, sink, cells)
     }
 
-    /// [`FlowPath::new`] with the chip's [`open_components`] map already at
-    /// hand, as a [`crate::connectivity::Router`] holds it.
+    /// [`FlowPath::new`] with the chip's [`ChipGraph::components`] map
+    /// already at hand, as a [`crate::connectivity::Router`] holds it.
     pub(crate) fn with_components(
         fpva: &Fpva,
         components: &[usize],

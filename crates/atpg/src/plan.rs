@@ -247,7 +247,7 @@ impl Atpg {
         stats.t_paths = t0.elapsed();
         let cut_stage = || {
             let t0 = Instant::now();
-            (cut_cover_on(&router), t0.elapsed())
+            (cut_cover_on(fpva, router.graph()), t0.elapsed())
         };
         // The path and the leakage stage route on the calling thread, one
         // after the other, and share one scratch space; the helper, if

@@ -15,9 +15,9 @@
 use std::fmt;
 use std::time::Duration;
 
-use fpva_atpg::{connectivity, ilp_model, Atpg};
+use fpva_atpg::{ilp_model, Atpg};
 use fpva_grid::layouts;
-use fpva_grid::{CellKind, Fpva, ValveId};
+use fpva_grid::{CellKind, ChipGraph, Fpva, PortKind, ValveId};
 use fpva_ilp::{
     certify_outcome, numerics_report, presolve, MilpOptions, MilpSolver, PresolveOutcome,
     SolveStatus,
@@ -146,32 +146,41 @@ pub fn lint_chip(name: &str, fpva: &Fpva) -> Vec<Diagnostic> {
         });
     };
 
-    let sources = connectivity::source_cells(fpva);
-    let sinks = connectivity::sink_cells(fpva);
-    if sources.is_empty() {
+    let no_sources = fpva.sources().next().is_none();
+    let no_sinks = fpva.sinks().next().is_none();
+    if no_sources {
         push(
             Severity::Error,
             "ports",
             "chip has no pressure source port".into(),
         );
     }
-    if sinks.is_empty() {
+    if no_sinks {
         push(
             Severity::Error,
             "ports",
             "chip has no pressure meter (sink) port".into(),
         );
     }
-    if sources.is_empty() || sinks.is_empty() {
+    if no_sources || no_sinks {
         return out;
     }
 
     // All-open reachability: the weakest possible requirement — if a sink
     // cannot see a source with every valve open, no test vector ever will.
-    let none_closed = vec![false; fpva.edge_count()];
-    let from_src = connectivity::reachable_from(fpva, &sources, &none_closed);
+    let graph = ChipGraph::new(fpva);
+    let none_closed = vec![false; fpva.valve_count()];
+    let mut from_src = vec![false; graph.node_count()];
+    graph.flood(
+        PortKind::Source,
+        &none_closed,
+        false,
+        &mut from_src,
+        &mut Vec::new(),
+    );
+    let reached = |cell| from_src[graph.node(fpva.cell_index(cell))];
     for (id, port) in fpva.sinks() {
-        if !from_src[fpva.cell_index(port.cell)] {
+        if !reached(port.cell) {
             push(
                 Severity::Error,
                 "connectivity",
@@ -184,7 +193,7 @@ pub fn lint_chip(name: &str, fpva: &Fpva) -> Vec<Diagnostic> {
     }
     let stranded: Vec<_> = fpva
         .cells()
-        .filter(|&c| fpva.cell_kind(c) != CellKind::Obstacle && !from_src[fpva.cell_index(c)])
+        .filter(|&c| fpva.cell_kind(c) != CellKind::Obstacle && !reached(c))
         .collect();
     if !stranded.is_empty() {
         push(

@@ -17,6 +17,9 @@
 //!   ports,
 //! * [`TestVector`] — one open/closed assignment for every valve (the
 //!   paper's "Outputs"),
+//! * [`ChipGraph`] — the chip lowered once, every channel contracted to
+//!   one node: the graph that routing, cut decisions, the bit-parallel
+//!   simulator and the lint read,
 //! * [`layouts`] — the five benchmark arrays of Table I with valve counts
 //!   matching the paper exactly (39, 176, 411, 744, 1704), and
 //!   [`layouts::generated`] chips of a seeded family,
@@ -50,6 +53,7 @@ mod array;
 mod builder;
 mod error;
 mod geometry;
+pub mod graph;
 pub mod layouts;
 pub mod render;
 mod vector;
@@ -58,4 +62,5 @@ pub use array::{CellKind, EdgeKind, Fpva, Port, PortId, PortKind};
 pub use builder::FpvaBuilder;
 pub use error::GridError;
 pub use geometry::{Axis, CellId, EdgeId, Side};
+pub use graph::ChipGraph;
 pub use vector::{TestVector, ValveId, ValveState};

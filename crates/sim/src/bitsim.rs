@@ -6,21 +6,25 @@
 //! the *same* suite, so this module packs [`LANES`] scenarios into one
 //! `u64` per graph element and propagates all of them through a single
 //! bitset BFS — the classic parallel-fault answer from VLSI ATPG,
-//! transplanted to valve-array pressure propagation:
+//! transplanted to valve-array pressure propagation.
 //!
-//! * `LoweredChip` — the chip's cell adjacency lowered once per
-//!   [`TestSuite`] into a flat CSR table (wall edges dropped, channel
-//!   edges marked always-open, valve edges tagged with their dense valve
-//!   index), plus the two endpoint cells of every valve,
+//! The kernel runs on the chip's [`ChipGraph`], which each [`TestSuite`]
+//! builds once: every channel is one node, and two nodes are joined by one
+//! arc per valve between them. Faults touch valves only, so the cells of
+//! one node share pressure in every scenario, and a valve whose two cells
+//! share a node, bypassed by its channel, changes no reading. So every set
+//! below is a set of nodes, and the sink readings are those of the sink
+//! ports' nodes.
+//!
 //! * `LaneSet` — one `u64` lane word per element of some universe
-//!   (per valve: "which scenarios hold this valve open"; per cell: "which
-//!   scenarios pressurise this cell"),
+//!   (per valve: "which scenarios hold this valve open"; per node: "which
+//!   scenarios pressurise this node"),
 //! * `BitFrontier` — the reusable bitset-BFS worklist: seeds a lane word
-//!   at the source cells and saturates reachability with word-wide
-//!   AND/OR over the lowered adjacency,
+//!   at the source nodes and saturates reachability with word-wide
+//!   AND/OR over the graph's arcs,
 //! * [`BitSimulator`] — the fault-dropping sweep built on top, bound to
-//!   one suite and its lowered chip: applies the suite vector by vector to
-//!   a chunk of scenarios and reports which ones some vector detects, plus
+//!   one suite and its graph: applies the suite vector by vector to a
+//!   chunk of scenarios and reports which ones some vector detects, plus
 //!   [`KernelStats`] counters. The same word pass drives the two-fault
 //!   audit's stuck-at-0 pre-pass (see "Two-fault audit by composition" in
 //!   the crate docs).
@@ -33,8 +37,8 @@
 //! vector order, and drops it once a vector detects it. At each visit it
 //! sorts the scenario into one of three outcomes, using what the
 //! [`TestSuite`] keeps per vector: the fault-free pressure region `R`, the
-//! sink side `S` (the cells joined to a sink port by commanded-open
-//! edges) and, when `R` is a chain, its chain positions. A scenario that
+//! sink side `S` (the nodes joined to a sink port's node by commanded-open
+//! valves) and, when `R` is a chain, its chain positions. A scenario that
 //! *reads golden* moves on to the next vector of its mask unsimulated, one
 //! that is *detected* is marked with no word pass, and only the scenarios
 //! left to *simulate* are packed 64 per word pass, with only the occupied
@@ -54,30 +58,31 @@
 //!   open and not stuck-at-1;
 //! * an *opening* is a stuck-at-1 on a commanded-closed valve.
 //!
-//! A change *touches* a set of cells when its valve has an endpoint in
-//! it. A cell is *sealed* under a vector when every edge at it is a valve
-//! the vector commands closed; a channel edge at the cell unseals it.
+//! A change *touches* a set of nodes when its valve has an endpoint node
+//! in it. A node is *sealed* under a vector when every arc at it is a
+//! valve the vector commands closed.
 //!
 //! **Reads golden** when no closing touches `R`, and every opening that
 //! touches `R` either has both endpoints in `R` or leads from `R` to a
-//! sealed cell `y` outside `S` that no other change touches. `R` holds
-//! the sources and is closed under the fault-free open edges, since it is
-//! their reach, and no closing removes an edge inside it, so the faulty
-//! reach contains `R`. The edges leaving `R` are channels or valves at
-//! their commanded (closed) state, except the openings into the cells
-//! `y`. Every edge at such a `y` is a commanded-closed valve, and only the
-//! opening from `R` changes among them, so pressure that enters `y` stays
-//! there. The faulty reach is therefore exactly `R` plus those cells `y`.
-//! None of them holds a sink, because a sealed sink cell lies in `S`, so
-//! every sink reads golden. With no such openings this is the plain skip
-//! rule: a scenario that changes no valve touching `R` reads golden.
+//! sealed node `y` outside `S` that no other change touches. `R` holds
+//! the sources and is closed under the fault-free open valves, since it is
+//! their reach, and no closing removes a valve inside it, so the faulty
+//! reach contains `R`. The arcs leaving `R` are valves at their commanded
+//! (closed) state, except the openings into the nodes `y`. Every arc at
+//! such a `y` is a commanded-closed valve, and only the opening from `R`
+//! changes among them, so pressure that enters `y` stays there. The faulty
+//! reach is therefore exactly `R` plus those nodes `y`. None of them holds
+//! a sink, because a sink's node lies in `S`, so every sink reads golden.
+//! With no such openings this is the plain skip rule: a scenario that
+//! changes no valve touching `R` reads golden.
 //!
 //! **Detected** when no closing touches `R ∪ S`, and some opening leads
-//! from `R` into a cell `x` of `S` outside `R`. The faulty reach contains
-//! `R` as above, and the opening carries pressure into `x`. No closing
-//! touches `S`, so pressure fills `x`'s commanded component, which holds a
-//! sink. `R` is a union of commanded components and does not hold `x`, so
-//! golden leaves that sink dry while the faulty chip pressurises it.
+//! from `R` into a node `x` of `S` outside `R`. The faulty reach contains
+//! `R` as above, and the opening carries pressure into `x`. `x` is joined
+//! to a sink's node by commanded-open valves, whose endpoints all lie in
+//! `S`, and no closing touches `S`, so pressure reaches that sink. `R` is
+//! closed under the commanded-open valves and does not hold `x`, so golden
+//! leaves that sink dry while the faulty chip pressurises it.
 //!
 //! **Cut** (detected) on a chain, described next.
 //!
@@ -88,34 +93,33 @@
 //!
 //! # Cutting chains
 //!
-//! A cell's *chain position* is the fewest commanded-open valves on a
-//! route to it from a source over the vector's open edges, so channel
-//! edges join cells of equal position and a commanded-open valve joins
-//! positions that differ by at most one. Every source cell sits at
-//! position 0, a sealed source island included. `R` is a *chain* when some
-//! sink lies at a position above 0 and, below the largest such position
-//! `p`, every position `j` is joined to `j + 1` by exactly one open valve.
-//! A plan's flow-path and leakage vectors open valves that string channel
-//! components one after another from a source to the sinks, so their
+//! A node's *chain position* is the fewest commanded-open valves on a
+//! route to it from a source node, so a commanded-open valve joins
+//! positions that differ by at most one. Every source node sits at
+//! position 0, a sealed source island included. `R` is a *chain* when
+//! some sink lies at a position above 0 and, below the largest such
+//! position `p`, every position `j` is joined to `j + 1` by exactly one
+//! open valve. A plan's flow-path and leakage vectors open valves that
+//! string nodes one after another from a source to the sinks, so their
 //! regions are chains. A second open valve from some position below `p`
 //! to the next breaks the rule: a parallel valve, a branch, or a second
-//! source component's own way forward.
+//! source node's own way forward.
 //!
 //! A closing whose valve joins positions `k` and `k + 1` *cuts the chain
 //! at `k`*. Take a scenario's earliest cut `k`. **Cut** marks it detected
 //! when `k < p` and no opening has an endpoint at a position `≤ k`
 //! (openings with both endpoints in `R` count too). Let `S_k` be the
-//! cells at positions `≤ k`. `S_k` holds every source, and the only
-//! fault-free open edge leaving it is the valve the cut closes: channels
-//! keep positions, and the valve joining `k` to `k + 1` is the only one.
-//! Closings only remove edges, and no opening touches `S_k`, so the faulty
-//! reach stays inside `S_k`. The sink at position `p > k` lies outside
-//! it: golden pressurises it and the faulty chip does not.
+//! nodes at positions `≤ k`. `S_k` holds every source, and the only
+//! fault-free open valve leaving it is the one the cut closes: the valve
+//! joining `k` to `k + 1` is the only one. Closings only remove arcs, and
+//! no opening touches `S_k`, so the faulty reach stays inside `S_k`. The
+//! sink at position `p > k` lies outside it: golden pressurises it and the
+//! faulty chip does not.
 //!
 //! # Relevance masks
 //!
 //! The suite keeps three bitsets over its vectors per valve, in the terms
-//! of "Deciding scenarios from regions". A cell is a *dead end* under a
+//! of "Deciding scenarios from regions". A node is a *dead end* under a
 //! vector when it is sealed and lies outside `S`.
 //!
 //! * The *closing* mask holds the vectors that pressurise some sink and
@@ -123,14 +127,15 @@
 //!   touches `R`.
 //! * The *opening* mask holds the vectors that command the valve closed
 //!   with exactly one endpoint in `R`, so that opening it crosses `R`,
-//!   unless its far cell is a dead end.
+//!   unless its far node is a dead end.
 //! * The *dead-end* mask holds the vectors at which the valve crosses `R`
 //!   into a dead end.
 //!
-//! A scenario's mask is the OR over its faults of the closing mask (a
+//! A bypassed valve is in no mask, since it changes no reading. A
+//! scenario's mask is the OR over its faults of the closing mask (a
 //! stuck-at-0's valve, a control leak's victim) or the opening mask (a
 //! stuck-at-1's valve). When two of its stuck-at-1 valves share an
-//! endpoint cell, their dead-end masks join in too. A leak closes its
+//! endpoint node, their dead-end masks join in too. A leak closes its
 //! victim only where its actuator is commanded closed, so the victim's
 //! mask is a superset of where it matters, which is still exact. Masks
 //! only schedule visits: a visited scenario is classified on all of its
@@ -138,30 +143,30 @@
 //!
 //! **Lemma A.** A scenario that opens no valve crossing `R` keeps the
 //! faulty reach inside `R`. The faulty flood starts at the sources, inside
-//! `R`. `R` is closed under the fault-free open edges, so every edge from
-//! `R` to a cell outside it is a commanded-closed valve with exactly one
-//! endpoint in `R`, and the first cell outside `R` that the flood reaches
+//! `R`. `R` is closed under the fault-free open valves, so every arc from
+//! `R` to a node outside it is a commanded-closed valve with exactly one
+//! endpoint in `R`, and the first node outside `R` that the flood reaches
 //! would come through such a valve. Only a stuck-at-1 opens one, and that
 //! opening would cross `R`. So at a vector that pressurises no sink, where
 //! `R` holds no sink, such a scenario reads golden whatever it closes.
 //!
 //! **Lemma B.** Let every opening that crosses `R` lead into a dead end,
-//! and no two of the scenario's stuck-at-1 valves share a cell. Pressure
+//! and no two of the scenario's stuck-at-1 valves share a node. Pressure
 //! that enters a dead end `y` can leave it only through a second
-//! effectively open valve at `y`. None of `y`'s valves is commanded open,
-//! so no closing happens there, and only a stuck-at-1 opens one, which
-//! would share `y` with the valve the pressure came through. With lemma A,
-//! the faulty reach stays inside `R` plus such dead ends, which hold no
-//! sink: a sink's cell lies in `S`.
+//! effectively open arc at `y`. None of `y`'s arcs is commanded open, so
+//! no closing happens there, and only a stuck-at-1 opens one, which would
+//! share `y` with the valve the pressure came through. With lemma A, the
+//! faulty reach stays inside `R` plus such dead ends, which hold no sink:
+//! a sink's node lies in `S`.
 //!
 //! At a vector outside a scenario's mask, every opening that crosses `R`
 //! leads into a dead end (its opening bit is clear), and none does when
-//! two stuck-at-1 valves share a cell (its dead-end bit is clear too); a
+//! two stuck-at-1 valves share a node (its dead-end bit is clear too); a
 //! closing touches `R` only at a vector that pressurises no sink (its
 //! closing bit is clear). So the faulty reach stays inside `R` plus dead
 //! ends. Where no sink is wet, every sink reads dry, as golden. Where one
 //! is, no closing touches `R`, so the faulty reach also keeps all of `R`,
-//! which holds the sources and loses no edge, and every reading is golden.
+//! which holds the sources and loses no arc, and every reading is golden.
 //! Skipping the visit changes no outcome.
 //!
 //! # Scalar-oracle invariant
@@ -169,13 +174,14 @@
 //! For every `(vector, fault set)` the lane bit computed here equals the
 //! scalar result of [`crate::respond`] compared against the
 //! suite's golden response — byte for byte, not approximately. The scalar
-//! path stays in the tree as the oracle: the differential tests build the
-//! expected [`crate::campaign::CampaignRow`]s and audit `undetected`
-//! lists by applying [`TestSuite::detects`] to each trial, fault and pair,
-//! on complete and on deliberately weak suites, and assert that the
-//! campaign and the audits report exactly those; the unit tests below
-//! check the per-scenario reachability sets and both decided outcomes of
-//! the classifier against [`crate::respond`], and that every visit the
+//! path stays in the tree as the oracle, and it walks the cells, not the
+//! graph: the differential tests build the expected
+//! [`crate::campaign::CampaignRow`]s and audit `undetected` lists by
+//! applying [`TestSuite::detects`] to each trial, fault and pair, on
+//! complete and on deliberately weak suites, and assert that the campaign
+//! and the audits report exactly those; the unit tests below check the
+//! per-scenario reachability sets, cell by cell, and both decided outcomes
+//! of the classifier against [`crate::respond`], and that every visit the
 //! relevance masks skip responds golden under [`crate::respond`].
 
 use crate::fault::Fault;
@@ -183,7 +189,7 @@ use crate::fault::Fault;
 use crate::fault::FaultSet;
 use crate::pressure::Response;
 use crate::suite::TestSuite;
-use fpva_grid::{EdgeKind, Fpva, PortKind, TestVector, ValveId};
+use fpva_grid::{ChipGraph, TestVector, ValveId};
 use std::collections::VecDeque;
 use std::ops::Range;
 
@@ -198,132 +204,7 @@ pub const LANES: usize = 64;
 /// full words; a chunk's fault sets stay small next to the chip.
 pub const SWEEP_CHUNK: usize = 32 * LANES;
 
-/// Gate marker for an always-open (channel) edge in the lowered adjacency.
-pub(crate) const OPEN_GATE: u32 = u32::MAX;
-
-/// A chip's adjacency pre-lowered for the bitset kernel: flat CSR arrays
-/// built **once** per chip by [`TestSuite::new`], which keeps them for its
-/// floods and every [`BitSimulator`] bound to it, and shared read-only by
-/// every worker. The [`crate::campaign::ObservableLeaks`] build lowers the
-/// chip for its own floods and keeps nothing.
-///
-/// Wall edges are dropped at lowering time, channel edges carry an
-/// always-open marker, and valve edges carry the dense valve index — so
-/// the BFS inner loop is a word AND against the per-valve lane word, with
-/// no `EdgeKind` dispatch or `EdgeId` arithmetic left on the hot path.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct LoweredChip {
-    cell_count: usize,
-    valve_count: usize,
-    /// CSR row starts: cell `c`'s neighbours live at
-    /// `adj_start[c]..adj_start[c + 1]`.
-    adj_start: Vec<u32>,
-    /// Neighbour cell index of each adjacency entry.
-    adj_next: Vec<u32>,
-    /// Gate of each adjacency entry: [`OPEN_GATE`] or a valve index.
-    adj_gate: Vec<u32>,
-    /// Source-port cells (deduplicated, in port order).
-    sources: Vec<u32>,
-    /// Sink-port cells in port declaration order — parallel to the
-    /// readings of a [`crate::Response`], duplicates kept.
-    sinks: Vec<u32>,
-    /// The two endpoint cells of each valve, by dense valve index.
-    valve_cells: Vec<[u32; 2]>,
-}
-
-impl LoweredChip {
-    /// Lowers `fpva`'s adjacency. Cost is one scan over the cells and
-    /// edges; do it once per chip, not per campaign row.
-    pub(crate) fn build(fpva: &Fpva) -> Self {
-        let cell_count = fpva.cell_count();
-        let mut adj_start = Vec::with_capacity(cell_count + 1);
-        let mut adj_next = Vec::new();
-        let mut adj_gate = Vec::new();
-        adj_start.push(0);
-        for ci in 0..cell_count {
-            let cell = fpva.cell_at(ci);
-            for (edge, next) in fpva.neighbors(cell) {
-                let gate = match fpva.edge_kind(edge) {
-                    EdgeKind::Wall => continue,
-                    EdgeKind::Open => OPEN_GATE,
-                    EdgeKind::Valve => {
-                        let v = fpva.valve_at(edge).expect("valve edge has a valve id");
-                        u32::try_from(v.index()).expect("valve index fits u32")
-                    }
-                };
-                adj_next.push(u32::try_from(fpva.cell_index(next)).expect("cell fits u32"));
-                adj_gate.push(gate);
-            }
-            adj_start.push(u32::try_from(adj_next.len()).expect("adjacency fits u32"));
-        }
-        let mut sources = Vec::new();
-        let mut sinks = Vec::new();
-        for (_, port) in fpva.ports() {
-            let ci = u32::try_from(fpva.cell_index(port.cell)).expect("cell fits u32");
-            match port.kind {
-                PortKind::Source => {
-                    if !sources.contains(&ci) {
-                        sources.push(ci);
-                    }
-                }
-                PortKind::Sink => sinks.push(ci),
-            }
-        }
-        let cell_of = |c| u32::try_from(fpva.cell_index(c)).expect("cell fits u32");
-        let valve_cells = fpva
-            .valves()
-            .map(|(v, _)| {
-                let (a, b) = fpva.valve_endpoints(v);
-                [cell_of(a), cell_of(b)]
-            })
-            .collect();
-        LoweredChip {
-            cell_count,
-            valve_count: fpva.valve_count(),
-            adj_start,
-            adj_next,
-            adj_gate,
-            sources,
-            sinks,
-            valve_cells,
-        }
-    }
-
-    /// Number of fluid cells of the lowered chip.
-    pub(crate) fn cell_count(&self) -> usize {
-        self.cell_count
-    }
-
-    /// Number of valves of the lowered chip.
-    pub(crate) fn valve_count(&self) -> usize {
-        self.valve_count
-    }
-
-    /// Dense cell indices of the source ports (deduplicated).
-    pub(crate) fn source_cells(&self) -> &[u32] {
-        &self.sources
-    }
-
-    /// Dense cell indices of the sink ports, in port declaration order
-    /// (one entry per sink port, so the slice is parallel to golden
-    /// response readings).
-    pub(crate) fn sink_cells(&self) -> &[u32] {
-        &self.sinks
-    }
-
-    /// Cell `c`'s adjacency entries: the neighbour cell and the gate
-    /// ([`OPEN_GATE`] or a valve index) of each.
-    pub(crate) fn adjacency(&self, c: u32) -> impl Iterator<Item = (u32, u32)> + '_ {
-        let range = self.adj_start[c as usize] as usize..self.adj_start[c as usize + 1] as usize;
-        self.adj_next[range.clone()]
-            .iter()
-            .copied()
-            .zip(self.adj_gate[range].iter().copied())
-    }
-}
-
-/// The region classifier and the relevance masks, on the suite's lowered
-/// chip.
+/// The region classifier and the relevance masks, on the suite's graph.
 impl TestSuite {
     /// Sorts one scenario under vector `i` into an [`Outcome`], from the
     /// vector's golden region, sink side and, when the region is a chain,
@@ -332,7 +213,7 @@ impl TestSuite {
     /// first closing that touches the golden region; on a chain it scans
     /// on for the earliest cut and the openings before it.
     fn classify(&self, i: usize, faults: &[Fault]) -> Outcome {
-        let valve_cells = &self.chip().valve_cells;
+        let graph = self.graph();
         let vector = &self.vectors()[i];
         let (reach, sink_side) = (self.golden_reach(i), self.sink_side(i));
         let chain = self.chain(i);
@@ -342,7 +223,7 @@ impl TestSuite {
         // Some opening leads from `reach` into `sink_side`.
         let mut enters_sink_side = false;
         // Some opening touching `reach` is neither internal to it nor
-        // leads into a sealed cell that only it touches.
+        // leads into a sealed node that only it touches.
         let mut undecided = false;
         // Some closing touches `reach` (only on a chain: elsewhere that
         // decides `Simulate` at once).
@@ -354,7 +235,7 @@ impl TestSuite {
             match change(vector, fault, faults) {
                 None => {}
                 Some(Change::Closes(v)) => {
-                    let [a, b] = valve_cells[v.index()];
+                    let [a, b] = graph.valve_nodes(v);
                     if holds(reach, a) || holds(reach, b) {
                         if chain.is_none() {
                             return Outcome::Simulate;
@@ -368,7 +249,7 @@ impl TestSuite {
                     closes_sink_side |= holds(sink_side, a) || holds(sink_side, b);
                 }
                 Some(Change::Opens(v)) => {
-                    let [a, b] = valve_cells[v.index()];
+                    let [a, b] = graph.valve_nodes(v);
                     opened = opened.min(position(a)).min(position(b));
                     let y = match (holds(reach, a), holds(reach, b)) {
                         (true, false) => b,
@@ -401,19 +282,19 @@ impl TestSuite {
         }
     }
 
-    /// Whether every edge at cell `c` is a valve that `vector` commands
+    /// Whether every arc at node `x` is a valve that `vector` commands
     /// closed.
-    pub(crate) fn sealed(&self, vector: &TestVector, c: u32) -> bool {
-        let (chip, c) = (self.chip(), c as usize);
-        chip.adj_gate[chip.adj_start[c] as usize..chip.adj_start[c + 1] as usize]
+    pub(crate) fn sealed(&self, vector: &TestVector, x: u32) -> bool {
+        self.graph()
+            .arcs(x as usize)
             .iter()
-            .all(|&gate| gate != OPEN_GATE && !vector.is_open(ValveId(gate as usize)))
+            .all(|arc| !vector.is_open(ValveId(arc.valve as usize)))
     }
 
     /// Writes into `mask` the vectors at which a sweep visits the scenario
     /// `faults`, bit `i % 64` of word `i / 64` for vector `i`: the OR of
     /// its faults' relevance masks, with the dead-end masks of its
-    /// stuck-at-1 faults when two of them meet at a cell.
+    /// stuck-at-1 faults when two of them meet at a node.
     fn relevance_mask(&self, faults: &[Fault], mask: &mut [u64]) {
         let dead_ends = self.stuck_open_valves_meet(faults);
         for (block, word) in mask.iter_mut().enumerate() {
@@ -424,36 +305,36 @@ impl TestSuite {
     }
 
     /// Whether two stuck-at-1 faults among `faults` sit on valves that
-    /// share an endpoint cell: only then may a scenario's dead-end
+    /// share an endpoint node: only then may a scenario's dead-end
     /// openings change a reading (see "Relevance masks" in the module
     /// docs).
     fn stuck_open_valves_meet(&self, faults: &[Fault]) -> bool {
-        let valve_cells = &self.chip().valve_cells;
+        let graph = self.graph();
         faults.iter().enumerate().any(|(k, &fault)| {
             let Fault::StuckAt1(a) = fault else {
                 return false;
             };
-            let [a0, a1] = valve_cells[a.index()];
+            let [a0, a1] = graph.valve_nodes(a);
             faults[k + 1..].iter().any(|&other| {
                 matches!(other, Fault::StuckAt1(b)
-                    if valve_cells[b.index()].iter().any(|&c| c == a0 || c == a1))
+                    if graph.valve_nodes(b).iter().any(|&x| x == a0 || x == a1))
             })
         })
     }
 
     /// Whether some change among `faults` on a valve other than `valve`
-    /// touches cell `c`.
+    /// touches node `x`.
     fn touched_elsewhere(
         &self,
         vector: &TestVector,
-        c: u32,
+        x: u32,
         valve: ValveId,
         faults: &[Fault],
     ) -> bool {
         faults.iter().any(|&fault| {
             change(vector, fault, faults).is_some_and(|change| {
                 let w = change.valve();
-                w != valve && self.chip().valve_cells[w.index()].contains(&c)
+                w != valve && self.graph().valve_nodes(w).contains(&x)
             })
         })
     }
@@ -508,10 +389,10 @@ fn change(vector: &TestVector, fault: Fault, faults: &[Fault]) -> Option<Change>
     }
 }
 
-/// Whether cell `c` lies in `set`, a bitset over dense cell indices (bit
-/// `c % 64` of word `c / 64`).
-pub(crate) fn holds(set: &[u64], c: u32) -> bool {
-    set[c as usize / 64] >> (c % 64) & 1 == 1
+/// Whether node `x` lies in `set`, a bitset over the graph's nodes (bit
+/// `x % 64` of word `x / 64`).
+pub(crate) fn holds(set: &[u64], x: u32) -> bool {
+    set[x as usize / 64] >> (x % 64) & 1 == 1
 }
 
 /// The first vector at or after `from` whose bit is set in `mask`, a
@@ -536,8 +417,8 @@ pub(crate) fn changed_valve(fault: Fault) -> ValveId {
 }
 
 /// One `u64` lane word per element of some universe — per valve ("which
-/// scenarios hold this valve open") or per cell ("which scenarios reach
-/// this cell"). Bit `l` of word `i` belongs to scenario lane `l`.
+/// scenarios hold this valve open") or per node ("which scenarios reach
+/// this node"). Bit `l` of word `i` belongs to scenario lane `l`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct LaneSet {
     words: Vec<u64>,
@@ -593,11 +474,10 @@ impl LaneSet {
     }
 }
 
-/// Reusable bitset-BFS state: the per-cell reached [`LaneSet`] plus the
+/// Reusable bitset-BFS state: the per-node reached [`LaneSet`] plus the
 /// worklist. One propagation floods **all 64 lanes at once** — the inner
-/// loop is `reached[cell] & open[valve]` per adjacency entry, i.e. the
-/// per-scenario BFS of [`crate::propagate`] collapsed into
-/// word-wide AND/OR.
+/// loop is `reached[node] & open[valve]` per arc, i.e. the per-scenario
+/// BFS of [`crate::propagate`] collapsed into word-wide AND/OR.
 #[derive(Debug, Clone)]
 pub(crate) struct BitFrontier {
     reached: LaneSet,
@@ -606,33 +486,33 @@ pub(crate) struct BitFrontier {
 }
 
 impl BitFrontier {
-    /// Fresh frontier for a chip with `cells` fluid cells.
-    pub(crate) fn new(cells: usize) -> Self {
+    /// Fresh frontier for a graph of `nodes` nodes.
+    pub(crate) fn new(nodes: usize) -> Self {
         BitFrontier {
-            reached: LaneSet::zeros(cells),
+            reached: LaneSet::zeros(nodes),
             queue: VecDeque::new(),
-            queued: vec![false; cells],
+            queued: vec![false; nodes],
         }
     }
 
     /// Floods reachability from `seeds` in the lanes of `lanes`: lane `l`
-    /// of cell `c` ends up set exactly when `lanes` holds `l` and scenario
+    /// of node `x` ends up set exactly when `lanes` holds `l` and scenario
     /// `l` (whose open valves are lane `l` of `open`) lets pressure travel
-    /// from some seed to `c`; every other lane stays empty everywhere.
-    /// Seeded at the source cells, this is the scalar propagation of up to
+    /// from some seed to `x`; every other lane stays empty everywhere.
+    /// Seeded at the source nodes, this is the scalar propagation of up to
     /// 64 scenarios at once. The graph is undirected, so seeding at the
-    /// sinks computes "which scenarios let this cell reach a sink".
+    /// sinks computes "which scenarios let this node reach a sink".
     ///
     /// # Panics
     ///
-    /// Panics if `open` was not sized for `chip`'s valve count or the
-    /// frontier for its cell count.
-    pub(crate) fn flood(&mut self, chip: &LoweredChip, seeds: &[u32], lanes: u64, open: &LaneSet) {
-        assert_eq!(open.len(), chip.valve_count, "open-lane/valve mismatch");
+    /// Panics if `open` was not sized for `graph`'s valve count or the
+    /// frontier for its node count.
+    pub(crate) fn flood(&mut self, graph: &ChipGraph, seeds: &[u32], lanes: u64, open: &LaneSet) {
+        assert_eq!(open.len(), graph.valve_count(), "open-lane/valve mismatch");
         assert_eq!(
             self.reached.len(),
-            chip.cell_count,
-            "frontier/chip mismatch"
+            graph.node_count(),
+            "frontier/graph mismatch"
         );
         self.reached.clear();
         self.queue.clear();
@@ -644,33 +524,26 @@ impl BitFrontier {
                 self.queue.push_back(s);
             }
         }
-        while let Some(c) = self.queue.pop_front() {
-            let ci = c as usize;
-            self.queued[ci] = false;
-            let w = self.reached.words[ci];
-            let lo = chip.adj_start[ci] as usize;
-            let hi = chip.adj_start[ci + 1] as usize;
-            for k in lo..hi {
-                let gate = chip.adj_gate[k];
-                let pass = if gate == OPEN_GATE {
-                    w
-                } else {
-                    w & open.words[gate as usize]
-                };
-                let ni = chip.adj_next[k] as usize;
-                let new = pass & !self.reached.words[ni];
+        while let Some(x) = self.queue.pop_front() {
+            let xi = x as usize;
+            self.queued[xi] = false;
+            let w = self.reached.words[xi];
+            for arc in graph.arcs(xi) {
+                let pass = w & open.words[arc.valve as usize];
+                let yi = arc.to as usize;
+                let new = pass & !self.reached.words[yi];
                 if new != 0 {
-                    self.reached.words[ni] |= new;
-                    if !self.queued[ni] {
-                        self.queued[ni] = true;
-                        self.queue.push_back(chip.adj_next[k]);
+                    self.reached.words[yi] |= new;
+                    if !self.queued[yi] {
+                        self.queued[yi] = true;
+                        self.queue.push_back(arc.to);
                     }
                 }
             }
         }
     }
 
-    /// The per-cell reached lanes of the last flood.
+    /// The per-node reached lanes of the last flood.
     pub(crate) fn reached(&self) -> &LaneSet {
         &self.reached
     }
@@ -710,8 +583,8 @@ impl KernelStats {
     }
 }
 
-/// Batch fault-detection engine bound to one [`TestSuite`] and the chip
-/// the suite lowered when it was built: owns the scratch buffers (the
+/// Batch fault-detection engine bound to one [`TestSuite`] and the graph
+/// the suite built for its chip: owns the scratch buffers (the
 /// per-valve open lanes and the bitset-BFS frontier) that every word pass
 /// of [`BitSimulator::sweep`] reuses, and accumulates [`KernelStats`].
 /// Campaigns and audits build one per chunk of [`SWEEP_CHUNK`] scenarios,
@@ -725,13 +598,13 @@ pub struct BitSimulator<'s> {
 }
 
 impl<'s> BitSimulator<'s> {
-    /// A simulator with fresh scratch state over `suite` and its chip.
+    /// A simulator with fresh scratch state over `suite` and its graph.
     pub fn new(suite: &'s TestSuite) -> Self {
-        let chip = suite.chip();
+        let graph = suite.graph();
         BitSimulator {
             suite,
-            open: LaneSet::zeros(chip.valve_count()),
-            frontier: BitFrontier::new(chip.cell_count()),
+            open: LaneSet::zeros(graph.valve_count()),
+            frontier: BitFrontier::new(graph.node_count()),
             stats: KernelStats::default(),
         }
     }
@@ -850,7 +723,7 @@ impl<'s> BitSimulator<'s> {
     ///
     /// A pair (stuck-at-0 `a`, stuck-at-1 `b`) is detected when some vector
     /// detects `a` alone and `b` is commanded open in it or has both or
-    /// neither endpoint cell in the region the vector pressurises under
+    /// neither endpoint node in the region the vector pressurises under
     /// `a` alone (see the crate docs). So for every vector that detects
     /// `a`, only the commanded-closed partners crossing that region's
     /// boundary survive: the first detection scatters them from the
@@ -873,7 +746,7 @@ impl<'s> BitSimulator<'s> {
     /// Panics if `valves` reaches past the suite's chip.
     pub(crate) fn undecided_partners(&mut self, valves: Range<usize>) -> Vec<Option<Vec<ValveId>>> {
         let suite = self.suite;
-        let chip = suite.chip();
+        let graph = suite.graph();
         let scenarios: Vec<[Fault; 1]> = valves.map(|a| [Fault::StuckAt0(ValveId(a))]).collect();
         self.stats.blocks += scenarios.len().div_ceil(LANES);
         self.stats.lanes += scenarios.len();
@@ -899,13 +772,13 @@ impl<'s> BitSimulator<'s> {
                 let differs = self.word_pass(vector, golden, &scenarios, block);
                 let reached = self.frontier.reached();
                 // The lanes of `block` in which valve `b` is commanded
-                // closed and has exactly one endpoint cell reached.
+                // closed and has exactly one endpoint node reached.
                 let crossing = |b: usize| {
-                    let [c0, c1] = chip.valve_cells[b];
+                    let [x0, x1] = graph.valve_nodes(ValveId(b));
                     if vector.is_open(ValveId(b)) {
                         0
                     } else {
-                        reached.word(c0 as usize) ^ reached.word(c1 as usize)
+                        reached.word(x0 as usize) ^ reached.word(x1 as usize)
                     }
                 };
                 let mut fresh = 0u64;
@@ -916,7 +789,7 @@ impl<'s> BitSimulator<'s> {
                     }
                 }
                 if fresh != 0 {
-                    for b in 0..chip.valve_count() {
+                    for b in 0..graph.valve_count() {
                         let mut lanes = crossing(b) & fresh;
                         while lanes != 0 {
                             let s = block[lanes.trailing_zeros() as usize];
@@ -955,19 +828,19 @@ impl<'s> BitSimulator<'s> {
         scenarios: &[S],
         block: &[usize],
     ) -> u64 {
-        let chip = self.suite.chip();
+        let graph = self.suite.graph();
         for (lane, &s) in block.iter().enumerate() {
             self.inject(vector, lane, scenarios[s].as_ref());
         }
         let live = !0u64 >> (LANES - block.len());
         self.frontier
-            .flood(chip, chip.source_cells(), live, &self.open);
+            .flood(graph, graph.source_nodes(), live, &self.open);
         self.stats.word_passes += 1;
         let reached = self.frontier.reached();
         let mut differs = 0u64;
-        for (&cell, &gold) in chip.sink_cells().iter().zip(golden.readings()) {
+        for (&x, &gold) in graph.sink_port_nodes().iter().zip(golden.readings()) {
             let gold = if gold { !0u64 } else { 0 };
-            differs |= reached.word(cell as usize) ^ gold;
+            differs |= reached.word(x as usize) ^ gold;
         }
         for &s in block {
             self.restore(vector, scenarios[s].as_ref());
@@ -987,7 +860,9 @@ mod tests {
     use super::*;
     use crate::fault::FaultSet;
     use crate::pressure::Pressure;
-    use fpva_grid::{layouts, EdgeId, FpvaBuilder, Side, TestVector, ValveId, ValveState};
+    use fpva_grid::{
+        layouts, EdgeId, Fpva, FpvaBuilder, PortKind, Side, TestVector, ValveId, ValveState,
+    };
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -1007,28 +882,42 @@ mod tests {
             .port(0, 2, Side::East, PortKind::Sink)
             .build()
             .unwrap();
-        let chip = LoweredChip::build(&f);
-        assert_eq!(chip.cell_count(), 3);
-        assert_eq!(chip.valve_count(), 0);
-        // Both edges border the obstacle: all adjacency entries dropped.
-        assert_eq!(chip.adj_next.len(), 0);
-        assert_eq!(chip.source_cells(), &[0]);
-        assert_eq!(chip.sink_cells(), &[2]);
+        let suite = TestSuite::new(&f, vec![]);
+        let graph = suite.graph();
+        assert_eq!(graph.node_count(), 3);
+        assert_eq!(graph.valve_count(), 0);
+        // Both edges border the obstacle: no arcs at all.
+        assert_eq!(graph.arc_count(), 0);
+        assert_eq!(graph.source_nodes(), &[0]);
+        assert_eq!(graph.sink_port_nodes(), &[2]);
     }
 
     #[test]
     fn lowering_records_valve_endpoint_cells() {
+        // Without channels, every cell is a node of its own, numbered as
+        // the cells are.
         let f = layouts::full_array(2, 3);
-        let chip = LoweredChip::build(&f);
+        let suite = TestSuite::new(&f, vec![]);
+        let graph = suite.graph();
         for (v, edge) in f.valves() {
             let (a, b) = edge.endpoints();
             let cells = [a, b].map(|c| u32::try_from(f.cell_index(c)).unwrap());
-            assert_eq!(chip.valve_cells[v.index()], cells, "{v}");
+            assert_eq!(graph.valve_nodes(v), cells, "{v}");
+            let [x, y] = cells;
+            let valve = u32::try_from(v.index()).unwrap();
+            assert!(graph
+                .arcs(x as usize)
+                .iter()
+                .any(|a| (a.to, a.valve) == (y, valve)));
+            assert!(graph
+                .arcs(y as usize)
+                .iter()
+                .any(|a| (a.to, a.valve) == (x, valve)));
         }
     }
 
     #[test]
-    fn channel_edges_are_always_open_gates() {
+    fn channels_conduct_in_every_lane() {
         let f = FpvaBuilder::new(1, 3)
             .channel_horizontal(0, 0, 2)
             .port(0, 0, Side::West, PortKind::Source)
@@ -1036,10 +925,14 @@ mod tests {
             .build()
             .unwrap();
         let suite = TestSuite::new(&f, vec![TestVector::all_open(0)]);
-        assert!(suite.chip().adj_gate.iter().all(|&g| g == OPEN_GATE));
+        // The channel is one node, which holds both ports and has no arcs.
+        let graph = suite.graph();
+        assert_eq!(graph.node_count(), 1);
+        assert_eq!(graph.arc_count(), 0);
+        assert_eq!(graph.sink_port_nodes(), graph.source_nodes());
+        assert!(suite.expected()[0].any_pressure());
         let mut sim = BitSimulator::new(&suite);
-        // Channels conduct in every lane; a fault-free scenario is never
-        // detected.
+        // A fault-free scenario is never detected.
         assert_eq!(sim.sweep(&[FaultSet::new()]), [false]);
     }
 
@@ -1049,8 +942,8 @@ mod tests {
     fn propagation_matches_scalar_oracle_on_random_scenarios() {
         let f = layouts::full_array(3, 4);
         let suite = TestSuite::new(&f, vec![]);
-        let chip = suite.chip();
-        let mut frontier = BitFrontier::new(chip.cell_count());
+        let graph = suite.graph();
+        let mut frontier = BitFrontier::new(graph.node_count());
         let leaks = crate::ObservableLeaks::build(&f);
         let mut rng = StdRng::seed_from_u64(11);
         for round in 0..8 {
@@ -1071,12 +964,12 @@ mod tests {
             for (lane, set) in sets.iter().enumerate() {
                 sim.inject(&vector, lane, set.faults());
             }
-            frontier.flood(chip, chip.source_cells(), !0, &sim.open);
+            frontier.flood(graph, graph.source_nodes(), !0, &sim.open);
             for (lane, set) in sets.iter().enumerate() {
                 let scalar = crate::pressure::propagate(&f, &vector, set);
                 for ci in 0..f.cell_count() {
                     assert_eq!(
-                        frontier.reached().lane(ci, lane),
+                        frontier.reached().lane(graph.node(ci), lane),
                         scalar.at(f.cell_at(ci)),
                         "round {round} lane {lane} cell {ci}: {set:?}"
                     );
@@ -1554,14 +1447,14 @@ mod tests {
     #[test]
     fn frontier_is_reusable_across_propagations() {
         let f = line3();
-        let chip = LoweredChip::build(&f);
-        let mut frontier = BitFrontier::new(chip.cell_count());
-        let mut open = LaneSet::zeros(chip.valve_count());
+        let graph = ChipGraph::new(&f);
+        let mut frontier = BitFrontier::new(graph.node_count());
+        let mut open = LaneSet::zeros(graph.valve_count());
         open.broadcast(|_| true);
-        frontier.flood(&chip, chip.source_cells(), !0, &open);
+        frontier.flood(&graph, graph.source_nodes(), !0, &open);
         assert_eq!(frontier.reached().word(2), !0);
         open.broadcast(|_| false);
-        frontier.flood(&chip, chip.source_cells(), !0, &open);
+        frontier.flood(&graph, graph.source_nodes(), !0, &open);
         assert_eq!(frontier.reached().word(2), 0, "stale lanes must be cleared");
         assert_eq!(frontier.reached().word(0), !0, "sources stay pressurised");
     }

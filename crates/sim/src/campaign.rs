@@ -10,13 +10,11 @@
 //! pure function of `(chip, suite, config)` — independent of thread count,
 //! trial order and the order of [`CampaignConfig::fault_counts`].
 
-use crate::bitsim::{
-    BitFrontier, BitSimulator, KernelStats, LaneSet, LoweredChip, LANES, SWEEP_CHUNK,
-};
+use crate::bitsim::{BitFrontier, BitSimulator, KernelStats, LaneSet, LANES, SWEEP_CHUNK};
 use crate::exec;
 use crate::fault::{Fault, FaultSet};
 use crate::suite::TestSuite;
-use fpva_grid::{Fpva, TestVector, ValveId, ValveState};
+use fpva_grid::{ChipGraph, Fpva, TestVector, ValveId, ValveState};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
@@ -119,8 +117,9 @@ impl ObservableLeaks {
     /// spread over `threads` workers (`0` = all CPUs). The resulting table
     /// is identical for every thread count.
     ///
-    /// The probes run on the bit-parallel kernel, over the chip lowered
-    /// once for them: [`LANES`] candidate pairs share one word, and two
+    /// The probes run on the bit-parallel kernel, over the chip's
+    /// [`ChipGraph`] built once for them: [`LANES`] candidate pairs share
+    /// one word, and two
     /// full-flood passes (forward from the sources, backward from the
     /// sinks) replace the per-pair goal-directed BFS of
     /// [`leak_is_observable`] — which stays as the scalar oracle, pinned
@@ -129,12 +128,12 @@ impl ObservableLeaks {
     /// sources reach one victim endpoint and the sinks reach the other.
     pub fn par_build(fpva: &Fpva, threads: usize) -> Self {
         const PAIR_CHUNK: usize = 4 * LANES;
-        let chip = &LoweredChip::build(fpva);
+        let graph = &ChipGraph::new(fpva);
         let candidates: Vec<(ValveId, ValveId)> = fpva.valve_neighbor_pairs().collect();
         let chunks = exec::run_chunked(threads, candidates.len(), PAIR_CHUNK, |range| {
-            let mut fwd = BitFrontier::new(chip.cell_count());
-            let mut bwd = BitFrontier::new(chip.cell_count());
-            let mut open = LaneSet::zeros(chip.valve_count());
+            let mut fwd = BitFrontier::new(graph.node_count());
+            let mut bwd = BitFrontier::new(graph.node_count());
+            let mut open = LaneSet::zeros(graph.valve_count());
             let mut pairs = Vec::new();
             for block in candidates[range].chunks(LANES) {
                 // Lane l: actuator and victim closed, everything else open.
@@ -143,11 +142,10 @@ impl ObservableLeaks {
                     open.clear_lane(actuator.index(), lane);
                     open.clear_lane(victim.index(), lane);
                 }
-                fwd.flood(chip, chip.source_cells(), !0, &open);
-                bwd.flood(chip, chip.sink_cells(), !0, &open);
+                fwd.flood(graph, graph.source_nodes(), !0, &open);
+                bwd.flood(graph, graph.sink_port_nodes(), !0, &open);
                 for (lane, &(actuator, victim)) in block.iter().enumerate() {
-                    let (u, w) = fpva.edge_of(victim).endpoints();
-                    let (ui, wi) = (fpva.cell_index(u), fpva.cell_index(w));
+                    let [ui, wi] = graph.valve_nodes(victim).map(|x| x as usize);
                     let observable = (fwd.reached().lane(ui, lane) && bwd.reached().lane(wi, lane))
                         || (fwd.reached().lane(wi, lane) && bwd.reached().lane(ui, lane));
                     if observable {

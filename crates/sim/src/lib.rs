@@ -52,9 +52,11 @@
 //! 3. **Precomputation outside the hot loop.** [`ObservableLeaks`] scans
 //!    every ordered adjacent valve pair once per chip (so leak draws are
 //!    table lookups, not BFS probes), and [`TestSuite::new`] lowers the
-//!    cell adjacency once per chip into flat CSR arrays that the suite
-//!    keeps for its own floods and for every [`BitSimulator`] bound to
-//!    it. Both are plain shared data (`Send + Sync`), built once and read
+//!    chip once into its [`fpva_grid::ChipGraph`], every channel one node
+//!    and one arc per valve between two nodes, which the suite keeps for
+//!    its own floods and for every [`BitSimulator`] bound to it; the
+//!    test generator routes on the same graph. Both are plain shared data
+//!    (`Send + Sync`), built once and read
 //!    by every worker; [`campaign::run_in`] takes the leak table
 //!    ([`campaign::ChipContext`]) for reuse across runs.
 //!
@@ -64,11 +66,12 @@
 //! per graph element: lane `l` of the per-valve word says "scenario `l`
 //! holds this valve open" (commanded state broadcast, then control-leak
 //! victims cleared, then stuck-at overrides — the per-lane replica of
-//! [`FaultSet::effective_states`]), and lane `l` of the per-cell word says
-//! "scenario `l` pressurises this cell". One bitset BFS then floods all 64
-//! scenarios through the lowered adjacency at once — the inner loop is a
-//! word-wide AND against the valve's lane word and an OR into the
-//! neighbour cell.
+//! [`FaultSet::effective_states`]), and lane `l` of the per-node word says
+//! "scenario `l` pressurises this node". Faults touch valves only, so the
+//! cells of one node share pressure in every scenario. One bitset BFS then
+//! floods all 64 scenarios through the graph's arcs at once — the inner
+//! loop is a word-wide AND against the valve's lane word and an OR into
+//! the neighbour node.
 //!
 //! Which scenarios share a word is decided per vector, not per input
 //! block. [`BitSimulator::sweep`] takes a whole chunk of
@@ -78,20 +81,20 @@
 //! that [`TestSuite`] keeps: the vectors that pressurise a sink and at
 //! which one of its closings touches the golden pressure region `R`, and
 //! those at which one of its openings crosses `R`. An opening into a *dead
-//! end*, a cell that holds no sink and whose every edge is a
+//! end*, a node that holds no sink and whose every arc is a
 //! commanded-closed valve, counts only when two of the scenario's
-//! stuck-at-1 valves share a cell, since only then can pressure leave the
+//! stuck-at-1 valves share a node, since only then can pressure leave the
 //! dead end. Everywhere else it reads golden. At a visit, what the suite
 //! keeps of the vector decides what it can: `R`, the sink side `S` (the
-//! cells joined to a sink port by commanded-open edges) and, when `R` is a
-//! chain of channel components as on flow-path and leakage vectors, each
-//! cell's position along it. A scenario *reads golden* when no valve it
+//! nodes joined to a sink port's node by commanded-open valves) and, when
+//! `R` is a chain of nodes as on flow-path and leakage vectors, each
+//! node's position along it. A scenario *reads golden* when no valve it
 //! closes touches `R`, and every valve it opens that touches `R` either
-//! lies inside `R` or leads from `R` into a sealed cell (every edge at it
+//! lies inside `R` or leads from `R` into a sealed node (every arc at it
 //! a commanded-closed valve) outside `S` that no other changed valve
-//! touches: pressure then fills `R` and those cells, and no sink. It is
+//! touches: pressure then fills `R` and those nodes, and no sink. It is
 //! *detected* when no valve it closes touches `R ∪ S` and some valve it
-//! opens leads from `R` into a cell of `S`: pressure then reaches a sink
+//! opens leads from `R` into a node of `S`: pressure then reaches a sink
 //! that golden leaves dry. On a chain it is also *detected* when its
 //! earliest closing cuts the chain before the last sink and no valve it
 //! opens touches the chain up to the cut: pressure then stays behind the
@@ -119,7 +122,7 @@
 //! results cannot decide. Let vector `v` detect `a` alone, and let
 //! `R_a(v)` be the region `v` pressurises under `a` alone. If `b` is
 //! commanded open in `v`, the pair's valve states are `a`'s. Otherwise, if
-//! `b` has both or neither endpoint cell in `R_a(v)`, opening it adds no
+//! `b` has both or neither endpoint node in `R_a(v)`, opening it adds no
 //! edge leaving `R_a(v)`. Either way `R_a(v)` holds the sources and stays
 //! closed under the pair's open edges, and the pair opens every edge `a`
 //! does, so the pair pressurises exactly `R_a(v)`, responds like `a` and

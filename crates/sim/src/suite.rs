@@ -1,9 +1,9 @@
 //! A test-vector suite with pre-computed golden responses.
 
-use crate::bitsim::{changed_valve, holds, LoweredChip, OPEN_GATE};
+use crate::bitsim::{changed_valve, holds};
 use crate::fault::{Fault, FaultSet};
 use crate::pressure::{respond, Response};
-use fpva_grid::{Fpva, TestVector, ValveId};
+use fpva_grid::{ChipGraph, Fpva, TestVector, ValveId};
 
 /// A set of test vectors together with the sink responses of a fault-free
 /// chip, ready for fault-detection queries.
@@ -14,15 +14,15 @@ use fpva_grid::{Fpva, TestVector, ValveId};
 ///
 /// Next to each golden response the suite keeps what the bit-parallel
 /// sweep needs to decide most scenarios without simulating them (see
-/// [`crate::bitsim`]):
+/// [`crate::bitsim`]), on the chip's [`ChipGraph`], where every channel
+/// is one node:
 ///
-/// * two cell regions of the fault-free chip under the vector: the
-///   *golden region* `R`, the cells the sources pressurise, and the *sink
-///   side* `S`, the cells joined to a sink port by commanded-open edges
-///   (channels and commanded-open valves). A sink in `S` outside `R` reads
-///   dry on the fault-free chip but wet as soon as pressure enters its
-///   cell's commanded component;
-/// * when `R` is a *chain*, each of its cells' chain position: the fewest
+/// * two node regions of the fault-free chip under the vector: the
+///   *golden region* `R`, the nodes the sources pressurise, and the *sink
+///   side* `S`, the nodes joined to a sink port's node by commanded-open
+///   valves. A sink in `S` outside `R` reads dry on the fault-free chip
+///   but wet as soon as pressure enters a node of `S` joined to it;
+/// * when `R` is a *chain*, each of its nodes' chain position: the fewest
 ///   commanded-open valves on a route to it from a source. `R` is a chain
 ///   when some sink lies at a position above 0 and every position below
 ///   the last sink's is joined to the next by exactly one open valve, as
@@ -31,12 +31,13 @@ use fpva_grid::{Fpva, TestVector, ValveId};
 ///   mask, the vectors that pressurise a sink and command the valve open
 ///   with its endpoints in `R`, so closing it touches `R`; the *opening*
 ///   mask, those that command it closed with exactly one endpoint in `R`,
-///   so opening it crosses `R`, except where its far cell is a *dead end*:
-///   sealed (every edge at it a valve the vector commands closed) and
-///   outside `S`. Those vectors form the *dead-end* mask.
+///   so opening it crosses `R`, except where its far node is a *dead end*:
+///   sealed (every arc at it a valve the vector commands closed) and
+///   outside `S`. Those vectors form the *dead-end* mask. A valve that a
+///   channel bypasses is in no mask.
 ///
 /// All of it comes from one flood from the sources and one from the sinks
-/// per vector, over the chip that [`TestSuite::new`] lowers once and the
+/// per vector, over the graph that [`TestSuite::new`] builds once and the
 /// suite keeps for [`TestSuite::extend`] and for every
 /// [`BitSimulator`](crate::BitSimulator) bound to it. Why the masks leave
 /// out only visits that cannot change a reading is in "Relevance masks" in
@@ -44,13 +45,13 @@ use fpva_grid::{Fpva, TestVector, ValveId};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TestSuite {
     /// The chip the suite was built for, lowered once.
-    chip: LoweredChip,
+    graph: ChipGraph,
     vectors: Vec<TestVector>,
     expected: Vec<Response>,
-    /// Per vector, the cells a fault-free chip pressurises: a bitset over
-    /// dense cell indices (bit `c % 64` of word `c / 64`).
+    /// Per vector, the nodes a fault-free chip pressurises: a bitset over
+    /// the graph's nodes (bit `x % 64` of word `x / 64`).
     reach: Vec<Vec<u64>>,
-    /// Per vector, the cells joined to a sink by commanded-open edges, as
+    /// Per vector, the nodes joined to a sink by commanded-open valves, as
     /// a bitset like `reach`.
     sink_side: Vec<Vec<u64>>,
     /// Per vector, its golden region's chain positions when it is a chain.
@@ -72,11 +73,11 @@ const DEAD_END: usize = 2;
 /// [`TestSuite`] and "Cutting chains" in [`crate::bitsim`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Chain {
-    /// Per dense cell index, the fewest commanded-open valves on a route
-    /// to the cell from a source; `u16::MAX` off the golden region and
-    /// past `u16::MAX - 1`, where no cut before the last sink lies.
+    /// Per node, the fewest commanded-open valves on a route to the node
+    /// from a source; `u16::MAX` off the golden region and past
+    /// `u16::MAX - 1`, where no cut before the last sink lies.
     pub(crate) position: Vec<u16>,
-    /// The largest position of a sink cell.
+    /// The largest position of a sink's node.
     pub(crate) last_sink: u16,
 }
 
@@ -89,7 +90,7 @@ impl TestSuite {
     /// Panics if any vector's length differs from `fpva.valve_count()`.
     pub fn new(fpva: &Fpva, vectors: Vec<TestVector>) -> Self {
         let mut suite = TestSuite {
-            chip: LoweredChip::build(fpva),
+            graph: ChipGraph::new(fpva),
             vectors: Vec::with_capacity(vectors.len()),
             expected: Vec::with_capacity(vectors.len()),
             reach: Vec::with_capacity(vectors.len()),
@@ -101,9 +102,9 @@ impl TestSuite {
         suite
     }
 
-    /// The chip the suite was built for, lowered for the bit kernel.
-    pub(crate) fn chip(&self) -> &LoweredChip {
-        &self.chip
+    /// The graph of the chip the suite was built for.
+    pub(crate) fn graph(&self) -> &ChipGraph {
+        &self.graph
     }
 
     /// The vectors, in application order.
@@ -117,13 +118,13 @@ impl TestSuite {
     }
 
     /// The fault-free pressure region `R` of vector `i`, as a bitset over
-    /// dense cell indices.
+    /// the graph's nodes.
     pub(crate) fn golden_reach(&self, i: usize) -> &[u64] {
         &self.reach[i]
     }
 
-    /// The sink side `S` of vector `i`: the cells joined to a sink port by
-    /// the vector's commanded-open edges, as a bitset like
+    /// The sink side `S` of vector `i`: the nodes joined to a sink port's
+    /// node by the vector's commanded-open valves, as a bitset like
     /// [`TestSuite::golden_reach`].
     pub(crate) fn sink_side(&self, i: usize) -> &[u64] {
         &self.sink_side[i]
@@ -141,7 +142,7 @@ impl TestSuite {
     /// and a control leak's victim's closing mask (a superset of the
     /// vectors that also command its actuator closed).
     pub(crate) fn relevance(&self, fault: Fault, block: usize, dead_ends: bool) -> u64 {
-        let (valve, valves) = (changed_valve(fault), self.chip.valve_count());
+        let (valve, valves) = (changed_valve(fault), self.graph.valve_count());
         assert!(valve.index() < valves, "{valve} outside the chip");
         let masks = self.masks[block * valves + valve.index()];
         match fault {
@@ -168,17 +169,17 @@ impl TestSuite {
     ///
     /// Panics if any vector's length differs from the chip's valve count.
     pub fn extend(&mut self, vectors: impl IntoIterator<Item = TestVector>) {
-        let valves = self.chip.valve_count();
-        let mut floods = Floods::new(self.chip.cell_count());
+        let valves = self.graph.valve_count();
+        let mut floods = Floods::new(self.graph.node_count());
         for vector in vectors {
             assert_eq!(vector.len(), valves, "vector/chip size mismatch");
             let i = self.vectors.len();
             if i.is_multiple_of(64) {
                 self.masks.resize(self.masks.len() + valves, [0; 3]);
             }
-            let chain = floods.flood_sources(&self.chip, &vector);
-            let expected = floods.response(&self.chip);
-            let sink_side = floods.flood_sinks(&self.chip, &vector);
+            let chain = floods.flood_sources(&self.graph, &vector);
+            let expected = floods.response(&self.graph);
+            let sink_side = floods.flood_sinks(&self.graph, &vector);
             let base = i / 64 * valves;
             let bit = 1 << (i % 64);
             if expected.any_pressure() {
@@ -222,31 +223,31 @@ impl TestSuite {
 }
 
 /// Scratch state of [`TestSuite::extend`]: the two floods of one vector
-/// over the lowered chip, reused from vector to vector.
+/// over the chip's graph, reused from vector to vector.
 struct Floods {
-    /// Per cell, its chain position in the golden region: the fewest
+    /// Per node, its chain position in the golden region: the fewest
     /// commanded-open valves on a route from a source; `u32::MAX` off it.
     position: Vec<u32>,
-    /// The golden region's cells in order of position.
+    /// The golden region's nodes in order of position.
     region: Vec<u32>,
     /// Per position, the open valves joining it to the next.
     joins: Vec<u32>,
-    /// The cells beyond the open valves of the current position.
+    /// The nodes beyond the open valves of the current position.
     entered: Vec<u32>,
     /// The commanded-open valves with an endpoint in the golden region,
     /// once per such endpoint.
     open: Vec<u32>,
     /// The commanded-closed valves with exactly one endpoint in the golden
-    /// region, with their far cells.
+    /// region, with their far nodes.
     crossing: Vec<(u32, u32)>,
     /// The sink-side flood's worklist.
     stack: Vec<u32>,
 }
 
 impl Floods {
-    fn new(cells: usize) -> Self {
+    fn new(nodes: usize) -> Self {
         Floods {
-            position: vec![u32::MAX; cells],
+            position: vec![u32::MAX; nodes],
             region: Vec::new(),
             joins: Vec::new(),
             entered: Vec::new(),
@@ -257,45 +258,39 @@ impl Floods {
     }
 
     /// Floods `vector`'s golden region from the sources, position by
-    /// position: channel edges keep a cell's position, commanded-open
-    /// valves add one. Lists the valves at which a closing touches the
-    /// region in `open` and those at which an opening crosses it in
-    /// `crossing`, and returns the chain positions when the region is a
-    /// chain.
-    fn flood_sources(&mut self, chip: &LoweredChip, vector: &TestVector) -> Option<Chain> {
+    /// position: each commanded-open valve adds one. Lists the valves at
+    /// which a closing touches the region in `open` and those at which an
+    /// opening crosses it in `crossing`, and returns the chain positions
+    /// when the region is a chain.
+    fn flood_sources(&mut self, graph: &ChipGraph, vector: &TestVector) -> Option<Chain> {
         const OFF: u32 = u32::MAX;
         self.position.fill(OFF);
         self.region.clear();
         self.joins.clear();
         self.open.clear();
         self.crossing.clear();
-        for &s in chip.source_cells() {
+        for &s in graph.source_nodes() {
             self.position[s as usize] = 0;
             self.region.push(s);
         }
         let (mut k, mut level) = (0, 0);
         loop {
-            // The cells at `level` are the channel closure of the sources
-            // (level 0) or of the cells entered through an open valve. Each
-            // open valve joining `level - 1` to `level` is counted from
-            // its upper end, where both positions are final.
-            while let Some(&c) = self.region.get(k) {
-                for (next, gate) in chip.adjacency(c) {
-                    let far = self.position[next as usize];
-                    if gate == OPEN_GATE {
+            // The nodes at `level` are the sources (level 0) or the nodes
+            // entered through an open valve. Each open valve joining
+            // `level - 1` to `level` is counted from its upper end, where
+            // both positions are final.
+            while let Some(&x) = self.region.get(k) {
+                for arc in graph.arcs(x as usize) {
+                    let far = self.position[arc.to as usize];
+                    if vector.is_open(ValveId(arc.valve as usize)) {
+                        self.open.push(arc.valve);
                         if far == OFF {
-                            self.position[next as usize] = level;
-                            self.region.push(next);
-                        }
-                    } else if vector.is_open(ValveId(gate as usize)) {
-                        self.open.push(gate);
-                        if far == OFF {
-                            self.entered.push(next);
+                            self.entered.push(arc.to);
                         } else if far + 1 == level {
                             self.joins[far as usize] += 1;
                         }
                     } else if far == OFF {
-                        self.crossing.push((gate, next));
+                        self.crossing.push((arc.valve, arc.to));
                     }
                 }
                 k += 1;
@@ -312,14 +307,14 @@ impl Floods {
             level += 1;
             self.joins.push(0);
         }
-        // A valve listed before the flood reached its far cell lies inside.
+        // A valve listed before the flood reached its far node lies inside.
         let position = &self.position;
         self.crossing
             .retain(|&(_, next)| position[next as usize] == OFF);
-        let last_sink = chip
-            .sink_cells()
+        let last_sink = graph
+            .sink_port_nodes()
             .iter()
-            .map(|&c| self.position[c as usize])
+            .map(|&x| self.position[x as usize])
             .filter(|&p| p != OFF)
             .max()?;
         let last_sink = u16::try_from(last_sink).ok().filter(|&p| p < u16::MAX)?;
@@ -338,44 +333,45 @@ impl Floods {
     }
 
     /// The golden region of the last [`Floods::flood_sources`] as a bitset
-    /// over dense cell indices.
+    /// over the graph's nodes.
     fn reach(&self) -> Vec<u64> {
         let mut bits = vec![0u64; self.position.len().div_ceil(64)];
-        for &c in &self.region {
-            bits[c as usize / 64] |= 1 << (c % 64);
+        for &x in &self.region {
+            bits[x as usize / 64] |= 1 << (x % 64);
         }
         bits
     }
 
     /// The sink readings of the last [`Floods::flood_sources`].
-    fn response(&self, chip: &LoweredChip) -> Response {
+    fn response(&self, graph: &ChipGraph) -> Response {
         Response::from_readings(
-            chip.sink_cells()
+            graph
+                .sink_port_nodes()
                 .iter()
-                .map(|&c| self.position[c as usize] != u32::MAX)
+                .map(|&x| self.position[x as usize] != u32::MAX)
                 .collect(),
         )
     }
 
-    /// The cells joined to a sink port by `vector`'s commanded-open
-    /// edges: a bitset over dense cell indices.
-    fn flood_sinks(&mut self, chip: &LoweredChip, vector: &TestVector) -> Vec<u64> {
+    /// The nodes joined to a sink port's node by `vector`'s commanded-open
+    /// valves: a bitset over the graph's nodes.
+    fn flood_sinks(&mut self, graph: &ChipGraph, vector: &TestVector) -> Vec<u64> {
         let mut bits = vec![0u64; self.position.len().div_ceil(64)];
-        let mut mark = |c: u32, stack: &mut Vec<u32>| {
-            let (word, bit) = (c as usize / 64, 1 << (c % 64));
+        let mut mark = |x: u32, stack: &mut Vec<u32>| {
+            let (word, bit) = (x as usize / 64, 1 << (x % 64));
             if bits[word] & bit == 0 {
                 bits[word] |= bit;
-                stack.push(c);
+                stack.push(x);
             }
         };
         self.stack.clear();
-        for &s in chip.sink_cells() {
+        for &s in graph.sink_port_nodes() {
             mark(s, &mut self.stack);
         }
-        while let Some(c) = self.stack.pop() {
-            for (next, gate) in chip.adjacency(c) {
-                if gate == OPEN_GATE || vector.is_open(ValveId(gate as usize)) {
-                    mark(next, &mut self.stack);
+        while let Some(x) = self.stack.pop() {
+            for arc in graph.arcs(x as usize) {
+                if vector.is_open(ValveId(arc.valve as usize)) {
+                    mark(arc.to, &mut self.stack);
                 }
             }
         }
@@ -464,9 +460,12 @@ mod tests {
         let suite = TestSuite::new(&f, vec![vector.clone()]);
         let golden = propagate(&f, &vector, &FaultSet::new());
         let reach = suite.golden_reach(0);
-        assert_eq!(reach.len(), f.cell_count().div_ceil(64));
+        let graph = suite.graph();
+        assert!(graph.node_count() < f.cell_count(), "channels share nodes");
+        assert_eq!(reach.len(), graph.node_count().div_ceil(64));
         for c in 0..f.cell_count() {
-            assert_eq!(reach[c / 64] >> (c % 64) & 1 == 1, golden.at(f.cell_at(c)));
+            let x = graph.node(c);
+            assert_eq!(reach[x / 64] >> (x % 64) & 1 == 1, golden.at(f.cell_at(c)));
         }
     }
 
@@ -568,18 +567,18 @@ mod tests {
             vector.set(ValveId(v), ValveState::Closed);
         }
         let suite = TestSuite::new(&f, vec![vector.clone()]);
-        let chip = suite.chip();
-        let mut open = LaneSet::zeros(chip.valve_count());
+        let graph = suite.graph();
+        let mut open = LaneSet::zeros(graph.valve_count());
         open.broadcast(|v| vector.is_open(ValveId(v)));
-        let mut frontier = BitFrontier::new(chip.cell_count());
-        frontier.flood(chip, chip.sink_cells(), !0, &open);
+        let mut frontier = BitFrontier::new(graph.node_count());
+        frontier.flood(graph, graph.sink_port_nodes(), !0, &open);
         let side = suite.sink_side(0);
         let mut size = 0;
-        for c in 0..f.cell_count() {
-            let inside = side[c / 64] >> (c % 64) & 1 == 1;
-            assert_eq!(inside, frontier.reached().word(c) != 0, "cell {c}");
+        for x in 0..graph.node_count() {
+            let inside = side[x / 64] >> (x % 64) & 1 == 1;
+            assert_eq!(inside, frontier.reached().word(x) != 0, "node {x}");
             size += usize::from(inside);
         }
-        assert!(size > chip.sink_cells().len(), "only the sink cells");
+        assert!(size > graph.sink_port_nodes().len(), "only the sink nodes");
     }
 }

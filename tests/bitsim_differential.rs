@@ -476,18 +476,18 @@ fn kernel_counters_are_pinned_on_table1_plans() {
     type Counts = (usize, usize, usize);
     let pinned: [[Counts; 4]; 5] = [
         [(160, 72, 10240), (2, 16, 56), (2, 0, 78), (3, 0, 176)],
-        [(160, 70, 10240), (6, 35, 327), (6, 1, 352), (15, 0, 926)],
-        [(160, 70, 10240), (15, 95, 825), (13, 1, 822), (36, 0, 2256)],
+        [(160, 65, 10240), (6, 35, 327), (6, 0, 352), (15, 0, 926)],
+        [(160, 67, 10240), (15, 94, 825), (13, 0, 822), (36, 0, 2256)],
         [
-            (160, 70, 10240),
-            (21, 149, 1248),
-            (24, 5, 1488),
+            (160, 67, 10240),
+            (21, 148, 1248),
+            (24, 0, 1488),
             (66, 0, 4170),
         ],
         [
-            (160, 76, 10240),
-            (54, 382, 3159),
-            (54, 6, 3408),
+            (160, 71, 10240),
+            (54, 378, 3159),
+            (54, 0, 3408),
             (153, 0, 9770),
         ],
     ];

@@ -3,8 +3,8 @@
 
 use fpva::grid::{PortKind, Side};
 use fpva::layouts::{self, GenSpec, PortRule};
-use fpva::sim::{audit, Fault};
-use fpva::{Atpg, Fpva, FpvaBuilder};
+use fpva::sim::{audit, Fault, FaultSet};
+use fpva::{Atpg, Fpva, FpvaBuilder, ValveId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::ops::Range;
@@ -85,6 +85,43 @@ fn mid_side_ports_leave_no_valve_falsely_untestable() {
         "{:?}",
         plan.untestable_open()
     );
+}
+
+/// A 4×4 chip whose channels on rows 1 and 2 (columns 0–2) are joined by a
+/// column-0 channel. The valves between the rows at columns 1 and 2,
+/// `ValveId(12)` and `ValveId(13)`, have both cells in that one channel,
+/// which bypasses them: the chip graph gives them no arc
+/// (`graph::tests::bypassed_valves_have_equal_endpoint_nodes_and_no_arc`
+/// in `fpva-grid`). The plan lists both as untestable in either direction,
+/// and neither the bit kernel nor the scalar oracle sees their four
+/// stuck-at faults.
+#[test]
+fn channel_bypassed_valves_are_listed_and_undetected() {
+    let f = FpvaBuilder::new(4, 4)
+        .channel_horizontal(1, 0, 2)
+        .channel_horizontal(2, 0, 2)
+        .channel_vertical(0, 1, 2)
+        .port(0, 0, Side::West, PortKind::Source)
+        .port(3, 3, Side::East, PortKind::Sink)
+        .build()
+        .unwrap();
+    let bypassed = [ValveId(12), ValveId(13)];
+    let plan = Atpg::new().generate(&f).unwrap();
+    for v in bypassed {
+        assert!(plan.untestable_open().contains(&v), "{v}");
+        assert!(plan.untestable_closed().contains(&v), "{v}");
+    }
+    let suite = plan.to_suite(&f);
+    let report = audit::single_fault_coverage(&f, &suite);
+    for fault in bypassed
+        .map(Fault::StuckAt0)
+        .into_iter()
+        .chain(bypassed.map(Fault::StuckAt1))
+    {
+        assert!(report.undetected.contains(&fault), "{fault:?}");
+        let set = FaultSet::try_from_faults(vec![fault]).unwrap();
+        assert!(!suite.detects(&f, &set), "{fault:?}");
+    }
 }
 
 /// Generates `f`'s default plan and checks that every single stuck-at and

@@ -12,8 +12,8 @@
 mod common;
 
 use common::SMALL_CHIPS;
-use fpva::atpg::connectivity::{endpoint_ports, open_components, Router, Routing};
-use fpva::grid::{CellId, EdgeId, EdgeKind, PortKind};
+use fpva::atpg::connectivity::{endpoint_ports, Router, Routing};
+use fpva::grid::{CellId, ChipGraph, EdgeId, EdgeKind, PortKind};
 use fpva::{layouts, FlowPath, Fpva};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -60,7 +60,7 @@ impl Enumerator<'_> {
 }
 
 fn valid_path_masks(fpva: &Fpva) -> Vec<u64> {
-    let comp = open_components(fpva);
+    let comp = ChipGraph::new(fpva).components().to_vec();
     let n = comp.iter().max().map_or(0, |&m| m + 1);
     let mut source_comp = vec![false; n];
     let mut sink_cell = vec![false; fpva.cell_count()];
@@ -107,7 +107,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let f = layouts::generated(&SMALL_CHIPS, &mut |range| rng.gen_range(range));
         let masks = valid_path_masks(&f);
-        let comp = open_components(&f);
+        let comp = ChipGraph::new(&f).components().to_vec();
         let router = Router::new(&f);
         let mut routing = Routing::default();
         let prefer = |v: fpva::ValveId| (f.edge_index(f.edge_of(v)) as u64 ^ seed).is_multiple_of(3);
